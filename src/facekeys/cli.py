@@ -9,7 +9,7 @@ single --seed flag with a fixed default.
 from __future__ import annotations
 
 import argparse
-import math
+import csv
 import os
 import sys
 from dataclasses import replace
@@ -23,13 +23,10 @@ from . import pca as pca_mod
 from . import viz
 from .lbp import LbpConfig, LbpImage, lbp_basic, lbp_circular, _min_rotations
 from .rng import permutation
-from .pipeline import (
-    FeaturePipeline,
-    fit_pipeline,
-    pipeline_from_payload,
-    pipeline_to_payload,
-)
+from .pipeline import fit_pipeline, pipeline_from_payload, pipeline_to_payload
 from .regressors import (
+    KINDS,
+    SPEC_KINDS,
     ConfigError,
     RegressorSpec,
     fit_any,
@@ -84,42 +81,15 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise CliError(f"--hidden expects comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        )
 
 
 def _build_spec(args, seed: int) -> RegressorSpec:
-    kind = args.model
-    hp: dict = {}
-    if kind == "knn":
-        hp["k"] = args.k
-    elif kind == "ridge":
-        hp["lam"] = args.lam
-    elif kind == "lasso":
-        hp = {"alpha": args.alpha, "max_iter": args.max_iter, "tol": args.tol}
-    elif kind == "elastic":
-        hp = {"alpha": args.alpha, "rho": args.rho,
-              "max_iter": args.max_iter, "tol": args.tol}
-    elif kind == "tree":
-        hp = {"max_depth": args.max_depth,
-              "min_samples_leaf": args.min_samples_leaf}
-    elif kind == "mlp":
-        hp = {"hidden": _parse_hidden(args.hidden), "epochs": args.epochs,
-              "batch_size": args.batch_size, "optimizer": args.optimizer}
-    elif kind == "cnn":
-        hp = {"epochs": args.epochs, "batch_size": args.batch_size,
-              "optimizer": args.optimizer}
-    return RegressorSpec(kind=kind, hyperparameters=hp, seed=seed)
-
-
-def _grids_from_features(X: np.ndarray, side_hint: int | None = None) -> np.ndarray:
-    k = X.shape[1]
-    side = side_hint if side_hint is not None else math.isqrt(k)
-    if side * side != k or side % 4 != 0:
-        raise CliError(
-            f"cnn needs square features with a side divisible by 4; got {k} "
-            "columns (try --pca 256)"
-        )
-    return X.reshape(-1, side, side)
+    # the train flags' destinations are the run-set hyperparameter names
+    names = SPEC_KINDS[args.model].run_set
+    return RegressorSpec(args.model, {n: getattr(args, n) for n in names}, seed)
 
 
 def cmd_train(args) -> int:
@@ -148,11 +118,7 @@ def cmd_train(args) -> int:
     X = pipe.transform(train.images).values
     _, Y = ds.to_matrices(train, scale_pixels=False)
 
-    spec = _build_spec(args, args.seed)
-    if args.model == "cnn":
-        model = fit_any(spec, _grids_from_features(X), Y)
-    else:
-        model = fit_any(spec, X, Y)
+    model = fit_any(_build_spec(args, args.seed), X, Y)
 
     meta, arrays = pipeline_to_payload(pipe)
     extras = {
@@ -160,13 +126,7 @@ def cmd_train(args) -> int:
         "target_names": list(train.slot_names),
         "task": train.task.value,
     }
-    save_model(args.out, model, extras=extras)
-    # pipeline arrays ride along in the same container
-    if arrays:
-        with np.load(args.out) as existing:
-            payload = {k: existing[k] for k in existing.files}
-        payload.update(arrays)
-        np.savez(args.out, **payload)
+    save_model(args.out, model, extras=extras, extra_arrays=arrays)
     print(f"trained {args.model} on task {args.task} "
           f"({len(train)} rows, {X.shape[1]} features) -> {args.out}")
     return 0
@@ -183,26 +143,23 @@ def _load_images_any(path: str) -> np.ndarray:
 def cmd_predict(args) -> int:
     """Apply a saved model to a CSV of images; write predicted coordinates."""
     model, extras = load_model(args.model_file)
+    if "pipeline" not in extras:
+        raise CliError(
+            f"{args.model_file} holds no feature pipeline; "
+            "predict needs a model written by 'facekeys train'"
+        )
     with np.load(args.model_file) as data:
         arrays = {k: data[k] for k in data.files if k.startswith("pipe_")}
     pipe = pipeline_from_payload(extras["pipeline"], arrays)
     images = _load_images_any(args.input)
-    X = pipe.transform(images).values
-    from .regressors import CnnModel
-
-    if isinstance(model, CnnModel):
-        pred = predict_any(model, _grids_from_features(X, model.side))
-    else:
-        pred = predict_any(model, X)
+    pred = predict_any(model, pipe.transform(images).values)
 
     names = extras.get("target_names", [])
     columns = []
     for n in names:
         columns.extend((f"{n}_x", f"{n}_y"))
-    import csv as _csv
-
     with open(args.out, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(columns or [f"y{i}" for i in range(pred.shape[1])])
         for row in pred:
             writer.writerow([repr(float(v)) for v in row])
@@ -324,9 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="fit one model and save it")
     add_input(p)
     p.add_argument("--task", choices=("four", "eleven"), default="four")
-    p.add_argument("--model", required=True,
-                   choices=("knn", "ols", "ridge", "lasso", "elastic",
-                            "tree", "mlp", "cnn"))
+    p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--max-rows", type=int, default=None)
@@ -349,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--max-depth", type=int, default=5)
     p.add_argument("--min-samples-leaf", type=int, default=1)
-    p.add_argument("--hidden", default="300,150,50")
+    p.add_argument("--hidden", type=_parse_hidden, default="300,150,50")
     p.add_argument("--epochs", type=int, default=30)
     p.add_argument("--batch-size", type=int, default=30)
     p.add_argument("--optimizer", choices=("sgd", "rmsprop"), default="rmsprop")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -22,6 +21,7 @@ from .dataset import (
     Dataset,
     DatasetError,
     Task,
+    column_means,
     holdout_split,
     impute_column_means,
     load_training_csv,
@@ -31,13 +31,14 @@ from .dataset import (
 from .lbp import LbpConfig
 from .pipeline import fit_pipeline
 from .pca import fit_pca, to_grid, transform
-from .regressors import RegressorSpec, fit_any, predict_any
+from .regressors import KINDS, SPEC_KINDS, RegressorSpec, fit_any, predict_any
+from .regressors.cnn import grid_side
 from .rng import permutation
 
 TASK_LABELS = {"eleven": "RMSE1", "four": "RMSE2"}
 
 DEFAULT_MODELS = ("knn", "ols", "ridge", "lasso", "elastic", "tree")
-ALL_MODELS = ("knn", "ols", "ridge", "lasso", "elastic", "tree", "mlp", "cnn")
+ALL_MODELS = KINDS
 
 
 class EvalError(ValueError):
@@ -105,12 +106,10 @@ class BenchmarkConfig:
         for t in self.tasks:
             if t not in TASK_LABELS:
                 raise EvalError(f"unknown task {t!r}")
-        if "cnn" in self.models:
-            side = math.isqrt(self.pca_components)
-            if side * side != self.pca_components or side % 4 != 0:
-                raise EvalError(
-                    "cnn needs pca_components to be a square of a multiple of 4"
-                )
+        if "cnn" in self.models and grid_side(self.pca_components) is None:
+            raise EvalError(
+                "cnn needs pca_components to be a square of a multiple of 4"
+            )
 
     def effective_max_rows(self) -> int | None:
         return None if self.full else self.max_rows
@@ -189,31 +188,22 @@ class EvalReport:
 
 
 def _spec_for(cfg: BenchmarkConfig, kind: str) -> RegressorSpec:
-    if kind == "knn":
-        hp = {"k": cfg.knn_k}
-    elif kind == "ols":
-        hp = {}
-    elif kind == "ridge":
-        hp = {"lam": cfg.ridge_lam}
-    elif kind == "lasso":
-        hp = {"alpha": cfg.lasso_alpha, "max_iter": cfg.cd_max_iter, "tol": cfg.cd_tol}
-    elif kind == "elastic":
-        hp = {
-            "alpha": cfg.elastic_alpha, "rho": cfg.elastic_rho,
-            "max_iter": cfg.cd_max_iter, "tol": cfg.cd_tol,
-        }
-    elif kind == "tree":
-        hp = {"max_depth": cfg.tree_max_depth, "min_samples_leaf": cfg.tree_min_samples_leaf}
-    elif kind == "mlp":
-        hp = {
-            "hidden": cfg.mlp_hidden, "epochs": cfg.effective_epochs("mlp"),
-            "batch_size": cfg.mlp_batch_size, "optimizer": cfg.optimizer,
-        }
-    else:
-        hp = {
-            "epochs": cfg.effective_epochs("cnn"),
-            "batch_size": cfg.cnn_batch_size, "optimizer": cfg.optimizer,
-        }
+    # config field behind each run-set hyperparameter name
+    values = {
+        "k": cfg.knn_k,
+        "lam": cfg.ridge_lam,
+        "alpha": cfg.elastic_alpha if kind == "elastic" else cfg.lasso_alpha,
+        "rho": cfg.elastic_rho,
+        "max_iter": cfg.cd_max_iter,
+        "tol": cfg.cd_tol,
+        "max_depth": cfg.tree_max_depth,
+        "min_samples_leaf": cfg.tree_min_samples_leaf,
+        "hidden": cfg.mlp_hidden,
+        "epochs": cfg.effective_epochs(kind),
+        "batch_size": cfg.cnn_batch_size if kind == "cnn" else cfg.mlp_batch_size,
+        "optimizer": cfg.optimizer,
+    }
+    hp = {name: values[name] for name in SPEC_KINDS[kind].run_set}
     return RegressorSpec(kind=kind, hyperparameters=hp, seed=cfg.seed)
 
 
@@ -235,21 +225,23 @@ def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
 def _grids_for_cnn(cfg: BenchmarkConfig, X_train: np.ndarray, X_test: np.ndarray):
     """Square grids for the cnn.
 
-    Features that already form a pool-friendly square (e.g. a 256-wide
-    PCA space) reshape directly; anything else (raw 9216-pixel rows) gets
-    its own PCA projection first, shrunk if the training split is small.
+    Features whose width already forms a cnn grid (grid_side) reshape
+    directly: a 256-wide PCA space, and also raw pixel rows of square
+    images whose side is divisible by 4, so raw 9216-pixel rows become
+    96x96 grids. Any other width (e.g. a PCA space that a small training
+    split shrank below 256) gets its own PCA projection first, to the
+    largest grid width that pca_components and the split allow.
     """
     k = X_train.shape[1]
-    side = math.isqrt(k)
-    if side * side == k and side % 4 == 0:
+    side = grid_side(k)
+    if side is not None:
         return X_train.reshape(-1, side, side), X_test.reshape(-1, side, side)
     n_comp = min(cfg.pca_components, X_train.shape[0] - 1, k)
-    side = math.isqrt(n_comp)
-    while side > 0 and (side * side != n_comp or side % 4 != 0):
+    while n_comp > 0 and grid_side(n_comp) is None:
         n_comp -= 1
-        side = math.isqrt(n_comp)
-    if side == 0:
+    if n_comp <= 0:
         raise EvalError("training split too small to build cnn grids")
+    side = grid_side(n_comp)
     model = fit_pca(X_train, n_components=n_comp)
     return (
         to_grid(model, transform(model, X_train), side),
@@ -268,8 +260,6 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
         d = _subsample(by_task[task], cfg.effective_max_rows(), cfg.seed)
         if cfg.train_only_means:
             train_raw, test_raw = holdout_split(d, cfg.train_fraction, cfg.seed)
-            from .dataset import column_means
-
             means = column_means(train_raw)
             train = impute_column_means(train_raw, means)
             test = impute_column_means(test_raw, means)

@@ -35,8 +35,8 @@ class LbpConfig:
         rotation_invariant: map codes to their minimal cyclic rotation.
         cell_size: square cell edge for histogram features.
         interpolation: 'bilinear' (default) or 'nearest'; with 'nearest'
-            and P=8, R=1 the circular map reduces to the basic 8-neighbor
-            map on interior pixels.
+            and P=8, R=1 the circular map equals the basic 8-neighbor map
+            on every pixel, borders included.
     """
 
     neighbors: int = 8
@@ -121,8 +121,9 @@ def lbp_basic(img) -> LbpImage:
 def circle_offsets(neighbors: int, radius: float) -> list[tuple[float, float]]:
     """(drow, dcol) sampling offsets, clockwise starting at the upper-left.
 
-    Offsets within 1e-9 of an integer are snapped, so P=8, R=1 samples the
-    exact 3x3 neighbor grid.
+    Offsets within 1e-9 of an integer are snapped, so P=8, R=1 samples its
+    four axis neighbors exactly; its diagonals stay at (+-0.7071, +-0.7071),
+    and only interpolation='nearest' rounds them onto the 3x3 corners.
     """
     offsets = []
     for p in range(neighbors):

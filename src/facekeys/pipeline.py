@@ -19,7 +19,11 @@ from .lbp import LbpConfig, lbp_basic, lbp_circular, lbp_histogram_features
 
 @dataclass(eq=False)
 class FeaturePipeline:
-    """scale -> (lbp) -> (pca), each stage optional except scaling policy."""
+    """scale -> (lbp) -> (pca), each stage optional except scaling policy.
+
+    LBP with P=8, R=1 and no rotation invariance always uses lbp_basic
+    (the nearest map), whatever the config's interpolation says.
+    """
 
     scale_pixels: bool = True
     lbp: LbpConfig | None = None

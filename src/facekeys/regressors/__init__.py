@@ -1,16 +1,18 @@
 """Regressor registry: uniform fit/predict dispatch plus serialization.
 
 Eight kinds are available: knn, ols, ridge, lasso, elastic, tree, mlp,
-cnn. A RegressorSpec names the kind, its hyperparameters, and a seed;
-fit_any validates and routes, predict_any dispatches on the fitted model
-type, and save_model/load_model round-trip any fitted model through a
-self-describing .npz container.
+cnn. A RegressorSpec names the kind, its hyperparameters, and a seed.
+Two tables hold everything that differs per kind: SPEC_KINDS maps a spec
+kind to its fit function and hyperparameter names, and _FORMATS maps a
+fitted model class to its predict function and its .npz layout. fit_any,
+predict_any, save_model and load_model are lookups in them.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -18,11 +20,12 @@ from .knn import KnnModel, knn_fit, knn_predict
 from .linear import LinearModel, elastic_fit, lasso_fit, linear_predict, ols_fit, ridge_fit
 from .tree import TreeModel, flatten_tree, tree_fit, tree_predict, unflatten_tree
 from .mlp import MlpModel, mlp_fit, mlp_predict
-from .cnn import CnnModel, cnn_fit, cnn_predict
+from .cnn import PARAM_NAMES, CnnModel, cnn_fit, cnn_predict
 from .optim import TrainingDiverged
 
 __all__ = [
-    "RegressorSpec", "ConfigError", "TrainingDiverged",
+    "RegressorSpec", "ConfigError", "TrainingDiverged", "SpecKind",
+    "SPEC_KINDS", "KINDS",
     "fit_any", "predict_any", "save_model", "load_model",
     "KnnModel", "LinearModel", "TreeModel", "MlpModel", "CnnModel",
     "knn_fit", "knn_predict", "ols_fit", "ridge_fit", "lasso_fit",
@@ -35,26 +38,41 @@ class ConfigError(ValueError):
     """Unknown regressor kind or invalid hyperparameters."""
 
 
-# per kind: hyperparameter name -> (type check, description)
-_ALLOWED: dict[str, set[str]] = {
-    "knn": {"k"},
-    "ols": set(),
-    "ridge": {"lam"},
-    "lasso": {"alpha", "max_iter", "tol"},
-    "elastic": {"alpha", "rho", "max_iter", "tol"},
-    "tree": {"max_depth", "min_samples_leaf"},
-    "mlp": {
-        "hidden", "epochs", "batch_size", "optimizer", "learning_rate",
-        "dropout", "momentum", "rms_decay", "scale_targets",
-    },
-    "cnn": {
-        "epochs", "batch_size", "optimizer", "learning_rate",
-        "dropout_conv", "dropout_dense", "momentum", "rms_decay",
-        "scale_targets",
-    },
+@dataclass(frozen=True)
+class SpecKind:
+    """How to train one spec kind.
+
+    run_set names the hyperparameters a CLI or benchmark run sets (the
+    train flags and BenchmarkConfig fields map onto them); tuning names
+    the further ones a spec may set. A seeded kind's fit takes the seed.
+    """
+
+    fit: Callable
+    run_set: tuple[str, ...] = ()
+    tuning: tuple[str, ...] = ()
+    seeded: bool = False
+
+
+_GRADIENT_TUNING = ("learning_rate", "momentum", "rms_decay", "scale_targets")
+
+SPEC_KINDS: dict[str, SpecKind] = {
+    "knn": SpecKind(knn_fit, ("k",)),
+    "ols": SpecKind(ols_fit),
+    "ridge": SpecKind(ridge_fit, ("lam",)),
+    "lasso": SpecKind(lasso_fit, ("alpha", "max_iter", "tol")),
+    "elastic": SpecKind(elastic_fit, ("alpha", "rho", "max_iter", "tol")),
+    "tree": SpecKind(tree_fit, ("max_depth", "min_samples_leaf")),
+    "mlp": SpecKind(
+        mlp_fit, ("hidden", "epochs", "batch_size", "optimizer"),
+        ("dropout",) + _GRADIENT_TUNING, seeded=True,
+    ),
+    "cnn": SpecKind(
+        cnn_fit, ("epochs", "batch_size", "optimizer"),
+        ("dropout_conv", "dropout_dense") + _GRADIENT_TUNING, seeded=True,
+    ),
 }
 
-KINDS = tuple(_ALLOWED)
+KINDS = tuple(SPEC_KINDS)
 
 
 @dataclass
@@ -66,11 +84,12 @@ class RegressorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _ALLOWED:
+        entry = SPEC_KINDS.get(self.kind)
+        if entry is None:
             raise ConfigError(
                 f"unknown regressor kind {self.kind!r}; expected one of {KINDS}"
             )
-        extra = set(self.hyperparameters) - _ALLOWED[self.kind]
+        extra = set(self.hyperparameters) - {*entry.run_set, *entry.tuning}
         if extra:
             raise ConfigError(
                 f"{self.kind} does not accept hyperparameters {sorted(extra)}"
@@ -80,140 +99,139 @@ class RegressorSpec:
 def fit_any(spec: RegressorSpec, X, Y):
     """Train the model a spec describes.
 
-    X is a 2-d feature matrix for every kind except cnn, which takes
-    (n, side, side) grids. Stochastic kinds (mlp, cnn) are bit-for-bit
-    reproducible for a fixed seed.
+    X is a 2-d feature matrix; cnn reads square rows as grids and also
+    takes (n, side, side) grids. Stochastic kinds (mlp, cnn) are
+    bit-for-bit reproducible for a fixed seed.
     """
-    hp = dict(spec.hyperparameters)
-    if spec.kind == "knn":
-        return knn_fit(X, Y, k=hp.get("k", 5))
-    if spec.kind == "ols":
-        return ols_fit(X, Y)
-    if spec.kind == "ridge":
-        return ridge_fit(X, Y, lam=hp.get("lam", 1.0))
-    if spec.kind == "lasso":
-        return lasso_fit(X, Y, **hp)
-    if spec.kind == "elastic":
-        return elastic_fit(X, Y, **hp)
-    if spec.kind == "tree":
-        return tree_fit(X, Y, **hp)
-    if spec.kind == "mlp":
-        return mlp_fit(X, Y, seed=spec.seed, **hp)
-    return cnn_fit(X, Y, seed=spec.seed, **hp)
+    entry = SPEC_KINDS[spec.kind]
+    seed = {"seed": spec.seed} if entry.seeded else {}
+    return entry.fit(X, Y, **spec.hyperparameters, **seed)
+
+
+class _Format(NamedTuple):
+    """A fitted model class: predict function and .npz layout."""
+
+    tag: str  # meta "kind" in the file
+    predict: Callable
+    to_payload: Callable  # model -> (meta entries, named arrays)
+    from_payload: Callable  # (meta, archive) -> model
+
+
+_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples")
+
+
+def _tree_payload(m: TreeModel):
+    meta = {
+        "n_features": m.n_features,
+        "max_depth": m.max_depth,
+        "min_samples_leaf": m.min_samples_leaf,
+    }
+    return meta, {f"tree_{name}": arr for name, arr in flatten_tree(m).items()}
+
+
+def _tree_model(meta, data) -> TreeModel:
+    return unflatten_tree(
+        {name: data[f"tree_{name}"] for name in _TREE_ARRAYS},
+        n_features=int(meta["n_features"]),
+        max_depth=meta["max_depth"],
+        min_samples_leaf=int(meta["min_samples_leaf"]),
+    )
+
+
+def _mlp_payload(m: MlpModel):
+    meta = {
+        "n_layers": len(m.weights),
+        "hidden_activation": m.hidden_activation,
+        "target_offset": m.target_offset,
+        "target_scale": m.target_scale,
+    }
+    arrays: dict[str, np.ndarray] = {}
+    for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+        arrays[f"mlp_w{i}"], arrays[f"mlp_b{i}"] = w, b
+    return meta, arrays
+
+
+def _mlp_model(meta, data) -> MlpModel:
+    n = int(meta["n_layers"])
+    return MlpModel(
+        weights=[data[f"mlp_w{i}"] for i in range(n)],
+        biases=[data[f"mlp_b{i}"] for i in range(n)],
+        hidden_activation=meta["hidden_activation"],
+        target_offset=float(meta["target_offset"]),
+        target_scale=float(meta["target_scale"]),
+    )
+
+
+# cnn meta entries and how each is read back
+_CNN_META = {
+    "side": int, "dropout_conv": float, "dropout_dense": float,
+    "target_offset": float, "target_scale": float,
+}
+
+_FORMATS: dict[type, _Format] = {
+    KnnModel: _Format(
+        "knn", knn_predict,
+        lambda m: ({"k": m.k}, {"knn_x": m.X, "knn_y": m.Y}),
+        lambda meta, data: KnnModel(X=data["knn_x"], Y=data["knn_y"], k=int(meta["k"])),
+    ),
+    LinearModel: _Format(
+        "linear", linear_predict,
+        lambda m: ({"converged": bool(m.converged)}, {"lin_w": m.weights, "lin_b": m.intercept}),
+        lambda meta, data: LinearModel(
+            weights=data["lin_w"], intercept=data["lin_b"], converged=bool(meta["converged"])
+        ),
+    ),
+    TreeModel: _Format("tree", tree_predict, _tree_payload, _tree_model),
+    MlpModel: _Format("mlp", mlp_predict, _mlp_payload, _mlp_model),
+    CnnModel: _Format(
+        "cnn", cnn_predict,
+        lambda m: (
+            {name: getattr(m, name) for name in _CNN_META},
+            {f"cnn_{name}": arr for name, arr in m.params.items()},
+        ),
+        lambda meta, data: CnnModel(
+            params={name: data[f"cnn_{name}"] for name in PARAM_NAMES},
+            **{name: read(meta[name]) for name, read in _CNN_META.items()},
+        ),
+    ),
+}
+_FORMAT_BY_TAG = {fmt.tag: fmt for fmt in _FORMATS.values()}
+
+
+def _format_of(model, action: str) -> _Format:
+    fmt = _FORMATS.get(type(model))
+    if fmt is None:
+        raise ConfigError(f"cannot {action} object of type {type(model).__name__}")
+    return fmt
 
 
 def predict_any(model, X) -> np.ndarray:
     """Predict with any fitted model; dispatches on the model type."""
-    if isinstance(model, KnnModel):
-        return knn_predict(model, X)
-    if isinstance(model, LinearModel):
-        return linear_predict(model, X)
-    if isinstance(model, TreeModel):
-        return tree_predict(model, X)
-    if isinstance(model, MlpModel):
-        return mlp_predict(model, X)
-    if isinstance(model, CnnModel):
-        return cnn_predict(model, X)
-    raise ConfigError(f"cannot predict with object of type {type(model).__name__}")
+    return _format_of(model, "predict with").predict(model, X)
 
 
-def _model_kind(model) -> str:
-    if isinstance(model, KnnModel):
-        return "knn"
-    if isinstance(model, LinearModel):
-        return "linear"
-    if isinstance(model, TreeModel):
-        return "tree"
-    if isinstance(model, MlpModel):
-        return "mlp"
-    if isinstance(model, CnnModel):
-        return "cnn"
-    raise ConfigError(f"cannot serialize object of type {type(model).__name__}")
+def save_model(path, model, extras: dict | None = None,
+               extra_arrays: dict[str, np.ndarray] | None = None) -> None:
+    """Write a fitted model to .npz in one write.
 
-
-def save_model(path, model, extras: dict | None = None) -> None:
-    """Write a fitted model (plus optional JSON-safe extras) to .npz."""
-    kind = _model_kind(model)
-    meta: dict = {"kind": kind, "extras": extras or {}}
-    arrays: dict[str, np.ndarray] = {}
-    if kind == "knn":
-        meta["k"] = model.k
-        arrays["knn_x"] = model.X
-        arrays["knn_y"] = model.Y
-    elif kind == "linear":
-        meta["converged"] = bool(model.converged)
-        arrays["lin_w"] = model.weights
-        arrays["lin_b"] = model.intercept
-    elif kind == "tree":
-        meta["n_features"] = model.n_features
-        meta["max_depth"] = model.max_depth
-        meta["min_samples_leaf"] = model.min_samples_leaf
-        for name, arr in flatten_tree(model).items():
-            arrays[f"tree_{name}"] = arr
-    elif kind == "mlp":
-        meta["n_layers"] = len(model.weights)
-        meta["hidden_activation"] = model.hidden_activation
-        meta["target_offset"] = model.target_offset
-        meta["target_scale"] = model.target_scale
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            arrays[f"mlp_w{i}"] = w
-            arrays[f"mlp_b{i}"] = b
-    else:
-        meta["side"] = model.side
-        meta["dropout_conv"] = model.dropout_conv
-        meta["dropout_dense"] = model.dropout_dense
-        meta["target_offset"] = model.target_offset
-        meta["target_scale"] = model.target_scale
-        for name, arr in model.params.items():
-            arrays[f"cnn_{name}"] = arr
+    extras (JSON-safe) ride in the meta record; extra_arrays (such as a
+    feature pipeline's pipe_* arrays) are stored next to the model's own.
+    """
+    fmt = _format_of(model, "serialize")
+    meta, arrays = fmt.to_payload(model)
+    meta.update(kind=fmt.tag, extras=extras or {})
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **arrays)
+    np.savez(path, **arrays, **(extra_arrays or {}))
 
 
 def load_model(path):
     """Read a model written by save_model. Returns (model, extras)."""
     with np.load(path) as data:
+        if "meta" not in data.files:
+            raise ConfigError(f"{path} is not a facekeys model file: it has no meta record")
         meta = json.loads(bytes(data["meta"]).decode())
-        kind = meta["kind"]
-        if kind == "knn":
-            model = KnnModel(X=data["knn_x"], Y=data["knn_y"], k=int(meta["k"]))
-        elif kind == "linear":
-            model = LinearModel(
-                weights=data["lin_w"],
-                intercept=data["lin_b"],
-                converged=bool(meta["converged"]),
-            )
-        elif kind == "tree":
-            arrays = {
-                name: data[f"tree_{name}"]
-                for name in ("feature", "threshold", "left", "right", "value", "n_samples")
-            }
-            model = unflatten_tree(
-                arrays,
-                n_features=int(meta["n_features"]),
-                max_depth=meta["max_depth"],
-                min_samples_leaf=int(meta["min_samples_leaf"]),
-            )
-        elif kind == "mlp":
-            n = int(meta["n_layers"])
-            model = MlpModel(
-                weights=[data[f"mlp_w{i}"] for i in range(n)],
-                biases=[data[f"mlp_b{i}"] for i in range(n)],
-                hidden_activation=meta["hidden_activation"],
-                target_offset=float(meta["target_offset"]),
-                target_scale=float(meta["target_scale"]),
-            )
-        elif kind == "cnn":
-            from .cnn import PARAM_NAMES
-
-            model = CnnModel(
-                params={k: data[f"cnn_{k}"] for k in PARAM_NAMES},
-                side=int(meta["side"]),
-                dropout_conv=float(meta["dropout_conv"]),
-                dropout_dense=float(meta["dropout_dense"]),
-                target_offset=float(meta["target_offset"]),
-                target_scale=float(meta["target_scale"]),
-            )
-        else:
-            raise ConfigError(f"unknown model kind {kind!r} in {path}")
+        fmt = _FORMAT_BY_TAG.get(meta.get("kind"))
+        if fmt is None:
+            raise ConfigError(f"unknown model kind {meta.get('kind')!r} in {path}")
+        model = fmt.from_payload(meta, data)
     return model, meta.get("extras", {})

@@ -9,6 +9,7 @@ loss is MSE and targets train in the scaled space y' = (y - 48) / 48.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,18 @@ class CnnModel:
     @property
     def n_outputs(self) -> int:
         return self.params["out_b"].shape[0]
+
+
+def grid_side(n_features: int) -> int | None:
+    """Side of the square grid n_features values form for the cnn.
+
+    The two 2x2 pools each halve the grid, so the side must be a positive
+    multiple of 4; None when n_features is not the square of such a side.
+    """
+    side = math.isqrt(n_features)
+    if side > 0 and side * side == n_features and side % 4 == 0:
+        return side
+    return None
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -101,7 +114,7 @@ def _pool_backward(dout: np.ndarray, cache):
 
 def init_cnn(side: int, n_outputs: int, seed: int) -> CnnModel:
     """Glorot-uniform initialized network, deterministic per seed."""
-    if side % 4 != 0:
+    if grid_side(side * side) is None:
         raise ValueError(f"grid side must be divisible by 4, got {side}")
     rng = np.random.default_rng(seed)
     flat = (side // 4) * (side // 4) * 8
@@ -119,7 +132,16 @@ def init_cnn(side: int, n_outputs: int, seed: int) -> CnnModel:
 
 
 def _check_grids(X, side: int | None = None) -> np.ndarray:
+    """(n, side, side) grids; (n, side*side) feature rows reshape row-major."""
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim == 2:
+        row_side = grid_side(X.shape[1])
+        if row_side is None:
+            raise ValueError(
+                f"cnn needs square features with a side divisible by 4; got "
+                f"{X.shape[1]} columns (try --pca 256)"
+            )
+        X = X.reshape(-1, row_side, row_side)
     if X.ndim != 3 or X.shape[1] != X.shape[2]:
         raise ValueError("grids must be (n, side, side)")
     if side is not None and X.shape[1] != side:
@@ -199,6 +221,8 @@ def cnn_fit(
     scale_targets: bool = True,
 ) -> CnnModel:
     """Train the convolutional regressor on (n, side, side) grids.
+
+    X may also hold (n, side*side) feature rows, read as row-major grids.
 
     loss_history records the full-training-set MSE (dropout off, scaled
     target space) per epoch; a non-finite loss aborts with

@@ -7,6 +7,7 @@ from facekeys.cli import INPUT_ENV, main
 from facekeys.dataset import load_split_csvs, load_training_csv
 from facekeys.lbp import _min_rotations, lbp_basic
 from facekeys.pca import load_pca
+from facekeys.regressors import RegressorSpec, fit_any, save_model
 from facekeys.viz import read_pgm, read_ppm
 
 SPLIT_FILES = tuple(
@@ -158,6 +159,42 @@ def test_train_cnn_on_pca_grids(tmp_path, csv_path):
     pred = _predictions(out)
     assert pred.shape == (30, 8)
     assert np.isfinite(pred).all()
+
+
+def test_train_stores_the_pipeline_arrays_in_the_model_file(tmp_path, csv_path):
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--pca", "5") == 0
+    with np.load(model_file) as data:
+        assert set(data.files) == {
+            "knn_x", "knn_y", "meta", "pipe_pca_mean", "pipe_pca_components",
+            "pipe_pca_variance", "pipe_pca_ratio",
+        }
+        assert data["pipe_pca_components"].shape[0] == 5
+
+
+def test_predict_rejects_a_model_file_without_a_pipeline(tmp_path, csv_path, capsys):
+    rng = np.random.default_rng(0)
+    model = fit_any(RegressorSpec("knn", {"k": 1}), rng.normal(size=(4, 256)),
+                    rng.normal(size=(4, 8)))
+    model_file = tmp_path / "bare.npz"
+    save_model(model_file, model)
+    rc = main(["predict", "--model-file", str(model_file),
+               "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error:") and "no feature pipeline" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_predict_rejects_an_npz_without_meta(tmp_path, csv_path, capsys):
+    model_file = tmp_path / "foreign.npz"
+    np.savez(model_file, weights=np.zeros(3))
+    rc = main(["predict", "--model-file", str(model_file),
+               "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error:") and "no meta record" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_cnn_rejects_feature_widths_without_a_grid(tmp_path, csv_path, capsys):

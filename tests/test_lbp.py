@@ -113,10 +113,12 @@ def test_circle_offsets_p8_r1_order():
 
 
 def test_circular_nearest_equals_basic():
+    # every pixel agrees, borders included, on square and non-square images
     rng = np.random.default_rng(3)
-    img = rng.integers(0, 256, (10, 10))
     cfg = LbpConfig(neighbors=8, radius=1.0, interpolation="nearest")
-    assert np.array_equal(lbp_circular(img, cfg).codes, lbp_basic(img).codes)
+    for shape in ((10, 10), (7, 13)):
+        img = rng.integers(0, 256, shape)
+        assert np.array_equal(lbp_circular(img, cfg).codes, lbp_basic(img).codes)
 
 
 def test_circular_bilinear_on_linear_ramp():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,49 @@ def test_save_load_round_trip_cnn(tmp_path):
 def test_save_rejects_foreign_objects(tmp_path):
     with pytest.raises(ConfigError, match="serialize"):
         save_model(tmp_path / "x.npz", object())
+
+
+
+# saved-model layout per model class: meta "kind", array keys, meta keys
+_LAYOUTS = {
+    "knn": ("knn", {"knn_x", "knn_y"}, {"k"}),
+    "lasso": ("linear", {"lin_w", "lin_b"}, {"converged"}),
+    "tree": (
+        "tree",
+        {f"tree_{n}" for n in ("feature", "threshold", "left", "right", "value", "n_samples")},
+        {"n_features", "max_depth", "min_samples_leaf"},
+    ),
+    "mlp": (
+        "mlp",
+        {"mlp_w0", "mlp_b0", "mlp_w1", "mlp_b1"},
+        {"n_layers", "hidden_activation", "target_offset", "target_scale"},
+    ),
+    "cnn": (
+        "cnn",
+        {f"cnn_{n}" for n in ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
+                              "dense_w", "dense_b", "out_w", "out_b")},
+        {"side", "dropout_conv", "dropout_dense", "target_offset", "target_scale"},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LAYOUTS))
+def test_saved_model_layout_is_pinned(tmp_path, kind):
+    X, Y = flat_data(seed=5, d=16)
+    hp = {"mlp": {"hidden": (6,), "epochs": 1, "batch_size": 10},
+          "cnn": {"epochs": 1, "batch_size": 10}}.get(kind, {})
+    if kind == "cnn":
+        X = X.reshape(-1, 4, 4)
+    model = fit_any(RegressorSpec(kind, hp, seed=1), X, Y)
+    path = tmp_path / "model.npz"
+    save_model(path, model, extras={"note": "x"})
+    tag, array_keys, meta_keys = _LAYOUTS[kind]
+    with np.load(path) as data:
+        assert set(data.files) == array_keys | {"meta"}
+        assert data["meta"].dtype == np.uint8
+        raw = bytes(data["meta"]).decode()
+    meta = json.loads(raw)
+    assert set(meta) == meta_keys | {"kind", "extras"}
+    assert meta["kind"] == tag
+    assert meta["extras"] == {"note": "x"}
+    assert raw == json.dumps(meta, sort_keys=True)
