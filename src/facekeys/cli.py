@@ -21,7 +21,7 @@ from . import dataset as ds
 from . import eval as ev
 from . import pca as pca_mod
 from . import viz
-from .lbp import LbpConfig, LbpImage, lbp_basic, lbp_circular, _min_rotations
+from .lbp import LbpConfig, lbp_circular
 from .rng import permutation
 from .pipeline import fit_pipeline, pipeline_from_payload, pipeline_to_payload
 from .regressors import (
@@ -205,19 +205,12 @@ def cmd_lbp(args) -> int:
     d = ds.load_training_csv(_resolve_input(args.input))
     if not 0 <= args.row < len(d):
         raise CliError(f"row {args.row} out of range (0..{len(d) - 1})")
-    img = d.image(args.row)
     if args.circular:
-        cfg = LbpConfig(
-            neighbors=args.neighbors,
-            radius=args.radius,
-            rotation_invariant=args.rotation_invariant,
-        )
-        coded = lbp_circular(img, cfg)
-    else:
-        coded = lbp_basic(img)
-        if args.rotation_invariant:
-            coded = LbpImage(_min_rotations(coded.codes, 8), neighbors=8)
-    viz.render_lbp(coded, args.out)
+        cfg = LbpConfig(neighbors=args.neighbors, radius=args.radius,
+                        rotation_invariant=args.rotation_invariant)
+    else:  # the basic 3x3 map
+        cfg = LbpConfig(rotation_invariant=args.rotation_invariant, interpolation="nearest")
+    viz.render_lbp(lbp_circular(d.image(args.row), cfg), args.out)
     print(f"wrote LBP map of row {args.row} to {args.out}")
     return 0
 

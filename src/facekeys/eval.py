@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -89,7 +89,7 @@ class BenchmarkConfig:
     elastic_rho: float = 0.5
     cd_max_iter: int = 1000
     cd_tol: float = 1e-4
-    tree_max_depth: int = 5
+    tree_max_depth: int | None = 5
     tree_min_samples_leaf: int = 1
     optimizer: str = "rmsprop"
     mlp_hidden: tuple[int, ...] = (300, 150, 50)
@@ -120,21 +120,22 @@ class BenchmarkConfig:
         return 400 if self.full or self.cnn_epochs is None else self.cnn_epochs
 
 
-_BOOL_KEYS = {"scale_pixels", "train_only_means", "lbp_rotation_invariant", "full"}
-_INT_KEYS = {
-    "seed", "pca_components", "lbp_neighbors", "max_rows", "mlp_epochs",
-    "cnn_epochs", "knn_k", "cd_max_iter", "tree_max_depth",
-    "tree_min_samples_leaf", "mlp_batch_size", "cnn_batch_size",
-}
-_FLOAT_KEYS = {
-    "train_fraction", "lbp_radius", "ridge_lam", "lasso_alpha",
-    "elastic_alpha", "elastic_rho", "cd_tol",
-}
-_TUPLE_KEYS = {"models", "pipelines", "tasks", "mlp_hidden"}
+def _number(path, line_no: int, key: str, text: str, kind: type):
+    """text as an int or a float, or an EvalError naming the line and key."""
+    try:
+        return kind(text)
+    except ValueError:
+        expected = "a number" if kind is float else "an integer"
+        raise EvalError(f"{path}:{line_no}: {key} must be {expected}, got {text!r}") from None
 
 
 def load_config(path) -> BenchmarkConfig:
-    """Parse a flat key=value config file ('#' starts a comment)."""
+    """Parse a flat key=value config file ('#' starts a comment).
+
+    Each key is a BenchmarkConfig field read as its annotated type; only
+    `int | None` fields take "none".
+    """
+    types = {f.name: f.type for f in fields(BenchmarkConfig)}
     values: dict = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -145,21 +146,24 @@ def load_config(path) -> BenchmarkConfig:
                 raise EvalError(f"{path}:{line_no}: expected key = value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key in _BOOL_KEYS:
+            kind = types.get(key)
+            if kind is None:
+                raise EvalError(f"{path}:{line_no}: unknown key {key!r}")
+            if kind == "bool":
                 if val.lower() not in ("true", "false"):
                     raise EvalError(f"{path}:{line_no}: {key} must be true or false")
                 values[key] = val.lower() == "true"
-            elif key in _INT_KEYS:
-                values[key] = None if val.lower() == "none" else int(val)
-            elif key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _TUPLE_KEYS:
+            elif kind == "int | None" and val.lower() == "none":
+                values[key] = None
+            elif kind in ("int", "int | None", "float"):
+                values[key] = _number(path, line_no, key, val, float if kind == "float" else int)
+            elif kind.startswith("tuple"):
                 items = tuple(v.strip() for v in val.split(",") if v.strip())
-                values[key] = tuple(int(v) for v in items) if key == "mlp_hidden" else items
-            elif key in ("training_csv", "optimizer", "lbp_mode"):
+                if kind == "tuple[int, ...]":
+                    items = tuple(_number(path, line_no, key, v, int) for v in items)
+                values[key] = items
+            else:  # str
                 values[key] = val
-            else:
-                raise EvalError(f"{path}:{line_no}: unknown key {key!r}")
     return BenchmarkConfig(**values)
 
 

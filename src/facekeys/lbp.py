@@ -6,9 +6,12 @@ clockwise from the top-left, and sets bit p when g_p >= g_c:
     code = sum_p  1[g_p >= g_c] * 2**p
 
 Ties count as 1, so a constant image codes to all ones. Borders replicate
-edge pixels. The circular variant samples P points on a radius-R circle
-with bilinear interpolation; the rotation-invariant variant maps each code
-to the minimum over its cyclic bit rotations.
+edge pixels. The one kernel, lbp_circular, samples P points on a radius-R
+circle, bilinearly or at the nearest pixel; the basic 3x3 map is its P=8,
+R=1 nearest case. The rotation-invariant variant maps each code to the
+minimum over its cyclic bit rotations. The kernel takes an (h, w) image
+or an (n, h, w) block, in passes of about _CHUNK_PIXELS pixels: one pass
+over 500 rotation-invariant 96x96 images held ~530 MB of temporaries.
 """
 
 from __future__ import annotations
@@ -19,6 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import GrayImage
+
+#: Pixels per pass over a block, in whole images; smaller passes cost more calls.
+_CHUNK_PIXELS = 1 << 16
 
 
 class LbpError(ValueError):
@@ -35,8 +41,7 @@ class LbpConfig:
         rotation_invariant: map codes to their minimal cyclic rotation.
         cell_size: square cell edge for histogram features.
         interpolation: 'bilinear' (default) or 'nearest'; with 'nearest'
-            and P=8, R=1 the circular map equals the basic 8-neighbor map
-            on every pixel, borders included.
+            and P=8, R=1 the circular map is the basic 8-neighbor map.
     """
 
     neighbors: int = 8
@@ -60,35 +65,22 @@ class LbpConfig:
 
 @dataclass(frozen=True, eq=False)
 class LbpImage:
-    """Per-pixel LBP codes plus the bit width they were built with."""
+    """Per-pixel LBP codes of an image or an (n, h, w) block, plus their bit width."""
 
-    codes: np.ndarray  # (h, w) int64 in [0, 2**neighbors)
+    codes: np.ndarray  # (h, w) or (n, h, w) int64 in [0, 2**neighbors)
     neighbors: int
 
     def __post_init__(self):
-        if self.codes.ndim != 2:
-            raise LbpError("codes must be 2-d")
+        if self.codes.ndim not in (2, 3):
+            raise LbpError("codes must be (h, w) or (n, h, w)")
 
     @property
     def height(self) -> int:
-        return self.codes.shape[0]
+        return self.codes.shape[-2]
 
     @property
     def width(self) -> int:
-        return self.codes.shape[1]
-
-
-# 3x3 neighbor offsets (drow, dcol), clockwise from the top-left corner.
-_OFFSETS_3X3 = ((-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1))
-
-
-def _as_pixel_array(img) -> np.ndarray:
-    if isinstance(img, GrayImage):
-        return img.pixels.astype(np.float64)
-    a = np.asarray(img, dtype=np.float64)
-    if a.ndim != 2:
-        raise LbpError("image must be 2-d")
-    return a
+        return self.codes.shape[-1]
 
 
 def lbp_code_3x3(window) -> int:
@@ -96,26 +88,12 @@ def lbp_code_3x3(window) -> int:
     w = np.asarray(window, dtype=np.float64)
     if w.shape != (3, 3):
         raise LbpError("window must be 3x3")
-    center = w[1, 1]
-    code = 0
-    for p, (dr, dc) in enumerate(_OFFSETS_3X3):
-        if w[1 + dr, 1 + dc] >= center:
-            code |= 1 << p
-    return code
+    return int(lbp_basic(w).codes[1, 1])
 
 
 def lbp_basic(img) -> LbpImage:
-    """8-neighbor LBP map of a whole image, borders edge-replicated."""
-    a = _as_pixel_array(img)
-    h, w = a.shape
-    if h < 3 or w < 3:
-        raise LbpError("image must be at least 3x3")
-    padded = np.pad(a, 1, mode="edge")
-    codes = np.zeros((h, w), dtype=np.int64)
-    for p, (dr, dc) in enumerate(_OFFSETS_3X3):
-        neighbor = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
-        codes |= (neighbor >= a).astype(np.int64) << p
-    return LbpImage(codes, neighbors=8)
+    """8-neighbor LBP map of an image or block, borders edge-replicated."""
+    return lbp_circular(img, LbpConfig(neighbors=8, radius=1.0, interpolation="nearest"))
 
 
 def circle_offsets(neighbors: int, radius: float) -> list[tuple[float, float]]:
@@ -148,41 +126,64 @@ def _axis_indices(n: int, delta: float) -> tuple[np.ndarray, np.ndarray, np.ndar
     return i0, i1, frac
 
 
-def _sample_plane(a: np.ndarray, dr: float, dc: float, interpolation: str) -> np.ndarray:
-    """Sample a at (row+dr, col+dc) per pixel, edges clamped."""
-    h, w = a.shape
-    if interpolation == "nearest":
-        dr, dc = float(np.rint(dr)), float(np.rint(dc))
-    if dr == int(dr) and dc == int(dc):
-        r = np.clip(np.arange(h) + int(dr), 0, h - 1)
-        c = np.clip(np.arange(w) + int(dc), 0, w - 1)
-        return a[np.ix_(r, c)]
+def _bilinear(a: np.ndarray, dr: float, dc: float) -> np.ndarray:
+    """Sample an (m, h, w) float64 block at (row+dr, col+dc), edges clamped."""
+    h, w = a.shape[1:]
     r0, r1, fr = _axis_indices(h, dr)
     c0, c1, fc = _axis_indices(w, dc)
     # lerp form: equal endpoints interpolate exactly, so samples whose
     # corners clamp onto one border pixel keep their tie with the center
-    g00, g01 = a[r0][:, c0], a[r0][:, c1]
-    g10, g11 = a[r1][:, c0], a[r1][:, c1]
+    rows0, rows1 = a[:, r0], a[:, r1]
+    g00, g01 = rows0[:, :, c0], rows0[:, :, c1]
+    g10, g11 = rows1[:, :, c0], rows1[:, :, c1]
     top = g00 + (g01 - g00) * fc
     bottom = g10 + (g11 - g10) * fc
     return top + (bottom - top) * fr[:, None]
 
 
+def _code_chunk(a: np.ndarray, offsets, cfg: LbpConfig) -> np.ndarray:
+    """Codes of an (m, h, w) block, built in the smallest unsigned dtype.
+
+    Integer offsets are slices of one edge-padded copy, compared in the
+    block's own dtype; fractional ones are bilinear samples in float64.
+    """
+    h, w = a.shape[1:]
+    dtype = np.min_scalar_type((1 << cfg.neighbors) - 1)
+    pad = math.ceil(cfg.radius)  # no sample lies further off, rounded or not
+    padded = np.pad(a, ((0, 0), (pad, pad), (pad, pad)), mode="edge")
+    real = None
+    codes = np.zeros(a.shape, dtype)
+    for p, (dr, dc) in enumerate(offsets):
+        if dr.is_integer() and dc.is_integer():
+            top, left = pad + int(dr), pad + int(dc)
+            hit = padded[:, top : top + h, left : left + w] >= a
+        else:
+            real = a.astype(np.float64) if real is None else real
+            hit = _bilinear(real, dr, dc) >= real
+        codes |= np.left_shift(hit, p, dtype=dtype)
+    return _min_rotations(codes, cfg.neighbors) if cfg.rotation_invariant else codes
+
+
 def lbp_circular(img, cfg: LbpConfig) -> LbpImage:
-    """Circular LBP map with P sampling points on a radius-R circle."""
-    a = _as_pixel_array(img)
-    h, w = a.shape
+    """Circular LBP map of an (h, w) image or (n, h, w) block, same shape."""
+    a = img.pixels if isinstance(img, GrayImage) else np.asarray(img)
+    if a.ndim not in (2, 3):
+        raise LbpError("image must be (h, w) or an (n, h, w) block")
+    h, w = a.shape[-2:]
     if cfg.radius >= min(h, w) / 2.0:
+        side = math.floor(2.0 * cfg.radius) + 1
         raise LbpError(
-            f"radius {cfg.radius} too large for a {h}x{w} image"
+            f"radius {cfg.radius} needs an image of at least {side}x{side}, got {h}x{w}"
         )
-    codes = np.zeros((h, w), dtype=np.int64)
-    for p, (dr, dc) in enumerate(circle_offsets(cfg.neighbors, cfg.radius)):
-        sampled = _sample_plane(a, dr, dc, cfg.interpolation)
-        codes |= (sampled >= a).astype(np.int64) << p
-    if cfg.rotation_invariant:
-        codes = _min_rotations(codes, cfg.neighbors)
-    return LbpImage(codes, neighbors=cfg.neighbors)
+    offsets = circle_offsets(cfg.neighbors, cfg.radius)
+    if cfg.interpolation == "nearest":
+        offsets = [(float(np.rint(dr)), float(np.rint(dc))) for dr, dc in offsets]
+    block = a.reshape(-1, h, w)
+    codes = np.empty(block.shape, dtype=np.int64)
+    step = max(1, _CHUNK_PIXELS // (h * w))
+    for start in range(0, len(block), step):
+        codes[start : start + step] = _code_chunk(block[start : start + step], offsets, cfg)
+    return LbpImage(codes.reshape(a.shape), neighbors=cfg.neighbors)
 
 
 def rotation_invariant_code(code: int, neighbors: int) -> int:
@@ -190,12 +191,7 @@ def rotation_invariant_code(code: int, neighbors: int) -> int:
     mask = (1 << neighbors) - 1
     if not 0 <= code <= mask:
         raise LbpError(f"code {code} does not fit in {neighbors} bits")
-    best = code
-    for s in range(1, neighbors):
-        rot = ((code >> s) | (code << (neighbors - s))) & mask
-        if rot < best:
-            best = rot
-    return best
+    return int(_min_rotations(np.array(code, dtype=np.int64), neighbors))
 
 
 def _min_rotations(codes: np.ndarray, neighbors: int) -> np.ndarray:
@@ -210,19 +206,24 @@ def _min_rotations(codes: np.ndarray, neighbors: int) -> np.ndarray:
 def lbp_histogram_features(lbp: LbpImage, cfg: LbpConfig) -> np.ndarray:
     """Concatenated per-cell code histograms, each L1-normalized.
 
-    The image is tiled row-major into cell_size x cell_size cells (edge
+    Each image is tiled row-major into cell_size x cell_size cells (edge
     cells may be smaller). Each cell contributes a 2**neighbors bin
-    histogram normalized to sum to 1.
+    histogram normalized to sum to 1. One image gives a 1-d vector; an
+    (n, h, w) block gives one row per image.
     """
     bins = 1 << cfg.neighbors
     codes = lbp.codes
     if codes.min() < 0 or codes.max() >= bins:
         raise LbpError(f"codes exceed {cfg.neighbors}-bit range")
+    block = codes.reshape(-1, *codes.shape[-2:])
+    # image i counts its codes in bins [i*bins, (i+1)*bins) of one bincount
+    shift = np.arange(len(block))[:, None, None] * bins
     cs = cfg.cell_size
     chunks = []
-    for top in range(0, codes.shape[0], cs):
-        for left in range(0, codes.shape[1], cs):
-            block = codes[top : top + cs, left : left + cs]
-            hist = np.bincount(block.reshape(-1), minlength=bins).astype(np.float64)
-            chunks.append(hist / hist.sum())
-    return np.concatenate(chunks)
+    for top in range(0, block.shape[1], cs):
+        for left in range(0, block.shape[2], cs):
+            cell = block[:, top : top + cs, left : left + cs] + shift
+            hist = np.bincount(cell.reshape(-1), minlength=len(block) * bins)
+            hist = hist.reshape(len(block), bins)
+            chunks.append(hist / hist.sum(axis=1, keepdims=True))
+    return np.concatenate(chunks, axis=1).reshape(codes.shape[:-2] + (-1,))

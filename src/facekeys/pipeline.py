@@ -8,21 +8,22 @@ metadata so trained models can be applied to new images later.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import pca as pca_mod
 from .dataset import FeatureMatrix
-from .lbp import LbpConfig, lbp_basic, lbp_circular, lbp_histogram_features
+from .lbp import LbpConfig, lbp_circular, lbp_histogram_features
 
 
 @dataclass(eq=False)
 class FeaturePipeline:
     """scale -> (lbp) -> (pca), each stage optional except scaling policy.
 
-    LBP with P=8, R=1 and no rotation invariance always uses lbp_basic
-    (the nearest map), whatever the config's interpolation says.
+    The LBP stage codes the whole image block with one lbp_circular call.
+    With P=8, R=1 and no rotation invariance it samples nearest pixels
+    (the basic 3x3 map), whatever the config's interpolation says.
     """
 
     scale_pixels: bool = True
@@ -35,18 +36,13 @@ class FeaturePipeline:
             raise ValueError(f"unknown lbp_mode {self.lbp_mode!r}")
 
     def _lbp_matrix(self, images: np.ndarray) -> np.ndarray:
-        rows = []
-        for i in range(images.shape[0]):
-            cfg = self.lbp
-            if cfg.neighbors == 8 and cfg.radius == 1.0 and not cfg.rotation_invariant:
-                coded = lbp_basic(images[i])
-            else:
-                coded = lbp_circular(images[i], cfg)
-            if self.lbp_mode == "histogram":
-                rows.append(lbp_histogram_features(coded, cfg))
-            else:
-                rows.append(coded.codes.reshape(-1).astype(np.float64))
-        return np.stack(rows)
+        cfg = self.lbp
+        if cfg.neighbors == 8 and cfg.radius == 1.0 and not cfg.rotation_invariant:
+            cfg = replace(cfg, interpolation="nearest")
+        coded = lbp_circular(images, cfg)
+        if self.lbp_mode == "histogram":
+            return lbp_histogram_features(coded, cfg)
+        return coded.codes.reshape(len(images), -1).astype(np.float64)
 
     def transform(self, images: np.ndarray) -> FeatureMatrix:
         """Feature rows for an (n, h, w) uint8 image block."""

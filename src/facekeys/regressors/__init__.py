@@ -226,7 +226,10 @@ def save_model(path, model, extras: dict | None = None,
 
 def load_model(path):
     """Read a model written by save_model. Returns (model, extras)."""
-    with np.load(path) as data:
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ConfigError(f"{path} is not a facekeys model file: it is not an .npz archive")
+    with data:
         if "meta" not in data.files:
             raise ConfigError(f"{path} is not a facekeys model file: it has no meta record")
         meta = json.loads(bytes(data["meta"]).decode())

@@ -197,6 +197,17 @@ def test_predict_rejects_an_npz_without_meta(tmp_path, csv_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_predict_rejects_a_file_that_is_not_an_npz_archive(tmp_path, csv_path, capsys):
+    model_file = tmp_path / "weights.npy"
+    np.save(model_file, np.zeros(3))
+    rc = main(["predict", "--model-file", str(model_file),
+               "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error:") and "not an .npz archive" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_cnn_rejects_feature_widths_without_a_grid(tmp_path, csv_path, capsys):
     rc = _train(csv_path, tmp_path / "cnn.npz", "--model", "cnn",
                 "--pca", "15", "--epochs", "1")

@@ -130,6 +130,11 @@ lbp_radius = 2.0
         ("volume = 11", "unknown key"),
         ("just some words", "key = value"),
         ("scale_pixels = maybe", "true or false"),
+        ("seed = x", "seed must be an integer"),
+        ("lasso_alpha = lots", "lasso_alpha must be a number"),
+        ("mlp_hidden = 20, ten", "mlp_hidden must be an integer"),
+        ("seed = none", "seed must be an integer"),
+        ("knn_k = None", "knn_k must be an integer"),
     ],
 )
 def test_load_config_errors_name_the_line(tmp_path, line, fragment):
@@ -139,6 +144,15 @@ def test_load_config_errors_name_the_line(tmp_path, line, fragment):
         load_config(path)
     assert fragment in str(exc.value)
     assert ":2:" in str(exc.value)
+
+
+def test_load_config_takes_none_for_caps_and_depth_only(tmp_path):
+    path = tmp_path / "uncapped.cfg"
+    path.write_text("max_rows = none\nmlp_epochs = None\ncnn_epochs = NONE\n"
+                    "tree_max_depth = none\n")
+    cfg = load_config(path)
+    assert (cfg.max_rows, cfg.mlp_epochs, cfg.cnn_epochs, cfg.tree_max_depth) == (
+        None, None, None, None)
 
 
 # ---- benchmark runs ------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from facekeys import lbp as lbp_mod
 from facekeys.lbp import (
     LbpConfig,
     LbpError,
@@ -39,6 +40,64 @@ def oracle_min_rotation(code: int, bits: int = 8) -> int:
     return min(int(s[k:] + s[:k], 2) for k in range(bits))
 
 
+# ---- per-image references: the kernels the batched lbp_circular replaced ----
+
+
+def reference_basic(img) -> np.ndarray:
+    """8-neighbor map of one image: one shifted slice of the padded image per bit."""
+    a = np.asarray(img, dtype=np.float64)
+    h, w = a.shape
+    padded = np.pad(a, 1, mode="edge")
+    codes = np.zeros((h, w), dtype=np.int64)
+    for p, (dr, dc) in enumerate(OFFSETS):
+        neighbor = padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+        codes |= (neighbor >= a).astype(np.int64) << p
+    return codes
+
+
+def reference_sample_plane(a: np.ndarray, dr: float, dc: float, interpolation: str) -> np.ndarray:
+    """Sample one float image at (row+dr, col+dc) per pixel, edges clamped."""
+    h, w = a.shape
+    if interpolation == "nearest":
+        dr, dc = float(np.rint(dr)), float(np.rint(dc))
+    if dr == int(dr) and dc == int(dc):
+        r = np.clip(np.arange(h) + int(dr), 0, h - 1)
+        c = np.clip(np.arange(w) + int(dc), 0, w - 1)
+        return a[np.ix_(r, c)]
+
+    def axis(n, delta):
+        pos = np.arange(n, dtype=np.float64) + delta
+        base = np.floor(pos)
+        i0 = np.clip(base.astype(np.int64), 0, n - 1)
+        i1 = np.clip(base.astype(np.int64) + 1, 0, n - 1)
+        return i0, i1, pos - base
+
+    r0, r1, fr = axis(h, dr)
+    c0, c1, fc = axis(w, dc)
+    g00, g01 = a[r0][:, c0], a[r0][:, c1]
+    g10, g11 = a[r1][:, c0], a[r1][:, c1]
+    top = g00 + (g01 - g00) * fc
+    bottom = g10 + (g11 - g10) * fc
+    return top + (bottom - top) * fr[:, None]
+
+
+def reference_circular(img, cfg: LbpConfig) -> np.ndarray:
+    """Circular map of one image, sampled in float64, int64 codes throughout."""
+    a = np.asarray(img, dtype=np.float64)
+    codes = np.zeros(a.shape, dtype=np.int64)
+    for p, (dr, dc) in enumerate(circle_offsets(cfg.neighbors, cfg.radius)):
+        sampled = reference_sample_plane(a, dr, dc, cfg.interpolation)
+        codes |= (sampled >= a).astype(np.int64) << p
+    if cfg.rotation_invariant:
+        mask = (1 << cfg.neighbors) - 1
+        best = codes.copy()
+        for s in range(1, cfg.neighbors):
+            rot = ((codes >> s) | (codes << (cfg.neighbors - s))) & mask
+            np.minimum(best, rot, out=best)
+        codes = best
+    return codes
+
+
 # ---- single-window code ----------------------------------------------------
 
 
@@ -68,6 +127,7 @@ def test_basic_matches_scalar_oracle():
     for _ in range(5):
         img = rng.integers(0, 256, (8, 8))
         assert np.array_equal(lbp_basic(img).codes, oracle_basic(img))
+        assert np.array_equal(reference_basic(img), oracle_basic(img))
 
 
 def test_basic_constant_image_is_all_255():
@@ -119,6 +179,45 @@ def test_circular_nearest_equals_basic():
     for shape in ((10, 10), (7, 13)):
         img = rng.integers(0, 256, shape)
         assert np.array_equal(lbp_circular(img, cfg).codes, lbp_basic(img).codes)
+
+
+BLOCK_CONFIGS = [
+    LbpConfig(neighbors=8, radius=1.0, interpolation="nearest"),
+    LbpConfig(neighbors=8, radius=1.0, rotation_invariant=True),
+    LbpConfig(neighbors=4, radius=1.0),
+    LbpConfig(neighbors=12, radius=2.0),
+    LbpConfig(neighbors=8, radius=1.5, interpolation="nearest"),
+    LbpConfig(neighbors=24, radius=3.0),
+]
+
+
+def _block(dtype, shape, seed):
+    rng = np.random.default_rng(seed)
+    imgs = rng.integers(0, 256, shape).astype(dtype)
+    if dtype == np.float64:  # fractional pixels, with ties kept on half of them
+        imgs += rng.random(shape) * (rng.random(shape) < 0.5)
+    return imgs
+
+
+@pytest.mark.parametrize("cfg", BLOCK_CONFIGS, ids=lambda c: f"P{c.neighbors}R{c.radius}")
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.float64], ids=lambda d: d.__name__)
+def test_block_call_equals_per_image_reference(cfg, dtype):
+    # square and non-square images, and a block of more than two passes
+    per_pass = lbp_mod._CHUNK_PIXELS // (16 * 16)
+    for seed, shape in enumerate([(3, 10, 10), (4, 7, 13), (2 * per_pass + 3, 16, 16)]):
+        imgs = _block(dtype, shape, seed)
+        block = lbp_circular(imgs, cfg)
+        assert block.codes.shape == shape and block.codes.dtype == np.int64
+        expect = np.stack([reference_circular(img, cfg) for img in imgs])
+        assert np.array_equal(block.codes, expect)
+        assert np.array_equal(lbp_circular(imgs[1], cfg).codes, expect[1])
+
+
+def test_basic_block_equals_per_image_reference():
+    imgs = _block(np.uint8, (5, 7, 13), seed=10)
+    out = lbp_basic(imgs)
+    assert (out.height, out.width) == (7, 13)
+    assert np.array_equal(out.codes, np.stack([reference_basic(img) for img in imgs]))
 
 
 def test_circular_bilinear_on_linear_ramp():
@@ -270,6 +369,17 @@ def test_histogram_cells_are_row_major():
     cells = feats.reshape(4, 16)
     for pos, code in enumerate((1, 2, 3, 4)):
         assert cells[pos, code] == 1.0
+
+
+def test_histogram_of_a_block_has_one_row_per_image():
+    rng = np.random.default_rng(11)
+    imgs = rng.integers(0, 256, (4, 20, 12))
+    cfg = LbpConfig(cell_size=8)
+    feats = lbp_histogram_features(lbp_basic(imgs), cfg)
+    assert feats.shape == (4, 6 * 256)
+    for img, row in zip(imgs, feats):
+        one = lbp_histogram_features(LbpImage(reference_basic(img), neighbors=8), cfg)
+        assert np.array_equal(row, one)
 
 
 def test_histogram_rejects_out_of_range_codes():

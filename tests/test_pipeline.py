@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from facekeys.lbp import LbpConfig, lbp_basic, lbp_circular, lbp_histogram_features
+from test_lbp import reference_basic, reference_circular
+
+from facekeys.lbp import LbpConfig, LbpImage, lbp_histogram_features
 from facekeys.pca import transform as pca_transform
 from facekeys.pipeline import (
     FeaturePipeline,
@@ -32,7 +34,7 @@ def test_lbp_pixel_map_matches_direct_coding():
     assert fm.source == "lbp"
     for i in range(4):
         assert np.array_equal(
-            fm.values[i], lbp_basic(imgs[i]).codes.reshape(-1).astype(float)
+            fm.values[i], reference_basic(imgs[i]).reshape(-1).astype(float)
         )
 
 
@@ -42,17 +44,19 @@ def test_lbp_histogram_mode():
     pipe = FeaturePipeline(lbp=cfg, lbp_mode="histogram")
     fm = pipe.transform(imgs)
     assert fm.shape == (3, 4 * 256)
-    expected = lbp_histogram_features(lbp_basic(imgs[0]), cfg)
-    assert np.array_equal(fm.values[0], expected)
+    for i in range(3):
+        coded = LbpImage(reference_basic(imgs[i]), neighbors=8)
+        assert np.array_equal(fm.values[i], lbp_histogram_features(coded, cfg))
 
 
 def test_non_default_lbp_uses_circular_path():
     imgs = images(n=2)
     cfg = LbpConfig(neighbors=8, radius=2.0)
     fm = FeaturePipeline(lbp=cfg).transform(imgs)
-    assert np.array_equal(
-        fm.values[0], lbp_circular(imgs[0], cfg).codes.reshape(-1).astype(float)
-    )
+    for i in range(2):
+        assert np.array_equal(
+            fm.values[i], reference_circular(imgs[i], cfg).reshape(-1).astype(float)
+        )
 
 
 def test_pca_stage_fits_on_training_images_only():
