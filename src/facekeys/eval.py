@@ -39,6 +39,8 @@ TASK_LABELS = {"eleven": "RMSE1", "four": "RMSE2"}
 
 DEFAULT_MODELS = ("knn", "ols", "ridge", "lasso", "elastic", "tree")
 ALL_MODELS = KINDS
+# kinds fit by coordinate descent, whose models carry a meaningful converged flag
+_CD_MODELS = ("lasso", "elastic")
 
 
 class EvalError(ValueError):
@@ -169,7 +171,12 @@ def load_config(path) -> BenchmarkConfig:
 
 @dataclass
 class EvalRow:
-    """One (model, pipeline, task) measurement."""
+    """One (model, pipeline, task) measurement.
+
+    converged is the fitted model's flag for the coordinate-descent kinds
+    (lasso, elastic) and None for the other kinds and for failed rows; like
+    seconds, it is left out of the CSV.
+    """
 
     model: str
     pipeline: str
@@ -181,6 +188,7 @@ class EvalRow:
     hyperparameters: dict
     seconds: float = 0.0
     error: str | None = None
+    converged: bool | None = None
 
 
 @dataclass
@@ -301,6 +309,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
             for kind in cfg.models:
                 spec = _spec_for(cfg, kind)
                 started = time.perf_counter()
+                converged = None
                 try:
                     if kind == "cnn":
                         G_train, G_test = _grids_for_cnn(cfg, X_train, X_test)
@@ -311,6 +320,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
                         pred = predict_any(model, X_test)
                     value = rmse(pred, Y_test)
                     error = None
+                    if kind in _CD_MODELS:
+                        converged = model.converged
                 except Exception as exc:
                     value = None
                     error = str(exc)
@@ -319,6 +330,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
                     rmse=value, n_train=len(train), n_test=len(test),
                     seed=cfg.seed, hyperparameters=spec.hyperparameters,
                     seconds=time.perf_counter() - started, error=error,
+                    converged=converged,
                 ))
     return report
 
@@ -339,7 +351,9 @@ def format_report(report: EvalReport, style: str = "markdown") -> str:
 
     The CSV holds only deterministic fields (no wall-clock timing), so two
     identically seeded runs serialize byte-for-byte identically, and it
-    round-trips through load_report_csv.
+    round-trips through load_report_csv. The markdown marks with * a
+    coordinate-descent cell whose fit did not converge and lists it under
+    its table, after the failed rows.
     """
     if style == "csv":
         buf = io.StringIO()
@@ -382,7 +396,8 @@ def format_report(report: EvalReport, style: str = "markdown") -> str:
                 elif row.error is not None:
                     cells.append("error")
                 else:
-                    cells.append(f"{row.rmse:.3f}")
+                    mark = "*" if row.converged is False else ""
+                    cells.append(f"{row.rmse:.3f}{mark}")
                 if row is not None:
                     total_s += row.seconds
             cells.append(f"{total_s:.1f}")
@@ -390,6 +405,10 @@ def format_report(report: EvalReport, style: str = "markdown") -> str:
         errors = [r for r in rows if r.error]
         for r in errors:
             lines.append(f"- {r.model}/{r.task} failed: {r.error}")
+        for r in rows:
+            if r.converged is False:
+                lines.append(f"- {r.model}/{r.task} did not converge (*) within "
+                             f"max_iter = {r.hyperparameters['max_iter']} sweeps")
         lines.append("")
     return "\n".join(lines)
 

@@ -172,6 +172,19 @@ def test_train_stores_the_pipeline_arrays_in_the_model_file(tmp_path, csv_path):
         assert data["pipe_pca_components"].shape[0] == 5
 
 
+@pytest.mark.parametrize("bad, fragment", [
+    (("--max-iter", "0"), "max_iter must be at least 1"),
+    (("--tol", "0"), "tol must be positive"),
+])
+def test_train_rejects_bad_coordinate_descent_settings(tmp_path, csv_path, capsys, bad, fragment):
+    model_file = tmp_path / "model.npz"
+    assert _train(csv_path, model_file, "--task", "four", "--model", "lasso", *bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error:") and fragment in err
+    assert len(err.splitlines()) == 1
+    assert not model_file.exists()
+
+
 def test_predict_rejects_a_model_file_without_a_pipeline(tmp_path, csv_path, capsys):
     rng = np.random.default_rng(0)
     model = fit_any(RegressorSpec("knn", {"k": 1}), rng.normal(size=(4, 256)),

@@ -278,6 +278,32 @@ def test_markdown_report_shows_errors(bench_csv):
     assert "knn/four failed:" in text
 
 
+def test_markdown_report_marks_non_converged_fits(bench_csv):
+    cfg = BenchmarkConfig(training_csv=bench_csv, models=("ols", "lasso", "elastic"),
+                          pipelines=("raw",), cd_max_iter=1, cd_tol=1e-12)
+    report = run_benchmark(cfg)
+    by_key = {(r.model, r.task): r for r in report.rows}
+    for task in ("eleven", "four"):
+        assert by_key[("ols", task)].converged is None
+        for kind in ("lasso", "elastic"):
+            assert by_key[(kind, task)].converged is False
+    text = format_report(report)
+    lasso_line = next(line for line in text.splitlines() if line.startswith("| lasso |"))
+    assert lasso_line.count("*") == 2
+    assert next(line for line in text.splitlines() if line.startswith("| ols |")).count("*") == 0
+    assert "- lasso/eleven did not converge (*) within max_iter = 1 sweeps" in text
+    assert "- elastic/four did not converge (*) within max_iter = 1 sweeps" in text
+    # the CSV neither carries the flag nor changes because of it
+    csv_text = format_report(report, style="csv")
+    assert "converged" not in csv_text
+    assert load_report_csv(csv_text).rows[1].converged is None
+    converged = run_benchmark(dataclasses.replace(
+        cfg, tasks=("four",), lasso_alpha=1.0, elastic_alpha=1.0, cd_max_iter=1000, cd_tol=1e-4,
+    ))
+    assert all(r.converged is (None if r.model == "ols" else True) for r in converged.rows)
+    assert "did not converge" not in format_report(converged)
+
+
 def test_report_loader_rejects_foreign_header():
     with pytest.raises(EvalError, match="header"):
         load_report_csv("alpha,beta\n1,2\n")

@@ -3,6 +3,7 @@ import pytest
 
 from facekeys.regressors.linear import (
     LinearModel,
+    _coordinate_descent,
     elastic_fit,
     lasso_fit,
     linear_predict,
@@ -40,6 +41,41 @@ def kkt_violation(X, Y, W, intercept, l1: float) -> float:
             else:
                 worst = max(worst, max(0.0, abs(corr[j, t]) - l1))
     return worst
+
+
+def reference_coordinate_descent(Xc, Yc, l1, l2, max_iter, tol):
+    """Plain cyclic coordinate descent over every column: the oracle.
+
+    Every sweep visits all d columns in order; converged when no
+    coefficient moves by tol or more in a sweep.
+    """
+    n, d = Xc.shape
+    col_sq = (Xc * Xc).sum(axis=0) / n
+    W = np.zeros((d, Yc.shape[1]))
+    for _ in range(max_iter):
+        R = Yc - Xc @ W
+        max_delta = 0.0
+        for j in range(d):
+            if col_sq[j] == 0.0:
+                continue
+            w_old = W[j].copy()
+            rho = (Xc[:, j] @ R) / n + col_sq[j] * w_old
+            w_new = np.sign(rho) * np.maximum(np.abs(rho) - l1, 0.0) / (col_sq[j] + l2)
+            delta = w_new - w_old
+            if np.any(delta != 0.0):
+                R -= np.outer(Xc[:, j], delta)
+                W[j] = w_new
+            max_delta = max(max_delta, float(np.max(np.abs(delta))))
+        if max_delta < tol:
+            return W, True
+    return W, False
+
+
+def cd_objective(Xc, Yc, W, l1, l2) -> float:
+    """(1/2n)||Y - XW||^2 + l1 |W|_1 + (l2/2) ||W||^2, summed over outputs."""
+    R = Yc - Xc @ W
+    return float((R * R).sum() / (2 * Xc.shape[0]) + l1 * np.abs(W).sum()
+                 + 0.5 * l2 * (W * W).sum())
 
 
 # ---- least squares ----------------------------------------------------------
@@ -267,6 +303,103 @@ def test_elastic_parameter_validation():
         elastic_fit(X, y, rho=1.5)
 
 
+# ---- active-set solver against the cyclic reference -----------------------------
+
+
+def cd_problem(n, d, m, seed, zero_column=False):
+    """Centered (Xc, Yc) with a sparse signal and correlated columns."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) + 0.5 * rng.normal(size=(n, 1))
+    W_true = np.zeros((d, m))
+    W_true[: min(d, 6)] = rng.normal(size=(min(d, 6), m)) * 2.0
+    Y = X @ W_true + rng.normal(size=(n, m))
+    if zero_column:
+        X[:, d // 2] = 3.0
+    return X - X.mean(axis=0), Y - Y.mean(axis=0)
+
+
+CD_CASES = {
+    "wide_lasso": ((30, 80, 1, 1), 0.2, 1.0, False),
+    "tall_lasso": ((60, 12, 1, 2), 0.05, 1.0, False),
+    "multi_output_lasso": ((40, 50, 3, 3), 0.15, 1.0, False),
+    "elastic_rho_half": ((30, 80, 2, 4), 0.1, 0.5, False),
+    "elastic_rho_one": ((30, 60, 2, 5), 0.1, 1.0, False),
+    "zero_variance_column": ((25, 40, 2, 6), 0.1, 0.5, True),
+}
+
+
+def cd_penalties(Xc, Yc, frac, rho):
+    """(l1, l2) for alpha = frac * the smallest alpha that zeroes every row."""
+    alpha = frac * float(np.max(np.abs(Xc.T @ Yc))) / Xc.shape[0] / rho
+    return alpha * rho, alpha * (1.0 - rho)
+
+
+@pytest.mark.parametrize("case", list(CD_CASES))
+def test_active_set_matches_reference_at_tight_tol(case):
+    shape, frac, rho, zero_column = CD_CASES[case]
+    Xc, Yc = cd_problem(*shape, zero_column=zero_column)
+    l1, l2 = cd_penalties(Xc, Yc, frac, rho)
+    W, converged = _coordinate_descent(Xc, Yc, l1, l2, 100_000, 1e-10)
+    W_ref, ref_converged = reference_coordinate_descent(Xc, Yc, l1, l2, 100_000, 1e-10)
+    assert converged and ref_converged
+    assert 0 < np.count_nonzero(W) < W.size
+    assert np.array_equal(W != 0.0, W_ref != 0.0)
+    assert np.max(np.abs(W - W_ref)) < 1e-7
+    if zero_column:
+        assert np.all(W[shape[1] // 2] == 0.0)
+
+
+@pytest.mark.parametrize("case", list(CD_CASES))
+def test_active_set_objective_matches_reference_at_loose_tol(case):
+    shape, frac, rho, zero_column = CD_CASES[case]
+    Xc, Yc = cd_problem(*shape, zero_column=zero_column)
+    l1, l2 = cd_penalties(Xc, Yc, frac, rho)
+    W, converged = _coordinate_descent(Xc, Yc, l1, l2, 10_000, 1e-4)
+    W_ref, ref_converged = reference_coordinate_descent(Xc, Yc, l1, l2, 10_000, 1e-4)
+    assert converged and ref_converged
+    ours, ref = cd_objective(Xc, Yc, W, l1, l2), cd_objective(Xc, Yc, W_ref, l1, l2)
+    assert abs(ours - ref) <= 1e-6 * abs(ref)
+
+
+def test_column_outside_the_first_screen_enters_later():
+    # x2 = x1 + e2 and y = 2 x1 - x2: x2 is orthogonal to y, so the screen
+    # at W = 0 skips it, but the solution needs it once x1 is in
+    n = 40
+    E = orthonormal_design(n, 3, seed=20)
+    Xc = np.column_stack([E[:, 0], E[:, 0] + E[:, 1], E[:, 2]])
+    Yc = (2.0 * Xc[:, 0] - Xc[:, 1] + 0.1 * E[:, 2])[:, None]
+    l1 = 0.05
+    assert abs(Xc[:, 1] @ Yc[:, 0]) / n <= l1  # outside the first screen
+    W, converged = _coordinate_descent(Xc, Yc, l1, 0.0, 10_000, 1e-12)
+    W_ref, _ = reference_coordinate_descent(Xc, Yc, l1, 0.0, 10_000, 1e-12)
+    assert converged
+    assert W[1, 0] < 0.0
+    assert np.allclose(W, W_ref, atol=1e-9)
+
+
+def test_periodic_screens_keep_the_sweep_budget_of_cyclic_descent():
+    # blocks of 8 nearly equal columns, as in neighbouring pixels: screening
+    # only after the active rows converge needs 747 sweeps here
+    rng = np.random.default_rng(2)
+    n, d = 24, 88
+    X = np.repeat(rng.normal(size=(n, 12)), 8, axis=1)[:, :d] + 0.3 * rng.normal(size=(n, d))
+    Y = rng.normal(size=(n, 2))
+    Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+    l1 = 0.05 * float(np.max(np.abs(Xc.T @ Yc))) / n
+    assert reference_coordinate_descent(Xc, Yc, l1, 0.0, 350, 1e-6)[1]
+    assert _coordinate_descent(Xc, Yc, l1, 0.0, 350, 1e-6)[1]
+
+
+def test_running_out_inside_the_active_loop_is_not_converged():
+    Xc, Yc = cd_problem(30, 80, 1, seed=1)
+    l1, l2 = cd_penalties(Xc, Yc, 0.2, 1.0)
+    _, converged = _coordinate_descent(Xc, Yc, l1, l2, 100_000, 1e-10)
+    assert converged
+    # sweep 1 is the first pass; sweeps 2-3 run on the active set
+    _, converged = _coordinate_descent(Xc, Yc, l1, l2, 3, 1e-10)
+    assert not converged
+
+
 # ---- shared plumbing --------------------------------------------------------------
 
 
@@ -274,6 +407,36 @@ def test_one_dimensional_targets_get_a_column():
     model = ols_fit(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.0]))
     assert model.weights.shape == (1, 1)
     assert model.intercept.shape == (1,)
+
+
+@pytest.mark.parametrize("fit", [ols_fit, ridge_fit, lasso_fit, elastic_fit],
+                         ids=lambda f: f.__name__)
+def test_non_finite_input_is_rejected(fit):
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(10, 3))
+    Y = rng.normal(size=(10, 2))
+    X_nan = X.copy()
+    X_nan[4, 1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        fit(X_nan, Y)
+    Y_inf = Y.copy()
+    Y_inf[0, 0] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fit(X, Y_inf)
+
+
+@pytest.mark.parametrize("fit", [lasso_fit, elastic_fit], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("bad, fragment", [
+    ({"max_iter": 0}, "max_iter"),
+    ({"max_iter": -5}, "max_iter"),
+    ({"tol": 0.0}, "tol"),
+    ({"tol": -1e-4}, "tol"),
+    ({"tol": float("nan")}, "tol"),
+])
+def test_coordinate_descent_settings_are_validated(fit, bad, fragment):
+    X, y = np.arange(8.0).reshape(4, 2), np.arange(4.0)
+    with pytest.raises(ValueError, match=fragment):
+        fit(X, y, **bad)
 
 
 def test_input_validation():
