@@ -4,13 +4,25 @@ Splits greedily minimize the summed per-output squared error of the two
 children. Candidate thresholds are midpoints between consecutive distinct
 sorted values; ties between equally good splits go to the lowest feature
 index, then the lowest threshold. Leaves predict their mean target.
+
+The grower sorts every column once at the root (stable, int32 row ids)
+and hands each child its share of every sorted list, kept in order by a
+boolean mask (the presorted attribute lists of CART and SLIQ), so no node
+sorts again. A node scans all its columns in passes of about
+_PASS_ELEMENTS gathered target values. Each candidate's error comes from
+the same float operations, in the same order, as a scan that argsorts
+each column at each node, so both grow the same tree to the last bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+#: Target values (columns x node rows x outputs) gathered per pass of the
+#: split scan; smaller passes cost more calls.
+_PASS_ELEMENTS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -36,58 +48,59 @@ class TreeModel:
     min_samples_leaf: int
 
 
-def _sse_split_scan(x: np.ndarray, Y: np.ndarray, min_leaf: int):
-    """Best split of one feature column, or None.
+def _presort(X: np.ndarray) -> np.ndarray:
+    """(d, n) int32: row j lists the row ids in stable order of column j."""
+    n, d = X.shape
+    order = np.empty((d, n), dtype=np.int32)
+    step = max(1, _PASS_ELEMENTS // n)
+    for start in range(0, d, step):
+        order[start : start + step] = np.argsort(X[:, start : start + step].T, axis=1,
+                                                 kind="stable")
+    return order
 
-    Returns (children_sse, threshold) minimizing summed child squared
-    error, scanning candidate boundaries with prefix sums.
+
+def _best_split(X: np.ndarray, Y: np.ndarray, order: np.ndarray, min_leaf: int):
+    """Best (children_sse, feature, threshold) of a node, or None.
+
+    order[j] holds the node's rows in column j's sorted order. A boundary
+    after sorted position p is a candidate where the value changes and
+    both sides keep min_leaf rows. The first minimum in column-major order
+    wins, which is the lowest feature, then the lowest threshold.
     """
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    boundaries = np.nonzero(xs[:-1] < xs[1:])[0]  # split after position i
-    if boundaries.size == 0:
-        return None
-    n_left = boundaries + 1
-    n_right = n - n_left
-    ok = (n_left >= min_leaf) & (n_right >= min_leaf)
-    boundaries = boundaries[ok]
-    if boundaries.size == 0:
-        return None
-    n_left = n_left[ok]
-    n_right = n_right[ok]
-
-    ys = Y[order]
-    cum1 = np.cumsum(ys, axis=0)
-    cum2 = np.cumsum(ys * ys, axis=0)
-    tot1 = cum1[-1]
-    tot2 = cum2[-1]
-    left1 = cum1[boundaries]
-    left2 = cum2[boundaries]
-    sse_left = (left2 - left1 * left1 / n_left[:, None]).sum(axis=1)
-    right1 = tot1 - left1
-    right2 = tot2 - left2
-    sse_right = (right2 - right1 * right1 / n_right[:, None]).sum(axis=1)
-    sse = np.maximum(sse_left, 0.0) + np.maximum(sse_right, 0.0)
-
-    best = int(np.argmin(sse))  # first minimum has the lowest threshold
-    i = int(boundaries[best])
-    a, b = xs[i], xs[i + 1]
-    t = (a + b) / 2.0
-    if t >= b:  # adjacent floats can round the midpoint up; keep a <= t < b
-        t = a
-    return float(sse[best]), float(t)
-
-
-def _best_split(X: np.ndarray, Y: np.ndarray, min_leaf: int):
+    d, n = order.shape
+    lo, hi = min_leaf - 1, n - min_leaf  # candidate positions lo <= p < hi
     best = None
-    for j in range(X.shape[1]):
-        found = _sse_split_scan(X[:, j], Y, min_leaf)
-        if found is None:
+    step = max(1, _PASS_ELEMENTS // (n * Y.shape[1]))
+    for start in range(0, d, step):
+        ids = order[start : start + step]
+        xs = X[ids, np.arange(start, start + len(ids))[:, None]]
+        col, pos = np.nonzero(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1])
+        if col.size == 0:
             continue
-        sse, t = found
-        if best is None or sse < best[0]:
-            best = (sse, j, t)
+        pos += lo
+        ys = np.take(Y, ids, axis=0)
+        # prefix sums along each column's order, one (m,) row per position
+        cum1 = np.cumsum(ys, axis=1).reshape(-1, ys.shape[2])
+        cum2 = np.cumsum(ys * ys, axis=1).reshape(-1, ys.shape[2])
+        at, last = col * n + pos, col * n + (n - 1)
+        n_left = pos + 1.0
+        n_right = n - n_left
+        left1 = np.take(cum1, at, axis=0)
+        left2 = np.take(cum2, at, axis=0)
+        sse_left = (left2 - left1 * left1 / n_left[:, None]).sum(axis=1)
+        right1 = np.take(cum1, last, axis=0) - left1
+        right2 = np.take(cum2, last, axis=0) - left2
+        sse_right = (right2 - right1 * right1 / n_right[:, None]).sum(axis=1)
+        sse = np.maximum(sse_left, 0.0) + np.maximum(sse_right, 0.0)
+
+        i = int(np.argmin(sse))
+        if best is None or sse[i] < best[0]:
+            c, p = col[i], pos[i]
+            a, b = xs[c, p], xs[c, p + 1]
+            t = (a + b) / 2.0
+            if t >= b:  # adjacent floats can round the midpoint up; keep a <= t < b
+                t = a
+            best = (float(sse[i]), start + int(c), float(t))
     return best
 
 
@@ -97,26 +110,45 @@ def _node_sse(Y: np.ndarray) -> float:
     return float(np.maximum(tot2 - tot1 * tot1 / Y.shape[0], 0.0).sum())
 
 
-def _grow(X, Y, depth, max_depth, min_leaf) -> TreeNode:
-    node = TreeNode(value=Y.mean(axis=0), n_samples=X.shape[0])
+def _node(Y: np.ndarray, depth: int, max_depth: int | None, min_leaf: int):
+    """A leaf for the node whose targets are Y, and its squared error if
+    it may still split (None when it may not)."""
+    node = TreeNode(value=Y.mean(axis=0), n_samples=Y.shape[0])
     if max_depth is not None and depth >= max_depth:
-        return node
-    if X.shape[0] < 2 * min_leaf:
-        return node
-    if np.all(Y == Y[0]):
-        return node
-    found = _best_split(X, Y, min_leaf)
-    if found is None:
-        return node
-    sse_children, j, t = found
-    if sse_children >= _node_sse(Y):
-        return node  # no error reduction
-    left_mask = X[:, j] <= t
-    node.feature = j
-    node.threshold = t
-    node.left = _grow(X[left_mask], Y[left_mask], depth + 1, max_depth, min_leaf)
-    node.right = _grow(X[~left_mask], Y[~left_mask], depth + 1, max_depth, min_leaf)
-    return node
+        return node, None
+    if Y.shape[0] < 2 * min_leaf or np.all(Y == Y[0]):
+        return node, None
+    return node, _node_sse(Y)
+
+
+def _grow(X, Y, max_depth, min_leaf) -> TreeNode:
+    """Grow depth first from an explicit stack of open nodes."""
+    root, sse = _node(Y, 0, max_depth, min_leaf)
+    if sse is None:
+        return root
+    goes_left = np.empty(X.shape[0], dtype=bool)  # indexed by row id
+    stack = [(root, sse, np.arange(X.shape[0]), _presort(X), 0)]
+    while stack:
+        node, sse, rows, order, depth = stack.pop()
+        found = _best_split(X, Y, order, min_leaf)
+        if found is None or found[0] >= sse:
+            continue  # no error reduction
+        _, node.feature, node.threshold = found
+        left = X[rows, node.feature] <= node.threshold
+        node.left, left_sse = _node(Y[rows[left]], depth + 1, max_depth, min_leaf)
+        node.right, right_sse = _node(Y[rows[~left]], depth + 1, max_depth, min_leaf)
+        if left_sse is None and right_sse is None:
+            continue
+        goes_left[rows] = left
+        in_left = goes_left[order]
+        # the left child goes on top, so it grows first
+        if right_sse is not None:
+            stack.append((node.right, right_sse, rows[~left],
+                          order[~in_left].reshape(len(order), -1), depth + 1))
+        if left_sse is not None:
+            stack.append((node.left, left_sse, rows[left],
+                          order[in_left].reshape(len(order), -1), depth + 1))
+    return root
 
 
 def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> TreeModel:
@@ -124,7 +156,11 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
 
     max_depth=None grows until leaves are pure or too small, which makes
     the tree reproduce its training targets exactly when feature rows are
-    distinct.
+    distinct. Columns are sorted once, at the root; each node scans all of
+    them in passes of about _PASS_ELEMENTS target values, and ties go to
+    the lowest feature, then the lowest threshold. Depth is bounded by
+    memory, not by the recursion limit. NaN or inf in X or Y raises
+    ValueError.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -134,11 +170,13 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
         raise ValueError("X and Y must be 2-d with matching row counts")
     if X.shape[0] == 0:
         raise ValueError("cannot fit a tree on 0 rows")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("X and Y must be finite (no NaN or inf)")
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be at least 1, got {min_samples_leaf}")
-    root = _grow(X, Y, 0, max_depth, min_samples_leaf)
+    root = _grow(X, Y, max_depth, min_samples_leaf)
     return TreeModel(
         root=root,
         n_features=X.shape[1],
@@ -170,21 +208,26 @@ def tree_predict(model: TreeModel, X) -> np.ndarray:
 
 def tree_depth(model: TreeModel) -> int:
     """Longest root-to-leaf edge count."""
-
-    def depth(node: TreeNode) -> int:
+    deepest = 0
+    stack = [(model.root, 0)]
+    while stack:
+        node, depth = stack.pop()
         if node.is_leaf:
-            return 0
-        return 1 + max(depth(node.left), depth(node.right))
-
-    return depth(model.root)
+            deepest = max(deepest, depth)
+        else:
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
 
 
 def flatten_tree(model: TreeModel) -> dict[str, np.ndarray]:
     """Array form (preorder) used by model serialization."""
     features, thresholds, lefts, rights, values, counts = [], [], [], [], [], []
-
-    def visit(node: TreeNode) -> int:
+    stack = [(model.root, None, -1)]  # (node, parent's child list, parent id)
+    while stack:
+        node, links, parent = stack.pop()
         my_id = len(features)
+        if links is not None:
+            links[parent] = my_id
         features.append(node.feature)
         thresholds.append(node.threshold)
         lefts.append(-1)
@@ -192,11 +235,7 @@ def flatten_tree(model: TreeModel) -> dict[str, np.ndarray]:
         values.append(node.value)
         counts.append(node.n_samples)
         if not node.is_leaf:
-            lefts[my_id] = visit(node.left)
-            rights[my_id] = visit(node.right)
-        return my_id
-
-    visit(model.root)
+            stack += [(node.right, rights, my_id), (node.left, lefts, my_id)]
     return {
         "feature": np.array(features, dtype=np.int64),
         "threshold": np.array(thresholds, dtype=np.float64),
@@ -209,23 +248,26 @@ def flatten_tree(model: TreeModel) -> dict[str, np.ndarray]:
 
 def unflatten_tree(arrays: dict[str, np.ndarray], n_features: int,
                    max_depth: int | None, min_samples_leaf: int) -> TreeModel:
-    """Rebuild a TreeModel from flatten_tree arrays."""
+    """Rebuild a TreeModel from flatten_tree arrays.
 
-    def build(i: int) -> TreeNode:
-        node = TreeNode(
-            value=arrays["value"][i].copy(),
-            n_samples=int(arrays["n_samples"][i]),
-            feature=int(arrays["feature"][i]),
-            threshold=float(arrays["threshold"][i]),
-        )
-        if not node.is_leaf:
-            node.left = build(int(arrays["left"][i]))
-            node.right = build(int(arrays["right"][i]))
-        return node
-
-    root = build(0)
+    Raises ValueError when an inner node's children do not come after it
+    (preorder), which also rules out cycles.
+    """
+    nodes = [
+        TreeNode(value=value.copy(), n_samples=int(count), feature=int(feature),
+                 threshold=float(threshold))
+        for value, count, feature, threshold in zip(
+            arrays["value"], arrays["n_samples"], arrays["feature"], arrays["threshold"])
+    ]
+    for i, node in enumerate(nodes):
+        if node.is_leaf:
+            continue
+        left, right = int(arrays["left"][i]), int(arrays["right"][i])
+        if not (i < left < len(nodes) and i < right < len(nodes)):
+            raise ValueError(f"tree node {i} has children {left} and {right}, not later nodes")
+        node.left, node.right = nodes[left], nodes[right]
     return TreeModel(
-        root=root,
+        root=nodes[0],
         n_features=n_features,
         n_outputs=arrays["value"].shape[1],
         max_depth=max_depth,

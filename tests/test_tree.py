@@ -1,13 +1,106 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from facekeys.regressors import tree as tree_module
 from facekeys.regressors.tree import (
+    TreeModel,
+    TreeNode,
     flatten_tree,
     tree_depth,
     tree_fit,
     tree_predict,
     unflatten_tree,
 )
+
+
+def reference_sse_split_scan(x, Y, min_leaf):
+    """Best split of one column, or None: argsort, then prefix sums.
+
+    Returns (children_sse, threshold) minimizing summed child squared error.
+    """
+    n = x.shape[0]
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    boundaries = np.nonzero(xs[:-1] < xs[1:])[0]  # split after position i
+    if boundaries.size == 0:
+        return None
+    n_left = boundaries + 1
+    n_right = n - n_left
+    ok = (n_left >= min_leaf) & (n_right >= min_leaf)
+    boundaries = boundaries[ok]
+    if boundaries.size == 0:
+        return None
+    n_left = n_left[ok]
+    n_right = n_right[ok]
+
+    ys = Y[order]
+    cum1 = np.cumsum(ys, axis=0)
+    cum2 = np.cumsum(ys * ys, axis=0)
+    tot1 = cum1[-1]
+    tot2 = cum2[-1]
+    left1 = cum1[boundaries]
+    left2 = cum2[boundaries]
+    sse_left = (left2 - left1 * left1 / n_left[:, None]).sum(axis=1)
+    right1 = tot1 - left1
+    right2 = tot2 - left2
+    sse_right = (right2 - right1 * right1 / n_right[:, None]).sum(axis=1)
+    sse = np.maximum(sse_left, 0.0) + np.maximum(sse_right, 0.0)
+
+    best = int(np.argmin(sse))  # first minimum has the lowest threshold
+    i = int(boundaries[best])
+    a, b = xs[i], xs[i + 1]
+    t = (a + b) / 2.0
+    if t >= b:
+        t = a
+    return float(sse[best]), float(t)
+
+
+def reference_best_split(X, Y, min_leaf):
+    best = None
+    for j in range(X.shape[1]):
+        found = reference_sse_split_scan(X[:, j], Y, min_leaf)
+        if found is None:
+            continue
+        sse, t = found
+        if best is None or sse < best[0]:
+            best = (sse, j, t)
+    return best
+
+
+def reference_grow(X, Y, depth, max_depth, min_leaf) -> TreeNode:
+    node = TreeNode(value=Y.mean(axis=0), n_samples=X.shape[0])
+    if max_depth is not None and depth >= max_depth:
+        return node
+    if X.shape[0] < 2 * min_leaf:
+        return node
+    if np.all(Y == Y[0]):
+        return node
+    found = reference_best_split(X, Y, min_leaf)
+    if found is None:
+        return node
+    sse_children, j, t = found
+    if sse_children >= tree_module._node_sse(Y):
+        return node
+    left_mask = X[:, j] <= t
+    node.feature = j
+    node.threshold = t
+    node.left = reference_grow(X[left_mask], Y[left_mask], depth + 1, max_depth, min_leaf)
+    node.right = reference_grow(X[~left_mask], Y[~left_mask], depth + 1, max_depth, min_leaf)
+    return node
+
+
+def reference_tree_fit(X, Y, max_depth=5, min_samples_leaf=1) -> TreeModel:
+    """The recursive grower with one argsort per column per node."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    if Y.ndim == 1:
+        Y = Y[:, None]
+    root = reference_grow(X, Y, 0, max_depth, min_samples_leaf)
+    return TreeModel(root=root, n_features=X.shape[1], n_outputs=Y.shape[1],
+                     max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
 def oracle_greedy_loss(X, Y, max_depth, min_leaf=1) -> float:
@@ -198,3 +291,136 @@ def test_validation():
     model = tree_fit(np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         tree_predict(model, np.zeros((2, 5)))
+
+
+def assert_same_tree(model, reference):
+    got, want = flatten_tree(model), flatten_tree(reference)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        assert np.array_equal(got[key], want[key]), key
+
+
+def _columns(kind, rng, n, d):
+    if kind == "float":
+        return rng.normal(size=(n, d))
+    if kind == "pixels":  # six levels: many ties
+        return rng.integers(0, 6, size=(n, d)) / 5
+    # pixel-like, with column 1 constant
+    X = rng.integers(0, 6, size=(n, d)) / 5
+    X[:, 1] = 0.4
+    return X
+
+
+@pytest.mark.parametrize("columns", ["float", "pixels", "constant"])
+@pytest.mark.parametrize("min_leaf", [1, 3, 10])
+@pytest.mark.parametrize("max_depth", [None, 0, 5])
+@pytest.mark.parametrize("n_outputs", [1, 8])
+def test_presorted_grower_equals_reference(columns, min_leaf, max_depth, n_outputs):
+    rng = np.random.default_rng([min_leaf, n_outputs, len(columns)])
+    X = _columns(columns, rng, 60, 7)
+    Y = rng.normal(size=(60, n_outputs))
+    model = tree_fit(X, Y, max_depth=max_depth, min_samples_leaf=min_leaf)
+    assert_same_tree(model, reference_tree_fit(X, Y, max_depth, min_leaf))
+
+
+@pytest.mark.parametrize("columns", ["float", "pixels"])
+def test_multi_pass_scan_equals_reference(columns):
+    rng = np.random.default_rng(5)
+    n, m = 50, 2
+    d = 2 * tree_module._PASS_ELEMENTS // (n * m) + 3  # three passes at the root
+    X = _columns(columns, rng, n, d)
+    Y = rng.normal(size=(n, m))
+    model = tree_fit(X, Y, max_depth=None, min_samples_leaf=3)
+    assert tree_depth(model) > 1
+    assert_same_tree(model, reference_tree_fit(X, Y, None, 3))
+
+
+def test_small_passes_equal_reference(monkeypatch):
+    # passes of a few columns each, down to one column per pass
+    monkeypatch.setattr(tree_module, "_PASS_ELEMENTS", 64)
+    rng = np.random.default_rng(6)
+    X = _columns("pixels", rng, 40, 9)
+    Y = rng.normal(size=(40, 2))
+    for min_leaf in (1, 4):
+        model = tree_fit(X, Y, max_depth=None, min_samples_leaf=min_leaf)
+        assert_same_tree(model, reference_tree_fit(X, Y, None, min_leaf))
+
+
+def _chain(depth):
+    """A hand-built tree whose right spine is depth inner nodes long."""
+    leaf = TreeNode(value=np.array([float(depth)]), n_samples=1)
+    node = leaf
+    for i in reversed(range(depth)):
+        node = TreeNode(value=np.array([float(i)]), n_samples=depth - i + 1, feature=0,
+                        threshold=float(i), left=TreeNode(value=np.array([-1.0]), n_samples=1),
+                        right=node)
+    return TreeModel(root=node, n_features=1, n_outputs=1, max_depth=None, min_samples_leaf=1)
+
+
+def test_deep_chain_round_trips():
+    model = _chain(3000)
+    assert tree_depth(model) == 3000
+    arrays = flatten_tree(model)
+    assert len(arrays["feature"]) == 6001
+    # preorder: each inner node's left leaf comes next, its right child after that
+    inner = np.flatnonzero(arrays["feature"] >= 0)
+    assert np.array_equal(arrays["left"][inner], inner + 1)
+    assert np.array_equal(arrays["right"][inner], inner + 2)
+    back = unflatten_tree(arrays, 1, None, 1)
+    assert tree_depth(back) == 3000
+    again = flatten_tree(back)
+    for key in arrays:
+        assert np.array_equal(arrays[key], again[key])
+    Q = np.array([[2999.5], [0.0], [1500.0]])
+    assert np.array_equal(tree_predict(back, Q)[:, 0], [3000.0, -1.0, -1.0])
+
+
+def test_unflatten_rejects_children_before_their_parent():
+    arrays = flatten_tree(_chain(2))
+    arrays["left"] = arrays["left"].copy()
+    arrays["left"][2] = 0  # a cycle back to the root
+    with pytest.raises(ValueError, match="not later nodes"):
+        unflatten_tree(arrays, 1, None, 1)
+
+
+def test_fit_deeper_than_the_recursion_limit():
+    # x = 0..n-1 with y = 2^x: the best split peels off the largest row
+    # each time, so the tree is a chain n - 1 deep
+    n = 400
+    X = np.arange(float(n))[:, None]
+    Y = 2.0 ** np.arange(n) / 2.0 ** n
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        model = tree_fit(X, Y, max_depth=None)
+        depth = tree_depth(model)
+        arrays = flatten_tree(model)
+        back = unflatten_tree(arrays, 1, None, 1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert depth > 200
+    assert np.array_equal(tree_predict(back, X), tree_predict(model, X))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["X", "Y"])
+def test_non_finite_input_is_rejected(bad, where):
+    X = np.arange(12.0).reshape(6, 2)
+    Y = np.arange(6.0)
+    (X if where == "X" else Y)[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        tree_fit(X, Y)
+
+
+def test_fit_memory_is_bounded_by_twice_the_input():
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 256, size=(360, 2304)) / 255.0
+    Y = rng.normal(size=(360, 8))
+    tracemalloc.start()
+    try:
+        tree_fit(X, Y, max_depth=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * X.nbytes
