@@ -83,14 +83,6 @@ class LbpImage:
         return self.codes.shape[-1]
 
 
-def lbp_code_3x3(window) -> int:
-    """Code of the center pixel of one 3x3 window."""
-    w = np.asarray(window, dtype=np.float64)
-    if w.shape != (3, 3):
-        raise LbpError("window must be 3x3")
-    return int(lbp_basic(w).codes[1, 1])
-
-
 def lbp_basic(img) -> LbpImage:
     """8-neighbor LBP map of an image or block, borders edge-replicated."""
     return lbp_circular(img, LbpConfig(neighbors=8, radius=1.0, interpolation="nearest"))
@@ -184,14 +176,6 @@ def lbp_circular(img, cfg: LbpConfig) -> LbpImage:
     for start in range(0, len(block), step):
         codes[start : start + step] = _code_chunk(block[start : start + step], offsets, cfg)
     return LbpImage(codes.reshape(a.shape), neighbors=cfg.neighbors)
-
-
-def rotation_invariant_code(code: int, neighbors: int) -> int:
-    """Minimum of a code over all cyclic rotations of its P bits."""
-    mask = (1 << neighbors) - 1
-    if not 0 <= code <= mask:
-        raise LbpError(f"code {code} does not fit in {neighbors} bits")
-    return int(_min_rotations(np.array(code, dtype=np.int64), neighbors))
 
 
 def _min_rotations(codes: np.ndarray, neighbors: int) -> np.ndarray:

@@ -1,10 +1,13 @@
-"""Small convolutional regressor for 16x16 single-channel grids.
+"""Small convolutional regressor for single-channel square grids.
 
-Architecture: conv 32@5x5 (same padding) -> ReLU -> 2x2 max pool ->
-dropout, conv 8@3x3 (same padding) -> ReLU -> 2x2 max pool -> dropout,
-flatten (4*4*8 = 128) -> dense 100 tanh -> dropout -> linear output.
-Convolution and pooling forward/backward are written out by hand; the
-loss is MSE and targets train in the scaled space y' = (y - 48) / 48.
+The grid side may be any positive multiple of 4 (16 for 256 PCA
+components), because the two 2x2 pools each halve it. Architecture:
+conv 32@5x5 (same padding) -> ReLU -> 2x2 max pool -> dropout, conv
+8@3x3 (same padding) -> ReLU -> 2x2 max pool -> dropout, flatten
+((side/4)^2 * 8, 128 at side 16) -> dense 100 tanh -> dropout -> linear
+output. Convolution and pooling forward/backward are written out by
+hand; the loss is MSE and targets train in the scaled space
+y' = (y - 48) / 48.
 """
 
 from __future__ import annotations
@@ -14,14 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optim import (
-    TrainingDiverged,
-    batch_slices,
-    dropout_mask,
-    glorot_uniform,
-    make_optimizer,
-    mse_loss_and_grad,
-)
+from .optim import glorot_uniform, make_optimizer, mse_loss_and_grad, train
 
 PARAM_NAMES = (
     "conv1_w", "conv1_b", "conv2_w", "conv2_b",
@@ -61,55 +57,60 @@ def grid_side(n_features: int) -> int | None:
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """Stride-1 same-padding convolution. x: (n,c,h,w), w: (o,c,kh,kw)."""
     n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
+    kh, kw = w.shape[2:]
     ph, pw = kh // 2, kw // 2
     xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     patches = np.empty((n, c, kh, kw, h, wd))
     for di in range(kh):
         for dj in range(kw):
             patches[:, :, di, dj] = xp[:, :, di : di + h, dj : dj + wd]
-    out = np.einsum("ncuvhw,ocuv->nohw", patches, w) + b[None, :, None, None]
-    return out, (patches, w, x.shape, (ph, pw))
+    out = np.einsum("ncuvhw,ocuv->nohw", patches, w)
+    out += b[None, :, None, None]
+    return out, (patches, w)
 
 
-def _conv_backward(dout: np.ndarray, cache):
-    patches, w, x_shape, (ph, pw) = cache
-    n, c, h, wd = x_shape
-    dw = np.einsum("nohw,ncuvhw->ocuv", dout, patches)
-    db = dout.sum(axis=(0, 2, 3))
+def _conv_weight_grads(dout: np.ndarray, cache):
+    """dw and db of a convolution, given the gradient of its output."""
+    patches, _ = cache
+    return np.einsum("nohw,ncuvhw->ocuv", dout, patches), dout.sum(axis=(0, 2, 3))
+
+
+def _conv_input_grad(dout: np.ndarray, cache):
+    """dx of a convolution: each patch's gradient, folded back onto the
+    padded input (col2im)."""
+    patches, w = cache
+    n, c, kh, kw, h, wd = patches.shape
+    ph, pw = kh // 2, kw // 2
     dpatches = np.einsum("nohw,ocuv->ncuvhw", dout, w)
     dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
-    kh, kw = w.shape[2], w.shape[3]
     for di in range(kh):
         for dj in range(kw):
             dxp[:, :, di : di + h, dj : dj + wd] += dpatches[:, :, di, dj]
-    dx = dxp[:, :, ph : ph + h, pw : pw + wd]
-    return dx, dw, db
+    return dxp[:, :, ph : ph + h, pw : pw + wd]
+
+
+#: Offsets of the four cells of a 2x2 pooling window, in row-major order.
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _pool_forward(x: np.ndarray):
-    """2x2 max pool, stride 2. Gradient goes to the first max per window."""
-    n, c, h, w = x.shape
-    windows = (
-        x.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    arg = windows.argmax(axis=-1)
-    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
-    return out, (arg, x.shape)
+    """2x2 max pool, stride 2; the cache is the input and the output."""
+    cells = [x[:, :, i::2, j::2] for i, j in _WINDOW]
+    out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
+    return out, (x, out)
 
 
 def _pool_backward(dout: np.ndarray, cache):
-    arg, x_shape = cache
-    n, c, h, w = x_shape
-    dwindows = np.zeros((n, c, h // 2, w // 2, 4))
-    np.put_along_axis(dwindows, arg[..., None], dout[..., None], axis=-1)
-    return (
-        dwindows.reshape(n, c, h // 2, w // 2, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h, w)
-    )
+    """Routes each window's gradient to its first max in row-major order."""
+    x, out = cache
+    dx = np.zeros(x.shape)
+    free = np.ones(out.shape, dtype=bool)
+    for i, j in _WINDOW:
+        hit = x[:, :, i::2, j::2] == out
+        hit &= free
+        free &= ~hit
+        np.multiply(dout, hit, out=dx[:, :, i::2, j::2])
+    return dx
 
 
 def init_cnn(side: int, n_outputs: int, seed: int) -> CnnModel:
@@ -149,6 +150,32 @@ def _check_grids(X, side: int | None = None) -> np.ndarray:
     return X
 
 
+def _forward(
+    p: dict[str, np.ndarray],
+    X: np.ndarray,
+    masks: dict[str, np.ndarray] | None = None,
+):
+    """Network output for (n, side, side) grids, and the cache backprop reads.
+
+    masks, when given, holds dropout masks under keys 'pool1', 'pool2',
+    'dense'; None runs the deterministic network.
+    """
+    c1, conv1 = _conv_forward(X[:, None, :, :], p["conv1_w"], p["conv1_b"])
+    r1 = np.maximum(c1, 0.0, out=c1)  # relu in place: r1 > 0 exactly where c1 > 0
+    p1, pool1 = _pool_forward(r1)
+    d1 = p1 * masks["pool1"] if masks else p1
+
+    c2, conv2 = _conv_forward(d1, p["conv2_w"], p["conv2_b"])
+    r2 = np.maximum(c2, 0.0, out=c2)
+    p2, pool2 = _pool_forward(r2)
+    d2 = p2 * masks["pool2"] if masks else p2
+
+    h = np.tanh(d2.reshape(X.shape[0], -1) @ p["dense_w"] + p["dense_b"])
+    hd = h * masks["dense"] if masks else h
+    pred = hd @ p["out_w"] + p["out_b"]
+    return pred, (conv1, pool1, conv2, pool2, d2, h, hd)
+
+
 def loss_and_gradients(
     model: CnnModel,
     X: np.ndarray,
@@ -161,24 +188,7 @@ def loss_and_gradients(
     'dense'; None runs the deterministic network.
     """
     p = model.params
-    x = X[:, None, :, :]  # single channel
-
-    c1, cache1 = _conv_forward(x, p["conv1_w"], p["conv1_b"])
-    r1 = np.maximum(c1, 0.0)
-    p1, pcache1 = _pool_forward(r1)
-    d1 = p1 * masks["pool1"] if masks else p1
-
-    c2, cache2 = _conv_forward(d1, p["conv2_w"], p["conv2_b"])
-    r2 = np.maximum(c2, 0.0)
-    p2, pcache2 = _pool_forward(r2)
-    d2 = p2 * masks["pool2"] if masks else p2
-
-    flat = d2.reshape(X.shape[0], -1)
-    z_dense = flat @ p["dense_w"] + p["dense_b"]
-    h_dense = np.tanh(z_dense)
-    hd = h_dense * masks["dense"] if masks else h_dense
-    pred = hd @ p["out_w"] + p["out_b"]
-
+    pred, (conv1, pool1, conv2, pool2, d2, h, hd) = _forward(p, X, masks)
     loss, dpred = mse_loss_and_grad(pred, Y)
     grads: dict[str, np.ndarray] = {}
     grads["out_w"] = hd.T @ dpred
@@ -187,22 +197,23 @@ def loss_and_gradients(
     dh = dpred @ p["out_w"].T
     if masks:
         dh = dh * masks["dense"]
-    dz = dh * (1.0 - h_dense * h_dense)
-    grads["dense_w"] = flat.T @ dz
+    dz = dh * (1.0 - h * h)
+    grads["dense_w"] = d2.reshape(X.shape[0], -1).T @ dz
     grads["dense_b"] = dz.sum(axis=0)
 
-    dflat = dz @ p["dense_w"].T
-    dd2 = dflat.reshape(d2.shape)
+    dd2 = (dz @ p["dense_w"].T).reshape(d2.shape)
     if masks:
         dd2 = dd2 * masks["pool2"]
-    dr2 = _pool_backward(dd2, pcache2)
-    dc2 = dr2 * (c2 > 0.0)
-    dd1, grads["conv2_w"], grads["conv2_b"] = _conv_backward(dc2, cache2)
+    dc2 = _pool_backward(dd2, pool2)
+    dc2 *= pool2[0] > 0.0  # relu: the pool's input is > 0 exactly where c2 is
+    grads["conv2_w"], grads["conv2_b"] = _conv_weight_grads(dc2, conv2)
+    dd1 = _conv_input_grad(dc2, conv2)
     if masks:
         dd1 = dd1 * masks["pool1"]
-    dr1 = _pool_backward(dd1, pcache1)
-    dc1 = dr1 * (c1 > 0.0)
-    _, grads["conv1_w"], grads["conv1_b"] = _conv_backward(dc1, cache1)
+    dc1 = _pool_backward(dd1, pool1)
+    dc1 *= pool1[0] > 0.0
+    # conv1's input is the data, so its input gradient is never formed
+    grads["conv1_w"], grads["conv1_b"] = _conv_weight_grads(dc1, conv1)
     return loss, grads
 
 
@@ -225,8 +236,9 @@ def cnn_fit(
     X may also hold (n, side*side) feature rows, read as row-major grids.
 
     loss_history records the full-training-set MSE (dropout off, scaled
-    target space) per epoch; a non-finite loss aborts with
-    TrainingDiverged naming the epoch.
+    target space) per epoch, computed by the forward pass alone; a
+    non-finite loss aborts with TrainingDiverged naming the epoch. NaN or
+    inf in X or Y raises ValueError.
     """
     X = _check_grids(X)
     Y = np.asarray(Y, dtype=np.float64)
@@ -234,6 +246,8 @@ def cnn_fit(
         Y = Y[:, None]
     if X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y must have matching row counts")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("X and Y must be finite (no NaN or inf)")
     for rate in (dropout_conv, dropout_dense):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rates must be in [0, 1), got {rate}")
@@ -247,44 +261,33 @@ def cnn_fit(
         model.target_offset, model.target_scale = 48.0, 48.0
     Ys = (Y - model.target_offset) / model.target_scale
 
-    rng = np.random.default_rng(seed + 1)
-    names = list(PARAM_NAMES)
-    params = [model.params[k] for k in names]
-    opt = make_optimizer(optimizer, params, learning_rate, momentum, rms_decay)
-    n = X.shape[0]
-    half = model.side // 2
-    quarter = model.side // 4
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for batch in batch_slices(n, batch_size, order):
-            masks = None
-            if dropout_conv > 0.0 or dropout_dense > 0.0:
-                b = batch.size
-                masks = {
-                    "pool1": dropout_mask(rng, (b, 32, half, half), dropout_conv),
-                    "pool2": dropout_mask(rng, (b, 8, quarter, quarter), dropout_conv),
-                    "dense": dropout_mask(rng, (b, 100), dropout_dense),
-                }
-            loss, grads = loss_and_gradients(model, X[batch], Ys[batch], masks)
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"cnn loss became non-finite at epoch {epoch}")
-            opt.step(params, [grads[k] for k in names])
-        epoch_loss, _ = loss_and_gradients(model, X, Ys)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(f"cnn loss became non-finite at epoch {epoch}")
-        model.loss_history.append(epoch_loss)
+    params = [model.params[k] for k in PARAM_NAMES]
+    half, quarter = model.side // 2, model.side // 4
+
+    def batch_step(rows, masks):
+        if masks is not None:
+            masks = dict(zip(("pool1", "pool2", "dense"), masks))
+        loss, grads = loss_and_gradients(model, X[rows], Ys[rows], masks)
+        return loss, [grads[k] for k in PARAM_NAMES]
+
+    def full_loss():
+        return mse_loss_and_grad(_forward(model.params, X)[0], Ys)[0]
+
+    # all three masks are drawn whenever either rate is above 0
+    model.loss_history = train(
+        params, make_optimizer(optimizer, params, learning_rate, momentum, rms_decay),
+        X.shape[0], epochs=epochs, batch_size=batch_size, seed=seed,
+        dropout=[
+            ((32, half, half), dropout_conv),
+            ((8, quarter, quarter), dropout_conv),
+            ((100,), dropout_dense),
+        ],
+        batch_step=batch_step, full_loss=full_loss, name="cnn",
+    )
     return model
 
 
 def cnn_predict(model: CnnModel, X) -> np.ndarray:
     """Deterministic forward pass (dropout off), unscaled outputs."""
-    X = _check_grids(X, model.side)
-    p = model.params
-    x = X[:, None, :, :]
-    c1, _ = _conv_forward(x, p["conv1_w"], p["conv1_b"])
-    p1, _ = _pool_forward(np.maximum(c1, 0.0))
-    c2, _ = _conv_forward(p1, p["conv2_w"], p["conv2_b"])
-    p2, _ = _pool_forward(np.maximum(c2, 0.0))
-    h = np.tanh(p2.reshape(X.shape[0], -1) @ p["dense_w"] + p["dense_b"])
-    pred = h @ p["out_w"] + p["out_b"]
+    pred, _ = _forward(model.params, _check_grids(X, model.side))
     return pred * model.target_scale + model.target_offset

@@ -23,6 +23,8 @@ def knn_fit(X, Y, k: int = 5) -> KnnModel:
         Y = Y[:, None]
     if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y must be 2-d with matching row counts")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("X and Y must be finite (no NaN or inf)")
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"k must be in [1, {X.shape[0]}], got {k}")
     return KnnModel(X=X.copy(), Y=Y.copy(), k=k)

@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .optim import (
-    TrainingDiverged,
-    batch_slices,
-    dropout_mask,
-    glorot_uniform,
-    make_optimizer,
-    mse_loss_and_grad,
-)
+from .optim import glorot_uniform, make_optimizer, mse_loss_and_grad, train
 
 _ACTIVATIONS = ("tanh", "relu")
 
@@ -152,8 +145,9 @@ def mlp_fit(
     """Train an MLP regressor.
 
     The recorded loss_history holds the full-training-set MSE (dropout
-    off, scaled target space) at the end of each epoch. A non-finite loss
-    aborts with TrainingDiverged naming the epoch.
+    off, scaled target space) at the end of each epoch, computed by the
+    forward pass alone. A non-finite loss aborts with TrainingDiverged
+    naming the epoch; NaN or inf in X or Y raises ValueError.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -161,6 +155,8 @@ def mlp_fit(
         Y = Y[:, None]
     if X.ndim != 2 or X.shape[0] != Y.shape[0]:
         raise ValueError("X and Y must be 2-d with matching row counts")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ValueError("X and Y must be finite (no NaN or inf)")
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must be in [0, 1), got {dropout}")
     if epochs < 0 or batch_size < 1:
@@ -171,32 +167,24 @@ def mlp_fit(
         model.target_offset, model.target_scale = 48.0, 48.0
     Ys = (Y - model.target_offset) / model.target_scale
 
-    rng = np.random.default_rng(seed + 1)  # batching and dropout stream
     params = model.weights + model.biases
-    opt = make_optimizer(optimizer, params, learning_rate, momentum, rms_decay)
-    n = X.shape[0]
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        for batch in batch_slices(n, batch_size, order):
-            masks = None
-            if dropout > 0.0:
-                masks = [
-                    dropout_mask(rng, (batch.size, w.shape[1]), dropout)
-                    for w in model.weights[:-1]
-                ]
-            loss, gw, gb = loss_and_gradients(
-                model.weights, model.biases, X[batch], Ys[batch],
-                model.hidden_activation, masks,
-            )
-            if not np.isfinite(loss):
-                raise TrainingDiverged(f"mlp loss became non-finite at epoch {epoch}")
-            opt.step(params, gw + gb)
-        epoch_loss, _, _ = loss_and_gradients(
-            model.weights, model.biases, X, Ys, model.hidden_activation
+
+    def batch_step(rows, masks):
+        loss, gw, gb = loss_and_gradients(
+            model.weights, model.biases, X[rows], Ys[rows], model.hidden_activation, masks
         )
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(f"mlp loss became non-finite at epoch {epoch}")
-        model.loss_history.append(epoch_loss)
+        return loss, gw + gb
+
+    def full_loss():
+        pred = forward(model.weights, model.biases, X, model.hidden_activation)
+        return mse_loss_and_grad(pred, Ys)[0]
+
+    model.loss_history = train(
+        params, make_optimizer(optimizer, params, learning_rate, momentum, rms_decay),
+        X.shape[0], epochs=epochs, batch_size=batch_size, seed=seed,
+        dropout=[((w.shape[1],), dropout) for w in model.weights[:-1]],
+        batch_step=batch_step, full_loss=full_loss, name="mlp",
+    )
     return model
 
 

@@ -1,4 +1,5 @@
-"""Shared pieces for the gradient-trained models: init, optimizers, loss."""
+"""Shared pieces for the gradient-trained models: init, optimizers, loss,
+and the mini-batch training loop."""
 
 from __future__ import annotations
 
@@ -82,3 +83,46 @@ def batch_slices(n: int, batch_size: int, order: np.ndarray):
     """Yield index arrays covering order in batch_size chunks."""
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
+
+
+def train(
+    params: list[np.ndarray],
+    opt,
+    n: int,
+    *,
+    epochs: int,
+    batch_size: int,
+    seed: int,
+    dropout: list[tuple[tuple[int, ...], float]],
+    batch_step,
+    full_loss,
+    name: str,
+) -> list[float]:
+    """Mini-batch training loop shared by the MLP and the CNN; the loss history.
+
+    Batching and dropout draw from one stream, default_rng(seed + 1). Each
+    epoch draws a permutation of the n rows; each batch then draws one
+    inverted-dropout mask per (per-row shape, rate) entry of dropout, in
+    order, when any rate is above 0 (else masks is None), and steps opt on
+    the gradients of batch_step(rows, masks) -> (loss, grads in params
+    order). The history holds full_loss() after every epoch. A non-finite
+    batch or epoch loss raises TrainingDiverged naming the epoch.
+    """
+    rng = np.random.default_rng(seed + 1)
+    draw = any(rate > 0.0 for _, rate in dropout)
+    history: list[float] = []
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for rows in batch_slices(n, batch_size, order):
+            masks = None
+            if draw:
+                masks = [dropout_mask(rng, (rows.size, *shape), rate) for shape, rate in dropout]
+            loss, grads = batch_step(rows, masks)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"{name} loss became non-finite at epoch {epoch}")
+            opt.step(params, grads)
+        epoch_loss = full_loss()
+        if not np.isfinite(epoch_loss):
+            raise TrainingDiverged(f"{name} loss became non-finite at epoch {epoch}")
+        history.append(epoch_loss)
+    return history

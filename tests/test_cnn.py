@@ -3,7 +3,11 @@ import pytest
 
 from facekeys.regressors.cnn import (
     PARAM_NAMES,
+    _check_grids,
     _conv_forward,
+    _conv_input_grad,
+    _conv_weight_grads,
+    _forward,
     _pool_backward,
     _pool_forward,
     cnn_fit,
@@ -11,7 +15,13 @@ from facekeys.regressors.cnn import (
     init_cnn,
     loss_and_gradients,
 )
-from facekeys.regressors.optim import TrainingDiverged
+from facekeys.regressors.optim import (
+    TrainingDiverged,
+    batch_slices,
+    dropout_mask,
+    make_optimizer,
+    mse_loss_and_grad,
+)
 
 
 def oracle_conv(x, w, b):
@@ -33,6 +43,137 @@ def oracle_conv(x, w, b):
                                     acc += x[i, ic, rr, cc] * w[oc, ic, u, v]
                     out[i, oc, r, col] = acc
     return out
+
+
+# ---- references: the layers and the fit loop the package replaced --------------
+
+
+def reference_conv_forward(x, w, b):
+    """Same-padding convolution as one einsum over a (n,c,kh,kw,h,w) patch block."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    patches = np.empty((n, c, kh, kw, h, wd))
+    for di in range(kh):
+        for dj in range(kw):
+            patches[:, :, di, dj] = xp[:, :, di : di + h, dj : dj + wd]
+    out = np.einsum("ncuvhw,ocuv->nohw", patches, w) + b[None, :, None, None]
+    return out, (patches, w, x.shape, (ph, pw))
+
+
+def reference_conv_backward(dout, cache):
+    """dx, dw, db in one call; dx folds the patch gradients back (col2im)."""
+    patches, w, x_shape, (ph, pw) = cache
+    n, c, h, wd = x_shape
+    dw = np.einsum("nohw,ncuvhw->ocuv", dout, patches)
+    db = dout.sum(axis=(0, 2, 3))
+    dpatches = np.einsum("nohw,ocuv->ncuvhw", dout, w)
+    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
+    kh, kw = w.shape[2], w.shape[3]
+    for di in range(kh):
+        for dj in range(kw):
+            dxp[:, :, di : di + h, dj : dj + wd] += dpatches[:, :, di, dj]
+    dx = dxp[:, :, ph : ph + h, pw : pw + wd]
+    return dx, dw, db
+
+
+def reference_pool_forward(x):
+    """2x2 max pool through an argmax over each window's four cells."""
+    n, c, h, w = x.shape
+    windows = (
+        x.reshape(n, c, h // 2, 2, w // 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h // 2, w // 2, 4)
+    )
+    arg = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, arg[..., None], axis=-1)[..., 0]
+    return out, (arg, x.shape)
+
+
+def reference_pool_backward(dout, cache):
+    arg, x_shape = cache
+    n, c, h, w = x_shape
+    dwindows = np.zeros((n, c, h // 2, w // 2, 4))
+    np.put_along_axis(dwindows, arg[..., None], dout[..., None], axis=-1)
+    return (
+        dwindows.reshape(n, c, h // 2, w // 2, 2, 2)
+        .transpose(0, 1, 2, 4, 3, 5)
+        .reshape(n, c, h, w)
+    )
+
+
+def reference_loss_and_gradients(model, X, Y, masks=None):
+    """The network's loss and gradients with the reference layers, conv1's
+    (unused) input gradient included."""
+    p = model.params
+    x = X[:, None, :, :]
+
+    c1, cache1 = reference_conv_forward(x, p["conv1_w"], p["conv1_b"])
+    r1 = np.maximum(c1, 0.0)
+    p1, pcache1 = reference_pool_forward(r1)
+    d1 = p1 * masks["pool1"] if masks else p1
+
+    c2, cache2 = reference_conv_forward(d1, p["conv2_w"], p["conv2_b"])
+    r2 = np.maximum(c2, 0.0)
+    p2, pcache2 = reference_pool_forward(r2)
+    d2 = p2 * masks["pool2"] if masks else p2
+
+    flat = d2.reshape(X.shape[0], -1)
+    h_dense = np.tanh(flat @ p["dense_w"] + p["dense_b"])
+    hd = h_dense * masks["dense"] if masks else h_dense
+    pred = hd @ p["out_w"] + p["out_b"]
+
+    loss, dpred = mse_loss_and_grad(pred, Y)
+    grads = {"out_w": hd.T @ dpred, "out_b": dpred.sum(axis=0)}
+    dh = dpred @ p["out_w"].T
+    if masks:
+        dh = dh * masks["dense"]
+    dz = dh * (1.0 - h_dense * h_dense)
+    grads["dense_w"] = flat.T @ dz
+    grads["dense_b"] = dz.sum(axis=0)
+    dd2 = (dz @ p["dense_w"].T).reshape(d2.shape)
+    if masks:
+        dd2 = dd2 * masks["pool2"]
+    dc2 = reference_pool_backward(dd2, pcache2) * (c2 > 0.0)
+    dd1, grads["conv2_w"], grads["conv2_b"] = reference_conv_backward(dc2, cache2)
+    if masks:
+        dd1 = dd1 * masks["pool1"]
+    dc1 = reference_pool_backward(dd1, pcache1) * (c1 > 0.0)
+    _, grads["conv1_w"], grads["conv1_b"] = reference_conv_backward(dc1, cache1)
+    return loss, grads
+
+
+def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, seed):
+    """The fit loop cnn_fit ran before the shared loop, on the reference
+    network: the epoch loss came from a full gradient pass."""
+    X = _check_grids(X)
+    model = init_cnn(X.shape[1], Y.shape[1], seed)
+    model.target_offset, model.target_scale = 48.0, 48.0
+    Ys = (Y - model.target_offset) / model.target_scale
+    rng = np.random.default_rng(seed + 1)
+    params = [model.params[k] for k in PARAM_NAMES]
+    opt = make_optimizer("rmsprop", params)
+    n = X.shape[0]
+    half, quarter = model.side // 2, model.side // 4
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for batch in batch_slices(n, batch_size, order):
+            masks = None
+            if dropout_conv > 0.0 or dropout_dense > 0.0:
+                b = batch.size
+                masks = {
+                    "pool1": dropout_mask(rng, (b, 32, half, half), dropout_conv),
+                    "pool2": dropout_mask(rng, (b, 8, quarter, quarter), dropout_conv),
+                    "dense": dropout_mask(rng, (b, 100), dropout_dense),
+                }
+            loss, grads = reference_loss_and_gradients(model, X[batch], Ys[batch], masks)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"cnn loss became non-finite at epoch {epoch}")
+            opt.step(params, [grads[k] for k in PARAM_NAMES])
+        epoch_loss, _ = reference_loss_and_gradients(model, X, Ys)
+        model.loss_history.append(epoch_loss)
+    return model
 
 
 def tensor_rel_error(analytic, numeric) -> float:
@@ -204,3 +345,91 @@ def test_grid_validation():
         cnn_predict(model, np.zeros((2, 16, 16)))
     with pytest.raises(ValueError, match="dropout"):
         cnn_fit(np.zeros((4, 8, 8)), np.zeros((4, 1)), dropout_dense=1.0)
+
+
+# ---- the network against the references it replaced ---------------------------
+
+
+@pytest.mark.parametrize("side", [8, 12, 16])
+@pytest.mark.parametrize("channels", [1, 32])
+@pytest.mark.parametrize("kernel", [3, 5])
+def test_split_convolution_backward_equals_reference(kernel, channels, side):
+    rng = np.random.default_rng(100 * kernel + channels + side)
+    x = rng.normal(size=(3, channels, side, side))
+    w = rng.normal(size=(4, channels, kernel, kernel))
+    b = rng.normal(size=4)
+    out, cache = _conv_forward(x, w, b)
+    ref_out, ref_cache = reference_conv_forward(x, w, b)
+    assert np.array_equal(out, ref_out)
+    dout = rng.normal(size=out.shape)
+    ref_dx, ref_dw, ref_db = reference_conv_backward(dout, ref_cache)
+    dw, db = _conv_weight_grads(dout, cache)
+    assert np.array_equal(dw, ref_dw) and np.array_equal(db, ref_db)
+    assert np.array_equal(_conv_input_grad(dout, cache), ref_dx)
+
+
+@pytest.mark.parametrize("values", ["distinct", "ties"])
+def test_pool_matches_argmax_reference_exactly(values):
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 4, 8, 6))
+    if values == "ties":
+        x = np.maximum(np.round(x), 0.0)  # relu-like: many equal maxima, zeros
+    out, cache = _pool_forward(x)
+    ref_out, ref_cache = reference_pool_forward(x)
+    assert np.array_equal(out, ref_out)
+    dout = rng.normal(size=out.shape)
+    assert np.array_equal(_pool_backward(dout, cache), reference_pool_backward(dout, ref_cache))
+
+
+def test_gradients_equal_the_reference_network():
+    rng = np.random.default_rng(12)
+    model = init_cnn(12, 3, seed=5)
+    X = rng.normal(size=(6, 12, 12))
+    Y = rng.normal(size=(6, 3))
+    masks = {
+        "pool1": dropout_mask(rng, (6, 32, 6, 6), 0.25),
+        "pool2": dropout_mask(rng, (6, 8, 3, 3), 0.25),
+        "dense": dropout_mask(rng, (6, 100), 0.5),
+    }
+    for m in (None, masks):
+        loss, grads = loss_and_gradients(model, X, Y, m)
+        ref_loss, ref_grads = reference_loss_and_gradients(model, X, Y, m)
+        assert loss == ref_loss
+        for name in PARAM_NAMES:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def test_forward_only_loss_equals_the_backprop_loss():
+    rng = np.random.default_rng(13)
+    model = init_cnn(12, 8, seed=6)
+    X = rng.normal(size=(60, 12, 12))
+    Y = rng.normal(size=(60, 8))
+    loss, _ = loss_and_gradients(model, X, Y)
+    assert mse_loss_and_grad(_forward(model.params, X)[0], Y)[0] == loss
+
+
+@pytest.mark.parametrize("scale", [1.0, 500.0])
+@pytest.mark.parametrize("dropout", [(0.0, 0.0), (0.25, 0.5), (0.0, 0.5)])
+def test_fit_is_bit_identical_to_the_reference_loop(dropout, scale):
+    # scale 500 is the size of unscaled PCA grids, where the dense layer
+    # saturates and a last-bit change in any sum grows through training
+    rng = np.random.default_rng(14)
+    X = rng.normal(size=(23, 8, 8)) * scale  # a ragged last batch of 3 rows
+    Y = rng.normal(size=(23, 4)) * 10.0 + 48.0
+    args = dict(epochs=4, batch_size=10, dropout_conv=dropout[0],
+                dropout_dense=dropout[1], seed=2)
+    model = cnn_fit(X, Y, **args)
+    ref = reference_cnn_fit(X, Y, **args)
+    assert model.loss_history == ref.loss_history
+    for name in PARAM_NAMES:
+        assert np.array_equal(model.params[name], ref.params[name]), name
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["X", "Y"])
+def test_non_finite_input_is_rejected(bad, where):
+    X = np.zeros((4, 8, 8))
+    Y = np.zeros((4, 2))
+    (X if where == "X" else Y)[1, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        cnn_fit(X, Y, epochs=1, batch_size=2)

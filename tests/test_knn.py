@@ -88,3 +88,13 @@ def test_validation():
     model = knn_fit(X, Y, k=1)
     with pytest.raises(ValueError, match="queries"):
         knn_predict(model, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["X", "Y"])
+def test_non_finite_input_is_rejected(bad, where):
+    X = np.arange(12.0).reshape(6, 2)
+    Y = np.arange(6.0)
+    (X if where == "X" else Y)[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        knn_fit(X, Y, k=2)

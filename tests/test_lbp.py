@@ -9,9 +9,7 @@ from facekeys.lbp import (
     circle_offsets,
     lbp_basic,
     lbp_circular,
-    lbp_code_3x3,
     lbp_histogram_features,
-    rotation_invariant_code,
 )
 
 # clockwise from the top-left corner, the order the codes are built in
@@ -38,6 +36,25 @@ def oracle_basic(img: np.ndarray) -> np.ndarray:
 def oracle_min_rotation(code: int, bits: int = 8) -> int:
     s = format(code, f"0{bits}b")
     return min(int(s[k:] + s[:k], 2) for k in range(bits))
+
+
+def center_code(window) -> int:
+    """Basic code of the center pixel of one 3x3 window."""
+    return int(lbp_basic(np.asarray(window)).codes[1, 1])
+
+
+def min_rotation_code(code: int, neighbors: int) -> int:
+    """Rotation-invariant form of code, as lbp_circular computes it: the
+    center of a 3x3 window whose radius-1 nearest samples set exactly the
+    bits of code (a sample of 1 ties the center, one of 0 is below it)."""
+    window = np.zeros((3, 3))
+    window[1, 1] = 1.0
+    for p, (dr, dc) in enumerate(circle_offsets(neighbors, 1.0)):
+        if code >> p & 1:
+            window[1 + int(np.rint(dr)), 1 + int(np.rint(dc))] = 1.0
+    cfg = LbpConfig(neighbors=neighbors, radius=1.0, rotation_invariant=True,
+                    interpolation="nearest")
+    return int(lbp_circular(window, cfg).codes[1, 1])
 
 
 # ---- per-image references: the kernels the batched lbp_circular replaced ----
@@ -103,20 +120,20 @@ def reference_circular(img, cfg: LbpConfig) -> np.ndarray:
 
 def test_worked_window_codes_to_241():
     # neighbors clockwise: 5,4,0,1,9,7,6,8 vs center 5 -> bits 1,0,0,0,1,1,1,1
-    assert lbp_code_3x3([[5, 4, 0], [8, 5, 1], [6, 7, 9]]) == 241
+    assert center_code([[5, 4, 0], [8, 5, 1], [6, 7, 9]]) == 241
 
 
 def test_tie_counts_as_one():
-    assert lbp_code_3x3(np.full((3, 3), 7)) == 255
+    assert center_code(np.full((3, 3), 7)) == 255
     window = np.zeros((3, 3))
     window[1, 1] = 5.0
     window[0, 0] = 5.0  # single neighbor equal to the center
-    assert lbp_code_3x3(window) == 1
+    assert center_code(window) == 1
 
 
 def test_window_shape_checked():
     with pytest.raises(LbpError, match="3x3"):
-        lbp_code_3x3(np.zeros((2, 3)))
+        lbp_basic(np.zeros((2, 3)))
 
 
 # ---- whole-image basic map ---------------------------------------------------
@@ -276,7 +293,7 @@ def test_quarter_turn_consistency_rotation_invariant():
 
 def test_min_rotation_matches_string_oracle_all_codes():
     for code in range(256):
-        assert rotation_invariant_code(code, 8) == oracle_min_rotation(code)
+        assert min_rotation_code(code, 8) == oracle_min_rotation(code)
 
 
 def test_min_rotation_vectorized_matches_scalar():
@@ -286,7 +303,7 @@ def test_min_rotation_vectorized_matches_scalar():
     img = rng.integers(0, 256, (9, 9))
     plain = lbp_basic(img).codes
     ri = lbp_circular(img, cfg).codes
-    expect = np.vectorize(lambda c: rotation_invariant_code(int(c), 8))(plain)
+    expect = np.vectorize(oracle_min_rotation)(plain)
     assert np.array_equal(ri, expect)
 
 
@@ -295,32 +312,25 @@ def test_rotations_of_00001111_map_to_15():
     # sanity: these really are the 8 cyclic rotations of 0b00001111
     assert rotations == {((15 << s) | (15 >> (8 - s))) & 0xFF for s in range(8)}
     for code in rotations:
-        assert rotation_invariant_code(code, 8) == 15
+        assert min_rotation_code(code, 8) == 15
 
 
 def test_min_rotation_fixed_points_and_examples():
-    assert rotation_invariant_code(241, 8) == 31  # 0b11110001 -> 0b00011111
-    assert rotation_invariant_code(0, 8) == 0
-    assert rotation_invariant_code(255, 8) == 255
-    assert rotation_invariant_code(0b1000, 4) == 1
+    assert min_rotation_code(241, 8) == 31  # 0b11110001 -> 0b00011111
+    assert min_rotation_code(0, 8) == 0
+    assert min_rotation_code(255, 8) == 255
+    assert min_rotation_code(0b1000, 4) == 1
 
 
 def test_min_rotation_properties():
     for code in range(256):
-        ri = rotation_invariant_code(code, 8)
+        ri = min_rotation_code(code, 8)
         assert ri <= code
-        assert rotation_invariant_code(ri, 8) == ri
+        assert min_rotation_code(ri, 8) == ri
         assert bin(ri).count("1") == bin(code).count("1")
         for s in range(8):
             rot = ((code << s) | (code >> (8 - s))) & 0xFF
-            assert rotation_invariant_code(rot, 8) == ri
-
-
-def test_min_rotation_range_check():
-    with pytest.raises(LbpError, match="fit"):
-        rotation_invariant_code(256, 8)
-    with pytest.raises(LbpError, match="fit"):
-        rotation_invariant_code(-1, 8)
+            assert min_rotation_code(rot, 8) == ri
 
 
 # ---- histograms ----------------------------------------------------------------

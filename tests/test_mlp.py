@@ -8,7 +8,47 @@ from facekeys.regressors.mlp import (
     mlp_fit,
     mlp_predict,
 )
-from facekeys.regressors.optim import TrainingDiverged, mse_loss_and_grad
+from facekeys.regressors.optim import (
+    TrainingDiverged,
+    batch_slices,
+    dropout_mask,
+    make_optimizer,
+    mse_loss_and_grad,
+)
+
+
+def reference_mlp_fit(X, Y, hidden, epochs, batch_size, optimizer, dropout, seed):
+    """The fit loop mlp_fit ran before the shared loop: the epoch loss came
+    from a full loss_and_gradients call whose gradients were dropped."""
+    X = np.asarray(X, dtype=np.float64)
+    model = init_mlp(X.shape[1], tuple(hidden), Y.shape[1], seed)
+    model.target_offset, model.target_scale = 48.0, 48.0
+    Ys = (Y - model.target_offset) / model.target_scale
+    rng = np.random.default_rng(seed + 1)
+    params = model.weights + model.biases
+    opt = make_optimizer(optimizer, params)
+    n = X.shape[0]
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for batch in batch_slices(n, batch_size, order):
+            masks = None
+            if dropout > 0.0:
+                masks = [
+                    dropout_mask(rng, (batch.size, w.shape[1]), dropout)
+                    for w in model.weights[:-1]
+                ]
+            loss, gw, gb = loss_and_gradients(
+                model.weights, model.biases, X[batch], Ys[batch],
+                model.hidden_activation, masks,
+            )
+            if not np.isfinite(loss):
+                raise TrainingDiverged(f"mlp loss became non-finite at epoch {epoch}")
+            opt.step(params, gw + gb)
+        epoch_loss, _, _ = loss_and_gradients(
+            model.weights, model.biases, X, Ys, model.hidden_activation
+        )
+        model.loss_history.append(epoch_loss)
+    return model
 
 
 def tensor_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -170,3 +210,39 @@ def test_fit_validation():
     model = mlp_fit(X, Y, hidden=(), epochs=1, dropout=0.0)
     with pytest.raises(ValueError):
         mlp_predict(model, np.zeros((2, 5)))
+
+
+@pytest.mark.parametrize("optimizer", ["rmsprop", "sgd"])
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+def test_fit_is_bit_identical_to_the_reference_loop(dropout, optimizer):
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(37, 11))  # a ragged last batch of 7 rows
+    Y = X @ rng.normal(size=(11, 3)) * 10.0 + 48.0
+    args = dict(hidden=(16, 8), epochs=6, batch_size=10, optimizer=optimizer,
+                dropout=dropout, seed=3)
+    model = mlp_fit(X, Y, **args)
+    ref = reference_mlp_fit(X, Y, **args)
+    assert model.loss_history == ref.loss_history
+    for got, want in zip(model.weights + model.biases, ref.weights + ref.biases):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_forward_only_loss_equals_the_backprop_loss(activation):
+    rng = np.random.default_rng(13)
+    model = init_mlp(179, (30, 20), 8, seed=4, activation=activation)
+    X = rng.normal(size=(180, 179))
+    Y = rng.normal(size=(180, 8))
+    loss, _, _ = loss_and_gradients(model.weights, model.biases, X, Y, activation)
+    pred = forward(model.weights, model.biases, X, activation)
+    assert mse_loss_and_grad(pred, Y)[0] == loss
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["X", "Y"])
+def test_non_finite_input_is_rejected(bad, where):
+    X = np.arange(12.0).reshape(6, 2)
+    Y = np.arange(6.0)
+    (X if where == "X" else Y)[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        mlp_fit(X, Y, hidden=(4,), epochs=2, batch_size=3)
