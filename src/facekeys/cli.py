@@ -132,14 +132,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_images_any(path: str) -> np.ndarray:
-    with open(path, newline="") as fh:
-        header = fh.readline().strip()
-    if header == ds.IMAGE_COLUMN:
-        return ds.load_image_csv(path)
-    return ds.load_training_csv(path).images
-
-
 def cmd_predict(args) -> int:
     """Apply a saved model to a CSV of images; write predicted coordinates."""
     model, extras = load_model(args.model_file)
@@ -151,13 +143,11 @@ def cmd_predict(args) -> int:
     with np.load(args.model_file) as data:
         arrays = {k: data[k] for k in data.files if k.startswith("pipe_")}
     pipe = pipeline_from_payload(extras["pipeline"], arrays)
-    images = _load_images_any(args.input)
+    # an image-only CSV reads as a training CSV with zero coordinate columns
+    images = ds.load_training_csv(args.input).images
     pred = predict_any(model, pipe.transform(images).values)
 
-    names = extras.get("target_names", [])
-    columns = []
-    for n in names:
-        columns.extend((f"{n}_x", f"{n}_y"))
+    columns = [f"{n}_{axis}" for n in extras.get("target_names", []) for axis in "xy"]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns or [f"y{i}" for i in range(pred.shape[1])])

@@ -1,9 +1,11 @@
 """Facial keypoint dataset handling.
 
 Covers the Kaggle-style training CSV (coordinate column pairs plus a
-space-separated ``Image`` column), column-mean imputation, the coverage
-split into a dense four-keypoint task and a sparse eleven-keypoint task,
-seeded holdout partitioning, and conversion to numeric matrices.
+space-separated ``Image`` column; an image-only CSV has zero coordinate
+columns, and only an empty coordinate cell is missing), column-mean
+imputation, the coverage split into a dense four-keypoint task and a
+sparse eleven-keypoint task, seeded holdout partitioning, and conversion
+to numeric matrices. One streaming reader parses every CSV layout.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -168,11 +169,7 @@ class Dataset:
 
     def coordinate_columns(self) -> list[str]:
         """Column names in file order: <slot>_x, <slot>_y per slot."""
-        cols = []
-        for name in self.slot_names:
-            cols.append(f"{name}_x")
-            cols.append(f"{name}_y")
-        return cols
+        return [f"{name}_{axis}" for name in self.slot_names for axis in "xy"]
 
     def image(self, i: int) -> GrayImage:
         return GrayImage(self.images[i])
@@ -208,17 +205,15 @@ def _slot_names_from_header(columns: list[str]) -> tuple[str, ...]:
 
 
 def _parse_pixels(cell: str, row_idx: int) -> np.ndarray:
-    parts = cell.split()
+    where = f"row {row_idx}, column {IMAGE_COLUMN}"
     try:
-        values = np.array(parts, dtype=np.int64)
+        values = np.array(cell.split(), dtype=np.int64)
     except ValueError:
-        raise DatasetError(
-            f"row {row_idx}, column {IMAGE_COLUMN}: non-integer pixel value"
-        ) from None
+        raise DatasetError(f"{where}: non-integer pixel value") from None
+    except OverflowError:  # wider than int64
+        raise DatasetError(f"{where}: pixel outside [0, 255]") from None
     if values.size and (values.min() < 0 or values.max() > 255):
-        raise DatasetError(
-            f"row {row_idx}, column {IMAGE_COLUMN}: pixel outside [0, 255]"
-        )
+        raise DatasetError(f"{where}: pixel outside [0, 255]")
     return values
 
 
@@ -227,105 +222,98 @@ def _parse_coordinate(cell: str, row_idx: int, column: str) -> float:
     if cell == "":
         return math.nan
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise DatasetError(
             f"row {row_idx}, column {column}: non-numeric coordinate {cell!r}"
         ) from None
+    if not math.isfinite(value):
+        raise DatasetError(
+            f"row {row_idx}, column {column}: non-finite coordinate {cell!r}"
+        )
+    return value
+
+
+def _read_csv(path, header_rule):
+    """Parse a CSV row by row: the one reader behind every loader.
+
+    ``header_rule(path, header)`` checks the header and returns the slot
+    names of its leading coordinate columns; a last ``Image`` column holds
+    pixel lists that must decode to the first row's square side. Returns
+    (slot_names, (n, 2k) float64 keypoints, (n, side, side) uint8 images
+    or None).
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path}: empty file")
+        slot_names = header_rule(path, header)
+        n_coord = 2 * len(slot_names)
+        has_image = header[-1:] == [IMAGE_COLUMN]
+        coord_rows: list[list[float]] = []
+        pixel_rows: list[np.ndarray] = []
+        for row_idx, row in enumerate(reader):
+            if len(row) != len(header):
+                raise DatasetError(
+                    f"row {row_idx}: expected {len(header)} fields, got {len(row)}"
+                )
+            coord_rows.append([_parse_coordinate(row[c], row_idx, header[c])
+                               for c in range(n_coord)])
+            if not has_image:
+                continue
+            pixels = _parse_pixels(row[n_coord], row_idx)
+            where = f"row {row_idx}, column {IMAGE_COLUMN}"
+            if not pixel_rows:
+                side = math.isqrt(pixels.size)
+                if side * side != pixels.size or side == 0:
+                    raise DatasetError(f"{where}: {pixels.size} pixels is not a square image")
+            elif pixels.size != side * side:
+                raise DatasetError(f"{where}: expected {side * side} pixels, got {pixels.size}")
+            pixel_rows.append(pixels.astype(np.uint8))
+
+    n = len(coord_rows)
+    if n == 0:
+        raise DatasetError(f"{path}: no data rows")
+    # stack first: the coordinate block is not yet alive at the stack's peak
+    images = np.stack(pixel_rows).reshape(n, side, side) if has_image else None
+    keypoints = np.array(coord_rows, dtype=np.float64).reshape(n, n_coord)
+    return slot_names, keypoints, images
+
+
+def _training_header(path, header: list[str]) -> tuple[str, ...]:
+    if header[-1:] != [IMAGE_COLUMN]:
+        raise DatasetError(f"{path}: last header column must be {IMAGE_COLUMN!r}")
+    return _slot_names_from_header(header[:-1])
+
+
+def _image_header(path, header: list[str]) -> tuple[str, ...]:
+    if header != [IMAGE_COLUMN]:
+        raise DatasetError(f"{path}: expected a single {IMAGE_COLUMN!r} column")
+    return ()
 
 
 def load_training_csv(path) -> Dataset:
     """Parse a training CSV into a Dataset.
 
     The header must name an even count of coordinate columns (x/y pairs)
-    followed by an ``Image`` column. Empty coordinate cells become missing
-    values. Pixel strings must all decode to the same square image size.
+    followed by an ``Image`` column; an image-only CSV has zero coordinate
+    columns. Only an empty coordinate cell is missing. Pixel strings must
+    all decode to the same square image size.
 
     Raises:
         DatasetError: on a malformed header, a row with the wrong field
-            count, a non-numeric coordinate, a bad pixel list, or an
-            input with no data rows. Messages name the row index and
-            column involved.
+            count, a non-numeric or non-finite coordinate, a bad pixel
+            list, or an input with no data rows. Messages name the row
+            index and column involved.
     """
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        if not header or header[-1] != IMAGE_COLUMN:
-            raise DatasetError(f"{path}: last header column must be {IMAGE_COLUMN!r}")
-        slot_names = _slot_names_from_header(header[:-1])
-        n_coord = 2 * len(slot_names)
-
-        coord_rows: list[list[float]] = []
-        pixel_rows: list[np.ndarray] = []
-        side = None
-        for row_idx, row in enumerate(reader):
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"row {row_idx}: expected {len(header)} fields, got {len(row)}"
-                )
-            coord_rows.append(
-                [
-                    _parse_coordinate(row[c], row_idx, header[c])
-                    for c in range(n_coord)
-                ]
-            )
-            pixels = _parse_pixels(row[n_coord], row_idx)
-            if side is None:
-                side = math.isqrt(pixels.size)
-                if side * side != pixels.size or side == 0:
-                    raise DatasetError(
-                        f"row {row_idx}, column {IMAGE_COLUMN}: "
-                        f"{pixels.size} pixels is not a square image"
-                    )
-            elif pixels.size != side * side:
-                raise DatasetError(
-                    f"row {row_idx}, column {IMAGE_COLUMN}: expected "
-                    f"{side * side} pixels, got {pixels.size}"
-                )
-            pixel_rows.append(pixels.astype(np.uint8))
-
-    if not pixel_rows:
-        raise DatasetError(f"{path}: no data rows")
-    images = np.stack(pixel_rows).reshape(len(pixel_rows), side, side)
-    keypoints = np.array(coord_rows, dtype=np.float64).reshape(len(pixel_rows), n_coord)
+    slot_names, keypoints, images = _read_csv(path, _training_header)
     return Dataset(images=images, keypoints=keypoints, slot_names=slot_names)
 
 
 def load_image_csv(path) -> np.ndarray:
     """Parse an image-only CSV (single ``Image`` column) into (n, s, s) uint8."""
-    path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        if header != [IMAGE_COLUMN]:
-            raise DatasetError(f"{path}: expected a single {IMAGE_COLUMN!r} column")
-        pixel_rows = []
-        side = None
-        for row_idx, row in enumerate(reader):
-            if len(row) != 1:
-                raise DatasetError(f"row {row_idx}: expected 1 field, got {len(row)}")
-            pixels = _parse_pixels(row[0], row_idx)
-            if side is None:
-                side = math.isqrt(pixels.size)
-                if side * side != pixels.size or side == 0:
-                    raise DatasetError(
-                        f"row {row_idx}: {pixels.size} pixels is not a square image"
-                    )
-            elif pixels.size != side * side:
-                raise DatasetError(
-                    f"row {row_idx}: expected {side * side} pixels, got {pixels.size}"
-                )
-            pixel_rows.append(pixels.astype(np.uint8))
-    if not pixel_rows:
-        raise DatasetError(f"{path}: no data rows")
-    return np.stack(pixel_rows).reshape(len(pixel_rows), side, side)
+    return _read_csv(path, _image_header)[2]
 
 
 def _format_coordinate(v: float) -> str:
@@ -336,64 +324,47 @@ def _format_image(flat: np.ndarray) -> str:
     return " ".join(str(int(p)) for p in flat)
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def write_training_csv(d: Dataset, path) -> None:
     """Write a Dataset in the combined training-CSV format.
 
     Coordinates are rendered with full round-trip precision, so loading
     the file reproduces the Dataset exactly.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(d.coordinate_columns() + [IMAGE_COLUMN])
-        flat = d.images.reshape(len(d), -1)
-        for i in range(len(d)):
-            row = [_format_coordinate(v) for v in d.keypoints[i]]
-            row.append(_format_image(flat[i]))
-            writer.writerow(row)
+    flat = d.images.reshape(len(d), -1)
+    _write_csv(path, d.coordinate_columns() + [IMAGE_COLUMN], (
+        [*map(_format_coordinate, kp), _format_image(px)]
+        for kp, px in zip(d.keypoints, flat)
+    ))
 
 
 def write_keypoint_csv(d: Dataset, path) -> None:
     """Write only the coordinate columns of a Dataset."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(d.coordinate_columns())
-        for i in range(len(d)):
-            writer.writerow([_format_coordinate(v) for v in d.keypoints[i]])
+    _write_csv(path, d.coordinate_columns(),
+               (list(map(_format_coordinate, kp)) for kp in d.keypoints))
 
 
 def write_image_csv(d: Dataset, path) -> None:
     """Write only the Image column of a Dataset."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([IMAGE_COLUMN])
-        flat = d.images.reshape(len(d), -1)
-        for i in range(len(d)):
-            writer.writerow([_format_image(flat[i])])
+    flat = d.images.reshape(len(d), -1)
+    _write_csv(path, [IMAGE_COLUMN], ([_format_image(px)] for px in flat))
 
 
 def load_split_csvs(keypoint_path, image_path, task: Task = Task.ALL15) -> Dataset:
     """Rejoin a keypoint CSV and an image CSV written by the pair writers."""
-    images = load_image_csv(image_path)
-    with open(keypoint_path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{keypoint_path}: empty file") from None
-        slot_names = _slot_names_from_header(header)
-        rows = []
-        for row_idx, row in enumerate(reader):
-            if len(row) != len(header):
-                raise DatasetError(
-                    f"row {row_idx}: expected {len(header)} fields, got {len(row)}"
-                )
-            rows.append(
-                [_parse_coordinate(c, row_idx, header[j]) for j, c in enumerate(row)]
-            )
-    keypoints = np.array(rows, dtype=np.float64).reshape(len(rows), 2 * len(slot_names))
-    if len(rows) != images.shape[0]:
+    images = _read_csv(image_path, _image_header)[2]
+    slot_names, keypoints, _ = _read_csv(
+        keypoint_path, lambda path, header: _slot_names_from_header(header)
+    )
+    if len(keypoints) != len(images):
         raise DatasetError(
-            f"keypoint rows ({len(rows)}) != image rows ({images.shape[0]})"
+            f"keypoint rows ({len(keypoints)}) != image rows ({len(images)})"
         )
     return Dataset(images=images, keypoints=keypoints, slot_names=slot_names, task=task)
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._inputs import check_fit_inputs
 from .optim import glorot_uniform, make_optimizer, mse_loss_and_grad, train
 
 PARAM_NAMES = (
@@ -241,13 +242,7 @@ def cnn_fit(
     inf in X or Y raises ValueError.
     """
     X = _check_grids(X)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.shape[0] != Y.shape[0]:
-        raise ValueError("X and Y must have matching row counts")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise ValueError("X and Y must be finite (no NaN or inf)")
+    Y = check_fit_inputs(X.reshape(X.shape[0], -1), Y)[1]
     for rate in (dropout_conv, dropout_dense):
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rates must be in [0, 1), got {rate}")

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import check_fit_inputs
+
 
 @dataclass(eq=False)
 class KnnModel:
@@ -17,14 +19,7 @@ class KnnModel:
 
 
 def knn_fit(X, Y, k: int = 5) -> KnnModel:
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ValueError("X and Y must be 2-d with matching row counts")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise ValueError("X and Y must be finite (no NaN or inf)")
+    X, Y = check_fit_inputs(X, Y)
     if not 1 <= k <= X.shape[0]:
         raise ValueError(f"k must be in [1, {X.shape[0]}], got {k}")
     return KnnModel(X=X.copy(), Y=Y.copy(), k=k)

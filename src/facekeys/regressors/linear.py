@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import check_fit_inputs
+
 
 @dataclass(eq=False)
 class LinearModel:
@@ -43,16 +45,9 @@ def linear_predict(model: LinearModel, X) -> np.ndarray:
 
 
 def _check_xy(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ValueError("X and Y must be 2-d with matching row counts")
+    X, Y = check_fit_inputs(X, Y)
     if X.shape[0] < 2:
         raise ValueError("need at least 2 rows")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise ValueError("X and Y must be finite (no NaN or inf)")
     return X, Y
 
 

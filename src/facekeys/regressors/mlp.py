@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._inputs import check_fit_inputs
 from .optim import glorot_uniform, make_optimizer, mse_loss_and_grad, train
 
 _ACTIVATIONS = ("tanh", "relu")
@@ -44,28 +45,36 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
-def _activate_grad(z: np.ndarray, h: np.ndarray, kind: str) -> np.ndarray:
+def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
     if kind == "tanh":
         return 1.0 - h * h
-    return (z > 0.0).astype(np.float64)
+    return (h > 0.0).astype(np.float64)  # relu: h > 0 exactly where its input is
 
 
-def forward(
+def _forward(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
     X: np.ndarray,
     activation: str = "tanh",
     masks: list[np.ndarray] | None = None,
-) -> np.ndarray:
+):
+    """Network output for a batch, and the cache backprop reads.
+
+    masks apply dropout to hidden layers. The cache holds every layer's
+    input (after dropout) and every hidden activation (before dropout).
+    """
+    acts = [X]
+    hs = []
+    for i in range(len(weights) - 1):
+        h = _activate(acts[i] @ weights[i] + biases[i], activation)
+        hs.append(h)
+        acts.append(h * masks[i] if masks is not None else h)
+    return acts[-1] @ weights[-1] + biases[-1], (acts, hs)
+
+
+def forward(weights, biases, X, activation="tanh", masks=None) -> np.ndarray:
     """Network output for a batch; masks apply dropout to hidden layers."""
-    a = X
-    last = len(weights) - 1
-    for i in range(last):
-        h = _activate(a @ weights[i] + biases[i], activation)
-        if masks is not None:
-            h = h * masks[i]
-        a = h
-    return a @ weights[last] + biases[last]
+    return _forward(weights, biases, X, activation, masks)[0]
 
 
 def loss_and_gradients(
@@ -77,23 +86,10 @@ def loss_and_gradients(
     masks: list[np.ndarray] | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """MSE loss and its gradients for every weight and bias tensor."""
-    last = len(weights) - 1
-    acts = [X]  # layer inputs (post-dropout)
-    zs = []
-    hs = []  # pre-dropout activations, needed for the tanh gradient
-    a = X
-    for i in range(last):
-        z = a @ weights[i] + biases[i]
-        h = _activate(z, activation)
-        zs.append(z)
-        hs.append(h)
-        if masks is not None:
-            h = h * masks[i]
-        acts.append(h)
-        a = h
-    pred = a @ weights[last] + biases[last]
+    pred, (acts, hs) = _forward(weights, biases, X, activation, masks)
     loss, dpred = mse_loss_and_grad(pred, Y)
 
+    last = len(weights) - 1
     grads_w: list[np.ndarray] = [None] * len(weights)
     grads_b: list[np.ndarray] = [None] * len(weights)
     delta = dpred
@@ -103,7 +99,7 @@ def loss_and_gradients(
         delta = delta @ weights[i + 1].T
         if masks is not None:
             delta = delta * masks[i]
-        delta = delta * _activate_grad(zs[i], hs[i], activation)
+        delta = delta * _activate_grad(hs[i], activation)
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
     return loss, grads_w, grads_b
@@ -149,14 +145,7 @@ def mlp_fit(
     forward pass alone. A non-finite loss aborts with TrainingDiverged
     naming the epoch; NaN or inf in X or Y raises ValueError.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ValueError("X and Y must be 2-d with matching row counts")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise ValueError("X and Y must be finite (no NaN or inf)")
+    X, Y = check_fit_inputs(X, Y)
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must be in [0, 1), got {dropout}")
     if epochs < 0 or batch_size < 1:

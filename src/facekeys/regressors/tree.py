@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._inputs import check_fit_inputs
+
 #: Target values (columns x node rows x outputs) gathered per pass of the
 #: split scan; smaller passes cost more calls.
 _PASS_ELEMENTS = 1 << 16
@@ -162,16 +164,9 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
     memory, not by the recursion limit. NaN or inf in X or Y raises
     ValueError.
     """
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if Y.ndim == 1:
-        Y = Y[:, None]
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[0] != Y.shape[0]:
-        raise ValueError("X and Y must be 2-d with matching row counts")
+    X, Y = check_fit_inputs(X, Y)
     if X.shape[0] == 0:
         raise ValueError("cannot fit a tree on 0 rows")
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise ValueError("X and Y must be finite (no NaN or inf)")
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if min_samples_leaf < 1:

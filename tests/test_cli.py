@@ -1,5 +1,7 @@
 """End-to-end command line checks, run in process through main()."""
 
+import builtins
+
 import numpy as np
 import pytest
 
@@ -134,6 +136,33 @@ def test_predict_accepts_image_only_csv(tmp_path, csv_path):
                "--input", str(out_dir / "im_test_4f.csv"), "--out", str(out)])
     assert rc == 0
     assert _predictions(out).shape == (3, 8)
+
+
+def test_predict_opens_its_input_once(tmp_path, csv_path, monkeypatch):
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--task", "four") == 0
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["predict", "--model-file", str(model_file),
+                 "--input", str(csv_path), "--out", str(tmp_path / "p.csv")]) == 0
+    assert opened.count(str(csv_path)) == 1
+
+
+def test_a_pixel_too_wide_for_int64_is_a_one_line_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("a_x,a_y,Image\n1,2,0 99999999999999999999999 0 0\n")
+    rc = main(["split", "--input", str(bad), "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error: ")
+    assert "row 0, column Image: pixel outside [0, 255]" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_ridge_at_zero_penalty_matches_least_squares(tmp_path, csv_path):

@@ -150,6 +150,111 @@ def test_load_image_csv_requires_image_header(tmp_path):
         load_image_csv(_write(tmp_path, "Pixels\n0 0 0 0\n"))
 
 
+def test_load_training_csv_reads_an_image_only_csv(tmp_path):
+    path = _write(tmp_path, "Image\n0 10 20 30\n255 0 128 64\n")
+    d = load_training_csv(path)
+    assert d.slot_names == () and d.keypoints.shape == (2, 0)
+    assert np.array_equal(d.images, load_image_csv(path))
+    assert np.array_equal(d.images[1], [[255, 0], [128, 64]])
+
+
+# ---- what the pixel and coordinate parsers accept --------------------------
+
+HUGE = "99999999999999999999999"  # wider than int64
+
+
+@pytest.mark.parametrize(
+    "cell,want",
+    [
+        ("+5 0 0 0", [5, 0, 0, 0]),
+        ("07 0 0 0", [7, 0, 0, 0]),
+        ("1\t2 3 4", [1, 2, 3, 4]),
+        ("  1  2   3 4 ", [1, 2, 3, 4]),
+        ("", "expected 4 pixels, got 0"),
+        ("-1 0 0 0", "pixel outside [0, 255]"),
+        ("256 0 0 0", "pixel outside [0, 255]"),
+        (f"{HUGE} 0 0 0", "pixel outside [0, 255]"),
+        (f"0 -{HUGE} 0 0", "pixel outside [0, 255]"),
+        ("5.0 0 0 0", "non-integer pixel value"),
+        ("x 0 0 0", "non-integer pixel value"),
+    ],
+)
+@pytest.mark.parametrize("image_only", [False, True])
+def test_pixel_cells_accepted_and_rejected(tmp_path, cell, want, image_only):
+    """Row 1's pixel cell, in both formats, through both loaders."""
+    if image_only:
+        text = f'Image\n0 0 0 0\n"{cell}"\n'
+        loaders = (load_training_csv, load_image_csv)
+    else:
+        text = f'a_x,a_y,Image\n1,2,0 0 0 0\n3,4,"{cell}"\n'
+        loaders = (load_training_csv,)
+    path = _write(tmp_path, text)
+    for load in loaders:
+        if isinstance(want, str):
+            with pytest.raises(DatasetError) as exc:
+                load(path)
+            assert f"row 1, column Image: {want}" in str(exc.value)
+        else:
+            got = load(path)
+            images = got if isinstance(got, np.ndarray) else got.images
+            assert images.dtype == np.uint8
+            assert np.array_equal(images[1].reshape(-1), want)
+
+
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("", "empty file"),
+        ("Image\n", "no data rows"),
+        ("Image\n0 0 0 0\n1 2,3\n", "row 1: expected 1 field"),
+        ("Image\n0 0 0 0\n\n", "row 1: expected 1 field"),
+        ("Image\n0 0 0\n", "row 0, column Image: 3 pixels is not a square image"),
+        ('Image\n""\n', "row 0, column Image: 0 pixels is not a square image"),
+        ("Image\n0 0 0 0\n0 0 0 0 0 0 0 0 0\n",
+         "row 1, column Image: expected 4 pixels, got 9"),
+    ],
+)
+@pytest.mark.parametrize("load", [load_image_csv, load_training_csv])
+def test_image_only_load_errors(tmp_path, text, fragment, load):
+    with pytest.raises(DatasetError) as exc:
+        load(_write(tmp_path, text))
+    assert fragment in str(exc.value)
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "1e999", " Infinity"])
+def test_non_finite_coordinates_are_rejected(tmp_path, small_ds, cell):
+    with pytest.raises(DatasetError) as exc:
+        load_training_csv(_write(tmp_path, f"a_x,a_y,Image\n1,2,0\n3,{cell},0\n"))
+    assert "row 1, column a_y: non-finite coordinate" in str(exc.value)
+
+    kp = _write(tmp_path, f"a_x,a_y\n1,2\n3,4\n{cell},5\n", "kp.csv")
+    im = tmp_path / "im.csv"
+    write_image_csv(small_ds.take(range(3)), im)
+    with pytest.raises(DatasetError) as exc:
+        load_split_csvs(kp, im)
+    assert "row 2, column a_x: non-finite coordinate" in str(exc.value)
+
+
+def test_blank_coordinate_cells_are_missing(tmp_path):
+    d = load_training_csv(_write(tmp_path, "a_x,a_y,Image\n ,\t,0\n"))
+    assert np.isnan(d.keypoints).all()
+
+
+def test_writers_output_is_pinned(tmp_path):
+    d = load_training_csv(_write(tmp_path, LITERAL_CSV))
+    want = {
+        write_training_csv: LITERAL_CSV,
+        write_keypoint_csv: "".join(
+            line.rsplit(",", 1)[0] + "\n" for line in LITERAL_CSV.splitlines()
+        ),
+        write_image_csv: "Image\n0 10 20 30\n255 0 128 64\n",
+    }
+    for write, text in want.items():
+        out = tmp_path / "out.csv"
+        write(d, out)
+        assert out.read_bytes() == text.replace("\n", "\r\n").encode()
+
+
 # ---- imputation ------------------------------------------------------------
 
 

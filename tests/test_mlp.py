@@ -207,6 +207,8 @@ def test_fit_validation():
         mlp_fit(X, Y, batch_size=0)
     with pytest.raises(ValueError, match="matching row"):
         mlp_fit(X, np.zeros((3, 1)))
+    with pytest.raises(ValueError, match="2-d"):
+        mlp_fit(X, np.zeros((4, 1, 1)))
     model = mlp_fit(X, Y, hidden=(), epochs=1, dropout=0.0)
     with pytest.raises(ValueError):
         mlp_predict(model, np.zeros((2, 5)))
