@@ -132,7 +132,8 @@ class Dataset:
     Attributes:
         images: (n, h, w) uint8 pixel block.
         keypoints: (n, 2k) float64 coordinates in slot order
-            (x then y per slot); NaN marks a missing cell.
+            (x then y per slot); NaN marks a missing cell, and an
+            infinite one is rejected, as the CSV reader rejects it.
         slot_names: the k keypoint slot names, in column order.
         task: which keypoint subset this dataset represents.
         imputed: True once missing cells have been filled.
@@ -156,6 +157,8 @@ class Dataset:
             )
         if self.keypoints.dtype != np.float64:
             raise DatasetError("keypoints must be float64")
+        if np.isinf(self.keypoints).any():
+            raise DatasetError("keypoints must be finite or NaN (missing), not inf")
         # freeze the payload; every operation returns a fresh Dataset
         self.images.setflags(write=False)
         self.keypoints.setflags(write=False)
@@ -204,7 +207,36 @@ def _slot_names_from_header(columns: list[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
+#: Deletes the characters of canonical pixel text: ASCII digits and blanks.
+_CANONICAL_PIXEL_CHARS = str.maketrans("", "", "0123456789 ")
+
+
 def _parse_pixels(cell: str, row_idx: int) -> np.ndarray:
+    """Decode one ``Image`` cell into int64 pixel values.
+
+    A canonical cell, ASCII digits separated by single blanks as
+    ``_format_image`` writes them, is read by one ``np.fromstring``. The
+    result is kept only when it holds one value per blank-separated token
+    and none above 255, so a saturated integer or a misread blank run
+    never passes. Every other cell, and every cell the checks refuse, goes
+    to ``_parse_pixels_exact``, which defines the grammar and words each
+    error, so both paths accept the same cells with the same values.
+    """
+    if cell.translate(_CANONICAL_PIXEL_CHARS) == "":
+        values = np.fromstring(cell, dtype=np.int64, sep=" ")
+        if values.size == cell.count(" ") + 1 and values.max() <= 255:
+            return values
+    return _parse_pixels_exact(cell, row_idx)
+
+
+def _parse_pixels_exact(cell: str, row_idx: int) -> np.ndarray:
+    """The pixel grammar: whitespace-separated Python ints in [0, 255].
+
+    Any run of Unicode whitespace separates tokens, and a token is what
+    ``int()`` reads (``+5``, ``07``, ``1_0``, non-ASCII digits). A token
+    ``int()`` refuses is a non-integer pixel value; one outside [0, 255],
+    however wide, is out of range. Errors name the row and the column.
+    """
     where = f"row {row_idx}, column {IMAGE_COLUMN}"
     try:
         values = np.array(cell.split(), dtype=np.int64)
@@ -320,8 +352,12 @@ def _format_coordinate(v: float) -> str:
     return "" if math.isnan(v) else repr(float(v))
 
 
+#: The decimal text of every uint8 pixel value, indexed by value.
+_PIXEL_TEXT = tuple(str(v) for v in range(256))
+
+
 def _format_image(flat: np.ndarray) -> str:
-    return " ".join(str(int(p)) for p in flat)
+    return " ".join(map(_PIXEL_TEXT.__getitem__, flat.tolist()))
 
 
 def _write_csv(path, header: list[str], rows) -> None:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import CORE_SLOTS, build_dataset
+import facekeys.dataset as fk_dataset
 from facekeys.dataset import (
     SLOT_NAMES,
     Dataset,
@@ -177,6 +178,11 @@ HUGE = "99999999999999999999999"  # wider than int64
         (f"0 -{HUGE} 0 0", "pixel outside [0, 255]"),
         ("5.0 0 0 0", "non-integer pixel value"),
         ("x 0 0 0", "non-integer pixel value"),
+        ("1_0 0 0 0", [10, 0, 0, 0]),
+        ("\u0661 0 0 0", [1, 0, 0, 0]),  # ARABIC-INDIC DIGIT ONE
+        ("- 1 0 0 0", "non-integer pixel value"),
+        (" ", "expected 4 pixels, got 0"),
+        ("1 2\n3 4", [1, 2, 3, 4]),  # a quoted cell spanning two lines
     ],
 )
 @pytest.mark.parametrize("image_only", [False, True])
@@ -238,6 +244,89 @@ def test_non_finite_coordinates_are_rejected(tmp_path, small_ds, cell):
 def test_blank_coordinate_cells_are_missing(tmp_path):
     d = load_training_csv(_write(tmp_path, "a_x,a_y,Image\n ,\t,0\n"))
     assert np.isnan(d.keypoints).all()
+
+
+def _mutations(rng, tokens):
+    """Non-canonical or out-of-range variants of a canonical token list."""
+    i = int(rng.integers(len(tokens)))
+
+    def at(tok):
+        return " ".join(tokens[:i] + [tok] + tokens[i + 1:])
+
+    joined = " ".join(tokens)
+    return [
+        joined,
+        " ".join(tokens[:i]) + "\t" + " ".join(tokens[i:]),
+        at("+" + tokens[i]),
+        at("-" + tokens[i]),
+        at("- " + tokens[i]),
+        at(tokens[i] + " "),
+        " " + joined,
+        joined + " ",
+        at(tokens[i] + "_0"),
+        at(tokens[i] + ".0"),
+        at(tokens[i] + "000"),
+        at("9" * 20),
+        at("1" + "0" * 19),
+        "",
+        " ",
+    ]
+
+
+def test_fast_pixel_path_matches_the_exact_parser():
+    rng = np.random.default_rng(20240607)
+    for _ in range(40):
+        n = int(rng.integers(1, 30))
+        tokens = [str(v) for v in rng.integers(0, 256, size=n)]
+        for cell in _mutations(rng, tokens):
+            try:
+                want = fk_dataset._parse_pixels_exact(cell, 3)
+            except DatasetError as exc:
+                with pytest.raises(DatasetError) as got:
+                    fk_dataset._parse_pixels(cell, 3)
+                assert str(got.value) == str(exc)
+            else:
+                got = fk_dataset._parse_pixels(cell, 3)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_loading_written_files_never_needs_the_exact_parser(tmp_path, monkeypatch, small_ds):
+    calls = []
+    exact = fk_dataset._parse_pixels_exact
+    monkeypatch.setattr(fk_dataset, "_parse_pixels_exact",
+                        lambda *args: calls.append(args) or exact(*args))
+    path = tmp_path / "round.csv"
+    write_training_csv(small_ds, path)
+    back = load_training_csv(path)
+    assert np.array_equal(back.images, small_ds.images)
+    assert calls == []
+    # the counter does see a cell that needs the exact parser
+    load_training_csv(_write(tmp_path, "Image\n+1 2 3 4\n"))
+    assert len(calls) == 1
+
+
+def test_pixel_text_covers_every_value(tmp_path):
+    every = np.arange(256, dtype=np.uint8)
+    assert fk_dataset._format_image(every) == " ".join(str(i) for i in range(256))
+    d = Dataset(images=every.reshape(1, 16, 16), keypoints=np.zeros((1, 0)), slot_names=())
+    path = tmp_path / "every.csv"
+    write_image_csv(d, path)
+    back = load_image_csv(path)
+    assert back.dtype == np.uint8 and np.array_equal(back, d.images)
+
+
+def test_dataset_rejects_infinite_keypoints(tmp_path):
+    images = np.zeros((2, 2, 2), dtype=np.uint8)
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(DatasetError, match="inf"):
+            Dataset(images=images, keypoints=np.array([[1.0, bad], [3.0, 4.0]]),
+                    slot_names=("a",))
+    # NaN still marks a missing cell, and such a Dataset reads back as written
+    d = Dataset(images=images, keypoints=np.array([[1.0, np.nan], [3.0, 4.0]]),
+                slot_names=("a",))
+    path = tmp_path / "nan.csv"
+    write_training_csv(d, path)
+    assert np.array_equal(load_training_csv(path).keypoints, d.keypoints, equal_nan=True)
 
 
 def test_writers_output_is_pinned(tmp_path):
