@@ -22,7 +22,6 @@ from . import eval as ev
 from . import pca as pca_mod
 from . import viz
 from .lbp import LbpConfig, lbp_circular
-from .rng import permutation
 from .pipeline import fit_pipeline, pipeline_from_payload, pipeline_to_payload
 from .regressors import (
     KINDS,
@@ -95,10 +94,7 @@ def _build_spec(args, seed: int) -> RegressorSpec:
 def cmd_train(args) -> int:
     """Fit one model on one task and save it with its feature pipeline."""
     d = _load_task(_resolve_input(args.input), args.task)
-    if args.max_rows is not None and len(d) > args.max_rows:
-        idx = sorted(permutation(len(d), args.seed)[: args.max_rows])
-        d = d.take(idx)
-    train = ds.impute_column_means(d)
+    train = ds.impute_column_means(ev._subsample(d, args.max_rows, args.seed))
 
     lbp_cfg = None
     if args.lbp:
@@ -124,7 +120,7 @@ def cmd_train(args) -> int:
     extras = {
         "pipeline": meta,
         "target_names": list(train.slot_names),
-        "task": train.task.value,
+        "task": args.task,
     }
     save_model(args.out, model, extras=extras, extra_arrays=arrays)
     print(f"trained {args.model} on task {args.task} "
@@ -164,6 +160,8 @@ def cmd_benchmark(args) -> int:
     else:
         cfg = ev.BenchmarkConfig()
     overrides: dict = {"training_csv": _resolve_input(args.input or cfg.training_csv or None)}
+    if args.full:  # first, so an explicit flag below wins
+        overrides.update(ev.STUDY_SCALE)
     if args.models:
         overrides["models"] = tuple(m.strip() for m in args.models.split(","))
     if args.pipelines:
@@ -178,8 +176,6 @@ def cmd_benchmark(args) -> int:
         overrides["mlp_epochs"] = args.mlp_epochs
     if args.cnn_epochs is not None:
         overrides["cnn_epochs"] = args.cnn_epochs
-    if args.full:
-        overrides["full"] = True
     cfg = replace(cfg, **overrides)
 
     report = ev.run_benchmark(cfg)
@@ -207,11 +203,11 @@ def cmd_lbp(args) -> int:
 
 def cmd_pca(args) -> int:
     """Fit PCA on a task's pixel matrix and save the model."""
+    if (args.components is None) == (args.variance is None):
+        raise CliError("give exactly one of --components and --variance")
     d = _load_task(_resolve_input(args.input), args.task)
     d = ds.impute_column_means(d)
     X, _ = ds.to_matrices(d, scale_pixels=not args.no_pixel_scaling)
-    if (args.components is None) == (args.variance is None):
-        raise CliError("give exactly one of --components and --variance")
     model = pca_mod.fit_pca(
         X.values, n_components=args.components, variance_target=args.variance
     )
@@ -229,6 +225,8 @@ def cmd_pca(args) -> int:
 
 def cmd_visualize(args) -> int:
     """Keypoint overlay or per-slot scatter raster."""
+    if args.mode == "scatter" and not args.slot:
+        raise CliError("scatter mode needs --slot")
     d = ds.load_training_csv(_resolve_input(args.input))
     if args.mode == "keypoints":
         if not 0 <= args.row < len(d):
@@ -236,8 +234,6 @@ def cmd_visualize(args) -> int:
         viz.render_keypoints(d.image(args.row), d.keypoint_set(args.row), args.out)
         print(f"wrote keypoint overlay of row {args.row} to {args.out}")
     else:
-        if not args.slot:
-            raise CliError("scatter mode needs --slot")
         viz.scatter_keypoint_distribution(d, args.slot, args.out)
         print(f"wrote scatter of slot {args.slot} to {args.out}")
     return 0
@@ -311,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mlp-epochs", type=int, default=None)
     p.add_argument("--cnn-epochs", type=int, default=None)
     p.add_argument("--full", action="store_true",
-                   help="lift desk-scale caps to study scale")
+                   help="study scale: every row, 500 MLP and 400 CNN epochs "
+                        "(explicit flags still win)")
     p.add_argument("--csv", help="also write the report as CSV here")
     p.set_defaults(func=cmd_benchmark)
 

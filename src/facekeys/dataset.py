@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -40,14 +39,6 @@ SLOT_NAMES = (
 )
 
 IMAGE_COLUMN = "Image"
-
-
-class Task(Enum):
-    """Which keypoint subset a dataset carries."""
-
-    ALL15 = "all15"
-    FOUR = "four"
-    ELEVEN = "eleven"
 
 
 class DatasetError(ValueError):
@@ -135,15 +126,11 @@ class Dataset:
             (x then y per slot); NaN marks a missing cell, and an
             infinite one is rejected, as the CSV reader rejects it.
         slot_names: the k keypoint slot names, in column order.
-        task: which keypoint subset this dataset represents.
-        imputed: True once missing cells have been filled.
     """
 
     images: np.ndarray
     keypoints: np.ndarray
     slot_names: tuple[str, ...]
-    task: Task = Task.ALL15
-    imputed: bool = False
 
     def __post_init__(self):
         if self.images.ndim != 3 or self.images.dtype != np.uint8:
@@ -392,7 +379,7 @@ def write_image_csv(d: Dataset, path) -> None:
     _write_csv(path, [IMAGE_COLUMN], ([_format_image(px)] for px in flat))
 
 
-def load_split_csvs(keypoint_path, image_path, task: Task = Task.ALL15) -> Dataset:
+def load_split_csvs(keypoint_path, image_path) -> Dataset:
     """Rejoin a keypoint CSV and an image CSV written by the pair writers."""
     images = _read_csv(image_path, _image_header)[2]
     slot_names, keypoints, _ = _read_csv(
@@ -402,7 +389,7 @@ def load_split_csvs(keypoint_path, image_path, task: Task = Task.ALL15) -> Datas
         raise DatasetError(
             f"keypoint rows ({len(keypoints)}) != image rows ({len(images)})"
         )
-    return Dataset(images=images, keypoints=keypoints, slot_names=slot_names, task=task)
+    return Dataset(images=images, keypoints=keypoints, slot_names=slot_names)
 
 
 def column_means(d: Dataset) -> np.ndarray:
@@ -426,8 +413,8 @@ def impute_column_means(d: Dataset, means: np.ndarray | None = None) -> Dataset:
 
     By default the means come from ``d`` itself (the full pre-holdout
     dataset). Pass ``means`` computed from a training split for the
-    leakage-free variant. Idempotent; a dataset with no missing values is
-    returned unchanged apart from the ``imputed`` flag.
+    leakage-free variant. Idempotent: a dataset with no missing values
+    comes back with equal keypoints.
     """
     if means is None:
         means = column_means(d)
@@ -439,10 +426,10 @@ def impute_column_means(d: Dataset, means: np.ndarray | None = None) -> Dataset:
     kp = d.keypoints.copy()
     mask = np.isnan(kp)
     kp[mask] = np.broadcast_to(means, kp.shape)[mask]
-    return replace(d, keypoints=kp, imputed=True)
+    return replace(d, keypoints=kp)
 
 
-def _restrict(d: Dataset, slot_idx: list[int], task: Task) -> Dataset:
+def _restrict(d: Dataset, slot_idx: list[int]) -> Dataset:
     cols = []
     for j in slot_idx:
         cols.extend((2 * j, 2 * j + 1))
@@ -450,8 +437,6 @@ def _restrict(d: Dataset, slot_idx: list[int], task: Task) -> Dataset:
         images=d.images.copy(),
         keypoints=d.keypoints[:, cols].copy(),
         slot_names=tuple(d.slot_names[j] for j in slot_idx),
-        task=task,
-        imputed=d.imputed,
     )
 
 
@@ -470,11 +455,11 @@ def split_by_keypoint_coverage(d: Dataset) -> tuple[Dataset, Dataset]:
     dense_idx = sorted(int(j) for j in order[:4])
     sparse_idx = [j for j in range(d.n_slots) if j not in dense_idx]
 
-    dense = _restrict(d, dense_idx, Task.FOUR)
+    dense = _restrict(d, dense_idx)
 
     pairs = d.keypoints.reshape(len(d), d.n_slots, 2)
     sparse_present = np.isfinite(pairs[:, sparse_idx, :]).all(axis=(1, 2))
-    sparse = _restrict(d.take(np.nonzero(sparse_present)[0]), sparse_idx, Task.ELEVEN)
+    sparse = _restrict(d.take(np.nonzero(sparse_present)[0]), sparse_idx)
     return dense, sparse
 
 

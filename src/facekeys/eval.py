@@ -20,7 +20,6 @@ import numpy as np
 from .dataset import (
     Dataset,
     DatasetError,
-    Task,
     column_means,
     holdout_split,
     impute_column_means,
@@ -30,7 +29,7 @@ from .dataset import (
 )
 from .lbp import LbpConfig
 from .pipeline import fit_pipeline
-from .pca import fit_pca, to_grid, transform
+from .pca import fit_pca, transform
 from .regressors import KINDS, SPEC_KINDS, RegressorSpec, fit_any, predict_any
 from .regressors.cnn import grid_side
 from .rng import permutation
@@ -41,6 +40,8 @@ DEFAULT_MODELS = ("knn", "ols", "ridge", "lasso", "elastic", "tree")
 ALL_MODELS = KINDS
 # kinds fit by coordinate descent, whose models carry a meaningful converged flag
 _CD_MODELS = ("lasso", "elastic")
+#: The BenchmarkConfig values of the paper's study scale (`benchmark --full`).
+STUDY_SCALE = {"max_rows": None, "mlp_epochs": 500, "cnn_epochs": 400}
 
 
 class EvalError(ValueError):
@@ -63,8 +64,10 @@ def rmse(predictions, truths) -> float:
 class BenchmarkConfig:
     """Everything a benchmark run depends on, one seed included.
 
-    Desk-scale caps (max_rows, epoch caps) keep default runs small;
-    full=True lifts them to study scale.
+    The defaults are desk scale: at most max_rows rows per task and short
+    MLP and CNN training. STUDY_SCALE holds the study-scale values
+    (every row, 500 MLP and 400 CNN epochs), which `facekeys benchmark
+    --full` sets.
     """
 
     training_csv: str = ""
@@ -81,9 +84,8 @@ class BenchmarkConfig:
     lbp_rotation_invariant: bool = False
     lbp_mode: str = "pixel_map"
     max_rows: int | None = 400
-    mlp_epochs: int | None = 30
-    cnn_epochs: int | None = 20
-    full: bool = False
+    mlp_epochs: int = 30
+    cnn_epochs: int = 20
     knn_k: int = 5
     ridge_lam: float = 1.0
     lasso_alpha: float = 0.1
@@ -108,18 +110,12 @@ class BenchmarkConfig:
         for t in self.tasks:
             if t not in TASK_LABELS:
                 raise EvalError(f"unknown task {t!r}")
+        if not all(isinstance(e, int) for e in (self.mlp_epochs, self.cnn_epochs)):
+            raise EvalError("mlp_epochs and cnn_epochs must be integers")
         if "cnn" in self.models and grid_side(self.pca_components) is None:
             raise EvalError(
                 "cnn needs pca_components to be a square of a multiple of 4"
             )
-
-    def effective_max_rows(self) -> int | None:
-        return None if self.full else self.max_rows
-
-    def effective_epochs(self, kind: str) -> int:
-        if kind == "mlp":
-            return 500 if self.full or self.mlp_epochs is None else self.mlp_epochs
-        return 400 if self.full or self.cnn_epochs is None else self.cnn_epochs
 
 
 def _number(path, line_no: int, key: str, text: str, kind: type):
@@ -211,7 +207,7 @@ def _spec_for(cfg: BenchmarkConfig, kind: str) -> RegressorSpec:
         "max_depth": cfg.tree_max_depth,
         "min_samples_leaf": cfg.tree_min_samples_leaf,
         "hidden": cfg.mlp_hidden,
-        "epochs": cfg.effective_epochs(kind),
+        "epochs": cfg.cnn_epochs if kind == "cnn" else cfg.mlp_epochs,
         "batch_size": cfg.cnn_batch_size if kind == "cnn" else cfg.mlp_batch_size,
         "optimizer": cfg.optimizer,
     }
@@ -235,30 +231,26 @@ def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
 
 
 def _grids_for_cnn(cfg: BenchmarkConfig, X_train: np.ndarray, X_test: np.ndarray):
-    """Square grids for the cnn.
+    """Train and test rows whose width the cnn reads as square grids.
 
-    Features whose width already forms a cnn grid (grid_side) reshape
-    directly: a 256-wide PCA space, and also raw pixel rows of square
-    images whose side is divisible by 4, so raw 9216-pixel rows become
-    96x96 grids. Any other width (e.g. a PCA space that a small training
-    split shrank below 256) gets its own PCA projection first, to the
-    largest grid width that pca_components and the split allow.
+    Features whose width already forms a cnn grid (grid_side) pass as they
+    are: a 256-wide PCA space, and also raw pixel rows of square images
+    whose side is divisible by 4, so raw 9216-pixel rows are read as 96x96
+    grids. Any other width (e.g. a PCA space that a small training split
+    shrank below 256) gets its own PCA projection first, to the largest
+    grid width that pca_components and the split allow. The rows stay
+    flat; cnn_fit and cnn_predict reshape them row-major.
     """
     k = X_train.shape[1]
-    side = grid_side(k)
-    if side is not None:
-        return X_train.reshape(-1, side, side), X_test.reshape(-1, side, side)
+    if grid_side(k) is not None:
+        return X_train, X_test
     n_comp = min(cfg.pca_components, X_train.shape[0] - 1, k)
     while n_comp > 0 and grid_side(n_comp) is None:
         n_comp -= 1
     if n_comp <= 0:
         raise EvalError("training split too small to build cnn grids")
-    side = grid_side(n_comp)
     model = fit_pca(X_train, n_components=n_comp)
-    return (
-        to_grid(model, transform(model, X_train), side),
-        to_grid(model, transform(model, X_test), side),
-    )
+    return transform(model, X_train), transform(model, X_test)
 
 
 def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
@@ -269,7 +261,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
     report = EvalReport(seed=cfg.seed)
 
     for task in cfg.tasks:
-        d = _subsample(by_task[task], cfg.effective_max_rows(), cfg.seed)
+        d = _subsample(by_task[task], cfg.max_rows, cfg.seed)
         if cfg.train_only_means:
             train_raw, test_raw = holdout_split(d, cfg.train_fraction, cfg.seed)
             means = column_means(train_raw)

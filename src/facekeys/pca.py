@@ -1,6 +1,6 @@
 """Principal component analysis with an explained-variance selector.
 
-Columns are mean-centered (optionally standardized), the covariance uses
+Columns are mean-centered and never rescaled, the covariance uses
 the 1/(n-1) convention, and when there are more features than samples the
 eigenproblem is solved on the n x n Gram matrix and mapped back, which is
 what makes 9216-pixel images tractable. Component signs are fixed by
@@ -29,14 +29,12 @@ class PcaModel:
         components: (k, d) orthonormal rows, descending variance order.
         explained_variance: (k,) eigenvalues of the covariance.
         explained_ratio: (k,) eigenvalues over total variance.
-        scale: (d,) column scales when standardized, else None.
     """
 
     mean: np.ndarray
     components: np.ndarray
     explained_variance: np.ndarray
     explained_ratio: np.ndarray
-    scale: np.ndarray | None = None
 
     @property
     def n_components(self) -> int:
@@ -60,7 +58,6 @@ def fit_pca(
     X,
     n_components: int | None = None,
     variance_target: float | None = None,
-    standardize: bool = False,
 ) -> PcaModel:
     """Fit a PCA model, selecting components by count or variance coverage.
 
@@ -84,12 +81,6 @@ def fit_pca(
 
     mean = X.mean(axis=0)
     Xc = X - mean
-    scale = None
-    if standardize:
-        scale = Xc.std(axis=0, ddof=1)
-        scale = np.where(scale == 0.0, 1.0, scale)  # constant columns pass through
-        Xc = Xc / scale
-
     total_variance = float((Xc * Xc).sum()) / (n - 1)
     if variance_target is not None:
         if not 0.0 < variance_target <= 1.0:
@@ -139,7 +130,6 @@ def fit_pca(
         components=_fix_signs(components[:k]),
         explained_variance=evals[:k].copy(),
         explained_ratio=ratios[:k].copy(),
-        scale=scale,
     )
 
 
@@ -148,10 +138,7 @@ def transform(model: PcaModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise PcaError(f"X must be (n, {model.n_features})")
-    Xc = X - model.mean
-    if model.scale is not None:
-        Xc = Xc / model.scale
-    return Xc @ model.components.T
+    return (X - model.mean) @ model.components.T
 
 
 def inverse_transform(model: PcaModel, Z) -> np.ndarray:
@@ -159,48 +146,34 @@ def inverse_transform(model: PcaModel, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != model.n_components:
         raise PcaError(f"Z must be (n, {model.n_components})")
-    X = Z @ model.components
-    if model.scale is not None:
-        X = X * model.scale
-    return X + model.mean
-
-
-def to_grid(model: PcaModel, Z, side: int) -> np.ndarray:
-    """Reshape component-space rows into side x side grids, row-major.
-
-    Requires the model's component count to equal side*side; flattening a
-    grid row-major recovers the input row exactly.
-    """
-    if model.n_components != side * side:
-        raise PcaError(
-            f"{model.n_components} components do not fill a {side}x{side} grid"
-        )
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != model.n_components:
-        raise PcaError(f"Z must be (n, {model.n_components})")
-    return Z.reshape(Z.shape[0], side, side).copy()
+    return Z @ model.components + model.mean
 
 
 def save_pca(model: PcaModel, path) -> None:
     """Write a fitted model to an .npz container."""
-    payload = {
-        "mean": model.mean,
-        "components": model.components,
-        "explained_variance": model.explained_variance,
-        "explained_ratio": model.explained_ratio,
-    }
-    if model.scale is not None:
-        payload["scale"] = model.scale
-    np.savez(path, **payload)
+    np.savez(
+        path,
+        mean=model.mean,
+        components=model.components,
+        explained_variance=model.explained_variance,
+        explained_ratio=model.explained_ratio,
+    )
 
 
 def load_pca(path) -> PcaModel:
-    """Read a model written by save_pca."""
+    """Read a model written by save_pca.
+
+    Raises:
+        PcaError: on a file that holds a ``scale`` array: a standardized
+            projection, which this module no longer applies.
+    """
     with np.load(path) as data:
+        if "scale" in data.files:
+            raise PcaError(f"{path} holds a standardized PCA (a scale array); "
+                           "only mean-centered models are supported")
         return PcaModel(
             mean=data["mean"],
             components=data["components"],
             explained_variance=data["explained_variance"],
             explained_ratio=data["explained_ratio"],
-            scale=data["scale"] if "scale" in data.files else None,
         )

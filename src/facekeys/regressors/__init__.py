@@ -141,7 +141,7 @@ def _tree_model(meta, data) -> TreeModel:
 def _mlp_payload(m: MlpModel):
     meta = {
         "n_layers": len(m.weights),
-        "hidden_activation": m.hidden_activation,
+        "hidden_activation": "tanh",  # the one hidden activation; kept in the file format
         "target_offset": m.target_offset,
         "target_scale": m.target_scale,
     }
@@ -152,11 +152,12 @@ def _mlp_payload(m: MlpModel):
 
 
 def _mlp_model(meta, data) -> MlpModel:
+    if meta["hidden_activation"] != "tanh":
+        raise ConfigError(f"unsupported mlp hidden activation {meta['hidden_activation']!r}")
     n = int(meta["n_layers"])
     return MlpModel(
         weights=[data[f"mlp_w{i}"] for i in range(n)],
         biases=[data[f"mlp_b{i}"] for i in range(n)],
-        hidden_activation=meta["hidden_activation"],
         target_offset=float(meta["target_offset"]),
         target_scale=float(meta["target_scale"]),
     )

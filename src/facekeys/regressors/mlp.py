@@ -1,10 +1,11 @@
 """Fully connected regression network trained by backprop.
 
-Hidden layers use tanh, the output layer is linear, and the loss is mean
-squared error. Training runs mini-batch SGD-with-momentum or RMSprop with
-inverted dropout on hidden activations. Target coordinates are fit in the
-scaled space y' = (y - 48) / 48 and mapped back at prediction time, which
-keeps the linear output head in tanh-friendly range.
+Every hidden layer uses tanh (the only activation), the output layer is
+linear, and the loss is mean squared error. Training runs mini-batch
+SGD-with-momentum or RMSprop with inverted dropout on hidden activations.
+Target coordinates are fit in the scaled space y' = (y - 48) / 48 and
+mapped back at prediction time, which keeps the linear output head in
+tanh-friendly range.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ import numpy as np
 from ._inputs import check_fit_inputs
 from .optim import glorot_uniform, make_optimizer, mse_loss_and_grad, train
 
-_ACTIVATIONS = ("tanh", "relu")
-
 
 @dataclass(eq=False)
 class MlpModel:
@@ -25,7 +24,6 @@ class MlpModel:
 
     weights: list[np.ndarray]  # layer i: (fan_in, fan_out)
     biases: list[np.ndarray]
-    hidden_activation: str = "tanh"
     target_offset: float = 0.0
     target_scale: float = 1.0
     loss_history: list[float] = field(default_factory=list)
@@ -39,23 +37,10 @@ class MlpModel:
         return self.weights[-1].shape[1]
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return np.tanh(z)
-    return np.maximum(z, 0.0)
-
-
-def _activate_grad(h: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "tanh":
-        return 1.0 - h * h
-    return (h > 0.0).astype(np.float64)  # relu: h > 0 exactly where its input is
-
-
 def _forward(
     weights: list[np.ndarray],
     biases: list[np.ndarray],
     X: np.ndarray,
-    activation: str = "tanh",
     masks: list[np.ndarray] | None = None,
 ):
     """Network output for a batch, and the cache backprop reads.
@@ -66,15 +51,15 @@ def _forward(
     acts = [X]
     hs = []
     for i in range(len(weights) - 1):
-        h = _activate(acts[i] @ weights[i] + biases[i], activation)
+        h = np.tanh(acts[i] @ weights[i] + biases[i])
         hs.append(h)
         acts.append(h * masks[i] if masks is not None else h)
     return acts[-1] @ weights[-1] + biases[-1], (acts, hs)
 
 
-def forward(weights, biases, X, activation="tanh", masks=None) -> np.ndarray:
+def forward(weights, biases, X, masks=None) -> np.ndarray:
     """Network output for a batch; masks apply dropout to hidden layers."""
-    return _forward(weights, biases, X, activation, masks)[0]
+    return _forward(weights, biases, X, masks)[0]
 
 
 def loss_and_gradients(
@@ -82,11 +67,10 @@ def loss_and_gradients(
     biases: list[np.ndarray],
     X: np.ndarray,
     Y: np.ndarray,
-    activation: str = "tanh",
     masks: list[np.ndarray] | None = None,
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """MSE loss and its gradients for every weight and bias tensor."""
-    pred, (acts, hs) = _forward(weights, biases, X, activation, masks)
+    pred, (acts, hs) = _forward(weights, biases, X, masks)
     loss, dpred = mse_loss_and_grad(pred, Y)
 
     last = len(weights) - 1
@@ -99,7 +83,7 @@ def loss_and_gradients(
         delta = delta @ weights[i + 1].T
         if masks is not None:
             delta = delta * masks[i]
-        delta = delta * _activate_grad(hs[i], activation)
+        delta = delta * (1.0 - hs[i] * hs[i])
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
     return loss, grads_w, grads_b
@@ -110,18 +94,15 @@ def init_mlp(
     hidden: tuple[int, ...],
     n_outputs: int,
     seed: int,
-    activation: str = "tanh",
 ) -> MlpModel:
     """Glorot-uniform initialized network, deterministic per seed."""
-    if activation not in _ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
     rng = np.random.default_rng(seed)
     sizes = (n_inputs, *hidden, n_outputs)
     weights, biases = [], []
     for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
         weights.append(glorot_uniform(rng, fan_in, fan_out, (fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(weights=weights, biases=biases, hidden_activation=activation)
+    return MlpModel(weights=weights, biases=biases)
 
 
 def mlp_fit(
@@ -159,13 +140,11 @@ def mlp_fit(
     params = model.weights + model.biases
 
     def batch_step(rows, masks):
-        loss, gw, gb = loss_and_gradients(
-            model.weights, model.biases, X[rows], Ys[rows], model.hidden_activation, masks
-        )
+        loss, gw, gb = loss_and_gradients(model.weights, model.biases, X[rows], Ys[rows], masks)
         return loss, gw + gb
 
     def full_loss():
-        pred = forward(model.weights, model.biases, X, model.hidden_activation)
+        pred = forward(model.weights, model.biases, X)
         return mse_loss_and_grad(pred, Ys)[0]
 
     model.loss_history = train(
@@ -182,5 +161,5 @@ def mlp_predict(model: MlpModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
         raise ValueError(f"X must be (n, {model.n_inputs})")
-    pred = forward(model.weights, model.biases, X, model.hidden_activation)
+    pred = forward(model.weights, model.biases, X)
     return pred * model.target_scale + model.target_offset

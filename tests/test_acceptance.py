@@ -260,7 +260,7 @@ def test_c8_desk_scale_rmse_bands():
     # mean-predictor baseline for the identical four-slot split
     data = load_training_csv(path)
     dense, _ = split_by_keypoint_coverage(data)
-    d = impute_column_means(_subsample(dense, cfg.effective_max_rows(), cfg.seed))
+    d = impute_column_means(_subsample(dense, cfg.max_rows, cfg.seed))
     train, test = holdout_split(d, cfg.train_fraction, cfg.seed)
     _, Y_train = to_matrices(train, cfg.scale_pixels)
     _, Y_test = to_matrices(test, cfg.scale_pixels)

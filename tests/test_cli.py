@@ -5,11 +5,12 @@ import builtins
 import numpy as np
 import pytest
 
+from facekeys import eval as ev
 from facekeys.cli import INPUT_ENV, main
-from facekeys.dataset import load_split_csvs, load_training_csv
+from facekeys.dataset import load_split_csvs, load_training_csv, split_by_keypoint_coverage
 from facekeys.lbp import _min_rotations, lbp_basic
 from facekeys.pca import load_pca
-from facekeys.regressors import RegressorSpec, fit_any, save_model
+from facekeys.regressors import RegressorSpec, fit_any, load_model, save_model
 from facekeys.viz import read_pgm, read_ppm
 
 SPLIT_FILES = tuple(
@@ -201,6 +202,18 @@ def test_train_stores_the_pipeline_arrays_in_the_model_file(tmp_path, csv_path):
         assert data["pipe_pca_components"].shape[0] == 5
 
 
+def test_train_subsamples_like_the_benchmark_and_records_the_task(tmp_path, csv_path):
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--task", "eleven",
+                  "--max-rows", "10", "--seed", "3") == 0
+    model, extras = load_model(model_file)
+    assert extras["task"] == "eleven"
+    _, sparse = split_by_keypoint_coverage(load_training_csv(csv_path))
+    rows = ev._subsample(sparse, 10, 3)
+    assert len(rows) == 10 < len(sparse)
+    assert np.array_equal(model.X, rows.images.reshape(10, -1) / 255.0)
+
+
 @pytest.mark.parametrize("bad, fragment", [
     (("--max-iter", "0"), "max_iter must be at least 1"),
     (("--tol", "0"), "tol must be positive"),
@@ -298,6 +311,28 @@ def test_benchmark_accepts_a_config_file(tmp_path, csv_path, capsys):
     assert "| knn |" in capsys.readouterr().out
 
 
+def _captured_config(monkeypatch, argv) -> ev.BenchmarkConfig:
+    seen = []
+
+    def run_benchmark(cfg):
+        seen.append(cfg)
+        return ev.EvalReport()
+
+    monkeypatch.setattr(ev, "run_benchmark", run_benchmark)
+    assert main(argv) == 0
+    return seen[0]
+
+
+def test_benchmark_full_sets_study_scale_and_explicit_flags_win(monkeypatch, csv_path):
+    base = ["benchmark", "--input", str(csv_path), "--full"]
+    cfg = _captured_config(monkeypatch, base)
+    assert (cfg.max_rows, cfg.mlp_epochs, cfg.cnn_epochs) == (None, 500, 400)
+    cfg = _captured_config(monkeypatch, base + ["--max-rows", "50", "--cnn-epochs", "3"])
+    assert (cfg.max_rows, cfg.mlp_epochs, cfg.cnn_epochs) == (50, 500, 3)
+    cfg = _captured_config(monkeypatch, ["benchmark", "--input", str(csv_path)])
+    assert (cfg.max_rows, cfg.mlp_epochs, cfg.cnn_epochs) == (400, 30, 20)
+
+
 def test_benchmark_rejects_unknown_model(tmp_path, csv_path, capsys):
     rc = main(["benchmark", "--input", str(csv_path), "--models", "svm"])
     assert rc == 1
@@ -353,8 +388,11 @@ def test_pca_command_wants_exactly_one_selector(tmp_path, csv_path, capsys):
     base = ["pca", "--input", str(csv_path), "--out", str(tmp_path / "p.npz")]
     assert main(base + ["--components", "5", "--variance", "0.9"]) == 1
     assert main(base) == 1
+    # an argument-only check comes before the input is read
+    assert main(["pca", "--input", str(tmp_path / "missing.csv"),
+                 "--out", str(tmp_path / "p.npz")]) == 1
     err = capsys.readouterr().err
-    assert err.count("exactly one of") == 2
+    assert err.count("exactly one of") == 3
 
 
 def test_visualize_keypoint_overlay(tmp_path, csv_path):
@@ -365,7 +403,8 @@ def test_visualize_keypoint_overlay(tmp_path, csv_path):
 
 
 def test_visualize_scatter_needs_a_slot(tmp_path, csv_path, capsys):
-    rc = main(["visualize", "--input", str(csv_path), "--mode", "scatter",
-               "--out", str(tmp_path / "s.ppm")])
-    assert rc == 1
-    assert "needs --slot" in capsys.readouterr().err
+    for source in (csv_path, tmp_path / "missing.csv"):
+        rc = main(["visualize", "--input", str(source), "--mode", "scatter",
+                   "--out", str(tmp_path / "s.ppm")])
+        assert rc == 1
+        assert "needs --slot" in capsys.readouterr().err

@@ -425,6 +425,21 @@ def test_fit_is_bit_identical_to_the_reference_loop(dropout, scale):
         assert np.array_equal(model.params[name], ref.params[name]), name
 
 
+def test_flat_rows_train_and_predict_exactly_as_their_grids():
+    # the benchmark hands the cnn flat PCA rows; they read row-major
+    rng = np.random.default_rng(15)
+    flat = rng.normal(size=(23, 144)) * 500.0
+    grids = flat.reshape(23, 12, 12).copy()
+    Y = rng.normal(size=(23, 8)) * 10.0 + 48.0
+    args = dict(epochs=3, batch_size=10, seed=4)
+    from_flat, from_grids = cnn_fit(flat, Y, **args), cnn_fit(grids, Y, **args)
+    assert from_flat.side == from_grids.side == 12
+    assert from_flat.loss_history == from_grids.loss_history
+    for name in PARAM_NAMES:
+        assert np.array_equal(from_flat.params[name], from_grids.params[name]), name
+    assert np.array_equal(cnn_predict(from_flat, flat), cnn_predict(from_grids, grids))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["X", "Y"])
 def test_non_finite_input_is_rejected(bad, where):

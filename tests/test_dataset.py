@@ -11,7 +11,6 @@ from facekeys.dataset import (
     DatasetError,
     FeatureMatrix,
     GrayImage,
-    Task,
     column_means,
     holdout_split,
     impute_column_means,
@@ -50,7 +49,6 @@ def test_load_literal_values(tmp_path):
     assert d.keypoints[0, 0] == 1.5 and d.keypoints[0, 1] == 2.0
     assert math.isnan(d.keypoints[0, 2]) and d.keypoints[0, 3] == 4.25
     assert d.keypoints[1, 0] == 3.0 and math.isnan(d.keypoints[1, 1])
-    assert d.task is Task.ALL15 and not d.imputed
 
 
 def test_accessors(tmp_path):
@@ -131,7 +129,7 @@ def test_split_csv_pair_round_trip(tmp_path, small_ds):
     im = tmp_path / "im.csv"
     write_keypoint_csv(small_ds, kp)
     write_image_csv(small_ds, im)
-    back = load_split_csvs(kp, im, task=Task.ALL15)
+    back = load_split_csvs(kp, im)
     assert np.array_equal(back.images, small_ds.images)
     assert np.array_equal(back.keypoints, small_ds.keypoints, equal_nan=True)
     assert back.slot_names == small_ds.slot_names
@@ -364,7 +362,6 @@ def test_column_means_hand_values():
 def test_impute_fills_with_column_mean():
     d = _tiny([[1.0, 10.0], [np.nan, 20.0], [3.0, np.nan]])
     filled = impute_column_means(d)
-    assert filled.imputed
     assert filled.keypoints[1, 0] == pytest.approx(2.0)
     assert filled.keypoints[2, 1] == pytest.approx(15.0)
     # present values untouched
@@ -404,7 +401,6 @@ def test_all_missing_column_is_an_error():
 def test_coverage_split_slots_and_rows():
     d = build_dataset(n_rows=30, sparse_missing_rows=12, core_missing_cells=2)
     dense, sparse = split_by_keypoint_coverage(d)
-    assert dense.task is Task.FOUR and sparse.task is Task.ELEVEN
     assert dense.slot_names == tuple(SLOT_NAMES[j] for j in CORE_SLOTS)
     assert set(dense.slot_names) | set(sparse.slot_names) == set(SLOT_NAMES)
     assert set(dense.slot_names).isdisjoint(sparse.slot_names)

@@ -10,7 +10,9 @@ from facekeys.eval import (
     ALL_MODELS,
     DEFAULT_MODELS,
     BenchmarkConfig,
+    STUDY_SCALE,
     EvalError,
+    _spec_for,
     format_report,
     load_config,
     load_report_csv,
@@ -83,16 +85,16 @@ def test_config_validation():
 
 def test_desk_scale_caps():
     cfg = BenchmarkConfig()
-    assert cfg.effective_max_rows() == 400
-    assert cfg.effective_epochs("mlp") == 30
-    assert cfg.effective_epochs("cnn") == 20
-    full = BenchmarkConfig(full=True)
-    assert full.effective_max_rows() is None
-    assert full.effective_epochs("mlp") == 500
-    assert full.effective_epochs("cnn") == 400
-    uncapped = BenchmarkConfig(mlp_epochs=None, cnn_epochs=None)
-    assert uncapped.effective_epochs("mlp") == 500
-    assert uncapped.effective_epochs("cnn") == 400
+    assert (cfg.max_rows, cfg.mlp_epochs, cfg.cnn_epochs) == (400, 30, 20)
+    assert _spec_for(cfg, "mlp").hyperparameters["epochs"] == 30
+    assert _spec_for(cfg, "cnn").hyperparameters["epochs"] == 20
+    study = BenchmarkConfig(**STUDY_SCALE)
+    assert (study.max_rows, study.mlp_epochs, study.cnn_epochs) == (None, 500, 400)
+    assert _spec_for(study, "mlp").hyperparameters["epochs"] == 500
+    assert _spec_for(study, "cnn").hyperparameters["epochs"] == 400
+    for bad in ({"mlp_epochs": None}, {"cnn_epochs": None}):
+        with pytest.raises(EvalError, match="epochs must be integers"):
+            BenchmarkConfig(**bad)
 
 
 def test_load_config_round_trip(tmp_path):
@@ -135,6 +137,9 @@ lbp_radius = 2.0
         ("mlp_hidden = 20, ten", "mlp_hidden must be an integer"),
         ("seed = none", "seed must be an integer"),
         ("knn_k = None", "knn_k must be an integer"),
+        ("mlp_epochs = none", "mlp_epochs must be an integer"),
+        ("cnn_epochs = NONE", "cnn_epochs must be an integer"),
+        ("full = true", "unknown key"),
     ],
 )
 def test_load_config_errors_name_the_line(tmp_path, line, fragment):
@@ -148,11 +153,9 @@ def test_load_config_errors_name_the_line(tmp_path, line, fragment):
 
 def test_load_config_takes_none_for_caps_and_depth_only(tmp_path):
     path = tmp_path / "uncapped.cfg"
-    path.write_text("max_rows = none\nmlp_epochs = None\ncnn_epochs = NONE\n"
-                    "tree_max_depth = none\n")
+    path.write_text("max_rows = none\ntree_max_depth = NONE\n")
     cfg = load_config(path)
-    assert (cfg.max_rows, cfg.mlp_epochs, cfg.cnn_epochs, cfg.tree_max_depth) == (
-        None, None, None, None)
+    assert (cfg.max_rows, cfg.tree_max_depth) == (None, None)
 
 
 # ---- benchmark runs ------------------------------------------------------------

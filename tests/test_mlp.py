@@ -38,15 +38,12 @@ def reference_mlp_fit(X, Y, hidden, epochs, batch_size, optimizer, dropout, seed
                     for w in model.weights[:-1]
                 ]
             loss, gw, gb = loss_and_gradients(
-                model.weights, model.biases, X[batch], Ys[batch],
-                model.hidden_activation, masks,
+                model.weights, model.biases, X[batch], Ys[batch], masks
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"mlp loss became non-finite at epoch {epoch}")
             opt.step(params, gw + gb)
-        epoch_loss, _, _ = loss_and_gradients(
-            model.weights, model.biases, X, Ys, model.hidden_activation
-        )
+        epoch_loss, _, _ = loss_and_gradients(model.weights, model.biases, X, Ys)
         model.loss_history.append(epoch_loss)
     return model
 
@@ -69,16 +66,15 @@ def numeric_grad(loss_fn, arr: np.ndarray, eps: float = 1e-5) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_gradients_match_finite_differences(activation):
+def test_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
-    model = init_mlp(4, (5, 3), 2, seed=1, activation=activation)
+    model = init_mlp(4, (5, 3), 2, seed=1)
     X = rng.normal(size=(6, 4))
     Y = rng.normal(size=(6, 2))
-    _, gw, gb = loss_and_gradients(model.weights, model.biases, X, Y, activation)
+    _, gw, gb = loss_and_gradients(model.weights, model.biases, X, Y)
 
     def loss_fn():
-        pred = forward(model.weights, model.biases, X, activation)
+        pred = forward(model.weights, model.biases, X)
         return mse_loss_and_grad(pred, Y)[0]
 
     for arr, grad in zip(model.weights + model.biases, gw + gb):
@@ -94,10 +90,10 @@ def test_gradients_with_fixed_dropout_masks():
         (rng.random((5, 6)) < 0.5).astype(np.float64) * 2.0,
         (rng.random((5, 4)) < 0.5).astype(np.float64) * 2.0,
     ]
-    _, gw, gb = loss_and_gradients(model.weights, model.biases, X, Y, "tanh", masks)
+    _, gw, gb = loss_and_gradients(model.weights, model.biases, X, Y, masks)
 
     def loss_fn():
-        pred = forward(model.weights, model.biases, X, "tanh", masks)
+        pred = forward(model.weights, model.biases, X, masks)
         return mse_loss_and_grad(pred, Y)[0]
 
     for arr, grad in zip(model.weights + model.biases, gw + gb):
@@ -121,8 +117,6 @@ def test_init_shapes_and_determinism():
     assert all(np.all(b == 0.0) for b in a.biases)
     b = init_mlp(9216, (300, 150, 50), 30, seed=7)
     assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
-    with pytest.raises(ValueError, match="activation"):
-        init_mlp(3, (2,), 1, seed=0, activation="softplus")
 
 
 def test_fit_recovers_scalar_linear_trend():
@@ -229,14 +223,13 @@ def test_fit_is_bit_identical_to_the_reference_loop(dropout, optimizer):
         assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_forward_only_loss_equals_the_backprop_loss(activation):
+def test_forward_only_loss_equals_the_backprop_loss():
     rng = np.random.default_rng(13)
-    model = init_mlp(179, (30, 20), 8, seed=4, activation=activation)
+    model = init_mlp(179, (30, 20), 8, seed=4)
     X = rng.normal(size=(180, 179))
     Y = rng.normal(size=(180, 8))
-    loss, _, _ = loss_and_gradients(model.weights, model.biases, X, Y, activation)
-    pred = forward(model.weights, model.biases, X, activation)
+    loss, _, _ = loss_and_gradients(model.weights, model.biases, X, Y)
+    pred = forward(model.weights, model.biases, X)
     assert mse_loss_and_grad(pred, Y)[0] == loss
 
 

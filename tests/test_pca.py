@@ -9,7 +9,6 @@ from facekeys.pca import (
     inverse_transform,
     load_pca,
     save_pca,
-    to_grid,
     transform,
 )
 
@@ -141,22 +140,6 @@ def test_gram_path_drops_null_directions():
         fit_pca(X, n_components=5)
 
 
-def test_standardize_round_trip():
-    rng = np.random.default_rng(8)
-    X = rng.normal(size=(10, 4)) * np.array([100.0, 1.0, 0.01, 5.0])
-    model = fit_pca(X, n_components=4, standardize=True)
-    assert model.scale is not None
-    back = inverse_transform(model, transform(model, X))
-    assert np.allclose(back, X, atol=1e-8)
-
-
-def test_standardize_constant_column_passes_through():
-    X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0]])
-    model = fit_pca(X, n_components=1, standardize=True)
-    assert model.scale[1] == 1.0
-    assert np.isfinite(model.components).all()
-
-
 def test_determinism():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(15, 40))
@@ -166,33 +149,26 @@ def test_determinism():
     assert np.array_equal(a.explained_variance, b.explained_variance)
 
 
-def test_to_grid_layout_and_round_trip():
-    rng = np.random.default_rng(10)
-    model = fit_pca(rng.normal(size=(10, 9)), n_components=4)
-    Z = np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
-    grids = to_grid(model, Z, side=2)
-    assert np.array_equal(grids[0], [[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(grids.reshape(2, 4), Z)
-    with pytest.raises(PcaError, match="grid"):
-        to_grid(model, Z, side=3)
-
-
 def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(11)
-    X = rng.normal(size=(12, 7))
-    for standardize in (False, True):
-        model = fit_pca(X, n_components=3, standardize=standardize)
-        path = tmp_path / f"pca_{standardize}.npz"
-        save_pca(model, path)
-        back = load_pca(path)
-        assert np.array_equal(back.mean, model.mean)
-        assert np.array_equal(back.components, model.components)
-        assert np.array_equal(back.explained_variance, model.explained_variance)
-        assert np.array_equal(back.explained_ratio, model.explained_ratio)
-        if standardize:
-            assert np.array_equal(back.scale, model.scale)
-        else:
-            assert back.scale is None
+    model = fit_pca(rng.normal(size=(12, 7)), n_components=3)
+    path = tmp_path / "pca.npz"
+    save_pca(model, path)
+    back = load_pca(path)
+    assert np.array_equal(back.mean, model.mean)
+    assert np.array_equal(back.components, model.components)
+    assert np.array_equal(back.explained_variance, model.explained_variance)
+    assert np.array_equal(back.explained_ratio, model.explained_ratio)
+
+
+def test_load_refuses_a_standardized_model(tmp_path):
+    model = fit_pca(np.random.default_rng(12).normal(size=(12, 7)), n_components=3)
+    path = tmp_path / "standardized.npz"
+    np.savez(path, mean=model.mean, components=model.components,
+             explained_variance=model.explained_variance,
+             explained_ratio=model.explained_ratio, scale=np.ones(7))
+    with pytest.raises(PcaError, match="scale"):
+        load_pca(path)
 
 
 @pytest.mark.parametrize(

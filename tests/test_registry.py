@@ -154,3 +154,20 @@ def test_saved_model_layout_is_pinned(tmp_path, kind):
     assert meta["kind"] == tag
     assert meta["extras"] == {"note": "x"}
     assert raw == json.dumps(meta, sort_keys=True)
+
+
+def test_load_refuses_an_mlp_file_with_another_hidden_activation(tmp_path):
+    X, Y = flat_data(seed=6)
+    model = fit_any(RegressorSpec("mlp", {"hidden": (4,), "epochs": 1}, seed=0), X, Y)
+    path = tmp_path / "mlp.npz"
+    save_model(path, model)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    assert meta["hidden_activation"] == "tanh"
+    assert load_model(path)[0].weights[0].shape == (4, 4)
+    meta["hidden_activation"] = "relu"
+    arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    with pytest.raises(ConfigError, match="relu"):
+        load_model(path)
