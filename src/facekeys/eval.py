@@ -13,13 +13,12 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dataset import (
     Dataset,
-    DatasetError,
     column_means,
     holdout_split,
     impute_column_means,

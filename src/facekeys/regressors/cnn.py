@@ -8,6 +8,36 @@ conv 32@5x5 (same padding) -> ReLU -> 2x2 max pool -> dropout, conv
 output. Convolution and pooling forward/backward are written out by
 hand; the loss is MSE and targets train in the scaled space
 y' = (y - 48) / 48.
+
+Layout and blocking. Activations are held channel-major, (c, n, h, w),
+and a convolution's patches as one (c*kh*kw, n*h*w) matrix with rows in
+(c, kh, kw) order. The forward einsum "kN,ok->oN" and each kernel
+offset's input-gradient einsum "oN,oc->cN" then run their inner loops
+over all n*h*w contiguous cells of a block instead of one row's few
+cells. Each offset's patch gradient is added straight into the padded
+input gradient, so no patch-gradient array is formed. Both convolution
+stages run on row blocks of _BLOCK_CELLS grid cells, which keeps a
+block's patches and activations in cache; the dense stages take all rows
+at once. Training, the epoch loss and cnn_predict share this code. The
+deterministic passes keep no block's caches, so a predict holds one
+block's patches, not all n rows'.
+
+Every parameter, loss and prediction is bit-identical to the n-major
+(n, c, kh, kw, h, w) patch layout this replaced; tests/test_cnn.py keeps
+its layers as the reference. The reasons:
+- numpy's einsum (without optimize) computes each output of the forward
+  and input-gradient reductions as a sequential multiply-add over the
+  reduced axis: (c, kh, kw) order for the forward, o order for the input
+  gradient. Layout, block size and row count do not change those sums.
+- The weight gradient is a SIMD dot product over one row's h*w cells,
+  added to dw once per row in row order. If both operands were
+  contiguous over (n, h, w), numpy would merge those axes into one long
+  dot product and round differently. So each row adds its own einsum, and
+  the bias gradient adds each row's cell sums the same way.
+- OpenBLAS rounds a product differently for different row counts, so the
+  dense stages never run on row blocks.
+- Dropout masks keep their (n, c, h, w) shape and are read through
+  transposed views. Pooling, relu and masking are elementwise and exact.
 """
 
 from __future__ import annotations
@@ -55,38 +85,63 @@ def grid_side(n_features: int) -> int | None:
     return None
 
 
+#: Grid cells per row block of the convolution stages: a block's patch
+#: matrices and activations then stay in a 2 MB cache.
+_BLOCK_CELLS = 2048
+
+
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Stride-1 same-padding convolution. x: (n,c,h,w), w: (o,c,kh,kw)."""
-    n, c, h, wd = x.shape
-    kh, kw = w.shape[2:]
+    """Stride-1 same-padding convolution. x: (c,n,h,w), w: (o,c,kh,kw).
+
+    Returns the (o,n,h,w) output and the cache the gradients read: the
+    (c*kh*kw, n*h*w) patch matrix and w.
+    """
+    c, n, h, wd = x.shape
+    o, _, kh, kw = w.shape
     ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    patches = np.empty((n, c, kh, kw, h, wd))
+    xp = np.zeros((c, n, h + 2 * ph, wd + 2 * pw))
+    xp[:, :, ph : ph + h, pw : pw + wd] = x
+    patches = np.empty((c, kh, kw, n, h, wd))
     for di in range(kh):
         for dj in range(kw):
-            patches[:, :, di, dj] = xp[:, :, di : di + h, dj : dj + wd]
-    out = np.einsum("ncuvhw,ocuv->nohw", patches, w)
-    out += b[None, :, None, None]
-    return out, (patches, w)
+            patches[:, di, dj] = xp[:, :, di : di + h, dj : dj + wd]
+    cols = patches.reshape(c * kh * kw, n * h * wd)
+    out = np.einsum("kN,ok->oN", cols, w.reshape(o, -1)).reshape(o, n, h, wd)
+    out += b[:, None, None, None]
+    return out, (cols, w)
 
 
-def _conv_weight_grads(dout: np.ndarray, cache):
-    """dw and db of a convolution, given the gradient of its output."""
-    patches, _ = cache
-    return np.einsum("nohw,ncuvhw->ocuv", dout, patches), dout.sum(axis=(0, 2, 3))
+def _add_conv_grads(dout: np.ndarray, cache, dw: np.ndarray, db: np.ndarray) -> None:
+    """Adds a convolution's weight and bias gradients over the rows of the
+    (o,n,h,w) output gradient dout to dw and db: row by row, in row order,
+    dw gains the row's einsum over its h*w cells and db the row's cell sums.
+    """
+    cols, _ = cache
+    o, n = dout.shape[:2]
+    rows = cols.reshape(cols.shape[0], n, -1)
+    d = dout.reshape(o, n, -1)
+    cell_sums = d.sum(axis=2)
+    dwk = dw.reshape(o, -1)
+    for i in range(n):
+        dwk += np.einsum("oP,kP->ok", d[:, i], rows[:, i])
+        db += cell_sums[:, i]
 
 
 def _conv_input_grad(dout: np.ndarray, cache):
-    """dx of a convolution: each patch's gradient, folded back onto the
-    padded input (col2im)."""
-    patches, w = cache
-    n, c, kh, kw, h, wd = patches.shape
+    """dx (c,n,h,w) of a convolution, given the C-contiguous (o,n,h,w)
+    gradient of its output: each kernel offset's patch gradient is added
+    straight into the padded input gradient (col2im)."""
+    _, w = cache
+    o, c, kh, kw = w.shape
+    _, n, h, wd = dout.shape
     ph, pw = kh // 2, kw // 2
-    dpatches = np.einsum("nohw,ocuv->ncuvhw", dout, w)
-    dxp = np.zeros((n, c, h + 2 * ph, wd + 2 * pw))
+    d = dout.reshape(o, -1)
+    dxp = np.zeros((c, n, h + 2 * ph, wd + 2 * pw))
+    dpatch = np.empty((c, n, h, wd))
     for di in range(kh):
         for dj in range(kw):
-            dxp[:, :, di : di + h, dj : dj + wd] += dpatches[:, :, di, dj]
+            np.einsum("oN,oc->cN", d, w[:, :, di, dj], out=dpatch.reshape(c, -1))
+            dxp[:, :, di : di + h, dj : dj + wd] += dpatch
     return dxp[:, :, ph : ph + h, pw : pw + wd]
 
 
@@ -95,7 +150,8 @@ _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def _pool_forward(x: np.ndarray):
-    """2x2 max pool, stride 2; the cache is the input and the output."""
+    """2x2 max pool, stride 2, over the last two axes; the cache is the
+    input and the output."""
     cells = [x[:, :, i::2, j::2] for i, j in _WINDOW]
     out = np.maximum(np.maximum(cells[0], cells[1]), np.maximum(cells[2], cells[3]))
     return out, (x, out)
@@ -104,7 +160,7 @@ def _pool_forward(x: np.ndarray):
 def _pool_backward(dout: np.ndarray, cache):
     """Routes each window's gradient to its first max in row-major order."""
     x, out = cache
-    dx = np.zeros(x.shape)
+    dx = np.empty(x.shape)  # the four cells below write every element
     free = np.ones(out.shape, dtype=bool)
     for i, j in _WINDOW:
         hit = x[:, :, i::2, j::2] == out
@@ -151,6 +207,45 @@ def _check_grids(X, side: int | None = None) -> np.ndarray:
     return X
 
 
+def _channel_major(a: np.ndarray) -> np.ndarray:
+    """(c,n,h,w) view of an (n,c,h,w) array, or the reverse."""
+    return a.transpose(1, 0, 2, 3)
+
+
+def _row_blocks(X: np.ndarray):
+    """Row slices of (n, side, side) grids, _BLOCK_CELLS grid cells each
+    (at least one row)."""
+    step = max(1, _BLOCK_CELLS // (X.shape[1] * X.shape[2]))
+    return [slice(r, r + step) for r in range(0, X.shape[0], step)]
+
+
+def _conv_stages(p: dict[str, np.ndarray], X: np.ndarray, masks=None):
+    """The two conv -> relu -> pool -> dropout stages on (n, side, side)
+    grids; the (n, flat) rows the dense layer reads and the layer caches.
+
+    masks, when given, holds the 'pool1' and 'pool2' dropout masks of
+    these rows, (n, c, h, w) each.
+    """
+    c1, conv1 = _conv_forward(X[None], p["conv1_w"], p["conv1_b"])
+    r1 = np.maximum(c1, 0.0, out=c1)  # relu in place: r1 > 0 exactly where c1 > 0
+    p1, pool1 = _pool_forward(r1)
+    d1 = p1 * _channel_major(masks["pool1"]) if masks else p1
+
+    c2, conv2 = _conv_forward(d1, p["conv2_w"], p["conv2_b"])
+    r2 = np.maximum(c2, 0.0, out=c2)
+    p2, pool2 = _pool_forward(r2)
+    d2 = p2 * _channel_major(masks["pool2"]) if masks else p2
+    return _channel_major(d2).reshape(X.shape[0], -1), (conv1, pool1, conv2, pool2)
+
+
+def _dense_stages(p: dict[str, np.ndarray], flat: np.ndarray, masks=None):
+    """dense tanh -> dropout -> linear output; the output and the tanh
+    activations before and after dropout."""
+    h = np.tanh(flat @ p["dense_w"] + p["dense_b"])
+    hd = h * masks["dense"] if masks else h
+    return hd @ p["out_w"] + p["out_b"], h, hd
+
+
 def _forward(
     p: dict[str, np.ndarray],
     X: np.ndarray,
@@ -158,23 +253,26 @@ def _forward(
 ):
     """Network output for (n, side, side) grids, and the cache backprop reads.
 
-    masks, when given, holds dropout masks under keys 'pool1', 'pool2',
-    'dense'; None runs the deterministic network.
+    The convolution stages run on row blocks, the dense stages on all rows
+    at once. masks, when given, holds dropout masks under keys 'pool1',
+    'pool2', 'dense', (n, ...) each; None runs the deterministic network.
     """
-    c1, conv1 = _conv_forward(X[:, None, :, :], p["conv1_w"], p["conv1_b"])
-    r1 = np.maximum(c1, 0.0, out=c1)  # relu in place: r1 > 0 exactly where c1 > 0
-    p1, pool1 = _pool_forward(r1)
-    d1 = p1 * masks["pool1"] if masks else p1
+    flat = np.empty((X.shape[0], p["dense_w"].shape[0]))
+    blocks = []
+    for rows in _row_blocks(X):
+        block_masks = {k: masks[k][rows] for k in ("pool1", "pool2")} if masks else None
+        flat[rows], caches = _conv_stages(p, X[rows], block_masks)
+        blocks.append((rows, caches))
+    pred, h, hd = _dense_stages(p, flat, masks)
+    return pred, (blocks, flat, h, hd)
 
-    c2, conv2 = _conv_forward(d1, p["conv2_w"], p["conv2_b"])
-    r2 = np.maximum(c2, 0.0, out=c2)
-    p2, pool2 = _pool_forward(r2)
-    d2 = p2 * masks["pool2"] if masks else p2
 
-    h = np.tanh(d2.reshape(X.shape[0], -1) @ p["dense_w"] + p["dense_b"])
-    hd = h * masks["dense"] if masks else h
-    pred = hd @ p["out_w"] + p["out_b"]
-    return pred, (conv1, pool1, conv2, pool2, d2, h, hd)
+def _output(p: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
+    """Deterministic network output, keeping no block's caches."""
+    flat = np.empty((X.shape[0], p["dense_w"].shape[0]))
+    for rows in _row_blocks(X):
+        flat[rows] = _conv_stages(p, X[rows])[0]
+    return _dense_stages(p, flat)[0]
 
 
 def loss_and_gradients(
@@ -186,12 +284,13 @@ def loss_and_gradients(
     """MSE loss and gradients for every parameter tensor.
 
     masks, when given, holds dropout masks under keys 'pool1', 'pool2',
-    'dense'; None runs the deterministic network.
+    'dense', (n, ...) each; None runs the deterministic network.
     """
     p = model.params
-    pred, (conv1, pool1, conv2, pool2, d2, h, hd) = _forward(p, X, masks)
+    pred, (blocks, flat, h, hd) = _forward(p, X, masks)
     loss, dpred = mse_loss_and_grad(pred, Y)
-    grads: dict[str, np.ndarray] = {}
+    # the convolutions add their gradients block by block
+    grads = {k: np.zeros_like(p[k]) for k in ("conv1_w", "conv1_b", "conv2_w", "conv2_b")}
     grads["out_w"] = hd.T @ dpred
     grads["out_b"] = dpred.sum(axis=0)
 
@@ -199,22 +298,24 @@ def loss_and_gradients(
     if masks:
         dh = dh * masks["dense"]
     dz = dh * (1.0 - h * h)
-    grads["dense_w"] = d2.reshape(X.shape[0], -1).T @ dz
+    grads["dense_w"] = flat.T @ dz
     grads["dense_b"] = dz.sum(axis=0)
 
-    dd2 = (dz @ p["dense_w"].T).reshape(d2.shape)
-    if masks:
-        dd2 = dd2 * masks["pool2"]
-    dc2 = _pool_backward(dd2, pool2)
-    dc2 *= pool2[0] > 0.0  # relu: the pool's input is > 0 exactly where c2 is
-    grads["conv2_w"], grads["conv2_b"] = _conv_weight_grads(dc2, conv2)
-    dd1 = _conv_input_grad(dc2, conv2)
-    if masks:
-        dd1 = dd1 * masks["pool1"]
-    dc1 = _pool_backward(dd1, pool1)
-    dc1 *= pool1[0] > 0.0
-    # conv1's input is the data, so its input gradient is never formed
-    grads["conv1_w"], grads["conv1_b"] = _conv_weight_grads(dc1, conv1)
+    dd2 = dz @ p["dense_w"].T
+    for rows, (conv1, pool1, conv2, pool2) in blocks:
+        dd = dd2[rows].reshape(_channel_major(pool2[1]).shape)
+        if masks:
+            dd = dd * masks["pool2"][rows]
+        dc2 = _pool_backward(_channel_major(dd), pool2)
+        dc2 *= pool2[0] > 0.0  # relu: the pool's input is > 0 exactly where c2 is
+        _add_conv_grads(dc2, conv2, grads["conv2_w"], grads["conv2_b"])
+        dd1 = _conv_input_grad(dc2, conv2)
+        if masks:
+            dd1 = dd1 * _channel_major(masks["pool1"][rows])
+        dc1 = _pool_backward(dd1, pool1)
+        dc1 *= pool1[0] > 0.0
+        # conv1's input is the data, so its input gradient is never formed
+        _add_conv_grads(dc1, conv1, grads["conv1_w"], grads["conv1_b"])
     return loss, grads
 
 
@@ -242,6 +343,8 @@ def cnn_fit(
     inf in X or Y raises ValueError.
     """
     X = _check_grids(X)
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit a cnn on 0 rows")
     Y = check_fit_inputs(X.reshape(X.shape[0], -1), Y)[1]
     for rate in (dropout_conv, dropout_dense):
         if not 0.0 <= rate < 1.0:
@@ -266,7 +369,7 @@ def cnn_fit(
         return loss, [grads[k] for k in PARAM_NAMES]
 
     def full_loss():
-        return mse_loss_and_grad(_forward(model.params, X)[0], Ys)[0]
+        return mse_loss_and_grad(_output(model.params, X), Ys)[0]
 
     # all three masks are drawn whenever either rate is above 0
     model.loss_history = train(
@@ -284,5 +387,5 @@ def cnn_fit(
 
 def cnn_predict(model: CnnModel, X) -> np.ndarray:
     """Deterministic forward pass (dropout off), unscaled outputs."""
-    pred, _ = _forward(model.params, _check_grids(X, model.side))
+    pred = _output(model.params, _check_grids(X, model.side))
     return pred * model.target_scale + model.target_offset

@@ -127,6 +127,8 @@ def mlp_fit(
     naming the epoch; NaN or inf in X or Y raises ValueError.
     """
     X, Y = check_fit_inputs(X, Y)
+    if X.shape[0] == 0:
+        raise ValueError("cannot fit an mlp on 0 rows")
     if not 0.0 <= dropout < 1.0:
         raise ValueError(f"dropout must be in [0, 1), got {dropout}")
     if epochs < 0 or batch_size < 1:

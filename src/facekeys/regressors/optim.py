@@ -56,8 +56,14 @@ class RmsProp:
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         for p, g, c in zip(params, grads, self._cache):
             c *= self.decay
-            c += (1.0 - self.decay) * g * g
-            p -= self.lr * g / (np.sqrt(c) + self.eps)
+            t = (1.0 - self.decay) * g
+            t *= g
+            c += t
+            np.sqrt(c, out=t)
+            t += self.eps
+            step = self.lr * g
+            step /= t
+            p -= step
 
 
 _DEFAULT_LR = {"sgd": 0.01, "rmsprop": 0.001}

@@ -149,7 +149,7 @@ def test_c5_backprop_matches_finite_differences():
     Yg = rng.normal(size=(3, 2))
 
     p = model.params
-    c1 = cnn_mod._conv_forward(Xg[:, None], p["conv1_w"], p["conv1_b"])[0]
+    c1 = cnn_mod._conv_forward(Xg[None], p["conv1_w"], p["conv1_b"])[0]
     pooled = cnn_mod._pool_forward(np.maximum(c1, 0.0))[0]
     c2 = cnn_mod._conv_forward(pooled, p["conv2_w"], p["conv2_b"])[0]
     assert min(np.abs(c1).min(), np.abs(c2).min()) > 0.5, "fixture touches a kink"

@@ -3,10 +3,10 @@ import pytest
 
 from facekeys.regressors.cnn import (
     PARAM_NAMES,
+    _add_conv_grads,
     _check_grids,
     _conv_forward,
     _conv_input_grad,
-    _conv_weight_grads,
     _forward,
     _pool_backward,
     _pool_forward,
@@ -176,6 +176,23 @@ def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, see
     return model
 
 
+def reference_forward(model, X):
+    """cnn_predict's network on all rows at once, through the reference layers."""
+    p = model.params
+    c1, _ = reference_conv_forward(X[:, None], p["conv1_w"], p["conv1_b"])
+    p1, _ = reference_pool_forward(np.maximum(c1, 0.0))
+    c2, _ = reference_conv_forward(p1, p["conv2_w"], p["conv2_b"])
+    p2, _ = reference_pool_forward(np.maximum(c2, 0.0))
+    flat = p2.reshape(X.shape[0], p["dense_w"].shape[0])
+    pred = np.tanh(flat @ p["dense_w"] + p["dense_b"]) @ p["out_w"] + p["out_b"]
+    return pred * model.target_scale + model.target_offset
+
+
+def channel_major(a):
+    """(c, n, h, w) copy of an (n, c, h, w) array, or the reverse."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+
+
 def tensor_rel_error(analytic, numeric) -> float:
     scale = max(float(np.abs(analytic).max()), float(np.abs(numeric).max()), 1e-8)
     return float(np.abs(analytic - numeric).max()) / scale
@@ -186,7 +203,7 @@ def test_conv_forward_matches_loop_oracle():
     x = rng.normal(size=(2, 2, 4, 4))
     w = rng.normal(size=(3, 2, 3, 3))
     b = rng.normal(size=3)
-    out, _ = _conv_forward(x, w, b)
+    out = channel_major(_conv_forward(channel_major(x), w, b)[0])
     assert np.allclose(out, oracle_conv(x, w, b), atol=1e-12)
 
 
@@ -195,7 +212,7 @@ def test_conv_forward_5x5_kernel():
     x = rng.normal(size=(1, 1, 8, 8))
     w = rng.normal(size=(2, 1, 5, 5))
     b = rng.normal(size=2)
-    out, _ = _conv_forward(x, w, b)
+    out = channel_major(_conv_forward(channel_major(x), w, b)[0])
     assert out.shape == (1, 2, 8, 8)  # same padding keeps the grid size
     assert np.allclose(out, oracle_conv(x, w, b), atol=1e-12)
 
@@ -358,14 +375,15 @@ def test_split_convolution_backward_equals_reference(kernel, channels, side):
     x = rng.normal(size=(3, channels, side, side))
     w = rng.normal(size=(4, channels, kernel, kernel))
     b = rng.normal(size=4)
-    out, cache = _conv_forward(x, w, b)
+    out, cache = _conv_forward(channel_major(x), w, b)
     ref_out, ref_cache = reference_conv_forward(x, w, b)
-    assert np.array_equal(out, ref_out)
-    dout = rng.normal(size=out.shape)
+    assert np.array_equal(channel_major(out), ref_out)
+    dout = rng.normal(size=ref_out.shape)
     ref_dx, ref_dw, ref_db = reference_conv_backward(dout, ref_cache)
-    dw, db = _conv_weight_grads(dout, cache)
+    dw, db = np.zeros(w.shape), np.zeros(4)
+    _add_conv_grads(channel_major(dout), cache, dw, db)
     assert np.array_equal(dw, ref_dw) and np.array_equal(db, ref_db)
-    assert np.array_equal(_conv_input_grad(dout, cache), ref_dx)
+    assert np.array_equal(channel_major(_conv_input_grad(channel_major(dout), cache)), ref_dx)
 
 
 @pytest.mark.parametrize("values", ["distinct", "ties"])
@@ -438,6 +456,57 @@ def test_flat_rows_train_and_predict_exactly_as_their_grids():
     for name in PARAM_NAMES:
         assert np.array_equal(from_flat.params[name], from_grids.params[name]), name
     assert np.array_equal(cnn_predict(from_flat, flat), cnn_predict(from_grids, grids))
+
+
+@pytest.mark.parametrize("side", [12, 16])
+@pytest.mark.parametrize("n", [0, 1, 49, 50, 51, 180, 1000])
+def test_predict_equals_the_reference_forward(n, side):
+    # the convolution stages run in row blocks of _BLOCK_CELLS grid cells
+    # (14 rows at side 12, 8 at side 16), the dense stages on all rows: no
+    # rows, one row, about a batch, the study's 180 rows and many blocks
+    rng = np.random.default_rng(16)
+    model = init_cnn(side, 8, seed=7)
+    for name in ("conv1_b", "conv2_b", "dense_b", "out_b"):
+        model.params[name] = rng.normal(size=model.params[name].shape) * 0.1
+    model.target_offset, model.target_scale = 48.0, 48.0
+    X = rng.normal(size=(n, side, side)) * 500.0
+    pred = cnn_predict(model, X)
+    assert pred.shape == (n, 8)
+    assert np.array_equal(pred, reference_forward(model, X))
+
+
+@pytest.mark.parametrize("side,n", [(8, 70), (12, 50), (16, 19)])
+def test_gradients_over_row_blocks_equal_the_reference_network(side, n):
+    # batches of several row blocks, the last one short
+    rng = np.random.default_rng(17)
+    model = init_cnn(side, 4, seed=8)
+    X = rng.normal(size=(n, side, side)) * 500.0
+    Y = rng.normal(size=(n, 4))
+    half, quarter = side // 2, side // 4
+    masks = {
+        "pool1": dropout_mask(rng, (n, 32, half, half), 0.25),
+        "pool2": dropout_mask(rng, (n, 8, quarter, quarter), 0.25),
+        "dense": dropout_mask(rng, (n, 100), 0.5),
+    }
+    for m in (None, masks):
+        loss, grads = loss_and_gradients(model, X, Y, m)
+        ref_loss, ref_grads = reference_loss_and_gradients(model, X, Y, m)
+        assert loss == ref_loss
+        for name in PARAM_NAMES:
+            assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+def test_study_shape_fit_is_bit_identical_to_the_reference_loop():
+    # 12x12 grids of PCA magnitude in batches of 50, as the benchmark trains
+    rng = np.random.default_rng(18)
+    X = rng.normal(size=(64, 144)) * 500.0
+    Y = rng.normal(size=(64, 8)) * 10.0 + 48.0
+    args = dict(epochs=2, batch_size=50, dropout_conv=0.25, dropout_dense=0.5, seed=3)
+    model = cnn_fit(X, Y, **args)
+    ref = reference_cnn_fit(X, Y, **args)
+    assert model.loss_history == ref.loss_history
+    for name in PARAM_NAMES:
+        assert np.array_equal(model.params[name], ref.params[name]), name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

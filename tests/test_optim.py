@@ -67,6 +67,26 @@ def test_rmsprop_hand_step():
     assert p[0] == pytest.approx(1.0 - 0.001 * 2.0 / (np.sqrt(cache) + 1e-8))
 
 
+@pytest.mark.parametrize("decay", [0.0, 0.5, 0.9, 0.99])
+def test_rmsprop_step_equals_the_one_expression_step(decay):
+    # the in-place step does the same float operations in the same order
+    rng = np.random.default_rng(3)
+    shapes = [(4, 3), (7,), (2, 3, 5)]
+    params = [rng.normal(size=s) for s in shapes]
+    ref_params = [p.copy() for p in params]
+    ref_cache = [np.zeros(s) for s in shapes]
+    opt = RmsProp(params, learning_rate=0.003, decay=decay)
+    for _ in range(5):
+        grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
+        opt.step(params, grads)
+        for p, g, c in zip(ref_params, grads, ref_cache):
+            c *= decay
+            c += (1.0 - decay) * g * g
+            p -= 0.003 * g / (np.sqrt(c) + 1e-8)
+        for p, ref in zip(params + opt._cache, ref_params + ref_cache):
+            assert np.array_equal(p, ref)
+
+
 def test_make_optimizer_defaults_and_validation():
     p = [np.zeros(3)]
     assert make_optimizer("sgd", p).lr == 0.01

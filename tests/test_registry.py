@@ -49,6 +49,28 @@ def test_every_kind_fits_and_predicts():
         assert np.isfinite(preds).all(), kind
 
 
+_SMALL = {
+    "knn": {"k": 3},
+    "ols": {},
+    "ridge": {"lam": 0.5},
+    "lasso": {"alpha": 0.05},
+    "elastic": {"alpha": 0.05, "rho": 0.5},
+    "tree": {"max_depth": 3},
+    "mlp": {"hidden": (8,), "epochs": 2, "batch_size": 10, "dropout": 0.0},
+    "cnn": {"epochs": 1, "batch_size": 10},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_zero_rows_predict_empty_and_refuse_to_fit(kind):
+    X, Y = flat_data(n=20, d=16)  # 16 columns are 4x4 grids for the cnn
+    model = fit_any(RegressorSpec(kind, _SMALL[kind]), X, Y)
+    preds = predict_any(model, X[:0])
+    assert preds.shape == (0, 2) and preds.dtype == np.float64
+    with pytest.raises(ValueError, match=r"\b0 rows|2 rows|\[1, 0\]"):
+        fit_any(RegressorSpec(kind, _SMALL[kind]), X[:0], Y[:0])
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError, match="unknown regressor kind"):
         RegressorSpec("svm")
