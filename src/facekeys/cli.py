@@ -112,9 +112,7 @@ def cmd_train(args) -> int:
         variance_target=args.variance,
     )
     X = pipe.transform(train.images).values
-    _, Y = ds.to_matrices(train, scale_pixels=False)
-
-    model = fit_any(_build_spec(args, args.seed), X, Y)
+    model = fit_any(_build_spec(args, args.seed), X, train.keypoints)
 
     meta, arrays = pipeline_to_payload(pipe)
     extras = {

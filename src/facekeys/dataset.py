@@ -64,10 +64,6 @@ class GrayImage:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    def flat(self) -> np.ndarray:
-        """Row-major 1-d copy of the pixel values."""
-        return self.pixels.reshape(-1).copy()
-
 
 @dataclass(frozen=True, eq=False)
 class KeypointSet:
@@ -80,19 +76,12 @@ class KeypointSet:
         if self.coords.shape != (len(self.names), 2):
             raise DatasetError("coords must be (len(names), 2)")
 
-    def present(self, name: str) -> bool:
-        xy = self.coords[self.names.index(name)]
-        return bool(np.all(np.isfinite(xy)))
-
     def get(self, name: str) -> tuple[float, float] | None:
         """The (x, y) pair for a slot, or None when it is missing."""
         xy = self.coords[self.names.index(name)]
         if not np.all(np.isfinite(xy)):
             return None
         return float(xy[0]), float(xy[1])
-
-    def present_names(self) -> tuple[str, ...]:
-        return tuple(n for n in self.names if self.present(n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -377,19 +366,6 @@ def write_image_csv(d: Dataset, path) -> None:
     """Write only the Image column of a Dataset."""
     flat = d.images.reshape(len(d), -1)
     _write_csv(path, [IMAGE_COLUMN], ([_format_image(px)] for px in flat))
-
-
-def load_split_csvs(keypoint_path, image_path) -> Dataset:
-    """Rejoin a keypoint CSV and an image CSV written by the pair writers."""
-    images = _read_csv(image_path, _image_header)[2]
-    slot_names, keypoints, _ = _read_csv(
-        keypoint_path, lambda path, header: _slot_names_from_header(header)
-    )
-    if len(keypoints) != len(images):
-        raise DatasetError(
-            f"keypoint rows ({len(keypoints)}) != image rows ({len(images)})"
-        )
-    return Dataset(images=images, keypoints=keypoints, slot_names=slot_names)
 
 
 def column_means(d: Dataset) -> np.ndarray:

@@ -24,7 +24,6 @@ from .dataset import (
     impute_column_means,
     load_training_csv,
     split_by_keypoint_coverage,
-    to_matrices,
 )
 from .lbp import LbpConfig
 from .pipeline import fit_pipeline
@@ -270,8 +269,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
             d = impute_column_means(d)
             train, test = holdout_split(d, cfg.train_fraction, cfg.seed)
 
-        _, Y_train = to_matrices(train, cfg.scale_pixels)
-        _, Y_test = to_matrices(test, cfg.scale_pixels)
+        Y_train, Y_test = train.keypoints, test.keypoints
 
         for pipeline_name in cfg.pipelines:
             try:

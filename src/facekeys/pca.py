@@ -158,22 +158,3 @@ def save_pca(model: PcaModel, path) -> None:
         explained_variance=model.explained_variance,
         explained_ratio=model.explained_ratio,
     )
-
-
-def load_pca(path) -> PcaModel:
-    """Read a model written by save_pca.
-
-    Raises:
-        PcaError: on a file that holds a ``scale`` array: a standardized
-            projection, which this module no longer applies.
-    """
-    with np.load(path) as data:
-        if "scale" in data.files:
-            raise PcaError(f"{path} holds a standardized PCA (a scale array); "
-                           "only mean-centered models are supported")
-        return PcaModel(
-            mean=data["mean"],
-            components=data["components"],
-            explained_variance=data["explained_variance"],
-            explained_ratio=data["explained_ratio"],
-        )

@@ -18,7 +18,7 @@ import numpy as np
 
 from .knn import KnnModel, knn_fit, knn_predict
 from .linear import LinearModel, elastic_fit, lasso_fit, linear_predict, ols_fit, ridge_fit
-from .tree import TreeModel, flatten_tree, tree_fit, tree_predict, unflatten_tree
+from .tree import NODE_ARRAYS, TreeModel, tree_fit, tree_predict
 from .mlp import MlpModel, mlp_fit, mlp_predict
 from .cnn import PARAM_NAMES, CnnModel, cnn_fit, cnn_predict
 from .optim import TrainingDiverged
@@ -117,21 +117,18 @@ class _Format(NamedTuple):
     from_payload: Callable  # (meta, archive) -> model
 
 
-_TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "n_samples")
-
-
 def _tree_payload(m: TreeModel):
     meta = {
         "n_features": m.n_features,
         "max_depth": m.max_depth,
         "min_samples_leaf": m.min_samples_leaf,
     }
-    return meta, {f"tree_{name}": arr for name, arr in flatten_tree(m).items()}
+    return meta, {f"tree_{name}": getattr(m, name) for name in NODE_ARRAYS}
 
 
 def _tree_model(meta, data) -> TreeModel:
-    return unflatten_tree(
-        {name: data[f"tree_{name}"] for name in _TREE_ARRAYS},
+    return TreeModel(
+        **{name: data[f"tree_{name}"] for name in NODE_ARRAYS},
         n_features=int(meta["n_features"]),
         max_depth=meta["max_depth"],
         min_samples_leaf=int(meta["min_samples_leaf"]),

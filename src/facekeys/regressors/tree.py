@@ -5,6 +5,13 @@ children. Candidate thresholds are midpoints between consecutive distinct
 sorted values; ties between equally good splits go to the lowest feature
 index, then the lowest threshold. Leaves predict their mean target.
 
+A fitted tree is a set of node arrays in preorder (a node, then its left
+subtree, then its right subtree), the same arrays its model file holds:
+``feature`` (-1 at a leaf), ``threshold``, the ``left`` and ``right``
+child ids (-1 at a leaf), ``value`` (each node's mean target) and
+``n_samples``. Parents come before their children, so one forward pass
+over the arrays visits every node after its parent.
+
 The grower sorts every column once at the root (stable, int32 row ids)
 and hands each child its share of every sorted list, kept in order by a
 boolean mask (the presorted attribute lists of CART and SLIQ), so no node
@@ -26,28 +33,57 @@ from ._inputs import check_fit_inputs
 #: split scan; smaller passes cost more calls.
 _PASS_ELEMENTS = 1 << 16
 
-
-@dataclass(eq=False)
-class TreeNode:
-    value: np.ndarray  # (m,) mean target of the node's rows
-    n_samples: int
-    feature: int = -1  # -1 marks a leaf
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature < 0
+#: The node arrays in file order, and the dtype of each.
+NODE_ARRAYS = {
+    "feature": np.int64, "threshold": np.float64, "left": np.int64,
+    "right": np.int64, "value": np.float64, "n_samples": np.int64,
+}
 
 
 @dataclass(eq=False)
 class TreeModel:
-    root: TreeNode
+    """A fitted tree: node arrays in preorder, node 0 the root.
+
+    feature, threshold, left, right and n_samples are (k,); value is
+    (k, m). A node with feature -1 is a leaf; an inner node sends a row to
+    left when ``x[feature] <= threshold``. Building one raises ValueError
+    when the arrays have unequal lengths, value is not 2-d, or an inner
+    node splits on a feature outside [0, n_features) or has a child that
+    does not come after it (which also rules out cycles).
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
     n_features: int
-    n_outputs: int
     max_depth: int | None
     min_samples_leaf: int
+
+    def __post_init__(self):
+        for name, dtype in NODE_ARRAYS.items():
+            setattr(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        if self.value.ndim != 2 or len(self.value) == 0:
+            raise ValueError(f"tree value must be 2-d with a row per node, "
+                             f"got shape {self.value.shape}")
+        k = len(self.value)
+        if any(getattr(self, name).shape != (k,) for name in NODE_ARRAYS if name != "value"):
+            shapes = ", ".join(f"{name} {getattr(self, name).shape}" for name in NODE_ARRAYS)
+            raise ValueError(f"tree node arrays have unequal lengths: {shapes}")
+        inner = np.flatnonzero(self.feature >= 0)
+        wide = inner[self.feature[inner] >= self.n_features]
+        if wide.size:
+            i = int(wide[0])
+            raise ValueError(f"tree node {i} splits on feature {self.feature[i]}, "
+                             f"outside [0, {self.n_features})")
+        left, right = self.left[inner], self.right[inner]
+        bad = inner[~((inner < left) & (left < k) & (inner < right) & (right < k))]
+        if bad.size:
+            i = int(bad[0])
+            raise ValueError(f"tree node {i} has children {self.left[i]} and "
+                             f"{self.right[i]}, not later nodes")
 
 
 def _presort(X: np.ndarray) -> np.ndarray:
@@ -112,49 +148,55 @@ def _node_sse(Y: np.ndarray) -> float:
     return float(np.maximum(tot2 - tot1 * tot1 / Y.shape[0], 0.0).sum())
 
 
-def _node(Y: np.ndarray, depth: int, max_depth: int | None, min_leaf: int):
-    """A leaf for the node whose targets are Y, and its squared error if
-    it may still split (None when it may not)."""
-    node = TreeNode(value=Y.mean(axis=0), n_samples=Y.shape[0])
+def _open_sse(Y: np.ndarray, depth: int, max_depth: int | None, min_leaf: int):
+    """The squared error of the node whose targets are Y, or None when it
+    may not split."""
     if max_depth is not None and depth >= max_depth:
-        return node, None
+        return None
     if Y.shape[0] < 2 * min_leaf or np.all(Y == Y[0]):
-        return node, None
-    return node, _node_sse(Y)
+        return None
+    return _node_sse(Y)
 
 
-def _grow(X, Y, max_depth, min_leaf) -> TreeNode:
-    """Grow depth first from an explicit stack of open nodes."""
-    root, sse = _node(Y, 0, max_depth, min_leaf)
-    if sse is None:
-        return root
+def _grow(X, Y, max_depth, min_leaf) -> dict[str, list]:
+    """Grow depth first from an explicit stack; returns the node lists.
+
+    A node takes its preorder id when it is popped, and the left child is
+    pushed last, so it pops first. Only a node that may split carries its
+    share of the sorted lists.
+    """
+    nodes = {name: [] for name in NODE_ARRAYS}
+    sse = _open_sse(Y, 0, max_depth, min_leaf)
     goes_left = np.empty(X.shape[0], dtype=bool)  # indexed by row id
-    stack = [(root, sse, np.arange(X.shape[0]), _presort(X), 0)]
+    # (rows, squared error or None, sorted lists, depth, parent's link list, parent id)
+    stack = [(np.arange(X.shape[0]), sse, None if sse is None else _presort(X), 0, None, -1)]
     while stack:
-        node, sse, rows, order, depth = stack.pop()
+        rows, sse, order, depth, links, parent = stack.pop()
+        node = len(nodes["feature"])
+        if links is not None:
+            links[parent] = node
+        for name, entry in zip(NODE_ARRAYS, (-1, 0.0, -1, -1, Y[rows].mean(axis=0), len(rows))):
+            nodes[name].append(entry)
+        if sse is None:
+            continue
         found = _best_split(X, Y, order, min_leaf)
         if found is None or found[0] >= sse:
             continue  # no error reduction
-        _, node.feature, node.threshold = found
-        left = X[rows, node.feature] <= node.threshold
-        node.left, left_sse = _node(Y[rows[left]], depth + 1, max_depth, min_leaf)
-        node.right, right_sse = _node(Y[rows[~left]], depth + 1, max_depth, min_leaf)
-        if left_sse is None and right_sse is None:
-            continue
-        goes_left[rows] = left
+        _, feature, threshold = found
+        nodes["feature"][node], nodes["threshold"][node] = feature, threshold
+        go = X[rows, feature] <= threshold
+        goes_left[rows] = go
         in_left = goes_left[order]
-        # the left child goes on top, so it grows first
-        if right_sse is not None:
-            stack.append((node.right, right_sse, rows[~left],
-                          order[~in_left].reshape(len(order), -1), depth + 1))
-        if left_sse is not None:
-            stack.append((node.left, left_sse, rows[left],
-                          order[in_left].reshape(len(order), -1), depth + 1))
-    return root
+        # the right child is pushed first, so the left one grows first
+        for side, keep, links in ((~go, ~in_left, nodes["right"]), (go, in_left, nodes["left"])):
+            child_sse = _open_sse(Y[rows[side]], depth + 1, max_depth, min_leaf)
+            child_order = None if child_sse is None else order[keep].reshape(len(order), -1)
+            stack.append((rows[side], child_sse, child_order, depth + 1, links, node))
+    return nodes
 
 
 def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> TreeModel:
-    """Grow a regression tree.
+    """Grow a regression tree and return its preorder node arrays.
 
     max_depth=None grows until leaves are pure or too small, which makes
     the tree reproduce its training targets exactly when feature rows are
@@ -171,100 +213,37 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if min_samples_leaf < 1:
         raise ValueError(f"min_samples_leaf must be at least 1, got {min_samples_leaf}")
-    root = _grow(X, Y, max_depth, min_samples_leaf)
-    return TreeModel(
-        root=root,
-        n_features=X.shape[1],
-        n_outputs=Y.shape[1],
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-    )
+    return TreeModel(**_grow(X, Y, max_depth, min_samples_leaf), n_features=X.shape[1],
+                     max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 
 
 def tree_predict(model: TreeModel, X) -> np.ndarray:
-    """Route rows down the tree and emit leaf means."""
+    """Route all rows down the tree together, one level per step, and
+    emit the mean target of the leaf each one reaches."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise ValueError(f"X must be (n, {model.n_features})")
-    out = np.empty((X.shape[0], model.n_outputs))
-    stack = [(model.root, np.arange(X.shape[0]))]
-    while stack:
-        node, idx = stack.pop()
-        if idx.size == 0:
-            continue
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        go_left = X[idx, node.feature] <= node.threshold
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
-    return out
+    node = np.zeros(X.shape[0], dtype=np.int64)
+    rows = np.arange(X.shape[0])  # the rows still at an inner node
+    while rows.size:
+        at = node[rows]
+        inner = model.feature[at] >= 0
+        rows, at = rows[inner], at[inner]
+        go_left = X[rows, model.feature[at]] <= model.threshold[at]
+        node[rows] = np.where(go_left, model.left[at], model.right[at])
+    return model.value[node]
 
 
 def tree_depth(model: TreeModel) -> int:
-    """Longest root-to-leaf edge count."""
-    deepest = 0
-    stack = [(model.root, 0)]
-    while stack:
-        node, depth = stack.pop()
-        if node.is_leaf:
-            deepest = max(deepest, depth)
-        else:
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
-    return deepest
+    """Longest root-to-leaf edge count, from one forward pass over the
+    nodes (each parent comes before its children)."""
+    left, right = model.left.tolist(), model.right.tolist()
+    depth = [0] * len(left)
+    for i in np.flatnonzero(model.feature >= 0).tolist():
+        depth[left[i]] = depth[right[i]] = depth[i] + 1
+    return max(depth)
 
 
 def flatten_tree(model: TreeModel) -> dict[str, np.ndarray]:
-    """Array form (preorder) used by model serialization."""
-    features, thresholds, lefts, rights, values, counts = [], [], [], [], [], []
-    stack = [(model.root, None, -1)]  # (node, parent's child list, parent id)
-    while stack:
-        node, links, parent = stack.pop()
-        my_id = len(features)
-        if links is not None:
-            links[parent] = my_id
-        features.append(node.feature)
-        thresholds.append(node.threshold)
-        lefts.append(-1)
-        rights.append(-1)
-        values.append(node.value)
-        counts.append(node.n_samples)
-        if not node.is_leaf:
-            stack += [(node.right, rights, my_id), (node.left, lefts, my_id)]
-    return {
-        "feature": np.array(features, dtype=np.int64),
-        "threshold": np.array(thresholds, dtype=np.float64),
-        "left": np.array(lefts, dtype=np.int64),
-        "right": np.array(rights, dtype=np.int64),
-        "value": np.stack(values),
-        "n_samples": np.array(counts, dtype=np.int64),
-    }
-
-
-def unflatten_tree(arrays: dict[str, np.ndarray], n_features: int,
-                   max_depth: int | None, min_samples_leaf: int) -> TreeModel:
-    """Rebuild a TreeModel from flatten_tree arrays.
-
-    Raises ValueError when an inner node's children do not come after it
-    (preorder), which also rules out cycles.
-    """
-    nodes = [
-        TreeNode(value=value.copy(), n_samples=int(count), feature=int(feature),
-                 threshold=float(threshold))
-        for value, count, feature, threshold in zip(
-            arrays["value"], arrays["n_samples"], arrays["feature"], arrays["threshold"])
-    ]
-    for i, node in enumerate(nodes):
-        if node.is_leaf:
-            continue
-        left, right = int(arrays["left"][i]), int(arrays["right"][i])
-        if not (i < left < len(nodes) and i < right < len(nodes)):
-            raise ValueError(f"tree node {i} has children {left} and {right}, not later nodes")
-        node.left, node.right = nodes[left], nodes[right]
-    return TreeModel(
-        root=nodes[0],
-        n_features=n_features,
-        n_outputs=arrays["value"].shape[1],
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-    )
+    """The model's node arrays by name, in file order (not copies)."""
+    return {name: getattr(model, name) for name in NODE_ARRAYS}

@@ -1,14 +1,13 @@
 """Raster output: keypoint overlays, keypoint scatter maps, LBP images.
 
 Files are binary PPM (P6) / PGM (P5) with maxval 255, written
-deterministically so identical inputs produce identical bytes. Readers
-for both formats are included so outputs can be checked in tests.
+deterministically so identical inputs produce identical bytes. The
+package writes these files and never reads them.
 """
 
 from __future__ import annotations
 
 import math
-import re
 
 import numpy as np
 
@@ -42,37 +41,6 @@ def write_ppm(path, rgb: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P6\n{rgb.shape[1]} {rgb.shape[0]}\n255\n".encode())
         fh.write(rgb.tobytes())
-
-
-def _read_netpbm(path, magic: bytes) -> np.ndarray:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(magic):
-        raise VizError(f"{path}: expected {magic.decode()} file")
-    # header: magic, width, height, maxval; single whitespace separators
-    m = re.match(rb"(P[56])\s+(\d+)\s+(\d+)\s+(\d+)\s", data)
-    if m is None:
-        raise VizError(f"{path}: malformed header")
-    width, height, maxval = int(m.group(2)), int(m.group(3)), int(m.group(4))
-    if maxval != 255:
-        raise VizError(f"{path}: only maxval 255 is supported")
-    body = data[m.end():]
-    channels = 3 if magic == b"P6" else 1
-    expected = width * height * channels
-    if len(body) != expected:
-        raise VizError(f"{path}: expected {expected} pixel bytes, got {len(body)}")
-    arr = np.frombuffer(body, dtype=np.uint8)
-    if channels == 3:
-        return arr.reshape(height, width, 3).copy()
-    return arr.reshape(height, width).copy()
-
-
-def read_ppm(path) -> np.ndarray:
-    return _read_netpbm(path, b"P6")
-
-
-def read_pgm(path) -> np.ndarray:
-    return _read_netpbm(path, b"P5")
 
 
 def _stamp(canvas: np.ndarray, x: float, y: float, color: tuple[int, int, int]) -> None:

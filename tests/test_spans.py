@@ -1,16 +1,20 @@
 """perfbench's span targets name functions that exist.
 
 perfbench/spans.py records a traced run's layer times by rebinding the
-functions in its TARGETS list, and only warns when one is gone. This test
-fails instead, so a refactor that renames or inlines a traced function
-updates the list in the same change.
+functions in its TARGETS list, and only warns when one is gone or when an
+observer of a finished span fails. These tests fail instead, so a
+refactor that renames or inlines a traced function, or one the tree
+observer reads, updates perfbench in the same change.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import facekeys.cli  # noqa: F401  imports every module the targets name
+from facekeys import regressors
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -24,3 +28,22 @@ def test_every_span_target_resolves_to_a_callable(monkeypatch):
     finally:
         sys.modules.pop("spans", None)
     assert missing == []
+
+
+def test_traced_tree_fit_records_depth_and_leaves(monkeypatch, capsys):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        spans = importlib.import_module("spans")
+        tracer = spans.Tracer()
+        instrumentation = spans.Instrumentation(tracer)
+        instrumentation.apply()
+        try:
+            X = np.arange(8.0)[:, None]
+            regressors.fit_any(regressors.RegressorSpec("tree", {"max_depth": 2}), X, X ** 2)
+        finally:
+            instrumentation.restore()
+    finally:
+        sys.modules.pop("spans", None)
+    fits = [s for s in tracer.spans if s.name == "regressors.tree.fit"]
+    assert [(s.attrs["depth"], s.attrs["leaves"]) for s in fits] == [(2, 4)]
+    assert "perfbench: warning" not in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,13 +8,50 @@ import pytest
 from facekeys.regressors import tree as tree_module
 from facekeys.regressors.tree import (
     TreeModel,
-    TreeNode,
     flatten_tree,
     tree_depth,
     tree_fit,
     tree_predict,
-    unflatten_tree,
 )
+
+
+@dataclass(eq=False)
+class Node:
+    """One node of the reference grower's object graph."""
+
+    value: np.ndarray  # (m,) mean target of the node's rows
+    n_samples: int
+    feature: int = -1  # -1 marks a leaf
+    threshold: float = 0.0
+    left: "Node | None" = None
+    right: "Node | None" = None
+
+
+def preorder_arrays(root: Node) -> dict[str, np.ndarray]:
+    """The node arrays of a graph in preorder: node, left subtree, right subtree."""
+    features, thresholds, lefts, rights, values, counts = [], [], [], [], [], []
+    stack = [(root, None, -1)]  # (node, parent's child list, parent id)
+    while stack:
+        node, links, parent = stack.pop()
+        my_id = len(features)
+        if links is not None:
+            links[parent] = my_id
+        features.append(node.feature)
+        thresholds.append(node.threshold)
+        lefts.append(-1)
+        rights.append(-1)
+        values.append(node.value)
+        counts.append(node.n_samples)
+        if node.feature >= 0:
+            stack += [(node.right, rights, my_id), (node.left, lefts, my_id)]
+    return {
+        "feature": np.array(features, dtype=np.int64),
+        "threshold": np.array(thresholds, dtype=np.float64),
+        "left": np.array(lefts, dtype=np.int64),
+        "right": np.array(rights, dtype=np.int64),
+        "value": np.stack(values),
+        "n_samples": np.array(counts, dtype=np.int64),
+    }
 
 
 def reference_sse_split_scan(x, Y, min_leaf):
@@ -70,8 +108,8 @@ def reference_best_split(X, Y, min_leaf):
     return best
 
 
-def reference_grow(X, Y, depth, max_depth, min_leaf) -> TreeNode:
-    node = TreeNode(value=Y.mean(axis=0), n_samples=X.shape[0])
+def reference_grow(X, Y, depth, max_depth, min_leaf) -> Node:
+    node = Node(value=Y.mean(axis=0), n_samples=X.shape[0])
     if max_depth is not None and depth >= max_depth:
         return node
     if X.shape[0] < 2 * min_leaf:
@@ -92,15 +130,14 @@ def reference_grow(X, Y, depth, max_depth, min_leaf) -> TreeNode:
     return node
 
 
-def reference_tree_fit(X, Y, max_depth=5, min_samples_leaf=1) -> TreeModel:
-    """The recursive grower with one argsort per column per node."""
+def reference_tree_fit(X, Y, max_depth=5, min_samples_leaf=1) -> dict[str, np.ndarray]:
+    """The recursive grower with one argsort per column per node, as
+    preorder node arrays."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if Y.ndim == 1:
         Y = Y[:, None]
-    root = reference_grow(X, Y, 0, max_depth, min_samples_leaf)
-    return TreeModel(root=root, n_features=X.shape[1], n_outputs=Y.shape[1],
-                     max_depth=max_depth, min_samples_leaf=min_samples_leaf)
+    return preorder_arrays(reference_grow(X, Y, 0, max_depth, min_samples_leaf))
 
 
 def oracle_greedy_loss(X, Y, max_depth, min_leaf=1) -> float:
@@ -148,12 +185,15 @@ def model_loss(model, X, Y) -> float:
     return float(((tree_predict(model, X) - Y) ** 2).sum())
 
 
-def leaves(node):
-    if node.is_leaf:
-        yield node
-    else:
-        yield from leaves(node.left)
-        yield from leaves(node.right)
+def leaf_sizes(model):
+    return model.n_samples[model.feature < 0]
+
+
+def rebuilt(arrays, n_features=1, max_depth=None, min_samples_leaf=1) -> TreeModel:
+    """A TreeModel built from copies of node arrays."""
+    return TreeModel(**{name: arr.copy() for name, arr in arrays.items()},
+                     n_features=n_features, max_depth=max_depth,
+                     min_samples_leaf=min_samples_leaf)
 
 
 def test_single_split_hand_fixture():
@@ -161,10 +201,10 @@ def test_single_split_hand_fixture():
     Y = np.array([0.0, 0.0, 10.0, 10.0])
     model = tree_fit(X, Y, max_depth=5)
     assert tree_depth(model) == 1
-    assert model.root.feature == 0
-    assert model.root.threshold == 1.5
-    assert np.allclose(model.root.left.value, [0.0])
-    assert np.allclose(model.root.right.value, [10.0])
+    assert model.feature[0] == 0
+    assert model.threshold[0] == 1.5
+    assert np.allclose(model.value[model.left[0]], [0.0])
+    assert np.allclose(model.value[model.right[0]], [10.0])
     preds = tree_predict(model, [[0.5], [1.5], [2.9]])
     # values at the threshold route left
     assert np.allclose(preds[:, 0], [0.0, 0.0, 10.0])
@@ -173,7 +213,7 @@ def test_single_split_hand_fixture():
 def test_constant_target_is_single_leaf():
     X = np.arange(8.0)[:, None]
     model = tree_fit(X, np.full(8, 3.25), max_depth=None)
-    assert model.root.is_leaf
+    assert model.feature.tolist() == [-1]
     assert tree_depth(model) == 0
     assert np.allclose(tree_predict(model, X), 3.25)
 
@@ -193,7 +233,7 @@ def test_max_depth_is_respected():
     for depth in (0, 1, 2, 3):
         model = tree_fit(X, Y, max_depth=depth)
         assert tree_depth(model) <= depth
-    assert tree_fit(X, Y, max_depth=0).root.is_leaf
+    assert tree_fit(X, Y, max_depth=0).feature.tolist() == [-1]
 
 
 def test_min_samples_leaf_is_respected():
@@ -202,7 +242,7 @@ def test_min_samples_leaf_is_respected():
     Y = rng.normal(size=(50, 1))
     for min_leaf in (1, 3, 10):
         model = tree_fit(X, Y, max_depth=None, min_samples_leaf=min_leaf)
-        sizes = [leaf.n_samples for leaf in leaves(model.root)]
+        sizes = leaf_sizes(model)
         assert min(sizes) >= min_leaf
         assert sum(sizes) == 50
 
@@ -224,7 +264,7 @@ def test_split_ties_prefer_lowest_feature():
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     Y = np.array([0.0, 0.0, 10.0, 10.0])
     model = tree_fit(X, Y, max_depth=1)
-    assert model.root.feature == 0
+    assert model.feature[0] == 0
 
 
 def test_split_ties_prefer_lowest_threshold():
@@ -232,7 +272,7 @@ def test_split_ties_prefer_lowest_threshold():
     X = np.array([[0.0], [1.0], [2.0]])
     Y = np.array([0.0, 10.0, 20.0])
     model = tree_fit(X, Y, max_depth=1)
-    assert model.root.threshold == 0.5
+    assert model.threshold[0] == 0.5
 
 
 def test_adjacent_float_values_still_partition():
@@ -243,16 +283,15 @@ def test_adjacent_float_values_still_partition():
     model = tree_fit(X, Y, max_depth=None)
     # every leaf reachable, training data memorized despite midpoint rounding
     assert np.allclose(tree_predict(model, X)[:, 0], Y)
-    for leaf in leaves(model.root):
-        assert leaf.n_samples == 1
+    assert leaf_sizes(model).tolist() == [1, 1, 1]
 
 
 def test_duplicate_rows_fall_back_to_leaf():
     X = np.ones((5, 2))
     Y = np.arange(5.0)
     model = tree_fit(X, Y, max_depth=None)
-    assert model.root.is_leaf
-    assert np.allclose(model.root.value, [2.0])
+    assert model.feature.tolist() == [-1]
+    assert np.allclose(model.value[0], [2.0])
 
 
 def test_multi_output_uses_summed_error():
@@ -261,7 +300,7 @@ def test_multi_output_uses_summed_error():
     X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
     Y = np.column_stack([X[:, 0], 100.0 * X[:, 1]])
     model = tree_fit(X, Y, max_depth=1)
-    assert model.root.feature == 1
+    assert model.feature[0] == 1
 
 
 def test_flatten_round_trip():
@@ -270,8 +309,7 @@ def test_flatten_round_trip():
     Y = rng.normal(size=(30, 2))
     model = tree_fit(X, Y, max_depth=4, min_samples_leaf=2)
     arrays = flatten_tree(model)
-    back = unflatten_tree(arrays, model.n_features, model.max_depth,
-                          model.min_samples_leaf)
+    back = rebuilt(arrays, model.n_features, model.max_depth, model.min_samples_leaf)
     Q = rng.normal(size=(20, 4))
     assert np.array_equal(tree_predict(back, Q), tree_predict(model, Q))
     again = flatten_tree(back)
@@ -293,8 +331,8 @@ def test_validation():
         tree_predict(model, np.zeros((2, 5)))
 
 
-def assert_same_tree(model, reference):
-    got, want = flatten_tree(model), flatten_tree(reference)
+def assert_same_tree(model, want):
+    got = flatten_tree(model)
     assert got.keys() == want.keys()
     for key in want:
         assert got[key].dtype == want[key].dtype, key
@@ -348,14 +386,29 @@ def test_small_passes_equal_reference(monkeypatch):
 
 
 def _chain(depth):
-    """A hand-built tree whose right spine is depth inner nodes long."""
-    leaf = TreeNode(value=np.array([float(depth)]), n_samples=1)
-    node = leaf
-    for i in reversed(range(depth)):
-        node = TreeNode(value=np.array([float(i)]), n_samples=depth - i + 1, feature=0,
-                        threshold=float(i), left=TreeNode(value=np.array([-1.0]), n_samples=1),
-                        right=node)
-    return TreeModel(root=node, n_features=1, n_outputs=1, max_depth=None, min_samples_leaf=1)
+    """A hand-built tree whose right spine is depth inner nodes long.
+
+    Inner node i has id 2i, threshold i and value i; its left leaf (value
+    -1) comes next and its right child after that. The last leaf has id
+    2 * depth and value depth.
+    """
+    k = 2 * depth + 1
+    inner = np.arange(0, k - 1, 2)
+    feature = np.full(k, -1)
+    feature[inner] = 0
+    threshold = np.zeros(k)
+    threshold[inner] = np.arange(depth)
+    left = np.full(k, -1)
+    left[inner] = inner + 1
+    right = np.full(k, -1)
+    right[inner] = inner + 2
+    value = np.full((k, 1), -1.0)
+    value[inner, 0] = np.arange(depth)
+    value[-1, 0] = depth
+    n_samples = np.ones(k, dtype=np.int64)
+    n_samples[inner] = depth - np.arange(depth) + 1
+    return TreeModel(feature, threshold, left, right, value, n_samples,
+                     n_features=1, max_depth=None, min_samples_leaf=1)
 
 
 def test_deep_chain_round_trips():
@@ -367,7 +420,7 @@ def test_deep_chain_round_trips():
     inner = np.flatnonzero(arrays["feature"] >= 0)
     assert np.array_equal(arrays["left"][inner], inner + 1)
     assert np.array_equal(arrays["right"][inner], inner + 2)
-    back = unflatten_tree(arrays, 1, None, 1)
+    back = rebuilt(arrays)
     assert tree_depth(back) == 3000
     again = flatten_tree(back)
     for key in arrays:
@@ -376,12 +429,41 @@ def test_deep_chain_round_trips():
     assert np.array_equal(tree_predict(back, Q)[:, 0], [3000.0, -1.0, -1.0])
 
 
-def test_unflatten_rejects_children_before_their_parent():
-    arrays = flatten_tree(_chain(2))
-    arrays["left"] = arrays["left"].copy()
+def test_model_rejects_children_before_their_parent():
+    arrays = {name: arr.copy() for name, arr in flatten_tree(_chain(2)).items()}
     arrays["left"][2] = 0  # a cycle back to the root
     with pytest.raises(ValueError, match="not later nodes"):
-        unflatten_tree(arrays, 1, None, 1)
+        TreeModel(**arrays, n_features=1, max_depth=None, min_samples_leaf=1)
+
+
+def _drop_last_threshold(arrays):
+    arrays["threshold"] = arrays["threshold"][:-1]
+
+
+def _flat_value(arrays):
+    arrays["value"] = arrays["value"][:, 0]
+
+
+def _wide_feature(arrays):
+    arrays["feature"][2] = 1
+
+
+def _negative_child(arrays):
+    arrays["right"][0] = -1
+
+
+@pytest.mark.parametrize("tamper,fragment", [
+    (_drop_last_threshold, "unequal lengths"),
+    (_flat_value, "2-d"),
+    (_wide_feature, "tree node 2 splits on feature 1, outside [0, 1)"),
+    (_negative_child, "tree node 0 has children 1 and -1"),
+])
+def test_model_rejects_malformed_arrays(tamper, fragment):
+    arrays = {name: arr.copy() for name, arr in flatten_tree(_chain(2)).items()}
+    tamper(arrays)
+    with pytest.raises(ValueError) as exc:
+        TreeModel(**arrays, n_features=1, max_depth=None, min_samples_leaf=1)
+    assert fragment in str(exc.value)
 
 
 def test_fit_deeper_than_the_recursion_limit():
@@ -396,7 +478,7 @@ def test_fit_deeper_than_the_recursion_limit():
         model = tree_fit(X, Y, max_depth=None)
         depth = tree_depth(model)
         arrays = flatten_tree(model)
-        back = unflatten_tree(arrays, 1, None, 1)
+        back = rebuilt(arrays)
     finally:
         sys.setrecursionlimit(limit)
     assert depth > 200

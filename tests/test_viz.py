@@ -1,4 +1,4 @@
-"""Raster writers/readers and the rendering helpers built on them."""
+"""Raster writers, the test readers that check them, and the rendering helpers."""
 
 import numpy as np
 import pytest
@@ -10,14 +10,13 @@ from facekeys.viz import (
     RED,
     VizError,
     marker_color,
-    read_pgm,
-    read_ppm,
     render_keypoints,
     render_lbp,
     scatter_keypoint_distribution,
     write_pgm,
     write_ppm,
 )
+from readers import read_pgm, read_ppm
 
 GRAY = np.uint8(100)
 
