@@ -160,20 +160,12 @@ def cmd_benchmark(args) -> int:
     overrides: dict = {"training_csv": _resolve_input(args.input or cfg.training_csv or None)}
     if args.full:  # first, so an explicit flag below wins
         overrides.update(ev.STUDY_SCALE)
-    if args.models:
-        overrides["models"] = tuple(m.strip() for m in args.models.split(","))
-    if args.pipelines:
-        overrides["pipelines"] = tuple(p.strip() for p in args.pipelines.split(","))
-    if args.tasks:
-        overrides["tasks"] = tuple(t.strip() for t in args.tasks.split(","))
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.max_rows is not None:
-        overrides["max_rows"] = args.max_rows
-    if args.mlp_epochs is not None:
-        overrides["mlp_epochs"] = args.mlp_epochs
-    if args.cnn_epochs is not None:
-        overrides["cnn_epochs"] = args.cnn_epochs
+    for name in ("models", "pipelines", "tasks", "seed", "max_rows", "mlp_epochs", "cnn_epochs"):
+        value = getattr(args, name)
+        if isinstance(value, str):  # a comma-separated list; empty sets nothing
+            value = tuple(v.strip() for v in value.split(",")) if value else None
+        if value is not None:
+            overrides[name] = value
     cfg = replace(cfg, **overrides)
 
     report = ev.run_benchmark(cfg)

@@ -152,6 +152,9 @@ def _mlp_model(meta, data) -> MlpModel:
     if meta["hidden_activation"] != "tanh":
         raise ConfigError(f"unsupported mlp hidden activation {meta['hidden_activation']!r}")
     n = int(meta["n_layers"])
+    stored = sorted(name for name in data.files if name.startswith("mlp_"))
+    if stored != sorted(f"mlp_{part}{i}" for i in range(n) for part in "bw"):
+        raise ConfigError(f"mlp meta n_layers is {n}, but the file holds arrays {stored}")
     return MlpModel(
         weights=[data[f"mlp_w{i}"] for i in range(n)],
         biases=[data[f"mlp_b{i}"] for i in range(n)],

@@ -6,8 +6,9 @@ conv 32@5x5 (same padding) -> ReLU -> 2x2 max pool -> dropout, conv
 8@3x3 (same padding) -> ReLU -> 2x2 max pool -> dropout, flatten
 ((side/4)^2 * 8, 128 at side 16) -> dense 100 tanh -> dropout -> linear
 output. Convolution and pooling forward/backward are written out by
-hand; the loss is MSE and targets train in the scaled space
-y' = (y - 48) / 48.
+hand; the dense head is the MLP's code. The loss is MSE and targets
+train in the scaled space y' = (y - 48) / 48. The arrays of a fit are
+views of one parameter vector.
 
 Layout and blocking. Activations are held channel-major, (c, n, h, w),
 and a convolution's patches as one (c*kh*kw, n*h*w) matrix with rows in
@@ -17,7 +18,7 @@ over all n*h*w contiguous cells of a block instead of one row's few
 cells. Each offset's patch gradient is added straight into the padded
 input gradient, so no patch-gradient array is formed. Both convolution
 stages run on row blocks of _BLOCK_CELLS grid cells, which keeps a
-block's patches and activations in cache; the dense stages take all rows
+block's patches and activations in cache; the dense head takes all rows
 at once. Training, the epoch loss and cnn_predict share this code. The
 deterministic passes keep no block's caches, so a predict holds one
 block's patches, not all n rows'.
@@ -35,7 +36,7 @@ its layers as the reference. The reasons:
   dot product and round differently. So each row adds its own einsum, and
   the bias gradient adds each row's cell sums the same way.
 - OpenBLAS rounds a product differently for different row counts, so the
-  dense stages never run on row blocks.
+  dense head never runs on row blocks.
 - Dropout masks keep their (n, c, h, w) shape and are read through
   transposed views. Pooling, relu and masking are elementwise and exact.
 """
@@ -48,7 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._inputs import check_fit_inputs
-from .optim import glorot_uniform, make_optimizer, mse_loss_and_grad, train
+from .mlp import _backward as _head_backward, _forward as _head_forward
+from .optim import glorot_uniform, mse_loss_and_grad, param_vector, train
 
 PARAM_NAMES = (
     "conv1_w", "conv1_b", "conv2_w", "conv2_b",
@@ -67,10 +69,6 @@ class CnnModel:
     target_offset: float = 0.0
     target_scale: float = 1.0
     loss_history: list[float] = field(default_factory=list)
-
-    @property
-    def n_outputs(self) -> int:
-        return self.params["out_b"].shape[0]
 
 
 def grid_side(n_features: int) -> int | None:
@@ -238,12 +236,9 @@ def _conv_stages(p: dict[str, np.ndarray], X: np.ndarray, masks=None):
     return _channel_major(d2).reshape(X.shape[0], -1), (conv1, pool1, conv2, pool2)
 
 
-def _dense_stages(p: dict[str, np.ndarray], flat: np.ndarray, masks=None):
-    """dense tanh -> dropout -> linear output; the output and the tanh
-    activations before and after dropout."""
-    h = np.tanh(flat @ p["dense_w"] + p["dense_b"])
-    hd = h * masks["dense"] if masks else h
-    return hd @ p["out_w"] + p["out_b"], h, hd
+def _head(p: dict[str, np.ndarray]):
+    """The dense head's weights and biases, as the MLP holds them."""
+    return [p["dense_w"], p["out_w"]], [p["dense_b"], p["out_b"]]
 
 
 def _forward(
@@ -253,7 +248,7 @@ def _forward(
 ):
     """Network output for (n, side, side) grids, and the cache backprop reads.
 
-    The convolution stages run on row blocks, the dense stages on all rows
+    The convolution stages run on row blocks, the dense head on all rows
     at once. masks, when given, holds dropout masks under keys 'pool1',
     'pool2', 'dense', (n, ...) each; None runs the deterministic network.
     """
@@ -263,8 +258,8 @@ def _forward(
         block_masks = {k: masks[k][rows] for k in ("pool1", "pool2")} if masks else None
         flat[rows], caches = _conv_stages(p, X[rows], block_masks)
         blocks.append((rows, caches))
-    pred, h, hd = _dense_stages(p, flat, masks)
-    return pred, (blocks, flat, h, hd)
+    pred, head = _head_forward(*_head(p), flat, [masks["dense"]] if masks else None)
+    return pred, (blocks, head)
 
 
 def _output(p: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
@@ -272,7 +267,7 @@ def _output(p: dict[str, np.ndarray], X: np.ndarray) -> np.ndarray:
     flat = np.empty((X.shape[0], p["dense_w"].shape[0]))
     for rows in _row_blocks(X):
         flat[rows] = _conv_stages(p, X[rows])[0]
-    return _dense_stages(p, flat)[0]
+    return _head_forward(*_head(p), flat)[0]
 
 
 def loss_and_gradients(
@@ -287,21 +282,13 @@ def loss_and_gradients(
     'dense', (n, ...) each; None runs the deterministic network.
     """
     p = model.params
-    pred, (blocks, flat, h, hd) = _forward(p, X, masks)
+    pred, (blocks, head) = _forward(p, X, masks)
     loss, dpred = mse_loss_and_grad(pred, Y)
     # the convolutions add their gradients block by block
     grads = {k: np.zeros_like(p[k]) for k in ("conv1_w", "conv1_b", "conv2_w", "conv2_b")}
-    grads["out_w"] = hd.T @ dpred
-    grads["out_b"] = dpred.sum(axis=0)
-
-    dh = dpred @ p["out_w"].T
-    if masks:
-        dh = dh * masks["dense"]
-    dz = dh * (1.0 - h * h)
-    grads["dense_w"] = flat.T @ dz
-    grads["dense_b"] = dz.sum(axis=0)
-
-    dd2 = dz @ p["dense_w"].T
+    (grads["dense_w"], grads["out_w"]), (grads["dense_b"], grads["out_b"]), dd2 = _head_backward(
+        _head(p)[0], head, dpred, [masks["dense"]] if masks else None, input_grad=True
+    )
     for rows, (conv1, pool1, conv2, pool2) in blocks:
         dd = dd2[rows].reshape(_channel_major(pool2[1]).shape)
         if masks:
@@ -346,11 +333,6 @@ def cnn_fit(
     if X.shape[0] == 0:
         raise ValueError("cannot fit a cnn on 0 rows")
     Y = check_fit_inputs(X.reshape(X.shape[0], -1), Y)[1]
-    for rate in (dropout_conv, dropout_dense):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rates must be in [0, 1), got {rate}")
-    if epochs < 0 or batch_size < 1:
-        raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
     model = init_cnn(X.shape[1], Y.shape[1], seed)
     model.dropout_conv = dropout_conv
@@ -359,7 +341,8 @@ def cnn_fit(
         model.target_offset, model.target_scale = 48.0, 48.0
     Ys = (Y - model.target_offset) / model.target_scale
 
-    params = [model.params[k] for k in PARAM_NAMES]
+    params, views = param_vector([model.params[k] for k in PARAM_NAMES])
+    model.params = dict(zip(PARAM_NAMES, views))
     half, quarter = model.side // 2, model.side // 4
 
     def batch_step(rows, masks):
@@ -368,19 +351,16 @@ def cnn_fit(
         loss, grads = loss_and_gradients(model, X[rows], Ys[rows], masks)
         return loss, [grads[k] for k in PARAM_NAMES]
 
-    def full_loss():
-        return mse_loss_and_grad(_output(model.params, X), Ys)[0]
-
     # all three masks are drawn whenever either rate is above 0
     model.loss_history = train(
-        params, make_optimizer(optimizer, params, learning_rate, momentum, rms_decay),
-        X.shape[0], epochs=epochs, batch_size=batch_size, seed=seed,
+        params, Ys, optimizer=optimizer, learning_rate=learning_rate,
+        momentum=momentum, rms_decay=rms_decay, epochs=epochs, batch_size=batch_size, seed=seed,
         dropout=[
             ((32, half, half), dropout_conv),
             ((8, quarter, quarter), dropout_conv),
             ((100,), dropout_dense),
         ],
-        batch_step=batch_step, full_loss=full_loss, name="cnn",
+        batch_step=batch_step, predict=lambda: _output(model.params, X), name="cnn",
     )
     return model
 

@@ -11,17 +11,26 @@ from ._inputs import check_fit_inputs
 
 @dataclass(eq=False)
 class KnnModel:
-    """Stored training matrix; prediction averages the k nearest rows."""
+    """Stored training matrix; prediction averages the k nearest rows.
+
+    Building one raises ValueError unless X and Y are 2-d with one row
+    per training row and k is in [1, n].
+    """
 
     X: np.ndarray  # (n, d)
     Y: np.ndarray  # (n, m)
     k: int
 
+    def __post_init__(self):
+        if self.X.ndim != 2 or self.Y.ndim != 2 or len(self.X) != len(self.Y):
+            raise ValueError(f"knn X and Y must be 2-d with matching row counts, "
+                             f"got shapes {self.X.shape} and {self.Y.shape}")
+        if not 1 <= self.k <= len(self.X):
+            raise ValueError(f"k must be in [1, {len(self.X)}], got {self.k}")
+
 
 def knn_fit(X, Y, k: int = 5) -> KnnModel:
     X, Y = check_fit_inputs(X, Y)
-    if not 1 <= k <= X.shape[0]:
-        raise ValueError(f"k must be in [1, {X.shape[0]}], got {k}")
     return KnnModel(X=X.copy(), Y=Y.copy(), k=k)
 
 

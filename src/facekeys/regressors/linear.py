@@ -200,12 +200,10 @@ def lasso_fit(X, Y, alpha: float = 0.1, max_iter: int = 1000, tol: float = 1e-6)
     active rows moves no coefficient by tol or more and no zero row
     violates its condition; max_iter caps the sweeps. Non-convergence
     is reported through the model's converged flag, not an exception.
+    It is elastic_fit at rho=1, whose penalties are then exactly alpha
+    and 0.0.
     """
-    _check_cd(alpha, max_iter, tol)
-    X, Y = _check_xy(X, Y)
-    Xc, Yc, x_mean, y_mean = _center(X, Y)
-    W, converged = _coordinate_descent(Xc, Yc, alpha, 0.0, max_iter, tol)
-    return LinearModel(weights=W, intercept=y_mean - x_mean @ W, converged=converged)
+    return elastic_fit(X, Y, alpha, 1.0, max_iter, tol)
 
 
 def elastic_fit(

@@ -5,7 +5,8 @@ linear, and the loss is mean squared error. Training runs mini-batch
 SGD-with-momentum or RMSprop with inverted dropout on hidden activations.
 Target coordinates are fit in the scaled space y' = (y - 48) / 48 and
 mapped back at prediction time, which keeps the linear output head in
-tanh-friendly range.
+tanh-friendly range. The weights and biases of a fit are views of one
+parameter vector. The CNN's dense head runs _forward and _backward.
 """
 
 from __future__ import annotations
@@ -15,12 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._inputs import check_fit_inputs
-from .optim import glorot_uniform, make_optimizer, mse_loss_and_grad, train
+from .optim import glorot_uniform, mse_loss_and_grad, param_vector, train
 
 
 @dataclass(eq=False)
 class MlpModel:
-    """Weights/biases per layer plus the target scaling used in training."""
+    """Weights/biases per layer plus the target scaling used in training.
+
+    Building one raises ValueError unless there is at least one layer,
+    each weight is 2-d with a bias of its fan_out, and each layer's fan_in
+    is the previous layer's fan_out.
+    """
 
     weights: list[np.ndarray]  # layer i: (fan_in, fan_out)
     biases: list[np.ndarray]
@@ -28,13 +34,19 @@ class MlpModel:
     target_scale: float = 1.0
     loss_history: list[float] = field(default_factory=list)
 
+    def __post_init__(self):
+        layers = list(zip(self.weights, self.biases))
+        if not (
+            layers and len(self.weights) == len(self.biases)
+            and all(w.ndim == 2 and b.shape == (w.shape[1],) for w, b in layers)
+            and all(a.shape[1] == w.shape[0] for a, w in zip(self.weights, self.weights[1:]))
+        ):
+            raise ValueError(f"mlp layers do not chain: weights {[w.shape for w in self.weights]}, "
+                             f"biases {[b.shape for b in self.biases]}")
+
     @property
     def n_inputs(self) -> int:
         return self.weights[0].shape[0]
-
-    @property
-    def n_outputs(self) -> int:
-        return self.weights[-1].shape[1]
 
 
 def _forward(
@@ -62,17 +74,10 @@ def forward(weights, biases, X, masks=None) -> np.ndarray:
     return _forward(weights, biases, X, masks)[0]
 
 
-def loss_and_gradients(
-    weights: list[np.ndarray],
-    biases: list[np.ndarray],
-    X: np.ndarray,
-    Y: np.ndarray,
-    masks: list[np.ndarray] | None = None,
-) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
-    """MSE loss and its gradients for every weight and bias tensor."""
-    pred, (acts, hs) = _forward(weights, biases, X, masks)
-    loss, dpred = mse_loss_and_grad(pred, Y)
-
+def _backward(weights, cache, dpred, masks=None, input_grad=False):
+    """Weight and bias gradients from the output gradient dpred and the
+    cache of _forward with the same masks; with input_grad, also dX."""
+    acts, hs = cache
     last = len(weights) - 1
     grads_w: list[np.ndarray] = [None] * len(weights)
     grads_b: list[np.ndarray] = [None] * len(weights)
@@ -86,6 +91,20 @@ def loss_and_gradients(
         delta = delta * (1.0 - hs[i] * hs[i])
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
+    return grads_w, grads_b, delta @ weights[0].T if input_grad else None
+
+
+def loss_and_gradients(
+    weights: list[np.ndarray],
+    biases: list[np.ndarray],
+    X: np.ndarray,
+    Y: np.ndarray,
+    masks: list[np.ndarray] | None = None,
+) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+    """MSE loss and its gradients for every weight and bias tensor."""
+    pred, cache = _forward(weights, biases, X, masks)
+    loss, dpred = mse_loss_and_grad(pred, Y)
+    grads_w, grads_b, _ = _backward(weights, cache, dpred, masks)
     return loss, grads_w, grads_b
 
 
@@ -129,31 +148,25 @@ def mlp_fit(
     X, Y = check_fit_inputs(X, Y)
     if X.shape[0] == 0:
         raise ValueError("cannot fit an mlp on 0 rows")
-    if not 0.0 <= dropout < 1.0:
-        raise ValueError(f"dropout must be in [0, 1), got {dropout}")
-    if epochs < 0 or batch_size < 1:
-        raise ValueError("epochs must be >= 0 and batch_size >= 1")
 
     model = init_mlp(X.shape[1], tuple(hidden), Y.shape[1], seed)
     if scale_targets:
         model.target_offset, model.target_scale = 48.0, 48.0
     Ys = (Y - model.target_offset) / model.target_scale
 
-    params = model.weights + model.biases
+    k = len(model.weights)
+    params, views = param_vector(model.weights + model.biases)
+    model.weights, model.biases = views[:k], views[k:]
 
     def batch_step(rows, masks):
         loss, gw, gb = loss_and_gradients(model.weights, model.biases, X[rows], Ys[rows], masks)
         return loss, gw + gb
 
-    def full_loss():
-        pred = forward(model.weights, model.biases, X)
-        return mse_loss_and_grad(pred, Ys)[0]
-
     model.loss_history = train(
-        params, make_optimizer(optimizer, params, learning_rate, momentum, rms_decay),
-        X.shape[0], epochs=epochs, batch_size=batch_size, seed=seed,
+        params, Ys, optimizer=optimizer, learning_rate=learning_rate,
+        momentum=momentum, rms_decay=rms_decay, epochs=epochs, batch_size=batch_size, seed=seed,
         dropout=[((w.shape[1],), dropout) for w in model.weights[:-1]],
-        batch_step=batch_step, full_loss=full_loss, name="mlp",
+        batch_step=batch_step, predict=lambda: forward(model.weights, model.biases, X), name="mlp",
     )
     return model
 

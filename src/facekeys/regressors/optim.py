@@ -1,5 +1,7 @@
 """Shared pieces for the gradient-trained models: init, optimizers, loss,
-and the mini-batch training loop."""
+and the mini-batch training loop. A fit trains one parameter vector (see
+param_vector); the optimizers' updates are elementwise, so stepping it
+whole equals stepping each array on its own, bit for bit."""
 
 from __future__ import annotations
 
@@ -30,59 +32,63 @@ def dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
 
 
 class Sgd:
-    """SGD with classical momentum."""
+    """SGD with classical momentum on one parameter vector."""
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float = 0.01, momentum: float = 0.9):
+    def __init__(self, params: np.ndarray, learning_rate: float = 0.01, momentum: float = 0.9):
         self.lr = learning_rate
         self.momentum = momentum
-        self._velocity = [np.zeros_like(p) for p in params]
+        self._velocity = np.zeros_like(params)
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g, v in zip(params, grads, self._velocity):
-            v *= self.momentum
-            v -= self.lr * g
-            p += v
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        self._velocity *= self.momentum
+        self._velocity -= self.lr * grads
+        params += self._velocity
 
 
 class RmsProp:
-    """RMSprop with a decaying squared-gradient cache."""
+    """RMSprop with a decaying squared-gradient cache, on one parameter vector."""
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float = 0.001, decay: float = 0.9, eps: float = 1e-8):
+    def __init__(self, params: np.ndarray, learning_rate: float = 0.001, decay: float = 0.9, eps: float = 1e-8):
         self.lr = learning_rate
         self.decay = decay
         self.eps = eps
-        self._cache = [np.zeros_like(p) for p in params]
+        self._cache = np.zeros_like(params)
+        self._work = np.empty((2, *params.shape))
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
-        for p, g, c in zip(params, grads, self._cache):
-            c *= self.decay
-            t = (1.0 - self.decay) * g
-            t *= g
-            c += t
-            np.sqrt(c, out=t)
-            t += self.eps
-            step = self.lr * g
-            step /= t
-            p -= step
-
-
-_DEFAULT_LR = {"sgd": 0.01, "rmsprop": 0.001}
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        c, (t, step) = self._cache, self._work
+        c *= self.decay
+        np.multiply(1.0 - self.decay, grads, out=t)
+        t *= grads
+        c += t
+        np.sqrt(c, out=t)
+        t += self.eps
+        np.multiply(self.lr, grads, out=step)
+        step /= t
+        params -= step
 
 
 def make_optimizer(
     name: str,
-    params: list[np.ndarray],
+    params: np.ndarray,
     learning_rate: float | None = None,
     momentum: float = 0.9,
     rms_decay: float = 0.9,
 ):
-    """Build an optimizer by tag ('sgd' or 'rmsprop')."""
-    if name not in _DEFAULT_LR:
-        raise ValueError(f"unknown optimizer {name!r}")
-    lr = _DEFAULT_LR[name] if learning_rate is None else learning_rate
+    """Build an optimizer by tag ('sgd' or 'rmsprop'); None keeps its default rate."""
+    lr = {} if learning_rate is None else {"learning_rate": learning_rate}
     if name == "sgd":
-        return Sgd(params, learning_rate=lr, momentum=momentum)
-    return RmsProp(params, learning_rate=lr, decay=rms_decay)
+        return Sgd(params, momentum=momentum, **lr)
+    if name == "rmsprop":
+        return RmsProp(params, decay=rms_decay, **lr)
+    raise ValueError(f"unknown optimizer {name!r}")
+
+
+def param_vector(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One vector holding the arrays' values in order, and views of it shaped like each."""
+    vector = np.concatenate([np.ravel(a) for a in arrays])
+    ends = np.cumsum([a.size for a in arrays])
+    return vector, [vector[e - a.size : e].reshape(a.shape) for a, e in zip(arrays, ends)]
 
 
 def batch_slices(n: int, batch_size: int, order: np.ndarray):
@@ -92,29 +98,43 @@ def batch_slices(n: int, batch_size: int, order: np.ndarray):
 
 
 def train(
-    params: list[np.ndarray],
-    opt,
-    n: int,
+    params: np.ndarray,
+    targets: np.ndarray,
     *,
+    optimizer: str,
+    learning_rate: float | None,
+    momentum: float,
+    rms_decay: float,
     epochs: int,
     batch_size: int,
     seed: int,
     dropout: list[tuple[tuple[int, ...], float]],
     batch_step,
-    full_loss,
+    predict,
     name: str,
 ) -> list[float]:
     """Mini-batch training loop shared by the MLP and the CNN; the loss history.
 
     Batching and dropout draw from one stream, default_rng(seed + 1). Each
-    epoch draws a permutation of the n rows; each batch then draws one
-    inverted-dropout mask per (per-row shape, rate) entry of dropout, in
-    order, when any rate is above 0 (else masks is None), and steps opt on
-    the gradients of batch_step(rows, masks) -> (loss, grads in params
-    order). The history holds full_loss() after every epoch. A non-finite
-    batch or epoch loss raises TrainingDiverged naming the epoch.
+    epoch draws a permutation of the n target rows; each batch then draws
+    one inverted-dropout mask per (per-row shape, rate) entry of dropout,
+    in order, when any rate is above 0 (else masks is None), and steps the
+    vector params on the gradients of batch_step(rows, masks) -> (loss,
+    grads in params order), packed into one vector. After every epoch the
+    history gains the MSE of predict(), the output for all n rows with
+    dropout off, against targets. A rate outside [0, 1), epochs < 0 or
+    batch_size < 1 raises ValueError; a non-finite batch or epoch loss
+    raises TrainingDiverged naming the epoch.
     """
+    for _, rate in dropout:
+        if not 0.0 <= rate < 1.0:
+            raise ValueError(f"dropout rates must be in [0, 1), got {rate}")
+    if epochs < 0 or batch_size < 1:
+        raise ValueError("epochs must be >= 0 and batch_size >= 1")
+    opt = make_optimizer(optimizer, params, learning_rate, momentum, rms_decay)
+    grad = np.empty_like(params)
     rng = np.random.default_rng(seed + 1)
+    n = targets.shape[0]
     draw = any(rate > 0.0 for _, rate in dropout)
     history: list[float] = []
     for epoch in range(epochs):
@@ -126,8 +146,9 @@ def train(
             loss, grads = batch_step(rows, masks)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"{name} loss became non-finite at epoch {epoch}")
-            opt.step(params, grads)
-        epoch_loss = full_loss()
+            np.concatenate([g.ravel() for g in grads], out=grad)
+            opt.step(params, grad)
+        epoch_loss = mse_loss_and_grad(predict(), targets)[0]
         if not np.isfinite(epoch_loss):
             raise TrainingDiverged(f"{name} loss became non-finite at epoch {epoch}")
         history.append(epoch_loss)

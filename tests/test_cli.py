@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main()."""
 
 import builtins
+import json
 
 import numpy as np
 import pytest
@@ -287,6 +288,47 @@ def _child_before_parent(arrays):
 def test_predict_rejects_a_tampered_tree_file(tmp_path, csv_path, capsys, tamper, fragment):
     model_file = tmp_path / "tree.npz"
     assert _train(csv_path, model_file, "--model", "tree", "--max-depth", "2") == 0
+    with np.load(model_file) as data:
+        arrays = {name: data[name] for name in data.files}
+    tamper(arrays)
+    np.savez(model_file, **arrays)
+    capsys.readouterr()
+    rc = main(["predict", "--model-file", str(model_file),
+               "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error:") and fragment in err
+    assert len(err.splitlines()) == 1
+
+
+def _set_meta(key, value):
+    def tamper(arrays):
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        meta[key] = value
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return tamper
+
+
+def _one_dimensional_knn_y(arrays):
+    arrays["knn_y"] = arrays["knn_y"][:, 0]
+
+
+def _mismatched_mlp_layer(arrays):
+    arrays["mlp_w1"] = arrays["mlp_w1"][:-1]
+
+
+@pytest.mark.parametrize("extra,tamper,fragment", [
+    (("--model", "knn", "--k", "3"), _set_meta("k", 0), "k must be in [1, "),
+    (("--model", "knn", "--k", "3"), _one_dimensional_knn_y, "2-d with matching row counts"),
+    (("--model", "mlp", "--hidden", "4", "--epochs", "1"), _set_meta("n_layers", 9),
+     "n_layers is 9"),
+    (("--model", "mlp", "--hidden", "4", "--epochs", "1"), _mismatched_mlp_layer,
+     "mlp layers do not chain"),
+], ids=["knn-k", "knn-y", "mlp-n_layers", "mlp-shapes"])
+def test_predict_rejects_a_tampered_knn_or_mlp_file(tmp_path, csv_path, capsys, extra, tamper,
+                                                    fragment):
+    model_file = tmp_path / "model.npz"
+    assert _train(csv_path, model_file, *extra) == 0
     with np.load(model_file) as data:
         arrays = {name: data[name] for name in data.files}
     tamper(arrays)

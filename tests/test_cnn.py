@@ -146,14 +146,15 @@ def reference_loss_and_gradients(model, X, Y, masks=None):
 
 def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, seed):
     """The fit loop cnn_fit ran before the shared loop, on the reference
-    network: the epoch loss came from a full gradient pass."""
+    network: the epoch loss came from a full gradient pass, and each array
+    had its own optimizer."""
     X = _check_grids(X)
     model = init_cnn(X.shape[1], Y.shape[1], seed)
     model.target_offset, model.target_scale = 48.0, 48.0
     Ys = (Y - model.target_offset) / model.target_scale
     rng = np.random.default_rng(seed + 1)
     params = [model.params[k] for k in PARAM_NAMES]
-    opt = make_optimizer("rmsprop", params)
+    opts = [make_optimizer("rmsprop", p) for p in params]
     n = X.shape[0]
     half, quarter = model.side // 2, model.side // 4
     for epoch in range(epochs):
@@ -170,7 +171,8 @@ def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, see
             loss, grads = reference_loss_and_gradients(model, X[batch], Ys[batch], masks)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"cnn loss became non-finite at epoch {epoch}")
-            opt.step(params, [grads[k] for k in PARAM_NAMES])
+            for opt, p, k in zip(opts, params, PARAM_NAMES):
+                opt.step(p, grads[k])
         epoch_loss, _ = reference_loss_and_gradients(model, X, Ys)
         model.loss_history.append(epoch_loss)
     return model

@@ -19,14 +19,15 @@ from facekeys.regressors.optim import (
 
 def reference_mlp_fit(X, Y, hidden, epochs, batch_size, optimizer, dropout, seed):
     """The fit loop mlp_fit ran before the shared loop: the epoch loss came
-    from a full loss_and_gradients call whose gradients were dropped."""
+    from a full loss_and_gradients call whose gradients were dropped, and
+    each array had its own optimizer."""
     X = np.asarray(X, dtype=np.float64)
     model = init_mlp(X.shape[1], tuple(hidden), Y.shape[1], seed)
     model.target_offset, model.target_scale = 48.0, 48.0
     Ys = (Y - model.target_offset) / model.target_scale
     rng = np.random.default_rng(seed + 1)
     params = model.weights + model.biases
-    opt = make_optimizer(optimizer, params)
+    opts = [make_optimizer(optimizer, p) for p in params]
     n = X.shape[0]
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -42,7 +43,8 @@ def reference_mlp_fit(X, Y, hidden, epochs, batch_size, optimizer, dropout, seed
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"mlp loss became non-finite at epoch {epoch}")
-            opt.step(params, gw + gb)
+            for opt, p, g in zip(opts, params, gw + gb):
+                opt.step(p, g)
         epoch_loss, _, _ = loss_and_gradients(model.weights, model.biases, X, Ys)
         model.loss_history.append(epoch_loss)
     return model

@@ -52,17 +52,17 @@ def test_dropout_mask_values_and_scaling():
 
 def test_sgd_momentum_hand_steps():
     p = np.array([1.0])
-    opt = Sgd([p], learning_rate=0.1, momentum=0.9)
-    opt.step([p], [np.array([0.5])])
+    opt = Sgd(p, learning_rate=0.1, momentum=0.9)
+    opt.step(p, np.array([0.5]))
     assert p[0] == pytest.approx(0.95)  # v = -0.05
-    opt.step([p], [np.array([0.5])])
+    opt.step(p, np.array([0.5]))
     assert p[0] == pytest.approx(0.855)  # v = 0.9*-0.05 - 0.05 = -0.095
 
 
 def test_rmsprop_hand_step():
     p = np.array([1.0])
-    opt = RmsProp([p], learning_rate=0.001, decay=0.9, eps=1e-8)
-    opt.step([p], [np.array([2.0])])
+    opt = RmsProp(p, learning_rate=0.001, decay=0.9, eps=1e-8)
+    opt.step(p, np.array([2.0]))
     cache = 0.1 * 4.0
     assert p[0] == pytest.approx(1.0 - 0.001 * 2.0 / (np.sqrt(cache) + 1e-8))
 
@@ -72,23 +72,24 @@ def test_rmsprop_step_equals_the_one_expression_step(decay):
     # the in-place step does the same float operations in the same order
     rng = np.random.default_rng(3)
     shapes = [(4, 3), (7,), (2, 3, 5)]
-    params = [rng.normal(size=s) for s in shapes]
-    ref_params = [p.copy() for p in params]
+    arrays = [rng.normal(size=s) for s in shapes]
+    ref_params = [a.copy() for a in arrays]
     ref_cache = [np.zeros(s) for s in shapes]
+    params = np.concatenate([a.ravel() for a in arrays])
     opt = RmsProp(params, learning_rate=0.003, decay=decay)
     for _ in range(5):
         grads = [rng.normal(size=s) * 10.0 ** rng.integers(-6, 3) for s in shapes]
-        opt.step(params, grads)
+        opt.step(params, np.concatenate([g.ravel() for g in grads]))
         for p, g, c in zip(ref_params, grads, ref_cache):
             c *= decay
             c += (1.0 - decay) * g * g
             p -= 0.003 * g / (np.sqrt(c) + 1e-8)
-        for p, ref in zip(params + opt._cache, ref_params + ref_cache):
-            assert np.array_equal(p, ref)
+        for vector, ref in ((params, ref_params), (opt._cache, ref_cache)):
+            assert np.array_equal(vector, np.concatenate([r.ravel() for r in ref]))
 
 
 def test_make_optimizer_defaults_and_validation():
-    p = [np.zeros(3)]
+    p = np.zeros(3)
     assert make_optimizer("sgd", p).lr == 0.01
     assert make_optimizer("rmsprop", p).lr == 0.001
     assert make_optimizer("sgd", p, learning_rate=0.5).lr == 0.5

@@ -71,6 +71,17 @@ def test_zero_rows_predict_empty_and_refuse_to_fit(kind):
         fit_any(RegressorSpec(kind, _SMALL[kind]), X[:0], Y[:0])
 
 
+@pytest.mark.parametrize("kind", ["mlp", "cnn"])
+def test_a_fitted_network_is_views_of_one_parameter_vector(kind):
+    X, Y = flat_data(n=20, d=16)
+    model = fit_any(RegressorSpec(kind, _SMALL[kind]), X, Y)
+    arrays = model.weights + model.biases if kind == "mlp" else list(model.params.values())
+    vector = arrays[0].base
+    assert isinstance(vector, np.ndarray) and vector.ndim == 1
+    assert vector.size == sum(a.size for a in arrays)
+    assert all(a.base is vector for a in arrays)
+
+
 def test_spec_validation():
     with pytest.raises(ConfigError, match="unknown regressor kind"):
         RegressorSpec("svm")
