@@ -9,7 +9,6 @@ single --seed flag with a fixed default.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import replace
@@ -26,8 +25,8 @@ from .pipeline import fit_pipeline, pipeline_from_payload, pipeline_to_payload
 from .regressors import (
     KINDS,
     SPEC_KINDS,
-    ConfigError,
     RegressorSpec,
+    TrainingDiverged,
     fit_any,
     load_model,
     predict_any,
@@ -103,7 +102,7 @@ def cmd_train(args) -> int:
             radius=args.lbp_radius,
             rotation_invariant=args.lbp_rotation_invariant,
         )
-    pipe = fit_pipeline(
+    pipe, features = fit_pipeline(
         train.images,
         scale_pixels=not args.no_pixel_scaling,
         lbp=lbp_cfg,
@@ -111,7 +110,7 @@ def cmd_train(args) -> int:
         pca_components=args.pca,
         variance_target=args.variance,
     )
-    X = pipe.transform(train.images).values
+    X = features.values
     model = fit_any(_build_spec(args, args.seed), X, train.keypoints)
 
     meta, arrays = pipeline_to_payload(pipe)
@@ -142,11 +141,8 @@ def cmd_predict(args) -> int:
     pred = predict_any(model, pipe.transform(images).values)
 
     columns = [f"{n}_{axis}" for n in extras.get("target_names", []) for axis in "xy"]
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns or [f"y{i}" for i in range(pred.shape[1])])
-        for row in pred:
-            writer.writerow([repr(float(v)) for v in row])
+    ds._write_csv(args.out, columns or [f"y{i}" for i in range(pred.shape[1])],
+                  ([repr(float(v)) for v in row] for row in pred))
     print(f"wrote {pred.shape[0]} predictions to {args.out}")
     return 0
 
@@ -196,14 +192,15 @@ def cmd_pca(args) -> int:
     if (args.components is None) == (args.variance is None):
         raise CliError("give exactly one of --components and --variance")
     d = _load_task(_resolve_input(args.input), args.task)
-    d = ds.impute_column_means(d)
-    X, _ = ds.to_matrices(d, scale_pixels=not args.no_pixel_scaling)
-    model = pca_mod.fit_pca(
-        X.values, n_components=args.components, variance_target=args.variance
-    )
+    model = fit_pipeline(
+        d.images,
+        scale_pixels=not args.no_pixel_scaling,
+        pca_components=args.components,
+        variance_target=args.variance,
+    )[0].pca
     pca_mod.save_pca(model, args.out)
     covered = float(model.explained_ratio.sum())
-    print(f"fit PCA on {X.shape[0]} rows: {model.n_components} components "
+    print(f"fit PCA on {len(d)} rows: {model.n_components} components "
           f"covering {covered:.4f} of variance -> {args.out}")
     if args.report:
         cum = 0.0
@@ -339,8 +336,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ConfigError, ds.DatasetError, ev.EvalError, viz.VizError,
-            OSError, ValueError) as exc:
+    except (CliError, TrainingDiverged, OSError, ValueError) as exc:
         print(f"facekeys: error: {exc}", file=sys.stderr)
         return 1
 

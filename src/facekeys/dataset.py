@@ -56,14 +56,6 @@ class GrayImage:
         if p.ndim != 2 or p.dtype != np.uint8:
             raise DatasetError("GrayImage expects a 2-d uint8 array")
 
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class KeypointSet:

@@ -274,17 +274,17 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
         for pipeline_name in cfg.pipelines:
             try:
                 if pipeline_name == "raw":
-                    pipe = fit_pipeline(train.images, scale_pixels=cfg.scale_pixels)
+                    pipe, F_train = fit_pipeline(train.images, scale_pixels=cfg.scale_pixels)
                 else:
                     n_comp = min(cfg.pca_components, len(train) - 1)
-                    pipe = fit_pipeline(
+                    pipe, F_train = fit_pipeline(
                         train.images,
                         scale_pixels=cfg.scale_pixels,
                         lbp=_lbp_config(cfg),
                         lbp_mode=cfg.lbp_mode,
                         pca_components=n_comp,
                     )
-                X_train = pipe.transform(train.images).values
+                X_train = F_train.values
                 X_test = pipe.transform(test.images).values
             except Exception as exc:  # configuration-level failure hits all rows
                 for kind in cfg.models:
@@ -339,10 +339,10 @@ def format_report(report: EvalReport, style: str = "markdown") -> str:
     """Render a report as 'markdown' (paper-style tables) or 'csv'.
 
     The CSV holds only deterministic fields (no wall-clock timing), so two
-    identically seeded runs serialize byte-for-byte identically, and it
-    round-trips through load_report_csv. The markdown marks with * a
-    coordinate-descent cell whose fit did not converge and lists it under
-    its table, after the failed rows.
+    identically seeded runs serialize byte-for-byte identically; the tests
+    read it back with load_report_csv in tests/readers.py. The markdown
+    marks with * a coordinate-descent cell whose fit did not converge and
+    lists it under its table, after the failed rows.
     """
     if style == "csv":
         buf = io.StringIO()
@@ -401,26 +401,3 @@ def format_report(report: EvalReport, style: str = "markdown") -> str:
         lines.append("")
     return "\n".join(lines)
 
-
-def load_report_csv(text: str) -> EvalReport:
-    """Parse a CSV produced by format_report(style='csv')."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    expected = ["model", "pipeline", "task", "rmse", "n_train", "n_test",
-                "seed", "hyperparameters", "error"]
-    if header != expected:
-        raise EvalError(f"unexpected report header {header}")
-    report = EvalReport()
-    for row in reader:
-        if not row:
-            continue
-        report.rows.append(EvalRow(
-            model=row[0], pipeline=row[1], task=row[2],
-            rmse=float(row[3]) if row[3] else None,
-            n_train=int(row[4]), n_test=int(row[5]), seed=int(row[6]),
-            hyperparameters=json.loads(row[7]),
-            error=row[8] or None,
-        ))
-    if report.rows:
-        report.seed = report.rows[0].seed
-    return report

@@ -74,14 +74,6 @@ class LbpImage:
         if self.codes.ndim not in (2, 3):
             raise LbpError("codes must be (h, w) or (n, h, w)")
 
-    @property
-    def height(self) -> int:
-        return self.codes.shape[-2]
-
-    @property
-    def width(self) -> int:
-        return self.codes.shape[-1]
-
 
 def lbp_basic(img) -> LbpImage:
     """8-neighbor LBP map of an image or block, borders edge-replicated."""

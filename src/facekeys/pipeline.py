@@ -67,15 +67,17 @@ def fit_pipeline(
     lbp_mode: str = "pixel_map",
     pca_components: int | None = None,
     variance_target: float | None = None,
-) -> FeaturePipeline:
-    """Fit pipeline state (the PCA stage) on training images only."""
+) -> tuple[FeaturePipeline, FeatureMatrix]:
+    """Fit pipeline state (the PCA stage) on training images only; returns
+    the pipeline and the training features, pipe.transform(images_train)."""
     pipe = FeaturePipeline(scale_pixels=scale_pixels, lbp=lbp, lbp_mode=lbp_mode)
+    features = pipe.transform(images_train)
     if pca_components is not None or variance_target is not None:
-        pre = pipe.transform(images_train)
         pipe.pca = pca_mod.fit_pca(
-            pre.values, n_components=pca_components, variance_target=variance_target
+            features.values, n_components=pca_components, variance_target=variance_target
         )
-    return pipe
+        features = FeatureMatrix(pca_mod.transform(pipe.pca, features.values), "pca")
+    return pipe, features
 
 
 def pipeline_to_payload(pipe: FeaturePipeline) -> tuple[dict, dict[str, np.ndarray]]:

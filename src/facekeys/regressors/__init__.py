@@ -53,7 +53,7 @@ class SpecKind:
     seeded: bool = False
 
 
-_GRADIENT_TUNING = ("learning_rate", "momentum", "rms_decay", "scale_targets")
+_GRADIENT_TUNING = ("learning_rate", "scale_targets")
 
 SPEC_KINDS: dict[str, SpecKind] = {
     "knn": SpecKind(knn_fit, ("k",)),
@@ -114,7 +114,7 @@ class _Format(NamedTuple):
     tag: str  # meta "kind" in the file
     predict: Callable
     to_payload: Callable  # model -> (meta entries, named arrays)
-    from_payload: Callable  # (meta, archive) -> model
+    from_payload: Callable  # (meta entries, arrays) -> model
 
 
 def _tree_payload(m: TreeModel):
@@ -152,7 +152,7 @@ def _mlp_model(meta, data) -> MlpModel:
     if meta["hidden_activation"] != "tanh":
         raise ConfigError(f"unsupported mlp hidden activation {meta['hidden_activation']!r}")
     n = int(meta["n_layers"])
-    stored = sorted(name for name in data.files if name.startswith("mlp_"))
+    stored = sorted(name for name in data.names if name.startswith("mlp_"))
     if stored != sorted(f"mlp_{part}{i}" for i in range(n) for part in "bw"):
         raise ConfigError(f"mlp meta n_layers is {n}, but the file holds arrays {stored}")
     return MlpModel(
@@ -225,8 +225,26 @@ def save_model(path, model, extras: dict | None = None,
     np.savez(path, **arrays, **(extra_arrays or {}))
 
 
+class _Entries:
+    """A model file's meta record or its arrays, looked up by name; a name
+    the file lacks is a ConfigError that names it."""
+
+    def __init__(self, path, what: str, source):
+        self._path, self._what, self._source = path, what, source
+        self.names = list(source)
+
+    def __getitem__(self, name: str):
+        if name not in self._source:
+            raise ConfigError(f"{self._path} has no {self._what} {name!r}")
+        return self._source[name]
+
+
 def load_model(path):
-    """Read a model written by save_model. Returns (model, extras)."""
+    """Read a model written by save_model. Returns (model, extras).
+
+    A file that lacks a meta entry or an array its kind reads, or whose
+    arrays do not form a valid model, raises ConfigError or ValueError.
+    """
     data = np.load(path)
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ConfigError(f"{path} is not a facekeys model file: it is not an .npz archive")
@@ -237,5 +255,5 @@ def load_model(path):
         fmt = _FORMAT_BY_TAG.get(meta.get("kind"))
         if fmt is None:
             raise ConfigError(f"unknown model kind {meta.get('kind')!r} in {path}")
-        model = fmt.from_payload(meta, data)
+        model = fmt.from_payload(_Entries(path, "meta entry", meta), _Entries(path, "array", data))
     return model, meta.get("extras", {})

@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._inputs import check_fit_inputs
-from .mlp import _backward as _head_backward, _forward as _head_forward
+from .mlp import _backward as _head_backward, _forward as _head_forward, layers_chain
 from .optim import glorot_uniform, mse_loss_and_grad, param_vector, train
 
 PARAM_NAMES = (
@@ -60,7 +60,14 @@ PARAM_NAMES = (
 
 @dataclass(eq=False)
 class CnnModel:
-    """Parameter tensors in PARAM_NAMES order plus training metadata."""
+    """Parameter tensors in PARAM_NAMES order plus training metadata.
+
+    Building one raises ValueError unless params holds exactly the
+    PARAM_NAMES, side is a positive multiple of 4, and the shapes chain:
+    conv1_w is (o1, 1, kh, kw), conv2_w is (o2, o1, kh, kw), each conv
+    bias has one entry per filter, dense_w has (side/4)^2 * o2 rows, and
+    the dense head chains as an MLP's layers do.
+    """
 
     params: dict[str, np.ndarray]
     side: int = 16
@@ -69,6 +76,22 @@ class CnnModel:
     target_offset: float = 0.0
     target_scale: float = 1.0
     loss_history: list[float] = field(default_factory=list)
+
+    def __post_init__(self):
+        p = self.params
+        if sorted(p) != sorted(PARAM_NAMES):
+            raise ValueError(f"cnn params must be {PARAM_NAMES}, got {tuple(p)}")
+        if grid_side(self.side * self.side) != self.side:
+            raise ValueError(f"grid side must be positive and divisible by 4, got {self.side}")
+        w1, w2 = p["conv1_w"], p["conv2_w"]
+        if not (
+            w1.ndim == 4 and w1.shape[1] == 1 and p["conv1_b"].shape == w1.shape[:1]
+            and w2.ndim == 4 and w2.shape[1] == w1.shape[0] and p["conv2_b"].shape == w2.shape[:1]
+            and layers_chain(*_head(p))
+            and p["dense_w"].shape[0] == (self.side // 4) ** 2 * w2.shape[0]
+        ):
+            shapes = ", ".join(f"{name} {p[name].shape}" for name in PARAM_NAMES)
+            raise ValueError(f"cnn parameter shapes do not chain at side {self.side}: {shapes}")
 
 
 def grid_side(n_features: int) -> int | None:
@@ -169,9 +192,8 @@ def _pool_backward(dout: np.ndarray, cache):
 
 
 def init_cnn(side: int, n_outputs: int, seed: int) -> CnnModel:
-    """Glorot-uniform initialized network, deterministic per seed."""
-    if grid_side(side * side) is None:
-        raise ValueError(f"grid side must be divisible by 4, got {side}")
+    """Glorot-uniform initialized network, deterministic per seed; a side
+    that is not a positive multiple of 4 raises ValueError."""
     rng = np.random.default_rng(seed)
     flat = (side // 4) * (side // 4) * 8
     params = {
@@ -315,8 +337,6 @@ def cnn_fit(
     learning_rate: float | None = None,
     dropout_conv: float = 0.25,
     dropout_dense: float = 0.5,
-    momentum: float = 0.9,
-    rms_decay: float = 0.9,
     seed: int = 0,
     scale_targets: bool = True,
 ) -> CnnModel:
@@ -330,9 +350,7 @@ def cnn_fit(
     inf in X or Y raises ValueError.
     """
     X = _check_grids(X)
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit a cnn on 0 rows")
-    Y = check_fit_inputs(X.reshape(X.shape[0], -1), Y)[1]
+    Y = check_fit_inputs(X.reshape(len(X), X.shape[1] * X.shape[2]), Y)[1]
 
     model = init_cnn(X.shape[1], Y.shape[1], seed)
     model.dropout_conv = dropout_conv
@@ -354,7 +372,7 @@ def cnn_fit(
     # all three masks are drawn whenever either rate is above 0
     model.loss_history = train(
         params, Ys, optimizer=optimizer, learning_rate=learning_rate,
-        momentum=momentum, rms_decay=rms_decay, epochs=epochs, batch_size=batch_size, seed=seed,
+        epochs=epochs, batch_size=batch_size, seed=seed,
         dropout=[
             ((32, half, half), dropout_conv),
             ((8, quarter, quarter), dropout_conv),

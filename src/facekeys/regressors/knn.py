@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import check_fit_inputs
+from ._inputs import check_fit_inputs, check_rows
 
 
 @dataclass(eq=False)
@@ -40,9 +40,7 @@ def knn_predict(model: KnnModel, Xq) -> np.ndarray:
     Distance ties are broken toward the lower training index. With k equal
     to the training size every query returns the global target mean.
     """
-    Xq = np.asarray(Xq, dtype=np.float64)
-    if Xq.ndim != 2 or Xq.shape[1] != model.X.shape[1]:
-        raise ValueError(f"queries must be (n, {model.X.shape[1]})")
+    Xq = check_rows(Xq, model.X.shape[1])
     # squared distances via the expansion ||q||^2 - 2 q.x + ||x||^2
     train_sq = (model.X * model.X).sum(axis=1)
     query_sq = (Xq * Xq).sum(axis=1)

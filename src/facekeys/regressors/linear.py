@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import check_fit_inputs
+from ._inputs import check_fit_inputs, check_rows
 
 
 @dataclass(eq=False)
@@ -38,17 +38,7 @@ class LinearModel:
 
 
 def linear_predict(model: LinearModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.weights.shape[0]:
-        raise ValueError(f"X must be (n, {model.weights.shape[0]})")
-    return X @ model.weights + model.intercept
-
-
-def _check_xy(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    X, Y = check_fit_inputs(X, Y)
-    if X.shape[0] < 2:
-        raise ValueError("need at least 2 rows")
-    return X, Y
+    return check_rows(X, model.weights.shape[0]) @ model.weights + model.intercept
 
 
 def _center(X, Y):
@@ -62,7 +52,7 @@ def ols_fit(X, Y) -> LinearModel:
 
     Rank-deficient inputs get the minimum-norm weight solution.
     """
-    X, Y = _check_xy(X, Y)
+    X, Y = check_fit_inputs(X, Y, min_rows=2)
     Xc, Yc, x_mean, y_mean = _center(X, Y)
     W, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
     return LinearModel(weights=W, intercept=y_mean - x_mean @ W)
@@ -80,7 +70,7 @@ def ridge_fit(X, Y, lam: float = 1.0) -> LinearModel:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     if lam == 0.0:
         return ols_fit(X, Y)
-    X, Y = _check_xy(X, Y)
+    X, Y = check_fit_inputs(X, Y, min_rows=2)
     Xc, Yc, x_mean, y_mean = _center(X, Y)
     n, d = Xc.shape
     if d <= n:
@@ -221,7 +211,7 @@ def elastic_fit(
     _check_cd(alpha, max_iter, tol)
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    X, Y = _check_xy(X, Y)
+    X, Y = check_fit_inputs(X, Y, min_rows=2)
     Xc, Yc, x_mean, y_mean = _center(X, Y)
     W, converged = _coordinate_descent(
         Xc, Yc, alpha * rho, alpha * (1.0 - rho), max_iter, tol

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._inputs import check_fit_inputs
+from ._inputs import check_fit_inputs, check_rows
 from .optim import glorot_uniform, mse_loss_and_grad, param_vector, train
 
 
@@ -35,18 +35,23 @@ class MlpModel:
     loss_history: list[float] = field(default_factory=list)
 
     def __post_init__(self):
-        layers = list(zip(self.weights, self.biases))
-        if not (
-            layers and len(self.weights) == len(self.biases)
-            and all(w.ndim == 2 and b.shape == (w.shape[1],) for w, b in layers)
-            and all(a.shape[1] == w.shape[0] for a, w in zip(self.weights, self.weights[1:]))
-        ):
+        if not layers_chain(self.weights, self.biases):
             raise ValueError(f"mlp layers do not chain: weights {[w.shape for w in self.weights]}, "
                              f"biases {[b.shape for b in self.biases]}")
 
     @property
     def n_inputs(self) -> int:
         return self.weights[0].shape[0]
+
+
+def layers_chain(weights: list[np.ndarray], biases: list[np.ndarray]) -> bool:
+    """Whether there is at least one layer, each weight is 2-d with a bias
+    of its fan_out, and each layer's fan_in is the previous fan_out."""
+    return bool(
+        weights and len(weights) == len(biases)
+        and all(w.ndim == 2 and b.shape == (w.shape[1],) for w, b in zip(weights, biases))
+        and all(a.shape[1] == w.shape[0] for a, w in zip(weights, weights[1:]))
+    )
 
 
 def _forward(
@@ -133,8 +138,6 @@ def mlp_fit(
     optimizer: str = "rmsprop",
     learning_rate: float | None = None,
     dropout: float = 0.5,
-    momentum: float = 0.9,
-    rms_decay: float = 0.9,
     seed: int = 0,
     scale_targets: bool = True,
 ) -> MlpModel:
@@ -146,8 +149,6 @@ def mlp_fit(
     naming the epoch; NaN or inf in X or Y raises ValueError.
     """
     X, Y = check_fit_inputs(X, Y)
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit an mlp on 0 rows")
 
     model = init_mlp(X.shape[1], tuple(hidden), Y.shape[1], seed)
     if scale_targets:
@@ -164,7 +165,7 @@ def mlp_fit(
 
     model.loss_history = train(
         params, Ys, optimizer=optimizer, learning_rate=learning_rate,
-        momentum=momentum, rms_decay=rms_decay, epochs=epochs, batch_size=batch_size, seed=seed,
+        epochs=epochs, batch_size=batch_size, seed=seed,
         dropout=[((w.shape[1],), dropout) for w in model.weights[:-1]],
         batch_step=batch_step, predict=lambda: forward(model.weights, model.biases, X), name="mlp",
     )
@@ -173,8 +174,5 @@ def mlp_fit(
 
 def mlp_predict(model: MlpModel, X) -> np.ndarray:
     """Deterministic forward pass (dropout off), unscaled outputs."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_inputs:
-        raise ValueError(f"X must be (n, {model.n_inputs})")
-    pred = forward(model.weights, model.biases, X)
+    pred = forward(model.weights, model.biases, check_rows(X, model.n_inputs))
     return pred * model.target_scale + model.target_offset

@@ -19,9 +19,14 @@ def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
 
 
 def mse_loss_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over all entries and its gradient wrt pred."""
-    diff = pred - target
-    loss = float(np.mean(diff * diff))
+    """Mean squared error over all entries and its gradient wrt pred.
+
+    A loss beyond float64 range is inf, without an overflow warning:
+    train reports it as TrainingDiverged.
+    """
+    with np.errstate(over="ignore"):
+        diff = pred - target
+        loss = float(np.mean(diff * diff))
     return loss, (2.0 / diff.size) * diff
 
 
@@ -68,19 +73,13 @@ class RmsProp:
         params -= step
 
 
-def make_optimizer(
-    name: str,
-    params: np.ndarray,
-    learning_rate: float | None = None,
-    momentum: float = 0.9,
-    rms_decay: float = 0.9,
-):
+def make_optimizer(name: str, params: np.ndarray, learning_rate: float | None = None):
     """Build an optimizer by tag ('sgd' or 'rmsprop'); None keeps its default rate."""
     lr = {} if learning_rate is None else {"learning_rate": learning_rate}
     if name == "sgd":
-        return Sgd(params, momentum=momentum, **lr)
+        return Sgd(params, **lr)
     if name == "rmsprop":
-        return RmsProp(params, decay=rms_decay, **lr)
+        return RmsProp(params, **lr)
     raise ValueError(f"unknown optimizer {name!r}")
 
 
@@ -103,8 +102,6 @@ def train(
     *,
     optimizer: str,
     learning_rate: float | None,
-    momentum: float,
-    rms_decay: float,
     epochs: int,
     batch_size: int,
     seed: int,
@@ -131,7 +128,7 @@ def train(
             raise ValueError(f"dropout rates must be in [0, 1), got {rate}")
     if epochs < 0 or batch_size < 1:
         raise ValueError("epochs must be >= 0 and batch_size >= 1")
-    opt = make_optimizer(optimizer, params, learning_rate, momentum, rms_decay)
+    opt = make_optimizer(optimizer, params, learning_rate)
     grad = np.empty_like(params)
     rng = np.random.default_rng(seed + 1)
     n = targets.shape[0]

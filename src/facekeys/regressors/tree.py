@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import check_fit_inputs
+from ._inputs import check_fit_inputs, check_rows
 
 #: Target values (columns x node rows x outputs) gathered per pass of the
 #: split scan; smaller passes cost more calls.
@@ -207,8 +207,6 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
     ValueError.
     """
     X, Y = check_fit_inputs(X, Y)
-    if X.shape[0] == 0:
-        raise ValueError("cannot fit a tree on 0 rows")
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if min_samples_leaf < 1:
@@ -220,9 +218,7 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
 def tree_predict(model: TreeModel, X) -> np.ndarray:
     """Route all rows down the tree together, one level per step, and
     emit the mean target of the leaf each one reaches."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ValueError(f"X must be (n, {model.n_features})")
+    X = check_rows(X, model.n_features)
     node = np.zeros(X.shape[0], dtype=np.int64)
     rows = np.arange(X.shape[0])  # the rows still at an inner node
     while rows.size:

@@ -2,9 +2,13 @@
 
 read_pgm and read_ppm read facekeys.viz's binary netpbm images,
 load_split_csvs rejoins the keypoint and image CSVs of ``facekeys
-split``, and load_pca reads what pca.save_pca and ``facekeys pca`` write.
+split``, load_pca reads what pca.save_pca and ``facekeys pca`` write, and
+load_report_csv reads eval.format_report's CSV.
 """
 
+import csv
+import io
+import json
 import re
 
 import numpy as np
@@ -16,6 +20,7 @@ from facekeys.dataset import (
     _read_csv,
     _slot_names_from_header,
 )
+from facekeys.eval import EvalError, EvalReport, EvalRow
 from facekeys.pca import PcaModel
 from facekeys.viz import VizError
 
@@ -73,3 +78,27 @@ def load_pca(path) -> PcaModel:
             explained_variance=data["explained_variance"],
             explained_ratio=data["explained_ratio"],
         )
+
+
+def load_report_csv(text: str) -> EvalReport:
+    """Parse a CSV produced by format_report(style='csv')."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    expected = ["model", "pipeline", "task", "rmse", "n_train", "n_test",
+                "seed", "hyperparameters", "error"]
+    if header != expected:
+        raise EvalError(f"unexpected report header {header}")
+    report = EvalReport()
+    for row in reader:
+        if not row:
+            continue
+        report.rows.append(EvalRow(
+            model=row[0], pipeline=row[1], task=row[2],
+            rmse=float(row[3]) if row[3] else None,
+            n_train=int(row[4]), n_test=int(row[5]), seed=int(row[6]),
+            hyperparameters=json.loads(row[7]),
+            error=row[8] or None,
+        ))
+    if report.rows:
+        report.seed = report.rows[0].seed
+    return report

@@ -1,6 +1,7 @@
 """End-to-end command line checks, run in process through main()."""
 
 import builtins
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from facekeys import eval as ev
 from facekeys.cli import INPUT_ENV, main
-from facekeys.dataset import load_training_csv, split_by_keypoint_coverage
+from conftest import build_dataset
+from facekeys.dataset import load_training_csv, split_by_keypoint_coverage, write_training_csv
 from facekeys.lbp import _min_rotations, lbp_basic
 from facekeys.regressors import RegressorSpec, fit_any, load_model, save_model
 from readers import load_pca, load_split_csvs, read_pgm, read_ppm
@@ -317,6 +319,29 @@ def _mismatched_mlp_layer(arrays):
     arrays["mlp_w1"] = arrays["mlp_w1"][:-1]
 
 
+def _drop_meta(key):
+    def tamper(arrays):
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        del meta[key]
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return tamper
+
+
+def _drop_array(name):
+    def tamper(arrays):
+        del arrays[name]
+    return tamper
+
+
+def _cut_array(name):
+    def tamper(arrays):
+        arrays[name] = arrays[name][:-1]
+    return tamper
+
+
+_CNN = ("--model", "cnn", "--task", "four", "--pca", "16", "--epochs", "1", "--batch-size", "8")
+
+
 @pytest.mark.parametrize("extra,tamper,fragment", [
     (("--model", "knn", "--k", "3"), _set_meta("k", 0), "k must be in [1, "),
     (("--model", "knn", "--k", "3"), _one_dimensional_knn_y, "2-d with matching row counts"),
@@ -324,7 +349,13 @@ def _mismatched_mlp_layer(arrays):
      "n_layers is 9"),
     (("--model", "mlp", "--hidden", "4", "--epochs", "1"), _mismatched_mlp_layer,
      "mlp layers do not chain"),
-], ids=["knn-k", "knn-y", "mlp-n_layers", "mlp-shapes"])
+    (("--model", "knn", "--k", "3"), _drop_meta("k"), "has no meta entry 'k'"),
+    (_CNN, _drop_meta("side"), "has no meta entry 'side'"),
+    (_CNN, _drop_array("cnn_out_b"), "has no array 'cnn_out_b'"),
+    (_CNN, _cut_array("cnn_dense_w"), "cnn parameter shapes do not chain"),
+    (_CNN, _cut_array("cnn_out_b"), "cnn parameter shapes do not chain"),
+], ids=["knn-k", "knn-y", "mlp-n_layers", "mlp-shapes",
+        "knn-no-k", "cnn-no-side", "cnn-no-out_b", "cnn-dense_w", "cnn-out_b"])
 def test_predict_rejects_a_tampered_knn_or_mlp_file(tmp_path, csv_path, capsys, extra, tamper,
                                                     fragment):
     model_file = tmp_path / "model.npz"
@@ -340,6 +371,18 @@ def test_predict_rejects_a_tampered_knn_or_mlp_file(tmp_path, csv_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("facekeys: error:") and fragment in err
     assert len(err.splitlines()) == 1
+
+
+def test_a_diverging_fit_is_a_one_line_error(tmp_path, capsys):
+    d = build_dataset()
+    keypoints = d.keypoints.copy()
+    keypoints[0, 0] = 1e300  # finite, but its squared error overflows
+    path = tmp_path / "huge.csv"
+    write_training_csv(dataclasses.replace(d, keypoints=keypoints), path)
+    rc = _train(path, tmp_path / "mlp.npz", "--model", "mlp", "--hidden", "4", "--epochs", "1")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "facekeys: error: mlp loss became non-finite at epoch 0\n"
 
 
 def test_cnn_rejects_feature_widths_without_a_grid(tmp_path, csv_path, capsys):

@@ -3,6 +3,7 @@ import pytest
 
 from facekeys.regressors.cnn import (
     PARAM_NAMES,
+    CnnModel,
     _add_conv_grads,
     _check_grids,
     _conv_forward,
@@ -249,6 +250,21 @@ def test_init_shapes():
     assert init_cnn(8, 2, seed=0).params["dense_w"].shape == (32, 100)
     with pytest.raises(ValueError, match="divisible by 4"):
         init_cnn(6, 2, seed=0)
+
+
+@pytest.mark.parametrize("change,side,fragment", [
+    (lambda p: {k: v for k, v in p.items() if k != "out_b"}, 8, "cnn params must be"),
+    (lambda p: p, 6, "divisible by 4"),
+    (lambda p: p, 12, "do not chain"),
+    (lambda p: {**p, "conv2_w": p["conv2_w"][:, :-1]}, 8, "do not chain"),
+    (lambda p: {**p, "conv1_b": p["conv1_b"][:-1]}, 8, "do not chain"),
+    (lambda p: {**p, "out_b": p["out_b"][:1]}, 8, "do not chain"),
+], ids=["missing", "side", "flat", "channels", "conv-bias", "out-bias"])
+def test_a_cnn_model_checks_its_parameters(change, side, fragment):
+    params = init_cnn(8, 2, seed=0).params
+    CnnModel(params=params, side=8)
+    with pytest.raises(ValueError, match=fragment):
+        CnnModel(params=change(params), side=side)
 
 
 def test_gradients_match_finite_differences():

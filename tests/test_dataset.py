@@ -55,7 +55,7 @@ def test_accessors(tmp_path):
     d = load_training_csv(_write(tmp_path, LITERAL_CSV))
     img = d.image(1)
     assert isinstance(img, GrayImage)
-    assert (img.height, img.width) == (2, 2)
+    assert img.pixels.shape == (2, 2)
     assert img.pixels.ravel().tolist() == [255, 0, 128, 64]
     kp = d.keypoint_set(0)
     assert kp.get("left_eye_center") == (1.5, 2.0)

@@ -15,12 +15,12 @@ from facekeys.eval import (
     _spec_for,
     format_report,
     load_config,
-    load_report_csv,
     mean_predictor_rmse,
     rmse,
     run_benchmark,
 )
 from facekeys.regressors import RegressorSpec, fit_any, predict_any
+from readers import load_report_csv
 
 
 @pytest.fixture

@@ -86,7 +86,7 @@ def test_validation():
     with pytest.raises(ValueError, match="matching row"):
         knn_fit(X, np.zeros((2, 1)))
     model = knn_fit(X, Y, k=1)
-    with pytest.raises(ValueError, match="queries"):
+    with pytest.raises(ValueError, match=r"X must be \(n, 2\)"):
         knn_predict(model, np.zeros((2, 5)))
 
 

@@ -151,7 +151,7 @@ def test_basic_constant_image_is_all_255():
     out = lbp_basic(np.full((6, 7), 42, dtype=np.uint8))
     assert np.all(out.codes == 255)
     assert out.neighbors == 8
-    assert (out.height, out.width) == (6, 7)
+    assert out.codes.shape == (6, 7)
 
 
 def test_basic_code_range_and_dtype():
@@ -233,7 +233,7 @@ def test_block_call_equals_per_image_reference(cfg, dtype):
 def test_basic_block_equals_per_image_reference():
     imgs = _block(np.uint8, (5, 7, 13), seed=10)
     out = lbp_basic(imgs)
-    assert (out.height, out.width) == (7, 13)
+    assert out.codes.shape == (5, 7, 13)
     assert np.array_equal(out.codes, np.stack([reference_basic(img) for img in imgs]))
 
 

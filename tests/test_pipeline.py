@@ -62,7 +62,7 @@ def test_non_default_lbp_uses_circular_path():
 def test_pca_stage_fits_on_training_images_only():
     train = images(n=12, seed=1)
     test = images(n=5, seed=2)
-    pipe = fit_pipeline(train, pca_components=4)
+    pipe, _ = fit_pipeline(train, pca_components=4)
     fm_train = pipe.transform(train)
     fm_test = pipe.transform(test)
     assert fm_train.source == "pca" and fm_test.source == "pca"
@@ -72,17 +72,27 @@ def test_pca_stage_fits_on_training_images_only():
     assert np.allclose(fm_test.values, pca_transform(pipe.pca, raw_test))
 
 
+@pytest.mark.parametrize("lbp,pca", [(None, None), (LbpConfig(), None), (None, 4),
+                                     (LbpConfig(neighbors=8, radius=1.5), 4)])
+def test_fit_pipeline_returns_the_features_of_its_training_images(lbp, pca):
+    train = images(n=12, seed=7)
+    pipe, fm = fit_pipeline(train, lbp=lbp, pca_components=pca)
+    again = pipe.transform(train)
+    assert fm.source == again.source
+    assert np.array_equal(fm.values, again.values)
+
+
 def test_variance_target_selector_reaches_target():
     train = images(n=20, seed=3)
-    pipe = fit_pipeline(train, variance_target=0.9)
+    pipe, _ = fit_pipeline(train, variance_target=0.9)
     assert pipe.pca is not None
     assert pipe.pca.explained_ratio.sum() >= 0.9 - 1e-9
 
 
 def test_lbp_then_pca_chains():
     train = images(n=10, seed=4)
-    pipe = fit_pipeline(train, lbp=LbpConfig(cell_size=8), lbp_mode="histogram",
-                        pca_components=3)
+    pipe, _ = fit_pipeline(train, lbp=LbpConfig(cell_size=8), lbp_mode="histogram",
+                           pca_components=3)
     fm = pipe.transform(train)
     assert fm.source == "pca"
     assert fm.shape == (10, 3)
@@ -97,7 +107,7 @@ def test_bad_lbp_mode_rejected():
                                                (False, True), (True, True)])
 def test_payload_round_trip(with_lbp, with_pca):
     train = images(n=10, seed=5)
-    pipe = fit_pipeline(
+    pipe, _ = fit_pipeline(
         train,
         lbp=LbpConfig(neighbors=8, radius=1.5, cell_size=8) if with_lbp else None,
         lbp_mode="histogram" if with_lbp else "pixel_map",

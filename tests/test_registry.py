@@ -92,6 +92,13 @@ def test_spec_validation():
     RegressorSpec("ridge", {"lam": 2.0})  # valid
 
 
+@pytest.mark.parametrize("kind", ["mlp", "cnn"])
+@pytest.mark.parametrize("name", ["momentum", "rms_decay"])
+def test_networks_take_no_optimizer_constants(kind, name):
+    with pytest.raises(ConfigError, match="does not accept"):
+        RegressorSpec(kind, {name: 0.9})
+
+
 def test_knn_default_k_is_five():
     X, Y = flat_data(n=12)
     model = fit_any(RegressorSpec("knn"), X, Y)
