@@ -14,8 +14,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset as ds
 from . import eval as ev
 from . import pca as pca_mod
@@ -118,8 +116,9 @@ def cmd_train(args) -> int:
         "pipeline": meta,
         "target_names": list(train.slot_names),
         "task": args.task,
+        **arrays,
     }
-    save_model(args.out, model, extras=extras, extra_arrays=arrays)
+    save_model(args.out, model, extras)
     print(f"trained {args.model} on task {args.task} "
           f"({len(train)} rows, {X.shape[1]} features) -> {args.out}")
     return 0
@@ -133,16 +132,15 @@ def cmd_predict(args) -> int:
             f"{args.model_file} holds no feature pipeline; "
             "predict needs a model written by 'facekeys train'"
         )
-    with np.load(args.model_file) as data:
-        arrays = {k: data[k] for k in data.files if k.startswith("pipe_")}
-    pipe = pipeline_from_payload(extras["pipeline"], arrays)
+    pipe = pipeline_from_payload(extras["pipeline"], extras)
+    columns = [f"{n}_{axis}" for n in extras["target_names"] for axis in "xy"]
     # an image-only CSV reads as a training CSV with zero coordinate columns
     images = ds.load_training_csv(args.input).images
     pred = predict_any(model, pipe.transform(images).values)
-
-    columns = [f"{n}_{axis}" for n in extras.get("target_names", []) for axis in "xy"]
-    ds._write_csv(args.out, columns or [f"y{i}" for i in range(pred.shape[1])],
-                  ([repr(float(v)) for v in row] for row in pred))
+    if len(columns) != pred.shape[1]:
+        raise CliError(f"{args.model_file} names {len(columns)} target columns, "
+                       f"but its model predicts {pred.shape[1]}")
+    ds._write_csv(args.out, columns, ([repr(float(v)) for v in row] for row in pred))
     print(f"wrote {pred.shape[0]} predictions to {args.out}")
     return 0
 

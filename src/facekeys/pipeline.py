@@ -80,6 +80,11 @@ def fit_pipeline(
     return pipe, features
 
 
+#: the PCA stage's fields and the model-file array that holds each
+_PCA_ARRAYS = {"mean": "pipe_pca_mean", "components": "pipe_pca_components",
+               "explained_variance": "pipe_pca_variance", "explained_ratio": "pipe_pca_ratio"}
+
+
 def pipeline_to_payload(pipe: FeaturePipeline) -> tuple[dict, dict[str, np.ndarray]]:
     """JSON-safe metadata plus arrays for serialization."""
     meta = {
@@ -88,29 +93,32 @@ def pipeline_to_payload(pipe: FeaturePipeline) -> tuple[dict, dict[str, np.ndarr
         "lbp_mode": pipe.lbp_mode,
         "has_pca": pipe.pca is not None,
     }
-    arrays: dict[str, np.ndarray] = {}
-    if pipe.pca is not None:
-        arrays["pipe_pca_mean"] = pipe.pca.mean
-        arrays["pipe_pca_components"] = pipe.pca.components
-        arrays["pipe_pca_variance"] = pipe.pca.explained_variance
-        arrays["pipe_pca_ratio"] = pipe.pca.explained_ratio
-    return meta, arrays
+    if pipe.pca is None:
+        return meta, {}
+    return meta, {name: getattr(pipe.pca, field) for field, name in _PCA_ARRAYS.items()}
+
+
+def _entry(source, name: str, what: str = "meta entry"):
+    if name not in source:
+        raise ValueError(f"the feature pipeline has no {what} {name!r}")
+    return source[name]
 
 
 def pipeline_from_payload(meta: dict, arrays) -> FeaturePipeline:
-    """Inverse of pipeline_to_payload."""
-    lbp_cfg = LbpConfig(**meta["lbp"]) if meta.get("lbp") else None
+    """Inverse of pipeline_to_payload. A missing meta entry or array, or an
+    lbp record that is not LbpConfig's fields, raises ValueError naming it."""
+    lbp = _entry(meta, "lbp")
+    fields = set(LbpConfig.__dataclass_fields__)
+    if lbp is not None and not (isinstance(lbp, dict) and set(lbp) == fields):
+        raise ValueError(f"the feature pipeline's 'lbp' entry is {lbp!r}, "
+                         f"not null or a record of {sorted(fields)}")
     model = None
-    if meta.get("has_pca"):
-        model = pca_mod.PcaModel(
-            mean=np.asarray(arrays["pipe_pca_mean"]),
-            components=np.asarray(arrays["pipe_pca_components"]),
-            explained_variance=np.asarray(arrays["pipe_pca_variance"]),
-            explained_ratio=np.asarray(arrays["pipe_pca_ratio"]),
-        )
+    if _entry(meta, "has_pca"):
+        model = pca_mod.PcaModel(**{field: np.asarray(_entry(arrays, name, "array"))
+                                    for field, name in _PCA_ARRAYS.items()})
     return FeaturePipeline(
-        scale_pixels=bool(meta["scale_pixels"]),
-        lbp=lbp_cfg,
-        lbp_mode=meta.get("lbp_mode", "pixel_map"),
+        scale_pixels=bool(_entry(meta, "scale_pixels")),
+        lbp=None if lbp is None else LbpConfig(**lbp),
+        lbp_mode=_entry(meta, "lbp_mode"),
         pca=model,
     )

@@ -11,6 +11,8 @@ predict_any, save_model and load_model are lookups in them.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -152,7 +154,7 @@ def _mlp_model(meta, data) -> MlpModel:
     if meta["hidden_activation"] != "tanh":
         raise ConfigError(f"unsupported mlp hidden activation {meta['hidden_activation']!r}")
     n = int(meta["n_layers"])
-    stored = sorted(name for name in data.names if name.startswith("mlp_"))
+    stored = sorted(name for name in data if name.startswith("mlp_"))
     if stored != sorted(f"mlp_{part}{i}" for i in range(n) for part in "bw"):
         raise ConfigError(f"mlp meta n_layers is {n}, but the file holds arrays {stored}")
     return MlpModel(
@@ -211,49 +213,71 @@ def predict_any(model, X) -> np.ndarray:
     return _format_of(model, "predict with").predict(model, X)
 
 
-def save_model(path, model, extras: dict | None = None,
-               extra_arrays: dict[str, np.ndarray] | None = None) -> None:
-    """Write a fitted model to .npz in one write.
-
-    extras (JSON-safe) ride in the meta record; extra_arrays (such as a
-    feature pipeline's pipe_* arrays) are stored next to the model's own.
-    """
+def save_model(path, model, extras: dict | None = None) -> None:
+    """Write a fitted model to .npz in one write. An array-valued extra is
+    an archive entry beside the model's own; the rest ride in the meta record."""
     fmt = _format_of(model, "serialize")
     meta, arrays = fmt.to_payload(model)
-    meta.update(kind=fmt.tag, extras=extras or {})
+    extras = extras or {}
+    extra_arrays = {k: v for k, v in extras.items() if isinstance(v, np.ndarray)}
+    meta.update(kind=fmt.tag, extras={k: v for k, v in extras.items() if k not in extra_arrays})
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **arrays, **(extra_arrays or {}))
+    np.savez(path, **arrays, **extra_arrays)
 
 
-class _Entries:
-    """A model file's meta record or its arrays, looked up by name; a name
-    the file lacks is a ConfigError that names it."""
+class _Entries(Mapping):
+    """A model file's meta record, arrays or extras by name. An entry is
+    read from the mapping that holds it when it is looked up, so an array
+    is read from the archive only if asked for; a name the file lacks is a
+    ConfigError that names it. served holds the names looked up."""
 
-    def __init__(self, path, what: str, source):
-        self._path, self._what, self._source = path, what, source
-        self.names = list(source)
+    def __init__(self, path, what: str, holders: dict):
+        self._path, self._what, self._holders = path, what, holders  # name -> its mapping
+        self.served: set[str] = set()
 
     def __getitem__(self, name: str):
-        if name not in self._source:
+        if name not in self._holders:
             raise ConfigError(f"{self._path} has no {self._what} {name!r}")
-        return self._source[name]
+        self.served.add(name)
+        return self._holders[name][name]
+
+    def get(self, name: str, default=None):
+        return self[name] if name in self else default
+
+    def __contains__(self, name) -> bool:
+        return name in self._holders
+
+    def __iter__(self):
+        return iter(self._holders)
+
+    def __len__(self) -> int:
+        return len(self._holders)
 
 
 def load_model(path):
     """Read a model written by save_model. Returns (model, extras).
 
-    A file that lacks a meta entry or an array its kind reads, or whose
-    arrays do not form a valid model, raises ConfigError or ValueError.
+    extras also holds every array the model's kind did not read, each read
+    from the still-open archive when looked up. A file that lacks a meta
+    entry or an array its kind reads, or whose arrays do not form a valid
+    model, raises ConfigError or ValueError.
     """
     data = np.load(path)
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ConfigError(f"{path} is not a facekeys model file: it is not an .npz archive")
-    with data:
+    with ExitStack() as closing:
+        closing.callback(data.close)
         if "meta" not in data.files:
             raise ConfigError(f"{path} is not a facekeys model file: it has no meta record")
         meta = json.loads(bytes(data["meta"]).decode())
         fmt = _FORMAT_BY_TAG.get(meta.get("kind"))
         if fmt is None:
             raise ConfigError(f"unknown model kind {meta.get('kind')!r} in {path}")
-        model = fmt.from_payload(_Entries(path, "meta entry", meta), _Entries(path, "array", data))
-    return model, meta.get("extras", {})
+        arrays = _Entries(path, "array", dict.fromkeys([n for n in data.files if n != "meta"], data))
+        model = fmt.from_payload(_Entries(path, "meta entry", dict.fromkeys(meta, meta)), arrays)
+        unread = [name for name in arrays if name not in arrays.served]
+        if unread:
+            closing.pop_all()  # extras reads them from the open archive
+    extras = meta.get("extras", {})
+    return model, _Entries(path, "extra", {**dict.fromkeys(extras, extras),
+                                           **dict.fromkeys(unread, data)})

@@ -204,9 +204,17 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
     them in passes of about _PASS_ELEMENTS target values, and ties go to
     the lowest feature, then the lowest threshold. Depth is bounded by
     memory, not by the recursion limit. NaN or inf in X or Y raises
-    ValueError.
+    ValueError, and so does a target above sqrt(F / m) / (4 n) in
+    magnitude, with F the largest float64, n rows and m outputs: under
+    that bound no prefix sum of the split scan, no squared prefix sum and
+    no summed error reaches inf.
     """
     X, Y = check_fit_inputs(X, Y)
+    n, m = Y.shape
+    limit = np.sqrt(np.finfo(np.float64).max / max(m, 1)) / (4 * n)
+    if np.abs(Y).max(initial=0.0) > limit:
+        raise ValueError(f"tree targets must be at most {limit:.3g} in magnitude "
+                         f"for {n} rows and {m} outputs, got {np.abs(Y).max():.3g}")
     if max_depth is not None and max_depth < 0:
         raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
     if min_samples_leaf < 1:

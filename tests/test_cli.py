@@ -10,9 +10,16 @@ import pytest
 from facekeys import eval as ev
 from facekeys.cli import INPUT_ENV, main
 from conftest import build_dataset
-from facekeys.dataset import load_training_csv, split_by_keypoint_coverage, write_training_csv
+from facekeys.dataset import (
+    load_image_csv,
+    load_training_csv,
+    split_by_keypoint_coverage,
+    write_image_csv,
+    write_training_csv,
+)
 from facekeys.lbp import _min_rotations, lbp_basic
-from facekeys.regressors import RegressorSpec, fit_any, load_model, save_model
+from facekeys.pipeline import pipeline_from_payload
+from facekeys.regressors import RegressorSpec, fit_any, load_model, predict_any, save_model
 from readers import load_pca, load_split_csvs, read_pgm, read_ppm
 
 SPLIT_FILES = tuple(
@@ -373,6 +380,62 @@ def test_predict_rejects_a_tampered_knn_or_mlp_file(tmp_path, csv_path, capsys, 
     assert len(err.splitlines()) == 1
 
 
+
+def _edit_extras(edit):
+    def tamper(arrays):
+        meta = json.loads(bytes(arrays["meta"]).decode())
+        edit(meta["extras"])
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+    return tamper
+
+
+@pytest.mark.parametrize("tamper,fragment", [
+    (_edit_extras(lambda e: e["pipeline"].pop("scale_pixels")), "no meta entry 'scale_pixels'"),
+    (_edit_extras(lambda e: e["pipeline"].pop("lbp_mode")), "no meta entry 'lbp_mode'"),
+    (_edit_extras(lambda e: e["pipeline"]["lbp"].update(spin=1)), "'lbp' entry"),
+    (_drop_array("pipe_pca_mean"), "no array 'pipe_pca_mean'"),
+    (_edit_extras(lambda e: e.pop("target_names")), "has no extra 'target_names'"),
+    (_edit_extras(lambda e: e["target_names"].pop()), "names 6 target columns"),
+], ids=["no-scale_pixels", "no-lbp_mode", "lbp-unknown-key", "no-pipe_pca_mean",
+        "no-target_names", "short-target_names"])
+def test_predict_rejects_a_tampered_pipeline(tmp_path, csv_path, capsys, tamper, fragment):
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--lbp", "--pca", "5") == 0
+    with np.load(model_file) as data:
+        arrays = {name: data[name] for name in data.files}
+    tamper(arrays)
+    np.savez(model_file, **arrays)
+    capsys.readouterr()
+    rc = main(["predict", "--model-file", str(model_file),
+               "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error:") and fragment in err
+    assert len(err.splitlines()) == 1
+
+
+def test_predict_equals_a_reference_that_reads_the_file_apart(tmp_path, csv_path):
+    # a reader outside the package may rebuild a prediction from
+    # load_model's (model, extras), the pipe_* entries and
+    # pipeline_from_payload(meta, mapping); facekeys predict must agree
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--lbp", "--pca", "5") == 0
+    requests = tmp_path / "images.csv"
+    write_image_csv(load_training_csv(csv_path), requests)
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model-file", str(model_file),
+                 "--input", str(requests), "--out", str(out)]) == 0
+
+    model, extras = load_model(model_file)
+    with np.load(model_file) as data:
+        arrays = {k: data[k] for k in data.files if k.startswith("pipe_")}
+    pipe = pipeline_from_payload(extras["pipeline"], arrays)
+    expected = predict_any(model, pipe.transform(load_image_csv(requests)).values)
+    header = out.read_text().splitlines()[0].split(",")
+    assert header == [f"{n}_{a}" for n in extras["target_names"] for a in "xy"]
+    assert np.array_equal(_predictions(out), expected)
+
+
 def test_a_diverging_fit_is_a_one_line_error(tmp_path, capsys):
     d = build_dataset()
     keypoints = d.keypoints.copy()
@@ -383,6 +446,21 @@ def test_a_diverging_fit_is_a_one_line_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err == "facekeys: error: mlp loss became non-finite at epoch 0\n"
+
+
+
+def test_a_tree_fit_on_overflowing_targets_is_a_one_line_error(tmp_path, capsys):
+    d = build_dataset()
+    keypoints = d.keypoints.copy()
+    keypoints[0, 0] = 1e300  # finite, but the split scan's sums overflow
+    path = tmp_path / "huge.csv"
+    write_training_csv(dataclasses.replace(d, keypoints=keypoints), path)
+    model_file = tmp_path / "tree.npz"
+    assert _train(path, model_file, "--model", "tree") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error: tree targets must be at most")
+    assert len(err.splitlines()) == 1
+    assert not model_file.exists()
 
 
 def test_cnn_rejects_feature_widths_without_a_grid(tmp_path, csv_path, capsys):

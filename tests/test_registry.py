@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,10 +184,11 @@ def test_saved_model_layout_is_pinned(tmp_path, kind):
         X = X.reshape(-1, 4, 4)
     model = fit_any(RegressorSpec(kind, hp, seed=1), X, Y)
     path = tmp_path / "model.npz"
-    save_model(path, model, extras={"note": "x"})
+    table = np.arange(6.0).reshape(2, 3)
+    save_model(path, model, extras={"note": "x", "table": table})
     tag, array_keys, meta_keys = _LAYOUTS[kind]
     with np.load(path) as data:
-        assert set(data.files) == array_keys | {"meta"}
+        assert set(data.files) == array_keys | {"meta", "table"}
         assert data["meta"].dtype == np.uint8
         raw = bytes(data["meta"]).decode()
     meta = json.loads(raw)
@@ -194,6 +196,26 @@ def test_saved_model_layout_is_pinned(tmp_path, kind):
     assert meta["kind"] == tag
     assert meta["extras"] == {"note": "x"}
     assert raw == json.dumps(meta, sort_keys=True)
+    # an array extra comes back as itself; the kind's own arrays never do
+    _, extras = load_model(path)
+    assert set(extras) == {"note", "table"}
+    assert extras["note"] == "x" and np.array_equal(extras["table"], table)
+
+
+
+def test_an_array_extra_is_read_only_when_looked_up(tmp_path):
+    X, Y = flat_data(seed=5, d=16)
+    path = tmp_path / "ols.npz"
+    big = np.arange(1 << 18, dtype=np.float64)  # 2 MiB
+    save_model(path, fit_any(RegressorSpec("ols"), X, Y), extras={"big": big})
+    tracemalloc.start()
+    try:
+        _, extras = load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < big.nbytes // 4
+    assert "big" in extras and np.array_equal(extras["big"], big)
 
 
 def test_load_refuses_an_mlp_file_with_another_hidden_activation(tmp_path):

@@ -495,6 +495,36 @@ def test_non_finite_input_is_rejected(bad, where):
         tree_fit(X, Y)
 
 
+
+def _target_limit(n, m):
+    return np.sqrt(np.finfo(np.float64).max / m) / (4 * n)
+
+
+@pytest.mark.parametrize("huge", [1e155, 1e300])
+def test_targets_whose_split_sums_overflow_are_rejected(huge):
+    X = np.arange(8.0)[:, None]
+    Y = np.zeros((8, 2))
+    Y[0, 0] = huge
+    with pytest.raises(ValueError, match="tree targets must be at most"):
+        tree_fit(X, Y, max_depth=None)
+    Y[0, 0] = np.nextafter(_target_limit(8, 2), np.inf)
+    with pytest.raises(ValueError, match="tree targets must be at most"):
+        tree_fit(X, Y, max_depth=None)
+
+
+def test_targets_at_the_bound_fit_without_overflow():
+    # one row at -limit and the rest at +limit: the right-hand sums of the
+    # first candidate are (n - 1) * limit, the largest the bound allows.
+    # A RuntimeWarning from the scan fails this test (pytest settings).
+    n, m = 8, 2
+    X = np.arange(float(n))[:, None]
+    Y = np.full((n, m), _target_limit(n, m))
+    Y[0] = -Y[0]
+    model = tree_fit(X, Y, max_depth=None)
+    assert model.feature[0] == 0 and model.threshold[0] == 0.5
+    assert np.allclose(tree_predict(model, X), Y, rtol=1e-15, atol=0.0)
+
+
 def test_fit_memory_is_bounded_by_twice_the_input():
     rng = np.random.default_rng(7)
     X = rng.integers(0, 256, size=(360, 2304)) / 255.0
