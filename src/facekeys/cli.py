@@ -3,7 +3,8 @@
 Subcommands: split, train, predict, benchmark, lbp, pca, visualize. Exit
 codes: 0 on success, 1 on runtime failures (one-line diagnostic on
 stderr), 2 on usage errors (argparse). All randomness funnels through a
-single --seed flag with a fixed default.
+single --seed flag. A run setting left out takes its BenchmarkConfig
+default, so `facekeys train` fits what the benchmark would.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .pipeline import fit_pipeline, pipeline_from_payload, pipeline_to_payload
 from .regressors import (
     KINDS,
     SPEC_KINDS,
-    RegressorSpec,
     TrainingDiverged,
     fit_any,
     load_model,
@@ -31,7 +31,6 @@ from .regressors import (
     save_model,
 )
 
-DEFAULT_SEED = 7
 INPUT_ENV = "FACEKEYS_TRAINING_CSV"
 
 
@@ -82,34 +81,31 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         )
 
 
-def _build_spec(args, seed: int) -> RegressorSpec:
-    # the train flags' destinations are the run-set hyperparameter names
-    names = SPEC_KINDS[args.model].run_set
-    return RegressorSpec(args.model, {n: getattr(args, n) for n in names}, seed)
+#: train flags that set the BenchmarkConfig field of their own name
+_TRAIN_SETTINGS = ("seed", "lbp_neighbors", "lbp_radius", "lbp_rotation_invariant", "lbp_mode")
 
 
 def cmd_train(args) -> int:
-    """Fit one model on one task and save it with its feature pipeline."""
-    d = _load_task(_resolve_input(args.input), args.task)
-    train = ds.impute_column_means(ev._subsample(d, args.max_rows, args.seed))
+    """Fit one model on one task and save it with its feature pipeline.
 
-    lbp_cfg = None
-    if args.lbp:
-        lbp_cfg = LbpConfig(
-            neighbors=args.lbp_neighbors,
-            radius=args.lbp_radius,
-            rotation_invariant=args.lbp_rotation_invariant,
-        )
+    The setting flags given override a BenchmarkConfig(); a model flag's
+    destination is its run-set hyperparameter name."""
+    given = {name: getattr(args, name) for name in _TRAIN_SETTINGS}
+    given.update({ev._config_field(args.model, name): getattr(args, name)
+                  for name in SPEC_KINDS[args.model].run_set})
+    cfg = replace(ev.BenchmarkConfig(), **{k: v for k, v in given.items() if v is not None})
+    d = _load_task(_resolve_input(args.input), args.task)
+    train = ds.impute_column_means(ev._subsample(d, args.max_rows, cfg.seed))
     pipe, features = fit_pipeline(
         train.images,
         scale_pixels=not args.no_pixel_scaling,
-        lbp=lbp_cfg,
-        lbp_mode=args.lbp_mode,
+        lbp=ev._lbp_config(cfg) if args.lbp else None,
+        lbp_mode=cfg.lbp_mode,
         pca_components=args.pca,
         variance_target=args.variance,
     )
     X = features.values
-    model = fit_any(_build_spec(args, args.seed), X, train.keypoints)
+    model = fit_any(ev._spec_for(cfg, args.model), X, train.keypoints)
 
     meta, arrays = pipeline_to_payload(pipe)
     extras = {
@@ -172,14 +168,17 @@ def cmd_benchmark(args) -> int:
 
 def cmd_lbp(args) -> int:
     """Render one row's LBP code map to a PGM file."""
+    geometry = {name: value for name, value in
+                (("neighbors", args.neighbors), ("radius", args.radius)) if value is not None}
+    if args.circular:
+        cfg = LbpConfig(**geometry, rotation_invariant=args.rotation_invariant)
+    elif geometry:
+        raise CliError("--neighbors and --radius need --circular")
+    else:  # the basic 3x3 map
+        cfg = LbpConfig(rotation_invariant=args.rotation_invariant, interpolation="nearest")
     d = ds.load_training_csv(_resolve_input(args.input))
     if not 0 <= args.row < len(d):
         raise CliError(f"row {args.row} out of range (0..{len(d) - 1})")
-    if args.circular:
-        cfg = LbpConfig(neighbors=args.neighbors, radius=args.radius,
-                        rotation_invariant=args.rotation_invariant)
-    else:  # the basic 3x3 map
-        cfg = LbpConfig(rotation_invariant=args.rotation_invariant, interpolation="nearest")
     viz.render_lbp(lbp_circular(d.image(args.row), cfg), args.out)
     print(f"wrote LBP map of row {args.row} to {args.out}")
     return 0
@@ -238,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("split", help="write derived train/test CSVs per task")
     add_input(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--train-fraction", type=float, default=0.9)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--train-fraction", type=float, default=ev.BenchmarkConfig.train_fraction)
+    p.add_argument("--seed", type=int, default=ev.BenchmarkConfig.seed)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="fit one model and save it")
@@ -247,31 +246,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("four", "eleven"), default="four")
     p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=int)
     p.add_argument("--max-rows", type=int, default=None)
     p.add_argument("--no-pixel-scaling", action="store_true")
     p.add_argument("--lbp", action="store_true", help="LBP-code features")
-    p.add_argument("--lbp-neighbors", type=int, default=8)
-    p.add_argument("--lbp-radius", type=float, default=1.0)
-    p.add_argument("--lbp-rotation-invariant", action="store_true")
-    p.add_argument("--lbp-mode", choices=("pixel_map", "histogram"),
-                   default="pixel_map")
+    p.add_argument("--lbp-neighbors", type=int)
+    p.add_argument("--lbp-radius", type=float)
+    p.add_argument("--lbp-rotation-invariant", action="store_true", default=None)
+    p.add_argument("--lbp-mode", choices=("pixel_map", "histogram"))
     p.add_argument("--pca", type=int, default=None,
                    help="project features to this many components")
     p.add_argument("--variance", type=float, default=None,
                    help="pick component count by variance coverage")
-    p.add_argument("--k", type=int, default=5, help="knn neighbor count")
-    p.add_argument("--lam", type=float, default=1.0, help="ridge penalty")
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--rho", type=float, default=0.5)
-    p.add_argument("--max-iter", type=int, default=1000)
-    p.add_argument("--tol", type=float, default=1e-4)
-    p.add_argument("--max-depth", type=int, default=5)
-    p.add_argument("--min-samples-leaf", type=int, default=1)
-    p.add_argument("--hidden", type=_parse_hidden, default="300,150,50")
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch-size", type=int, default=30)
-    p.add_argument("--optimizer", choices=("sgd", "rmsprop"), default="rmsprop")
+    p.add_argument("--k", type=int, help="knn neighbor count")
+    p.add_argument("--lam", type=float, help="ridge penalty")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-depth", type=int)
+    p.add_argument("--min-samples-leaf", type=int)
+    p.add_argument("--hidden", type=_parse_hidden)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--optimizer", choices=("sgd", "rmsprop"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="apply a saved model to images")
@@ -302,8 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--row", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--circular", action="store_true")
-    p.add_argument("--neighbors", type=int, default=8)
-    p.add_argument("--radius", type=float, default=1.0)
+    p.add_argument("--neighbors", type=int, help="with --circular")
+    p.add_argument("--radius", type=float, help="with --circular")
     p.add_argument("--rotation-invariant", action="store_true")
     p.set_defaults(func=cmd_lbp)
 

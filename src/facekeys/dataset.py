@@ -155,12 +155,8 @@ class Dataset:
 
     def take(self, indices) -> "Dataset":
         """Row subset (copies), preserving the given order."""
-        idx = np.asarray(indices, dtype=np.intp)
-        return replace(
-            self,
-            images=self.images[idx].copy(),
-            keypoints=self.keypoints[idx].copy(),
-        )
+        idx = np.asarray(indices, dtype=np.intp)  # a fancy index copies
+        return replace(self, images=self.images[idx], keypoints=self.keypoints[idx])
 
 
 def _slot_names_from_header(columns: list[str]) -> tuple[str, ...]:
@@ -402,7 +398,8 @@ def _restrict(d: Dataset, slot_idx: list[int]) -> Dataset:
     for j in slot_idx:
         cols.extend((2 * j, 2 * j + 1))
     return Dataset(
-        images=d.images.copy(),
+        images=d.images,  # read-only, so shared
+        # a column index yields Fortran order; C order keeps the column sums' bits
         keypoints=d.keypoints[:, cols].copy(),
         slot_names=tuple(d.slot_names[j] for j in slot_idx),
     )

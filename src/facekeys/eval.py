@@ -193,23 +193,17 @@ class EvalReport:
     seed: int = 0
 
 
+#: run-set hyperparameters held by one config field for every kind
+_SHARED_FIELDS = {"max_iter": "cd_max_iter", "tol": "cd_tol", "optimizer": "optimizer"}
+
+
+def _config_field(kind: str, name: str) -> str:
+    """The BenchmarkConfig field behind run-set hyperparameter name of kind."""
+    return _SHARED_FIELDS.get(name, f"{kind}_{name}")
+
+
 def _spec_for(cfg: BenchmarkConfig, kind: str) -> RegressorSpec:
-    # config field behind each run-set hyperparameter name
-    values = {
-        "k": cfg.knn_k,
-        "lam": cfg.ridge_lam,
-        "alpha": cfg.elastic_alpha if kind == "elastic" else cfg.lasso_alpha,
-        "rho": cfg.elastic_rho,
-        "max_iter": cfg.cd_max_iter,
-        "tol": cfg.cd_tol,
-        "max_depth": cfg.tree_max_depth,
-        "min_samples_leaf": cfg.tree_min_samples_leaf,
-        "hidden": cfg.mlp_hidden,
-        "epochs": cfg.cnn_epochs if kind == "cnn" else cfg.mlp_epochs,
-        "batch_size": cfg.cnn_batch_size if kind == "cnn" else cfg.mlp_batch_size,
-        "optimizer": cfg.optimizer,
-    }
-    hp = {name: values[name] for name in SPEC_KINDS[kind].run_set}
+    hp = {name: getattr(cfg, _config_field(kind, name)) for name in SPEC_KINDS[kind].run_set}
     return RegressorSpec(kind=kind, hyperparameters=hp, seed=cfg.seed)
 
 

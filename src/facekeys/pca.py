@@ -22,7 +22,8 @@ class PcaError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PcaModel:
-    """Fitted projection.
+    """Fitted projection; building one with shapes that do not fit
+    together raises PcaError.
 
     Attributes:
         mean: (d,) column means of the training data.
@@ -35,6 +36,16 @@ class PcaModel:
     components: np.ndarray
     explained_variance: np.ndarray
     explained_ratio: np.ndarray
+
+    def __post_init__(self):
+        if self.components.ndim != 2:
+            raise PcaError(f"components must be 2-d, got shape {self.components.shape}")
+        k, d = self.components.shape
+        for name, shape in (("mean", (d,)), ("explained_variance", (k,)),
+                            ("explained_ratio", (k,))):
+            if getattr(self, name).shape != shape:
+                raise PcaError(f"{name} has shape {getattr(self, name).shape}, but "
+                               f"components of shape {(k, d)} need {shape}")
 
     @property
     def n_components(self) -> int:

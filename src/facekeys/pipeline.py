@@ -105,8 +105,9 @@ def _entry(source, name: str, what: str = "meta entry"):
 
 
 def pipeline_from_payload(meta: dict, arrays) -> FeaturePipeline:
-    """Inverse of pipeline_to_payload. A missing meta entry or array, or an
-    lbp record that is not LbpConfig's fields, raises ValueError naming it."""
+    """Inverse of pipeline_to_payload. A missing meta entry or array, an
+    lbp record that is not LbpConfig's fields, or PCA arrays whose shapes
+    do not fit together, raises ValueError naming it."""
     lbp = _entry(meta, "lbp")
     fields = set(LbpConfig.__dataclass_fields__)
     if lbp is not None and not (isinstance(lbp, dict) and set(lbp) == fields):
@@ -114,8 +115,14 @@ def pipeline_from_payload(meta: dict, arrays) -> FeaturePipeline:
                          f"not null or a record of {sorted(fields)}")
     model = None
     if _entry(meta, "has_pca"):
-        model = pca_mod.PcaModel(**{field: np.asarray(_entry(arrays, name, "array"))
-                                    for field, name in _PCA_ARRAYS.items()})
+        stage = {field: np.asarray(_entry(arrays, name, "array"))
+                 for field, name in _PCA_ARRAYS.items()}
+        try:
+            model = pca_mod.PcaModel(**stage)
+        except pca_mod.PcaError:
+            shapes = ", ".join(f"{name} {stage[field].shape}" for field, name in _PCA_ARRAYS.items())
+            raise ValueError(f"the feature pipeline's PCA arrays do not fit together: "
+                             f"{shapes}") from None
     return FeaturePipeline(
         scale_pixels=bool(_entry(meta, "scale_pixels")),
         lbp=None if lbp is None else LbpConfig(**lbp),

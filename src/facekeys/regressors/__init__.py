@@ -10,6 +10,7 @@ predict_any, save_model and load_model are lookups in them.
 
 from __future__ import annotations
 
+import inspect
 import json
 from collections.abc import Mapping
 from contextlib import ExitStack
@@ -44,18 +45,21 @@ class ConfigError(ValueError):
 class SpecKind:
     """How to train one spec kind.
 
-    run_set names the hyperparameters a CLI or benchmark run sets (the
-    train flags and BenchmarkConfig fields map onto them); tuning names
-    the further ones a spec may set. A seeded kind's fit takes the seed.
+    A spec of this kind accepts the keywords of fit other than X, Y and
+    seed; fit_any passes the spec's seed when fit has a seed keyword.
+    run_set names the hyperparameters a CLI or benchmark run sets: name n
+    of kind k is the BenchmarkConfig field k_n (cd_max_iter, cd_tol and
+    optimizer for max_iter, tol and optimizer).
     """
 
     fit: Callable
     run_set: tuple[str, ...] = ()
-    tuning: tuple[str, ...] = ()
-    seeded: bool = False
 
+    @property
+    def keywords(self) -> frozenset[str]:
+        """The fit's keyword names (all its parameters but X and Y)."""
+        return frozenset(inspect.signature(self.fit).parameters) - {"X", "Y"}
 
-_GRADIENT_TUNING = ("learning_rate", "scale_targets")
 
 SPEC_KINDS: dict[str, SpecKind] = {
     "knn": SpecKind(knn_fit, ("k",)),
@@ -64,14 +68,8 @@ SPEC_KINDS: dict[str, SpecKind] = {
     "lasso": SpecKind(lasso_fit, ("alpha", "max_iter", "tol")),
     "elastic": SpecKind(elastic_fit, ("alpha", "rho", "max_iter", "tol")),
     "tree": SpecKind(tree_fit, ("max_depth", "min_samples_leaf")),
-    "mlp": SpecKind(
-        mlp_fit, ("hidden", "epochs", "batch_size", "optimizer"),
-        ("dropout",) + _GRADIENT_TUNING, seeded=True,
-    ),
-    "cnn": SpecKind(
-        cnn_fit, ("epochs", "batch_size", "optimizer"),
-        ("dropout_conv", "dropout_dense") + _GRADIENT_TUNING, seeded=True,
-    ),
+    "mlp": SpecKind(mlp_fit, ("hidden", "epochs", "batch_size", "optimizer")),
+    "cnn": SpecKind(cnn_fit, ("epochs", "batch_size", "optimizer")),
 }
 
 KINDS = tuple(SPEC_KINDS)
@@ -91,7 +89,7 @@ class RegressorSpec:
             raise ConfigError(
                 f"unknown regressor kind {self.kind!r}; expected one of {KINDS}"
             )
-        extra = set(self.hyperparameters) - {*entry.run_set, *entry.tuning}
+        extra = set(self.hyperparameters) - (entry.keywords - {"seed"})
         if extra:
             raise ConfigError(
                 f"{self.kind} does not accept hyperparameters {sorted(extra)}"
@@ -106,7 +104,7 @@ def fit_any(spec: RegressorSpec, X, Y):
     bit-for-bit reproducible for a fixed seed.
     """
     entry = SPEC_KINDS[spec.kind]
-    seed = {"seed": spec.seed} if entry.seeded else {}
+    seed = {"seed": spec.seed} if "seed" in entry.keywords else {}
     return entry.fit(X, Y, **spec.hyperparameters, **seed)
 
 

@@ -3,12 +3,15 @@
 import builtins
 import dataclasses
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from facekeys import cli
 from facekeys import eval as ev
-from facekeys.cli import INPUT_ENV, main
+from facekeys.cli import INPUT_ENV, CliError, build_parser, main
 from conftest import build_dataset
 from facekeys.dataset import (
     load_image_csv,
@@ -17,9 +20,16 @@ from facekeys.dataset import (
     write_image_csv,
     write_training_csv,
 )
-from facekeys.lbp import _min_rotations, lbp_basic
+from facekeys.lbp import LbpConfig, _min_rotations, lbp_basic, lbp_circular
 from facekeys.pipeline import pipeline_from_payload
-from facekeys.regressors import RegressorSpec, fit_any, load_model, predict_any, save_model
+from facekeys.regressors import (
+    KINDS,
+    RegressorSpec,
+    fit_any,
+    load_model,
+    predict_any,
+    save_model,
+)
 from readers import load_pca, load_split_csvs, read_pgm, read_ppm
 
 SPLIT_FILES = tuple(
@@ -223,6 +233,21 @@ def test_train_subsamples_like_the_benchmark_and_records_the_task(tmp_path, csv_
     assert np.array_equal(model.X, rows.images.reshape(10, -1) / 255.0)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_train_without_setting_flags_fits_the_benchmark_spec(tmp_path, csv_path, monkeypatch,
+                                                             kind):
+    fitted = []
+
+    def capture(spec, X, Y):
+        fitted.append(spec)
+        raise CliError("captured")
+
+    monkeypatch.setattr(cli, "fit_any", capture)
+    pca = ("--pca", "16") if kind == "cnn" else ()
+    assert _train(csv_path, tmp_path / "model.npz", "--model", kind, *pca) == 1
+    assert fitted == [ev._spec_for(ev.BenchmarkConfig(), kind)]
+
+
 @pytest.mark.parametrize("bad, fragment", [
     (("--max-iter", "0"), "max_iter must be at least 1"),
     (("--tol", "0"), "tol must be positive"),
@@ -340,9 +365,9 @@ def _drop_array(name):
     return tamper
 
 
-def _cut_array(name):
+def _cut_array(name, axis=0):
     def tamper(arrays):
-        arrays[name] = arrays[name][:-1]
+        arrays[name] = np.delete(arrays[name], -1, axis=axis)
     return tamper
 
 
@@ -396,8 +421,11 @@ def _edit_extras(edit):
     (_drop_array("pipe_pca_mean"), "no array 'pipe_pca_mean'"),
     (_edit_extras(lambda e: e.pop("target_names")), "has no extra 'target_names'"),
     (_edit_extras(lambda e: e["target_names"].pop()), "names 6 target columns"),
+    (_cut_array("pipe_pca_mean"), "do not fit together: pipe_pca_mean (255,)"),
+    (_cut_array("pipe_pca_components", axis=1), "pipe_pca_components (5, 255)"),
 ], ids=["no-scale_pixels", "no-lbp_mode", "lbp-unknown-key", "no-pipe_pca_mean",
-        "no-target_names", "short-target_names"])
+        "no-target_names", "short-target_names", "short-pipe_pca_mean",
+        "narrow-pipe_pca_components"])
 def test_predict_rejects_a_tampered_pipeline(tmp_path, csv_path, capsys, tamper, fragment):
     model_file = tmp_path / "knn.npz"
     assert _train(csv_path, model_file, "--model", "knn", "--lbp", "--pca", "5") == 0
@@ -566,6 +594,24 @@ def test_lbp_command_circular_wide_codes(tmp_path, csv_path):
     assert gray.shape == (16, 16)
 
 
+def test_lbp_command_circular_defaults_to_the_config_geometry(tmp_path, csv_path):
+    out = tmp_path / "circular.pgm"
+    assert main(["lbp", "--input", str(csv_path), "--circular", "--out", str(out)]) == 0
+    d = load_training_csv(csv_path)
+    expected = lbp_circular(d.image(0), LbpConfig()).codes.astype(np.uint8)
+    assert np.array_equal(read_pgm(out), expected)
+
+
+@pytest.mark.parametrize("flag", [("--neighbors", "12"), ("--radius", "2")],
+                         ids=["neighbors", "radius"])
+def test_lbp_command_refuses_geometry_without_circular(tmp_path, csv_path, capsys, flag):
+    out = tmp_path / "x.pgm"
+    assert main(["lbp", "--input", str(csv_path), *flag, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "facekeys: error: --neighbors and --radius need --circular\n"
+    assert not out.exists()
+
+
 def test_lbp_command_row_out_of_range(tmp_path, csv_path, capsys):
     rc = main(["lbp", "--input", str(csv_path), "--row", "99",
                "--out", str(tmp_path / "x.pgm")])
@@ -608,3 +654,14 @@ def test_visualize_scatter_needs_a_slot(tmp_path, csv_path, capsys):
                    "--out", str(tmp_path / "s.ppm")])
         assert rc == 1
         assert "needs --slot" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("facekeys ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -428,6 +429,22 @@ def test_coverage_split_ties_break_by_column_order():
     # nothing missing anywhere: the first four columns win
     assert dense.slot_names == SLOT_NAMES[:4]
     assert len(sparse) == 10
+
+
+def test_coverage_split_shares_the_image_block():
+    d = build_dataset(n_rows=200, side=32, sparse_missing_rows=120)
+    tracemalloc.start()
+    try:
+        dense, sparse = split_by_keypoint_coverage(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense.images is d.images
+    assert len(sparse) == 80
+    # C order: column means sum in the same order as on a copied block
+    assert dense.keypoints.flags.c_contiguous and sparse.keypoints.flags.c_contiguous
+    # the sparse rows (40% of the block) are copied once; nothing else is
+    assert peak < d.images.nbytes
 
 
 def test_coverage_split_needs_five_slots():

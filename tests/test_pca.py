@@ -5,6 +5,7 @@ import pytest
 
 from facekeys.pca import (
     PcaError,
+    PcaModel,
     fit_pca,
     inverse_transform,
     save_pca,
@@ -195,3 +196,19 @@ def test_input_validation():
         transform(model, np.ones((2, 5)))
     with pytest.raises(PcaError):
         inverse_transform(model, np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("field, shape, fragment", [
+    ("mean", (4,), r"mean has shape \(4,\), but components of shape \(2, 5\) need \(5,\)"),
+    ("components", (2, 5, 1), "components must be 2-d"),
+    ("components", (2, 4), r"mean has shape \(5,\).*need \(4,\)"),
+    ("explained_variance", (3,), r"explained_variance has shape \(3,\)"),
+    ("explained_ratio", (2, 1), r"explained_ratio has shape \(2, 1\)"),
+], ids=["short-mean", "3-d-components", "narrow-components", "long-variance", "2-d-ratio"])
+def test_model_checks_its_shapes(field, shape, fragment):
+    arrays = {"mean": np.zeros(5), "components": np.eye(2, 5),
+              "explained_variance": np.ones(2), "explained_ratio": np.ones(2) / 2}
+    PcaModel(**arrays)
+    arrays[field] = np.zeros(shape)
+    with pytest.raises(PcaError, match=fragment):
+        PcaModel(**arrays)

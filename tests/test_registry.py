@@ -1,3 +1,4 @@
+import functools
 import json
 import tracemalloc
 
@@ -7,7 +8,9 @@ import pytest
 from facekeys.regressors import (
     ConfigError,
     KINDS,
+    SPEC_KINDS,
     RegressorSpec,
+    SpecKind,
     fit_any,
     load_model,
     predict_any,
@@ -91,6 +94,49 @@ def test_spec_validation():
     with pytest.raises(ConfigError, match="does not accept"):
         RegressorSpec("ols", {"k": 5})
     RegressorSpec("ridge", {"lam": 2.0})  # valid
+
+
+_ACCEPTED = {
+    "knn": {"k"},
+    "ols": set(),
+    "ridge": {"lam"},
+    "lasso": {"alpha", "max_iter", "tol"},
+    "elastic": {"alpha", "rho", "max_iter", "tol"},
+    "tree": {"max_depth", "min_samples_leaf"},
+    "mlp": {"hidden", "epochs", "batch_size", "optimizer", "learning_rate", "scale_targets",
+            "dropout"},
+    "cnn": {"epochs", "batch_size", "optimizer", "learning_rate", "scale_targets",
+            "dropout_conv", "dropout_dense"},
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_spec_accepts_its_fits_keywords(kind):
+    assert set(_ACCEPTED) == set(KINDS)
+    assert set(SPEC_KINDS[kind].run_set) <= _ACCEPTED[kind]
+    candidates = set().union(*_ACCEPTED.values()) | {"seed", "X", "Y", "verbose"}
+    accepted = set()
+    for name in candidates:
+        try:
+            RegressorSpec(kind, {name: None})
+            accepted.add(name)
+        except ConfigError:
+            pass
+    assert accepted == _ACCEPTED[kind]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_only_the_networks_get_the_seed(kind, monkeypatch):
+    entry = SPEC_KINDS[kind]
+    calls = []
+
+    @functools.wraps(entry.fit)
+    def recording_fit(X, Y, **kwargs):
+        calls.append(kwargs)
+
+    monkeypatch.setitem(SPEC_KINDS, kind, SpecKind(recording_fit, entry.run_set))
+    fit_any(RegressorSpec(kind, seed=11), np.zeros((3, 16)), np.zeros((3, 2)))
+    assert calls == ([{"seed": 11}] if kind in ("mlp", "cnn") else [{}])
 
 
 @pytest.mark.parametrize("kind", ["mlp", "cnn"])
