@@ -89,10 +89,16 @@ def cmd_train(args) -> int:
     """Fit one model on one task and save it with its feature pipeline.
 
     The setting flags given override a BenchmarkConfig(); a model flag's
-    destination is its run-set hyperparameter name."""
+    destination is its run-set hyperparameter name. A model flag outside
+    the --model's run set is refused."""
+    run_set = SPEC_KINDS[args.model].run_set
+    foreign = sorted({name for kind in SPEC_KINDS.values() for name in kind.run_set
+                      if name not in run_set and getattr(args, name) is not None})
+    if foreign:
+        flags = ", ".join("--" + name.replace("_", "-") for name in foreign)
+        raise CliError(f"--model {args.model} does not take {flags}")
     given = {name: getattr(args, name) for name in _TRAIN_SETTINGS}
-    given.update({ev._config_field(args.model, name): getattr(args, name)
-                  for name in SPEC_KINDS[args.model].run_set})
+    given.update({ev._config_field(args.model, name): getattr(args, name) for name in run_set})
     cfg = replace(ev.BenchmarkConfig(), **{k: v for k, v in given.items() if v is not None})
     d = _load_task(_resolve_input(args.input), args.task)
     train = ds.impute_column_means(ev._subsample(d, args.max_rows, cfg.seed))

@@ -24,7 +24,7 @@ from .linear import LinearModel, elastic_fit, lasso_fit, linear_predict, ols_fit
 from .tree import NODE_ARRAYS, TreeModel, tree_fit, tree_predict
 from .mlp import MlpModel, mlp_fit, mlp_predict
 from .cnn import PARAM_NAMES, CnnModel, cnn_fit, cnn_predict
-from .optim import TrainingDiverged
+from .optim import Scaling, TrainingDiverged
 
 __all__ = [
     "RegressorSpec", "ConfigError", "TrainingDiverged", "SpecKind",
@@ -135,12 +135,31 @@ def _tree_model(meta, data) -> TreeModel:
     )
 
 
+def _scaling_meta(s: Scaling) -> dict:
+    return {
+        "input_offset": s.input_offset,
+        "input_scale": s.input_scale,
+        "target_offset": np.asarray(s.target_offset).tolist(),
+        "target_scale": np.asarray(s.target_scale).tolist(),
+    }
+
+
+def _scaling(meta, n_outputs: int) -> Scaling:
+    """A network file's scaling. A file written before fit_scaling holds
+    scalar targets and no input fields: its inputs are not scaled."""
+    targets = [np.asarray(meta[name], dtype=np.float64) for name in ("target_offset", "target_scale")]
+    if any(t.shape not in ((), (n_outputs,)) for t in targets):
+        raise ConfigError(f"target_offset and target_scale must be scalars or hold "
+                          f"{n_outputs} values, got shapes {[t.shape for t in targets]}")
+    return Scaling(float(meta.get("input_offset", 0.0)), float(meta.get("input_scale", 1.0)),
+                   *targets)
+
+
 def _mlp_payload(m: MlpModel):
     meta = {
         "n_layers": len(m.weights),
         "hidden_activation": "tanh",  # the one hidden activation; kept in the file format
-        "target_offset": m.target_offset,
-        "target_scale": m.target_scale,
+        **_scaling_meta(m.scaling),
     }
     arrays: dict[str, np.ndarray] = {}
     for i, (w, b) in enumerate(zip(m.weights, m.biases)):
@@ -155,19 +174,26 @@ def _mlp_model(meta, data) -> MlpModel:
     stored = sorted(name for name in data if name.startswith("mlp_"))
     if stored != sorted(f"mlp_{part}{i}" for i in range(n) for part in "bw"):
         raise ConfigError(f"mlp meta n_layers is {n}, but the file holds arrays {stored}")
-    return MlpModel(
+    model = MlpModel(
         weights=[data[f"mlp_w{i}"] for i in range(n)],
         biases=[data[f"mlp_b{i}"] for i in range(n)],
-        target_offset=float(meta["target_offset"]),
-        target_scale=float(meta["target_scale"]),
     )
+    model.scaling = _scaling(meta, model.biases[-1].size)
+    return model
 
 
-# cnn meta entries and how each is read back
-_CNN_META = {
-    "side": int, "dropout_conv": float, "dropout_dense": float,
-    "target_offset": float, "target_scale": float,
-}
+# cnn meta entries besides the scaling, and how each is read back
+_CNN_META = {"side": int, "dropout_conv": float, "dropout_dense": float}
+
+
+def _cnn_model(meta, data) -> CnnModel:
+    model = CnnModel(
+        params={name: data[f"cnn_{name}"] for name in PARAM_NAMES},
+        **{name: read(meta[name]) for name, read in _CNN_META.items()},
+    )
+    model.scaling = _scaling(meta, model.params["out_b"].size)
+    return model
+
 
 _FORMATS: dict[type, _Format] = {
     KnnModel: _Format(
@@ -187,13 +213,10 @@ _FORMATS: dict[type, _Format] = {
     CnnModel: _Format(
         "cnn", cnn_predict,
         lambda m: (
-            {name: getattr(m, name) for name in _CNN_META},
+            {**{name: getattr(m, name) for name in _CNN_META}, **_scaling_meta(m.scaling)},
             {f"cnn_{name}": arr for name, arr in m.params.items()},
         ),
-        lambda meta, data: CnnModel(
-            params={name: data[f"cnn_{name}"] for name in PARAM_NAMES},
-            **{name: read(meta[name]) for name, read in _CNN_META.items()},
-        ),
+        _cnn_model,
     ),
 }
 _FORMAT_BY_TAG = {fmt.tag: fmt for fmt in _FORMATS.values()}

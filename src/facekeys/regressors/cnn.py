@@ -6,9 +6,10 @@ conv 32@5x5 (same padding) -> ReLU -> 2x2 max pool -> dropout, conv
 8@3x3 (same padding) -> ReLU -> 2x2 max pool -> dropout, flatten
 ((side/4)^2 * 8, 128 at side 16) -> dense 100 tanh -> dropout -> linear
 output. Convolution and pooling forward/backward are written out by
-hand; the dense head is the MLP's code. The loss is MSE and targets
-train in the scaled space y' = (y - 48) / 48. The arrays of a fit are
-views of one parameter vector.
+hand; the dense head is the MLP's code. The loss is MSE, and the network
+trains on inputs and targets standardized by optim.fit_scaling (learned
+from the training split); predict maps its output back. The arrays of a
+fit are views of one parameter vector.
 
 Layout and blocking. Activations are held channel-major, (c, n, h, w),
 and a convolution's patches as one (c*kh*kw, n*h*w) matrix with rows in
@@ -50,7 +51,7 @@ import numpy as np
 
 from ._inputs import check_fit_inputs
 from .mlp import _backward as _head_backward, _forward as _head_forward, layers_chain
-from .optim import glorot_uniform, mse_loss_and_grad, param_vector, train
+from .optim import Scaling, fit_scaling, glorot_uniform, mse_loss_and_grad, param_vector, train
 
 PARAM_NAMES = (
     "conv1_w", "conv1_b", "conv2_w", "conv2_b",
@@ -60,7 +61,7 @@ PARAM_NAMES = (
 
 @dataclass(eq=False)
 class CnnModel:
-    """Parameter tensors in PARAM_NAMES order plus training metadata.
+    """Parameter tensors in PARAM_NAMES order plus training metadata and scaling.
 
     Building one raises ValueError unless params holds exactly the
     PARAM_NAMES, side is a positive multiple of 4, and the shapes chain:
@@ -73,8 +74,7 @@ class CnnModel:
     side: int = 16
     dropout_conv: float = 0.25
     dropout_dense: float = 0.5
-    target_offset: float = 0.0
-    target_scale: float = 1.0
+    scaling: Scaling = Scaling()
     loss_history: list[float] = field(default_factory=list)
 
     def __post_init__(self):
@@ -338,16 +338,17 @@ def cnn_fit(
     dropout_conv: float = 0.25,
     dropout_dense: float = 0.5,
     seed: int = 0,
-    scale_targets: bool = True,
 ) -> CnnModel:
-    """Train the convolutional regressor on (n, side, side) grids.
+    """Train the convolutional regressor on (n, side, side) grids, with
+    X and Y scaled by fit_scaling(X, Y).
 
     X may also hold (n, side*side) feature rows, read as row-major grids.
 
     loss_history records the full-training-set MSE (dropout off, scaled
     target space) per epoch, computed by the forward pass alone; a
     non-finite loss aborts with TrainingDiverged naming the epoch. NaN or
-    inf in X or Y raises ValueError.
+    inf in X or Y, or a std of X or of a Y column that overflows, raises
+    ValueError.
     """
     X = _check_grids(X)
     Y = check_fit_inputs(X.reshape(len(X), X.shape[1] * X.shape[2]), Y)[1]
@@ -355,9 +356,8 @@ def cnn_fit(
     model = init_cnn(X.shape[1], Y.shape[1], seed)
     model.dropout_conv = dropout_conv
     model.dropout_dense = dropout_dense
-    if scale_targets:
-        model.target_offset, model.target_scale = 48.0, 48.0
-    Ys = (Y - model.target_offset) / model.target_scale
+    model.scaling = fit_scaling(X, Y)
+    X, Ys = model.scaling.inputs(X), model.scaling.targets(Y)
 
     params, views = param_vector([model.params[k] for k in PARAM_NAMES])
     model.params = dict(zip(PARAM_NAMES, views))
@@ -384,6 +384,6 @@ def cnn_fit(
 
 
 def cnn_predict(model: CnnModel, X) -> np.ndarray:
-    """Deterministic forward pass (dropout off), unscaled outputs."""
-    pred = _output(model.params, _check_grids(X, model.side))
-    return pred * model.target_scale + model.target_offset
+    """Deterministic forward pass (dropout off) on scaled inputs, outputs in target units."""
+    X = model.scaling.inputs(_check_grids(X, model.side))
+    return model.scaling.outputs(_output(model.params, X))

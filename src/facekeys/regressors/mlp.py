@@ -3,10 +3,10 @@
 Every hidden layer uses tanh (the only activation), the output layer is
 linear, and the loss is mean squared error. Training runs mini-batch
 SGD-with-momentum or RMSprop with inverted dropout on hidden activations.
-Target coordinates are fit in the scaled space y' = (y - 48) / 48 and
-mapped back at prediction time, which keeps the linear output head in
-tanh-friendly range. The weights and biases of a fit are views of one
-parameter vector. The CNN's dense head runs _forward and _backward.
+The network trains on inputs and targets standardized by optim.fit_scaling
+(learned from the training split) and predict maps its output back, which
+keeps tanh out of saturation. The weights and biases of a fit are views of
+one parameter vector. The CNN's dense head runs _forward and _backward.
 """
 
 from __future__ import annotations
@@ -16,12 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._inputs import check_fit_inputs, check_rows
-from .optim import glorot_uniform, mse_loss_and_grad, param_vector, train
+from .optim import Scaling, fit_scaling, glorot_uniform, mse_loss_and_grad, param_vector, train
 
 
 @dataclass(eq=False)
 class MlpModel:
-    """Weights/biases per layer plus the target scaling used in training.
+    """Weights/biases per layer plus the scaling used in training.
 
     Building one raises ValueError unless there is at least one layer,
     each weight is 2-d with a bias of its fan_out, and each layer's fan_in
@@ -30,8 +30,7 @@ class MlpModel:
 
     weights: list[np.ndarray]  # layer i: (fan_in, fan_out)
     biases: list[np.ndarray]
-    target_offset: float = 0.0
-    target_scale: float = 1.0
+    scaling: Scaling = Scaling()
     loss_history: list[float] = field(default_factory=list)
 
     def __post_init__(self):
@@ -139,21 +138,20 @@ def mlp_fit(
     learning_rate: float | None = None,
     dropout: float = 0.5,
     seed: int = 0,
-    scale_targets: bool = True,
 ) -> MlpModel:
-    """Train an MLP regressor.
+    """Train an MLP regressor on X and Y scaled by fit_scaling(X, Y).
 
     The recorded loss_history holds the full-training-set MSE (dropout
     off, scaled target space) at the end of each epoch, computed by the
     forward pass alone. A non-finite loss aborts with TrainingDiverged
-    naming the epoch; NaN or inf in X or Y raises ValueError.
+    naming the epoch; NaN or inf in X or Y, or a std of X or of a Y
+    column that overflows, raises ValueError.
     """
     X, Y = check_fit_inputs(X, Y)
 
     model = init_mlp(X.shape[1], tuple(hidden), Y.shape[1], seed)
-    if scale_targets:
-        model.target_offset, model.target_scale = 48.0, 48.0
-    Ys = (Y - model.target_offset) / model.target_scale
+    model.scaling = fit_scaling(X, Y)
+    X, Ys = model.scaling.inputs(X), model.scaling.targets(Y)
 
     k = len(model.weights)
     params, views = param_vector(model.weights + model.biases)
@@ -173,6 +171,6 @@ def mlp_fit(
 
 
 def mlp_predict(model: MlpModel, X) -> np.ndarray:
-    """Deterministic forward pass (dropout off), unscaled outputs."""
-    pred = forward(model.weights, model.biases, check_rows(X, model.n_inputs))
-    return pred * model.target_scale + model.target_offset
+    """Deterministic forward pass (dropout off) on scaled inputs, outputs in target units."""
+    X = model.scaling.inputs(check_rows(X, model.n_inputs))
+    return model.scaling.outputs(forward(model.weights, model.biases, X))

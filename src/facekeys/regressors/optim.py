@@ -1,15 +1,67 @@
-"""Shared pieces for the gradient-trained models: init, optimizers, loss,
-and the mini-batch training loop. A fit trains one parameter vector (see
-param_vector); the optimizers' updates are elementwise, so stepping it
-whole equals stepping each array on its own, bit for bit."""
+"""Shared pieces for the gradient-trained models: the scaling rule, init,
+optimizers, loss, and the mini-batch training loop. A fit trains one
+parameter vector (see param_vector); the optimizers' updates are
+elementwise, so stepping it whole equals stepping each array on its own,
+bit for bit."""
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite during training."""
+
+
+@dataclass(frozen=True, eq=False)
+class Scaling:
+    """How a network's inputs and targets are scaled; the defaults are the identity.
+
+    A network trains on inputs(X) against targets(Y), and outputs() maps
+    its output back to target units. The input fields are scalars over
+    all entries; the target fields hold one value per target column, or
+    one scalar for all columns, as model files written before fit_scaling
+    do.
+    """
+
+    input_offset: float = 0.0
+    input_scale: float = 1.0
+    target_offset: np.ndarray | float = 0.0
+    target_scale: np.ndarray | float = 1.0
+
+    def inputs(self, X: np.ndarray) -> np.ndarray:
+        return (X - self.input_offset) / self.input_scale
+
+    def targets(self, Y: np.ndarray) -> np.ndarray:
+        return (Y - self.target_offset) / self.target_scale
+
+    def outputs(self, pred: np.ndarray) -> np.ndarray:
+        return pred * self.target_scale + self.target_offset
+
+
+def fit_scaling(X: np.ndarray, Y: np.ndarray) -> Scaling:
+    """The networks' one scaling rule, learned from training inputs X and
+    (n, m) targets Y: zero mean and unit std (LeCun, Bottou, Orr & Mueller
+    1998, "Efficient BackProp"). The inputs get one mean and std over all
+    entries, the targets one per column; a std of 0 becomes 1. A std that
+    is not finite in float64 raises ValueError.
+    """
+    input_offset, input_scale = _mean_and_scale(X, None, "inputs")
+    target_offset, target_scale = _mean_and_scale(Y, 0, "targets")
+    return Scaling(float(input_offset), float(input_scale), target_offset, target_scale)
+
+
+def _mean_and_scale(values: np.ndarray, axis, what: str):
+    """Mean and std of values over axis, a std of 0 replaced by 1."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = values.mean(axis=axis), values.std(axis=axis)
+    # an overflowing mean makes the std inf or NaN too
+    if not np.isfinite(std).all():
+        raise ValueError(f"cannot scale the {what}: their std overflows float64 "
+                         f"(largest magnitude {np.abs(values).max():.3g})")
+    return mean, np.where(std == 0.0, 1.0, std)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:

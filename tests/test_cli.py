@@ -146,6 +146,21 @@ def test_train_then_predict_round_trip(tmp_path, csv_path, extra):
     assert np.isfinite(pred).all()
 
 
+@pytest.mark.parametrize("model,extra,flags", [
+    ("ridge", ("--k", "3", "--epochs", "9"), "--epochs, --k"),
+    ("knn", ("--max-iter", "5"), "--max-iter"),
+    ("cnn", ("--hidden", "8"), "--hidden"),
+    ("ols", ("--lam", "0"), "--lam"),
+], ids=["ridge", "knn", "cnn", "ols"])
+def test_train_refuses_a_flag_its_model_does_not_take(tmp_path, csv_path, capsys,
+                                                      model, extra, flags):
+    model_file = tmp_path / "model.npz"
+    assert _train(csv_path, model_file, "--model", model, *extra) == 1
+    err = capsys.readouterr().err
+    assert err == f"facekeys: error: --model {model} does not take {flags}\n"
+    assert not model_file.exists()
+
+
 def test_predict_accepts_image_only_csv(tmp_path, csv_path):
     out_dir = tmp_path / "splits"
     assert main(["split", "--input", str(csv_path), "--out-dir", str(out_dir)]) == 0
@@ -467,13 +482,15 @@ def test_predict_equals_a_reference_that_reads_the_file_apart(tmp_path, csv_path
 def test_a_diverging_fit_is_a_one_line_error(tmp_path, capsys):
     d = build_dataset()
     keypoints = d.keypoints.copy()
-    keypoints[0, 0] = 1e300  # finite, but its squared error overflows
+    keypoints[0, 0] = 1e300  # finite, but the std of its column overflows
     path = tmp_path / "huge.csv"
     write_training_csv(dataclasses.replace(d, keypoints=keypoints), path)
     rc = _train(path, tmp_path / "mlp.npz", "--model", "mlp", "--hidden", "4", "--epochs", "1")
     assert rc == 1
     err = capsys.readouterr().err
-    assert err == "facekeys: error: mlp loss became non-finite at epoch 0\n"
+    assert err == ("facekeys: error: cannot scale the targets: their std overflows float64 "
+                   "(largest magnitude 1e+300)\n")
+    assert not (tmp_path / "mlp.npz").exists()
 
 
 

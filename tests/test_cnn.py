@@ -17,6 +17,7 @@ from facekeys.regressors.cnn import (
     loss_and_gradients,
 )
 from facekeys.regressors.optim import (
+    Scaling,
     TrainingDiverged,
     batch_slices,
     dropout_mask,
@@ -148,11 +149,12 @@ def reference_loss_and_gradients(model, X, Y, masks=None):
 def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, seed):
     """The fit loop cnn_fit ran before the shared loop, on the reference
     network: the epoch loss came from a full gradient pass, and each array
-    had its own optimizer."""
+    had its own optimizer. X is scaled by its mean and std over all
+    entries, Y by each column's mean and std."""
     X = _check_grids(X)
     model = init_cnn(X.shape[1], Y.shape[1], seed)
-    model.target_offset, model.target_scale = 48.0, 48.0
-    Ys = (Y - model.target_offset) / model.target_scale
+    X = (X - X.mean()) / X.std()
+    Ys = (Y - Y.mean(axis=0)) / Y.std(axis=0)
     rng = np.random.default_rng(seed + 1)
     params = [model.params[k] for k in PARAM_NAMES]
     opts = [make_optimizer("rmsprop", p) for p in params]
@@ -181,14 +183,15 @@ def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, see
 
 def reference_forward(model, X):
     """cnn_predict's network on all rows at once, through the reference layers."""
-    p = model.params
+    p, s = model.params, model.scaling
+    X = (X - s.input_offset) / s.input_scale
     c1, _ = reference_conv_forward(X[:, None], p["conv1_w"], p["conv1_b"])
     p1, _ = reference_pool_forward(np.maximum(c1, 0.0))
     c2, _ = reference_conv_forward(p1, p["conv2_w"], p["conv2_b"])
     p2, _ = reference_pool_forward(np.maximum(c2, 0.0))
     flat = p2.reshape(X.shape[0], p["dense_w"].shape[0])
     pred = np.tanh(flat @ p["dense_w"] + p["dense_b"]) @ p["out_w"] + p["out_b"]
-    return pred * model.target_scale + model.target_offset
+    return pred * s.target_scale + s.target_offset
 
 
 def channel_major(a):
@@ -358,7 +361,7 @@ def test_predict_shape_and_determinism():
     preds = cnn_predict(model, X)
     assert preds.shape == (10, 3)
     assert np.array_equal(preds, cnn_predict(model, X))
-    assert model.target_offset == 48.0
+    assert np.array_equal(model.scaling.target_offset, Y.mean(axis=0))
 
 
 def test_divergence_raises():
@@ -369,7 +372,7 @@ def test_divergence_raises():
         with np.errstate(over="ignore", invalid="ignore"):
             cnn_fit(X, Y, epochs=40, batch_size=4, optimizer="sgd",
                     learning_rate=1e18, dropout_conv=0.0, dropout_dense=0.0,
-                    seed=0, scale_targets=False)
+                    seed=0)
 
 
 def test_grid_validation():
@@ -447,8 +450,7 @@ def test_forward_only_loss_equals_the_backprop_loss():
 @pytest.mark.parametrize("scale", [1.0, 500.0])
 @pytest.mark.parametrize("dropout", [(0.0, 0.0), (0.25, 0.5), (0.0, 0.5)])
 def test_fit_is_bit_identical_to_the_reference_loop(dropout, scale):
-    # scale 500 is the size of unscaled PCA grids, where the dense layer
-    # saturates and a last-bit change in any sum grows through training
+    # scale 500 is the size of unscaled PCA grids, which the input scaling divides out
     rng = np.random.default_rng(14)
     X = rng.normal(size=(23, 8, 8)) * scale  # a ragged last batch of 3 rows
     Y = rng.normal(size=(23, 4)) * 10.0 + 48.0
@@ -486,7 +488,7 @@ def test_predict_equals_the_reference_forward(n, side):
     model = init_cnn(side, 8, seed=7)
     for name in ("conv1_b", "conv2_b", "dense_b", "out_b"):
         model.params[name] = rng.normal(size=model.params[name].shape) * 0.1
-    model.target_offset, model.target_scale = 48.0, 48.0
+    model.scaling = Scaling(3.0, 500.0, rng.normal(size=8) * 10.0 + 48.0, rng.uniform(5.0, 20.0, 8))
     X = rng.normal(size=(n, side, side)) * 500.0
     pred = cnn_predict(model, X)
     assert pred.shape == (n, 8)

@@ -65,6 +65,35 @@ def test_mean_predictor_rmse_hand_values():
     assert mean_predictor_rmse(Y_train, Y_test) == pytest.approx(math.sqrt(2.0))
 
 
+def face_like(n_rows: int, side: int, seed: int):
+    """Seeded face-like fixture: (n, side, side) pixels in [0, 1] and (n, 8)
+    targets in 96-pixel units. Each face moves and scales a template of
+    four keypoints (eyes, nose, lip), and each keypoint is a dark Gaussian
+    blob on a grey face with pixel noise, so the pixels locate the targets."""
+    rng = np.random.default_rng(seed)
+    template, centre = np.array([(66.0, 38.0), (30.0, 38.0), (48.0, 62.0), (48.0, 79.0)]), 48.0
+    kp = (centre + rng.uniform(0.85, 1.15, (n_rows, 1, 1)) * (template - centre)
+          + rng.normal(0.0, 6.0, (n_rows, 1, 2)) + rng.normal(0.0, 1.0, (n_rows, 4, 2)))
+    axis = (np.arange(side) + 0.5) * 96.0 / side
+    gx, gy = (np.exp(-((axis - kp[:, :, a : a + 1]) ** 2) / 72.0) for a in (0, 1))
+    pixels = 160.0 - 100.0 * np.einsum("nkh,nkw->nhw", gy, gx)
+    pixels += rng.normal(0.0, 8.0, pixels.shape)
+    return np.clip(pixels, 0.0, 255.0) / 255.0, kp.reshape(n_rows, 8)
+
+
+def test_the_networks_beat_the_mean_predictor_on_faces():
+    # at these epochs the mlp scores 3.47 and the cnn 5.37 px against the
+    # mean predictor's 7.50
+    grids, Y = face_like(120, 16, seed=0)
+    train, test = slice(0, 100), slice(100, None)
+    baseline = mean_predictor_rmse(Y[train], Y[test])
+    for kind, hp, X in (("mlp", {"epochs": 15}, grids.reshape(120, -1)),
+                        ("cnn", {"epochs": 8}, grids)):
+        model = fit_any(RegressorSpec(kind, hp, seed=0), X[train], Y[train])
+        score = rmse(predict_any(model, X[test]), Y[test])
+        assert score < 0.8 * baseline, (kind, score, baseline)
+
+
 # ---- configuration -----------------------------------------------------------
 
 

@@ -1,12 +1,10 @@
 """Golden RMSE table: the CSV reports of two small seeded benchmark configs,
 committed under tests/golden/ and recomputed cell by cell.
 
-knn and tree cells must match exactly. The linear cells must match within
-a relative tolerance stated per kind, because BLAS may sum a product in
-another order (another thread count, another build). Every other field of
-a row must match exactly. The mlp and cnn cells are left out until their
-inputs are standardized: before that, a cnn cell moves by pixels between
-BLAS thread counts.
+knn and tree cells must match exactly. The linear, mlp and cnn cells must
+match within a relative tolerance stated per kind, because BLAS may sum a
+product in another order (another thread count, another build). Every
+other field of a row must match exactly.
 
 A change that moves a cell on purpose rewrites the files with
 ``OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/test_golden.py``
@@ -21,14 +19,17 @@ from pathlib import Path
 
 from conftest import build_dataset
 from facekeys.dataset import write_training_csv
-from facekeys.eval import DEFAULT_MODELS, BenchmarkConfig, format_report, run_benchmark
+from facekeys.eval import ALL_MODELS, BenchmarkConfig, format_report, run_benchmark
 from readers import load_report_csv
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
 
-#: Largest relative difference a cell may show, per model kind.
-RTOL = {"knn": 0.0, "tree": 0.0, "ols": 1e-10, "ridge": 1e-10, "lasso": 1e-10, "elastic": 1e-10}
+#: Largest relative difference a cell may show, per model kind. Moving
+#: every network input of these configs by one ulp moves the mlp's
+#: predictions by at most 6e-15 and the cnn's by 3e-16, relative.
+RTOL = {"knn": 0.0, "tree": 0.0, "ols": 1e-10, "ridge": 1e-10, "lasso": 1e-10, "elastic": 1e-10,
+        "mlp": 1e-10, "cnn": 1e-10}
 
 #: name -> (build_dataset arguments, BenchmarkConfig fields)
 CONFIGS = {
@@ -45,7 +46,7 @@ def report_csv(name: str, directory) -> str:
     data, fields = CONFIGS[name]
     path = Path(directory) / f"{name}-training.csv"
     write_training_csv(build_dataset(**data), path)
-    cfg = BenchmarkConfig(training_csv=str(path), models=DEFAULT_MODELS, **fields)
+    cfg = BenchmarkConfig(training_csv=str(path), models=ALL_MODELS, **fields)
     return format_report(run_benchmark(cfg), "csv")
 
 
@@ -62,11 +63,11 @@ def assert_matches_golden(text: str, name: str) -> None:
             (key, g.rmse, w.rmse)
 
 
-def test_golden_configs_cover_both_pipelines_and_six_models():
+def test_golden_configs_cover_both_pipelines_and_every_model():
     for name in CONFIGS:
         rows = load_report_csv((GOLDEN / f"{name}.csv").read_text()).rows
         assert {r.pipeline for r in rows} == {"raw", "lbp_pca"}
-        assert {r.model for r in rows} == set(DEFAULT_MODELS) == set(RTOL)
+        assert {r.model for r in rows} == set(ALL_MODELS) == set(RTOL)
         assert {r.task for r in rows} == {"eleven", "four"}
 
 

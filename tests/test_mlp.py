@@ -20,11 +20,12 @@ from facekeys.regressors.optim import (
 def reference_mlp_fit(X, Y, hidden, epochs, batch_size, optimizer, dropout, seed):
     """The fit loop mlp_fit ran before the shared loop: the epoch loss came
     from a full loss_and_gradients call whose gradients were dropped, and
-    each array had its own optimizer."""
+    each array had its own optimizer. X is scaled by its mean and std over
+    all entries, Y by each column's mean and std."""
     X = np.asarray(X, dtype=np.float64)
     model = init_mlp(X.shape[1], tuple(hidden), Y.shape[1], seed)
-    model.target_offset, model.target_scale = 48.0, 48.0
-    Ys = (Y - model.target_offset) / model.target_scale
+    X = (X - X.mean()) / X.std()
+    Ys = (Y - Y.mean(axis=0)) / Y.std(axis=0)
     rng = np.random.default_rng(seed + 1)
     params = model.weights + model.biases
     opts = [make_optimizer(optimizer, p) for p in params]
@@ -127,10 +128,14 @@ def test_fit_recovers_scalar_linear_trend():
     y = 3.0 * X[:, 0]
     model = mlp_fit(
         X, y, hidden=(), epochs=300, batch_size=10, optimizer="sgd",
-        learning_rate=0.05, dropout=0.0, seed=0, scale_targets=False,
+        learning_rate=0.05, dropout=0.0, seed=0,
     )
-    assert model.weights[0][0, 0] == pytest.approx(3.0, abs=1e-2)
-    assert model.biases[0][0] == pytest.approx(0.0, abs=1e-2)
+    # the scaled network's weight and bias, mapped back to raw units
+    s = model.scaling
+    slope = model.weights[0][0, 0] * s.target_scale[0] / s.input_scale
+    intercept = s.target_offset[0] + s.target_scale[0] * model.biases[0][0] - slope * s.input_offset
+    assert slope == pytest.approx(3.0, abs=1e-2)
+    assert intercept == pytest.approx(0.0, abs=1e-2)
     preds = mlp_predict(model, X)
     assert np.allclose(preds[:, 0], y, atol=0.05)
 
@@ -143,7 +148,9 @@ def test_target_scaling_round_trip():
         X, Y, hidden=(), epochs=400, batch_size=30, optimizer="sgd",
         learning_rate=0.1, dropout=0.0, seed=1,
     )
-    assert model.target_offset == 48.0 and model.target_scale == 48.0
+    # a column with std 0 is only shifted: its scale is 1
+    assert np.array_equal(model.scaling.target_offset, [60.0, 60.0])
+    assert np.array_equal(model.scaling.target_scale, [1.0, 1.0])
     assert np.allclose(mlp_predict(model, X), 60.0, atol=0.5)
 
 
@@ -191,7 +198,7 @@ def test_divergence_raises_with_epoch():
         with np.errstate(over="ignore", invalid="ignore"):
             mlp_fit(
                 X, Y, hidden=(4,), epochs=50, batch_size=5, optimizer="sgd",
-                learning_rate=1e15, dropout=0.0, seed=0, scale_targets=False,
+                learning_rate=1e15, dropout=0.0, seed=0,
             )
 
 

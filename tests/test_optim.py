@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from facekeys.regressors.cnn import cnn_fit
+from facekeys.regressors.mlp import mlp_fit
 from facekeys.regressors.optim import (
     RmsProp,
+    Scaling,
     Sgd,
     batch_slices,
     dropout_mask,
+    fit_scaling,
     glorot_uniform,
     make_optimizer,
     mse_loss_and_grad,
@@ -102,3 +106,36 @@ def test_batch_slices_cover_order():
     batches = list(batch_slices(10, 4, order))
     assert [len(b) for b in batches] == [4, 4, 2]
     assert np.array_equal(np.concatenate(batches), order)
+
+
+def test_fit_scaling_hand_values():
+    X = np.array([[1.0, 3.0], [5.0, 7.0]])  # mean 4, std sqrt(5)
+    Y = np.array([[2.0, 9.0, 1.0], [4.0, 9.0, 7.0]])
+    s = fit_scaling(X, Y)
+    assert (s.input_offset, s.input_scale) == (4.0, np.sqrt(5.0))
+    assert np.array_equal(s.target_offset, [3.0, 9.0, 4.0])
+    assert np.array_equal(s.target_scale, [1.0, 1.0, 3.0])  # a std of 0 becomes 1
+    assert np.array_equal(s.targets(Y), [[-1.0, 0.0, -1.0], [1.0, 0.0, 1.0]])
+    assert np.array_equal(s.outputs(s.targets(Y)), Y)
+    constant = fit_scaling(np.full((3, 2), 5.0), Y[:1])
+    assert (constant.input_offset, constant.input_scale) == (5.0, 1.0)
+
+
+def test_the_default_scaling_is_the_identity():
+    X = np.random.default_rng(2).normal(size=(4, 3)) * 1e6
+    assert np.array_equal(Scaling().inputs(X), X)
+    assert np.array_equal(Scaling().outputs(X), X)
+
+
+@pytest.mark.parametrize("where", ["X", "Y"])
+@pytest.mark.parametrize("fit", ["mlp", "cnn"])
+def test_a_scale_that_overflows_is_one_value_error(where, fit):
+    X = np.random.default_rng(3).normal(size=(6, 4, 4))
+    Y = np.random.default_rng(4).normal(size=(6, 2))
+    (X if where == "X" else Y)[1, 1] = 1e300  # finite, but the std overflows
+    what = "inputs" if where == "X" else "targets"
+    with pytest.raises(ValueError, match=f"cannot scale the {what}: their std overflows"):
+        if fit == "mlp":
+            mlp_fit(X.reshape(6, 16), Y, hidden=(4,), epochs=1)
+        else:
+            cnn_fit(X, Y, epochs=1)

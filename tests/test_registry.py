@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from facekeys.regressors import (
+    CnnModel,
     ConfigError,
     KINDS,
     SPEC_KINDS,
@@ -16,6 +17,8 @@ from facekeys.regressors import (
     predict_any,
     save_model,
 )
+from facekeys.regressors.cnn import _output as cnn_forward
+from facekeys.regressors.mlp import forward as mlp_forward
 
 
 def flat_data(seed=0, n=30, d=4, m=2):
@@ -103,10 +106,9 @@ _ACCEPTED = {
     "lasso": {"alpha", "max_iter", "tol"},
     "elastic": {"alpha", "rho", "max_iter", "tol"},
     "tree": {"max_depth", "min_samples_leaf"},
-    "mlp": {"hidden", "epochs", "batch_size", "optimizer", "learning_rate", "scale_targets",
-            "dropout"},
-    "cnn": {"epochs", "batch_size", "optimizer", "learning_rate", "scale_targets",
-            "dropout_conv", "dropout_dense"},
+    "mlp": {"hidden", "epochs", "batch_size", "optimizer", "learning_rate", "dropout"},
+    "cnn": {"epochs", "batch_size", "optimizer", "learning_rate", "dropout_conv",
+            "dropout_dense"},
 }
 
 
@@ -198,6 +200,8 @@ def test_save_rejects_foreign_objects(tmp_path):
 
 
 
+_SCALING_META = ("input_offset", "input_scale", "target_offset", "target_scale")
+
 # saved-model layout per model class: meta "kind", array keys, meta keys
 _LAYOUTS = {
     "knn": ("knn", {"knn_x", "knn_y"}, {"k"}),
@@ -210,13 +214,13 @@ _LAYOUTS = {
     "mlp": (
         "mlp",
         {"mlp_w0", "mlp_b0", "mlp_w1", "mlp_b1"},
-        {"n_layers", "hidden_activation", "target_offset", "target_scale"},
+        {"n_layers", "hidden_activation", *_SCALING_META},
     ),
     "cnn": (
         "cnn",
         {f"cnn_{n}" for n in ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
                               "dense_w", "dense_b", "out_w", "out_b")},
-        {"side", "dropout_conv", "dropout_dense", "target_offset", "target_scale"},
+        {"side", "dropout_conv", "dropout_dense", *_SCALING_META},
     ),
 }
 
@@ -278,4 +282,55 @@ def test_load_refuses_an_mlp_file_with_another_hidden_activation(tmp_path):
     arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
     np.savez(path, **arrays)
     with pytest.raises(ConfigError, match="relu"):
+        load_model(path)
+
+
+def _rewrite_meta(path, change) -> None:
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    change(meta)
+    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+
+
+def _to_the_scalar_layout(meta) -> None:
+    """The network meta written before the scaling was learned: targets
+    scaled by the constants 48 and 48, inputs not scaled."""
+    del meta["input_offset"], meta["input_scale"]
+    meta["target_offset"], meta["target_scale"] = 48.0, 48.0
+
+
+@pytest.mark.parametrize("kind", ["mlp", "cnn"])
+def test_a_file_in_the_scalar_layout_predicts_as_it_did(tmp_path, kind):
+    X, Y = flat_data(seed=7, d=16)
+    hp = {"mlp": {"hidden": (6,), "epochs": 2, "batch_size": 10},
+          "cnn": {"epochs": 1, "batch_size": 10}}[kind]
+    path = tmp_path / f"{kind}.npz"
+    save_model(path, fit_any(RegressorSpec(kind, hp, seed=1), X, Y))
+    _rewrite_meta(path, _to_the_scalar_layout)
+    model, _ = load_model(path)
+    if isinstance(model, CnnModel):
+        raw = cnn_forward(model.params, X.reshape(-1, 4, 4))
+    else:
+        raw = mlp_forward(model.weights, model.biases, X)
+    assert np.array_equal(predict_any(model, X), raw * 48.0 + 48.0)
+
+
+@pytest.mark.parametrize("kind", ["mlp", "cnn"])
+def test_a_network_file_saves_its_scaling_per_target_column(tmp_path, kind):
+    X, Y = flat_data(seed=8, d=16, m=3)
+    hp = {"mlp": {"hidden": (6,), "epochs": 1}, "cnn": {"epochs": 1}}[kind]
+    model = fit_any(RegressorSpec(kind, hp, seed=1), X, Y)
+    path = tmp_path / f"{kind}.npz"
+    save_model(path, model)
+    with np.load(path) as data:
+        meta = json.loads(bytes(data["meta"]).decode())
+    assert meta["target_offset"] == Y.mean(axis=0).tolist()
+    assert meta["target_scale"] == Y.std(axis=0).tolist()
+    assert (meta["input_offset"], meta["input_scale"]) == (X.mean(), X.std())
+    back, _ = load_model(path)
+    assert np.array_equal(predict_any(back, X), predict_any(model, X))
+    _rewrite_meta(path, lambda meta: meta.update(target_scale=meta["target_scale"][:2]))
+    with pytest.raises(ConfigError, match="must be scalars or hold 3 values"):
         load_model(path)
