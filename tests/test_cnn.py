@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,6 +29,7 @@ from facekeys.regressors.optim import (
     make_optimizer,
     mse_loss_and_grad,
 )
+from test_golden import RTOL
 
 
 def oracle_conv(x, w, b):
@@ -197,6 +203,23 @@ def reference_forward(model, X):
 def channel_major(a):
     """(c, n, h, w) copy of an (n, c, h, w) array, or the reverse."""
     return np.ascontiguousarray(a.transpose(1, 0, 2, 3))
+
+
+#: Largest difference the package's matmul convolutions may show from the
+#: einsum reference layers, relative to the largest reference entry: the
+#: products sum in another order. The worst case measured was 1.2e-13, one
+#: gradient call on grids of PCA magnitude.
+REFERENCE_RTOL = 1e-11
+
+
+def assert_near_reference(got, ref, what=None) -> None:
+    """got has ref's shape and lies within REFERENCE_RTOL of it, relative to
+    ref's largest entry."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape, what
+    if ref.size:
+        err = float(np.abs(got - ref).max())
+        assert err <= REFERENCE_RTOL * float(np.abs(ref).max()), (what, err)
 
 
 def tensor_rel_error(analytic, numeric) -> float:
@@ -398,13 +421,14 @@ def test_split_convolution_backward_equals_reference(kernel, channels, side):
     b = rng.normal(size=4)
     out, cache = _conv_forward(channel_major(x), w, b)
     ref_out, ref_cache = reference_conv_forward(x, w, b)
-    assert np.array_equal(channel_major(out), ref_out)
+    assert_near_reference(channel_major(out), ref_out, "out")
     dout = rng.normal(size=ref_out.shape)
     ref_dx, ref_dw, ref_db = reference_conv_backward(dout, ref_cache)
     dw, db = np.zeros(w.shape), np.zeros(4)
     _add_conv_grads(channel_major(dout), cache, dw, db)
-    assert np.array_equal(dw, ref_dw) and np.array_equal(db, ref_db)
-    assert np.array_equal(channel_major(_conv_input_grad(channel_major(dout), cache)), ref_dx)
+    assert_near_reference(dw, ref_dw, "dw")
+    assert_near_reference(db, ref_db, "db")
+    assert_near_reference(channel_major(_conv_input_grad(channel_major(dout), cache)), ref_dx, "dx")
 
 
 @pytest.mark.parametrize("values", ["distinct", "ties"])
@@ -433,9 +457,9 @@ def test_gradients_equal_the_reference_network():
     for m in (None, masks):
         loss, grads = loss_and_gradients(model, X, Y, m)
         ref_loss, ref_grads = reference_loss_and_gradients(model, X, Y, m)
-        assert loss == ref_loss
+        assert_near_reference(loss, ref_loss, "loss")
         for name in PARAM_NAMES:
-            assert np.array_equal(grads[name], ref_grads[name]), name
+            assert_near_reference(grads[name], ref_grads[name], name)
 
 
 def test_forward_only_loss_equals_the_backprop_loss():
@@ -449,7 +473,7 @@ def test_forward_only_loss_equals_the_backprop_loss():
 
 @pytest.mark.parametrize("scale", [1.0, 500.0])
 @pytest.mark.parametrize("dropout", [(0.0, 0.0), (0.25, 0.5), (0.0, 0.5)])
-def test_fit_is_bit_identical_to_the_reference_loop(dropout, scale):
+def test_fit_matches_the_reference_loop(dropout, scale):
     # scale 500 is the size of unscaled PCA grids, which the input scaling divides out
     rng = np.random.default_rng(14)
     X = rng.normal(size=(23, 8, 8)) * scale  # a ragged last batch of 3 rows
@@ -458,9 +482,9 @@ def test_fit_is_bit_identical_to_the_reference_loop(dropout, scale):
                 dropout_dense=dropout[1], seed=2)
     model = cnn_fit(X, Y, **args)
     ref = reference_cnn_fit(X, Y, **args)
-    assert model.loss_history == ref.loss_history
+    assert_near_reference(model.loss_history, ref.loss_history, "loss_history")
     for name in PARAM_NAMES:
-        assert np.array_equal(model.params[name], ref.params[name]), name
+        assert_near_reference(model.params[name], ref.params[name], name)
 
 
 def test_flat_rows_train_and_predict_exactly_as_their_grids():
@@ -492,7 +516,7 @@ def test_predict_equals_the_reference_forward(n, side):
     X = rng.normal(size=(n, side, side)) * 500.0
     pred = cnn_predict(model, X)
     assert pred.shape == (n, 8)
-    assert np.array_equal(pred, reference_forward(model, X))
+    assert_near_reference(pred, reference_forward(model, X))
 
 
 @pytest.mark.parametrize("side,n", [(8, 70), (12, 50), (16, 19)])
@@ -511,22 +535,56 @@ def test_gradients_over_row_blocks_equal_the_reference_network(side, n):
     for m in (None, masks):
         loss, grads = loss_and_gradients(model, X, Y, m)
         ref_loss, ref_grads = reference_loss_and_gradients(model, X, Y, m)
-        assert loss == ref_loss
+        assert_near_reference(loss, ref_loss, "loss")
         for name in PARAM_NAMES:
-            assert np.array_equal(grads[name], ref_grads[name]), name
+            assert_near_reference(grads[name], ref_grads[name], name)
 
 
-def test_study_shape_fit_is_bit_identical_to_the_reference_loop():
-    # 12x12 grids of PCA magnitude in batches of 50, as the benchmark trains
+def study_shape_inputs():
+    """12x12 grids of PCA magnitude, targets and cnn_fit arguments: batches
+    of 50, as the benchmark trains."""
     rng = np.random.default_rng(18)
     X = rng.normal(size=(64, 144)) * 500.0
     Y = rng.normal(size=(64, 8)) * 10.0 + 48.0
-    args = dict(epochs=2, batch_size=50, dropout_conv=0.25, dropout_dense=0.5, seed=3)
+    return X, Y, dict(epochs=2, batch_size=50, dropout_conv=0.25, dropout_dense=0.5, seed=3)
+
+
+def test_study_shape_fit_matches_the_reference_loop():
+    X, Y, args = study_shape_inputs()
     model = cnn_fit(X, Y, **args)
     ref = reference_cnn_fit(X, Y, **args)
-    assert model.loss_history == ref.loss_history
+    assert_near_reference(model.loss_history, ref.loss_history, "loss_history")
     for name in PARAM_NAMES:
-        assert np.array_equal(model.params[name], ref.params[name]), name
+        assert_near_reference(model.params[name], ref.params[name], name)
+
+
+_STUDY_SHAPE_FIT = """
+import sys
+import numpy as np
+from facekeys.regressors.cnn import cnn_fit, cnn_predict
+from test_cnn import study_shape_inputs
+X, Y, args = study_shape_inputs()
+model = cnn_fit(X, Y, **args)
+np.savez(sys.argv[1], pred=cnn_predict(model, X), **model.params)
+"""
+
+
+def test_a_fit_holds_the_golden_tolerance_at_one_and_two_blas_threads(tmp_path):
+    # with OpenBLAS 0.3.31 at two threads, conv2's weight-gradient product
+    # (8 x 504 x 288 per 14-row block) rounds differently, so the two
+    # study-shape fits differ in their last bits
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    fits = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"fit-{threads}.npz"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", _STUDY_SHAPE_FIT, str(out)], env=env, check=True)
+        with np.load(out) as data:
+            fits.append(dict(data))
+    for name in ("pred", *PARAM_NAMES):
+        one, two = fits[0][name], fits[1][name]
+        assert np.abs(two - one).max() <= RTOL["cnn"] * np.abs(one).max(), name
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
