@@ -5,13 +5,18 @@ space-separated ``Image`` column; an image-only CSV has zero coordinate
 columns, and only an empty coordinate cell is missing), column-mean
 imputation, the coverage split into a dense four-keypoint task and a
 sparse eleven-keypoint task, seeded holdout partitioning, and conversion
-to numeric matrices. One streaming reader parses every CSV layout.
+to numeric matrices. One reader parses every CSV layout: a canonical
+file, as the writers here and Kaggle's ``training.csv`` write it, is
+decoded a block of lines at a time with whole-block numpy parsing; any
+other file goes row by row through the csv module and the exact pixel
+grammar, which also words every error.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,7 +95,7 @@ class FeatureMatrix:
             raise DatasetError("feature matrix must be 2-d")
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype)
+        return np.array(self.values, dtype=dtype, copy=copy)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -171,28 +176,6 @@ def _slot_names_from_header(columns: list[str]) -> tuple[str, ...]:
     return tuple(names)
 
 
-#: Deletes the characters of canonical pixel text: ASCII digits and blanks.
-_CANONICAL_PIXEL_CHARS = str.maketrans("", "", "0123456789 ")
-
-
-def _parse_pixels(cell: str, row_idx: int) -> np.ndarray:
-    """Decode one ``Image`` cell into int64 pixel values.
-
-    A canonical cell, ASCII digits separated by single blanks as
-    ``_format_image`` writes them, is read by one ``np.fromstring``. The
-    result is kept only when it holds one value per blank-separated token
-    and none above 255, so a saturated integer or a misread blank run
-    never passes. Every other cell, and every cell the checks refuse, goes
-    to ``_parse_pixels_exact``, which defines the grammar and words each
-    error, so both paths accept the same cells with the same values.
-    """
-    if cell.translate(_CANONICAL_PIXEL_CHARS) == "":
-        values = np.fromstring(cell, dtype=np.int64, sep=" ")
-        if values.size == cell.count(" ") + 1 and values.max() <= 255:
-            return values
-    return _parse_pixels_exact(cell, row_idx)
-
-
 def _parse_pixels_exact(cell: str, row_idx: int) -> np.ndarray:
     """The pixel grammar: whitespace-separated Python ints in [0, 255].
 
@@ -230,15 +213,38 @@ def _parse_coordinate(cell: str, row_idx: int, column: str) -> float:
     return value
 
 
+#: Bytes of whole lines the block reader asks for per read (the
+#: ``readlines`` hint): about four rows of 48x48 images, or one of 96x96.
+#: Small blocks keep a block's temporaries in cache: on a shared 2-vCPU
+#: host a 64-row 48x48 file decoded in about 3 ms at 32 KB against 5.6 ms
+#: at 256 KB, with a tracemalloc peak of 0.8 against 4 MB.
+_BLOCK_BYTES = 1 << 15
+
+
 def _read_csv(path, header_rule):
-    """Parse a CSV row by row: the one reader behind every loader.
+    """Parse a CSV: the one reader behind every loader.
 
     ``header_rule(path, header)`` checks the header and returns the slot
     names of its leading coordinate columns; a last ``Image`` column holds
     pixel lists that must decode to the first row's square side. Returns
     (slot_names, (n, 2k) float64 keypoints, (n, side, side) uint8 images
     or None).
+
+    A canonical file, as the package's writers and Kaggle's
+    ``training.csv`` write it, is decoded a block of lines at a time by
+    ``_read_blocks``. Any other file, and any file with an error, is read
+    from its start by ``_read_rows``, which defines the grammar and words
+    every error; the two give the same arrays on every canonical file.
     """
+    try:
+        decoded = _read_blocks(path, header_rule)
+    except DatasetError:  # the row reader words the first error, wherever it is
+        decoded = None
+    return decoded or _read_rows(path, header_rule)
+
+
+def _read_rows(path, header_rule):
+    """``_read_csv`` by the csv module, one row and one cell at a time."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -258,7 +264,7 @@ def _read_csv(path, header_rule):
                                for c in range(n_coord)])
             if not has_image:
                 continue
-            pixels = _parse_pixels(row[n_coord], row_idx)
+            pixels = _parse_pixels_exact(row[n_coord], row_idx)
             where = f"row {row_idx}, column {IMAGE_COLUMN}"
             if not pixel_rows:
                 side = math.isqrt(pixels.size)
@@ -275,6 +281,111 @@ def _read_csv(path, header_rule):
     images = np.stack(pixel_rows).reshape(n, side, side) if has_image else None
     keypoints = np.array(coord_rows, dtype=np.float64).reshape(n, n_coord)
     return slot_names, keypoints, images
+
+
+def _plain_text(raw: bytes) -> str | None:
+    """``raw`` as text when the csv module would split it at its commas
+    alone: ASCII with no quote, NUL or carriage return. None otherwise."""
+    if raw.isascii() and not any(c in raw for c in (b'"', b"\0", b"\r")):
+        return raw.decode("ascii")
+    return None
+
+
+def _read_blocks(path, header_rule):
+    """``_read_csv`` of a canonical file, a block of lines at a time, or None.
+
+    A canonical file is a regular file whose header ends in ``Image``.
+    Each line ends in ``\\n`` or ``\\r\\n`` (the last may end in neither),
+    is no longer than csv's field size limit, and has the header's comma
+    count. The text outside the Image cells is ``_plain_text``, and the
+    Image cells are what ``_decode_pixel_cells`` takes, all of the first
+    row's square size. The csv module cuts such a line at its commas
+    alone, so both readers see the same cells. A header or coordinate
+    error raises DatasetError.
+    """
+    if not os.path.isfile(path):  # opening a pipe would take its writer from the row reader
+        return None
+    with open(path, "rb", buffering=_BLOCK_BYTES) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        line = fh.readline()
+        header = _plain_text(line[:len(line) - line.endswith(b"\n") - line.endswith(b"\r\n")])
+        if not header:  # csv reads an empty line as no fields at all
+            return None
+        header = header.split(",")
+        slot_names = header_rule(path, header)
+        n_coord = 2 * len(slot_names)
+        if header[-1] != IMAGE_COLUMN or len(header) != n_coord + 1:
+            return None
+        images = None
+        coord_rows: list[list[float]] = []
+        n = 0
+        while lines := fh.readlines(_BLOCK_BYTES):
+            if max(map(len, lines)) > csv.field_size_limit():
+                return None  # csv refuses a field this long
+            cells, heads = [], []
+            for line in lines:
+                end = len(line) - line.endswith(b"\n") - line.endswith(b"\r\n")
+                cut = line.rfind(b",", 0, end)  # the Image cell follows the last comma
+                if (cut >= 0) != (n_coord > 0):
+                    return None
+                cells.append(line[cut + 1:end])
+                if n_coord:
+                    heads.append(line[:cut])
+            if images is None:  # the first row sets the image size
+                side = math.isqrt(cells[0].count(b" ") + 1)
+                images = np.empty((0, side * side), dtype=np.uint8)
+            pixels = _decode_pixel_cells(cells, side * side)
+            text = _plain_text(b"\n".join(heads))
+            if pixels is None or text is None:
+                return None
+            for row_text in text.split("\n") if n_coord else ():
+                row = row_text.split(",")
+                if len(row) != n_coord:
+                    return None
+                coord_rows.append([_parse_coordinate(cell, len(coord_rows), header[c])
+                                   for c, cell in enumerate(row)])
+            if n + len(cells) > len(images):
+                # room for the rest of the file at the line length read so far;
+                # resize reallocates in place where it can, so no final copy
+                rest = math.ceil((n + len(cells)) * size / fh.tell())
+                images.resize((max(rest, n + len(cells), len(images) * 5 // 4), side * side),
+                              refcheck=False)
+            images[n:n + len(cells)] = pixels
+            n += len(cells)
+    if images is None:
+        return None
+    images.resize((n, side * side), refcheck=False)
+    keypoints = np.array(coord_rows, dtype=np.float64).reshape(n, n_coord)
+    return slot_names, keypoints, images.reshape(n, side, side)
+
+
+def _decode_pixel_cells(cells: list[bytes], k: int) -> np.ndarray | None:
+    """The (len(cells), k) uint8 values of pixel cells, or None.
+
+    Every cell must be k tokens of 1-3 ASCII digits, each at most 255,
+    separated by single blanks. The cells are joined and decoded by a
+    few numpy operations over the whole block: token ends come from the
+    blank positions, and a token's value is its last digit, plus 10 times
+    the one before, plus 100 times the one before that if it has three.
+    """
+    # blanks around the cells: one before each token and after each cell
+    text = np.frombuffer(b" ".join([b" ", *cells, b""]), dtype=np.uint8)
+    blank = text == ord(" ")
+    if not (blank | (text - ord("0") < 10)).all():
+        return None
+    stops = np.flatnonzero(blank)[1:]  # the blank before the first token, then after each
+    joins = np.cumsum([len(c) + 1 for c in cells]) + 1  # the blank after each cell
+    if not np.array_equal(stops[k::k], joins):  # k tokens a cell
+        return None
+    length = np.diff(stops) - 1
+    if length.min() < 1 or length.max() > 3:
+        return None
+    ends = stops[1:]
+    digits = (text & 15).astype(np.uint16)  # "0"-"9" -> 0-9 and a blank -> 0
+    values = digits[ends - 1] + 10 * digits[ends - 2] + 100 * digits[ends - 3] * (length == 3)
+    if values.max() > 255:
+        return None
+    return values.astype(np.uint8).reshape(len(cells), k)
 
 
 def _training_header(path, header: list[str]) -> tuple[str, ...]:

@@ -118,7 +118,12 @@ def init_mlp(
     n_outputs: int,
     seed: int,
 ) -> MlpModel:
-    """Glorot-uniform initialized network, deterministic per seed."""
+    """Glorot-uniform initialized network, deterministic per seed.
+
+    Raises ValueError unless every hidden width is at least 1.
+    """
+    if any(width < 1 for width in hidden):
+        raise ValueError(f"mlp hidden widths must be at least 1, got {tuple(hidden)}")
     rng = np.random.default_rng(seed)
     sizes = (n_inputs, *hidden, n_outputs)
     weights, biases = [], []

@@ -161,6 +161,17 @@ def test_train_refuses_a_flag_its_model_does_not_take(tmp_path, csv_path, capsys
     assert not model_file.exists()
 
 
+@pytest.mark.parametrize("hidden", ["0", "8,0", "-5"])
+def test_train_refuses_a_hidden_width_below_one(tmp_path, csv_path, capsys, hidden):
+    model_file = tmp_path / "model.npz"
+    assert _train(csv_path, model_file, "--model", "mlp", "--epochs", "1",
+                  f"--hidden={hidden}") == 1
+    widths = tuple(int(v) for v in hidden.split(","))
+    err = capsys.readouterr().err
+    assert err == f"facekeys: error: mlp hidden widths must be at least 1, got {widths}\n"
+    assert not model_file.exists()
+
+
 def test_predict_accepts_image_only_csv(tmp_path, csv_path):
     out_dir = tmp_path / "splits"
     assert main(["split", "--input", str(csv_path), "--out-dir", str(out_dir)]) == 0

@@ -1,4 +1,7 @@
+import csv
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -243,63 +246,227 @@ def test_blank_coordinate_cells_are_missing(tmp_path):
     assert np.isnan(d.keypoints).all()
 
 
-def _mutations(rng, tokens):
-    """Non-canonical or out-of-range variants of a canonical token list."""
-    i = int(rng.integers(len(tokens)))
+def _outcome(load, path):
+    """A loader's arrays as (dtype, shape, bytes), or its exception's type and text."""
+    try:
+        got = load(path)
+    except Exception as exc:  # the row reader's csv and decode errors count too
+        return type(exc), str(exc)
+    if isinstance(got, Dataset):
+        got = (got.slot_names, got.keypoints, got.images)
+    elif isinstance(got, np.ndarray):
+        got = (got,)
+    return [(a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in got]
 
+
+def _row_reader(header_rule, part=None):
+    def load(path):
+        got = fk_dataset._read_rows(path, header_rule)
+        return got if part is None else got[part]
+    return load
+
+
+def _cell_mutations(rng):
+    """(name, edit) pairs; edit maps an Image cell's tokens to the cell's bytes."""
     def at(tok):
-        return " ".join(tokens[:i] + [tok] + tokens[i + 1:])
+        def edit(tokens):
+            i = int(rng.integers(len(tokens)))
+            return b" ".join(tokens[:i] + [tok(tokens[i])] + tokens[i + 1:])
+        return edit
 
-    joined = " ".join(tokens)
     return [
-        joined,
-        " ".join(tokens[:i]) + "\t" + " ".join(tokens[i:]),
-        at("+" + tokens[i]),
-        at("-" + tokens[i]),
-        at("- " + tokens[i]),
-        at(tokens[i] + " "),
-        " " + joined,
-        joined + " ",
-        at(tokens[i] + "_0"),
-        at(tokens[i] + ".0"),
-        at(tokens[i] + "000"),
-        at("9" * 20),
-        at("1" + "0" * 19),
-        "",
-        " ",
+        ("lone CR", lambda t: t[0] + b"\r" + b" ".join(t[1:])),
+        ("quoted cell", lambda t: b'"' + b" ".join(t) + b'"'),
+        ("non-ASCII digit", at(lambda tok: "١".encode())),
+        ("non-ASCII byte", at(lambda tok: tok + b"\xe9")),
+        ("NUL", at(lambda tok: tok + b"\0")),
+        ("tab", lambda t: t[0] + b"\t" + b" ".join(t[1:])),
+        ("double blank", lambda t: t[0] + b"  " + b" ".join(t[1:])),
+        ("leading blank", lambda t: b" " + b" ".join(t)),
+        ("trailing blank", lambda t: b" ".join(t) + b" "),
+        ("plus", at(lambda tok: b"+" + tok)),
+        ("minus", at(lambda tok: b"-" + tok)),
+        ("minus zero", at(lambda tok: b"-0")),
+        ("minus and blank", at(lambda tok: b"- " + tok)),
+        ("underscore", at(lambda tok: tok + b"_0")),
+        ("decimal point", at(lambda tok: tok + b".0")),
+        ("three zeros appended", at(lambda tok: tok + b"000")),
+        ("07", at(lambda tok: b"07")),
+        ("007", at(lambda tok: b"007")),
+        ("0255", at(lambda tok: b"0255")),
+        ("4 digits", at(lambda tok: b"1000")),
+        ("256", at(lambda tok: b"256")),
+        ("20 digits", at(lambda tok: b"9" * 20)),
+        ("20 digits, 1e19", at(lambda tok: b"1" + b"0" * 19)),
+        ("empty cell", lambda t: b""),
+        ("blank cell", lambda t: b" "),
+        ("blank moved", lambda t: b"12  " + b" ".join(t[2:])),
+        ("another side", lambda t: b" ".join((t * 2)[:81])),
     ]
 
 
-def test_fast_pixel_path_matches_the_exact_parser():
+def _line_mutations(rng, n_coord):
+    """(name, edit) pairs; edit maps a data line (no line end) to new bytes."""
+    def cell(edit):
+        def line_edit(line):
+            head, sep, image = line.rpartition(b",")
+            return head + sep + edit(image.split(b" "))
+        return line_edit
+
+    edits = [(name, cell(edit)) for name, edit in _cell_mutations(rng)]
+    edits += [
+        ("blank line after", lambda line: line + b"\r\n"),
+        ("CR before the line end", lambda line: line + b"\r"),
+        ("extra field", lambda line: line + b",1"),
+        ("leading field", lambda line: b"1," + line),
+    ]
+    if n_coord:
+        def coordinate(text):
+            return lambda line: text + line[line.index(b","):]
+        edits += [
+            ("field missing", lambda line: line[line.index(b",") + 1:]),
+            ("non-numeric coordinate", coordinate(b"x")),
+            ("infinite coordinate", coordinate(b"inf")),
+            ("padded coordinate", coordinate(b" 2.5 ")),
+            ("missing coordinate", coordinate(b"")),
+            ("quoted coordinate", coordinate(b'"1.5"')),
+            ("NUL coordinate", coordinate(b"1\0")),
+            ("CR in a coordinate", coordinate(b"1.5\r")),
+            ("non-ASCII coordinate", coordinate("١".encode())),
+        ]
+    return edits
+
+
+def _canonical_files(tmp_path):
+    """A training and an image-only file, written by the package's writers,
+    each longer than two of the block reader's blocks."""
+    d = build_dataset(n_rows=2 * fk_dataset._BLOCK_BYTES // 600, side=16, seed=11)
+    files = {}
+    for name, write in (("training", write_training_csv), ("image", write_image_csv)):
+        write(d, tmp_path / name)
+        row_bytes = (tmp_path / name).stat().st_size / len(d)
+        write(d.take(range(int(2.2 * fk_dataset._BLOCK_BYTES / row_bytes))), tmp_path / name)
+        files[name] = (tmp_path / name).read_bytes()
+        assert len(files[name]) > 2 * fk_dataset._BLOCK_BYTES
+    return files
+
+
+def test_block_reader_matches_the_row_reader_on_every_file(tmp_path):
+    """Both loaders give the row reader's arrays bit for bit, or its error,
+    on canonical files and on mutations of one row inside the first block
+    or after it, and of the whole file."""
     rng = np.random.default_rng(20240607)
-    for _ in range(40):
-        n = int(rng.integers(1, 30))
-        tokens = [str(v) for v in rng.integers(0, 256, size=n)]
-        for cell in _mutations(rng, tokens):
+    loaders = [
+        (load_training_csv, _row_reader(fk_dataset._training_header)),
+        (load_image_csv, _row_reader(fk_dataset._image_header, 2)),
+    ]
+    accepted = declined = 0
+    for layout, text in _canonical_files(tmp_path).items():
+        lines = text.split(b"\r\n")  # header, rows, and "" after the last line end
+        n_coord = lines[0].count(b",")
+        late = len(lines) - 2
+        assert len(b"\r\n".join(lines[:late])) > fk_dataset._BLOCK_BYTES
+        variants = {
+            "canonical": text,
+            "LF": text.replace(b"\r\n", b"\n"),
+            "no final line end": text[:-2],
+            "LF, no final line end": text.replace(b"\r\n", b"\n")[:-1],
+            "LF then CRLF": text[:len(text) // 2].replace(b"\r\n", b"\n") + text[len(text) // 2:],
+            "BOM": b"\xef\xbb\xbf" + text,
+            "quoted header": b'"' + lines[0] + b'"' + text[len(lines[0]):],
+            "blank line at the end": text + b"\r\n",
+            "header only": lines[0] + b"\r\n",
+            "empty": b"",
+        }
+        for name, edit in _line_mutations(rng, n_coord):
+            for row in (0, 1, late - 1):
+                changed = lines[:row + 1] + [edit(lines[row + 1])] + lines[row + 2:]
+                variants[f"{name} in row {row}"] = b"\r\n".join(changed)
+        for row in (0, 1, late - 2):  # the same token count, split differently
+            head, sep, image = lines[row + 1].rpartition(b" ")
+            after = lines[row + 2].rpartition(b",")
+            changed = [head, after[0] + after[1] + image + b" " + after[2]]
+            variants[f"token moved from row {row}"] = b"\r\n".join(
+                lines[:row + 1] + changed + lines[row + 3:])
+        for name, data in variants.items():
+            path = tmp_path / "mutated.csv"
+            path.write_bytes(data)
+            for load, oracle in loaders:
+                want = _outcome(oracle, path)
+                assert _outcome(load, path) == want, (layout, name, load.__name__)
             try:
-                want = fk_dataset._parse_pixels_exact(cell, 3)
-            except DatasetError as exc:
-                with pytest.raises(DatasetError) as got:
-                    fk_dataset._parse_pixels(cell, 3)
-                assert str(got.value) == str(exc)
-            else:
-                got = fk_dataset._parse_pixels(cell, 3)
-                assert got.dtype == want.dtype and np.array_equal(got, want)
+                decoded = fk_dataset._read_blocks(path, fk_dataset._training_header)
+            except DatasetError:
+                decoded = None
+            accepted += decoded is not None
+            declined += decoded is None
+    # both readers did work: the checks above are not all on one path
+    assert accepted >= 20 and declined >= 100
 
 
-def test_loading_written_files_never_needs_the_exact_parser(tmp_path, monkeypatch, small_ds):
+def test_a_cell_over_the_csv_field_limit_fails_as_in_the_row_reader(tmp_path, small_ds):
+    path = tmp_path / "faces.csv"
+    write_image_csv(small_ds, path)
+    limit = csv.field_size_limit(100)
+    try:
+        got = _outcome(load_image_csv, path)
+        assert got == _outcome(_row_reader(fk_dataset._image_header, 2), path)
+    finally:
+        csv.field_size_limit(limit)
+    assert got[0] is csv.Error
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_named_pipe_is_opened_once(tmp_path):
+    """A pipe cannot be read twice: the row reader alone reads it."""
+    pipe = tmp_path / "pipe.csv"
+    os.mkfifo(pipe)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(_outcome(load_image_csv, pipe)),
+                              daemon=True)
+    reader.start()
+    try:
+        pipe.write_bytes(b"Image\n+1 2 3 4\n")  # waits for the reader to open the pipe
+    finally:
+        reader.join(timeout=10)
+        if reader.is_alive():  # it waits on a second open: give it an empty pipe
+            open(pipe, "wb").close()
+            reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [[(np.dtype(np.uint8), (1, 2, 2), bytes([1, 2, 3, 4]))]]
+
+
+def test_loading_written_files_never_needs_the_exact_parser(tmp_path, monkeypatch):
     calls = []
     exact = fk_dataset._parse_pixels_exact
     monkeypatch.setattr(fk_dataset, "_parse_pixels_exact",
                         lambda *args: calls.append(args) or exact(*args))
-    path = tmp_path / "round.csv"
-    write_training_csv(small_ds, path)
-    back = load_training_csv(path)
-    assert np.array_equal(back.images, small_ds.images)
+    d = build_dataset(n_rows=3 * fk_dataset._BLOCK_BYTES // 800, side=16, seed=2)
+    for write, load in ((write_training_csv, load_training_csv),
+                        (write_image_csv, load_image_csv)):
+        path = tmp_path / "round.csv"
+        write(d, path)
+        assert path.stat().st_size > 2 * fk_dataset._BLOCK_BYTES
+        back = load(path)
+        assert np.array_equal(getattr(back, "images", back), d.images)
     assert calls == []
     # the counter does see a cell that needs the exact parser
     load_training_csv(_write(tmp_path, "Image\n+1 2 3 4\n"))
     assert len(calls) == 1
+
+
+def test_loading_peaks_below_three_and_a_half_image_blocks(tmp_path):
+    """No whole-file read and no final copy of the image block."""
+    path = tmp_path / "big.csv"
+    write_training_csv(build_dataset(n_rows=1000, side=48, seed=5), path)
+    tracemalloc.start()
+    try:
+        d = load_training_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d.images.shape == (1000, 48, 48)
+    assert peak < 3.5 * d.images.nbytes
 
 
 def test_pixel_text_covers_every_value(tmp_path):
@@ -538,3 +705,18 @@ def test_to_matrices_rejects_missing(small_ds):
 def test_feature_matrix_source_validated():
     with pytest.raises(DatasetError, match="source"):
         FeatureMatrix(np.zeros((2, 2)), "bogus")
+
+
+def test_feature_matrix_array_honours_copy():
+    fm = FeatureMatrix(np.zeros((2, 3)), "raw")
+    for copied in (np.array(fm), np.array(fm, copy=True), np.array(fm, dtype=np.float32)):
+        copied[0, 0] = 1.0
+        assert fm.values[0, 0] == 0.0
+    assert np.shares_memory(np.asarray(fm), fm.values)
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        pytest.skip("np.asarray takes copy from numpy 2.0")
+    view = np.asarray(fm, copy=False)
+    view[0, 0] = 2.0
+    assert fm.values[0, 0] == 2.0
+    with pytest.raises(ValueError):
+        np.asarray(fm, dtype=np.float32, copy=False)

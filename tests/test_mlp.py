@@ -112,6 +112,15 @@ def test_no_hidden_layers_is_a_linear_map():
     )
 
 
+@pytest.mark.parametrize("hidden", [(0,), (8, 0), (-5,)])
+def test_hidden_widths_below_one_are_refused(hidden):
+    with pytest.raises(ValueError) as exc:
+        init_mlp(3, hidden, 2, seed=0)
+    assert str(exc.value) == f"mlp hidden widths must be at least 1, got {hidden}"
+    with pytest.raises(ValueError, match="hidden widths"):
+        mlp_fit(np.zeros((4, 3)), np.zeros((4, 2)), hidden=hidden, epochs=1)
+
+
 def test_init_shapes_and_determinism():
     a = init_mlp(9216, (300, 150, 50), 30, seed=7)
     assert [w.shape for w in a.weights] == [
