@@ -185,7 +185,7 @@ def cmd_lbp(args) -> int:
     d = ds.load_training_csv(_resolve_input(args.input))
     if not 0 <= args.row < len(d):
         raise CliError(f"row {args.row} out of range (0..{len(d) - 1})")
-    viz.render_lbp(lbp_circular(d.image(args.row), cfg), args.out)
+    viz.render_lbp(lbp_circular(d.images[args.row], cfg), cfg.neighbors, args.out)
     print(f"wrote LBP map of row {args.row} to {args.out}")
     return 0
 
@@ -221,7 +221,8 @@ def cmd_visualize(args) -> int:
     if args.mode == "keypoints":
         if not 0 <= args.row < len(d):
             raise CliError(f"row {args.row} out of range (0..{len(d) - 1})")
-        viz.render_keypoints(d.image(args.row), d.keypoint_set(args.row), args.out)
+        viz.render_keypoints(d.images[args.row], d.slot_names,
+                             d.keypoints[args.row].reshape(-1, 2), args.out)
         print(f"wrote keypoint overlay of row {args.row} to {args.out}")
     else:
         viz.scatter_keypoint_distribution(d, args.slot, args.out)

@@ -4,8 +4,10 @@ Covers the Kaggle-style training CSV (coordinate column pairs plus a
 space-separated ``Image`` column; an image-only CSV has zero coordinate
 columns, and only an empty coordinate cell is missing), column-mean
 imputation, the coverage split into a dense four-keypoint task and a
-sparse eleven-keypoint task, seeded holdout partitioning, and conversion
-to numeric matrices. One reader parses every CSV layout: a canonical
+sparse eleven-keypoint task, and seeded holdout partitioning. A Dataset
+holds plain arrays, and the stages after it take them as they are: the
+feature pipeline reads ``images``, and the regressors fit ``keypoints``
+as their targets. One reader parses every CSV layout: a canonical
 file, as the writers here and Kaggle's ``training.csv`` write it, is
 decoded a block of lines at a time with whole-block numpy parsing; any
 other file goes row by row through the csv module and the exact pixel
@@ -48,37 +50,6 @@ IMAGE_COLUMN = "Image"
 
 class DatasetError(ValueError):
     """Malformed input file or violated dataset contract."""
-
-
-@dataclass(frozen=True, eq=False)
-class GrayImage:
-    """Single grayscale image, row-major uint8 pixels."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        p = self.pixels
-        if p.ndim != 2 or p.dtype != np.uint8:
-            raise DatasetError("GrayImage expects a 2-d uint8 array")
-
-
-@dataclass(frozen=True, eq=False)
-class KeypointSet:
-    """Named (x, y) keypoints; a NaN pair marks an absent slot."""
-
-    names: tuple[str, ...]
-    coords: np.ndarray  # (k, 2) float64
-
-    def __post_init__(self):
-        if self.coords.shape != (len(self.names), 2):
-            raise DatasetError("coords must be (len(names), 2)")
-
-    def get(self, name: str) -> tuple[float, float] | None:
-        """The (x, y) pair for a slot, or None when it is missing."""
-        xy = self.coords[self.names.index(name)]
-        if not np.all(np.isfinite(xy)):
-            return None
-        return float(xy[0]), float(xy[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +117,6 @@ class Dataset:
     def coordinate_columns(self) -> list[str]:
         """Column names in file order: <slot>_x, <slot>_y per slot."""
         return [f"{name}_{axis}" for name in self.slot_names for axis in "xy"]
-
-    def image(self, i: int) -> GrayImage:
-        return GrayImage(self.images[i])
-
-    def keypoint_set(self, i: int) -> KeypointSet:
-        return KeypointSet(self.slot_names, self.keypoints[i].reshape(-1, 2))
 
     def missing_per_slot(self) -> np.ndarray:
         """Count of rows, per slot, where x or y is missing."""
@@ -246,7 +211,7 @@ def _read_csv(path, header_rule):
 def _read_rows(path, header_rule):
     """``_read_csv`` by the csv module, one row and one cell at a time."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = _checked_rows(csv.reader(fh))
         header = next(reader, None)
         if header is None:
             raise DatasetError(f"{path}: empty file")
@@ -281,6 +246,23 @@ def _read_rows(path, header_rule):
     images = np.stack(pixel_rows).reshape(n, side, side) if has_image else None
     keypoints = np.array(coord_rows, dtype=np.float64).reshape(n, n_coord)
     return slot_names, keypoints, images
+
+
+def _checked_rows(reader):
+    """The rows of a csv reader; a row the csv module refuses, such as one
+    with a field over ``csv.field_size_limit()``, raises DatasetError
+    naming it (data rows count from 0 after the header)."""
+    row_idx = -1
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            where = "header" if row_idx < 0 else f"row {row_idx}"
+            raise DatasetError(f"{where}: {exc}") from None
+        yield row
+        row_idx += 1
 
 
 def _plain_text(raw: bytes) -> str | None:
@@ -561,18 +543,3 @@ def holdout_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset
     test_idx = sorted(idx[n_train:])
     return d.take(train_idx), d.take(test_idx)
 
-
-def to_matrices(d: Dataset, scale_pixels: bool = True) -> tuple[FeatureMatrix, np.ndarray]:
-    """Flatten a dataset into a feature matrix and a target matrix.
-
-    Features are row-major flattened pixels, divided by 255 when
-    ``scale_pixels`` is set. Targets are the coordinate columns in slot
-    order. Datasets that still contain missing values are rejected.
-    """
-    if np.isnan(d.keypoints).any():
-        raise DatasetError("dataset has missing keypoints; impute before to_matrices")
-    X = d.images.reshape(len(d), -1).astype(np.float64)
-    if scale_pixels:
-        X /= 255.0
-    Y = d.keypoints.copy()
-    return FeatureMatrix(X, "raw"), Y

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import GrayImage
-
 #: Pixels per pass over a block, in whole images; smaller passes cost more calls.
 _CHUNK_PIXELS = 1 << 16
 
@@ -63,20 +61,8 @@ class LbpConfig:
             raise LbpError(f"unknown interpolation {self.interpolation!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class LbpImage:
-    """Per-pixel LBP codes of an image or an (n, h, w) block, plus their bit width."""
-
-    codes: np.ndarray  # (h, w) or (n, h, w) int64 in [0, 2**neighbors)
-    neighbors: int
-
-    def __post_init__(self):
-        if self.codes.ndim not in (2, 3):
-            raise LbpError("codes must be (h, w) or (n, h, w)")
-
-
-def lbp_basic(img) -> LbpImage:
-    """8-neighbor LBP map of an image or block, borders edge-replicated."""
+def lbp_basic(img) -> np.ndarray:
+    """8-neighbor LBP codes of an image or block, borders edge-replicated."""
     return lbp_circular(img, LbpConfig(neighbors=8, radius=1.0, interpolation="nearest"))
 
 
@@ -148,9 +134,10 @@ def _code_chunk(a: np.ndarray, offsets, cfg: LbpConfig) -> np.ndarray:
     return _min_rotations(codes, cfg.neighbors) if cfg.rotation_invariant else codes
 
 
-def lbp_circular(img, cfg: LbpConfig) -> LbpImage:
-    """Circular LBP map of an (h, w) image or (n, h, w) block, same shape."""
-    a = img.pixels if isinstance(img, GrayImage) else np.asarray(img)
+def lbp_circular(img, cfg: LbpConfig) -> np.ndarray:
+    """Circular LBP codes of an (h, w) image or (n, h, w) block: int64 in
+    [0, 2**neighbors), in the input's shape."""
+    a = np.asarray(img)
     if a.ndim not in (2, 3):
         raise LbpError("image must be (h, w) or an (n, h, w) block")
     h, w = a.shape[-2:]
@@ -167,7 +154,7 @@ def lbp_circular(img, cfg: LbpConfig) -> LbpImage:
     step = max(1, _CHUNK_PIXELS // (h * w))
     for start in range(0, len(block), step):
         codes[start : start + step] = _code_chunk(block[start : start + step], offsets, cfg)
-    return LbpImage(codes.reshape(a.shape), neighbors=cfg.neighbors)
+    return codes.reshape(a.shape)
 
 
 def _min_rotations(codes: np.ndarray, neighbors: int) -> np.ndarray:
@@ -179,16 +166,18 @@ def _min_rotations(codes: np.ndarray, neighbors: int) -> np.ndarray:
     return best
 
 
-def lbp_histogram_features(lbp: LbpImage, cfg: LbpConfig) -> np.ndarray:
+def lbp_histogram_features(codes: np.ndarray, cfg: LbpConfig) -> np.ndarray:
     """Concatenated per-cell code histograms, each L1-normalized.
 
-    Each image is tiled row-major into cell_size x cell_size cells (edge
-    cells may be smaller). Each cell contributes a 2**neighbors bin
-    histogram normalized to sum to 1. One image gives a 1-d vector; an
-    (n, h, w) block gives one row per image.
+    Each image of (h, w) or (n, h, w) codes is tiled row-major into
+    cell_size x cell_size cells (edge cells may be smaller). Each cell
+    contributes a 2**neighbors bin histogram normalized to sum to 1. One
+    image gives a 1-d vector; an (n, h, w) block gives one row per image.
     """
     bins = 1 << cfg.neighbors
-    codes = lbp.codes
+    codes = np.asarray(codes)
+    if codes.ndim not in (2, 3):
+        raise LbpError("codes must be (h, w) or (n, h, w)")
     if codes.min() < 0 or codes.max() >= bins:
         raise LbpError(f"codes exceed {cfg.neighbors}-bit range")
     block = codes.reshape(-1, *codes.shape[-2:])

@@ -39,10 +39,10 @@ class FeaturePipeline:
         cfg = self.lbp
         if cfg.neighbors == 8 and cfg.radius == 1.0 and not cfg.rotation_invariant:
             cfg = replace(cfg, interpolation="nearest")
-        coded = lbp_circular(images, cfg)
+        codes = lbp_circular(images, cfg)
         if self.lbp_mode == "histogram":
-            return lbp_histogram_features(coded, cfg)
-        return coded.codes.reshape(len(images), -1).astype(np.float64)
+            return lbp_histogram_features(codes, cfg)
+        return codes.reshape(len(images), -1).astype(np.float64)
 
     def transform(self, images: np.ndarray) -> FeatureMatrix:
         """Feature rows for an (n, h, w) uint8 image block."""

@@ -99,8 +99,8 @@ class RegressorSpec:
 def fit_any(spec: RegressorSpec, X, Y):
     """Train the model a spec describes.
 
-    X is a 2-d feature matrix; cnn reads square rows as grids and also
-    takes (n, side, side) grids. Stochastic kinds (mlp, cnn) are
+    X is a 2-d feature matrix; cnn reads each row row-major as a square
+    grid. Stochastic kinds (mlp, cnn) are
     bit-for-bit reproducible for a fixed seed.
     """
     entry = SPEC_KINDS[spec.kind]

@@ -1,7 +1,9 @@
 """Small convolutional regressor for single-channel square grids.
 
-The grid side may be any positive multiple of 4 (16 for 256 PCA
-components), because the two 2x2 pools each halve it. Architecture:
+A fit and a predict take (n, side*side) feature rows, as every
+regressor does, and read each row row-major as a side x side grid. The
+side may be any positive multiple of 4 (16 for 256 PCA components),
+because the two 2x2 pools each halve it. Architecture:
 conv 32@5x5 (same padding) -> ReLU -> 2x2 max pool -> dropout, conv
 8@3x3 (same padding) -> ReLU -> 2x2 max pool -> dropout, flatten
 ((side/4)^2 * 8, 128 at side 16) -> dense 100 tanh -> dropout -> linear
@@ -39,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._inputs import check_fit_inputs
+from ._inputs import check_fit_inputs, check_rows
 from .mlp import _backward as _head_backward, _forward as _head_forward, layers_chain
 from .optim import Scaling, fit_scaling, glorot_uniform, mse_loss_and_grad, param_vector, train
 
@@ -187,24 +189,6 @@ def init_cnn(side: int, n_outputs: int, seed: int) -> CnnModel:
     return CnnModel(params=params, side=side)
 
 
-def _check_grids(X, side: int | None = None) -> np.ndarray:
-    """(n, side, side) grids; (n, side*side) feature rows reshape row-major."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim == 2:
-        row_side = grid_side(X.shape[1])
-        if row_side is None:
-            raise ValueError(
-                f"cnn needs square features with a side divisible by 4; got "
-                f"{X.shape[1]} columns (try --pca 256)"
-            )
-        X = X.reshape(-1, row_side, row_side)
-    if X.ndim != 3 or X.shape[1] != X.shape[2]:
-        raise ValueError("grids must be (n, side, side)")
-    if side is not None and X.shape[1] != side:
-        raise ValueError(f"grids must be (n, {side}, {side})")
-    return X
-
-
 def _channel_major(a: np.ndarray) -> np.ndarray:
     """(c,n,h,w) view of an (n,c,h,w) array, or the reverse."""
     return a.transpose(1, 0, 2, 3)
@@ -317,10 +301,10 @@ def cnn_fit(
     dropout_dense: float = 0.5,
     seed: int = 0,
 ) -> CnnModel:
-    """Train the convolutional regressor on (n, side, side) grids, with
-    X and Y scaled by fit_scaling(X, Y).
-
-    X may also hold (n, side*side) feature rows, read as row-major grids.
+    """Train the convolutional regressor on (n, side*side) feature rows,
+    each read row-major as a side x side grid, with X and Y scaled by
+    fit_scaling(X, Y). X that is not 2-d, or whose width is not the square
+    of a multiple of 4, raises ValueError.
 
     loss_history records the full-training-set MSE (dropout off, scaled
     target space) per epoch, computed by the forward pass alone; a
@@ -328,10 +312,18 @@ def cnn_fit(
     inf in X or Y, or a std of X or of a Y column that overflows, raises
     ValueError.
     """
-    X = _check_grids(X)
-    Y = check_fit_inputs(X.reshape(len(X), X.shape[1] * X.shape[2]), Y)[1]
+    if np.ndim(X) != 2:
+        raise ValueError(f"X must be (n, side*side) rows, got shape {np.shape(X)}")
+    X, Y = check_fit_inputs(X, Y)
+    side = grid_side(X.shape[1])
+    if side is None:
+        raise ValueError(
+            f"cnn needs square features with a side divisible by 4; got "
+            f"{X.shape[1]} columns (try --pca 256)"
+        )
+    X = X.reshape(-1, side, side)
 
-    model = init_cnn(X.shape[1], Y.shape[1], seed)
+    model = init_cnn(side, Y.shape[1], seed)
     model.dropout_conv = dropout_conv
     model.dropout_dense = dropout_dense
     model.scaling = fit_scaling(X, Y)
@@ -362,6 +354,7 @@ def cnn_fit(
 
 
 def cnn_predict(model: CnnModel, X) -> np.ndarray:
-    """Deterministic forward pass (dropout off) on scaled inputs, outputs in target units."""
-    X = model.scaling.inputs(_check_grids(X, model.side))
-    return model.scaling.outputs(_output(model.params, X))
+    """Deterministic forward pass (dropout off) on scaled (n, side*side)
+    rows, read as grids as cnn_fit reads them; outputs in target units."""
+    X = check_rows(X, model.side * model.side).reshape(-1, model.side, model.side)
+    return model.scaling.outputs(_output(model.params, model.scaling.inputs(X)))

@@ -11,8 +11,7 @@ import math
 
 import numpy as np
 
-from .dataset import Dataset, GrayImage, KeypointSet
-from .lbp import LbpImage
+from .dataset import Dataset
 
 RED = (255, 0, 0)
 BLUE = (0, 0, 255)
@@ -58,45 +57,47 @@ def marker_color(slot_name: str) -> tuple[int, int, int]:
     return RED if "eye" in slot_name else BLUE
 
 
-def render_keypoints(img: GrayImage, keypoints: KeypointSet, path) -> None:
-    """Write the image with 3x3 colored markers at each present keypoint.
+def render_keypoints(pixels: np.ndarray, names: tuple[str, ...], coords: np.ndarray,
+                     path) -> None:
+    """Write an (h, w) uint8 image with 3x3 colored markers at its keypoints.
 
-    Markers are clipped at the borders; missing slots are skipped.
+    coords holds one (x, y) row per slot name; a pair with a NaN is a
+    missing slot and is skipped. Markers are clipped at the borders.
     """
-    canvas = np.repeat(img.pixels[:, :, None], 3, axis=2).astype(np.uint8)
-    for name in keypoints.names:
-        xy = keypoints.get(name)
-        if xy is None:
-            continue
-        _stamp(canvas, xy[0], xy[1], marker_color(name))
+    if pixels.ndim != 2 or pixels.dtype != np.uint8:
+        raise VizError("pixels must be an (h, w) uint8 array")
+    canvas = np.repeat(pixels[:, :, None], 3, axis=2)
+    for name, (x, y) in zip(names, coords, strict=True):
+        if math.isfinite(x) and math.isfinite(y):
+            _stamp(canvas, x, y, marker_color(name))
     write_ppm(path, canvas)
 
 
-def scatter_keypoint_distribution(d: Dataset, slot_name: str, path,
-                                  side: int = 96) -> None:
-    """White canvas with one dark dot per present value of a slot."""
+def scatter_keypoint_distribution(d: Dataset, slot_name: str, path) -> None:
+    """White canvas of the dataset's image size with one dark dot per
+    present value of a slot."""
     if slot_name not in d.slot_names:
         raise VizError(f"unknown slot {slot_name!r}")
-    canvas = np.full((side, side, 3), 255, dtype=np.uint8)
+    h, w = d.images.shape[1:]
+    canvas = np.full((h, w, 3), 255, dtype=np.uint8)
     j = d.slot_names.index(slot_name)
     coords = d.keypoints[:, 2 * j : 2 * j + 2]
     for x, y in coords:
         if math.isnan(x) or math.isnan(y):
             continue
         px, py = int(round(x)), int(round(y))
-        if 0 <= px < side and 0 <= py < side:
+        if 0 <= px < w and 0 <= py < h:
             canvas[py, px] = (0, 0, 0)
     write_ppm(path, canvas)
 
 
-def render_lbp(lbp: LbpImage, path) -> None:
-    """Write an LBP code map as a PGM image.
+def render_lbp(codes: np.ndarray, neighbors: int, path) -> None:
+    """Write an (h, w) map of neighbors-bit LBP codes as a PGM image.
 
     Codes that fit a byte are written directly; wider codes are min-max
     scaled so the largest maps to 255.
     """
-    codes = lbp.codes
-    if (1 << lbp.neighbors) <= 256:
+    if (1 << neighbors) <= 256:
         gray = codes.astype(np.uint8)
     else:
         lo, hi = int(codes.min()), int(codes.max())

@@ -24,7 +24,6 @@ from facekeys.dataset import (
     impute_column_means,
     load_training_csv,
     split_by_keypoint_coverage,
-    to_matrices,
     write_training_csv,
 )
 from facekeys.eval import (
@@ -37,6 +36,7 @@ from facekeys.eval import (
 )
 from facekeys.lbp import LbpConfig, _min_rotations, lbp_basic, lbp_circular
 from facekeys.pca import fit_pca
+from facekeys.pipeline import fit_pipeline
 from facekeys.regressors import cnn as cnn_mod
 from facekeys.regressors import mlp as mlp_mod
 from facekeys.regressors.cnn import PARAM_NAMES
@@ -217,12 +217,12 @@ def test_c7_lbp_invariances():
         img = rng.uniform(0.0, 200.0, size=(16, 16))
         shift = float(rng.uniform(1.0, 50.0))
         scale = float(rng.uniform(0.5, 3.0))
-        base = lbp_basic(img).codes
-        assert np.array_equal(lbp_basic(img + shift).codes, base)
-        assert np.array_equal(lbp_basic(img * scale).codes, base)
-        circ = lbp_circular(img, cfg).codes
-        assert np.array_equal(lbp_circular(img + shift, cfg).codes, circ)
-        assert np.array_equal(lbp_circular(img * scale, cfg).codes, circ)
+        base = lbp_basic(img)
+        assert np.array_equal(lbp_basic(img + shift), base)
+        assert np.array_equal(lbp_basic(img * scale), base)
+        circ = lbp_circular(img, cfg)
+        assert np.array_equal(lbp_circular(img + shift, cfg), circ)
+        assert np.array_equal(lbp_circular(img * scale, cfg), circ)
 
     # minimal-rotation mapping is stable under every cyclic bit rotation
     codes = np.arange(256)
@@ -234,8 +234,8 @@ def test_c7_lbp_invariances():
 
     # featureless surface: every comparison ties, every bit is set
     flat = np.full((9, 9), 93, dtype=np.uint8)
-    assert (lbp_basic(flat).codes == 255).all()
-    assert (lbp_circular(flat, LbpConfig()).codes == 255).all()
+    assert (lbp_basic(flat) == 255).all()
+    assert (lbp_circular(flat, LbpConfig()) == 255).all()
 
 
 def test_c8_desk_scale_rmse_bands():
@@ -262,8 +262,8 @@ def test_c8_desk_scale_rmse_bands():
     dense, _ = split_by_keypoint_coverage(data)
     d = impute_column_means(_subsample(dense, cfg.max_rows, cfg.seed))
     train, test = holdout_split(d, cfg.train_fraction, cfg.seed)
-    _, Y_train = to_matrices(train, cfg.scale_pixels)
-    _, Y_test = to_matrices(test, cfg.scale_pixels)
+    Y_train = train.keypoints
+    Y_test = test.keypoints
     baseline = mean_predictor_rmse(Y_train, Y_test)
     for model in models:
         if model == "ols":
@@ -302,7 +302,7 @@ def _hundred_row_faces():
         data = load_training_csv(path)
         dense, _ = split_by_keypoint_coverage(data)
         sub = impute_column_means(_subsample(dense, 100, seed=7))
-        features, Y = to_matrices(sub, scale_pixels=True)
+        features, Y = fit_pipeline(sub.images, scale_pixels=True)[1], sub.keypoints
         return features.values, Y
     rng = np.random.default_rng(108)
     coarse = rng.uniform(0.0, 255.0, size=(100, 6, 6))

@@ -14,6 +14,8 @@ from facekeys import eval as ev
 from facekeys.cli import INPUT_ENV, CliError, build_parser, main
 from conftest import build_dataset
 from facekeys.dataset import (
+    SLOT_NAMES,
+    Dataset,
     load_image_csv,
     load_training_csv,
     split_by_keypoint_coverage,
@@ -78,7 +80,7 @@ def test_input_can_come_from_the_environment(monkeypatch, tmp_path, csv_path):
     out = tmp_path / "scatter.ppm"
     assert main(["visualize", "--mode", "scatter",
                  "--slot", "left_eye_center", "--out", str(out)]) == 0
-    assert read_ppm(out).shape == (96, 96, 3)
+    assert read_ppm(out).shape == (16, 16, 3)  # the 16x16 images' size
 
 
 def test_split_writes_eight_loadable_files(tmp_path, csv_path, capsys):
@@ -600,7 +602,7 @@ def test_lbp_command_writes_the_basic_code_map(tmp_path, csv_path):
     assert main(["lbp", "--input", str(csv_path), "--row", "2",
                  "--out", str(out)]) == 0
     d = load_training_csv(csv_path)
-    expected = lbp_basic(d.image(2)).codes.astype(np.uint8)
+    expected = lbp_basic(d.images[2]).astype(np.uint8)
     assert np.array_equal(read_pgm(out), expected)
 
 
@@ -609,7 +611,7 @@ def test_lbp_command_rotation_invariant_variant(tmp_path, csv_path):
     assert main(["lbp", "--input", str(csv_path), "--rotation-invariant",
                  "--out", str(out)]) == 0
     d = load_training_csv(csv_path)
-    expected = _min_rotations(lbp_basic(d.image(0)).codes, 8).astype(np.uint8)
+    expected = _min_rotations(lbp_basic(d.images[0]), 8).astype(np.uint8)
     assert np.array_equal(read_pgm(out), expected)
 
 
@@ -626,7 +628,7 @@ def test_lbp_command_circular_defaults_to_the_config_geometry(tmp_path, csv_path
     out = tmp_path / "circular.pgm"
     assert main(["lbp", "--input", str(csv_path), "--circular", "--out", str(out)]) == 0
     d = load_training_csv(csv_path)
-    expected = lbp_circular(d.image(0), LbpConfig()).codes.astype(np.uint8)
+    expected = lbp_circular(d.images[0], LbpConfig()).astype(np.uint8)
     assert np.array_equal(read_pgm(out), expected)
 
 
@@ -667,6 +669,21 @@ def test_pca_command_wants_exactly_one_selector(tmp_path, csv_path, capsys):
                  "--out", str(tmp_path / "p.npz")]) == 1
     err = capsys.readouterr().err
     assert err.count("exactly one of") == 3
+
+
+def test_lbp_on_an_image_over_the_csv_field_limit_is_a_one_line_error(tmp_path, capsys):
+    # a 200x200 image's Image cell is over csv's default limit of 131072 characters
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, size=(2, 200, 200), dtype=np.uint8)
+    keypoints = rng.uniform(0.0, 200.0, size=(2, 2 * len(SLOT_NAMES)))
+    path = tmp_path / "large.csv"
+    write_training_csv(Dataset(images, keypoints, SLOT_NAMES), path)
+    out = tmp_path / "x.pgm"
+    assert main(["lbp", "--input", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error: row 0: field larger than field limit")
+    assert err.count("\n") == 1 and err.count("facekeys: error:") == 1
+    assert not out.exists()
 
 
 def test_visualize_keypoint_overlay(tmp_path, csv_path):

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,6 @@ from facekeys.regressors.cnn import (
     PARAM_NAMES,
     CnnModel,
     _add_conv_grads,
-    _check_grids,
     _conv_forward,
     _conv_input_grad,
     _forward,
@@ -156,8 +156,9 @@ def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, see
     """The fit loop cnn_fit ran before the shared loop, on the reference
     network: the epoch loss came from a full gradient pass, and each array
     had its own optimizer. X is scaled by its mean and std over all
-    entries, Y by each column's mean and std."""
-    X = _check_grids(X)
+    entries, Y by each column's mean and std. X holds (n, side*side) rows."""
+    side = math.isqrt(X.shape[1])
+    X = X.reshape(-1, side, side)
     model = init_cnn(X.shape[1], Y.shape[1], seed)
     X = (X - X.mean()) / X.std()
     Ys = (Y - Y.mean(axis=0)) / Y.std(axis=0)
@@ -190,7 +191,7 @@ def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, see
 def reference_forward(model, X):
     """cnn_predict's network on all rows at once, through the reference layers."""
     p, s = model.params, model.scaling
-    X = (X - s.input_offset) / s.input_scale
+    X = (X.reshape(-1, model.side, model.side) - s.input_offset) / s.input_scale
     c1, _ = reference_conv_forward(X[:, None], p["conv1_w"], p["conv1_b"])
     p1, _ = reference_pool_forward(np.maximum(c1, 0.0))
     c2, _ = reference_conv_forward(p1, p["conv2_w"], p["conv2_b"])
@@ -363,7 +364,7 @@ def test_gradients_with_fixed_dropout_masks():
 
 def test_training_reduces_loss_and_is_deterministic():
     rng = np.random.default_rng(8)
-    X = rng.normal(size=(16, 8, 8))
+    X = rng.normal(size=(16, 64))
     Y = rng.normal(size=(16, 2)) * 10.0 + 48.0
     kwargs = dict(epochs=8, batch_size=8, dropout_conv=0.0, dropout_dense=0.0,
                   learning_rate=0.002, seed=0)
@@ -378,7 +379,7 @@ def test_training_reduces_loss_and_is_deterministic():
 
 def test_predict_shape_and_determinism():
     rng = np.random.default_rng(9)
-    X = rng.normal(size=(10, 8, 8))
+    X = rng.normal(size=(10, 64))
     Y = rng.normal(size=(10, 3)) + 48.0
     model = cnn_fit(X, Y, epochs=2, batch_size=5, seed=1)
     preds = cnn_predict(model, X)
@@ -389,7 +390,7 @@ def test_predict_shape_and_determinism():
 
 def test_divergence_raises():
     rng = np.random.default_rng(10)
-    X = rng.normal(size=(8, 8, 8)) * 5
+    X = rng.normal(size=(8, 64)) * 5
     Y = rng.normal(size=(8, 2)) * 5
     with pytest.raises(TrainingDiverged, match="epoch"):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -400,12 +401,15 @@ def test_divergence_raises():
 
 def test_grid_validation():
     model = init_cnn(8, 2, seed=0)
-    with pytest.raises(ValueError, match="grids"):
-        cnn_predict(model, np.zeros((2, 8, 9)))
-    with pytest.raises(ValueError, match="grids"):
-        cnn_predict(model, np.zeros((2, 16, 16)))
+    with pytest.raises(ValueError, match=r"X must be \(n, 64\) rows"):
+        cnn_predict(model, np.zeros((2, 72)))
+    with pytest.raises(ValueError, match=r"X must be \(n, 64\) rows"):
+        cnn_predict(model, np.zeros((2, 256)))
+    for width in (63, 36):  # not a square; the square of a side not divisible by 4
+        with pytest.raises(ValueError, match="divisible by 4"):
+            cnn_fit(np.zeros((4, width)), np.zeros((4, 1)))
     with pytest.raises(ValueError, match="dropout"):
-        cnn_fit(np.zeros((4, 8, 8)), np.zeros((4, 1)), dropout_dense=1.0)
+        cnn_fit(np.zeros((4, 64)), np.zeros((4, 1)), dropout_dense=1.0)
 
 
 # ---- the network against the references it replaced ---------------------------
@@ -476,7 +480,7 @@ def test_forward_only_loss_equals_the_backprop_loss():
 def test_fit_matches_the_reference_loop(dropout, scale):
     # scale 500 is the size of unscaled PCA grids, which the input scaling divides out
     rng = np.random.default_rng(14)
-    X = rng.normal(size=(23, 8, 8)) * scale  # a ragged last batch of 3 rows
+    X = rng.normal(size=(23, 64)) * scale  # a ragged last batch of 3 rows
     Y = rng.normal(size=(23, 4)) * 10.0 + 48.0
     args = dict(epochs=4, batch_size=10, dropout_conv=dropout[0],
                 dropout_dense=dropout[1], seed=2)
@@ -487,19 +491,14 @@ def test_fit_matches_the_reference_loop(dropout, scale):
         assert_near_reference(model.params[name], ref.params[name], name)
 
 
-def test_flat_rows_train_and_predict_exactly_as_their_grids():
-    # the benchmark hands the cnn flat PCA rows; they read row-major
-    rng = np.random.default_rng(15)
-    flat = rng.normal(size=(23, 144)) * 500.0
-    grids = flat.reshape(23, 12, 12).copy()
-    Y = rng.normal(size=(23, 8)) * 10.0 + 48.0
-    args = dict(epochs=3, batch_size=10, seed=4)
-    from_flat, from_grids = cnn_fit(flat, Y, **args), cnn_fit(grids, Y, **args)
-    assert from_flat.side == from_grids.side == 12
-    assert from_flat.loss_history == from_grids.loss_history
-    for name in PARAM_NAMES:
-        assert np.array_equal(from_flat.params[name], from_grids.params[name]), name
-    assert np.array_equal(cnn_predict(from_flat, flat), cnn_predict(from_grids, grids))
+def test_grids_are_refused_by_fit_and_predict():
+    # the cnn takes (n, side*side) rows, as every regressor does
+    grids = np.zeros((4, 8, 8))
+    with pytest.raises(ValueError, match=r"^X must be \(n, side\*side\) rows, got shape \(4, 8, 8\)$"):
+        cnn_fit(grids, np.zeros((4, 2)), epochs=1)
+    model = init_cnn(8, 2, seed=0)
+    with pytest.raises(ValueError, match=r"^X must be \(n, 64\) rows, got shape \(4, 8, 8\)$"):
+        cnn_predict(model, grids)
 
 
 @pytest.mark.parametrize("side", [12, 16])
@@ -513,7 +512,7 @@ def test_predict_equals_the_reference_forward(n, side):
     for name in ("conv1_b", "conv2_b", "dense_b", "out_b"):
         model.params[name] = rng.normal(size=model.params[name].shape) * 0.1
     model.scaling = Scaling(3.0, 500.0, rng.normal(size=8) * 10.0 + 48.0, rng.uniform(5.0, 20.0, 8))
-    X = rng.normal(size=(n, side, side)) * 500.0
+    X = rng.normal(size=(n, side * side)) * 500.0
     pred = cnn_predict(model, X)
     assert pred.shape == (n, 8)
     assert_near_reference(pred, reference_forward(model, X))
@@ -590,7 +589,7 @@ def test_a_fit_holds_the_golden_tolerance_at_one_and_two_blas_threads(tmp_path):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["X", "Y"])
 def test_non_finite_input_is_rejected(bad, where):
-    X = np.zeros((4, 8, 8))
+    X = np.zeros((4, 64))
     Y = np.zeros((4, 2))
     (X if where == "X" else Y)[1, 1] = bad
     with pytest.raises(ValueError, match="finite"):

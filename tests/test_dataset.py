@@ -14,14 +14,12 @@ from facekeys.dataset import (
     Dataset,
     DatasetError,
     FeatureMatrix,
-    GrayImage,
     column_means,
     holdout_split,
     impute_column_means,
     load_image_csv,
     load_training_csv,
     split_by_keypoint_coverage,
-    to_matrices,
     write_image_csv,
     write_keypoint_csv,
     write_training_csv,
@@ -57,13 +55,10 @@ def test_load_literal_values(tmp_path):
 
 def test_accessors(tmp_path):
     d = load_training_csv(_write(tmp_path, LITERAL_CSV))
-    img = d.image(1)
-    assert isinstance(img, GrayImage)
-    assert img.pixels.shape == (2, 2)
-    assert img.pixels.ravel().tolist() == [255, 0, 128, 64]
-    kp = d.keypoint_set(0)
-    assert kp.get("left_eye_center") == (1.5, 2.0)
-    assert kp.get("nose_tip") is None
+    assert d.images[1].ravel().tolist() == [255, 0, 128, 64]
+    pairs = d.keypoints[0].reshape(-1, 2)  # one (x, y) row per slot
+    assert pairs[0].tolist() == [1.5, 2.0]
+    assert np.isnan(pairs[1, 0]) and pairs[1, 1] == 4.25
     assert list(d.missing_per_slot()) == [1, 1]
     assert d.coordinate_columns() == [
         "left_eye_center_x",
@@ -413,7 +408,18 @@ def test_a_cell_over_the_csv_field_limit_fails_as_in_the_row_reader(tmp_path, sm
         assert got == _outcome(_row_reader(fk_dataset._image_header, 2), path)
     finally:
         csv.field_size_limit(limit)
-    assert got[0] is csv.Error
+    assert got == (DatasetError, "row 0: field larger than field limit (100)")
+
+
+def test_an_image_over_the_csv_field_limit_is_a_dataset_error_naming_its_row(tmp_path):
+    # a 200x200 image's Image cell is over csv's default limit of 131072 characters
+    rng = np.random.default_rng(0)
+    images = rng.integers(0, 256, size=(2, 200, 200), dtype=np.uint8)
+    keypoints = rng.uniform(0.0, 200.0, size=(2, 2 * len(SLOT_NAMES)))
+    path = tmp_path / "large.csv"
+    write_training_csv(Dataset(images, keypoints, SLOT_NAMES), path)
+    with pytest.raises(DatasetError, match=r"^row 0: field larger than field limit"):
+        load_training_csv(path)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
@@ -682,24 +688,7 @@ def test_holdout_rejects_empty_side():
         holdout_split(d, 0.05, seed=0)
 
 
-# ---- matrix conversion -----------------------------------------------------
-
-
-def test_to_matrices_shapes_and_scaling(small_ds):
-    filled = impute_column_means(small_ds)
-    X, Y = to_matrices(filled)
-    assert isinstance(X, FeatureMatrix) and X.source == "raw"
-    assert X.shape == (30, 16 * 16)
-    assert Y.shape == (30, 30)
-    assert float(np.max(X.values)) <= 1.0
-    X_raw, _ = to_matrices(filled, scale_pixels=False)
-    assert np.allclose(X_raw.values / 255.0, X.values)
-    assert np.asarray(X).shape == X.shape
-
-
-def test_to_matrices_rejects_missing(small_ds):
-    with pytest.raises(DatasetError, match="impute"):
-        to_matrices(small_ds)
+# ---- feature matrices ------------------------------------------------------
 
 
 def test_feature_matrix_source_validated():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import build_dataset
-from facekeys.dataset import impute_column_means, to_matrices, write_training_csv
+from facekeys.dataset import impute_column_means, write_training_csv
 from facekeys.eval import (
     ALL_MODELS,
     DEFAULT_MODELS,
@@ -19,6 +19,7 @@ from facekeys.eval import (
     rmse,
     run_benchmark,
 )
+from facekeys.pipeline import fit_pipeline
 from facekeys.regressors import RegressorSpec, fit_any, predict_any
 from readers import load_report_csv
 
@@ -85,10 +86,10 @@ def test_the_networks_beat_the_mean_predictor_on_faces():
     # at these epochs the mlp scores 3.47 and the cnn 5.37 px against the
     # mean predictor's 7.50
     grids, Y = face_like(120, 16, seed=0)
+    X = grids.reshape(120, -1)
     train, test = slice(0, 100), slice(100, None)
     baseline = mean_predictor_rmse(Y[train], Y[test])
-    for kind, hp, X in (("mlp", {"epochs": 15}, grids.reshape(120, -1)),
-                        ("cnn", {"epochs": 8}, grids)):
+    for kind, hp in (("mlp", {"epochs": 15}), ("cnn", {"epochs": 8})):
         model = fit_any(RegressorSpec(kind, hp, seed=0), X[train], Y[train])
         score = rmse(predict_any(model, X[test]), Y[test])
         assert score < 0.8 * baseline, (kind, score, baseline)
@@ -351,7 +352,7 @@ def test_unknown_style_rejected(bench_csv):
 
 def test_memorizers_reach_zero_error_on_train():
     ds = impute_column_means(build_dataset(n_rows=20, side=16, seed=9))
-    X, Y = to_matrices(ds)
+    X, Y = fit_pipeline(ds.images)[1], ds.keypoints
     for spec in (RegressorSpec("knn", {"k": 1}),
                  RegressorSpec("tree", {"max_depth": None})):
         model = fit_any(spec, X.values, Y)

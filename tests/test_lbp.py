@@ -5,7 +5,6 @@ from facekeys import lbp as lbp_mod
 from facekeys.lbp import (
     LbpConfig,
     LbpError,
-    LbpImage,
     circle_offsets,
     lbp_basic,
     lbp_circular,
@@ -40,7 +39,7 @@ def oracle_min_rotation(code: int, bits: int = 8) -> int:
 
 def center_code(window) -> int:
     """Basic code of the center pixel of one 3x3 window."""
-    return int(lbp_basic(np.asarray(window)).codes[1, 1])
+    return int(lbp_basic(np.asarray(window))[1, 1])
 
 
 def min_rotation_code(code: int, neighbors: int) -> int:
@@ -54,7 +53,7 @@ def min_rotation_code(code: int, neighbors: int) -> int:
             window[1 + int(np.rint(dr)), 1 + int(np.rint(dc))] = 1.0
     cfg = LbpConfig(neighbors=neighbors, radius=1.0, rotation_invariant=True,
                     interpolation="nearest")
-    return int(lbp_circular(window, cfg).codes[1, 1])
+    return int(lbp_circular(window, cfg)[1, 1])
 
 
 # ---- per-image references: the kernels the batched lbp_circular replaced ----
@@ -143,22 +142,21 @@ def test_basic_matches_scalar_oracle():
     rng = np.random.default_rng(0)
     for _ in range(5):
         img = rng.integers(0, 256, (8, 8))
-        assert np.array_equal(lbp_basic(img).codes, oracle_basic(img))
+        assert np.array_equal(lbp_basic(img), oracle_basic(img))
         assert np.array_equal(reference_basic(img), oracle_basic(img))
 
 
 def test_basic_constant_image_is_all_255():
     out = lbp_basic(np.full((6, 7), 42, dtype=np.uint8))
-    assert np.all(out.codes == 255)
-    assert out.neighbors == 8
-    assert out.codes.shape == (6, 7)
+    assert np.all(out == 255)
+    assert out.shape == (6, 7)
 
 
 def test_basic_code_range_and_dtype():
     rng = np.random.default_rng(1)
     out = lbp_basic(rng.integers(0, 256, (16, 16)))
-    assert out.codes.dtype == np.int64
-    assert out.codes.min() >= 0 and out.codes.max() <= 255
+    assert out.dtype == np.int64
+    assert out.min() >= 0 and out.max() <= 255
 
 
 def test_basic_rejects_tiny_images():
@@ -169,9 +167,9 @@ def test_basic_rejects_tiny_images():
 def test_basic_gray_shift_and_scale_invariance():
     rng = np.random.default_rng(2)
     img = rng.integers(0, 200, (12, 12)).astype(np.float64)
-    ref = lbp_basic(img).codes
-    assert np.array_equal(lbp_basic(img + 17.0).codes, ref)
-    assert np.array_equal(lbp_basic(img * 3.5).codes, ref)
+    ref = lbp_basic(img)
+    assert np.array_equal(lbp_basic(img + 17.0), ref)
+    assert np.array_equal(lbp_basic(img * 3.5), ref)
 
 
 # ---- circular sampling -------------------------------------------------------
@@ -195,7 +193,7 @@ def test_circular_nearest_equals_basic():
     cfg = LbpConfig(neighbors=8, radius=1.0, interpolation="nearest")
     for shape in ((10, 10), (7, 13)):
         img = rng.integers(0, 256, shape)
-        assert np.array_equal(lbp_circular(img, cfg).codes, lbp_basic(img).codes)
+        assert np.array_equal(lbp_circular(img, cfg), lbp_basic(img))
 
 
 BLOCK_CONFIGS = [
@@ -224,17 +222,17 @@ def test_block_call_equals_per_image_reference(cfg, dtype):
     for seed, shape in enumerate([(3, 10, 10), (4, 7, 13), (2 * per_pass + 3, 16, 16)]):
         imgs = _block(dtype, shape, seed)
         block = lbp_circular(imgs, cfg)
-        assert block.codes.shape == shape and block.codes.dtype == np.int64
+        assert block.shape == shape and block.dtype == np.int64
         expect = np.stack([reference_circular(img, cfg) for img in imgs])
-        assert np.array_equal(block.codes, expect)
-        assert np.array_equal(lbp_circular(imgs[1], cfg).codes, expect[1])
+        assert np.array_equal(block, expect)
+        assert np.array_equal(lbp_circular(imgs[1], cfg), expect[1])
 
 
 def test_basic_block_equals_per_image_reference():
     imgs = _block(np.uint8, (5, 7, 13), seed=10)
     out = lbp_basic(imgs)
-    assert out.codes.shape == (5, 7, 13)
-    assert np.array_equal(out.codes, np.stack([reference_basic(img) for img in imgs]))
+    assert out.shape == (5, 7, 13)
+    assert np.array_equal(out, np.stack([reference_basic(img) for img in imgs]))
 
 
 def test_circular_bilinear_on_linear_ramp():
@@ -242,7 +240,7 @@ def test_circular_bilinear_on_linear_ramp():
     # interior pixel and determined by the offsets' signed height
     img = np.fromfunction(lambda r, c: 10.0 * r + c, (7, 7))
     cfg = LbpConfig(neighbors=4, radius=1.0)
-    codes = lbp_circular(img, cfg).codes
+    codes = lbp_circular(img, cfg)
     # P=4 offsets are the four diagonals; the two with dr>0 sample higher
     assert np.all(codes[2:-2, 2:-2] == 0b1100)
 
@@ -250,7 +248,7 @@ def test_circular_bilinear_on_linear_ramp():
 def test_circular_constant_image_is_all_ones():
     for interp in ("bilinear", "nearest"):
         cfg = LbpConfig(neighbors=8, radius=1.0, interpolation=interp)
-        codes = lbp_circular(np.full((8, 8), 9), cfg).codes
+        codes = lbp_circular(np.full((8, 8), 9), cfg)
         assert np.all(codes == 255)
 
 
@@ -258,16 +256,16 @@ def test_circular_shift_scale_invariance():
     rng = np.random.default_rng(4)
     img = rng.integers(0, 200, (9, 9)).astype(np.float64)
     cfg = LbpConfig(neighbors=8, radius=2.0)
-    ref = lbp_circular(img, cfg).codes
-    assert np.array_equal(lbp_circular(img + 50.0, cfg).codes, ref)
-    assert np.array_equal(lbp_circular(img * 2.25, cfg).codes, ref)
+    ref = lbp_circular(img, cfg)
+    assert np.array_equal(lbp_circular(img + 50.0, cfg), ref)
+    assert np.array_equal(lbp_circular(img * 2.25, cfg), ref)
 
 
 def test_circular_code_range_other_p():
     rng = np.random.default_rng(5)
     img = rng.integers(0, 256, (12, 12))
     cfg = LbpConfig(neighbors=12, radius=2.0)
-    codes = lbp_circular(img, cfg).codes
+    codes = lbp_circular(img, cfg)
     assert codes.min() >= 0 and codes.max() < 2**12
 
 
@@ -283,8 +281,8 @@ def test_quarter_turn_consistency_rotation_invariant():
     img = rng.integers(0, 256, (10, 10)).astype(np.float64)
     cfg = LbpConfig(neighbors=8, radius=1.0, rotation_invariant=True,
                     interpolation="nearest")
-    a = lbp_circular(img, cfg).codes
-    b = lbp_circular(np.rot90(img), cfg).codes
+    a = lbp_circular(img, cfg)
+    b = lbp_circular(np.rot90(img), cfg)
     assert np.array_equal(b, np.rot90(a))
 
 
@@ -301,8 +299,8 @@ def test_min_rotation_vectorized_matches_scalar():
                     interpolation="nearest")
     rng = np.random.default_rng(7)
     img = rng.integers(0, 256, (9, 9))
-    plain = lbp_basic(img).codes
-    ri = lbp_circular(img, cfg).codes
+    plain = lbp_basic(img)
+    ri = lbp_circular(img, cfg)
     expect = np.vectorize(oracle_min_rotation)(plain)
     assert np.array_equal(ri, expect)
 
@@ -338,9 +336,8 @@ def test_min_rotation_properties():
 
 def test_histogram_hand_fixture():
     codes = np.array([[0, 1, 2, 3], [1, 1, 3, 3], [2, 2, 0, 0], [2, 2, 0, 1]])
-    lbp = LbpImage(codes, neighbors=4)
     cfg = LbpConfig(neighbors=4, cell_size=2)
-    feats = lbp_histogram_features(lbp, cfg)
+    feats = lbp_histogram_features(codes, cfg)
     assert feats.shape == (4 * 16,)
     # top-left cell {0,1,1,1}: bin0=1/4, bin1=3/4
     assert feats[0] == 0.25 and feats[1] == 0.75 and feats[2:16].sum() == 0
@@ -354,8 +351,8 @@ def test_histogram_hand_fixture():
 
 def test_histogram_full_face_dimension():
     rng = np.random.default_rng(8)
-    lbp = lbp_basic(rng.integers(0, 256, (96, 96)))
-    feats = lbp_histogram_features(lbp, LbpConfig())
+    codes = lbp_basic(rng.integers(0, 256, (96, 96)))
+    feats = lbp_histogram_features(codes, LbpConfig())
     assert feats.shape == (36 * 256,)  # 6x6 cells of 16px, 256 bins each
     assert feats.shape == (9216,)
     assert feats.sum() == pytest.approx(36.0)  # every cell is L1-normalized
@@ -364,9 +361,9 @@ def test_histogram_full_face_dimension():
 
 def test_histogram_ragged_edge_cells_still_normalized():
     rng = np.random.default_rng(9)
-    lbp = lbp_basic(rng.integers(0, 256, (5, 5)))
+    codes = lbp_basic(rng.integers(0, 256, (5, 5)))
     cfg = LbpConfig(neighbors=8, cell_size=2)
-    feats = lbp_histogram_features(lbp, cfg)
+    feats = lbp_histogram_features(codes, cfg)
     assert feats.shape == (9 * 256,)
     cells = feats.reshape(9, 256)
     assert np.allclose(cells.sum(axis=1), 1.0)
@@ -374,8 +371,7 @@ def test_histogram_ragged_edge_cells_still_normalized():
 
 def test_histogram_cells_are_row_major():
     codes = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]])
-    lbp = LbpImage(codes, neighbors=4)
-    feats = lbp_histogram_features(lbp, LbpConfig(neighbors=4, cell_size=2))
+    feats = lbp_histogram_features(codes, LbpConfig(neighbors=4, cell_size=2))
     cells = feats.reshape(4, 16)
     for pos, code in enumerate((1, 2, 3, 4)):
         assert cells[pos, code] == 1.0
@@ -388,14 +384,19 @@ def test_histogram_of_a_block_has_one_row_per_image():
     feats = lbp_histogram_features(lbp_basic(imgs), cfg)
     assert feats.shape == (4, 6 * 256)
     for img, row in zip(imgs, feats):
-        one = lbp_histogram_features(LbpImage(reference_basic(img), neighbors=8), cfg)
+        one = lbp_histogram_features(reference_basic(img), cfg)
         assert np.array_equal(row, one)
 
 
+def test_histogram_rejects_codes_that_are_not_one_image_or_a_block():
+    with pytest.raises(LbpError, match=r"\(h, w\) or \(n, h, w\)"):
+        lbp_histogram_features(np.zeros(16, dtype=np.int64), LbpConfig(cell_size=2))
+
+
 def test_histogram_rejects_out_of_range_codes():
-    lbp = LbpImage(np.full((4, 4), 16, dtype=np.int64), neighbors=4)
+    codes = np.full((4, 4), 16, dtype=np.int64)
     with pytest.raises(LbpError, match="range"):
-        lbp_histogram_features(lbp, LbpConfig(neighbors=4, cell_size=2))
+        lbp_histogram_features(codes, LbpConfig(neighbors=4, cell_size=2))
 
 
 # ---- config validation ----------------------------------------------------------

@@ -130,12 +130,12 @@ def test_the_default_scaling_is_the_identity():
 @pytest.mark.parametrize("where", ["X", "Y"])
 @pytest.mark.parametrize("fit", ["mlp", "cnn"])
 def test_a_scale_that_overflows_is_one_value_error(where, fit):
-    X = np.random.default_rng(3).normal(size=(6, 4, 4))
+    X = np.random.default_rng(3).normal(size=(6, 16))  # rows of 4x4 grids for the cnn
     Y = np.random.default_rng(4).normal(size=(6, 2))
     (X if where == "X" else Y)[1, 1] = 1e300  # finite, but the std overflows
     what = "inputs" if where == "X" else "targets"
     with pytest.raises(ValueError, match=f"cannot scale the {what}: their std overflows"):
         if fit == "mlp":
-            mlp_fit(X.reshape(6, 16), Y, hidden=(4,), epochs=1)
+            mlp_fit(X, Y, hidden=(4,), epochs=1)
         else:
             cnn_fit(X, Y, epochs=1)

@@ -30,7 +30,7 @@ def flat_data(seed=0, n=30, d=4, m=2):
 
 def test_every_kind_fits_and_predicts():
     X, Y = flat_data()
-    grids = np.random.default_rng(1).normal(size=(20, 8, 8))
+    Xg = np.random.default_rng(1).normal(size=(20, 64))  # rows of 8x8 grids
     Yg = np.random.default_rng(2).normal(size=(20, 2)) + 48.0
     small = {
         "knn": {"k": 3},
@@ -46,8 +46,8 @@ def test_every_kind_fits_and_predicts():
     for kind, hp in small.items():
         spec = RegressorSpec(kind, hp, seed=0)
         if kind == "cnn":
-            model = fit_any(spec, grids, Yg)
-            preds = predict_any(model, grids)
+            model = fit_any(spec, Xg, Yg)
+            preds = predict_any(model, Xg)
             assert preds.shape == (20, 2)
         else:
             model = fit_any(spec, X, Y)
@@ -182,16 +182,16 @@ def test_save_load_round_trip_flat_models(tmp_path, kind, hp):
 
 def test_save_load_round_trip_cnn(tmp_path):
     rng = np.random.default_rng(4)
-    grids = rng.normal(size=(12, 8, 8))
+    X = rng.normal(size=(12, 64))
     Y = rng.normal(size=(12, 2)) + 48.0
     model = fit_any(RegressorSpec("cnn", {"epochs": 1, "batch_size": 6}, seed=2),
-                    grids, Y)
+                    X, Y)
     path = tmp_path / "cnn.npz"
     save_model(path, model)
     back, extras = load_model(path)
     assert extras == {}
     assert back.side == 8
-    assert np.array_equal(predict_any(back, grids), predict_any(model, grids))
+    assert np.array_equal(predict_any(back, X), predict_any(model, X))
 
 
 def test_save_rejects_foreign_objects(tmp_path):
@@ -230,8 +230,6 @@ def test_saved_model_layout_is_pinned(tmp_path, kind):
     X, Y = flat_data(seed=5, d=16)
     hp = {"mlp": {"hidden": (6,), "epochs": 1, "batch_size": 10},
           "cnn": {"epochs": 1, "batch_size": 10}}.get(kind, {})
-    if kind == "cnn":
-        X = X.reshape(-1, 4, 4)
     model = fit_any(RegressorSpec(kind, hp, seed=1), X, Y)
     path = tmp_path / "model.npz"
     table = np.arange(6.0).reshape(2, 3)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from facekeys.dataset import Dataset, GrayImage, KeypointSet
-from facekeys.lbp import LbpImage, lbp_basic
+from facekeys.dataset import Dataset
+from facekeys.lbp import lbp_basic
 from facekeys.viz import (
     BLUE,
     RED,
@@ -130,10 +130,9 @@ def test_marker_color_by_region(name, color):
 
 
 def _overlay(tmp_path, names, coords, shape=(12, 10)):
-    img = GrayImage(np.full(shape, GRAY, dtype=np.uint8))
-    kp = KeypointSet(names, np.asarray(coords, dtype=np.float64))
+    pixels = np.full(shape, GRAY, dtype=np.uint8)
     path = tmp_path / "overlay.ppm"
-    render_keypoints(img, kp, path)
+    render_keypoints(pixels, names, np.asarray(coords, dtype=np.float64), path)
     return read_ppm(path)
 
 
@@ -163,9 +162,16 @@ def test_render_keypoints_all_missing_leaves_image_unchanged(tmp_path):
     assert (canvas == GRAY).all()
 
 
-def _scatter_dataset(keypoints):
+@pytest.mark.parametrize("pixels", [np.zeros((4, 4)), np.zeros((2, 4, 4), dtype=np.uint8)],
+                         ids=["float", "block"])
+def test_render_keypoints_takes_one_uint8_image(tmp_path, pixels):
+    with pytest.raises(VizError, match="uint8"):
+        render_keypoints(pixels, ("nose_tip",), np.array([[1.0, 1.0]]), tmp_path / "x.ppm")
+
+
+def _scatter_dataset(keypoints, shape=(96, 96)):
     coords = np.asarray(keypoints, dtype=np.float64)
-    images = np.zeros((coords.shape[0], 2, 2), dtype=np.uint8)
+    images = np.zeros((coords.shape[0], *shape), dtype=np.uint8)
     return Dataset(images=images, keypoints=coords,
                    slot_names=("left_eye_center", "nose_tip"))
 
@@ -192,12 +198,25 @@ def test_scatter_all_missing_slot_is_blank(tmp_path):
     d = _scatter_dataset([
         [1.0, 1.0, np.nan, np.nan],
         [2.0, 2.0, np.nan, np.nan],
-    ])
+    ], shape=(16, 16))
     path = tmp_path / "blank.ppm"
-    scatter_keypoint_distribution(d, "nose_tip", path, side=16)
+    scatter_keypoint_distribution(d, "nose_tip", path)
     canvas = read_ppm(path)
     assert canvas.shape == (16, 16, 3)
     assert (canvas == 255).all()
+
+
+def test_scatter_canvas_is_the_image_size(tmp_path):
+    d = _scatter_dataset([
+        [20.0, 5.0, 1.0, 1.0],    # pixel (5, 20), inside the 24-wide canvas
+        [5.0, 20.0, 1.0, 1.0],    # row 20 lies below the 16-row canvas
+    ], shape=(16, 24))
+    path = tmp_path / "wide.ppm"
+    scatter_keypoint_distribution(d, "left_eye_center", path)
+    canvas = read_ppm(path)
+    assert canvas.shape == (16, 24, 3)
+    black = np.argwhere((canvas == 0).all(axis=2))
+    assert {tuple(rc) for rc in black} == {(5, 20)}
 
 
 def test_scatter_rejects_unknown_slot(tmp_path):
@@ -209,23 +228,23 @@ def test_scatter_rejects_unknown_slot(tmp_path):
 def test_render_lbp_byte_codes_written_directly(tmp_path):
     codes = np.array([[0, 255], [241, 7]], dtype=np.int64)
     path = tmp_path / "codes.pgm"
-    render_lbp(LbpImage(codes=codes, neighbors=8), path)
+    render_lbp(codes, 8, path)
     assert np.array_equal(read_pgm(path), codes.astype(np.uint8))
 
 
 def test_render_lbp_of_real_code_map(tmp_path):
     rng = np.random.default_rng(3)
     img = rng.integers(0, 256, size=(8, 8), dtype=np.uint8)
-    lbp = lbp_basic(img)
+    codes = lbp_basic(img)
     path = tmp_path / "map.pgm"
-    render_lbp(lbp, path)
-    assert np.array_equal(read_pgm(path), lbp.codes.astype(np.uint8))
+    render_lbp(codes, 8, path)
+    assert np.array_equal(read_pgm(path), codes.astype(np.uint8))
 
 
 def test_render_lbp_wide_codes_are_min_max_scaled(tmp_path):
     codes = np.array([[0, 100], [200, 4000]], dtype=np.int64)
     path = tmp_path / "wide.pgm"
-    render_lbp(LbpImage(codes=codes, neighbors=12), path)
+    render_lbp(codes, 12, path)
     expected = np.rint(codes * 255.0 / 4000.0).astype(np.uint8)
     back = read_pgm(path)
     assert np.array_equal(back, expected)
@@ -235,5 +254,5 @@ def test_render_lbp_wide_codes_are_min_max_scaled(tmp_path):
 def test_render_lbp_constant_wide_codes_become_zeros(tmp_path):
     codes = np.full((3, 3), 77, dtype=np.int64)
     path = tmp_path / "flat.pgm"
-    render_lbp(LbpImage(codes=codes, neighbors=12), path)
+    render_lbp(codes, 12, path)
     assert (read_pgm(path) == 0).all()
