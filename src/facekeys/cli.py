@@ -81,8 +81,14 @@ def _parse_hidden(text: str) -> tuple[int, ...]:
         )
 
 
-#: train flags that set the BenchmarkConfig field of their own name
-_TRAIN_SETTINGS = ("seed", "lbp_neighbors", "lbp_radius", "lbp_rotation_invariant", "lbp_mode")
+#: train flags that set the BenchmarkConfig field of their own name; the
+#: LBP ones act only with --lbp
+_LBP_SETTINGS = ("lbp_neighbors", "lbp_radius", "lbp_rotation_invariant", "lbp_mode")
+_TRAIN_SETTINGS = ("seed", *_LBP_SETTINGS)
+
+
+def _flags(names) -> str:
+    return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
 def cmd_train(args) -> int:
@@ -90,13 +96,16 @@ def cmd_train(args) -> int:
 
     The setting flags given override a BenchmarkConfig(); a model flag's
     destination is its run-set hyperparameter name. A model flag outside
-    the --model's run set is refused."""
+    the --model's run set is refused, and so is an LBP setting without
+    --lbp."""
     run_set = SPEC_KINDS[args.model].run_set
     foreign = sorted({name for kind in SPEC_KINDS.values() for name in kind.run_set
                       if name not in run_set and getattr(args, name) is not None})
     if foreign:
-        flags = ", ".join("--" + name.replace("_", "-") for name in foreign)
-        raise CliError(f"--model {args.model} does not take {flags}")
+        raise CliError(f"--model {args.model} does not take {_flags(foreign)}")
+    lbp_given = [name for name in _LBP_SETTINGS if getattr(args, name) is not None]
+    if lbp_given and not args.lbp:
+        raise CliError(f"{_flags(lbp_given)} given without --lbp")
     given = {name: getattr(args, name) for name in _TRAIN_SETTINGS}
     given.update({ev._config_field(args.model, name): getattr(args, name) for name in run_set})
     cfg = replace(ev.BenchmarkConfig(), **{k: v for k, v in given.items() if v is not None})

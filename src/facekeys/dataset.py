@@ -2,16 +2,17 @@
 
 Covers the Kaggle-style training CSV (coordinate column pairs plus a
 space-separated ``Image`` column; an image-only CSV has zero coordinate
-columns, and only an empty coordinate cell is missing), column-mean
+pairs, and only an empty coordinate cell is missing), column-mean
 imputation, the coverage split into a dense four-keypoint task and a
 sparse eleven-keypoint task, and seeded holdout partitioning. A Dataset
 holds plain arrays, and the stages after it take them as they are: the
 feature pipeline reads ``images``, and the regressors fit ``keypoints``
-as their targets. One reader parses every CSV layout: a canonical
+as their targets. One reader parses the training layout: a canonical
 file, as the writers here and Kaggle's ``training.csv`` write it, is
 decoded a block of lines at a time with whole-block numpy parsing; any
 other file goes row by row through the csv module and the exact pixel
-grammar, which also words every error.
+grammar, which also words every error. The keypoint-only files that
+``write_keypoint_csv`` writes are not read back by the package.
 """
 
 from __future__ import annotations
@@ -54,23 +55,14 @@ class DatasetError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class FeatureMatrix:
-    """Feature rows plus a provenance tag (raw, lbp, or pca)."""
+    """Feature rows, as the feature pipeline returns them.
+
+    It stays only because perfbench's predict-cli reference reads
+    ``values``; ROADMAP item 3 removes it, and the pipeline then returns
+    the array itself.
+    """
 
     values: np.ndarray
-    source: str
-
-    def __post_init__(self):
-        if self.source not in ("raw", "lbp", "pca"):
-            raise DatasetError(f"unknown feature source {self.source!r}")
-        if self.values.ndim != 2:
-            raise DatasetError("feature matrix must be 2-d")
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.values, dtype=dtype, copy=copy)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +178,14 @@ def _parse_coordinate(cell: str, row_idx: int, column: str) -> float:
 _BLOCK_BYTES = 1 << 15
 
 
-def _read_csv(path, header_rule):
-    """Parse a CSV: the one reader behind every loader.
+def _read_csv(path):
+    """Parse a training CSV: the one reader behind every loader.
 
-    ``header_rule(path, header)`` checks the header and returns the slot
-    names of its leading coordinate columns; a last ``Image`` column holds
-    pixel lists that must decode to the first row's square side. Returns
-    (slot_names, (n, 2k) float64 keypoints, (n, side, side) uint8 images
-    or None).
+    The header is k x/y coordinate column pairs, then an ``Image`` column
+    (k is 0 in an image-only file), as ``_training_header`` checks it. The
+    Image cells hold pixel lists that must decode to the first row's
+    square side. Returns (slot_names, (n, 2k) float64 keypoints,
+    (n, side, side) uint8 images); the images are never None.
 
     A canonical file, as the package's writers and Kaggle's
     ``training.csv`` write it, is decoded a block of lines at a time by
@@ -202,22 +194,21 @@ def _read_csv(path, header_rule):
     every error; the two give the same arrays on every canonical file.
     """
     try:
-        decoded = _read_blocks(path, header_rule)
+        decoded = _read_blocks(path)
     except DatasetError:  # the row reader words the first error, wherever it is
         decoded = None
-    return decoded or _read_rows(path, header_rule)
+    return decoded or _read_rows(path)
 
 
-def _read_rows(path, header_rule):
+def _read_rows(path):
     """``_read_csv`` by the csv module, one row and one cell at a time."""
     with open(path, newline="") as fh:
         reader = _checked_rows(csv.reader(fh))
         header = next(reader, None)
         if header is None:
             raise DatasetError(f"{path}: empty file")
-        slot_names = header_rule(path, header)
+        slot_names = _training_header(path, header)
         n_coord = 2 * len(slot_names)
-        has_image = header[-1:] == [IMAGE_COLUMN]
         coord_rows: list[list[float]] = []
         pixel_rows: list[np.ndarray] = []
         for row_idx, row in enumerate(reader):
@@ -227,8 +218,6 @@ def _read_rows(path, header_rule):
                 )
             coord_rows.append([_parse_coordinate(row[c], row_idx, header[c])
                                for c in range(n_coord)])
-            if not has_image:
-                continue
             pixels = _parse_pixels_exact(row[n_coord], row_idx)
             where = f"row {row_idx}, column {IMAGE_COLUMN}"
             if not pixel_rows:
@@ -243,7 +232,7 @@ def _read_rows(path, header_rule):
     if n == 0:
         raise DatasetError(f"{path}: no data rows")
     # stack first: the coordinate block is not yet alive at the stack's peak
-    images = np.stack(pixel_rows).reshape(n, side, side) if has_image else None
+    images = np.stack(pixel_rows).reshape(n, side, side)
     keypoints = np.array(coord_rows, dtype=np.float64).reshape(n, n_coord)
     return slot_names, keypoints, images
 
@@ -273,7 +262,7 @@ def _plain_text(raw: bytes) -> str | None:
     return None
 
 
-def _read_blocks(path, header_rule):
+def _read_blocks(path):
     """``_read_csv`` of a canonical file, a block of lines at a time, or None.
 
     A canonical file is a regular file whose header ends in ``Image``.
@@ -294,10 +283,8 @@ def _read_blocks(path, header_rule):
         if not header:  # csv reads an empty line as no fields at all
             return None
         header = header.split(",")
-        slot_names = header_rule(path, header)
+        slot_names = _training_header(path, header)
         n_coord = 2 * len(slot_names)
-        if header[-1] != IMAGE_COLUMN or len(header) != n_coord + 1:
-            return None
         images = None
         coord_rows: list[list[float]] = []
         n = 0
@@ -376,12 +363,6 @@ def _training_header(path, header: list[str]) -> tuple[str, ...]:
     return _slot_names_from_header(header[:-1])
 
 
-def _image_header(path, header: list[str]) -> tuple[str, ...]:
-    if header != [IMAGE_COLUMN]:
-        raise DatasetError(f"{path}: expected a single {IMAGE_COLUMN!r} column")
-    return ()
-
-
 def load_training_csv(path) -> Dataset:
     """Parse a training CSV into a Dataset.
 
@@ -396,13 +377,17 @@ def load_training_csv(path) -> Dataset:
             list, or an input with no data rows. Messages name the row
             index and column involved.
     """
-    slot_names, keypoints, images = _read_csv(path, _training_header)
+    slot_names, keypoints, images = _read_csv(path)
     return Dataset(images=images, keypoints=keypoints, slot_names=slot_names)
 
 
 def load_image_csv(path) -> np.ndarray:
-    """Parse an image-only CSV (single ``Image`` column) into (n, s, s) uint8."""
-    return _read_csv(path, _image_header)[2]
+    """The (n, s, s) uint8 images of a training or image-only CSV.
+
+    It stays only because perfbench binds its name; ROADMAP item 3
+    removes it, and callers read ``load_training_csv(path).images``.
+    """
+    return _read_csv(path)[2]
 
 
 def _format_coordinate(v: float) -> str:

@@ -254,14 +254,11 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
 
     for task in cfg.tasks:
         d = _subsample(by_task[task], cfg.max_rows, cfg.seed)
-        if cfg.train_only_means:
-            train_raw, test_raw = holdout_split(d, cfg.train_fraction, cfg.seed)
-            means = column_means(train_raw)
-            train = impute_column_means(train_raw, means)
-            test = impute_column_means(test_raw, means)
-        else:
-            d = impute_column_means(d)
-            train, test = holdout_split(d, cfg.train_fraction, cfg.seed)
+        # the split depends only on the row count, so imputing after it is exact
+        train_raw, test_raw = holdout_split(d, cfg.train_fraction, cfg.seed)
+        means = column_means(train_raw if cfg.train_only_means else d)
+        train = impute_column_means(train_raw, means)
+        test = impute_column_means(test_raw, means)
 
         Y_train, Y_test = train.keypoints, test.keypoints
 

@@ -46,18 +46,15 @@ class FeaturePipeline:
 
     def transform(self, images: np.ndarray) -> FeatureMatrix:
         """Feature rows for an (n, h, w) uint8 image block."""
-        source = "raw"
         if self.lbp is not None:
             X = self._lbp_matrix(images)
-            source = "lbp"
         else:
             X = images.reshape(images.shape[0], -1).astype(np.float64)
             if self.scale_pixels:
                 X /= 255.0
         if self.pca is not None:
             X = pca_mod.transform(self.pca, X)
-            source = "pca"
-        return FeatureMatrix(X, source)
+        return FeatureMatrix(X)
 
 
 def fit_pipeline(
@@ -76,7 +73,7 @@ def fit_pipeline(
         pipe.pca = pca_mod.fit_pca(
             features.values, n_components=pca_components, variance_target=variance_target
         )
-        features = FeatureMatrix(pca_mod.transform(pipe.pca, features.values), "pca")
+        features = FeatureMatrix(pca_mod.transform(pipe.pca, features.values))
     return pipe, features
 
 

@@ -16,9 +16,9 @@ import numpy as np
 from facekeys.dataset import (
     Dataset,
     DatasetError,
-    _image_header,
-    _read_csv,
+    _parse_coordinate,
     _slot_names_from_header,
+    load_training_csv,
 )
 from facekeys.eval import EvalError, EvalReport, EvalRow
 from facekeys.pca import PcaModel
@@ -57,11 +57,23 @@ def read_pgm(path) -> np.ndarray:
 
 
 def load_split_csvs(keypoint_path, image_path) -> Dataset:
-    """Rejoin a keypoint CSV and an image CSV written by the pair writers."""
-    images = _read_csv(image_path, _image_header)[2]
-    slot_names, keypoints, _ = _read_csv(
-        keypoint_path, lambda path, header: _slot_names_from_header(header)
-    )
+    """Rejoin a keypoint CSV and an image CSV written by the pair writers.
+
+    The package reads the image CSV as a training CSV with zero coordinate
+    pairs; the keypoint CSV, which it never reads, is read here row by row.
+    """
+    images = load_training_csv(image_path).images
+    with open(keypoint_path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    slot_names = _slot_names_from_header(header)
+    for row_idx, row in enumerate(rows):
+        if len(row) != len(header):
+            raise DatasetError(f"row {row_idx}: expected {len(header)} fields, got {len(row)}")
+    keypoints = np.array(
+        [[_parse_coordinate(cell, row_idx, column) for cell, column in zip(row, header)]
+         for row_idx, row in enumerate(rows)],
+        dtype=np.float64,
+    ).reshape(len(rows), len(header))
     if len(keypoints) != len(images):
         raise DatasetError(
             f"keypoint rows ({len(keypoints)}) != image rows ({len(images)})"

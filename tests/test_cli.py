@@ -539,6 +539,20 @@ def test_train_with_lbp_histogram_features(tmp_path, csv_path):
     assert np.isfinite(_predictions(out)).all()
 
 
+@pytest.mark.parametrize("flags,named", [
+    (("--lbp-neighbors", "12"), "--lbp-neighbors"),
+    (("--lbp-radius", "2"), "--lbp-radius"),
+    (("--lbp-rotation-invariant",), "--lbp-rotation-invariant"),
+    (("--lbp-mode", "histogram"), "--lbp-mode"),
+    (("--lbp-mode", "histogram", "--lbp-radius", "2"), "--lbp-radius, --lbp-mode"),
+], ids=["neighbors", "radius", "rotation-invariant", "mode", "mode-and-radius"])
+def test_train_refuses_lbp_settings_without_lbp(tmp_path, csv_path, capsys, flags, named):
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", *flags) == 1
+    assert capsys.readouterr().err == f"facekeys: error: {named} given without --lbp\n"
+    assert not model_file.exists()
+
+
 def test_predict_missing_model_file_fails_cleanly(tmp_path, csv_path, capsys):
     rc = main(["predict", "--model-file", str(tmp_path / "absent.npz"),
                "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])

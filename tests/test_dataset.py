@@ -13,7 +13,6 @@ from facekeys.dataset import (
     SLOT_NAMES,
     Dataset,
     DatasetError,
-    FeatureMatrix,
     column_means,
     holdout_split,
     impute_column_means,
@@ -146,6 +145,13 @@ def test_load_image_csv_requires_image_header(tmp_path):
         load_image_csv(_write(tmp_path, "Pixels\n0 0 0 0\n"))
 
 
+def test_load_image_csv_reads_the_images_of_a_training_csv(tmp_path, small_ds):
+    written = tmp_path / "written.csv"
+    write_training_csv(small_ds, written)
+    for path in (_write(tmp_path, LITERAL_CSV), written):
+        assert np.array_equal(load_image_csv(path), load_training_csv(path).images)
+
+
 def test_load_training_csv_reads_an_image_only_csv(tmp_path):
     path = _write(tmp_path, "Image\n0 10 20 30\n255 0 128 64\n")
     d = load_training_csv(path)
@@ -254,9 +260,9 @@ def _outcome(load, path):
     return [(a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in got]
 
 
-def _row_reader(header_rule, part=None):
+def _row_reader(part=None):
     def load(path):
-        got = fk_dataset._read_rows(path, header_rule)
+        got = fk_dataset._read_rows(path)
         return got if part is None else got[part]
     return load
 
@@ -352,8 +358,8 @@ def test_block_reader_matches_the_row_reader_on_every_file(tmp_path):
     or after it, and of the whole file."""
     rng = np.random.default_rng(20240607)
     loaders = [
-        (load_training_csv, _row_reader(fk_dataset._training_header)),
-        (load_image_csv, _row_reader(fk_dataset._image_header, 2)),
+        (load_training_csv, _row_reader()),
+        (load_image_csv, _row_reader(2)),
     ]
     accepted = declined = 0
     for layout, text in _canonical_files(tmp_path).items():
@@ -390,7 +396,7 @@ def test_block_reader_matches_the_row_reader_on_every_file(tmp_path):
                 want = _outcome(oracle, path)
                 assert _outcome(load, path) == want, (layout, name, load.__name__)
             try:
-                decoded = fk_dataset._read_blocks(path, fk_dataset._training_header)
+                decoded = fk_dataset._read_blocks(path)
             except DatasetError:
                 decoded = None
             accepted += decoded is not None
@@ -405,7 +411,7 @@ def test_a_cell_over_the_csv_field_limit_fails_as_in_the_row_reader(tmp_path, sm
     limit = csv.field_size_limit(100)
     try:
         got = _outcome(load_image_csv, path)
-        assert got == _outcome(_row_reader(fk_dataset._image_header, 2), path)
+        assert got == _outcome(_row_reader(2), path)
     finally:
         csv.field_size_limit(limit)
     assert got == (DatasetError, "row 0: field larger than field limit (100)")
@@ -686,26 +692,3 @@ def test_holdout_rejects_empty_side():
     d = build_dataset(n_rows=3, sparse_missing_rows=0, core_missing_cells=0)
     with pytest.raises(DatasetError, match="empty side"):
         holdout_split(d, 0.05, seed=0)
-
-
-# ---- feature matrices ------------------------------------------------------
-
-
-def test_feature_matrix_source_validated():
-    with pytest.raises(DatasetError, match="source"):
-        FeatureMatrix(np.zeros((2, 2)), "bogus")
-
-
-def test_feature_matrix_array_honours_copy():
-    fm = FeatureMatrix(np.zeros((2, 3)), "raw")
-    for copied in (np.array(fm), np.array(fm, copy=True), np.array(fm, dtype=np.float32)):
-        copied[0, 0] = 1.0
-        assert fm.values[0, 0] == 0.0
-    assert np.shares_memory(np.asarray(fm), fm.values)
-    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
-        pytest.skip("np.asarray takes copy from numpy 2.0")
-    view = np.asarray(fm, copy=False)
-    view[0, 0] = 2.0
-    assert fm.values[0, 0] == 2.0
-    with pytest.raises(ValueError):
-        np.asarray(fm, dtype=np.float32, copy=False)
