@@ -1,9 +1,12 @@
-"""Readers the package does not ship: oracles for the files it writes.
+"""Readers and writers the package does not ship: oracles for its files.
 
 read_pgm and read_ppm read facekeys.viz's binary netpbm images,
 load_split_csvs rejoins the keypoint and image CSVs of ``facekeys
 split``, load_pca reads what pca.save_pca and ``facekeys pca`` write, and
-load_report_csv reads eval.format_report's CSV.
+load_report_csv reads eval.format_report's CSV. csv_training_rows,
+csv_keypoint_rows and csv_image_rows write the dataset writers' three
+layouts a row at a time through the csv module, the bytes the package's
+block writers must reproduce.
 """
 
 import csv
@@ -14,8 +17,10 @@ import re
 import numpy as np
 
 from facekeys.dataset import (
+    IMAGE_COLUMN,
     Dataset,
     DatasetError,
+    _format_coordinate,
     _parse_coordinate,
     _slot_names_from_header,
     load_training_csv,
@@ -79,6 +84,35 @@ def load_split_csvs(keypoint_path, image_path) -> Dataset:
             f"keypoint rows ({len(keypoints)}) != image rows ({len(images)})"
         )
     return Dataset(images=images, keypoints=keypoints, slot_names=slot_names)
+
+
+def _csv_rows(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _image_text(d: Dataset) -> list[str]:
+    flat = d.images.reshape(len(d), d.images.shape[1] * d.images.shape[2])
+    return [" ".join(map(str, px)) for px in flat.tolist()]
+
+
+def csv_training_rows(d: Dataset, path) -> None:
+    """write_training_csv, one csv-module row at a time."""
+    _csv_rows(path, d.coordinate_columns() + [IMAGE_COLUMN], (
+        [*map(_format_coordinate, kp), px] for kp, px in zip(d.keypoints, _image_text(d))))
+
+
+def csv_keypoint_rows(d: Dataset, path) -> None:
+    """write_keypoint_csv, one csv-module row at a time."""
+    _csv_rows(path, d.coordinate_columns(),
+              (list(map(_format_coordinate, kp)) for kp in d.keypoints))
+
+
+def csv_image_rows(d: Dataset, path) -> None:
+    """write_image_csv, one csv-module row at a time."""
+    _csv_rows(path, [IMAGE_COLUMN], ([px] for px in _image_text(d)))
 
 
 def load_pca(path) -> PcaModel:

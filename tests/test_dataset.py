@@ -23,7 +23,7 @@ from facekeys.dataset import (
     write_keypoint_csv,
     write_training_csv,
 )
-from readers import load_split_csvs
+from readers import csv_image_rows, csv_keypoint_rows, csv_training_rows, load_split_csvs
 
 # hand-written file, two slots, 2x2 images; row 0 misses nose x, row 1 left eye y
 LITERAL_CSV = (
@@ -454,13 +454,19 @@ def test_loading_written_files_never_needs_the_exact_parser(tmp_path, monkeypatc
     monkeypatch.setattr(fk_dataset, "_parse_pixels_exact",
                         lambda *args: calls.append(args) or exact(*args))
     d = build_dataset(n_rows=3 * fk_dataset._BLOCK_BYTES // 800, side=16, seed=2)
-    for write, load in ((write_training_csv, load_training_csv),
-                        (write_image_csv, load_image_csv)):
+    at_edges = build_dataset(n_rows=fk_dataset._block_rows(16 * 16, 0) + 1, side=16, seed=3)
+    for write, load, coordinates in ((write_training_csv, load_training_csv, 30),
+                                     (write_image_csv, load_image_csv, 0)):
+        per_block = fk_dataset._block_rows(16 * 16, coordinates)
         path = tmp_path / "round.csv"
         write(d, path)
         assert path.stat().st_size > 2 * fk_dataset._BLOCK_BYTES
         back = load(path)
         assert np.array_equal(getattr(back, "images", back), d.images)
+        for n in (per_block - 1, per_block, per_block + 1):  # around a write block's end
+            write(at_edges.take(range(n)), path)
+            back = load(path)
+            assert np.array_equal(getattr(back, "images", back), at_edges.images[:n])
     assert calls == []
     # the counter does see a cell that needs the exact parser
     load_training_csv(_write(tmp_path, "Image\n+1 2 3 4\n"))
@@ -483,10 +489,10 @@ def test_loading_peaks_below_three_and_a_half_image_blocks(tmp_path):
 
 def test_pixel_text_covers_every_value(tmp_path):
     every = np.arange(256, dtype=np.uint8)
-    assert fk_dataset._format_image(every) == " ".join(str(i) for i in range(256))
     d = Dataset(images=every.reshape(1, 16, 16), keypoints=np.zeros((1, 0)), slot_names=())
     path = tmp_path / "every.csv"
     write_image_csv(d, path)
+    assert path.read_bytes() == b"Image\r\n" + " ".join(map(str, range(256))).encode() + b"\r\n"
     back = load_image_csv(path)
     assert back.dtype == np.uint8 and np.array_equal(back, d.images)
 
@@ -518,6 +524,99 @@ def test_writers_output_is_pinned(tmp_path):
         out = tmp_path / "out.csv"
         write(d, out)
         assert out.read_bytes() == text.replace("\n", "\r\n").encode()
+
+
+def _random_dataset(n, h, w, slot_names=SLOT_NAMES, seed=0):
+    rng = np.random.default_rng(seed)
+    keypoints = rng.uniform(-10.0, 110.0, size=(n, 2 * len(slot_names)))
+    keypoints[rng.random(keypoints.shape) < 0.2] = np.nan
+    return Dataset(images=rng.integers(0, 256, size=(n, h, w), dtype=np.uint8),
+                   keypoints=keypoints, slot_names=tuple(slot_names))
+
+
+#: Each writer, its csv-module oracle, and whether it writes coordinates and pixels.
+WRITERS = {
+    "training": (write_training_csv, csv_training_rows, True, True),
+    "keypoint": (write_keypoint_csv, csv_keypoint_rows, True, False),
+    "image": (write_image_csv, csv_image_rows, False, True),
+}
+
+
+def _at_block_edge(layout, extra, side=48):
+    """A Dataset of one write block's rows plus ``extra``, for that writer."""
+    _, _, coordinates, pixels = WRITERS[layout]
+    rows = fk_dataset._block_rows(side * side if pixels else 0,
+                                  2 * len(SLOT_NAMES) if coordinates else 0)
+    return _random_dataset(rows + extra, side, side)
+
+
+WRITER_CASES = {
+    "every value": lambda layout: Dataset(
+        images=(np.arange(3 * 256) % 256).astype(np.uint8).reshape(3, 16, 16),
+        keypoints=np.full((3, 4), 8.0), slot_names=("a", "b")),
+    "3x5 images": lambda layout: _random_dataset(7, 3, 5, seed=1),
+    "1x1 images": lambda layout: _random_dataset(9, 1, 1, seed=2),
+    "special coordinates": lambda layout: Dataset(
+        images=np.zeros((2, 2, 2), dtype=np.uint8),
+        keypoints=np.array([[np.nan, -0.0, 1e-300, 1e300], [5e-324, -1e300, 1 / 3, np.nan]]),
+        slot_names=("a", "b")),
+    "zero slots": lambda layout: _random_dataset(4, 3, 3, slot_names=(), seed=3),
+    "zero-pixel images": lambda layout: _random_dataset(4, 0, 0, SLOT_NAMES[:2], seed=4),
+    "zero-pixel images, zero slots": lambda layout: _random_dataset(3, 2, 0, (), seed=5),
+    "quoted header names": lambda layout: _random_dataset(
+        3, 2, 2, ('a"b', "c,d", "e f", "g\nh"), seed=6),
+    "zero rows": lambda layout: _random_dataset(0, 4, 4, seed=7),
+    "a block less one row": lambda layout: _at_block_edge(layout, -1),
+    "one block": lambda layout: _at_block_edge(layout, 0),
+    "a block and one row": lambda layout: _at_block_edge(layout, 1),
+    "96x96": lambda layout: _random_dataset(10, 96, 96, seed=8),
+}
+
+
+@pytest.mark.parametrize("case", WRITER_CASES)
+@pytest.mark.parametrize("layout", WRITERS)
+def test_block_writers_match_the_csv_module_byte_for_byte(tmp_path, layout, case):
+    write, oracle, _, _ = WRITERS[layout]
+    d = WRITER_CASES[case](layout)
+    write(d, tmp_path / "blocks.csv")
+    oracle(d, tmp_path / "rows.csv")
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_a_zero_row_dataset_writes_the_header_alone(tmp_path):
+    d = _random_dataset(0, 96, 96, slot_names=("a", "b"))
+    want = {
+        write_training_csv: b"a_x,a_y,b_x,b_y,Image\r\n",
+        write_keypoint_csv: b"a_x,a_y,b_x,b_y\r\n",
+        write_image_csv: b"Image\r\n",
+    }
+    for write, text in want.items():
+        write(d, tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_bytes() == text, write.__name__
+
+
+def _write_peak(write, d, path) -> int:
+    tracemalloc.start()
+    try:
+        write(d, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writers_stream_a_block_at_a_time(tmp_path):
+    """The writers' peaks do not grow with the row count: no whole-file text."""
+    path = tmp_path / "stream.csv"
+    faces = build_dataset(n_rows=1000, side=48, seed=5)
+    peak = _write_peak(write_training_csv, faces, path)
+    assert peak <= 1.25 * _write_peak(write_training_csv, faces.take(range(100)), path)
+    assert peak < faces.images.nbytes
+    # coordinates count against the block too: rows of tiny images or none
+    points = _random_dataset(20000, 1, 1)
+    for write in (write_training_csv, write_keypoint_csv):
+        peak = _write_peak(write, points, path)
+        assert peak <= 1.25 * _write_peak(write, points.take(range(2000)), path), write.__name__
+        assert peak < 2 << 20
 
 
 # ---- imputation ------------------------------------------------------------
