@@ -148,7 +148,7 @@ def transform(model: PcaModel, X) -> np.ndarray:
     """Project rows into the component space."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise PcaError(f"X must be (n, {model.n_features})")
+        raise PcaError(f"X must be (n, {model.n_features}) rows, got shape {X.shape}")
     return (X - model.mean) @ model.components.T
 
 
@@ -156,7 +156,7 @@ def inverse_transform(model: PcaModel, Z) -> np.ndarray:
     """Map component-space rows back to the original feature space."""
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != model.n_components:
-        raise PcaError(f"Z must be (n, {model.n_components})")
+        raise PcaError(f"Z must be (n, {model.n_components}) rows, got shape {Z.shape}")
     return Z @ model.components + model.mean
 
 

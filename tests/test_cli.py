@@ -289,6 +289,21 @@ def test_train_rejects_bad_coordinate_descent_settings(tmp_path, csv_path, capsy
     assert not model_file.exists()
 
 
+@pytest.mark.parametrize("lbp", [(), ("--lbp",)], ids=["raw", "lbp"])
+def test_predict_names_the_shape_a_pca_model_was_given(tmp_path, csv_path, capsys, lbp):
+    # a 16x16 model asked about 8x8 images: the error names both shapes
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--pca", "16", *lbp) == 0
+    small = tmp_path / "small.csv"
+    write_image_csv(build_dataset(side=8), small)
+    capsys.readouterr()
+    rc = main(["predict", "--model-file", str(model_file),
+               "--input", str(small), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "facekeys: error: X must be (n, 256) rows, got shape (30, 64)\n")
+
+
 def test_predict_rejects_a_model_file_without_a_pipeline(tmp_path, csv_path, capsys):
     rng = np.random.default_rng(0)
     model = fit_any(RegressorSpec("knn", {"k": 1}), rng.normal(size=(4, 256)),

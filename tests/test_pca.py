@@ -198,6 +198,18 @@ def test_input_validation():
         inverse_transform(model, np.ones((2, 3)))
 
 
+@pytest.mark.parametrize("shape", [(2, 5), (4,), (2, 3, 1)])
+def test_wrong_shapes_are_named_in_the_error(shape):
+    model = fit_pca(POINTS, n_components=1)
+    d = model.n_features
+    with pytest.raises(PcaError) as exc:
+        transform(model, np.ones(shape))
+    assert str(exc.value) == f"X must be (n, {d}) rows, got shape {shape}"
+    with pytest.raises(PcaError) as exc:
+        inverse_transform(model, np.ones(shape))
+    assert str(exc.value) == f"Z must be (n, 1) rows, got shape {shape}"
+
+
 @pytest.mark.parametrize("field, shape, fragment", [
     ("mean", (4,), r"mean has shape \(4,\), but components of shape \(2, 5\) need \(5,\)"),
     ("components", (2, 5, 1), "components must be 2-d"),

@@ -385,6 +385,68 @@ def test_small_passes_equal_reference(monkeypatch):
         assert_same_tree(model, reference_tree_fit(X, Y, None, min_leaf))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 8])
+def test_prefix_sums_are_cumsums_bit_for_bit(m):
+    rng = np.random.default_rng(m)
+    a = rng.normal(size=(3, 50, m)) * 10.0 ** rng.integers(-8, 9, size=(3, 50, m))
+    assert np.array_equal(tree_module._prefix_sums(a.copy()), np.cumsum(a, axis=1))
+
+
+def _full_scan_fit(monkeypatch, X, Y, **kwargs):
+    """tree_fit with every column certified: the exact scan runs over all
+    of them, as it would with no rank scan in front."""
+    with monkeypatch.context() as patch:
+        patch.setattr(tree_module, "_margin", lambda Y: np.inf)
+        return tree_fit(X, Y, **kwargs)
+
+
+@pytest.mark.parametrize("columns", ["duplicated", "pixels"])
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("n_outputs", [1, 8, 22])
+@pytest.mark.parametrize("min_leaf", [1, 3])
+def test_certified_scan_equals_the_full_scan(monkeypatch, columns, offset, n_outputs, min_leaf):
+    rng = np.random.default_rng([n_outputs, min_leaf, len(columns)])
+    X = _columns("pixels", rng, 60, 7)
+    if columns == "duplicated":
+        X = X[:, [0, 1, 0, 2, 1, 3, 3, 2]]
+    Y = rng.normal(size=(60, n_outputs)) + offset  # an offset widens the margin
+    model = tree_fit(X, Y, max_depth=None, min_samples_leaf=min_leaf)
+    full = _full_scan_fit(monkeypatch, X, Y, max_depth=None, min_samples_leaf=min_leaf)
+    assert_same_tree(model, flatten_tree(full))
+    assert_same_tree(model, reference_tree_fit(X, Y, None, min_leaf))
+
+
+def test_certified_scan_equals_the_full_scan_on_fuzzed_ties(monkeypatch):
+    # few levels, repeated columns and integer targets: many exact ties
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        n, d, m = (int(v) for v in rng.integers([4, 1, 1], [40, 10, 5]))
+        X = rng.integers(0, rng.integers(2, 5), size=(n, d)) / 4
+        X = X[:, rng.integers(0, d, size=d + 2)]
+        Y = rng.integers(-2, 3, size=(n, m)) * 10.0 ** rng.integers(-3, 7)
+        min_leaf = int(rng.integers(1, 4))
+        model = tree_fit(X, Y, max_depth=None, min_samples_leaf=min_leaf)
+        full = _full_scan_fit(monkeypatch, X, Y, max_depth=None, min_samples_leaf=min_leaf)
+        assert_same_tree(model, flatten_tree(full))
+
+
+def test_pixel_root_certifies_one_column(monkeypatch):
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 256, size=(360, 2304)) / 255.0
+    Y = rng.normal(size=(360, 8))
+    scanned = []
+    scan = tree_module._sse_scan
+
+    def spy(X, Y, order, cols, lo, hi):
+        scanned.append(len(cols))
+        return scan(X, Y, order, cols, lo, hi)
+
+    monkeypatch.setattr(tree_module, "_sse_scan", spy)
+    model = tree_fit(X, Y, max_depth=1)
+    assert scanned == [1]
+    assert tree_depth(model) == 1
+
+
 def _chain(depth):
     """A hand-built tree whose right spine is depth inner nodes long.
 
