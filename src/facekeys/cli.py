@@ -20,7 +20,7 @@ from . import eval as ev
 from . import pca as pca_mod
 from . import viz
 from .lbp import LbpConfig, lbp_circular
-from .pipeline import fit_pipeline, pipeline_from_payload, pipeline_to_payload
+from .pipeline import LBP_MODES, fit_pipeline, pipeline_from_payload, pipeline_to_payload
 from .regressors import (
     KINDS,
     SPEC_KINDS,
@@ -30,6 +30,7 @@ from .regressors import (
     predict_any,
     save_model,
 )
+from .regressors.optim import OPTIMIZERS
 
 INPUT_ENV = "FACEKEYS_TRAINING_CSV"
 
@@ -72,23 +73,49 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        )
-
-
 #: train flags that set the BenchmarkConfig field of their own name; the
 #: LBP ones act only with --lbp
 _LBP_SETTINGS = ("lbp_neighbors", "lbp_radius", "lbp_rotation_invariant", "lbp_mode")
 _TRAIN_SETTINGS = ("seed", *_LBP_SETTINGS)
+#: benchmark flags that set the BenchmarkConfig field of their own name, and their help
+_BENCHMARK_SETTINGS = {"models": "comma-separated model kinds",
+                       "pipelines": "comma-separated: raw,lbp_pca",
+                       "tasks": "comma-separated: eleven,four",
+                       **dict.fromkeys(("seed", "max_rows", "mlp_epochs", "cnn_epochs"))}
+#: the names a str field's flag chooses among
+_CHOICES = {"optimizer": tuple(OPTIMIZERS), "lbp_mode": LBP_MODES}
 
 
 def _flags(names) -> str:
     return ", ".join("--" + name.replace("_", "-") for name in names)
+
+
+def _setting_flag(dest: str, field: str, help: str | None = None) -> tuple[str, dict]:
+    """Flag dest's name and add_argument keywords: parse_setting reads its text as field,
+    a bool field's takes none, and if not given it sets no attribute ("none" gives None)."""
+    def parse(text: str):
+        try:
+            return ev.parse_setting(field, text)
+        except ev.EvalError as exc:  # a usage error that names the flag
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    kind = ({"action": "store_true"} if ev._FIELD_TYPES[field] == "bool"
+            else {"type": parse, "choices": _CHOICES.get(field)})
+    return _flags([dest]), {"default": argparse.SUPPRESS, "help": help, **kind}
+
+
+#: each setting flag by dest, made once as build_parser runs in every main():
+#: train's model flags are the run-set names, each helped by the kinds that take it
+_MODEL_FLAGS = {name: _setting_flag(name, ev._config_field(kind, name), "for --model " + "/".join(
+                    other for other, entry in SPEC_KINDS.items() if name in entry.run_set))
+                for kind in SPEC_KINDS for name in SPEC_KINDS[kind].run_set}
+_SETTING_FLAGS = {**{name: _setting_flag(name, name) for name in _TRAIN_SETTINGS}, **_MODEL_FLAGS,
+                  **{n: _setting_flag(n, n, h) for n, h in _BENCHMARK_SETTINGS.items()}}
+
+
+def _override(cfg: ev.BenchmarkConfig, args, settings: dict) -> ev.BenchmarkConfig:
+    """cfg with each setting flag given in its field; settings maps dest to field."""
+    given = vars(args)
+    return replace(cfg, **{field: given[dest] for dest, field in settings.items() if dest in given})
 
 
 def cmd_train(args) -> int:
@@ -97,18 +124,18 @@ def cmd_train(args) -> int:
     The setting flags given override a BenchmarkConfig(); a model flag's
     destination is its run-set hyperparameter name. A model flag outside
     the --model's run set is refused, and so is an LBP setting without
-    --lbp."""
+    --lbp, or --no-pixel-scaling with it (LBP codes the unscaled images)."""
     run_set = SPEC_KINDS[args.model].run_set
-    foreign = sorted({name for kind in SPEC_KINDS.values() for name in kind.run_set
-                      if name not in run_set and getattr(args, name) is not None})
+    foreign = sorted(name for name in _MODEL_FLAGS if name not in run_set and hasattr(args, name))
     if foreign:
         raise CliError(f"--model {args.model} does not take {_flags(foreign)}")
-    lbp_given = [name for name in _LBP_SETTINGS if getattr(args, name) is not None]
+    lbp_given = [name for name in _LBP_SETTINGS if hasattr(args, name)]
     if lbp_given and not args.lbp:
         raise CliError(f"{_flags(lbp_given)} given without --lbp")
-    given = {name: getattr(args, name) for name in _TRAIN_SETTINGS}
-    given.update({ev._config_field(args.model, name): getattr(args, name) for name in run_set})
-    cfg = replace(ev.BenchmarkConfig(), **{k: v for k, v in given.items() if v is not None})
+    if args.lbp and args.no_pixel_scaling:
+        raise CliError("--no-pixel-scaling given with --lbp, which codes unscaled images")
+    cfg = _override(ev.BenchmarkConfig(), args, {**{name: name for name in _TRAIN_SETTINGS},
+                    **{name: ev._config_field(args.model, name) for name in run_set}})
     d = _load_task(_resolve_input(args.input), args.task)
     train = ds.impute_column_means(ev._subsample(d, args.max_rows, cfg.seed))
     pipe, features = fit_pipeline(
@@ -123,13 +150,8 @@ def cmd_train(args) -> int:
     model = fit_any(ev._spec_for(cfg, args.model), X, train.keypoints)
 
     meta, arrays = pipeline_to_payload(pipe)
-    extras = {
-        "pipeline": meta,
-        "target_names": list(train.slot_names),
-        "task": args.task,
-        **arrays,
-    }
-    save_model(args.out, model, extras)
+    save_model(args.out, model, {"pipeline": meta, "target_names": list(train.slot_names),
+                                 "task": args.task, **arrays})
     print(f"trained {args.model} on task {args.task} "
           f"({len(train)} rows, {X.shape[1]} features) -> {args.out}")
     return 0
@@ -139,10 +161,8 @@ def cmd_predict(args) -> int:
     """Apply a saved model to a CSV of images; write predicted coordinates."""
     model, extras = load_model(args.model_file)
     if "pipeline" not in extras:
-        raise CliError(
-            f"{args.model_file} holds no feature pipeline; "
-            "predict needs a model written by 'facekeys train'"
-        )
+        raise CliError(f"{args.model_file} holds no feature pipeline; "
+                       "predict needs a model written by 'facekeys train'")
     pipe = pipeline_from_payload(extras["pipeline"], extras)
     columns = [f"{n}_{axis}" for n in extras["target_names"] for axis in "xy"]
     # an image-only CSV reads as a training CSV with zero coordinate columns
@@ -151,27 +171,19 @@ def cmd_predict(args) -> int:
     if len(columns) != pred.shape[1]:
         raise CliError(f"{args.model_file} names {len(columns)} target columns, "
                        f"but its model predicts {pred.shape[1]}")
-    ds._write_csv(args.out, columns, ([repr(float(v)) for v in row] for row in pred))
+    ds._write_rows(args.out, columns, pred, None)
     print(f"wrote {pred.shape[0]} predictions to {args.out}")
     return 0
 
 
 def cmd_benchmark(args) -> int:
     """Run the RMSE benchmark and print a markdown report."""
-    if args.config:
-        cfg = ev.load_config(args.config)
-    else:
-        cfg = ev.BenchmarkConfig()
-    overrides: dict = {"training_csv": _resolve_input(args.input or cfg.training_csv or None)}
-    if args.full:  # first, so an explicit flag below wins
-        overrides.update(ev.STUDY_SCALE)
-    for name in ("models", "pipelines", "tasks", "seed", "max_rows", "mlp_epochs", "cnn_epochs"):
-        value = getattr(args, name)
-        if isinstance(value, str):  # a comma-separated list; empty sets nothing
-            value = tuple(v.strip() for v in value.split(",")) if value else None
-        if value is not None:
-            overrides[name] = value
-    cfg = replace(cfg, **overrides)
+    cfg = ev.load_config(args.config) if args.config else ev.BenchmarkConfig()
+    cfg = replace(cfg, training_csv=_resolve_input(args.input or cfg.training_csv or None),
+                  **(ev.STUDY_SCALE if args.full else {}))  # an explicit flag still wins
+    # an empty list (--models '') sets nothing
+    cfg = _override(cfg, args, {name: name for name in _BENCHMARK_SETTINGS
+                                if getattr(args, name, None) != ()})
 
     report = ev.run_benchmark(cfg)
     print(ev.format_report(report, "markdown"))
@@ -250,6 +262,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input(p):
         p.add_argument("--input", help=f"training CSV (default ${INPUT_ENV})")
 
+    def add_settings(p, dests):
+        for dest in dests:
+            p.add_argument(_SETTING_FLAGS[dest][0], **_SETTING_FLAGS[dest][1])
+
     p = sub.add_parser("split", help="write derived train/test CSVs per task")
     add_input(p)
     p.add_argument("--out-dir", required=True)
@@ -262,30 +278,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("four", "eleven"), default="four")
     p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
+    add_settings(p, ["seed"])
     p.add_argument("--max-rows", type=int, default=None)
     p.add_argument("--no-pixel-scaling", action="store_true")
     p.add_argument("--lbp", action="store_true", help="LBP-code features")
-    p.add_argument("--lbp-neighbors", type=int)
-    p.add_argument("--lbp-radius", type=float)
-    p.add_argument("--lbp-rotation-invariant", action="store_true", default=None)
-    p.add_argument("--lbp-mode", choices=("pixel_map", "histogram"))
+    add_settings(p, _LBP_SETTINGS)
     p.add_argument("--pca", type=int, default=None,
                    help="project features to this many components")
     p.add_argument("--variance", type=float, default=None,
                    help="pick component count by variance coverage")
-    p.add_argument("--k", type=int, help="knn neighbor count")
-    p.add_argument("--lam", type=float, help="ridge penalty")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-samples-leaf", type=int)
-    p.add_argument("--hidden", type=_parse_hidden)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--optimizer", choices=("sgd", "rmsprop"))
+    add_settings(p, _MODEL_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="apply a saved model to images")
@@ -298,13 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="run the RMSE benchmark")
     add_input(p)
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--models", help="comma-separated model kinds")
-    p.add_argument("--pipelines", help="comma-separated: raw,lbp_pca")
-    p.add_argument("--tasks", help="comma-separated: eleven,four")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--max-rows", type=int, default=None)
-    p.add_argument("--mlp-epochs", type=int, default=None)
-    p.add_argument("--cnn-epochs", type=int, default=None)
+    add_settings(p, _BENCHMARK_SETTINGS)
     p.add_argument("--full", action="store_true",
                    help="study scale: every row, 500 MLP and 400 CNN epochs "
                         "(explicit flags still win)")

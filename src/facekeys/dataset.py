@@ -13,7 +13,8 @@ decoded a block of lines at a time with whole-block numpy parsing; any
 other file goes row by row through the csv module and the exact pixel
 grammar, which also words every error. The keypoint-only files that
 ``write_keypoint_csv`` writes are not read back by the package. One
-block writer writes all three layouts: the header goes through the csv
+block writer writes all three layouts and the table of predicted
+coordinates that ``facekeys predict`` writes: the header goes through the csv
 module, and the rows are formatted a block at a time, each pixel's cell
 by one lookup in a text table, into the bytes the csv module would
 write for them.
@@ -398,14 +399,6 @@ def _format_coordinate(v: float) -> str:
     return "" if math.isnan(v) else repr(float(v))
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    """A header and rows through the csv module: the float table ``facekeys predict`` writes."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 #: Pixels a write block formats at once; a block holds at least one row.
 #: On a shared 2-vCPU host, ``write_training_csv`` of 1000 rows of 48x48
 #: took a median of 0.112, 0.109, 0.112 and 0.113 s (seven runs) at 2^14,
@@ -453,11 +446,11 @@ def _image_cells(flat: np.ndarray) -> list[str]:
 def _write_rows(path, header: list[str], keypoints, images) -> None:
     """Write a header, then per row its coordinates, its Image cell or both.
 
-    ``keypoints`` is an (n, 2k) float block and ``images`` an (n, h, w)
-    uint8 block; either may be None. The bytes are those of
-    ``csv.writer`` writing the same cells: the header goes through it,
-    and the rows, which need no quotes, are formatted a block of rows at
-    a time and end in its ``\\r\\n``.
+    ``keypoints`` is an (n, 2k) float block, whose NaN cells are written
+    empty, and ``images`` an (n, h, w) uint8 block; either may be None.
+    The bytes are those of ``csv.writer`` writing the same cells: the
+    header goes through it, and the rows, which need no quotes, are
+    formatted a block of rows at a time and end in its ``\\r\\n``.
     """
     n = len(images if keypoints is None else keypoints)
     width = 0 if images is None else images.shape[1] * images.shape[2]

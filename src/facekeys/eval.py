@@ -116,22 +116,41 @@ class BenchmarkConfig:
             )
 
 
-def _number(path, line_no: int, key: str, text: str, kind: type):
-    """text as an int or a float, or an EvalError naming the line and key."""
+_FIELD_TYPES = {f.name: f.type for f in fields(BenchmarkConfig)}  # annotations, as text
+
+
+def _number(key: str, text: str, kind: type):
+    """text as an int or a float, or an EvalError naming the key."""
     try:
         return kind(text)
     except ValueError:
         expected = "a number" if kind is float else "an integer"
-        raise EvalError(f"{path}:{line_no}: {key} must be {expected}, got {text!r}") from None
+        raise EvalError(f"{key} must be {expected}, got {text!r}") from None
+
+
+def parse_setting(key: str, text: str):
+    """BenchmarkConfig field key's value from config-file text, read as the
+    field's annotated type: only an `int | None` field takes "none", and a
+    tuple drops empty items. An EvalError names the key."""
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise EvalError(f"unknown key {key!r}")
+    text = text.strip()
+    if kind == "bool":
+        if text.lower() not in ("true", "false"):
+            raise EvalError(f"{key} must be true or false")
+        return text.lower() == "true"
+    if kind == "int | None" and text.lower() == "none":
+        return None
+    if kind.startswith("tuple"):
+        items = tuple(v.strip() for v in text.split(",") if v.strip())
+        return items if kind == "tuple[str, ...]" else tuple(_number(key, v, int) for v in items)
+    return text if kind == "str" else _number(key, text, float if kind == "float" else int)
 
 
 def load_config(path) -> BenchmarkConfig:
-    """Parse a flat key=value config file ('#' starts a comment).
-
-    Each key is a BenchmarkConfig field read as its annotated type; only
-    `int | None` fields take "none".
-    """
-    types = {f.name: f.type for f in fields(BenchmarkConfig)}
+    """Parse a flat key=value config file ('#' starts a comment) of
+    BenchmarkConfig fields, each value read by parse_setting."""
     values: dict = {}
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -140,26 +159,11 @@ def load_config(path) -> BenchmarkConfig:
                 continue
             if "=" not in line:
                 raise EvalError(f"{path}:{line_no}: expected key = value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            kind = types.get(key)
-            if kind is None:
-                raise EvalError(f"{path}:{line_no}: unknown key {key!r}")
-            if kind == "bool":
-                if val.lower() not in ("true", "false"):
-                    raise EvalError(f"{path}:{line_no}: {key} must be true or false")
-                values[key] = val.lower() == "true"
-            elif kind == "int | None" and val.lower() == "none":
-                values[key] = None
-            elif kind in ("int", "int | None", "float"):
-                values[key] = _number(path, line_no, key, val, float if kind == "float" else int)
-            elif kind.startswith("tuple"):
-                items = tuple(v.strip() for v in val.split(",") if v.strip())
-                if kind == "tuple[int, ...]":
-                    items = tuple(_number(path, line_no, key, v, int) for v in items)
-                values[key] = items
-            else:  # str
-                values[key] = val
+            key, val = line.split("=", 1)
+            try:
+                values[key.strip()] = parse_setting(key.strip(), val)
+            except EvalError as exc:
+                raise EvalError(f"{path}:{line_no}: {exc}") from None
     return BenchmarkConfig(**values)
 
 

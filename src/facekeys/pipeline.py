@@ -16,10 +16,14 @@ from . import pca as pca_mod
 from .dataset import FeatureMatrix
 from .lbp import LbpConfig, lbp_circular, lbp_histogram_features
 
+#: the forms of the LBP stage's features
+LBP_MODES = ("pixel_map", "histogram")
+
 
 @dataclass(eq=False)
 class FeaturePipeline:
-    """scale -> (lbp) -> (pca), each stage optional except scaling policy.
+    """(scale | lbp) -> (pca): LBP codes the uint8 images, so scale_pixels
+    acts only without it; the PCA projection is optional.
 
     The LBP stage codes the whole image block with one lbp_circular call.
     With P=8, R=1 and no rotation invariance it samples nearest pixels
@@ -28,11 +32,11 @@ class FeaturePipeline:
 
     scale_pixels: bool = True
     lbp: LbpConfig | None = None
-    lbp_mode: str = "pixel_map"  # or "histogram"
+    lbp_mode: str = "pixel_map"  # an LBP_MODES name
     pca: pca_mod.PcaModel | None = None
 
     def __post_init__(self):
-        if self.lbp_mode not in ("pixel_map", "histogram"):
+        if self.lbp_mode not in LBP_MODES:
             raise ValueError(f"unknown lbp_mode {self.lbp_mode!r}")
 
     def _lbp_matrix(self, images: np.ndarray) -> np.ndarray:

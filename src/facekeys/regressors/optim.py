@@ -125,14 +125,16 @@ class RmsProp:
         params -= step
 
 
+#: the optimizers by tag
+OPTIMIZERS = {"sgd": Sgd, "rmsprop": RmsProp}
+
+
 def make_optimizer(name: str, params: np.ndarray, learning_rate: float | None = None):
-    """Build an optimizer by tag ('sgd' or 'rmsprop'); None keeps its default rate."""
+    """Build an optimizer by tag (an OPTIMIZERS key); None keeps its default rate."""
+    if name not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {name!r}")
     lr = {} if learning_rate is None else {"learning_rate": learning_rate}
-    if name == "sgd":
-        return Sgd(params, **lr)
-    if name == "rmsprop":
-        return RmsProp(params, **lr)
-    raise ValueError(f"unknown optimizer {name!r}")
+    return OPTIMIZERS[name](params, **lr)
 
 
 def param_vector(arrays: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -1,6 +1,8 @@
 """End-to-end command line checks, run in process through main()."""
 
+import argparse
 import builtins
+import csv
 import dataclasses
 import json
 import shlex
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from facekeys import cli
+from facekeys import dataset as ds
 from facekeys import eval as ev
 from facekeys.cli import INPUT_ENV, CliError, build_parser, main
 from conftest import build_dataset
@@ -26,6 +29,7 @@ from facekeys.lbp import LbpConfig, _min_rotations, lbp_basic, lbp_circular
 from facekeys.pipeline import pipeline_from_payload
 from facekeys.regressors import (
     KINDS,
+    SPEC_KINDS,
     RegressorSpec,
     fit_any,
     load_model,
@@ -507,6 +511,45 @@ def test_predict_equals_a_reference_that_reads_the_file_apart(tmp_path, csv_path
     assert np.array_equal(_predictions(out), expected)
 
 
+def _csv_module_table(path, header, rows) -> None:
+    """The float table as the csv module writes it, repr of each value."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
+
+
+@pytest.mark.parametrize("model", ["knn", "tree", "ridge"])
+def test_predict_writes_the_bytes_of_the_csv_module(tmp_path, csv_path, model):
+    model_file = tmp_path / "model.npz"
+    assert _train(csv_path, model_file, "--model", model, "--task", "eleven") == 0
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model-file", str(model_file),
+                 "--input", str(csv_path), "--out", str(out)]) == 0
+    loaded, extras = load_model(model_file)
+    pipe = pipeline_from_payload(extras["pipeline"], extras)
+    pred = predict_any(loaded, pipe.transform(load_training_csv(csv_path).images).values)
+    oracle = tmp_path / "oracle.csv"
+    _csv_module_table(oracle, [f"{n}_{a}" for n in extras["target_names"] for a in "xy"], pred)
+    assert out.read_bytes() == oracle.read_bytes()
+
+
+def test_the_prediction_writer_matches_the_csv_module_on_hard_floats(tmp_path):
+    rng = np.random.default_rng(5)
+    table = rng.normal(size=(40, 6)) * 10.0 ** rng.integers(-300, 300, size=(40, 6))
+    table[0] = [0.0, -0.0, 1.0, -1e-320, 5e-324, 1.7976931348623157e308]
+    table[1] = [1 / 3, 2 / 3, 0.1, 1e16, 1e-5, -123456789.0]
+    columns = [f"c{j}" for j in range(6)]
+    ds._write_rows(tmp_path / "rows.csv", columns, table, None)
+    _csv_module_table(tmp_path / "oracle.csv", columns, table)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+
+
+def test_the_prediction_writer_leaves_a_nan_cell_empty(tmp_path):
+    ds._write_rows(tmp_path / "rows.csv", ["a", "b"], np.array([[1.5, np.nan]]), None)
+    assert (tmp_path / "rows.csv").read_bytes() == b"a,b\r\n1.5,\r\n"
+
+
 def test_a_diverging_fit_is_a_one_line_error(tmp_path, capsys):
     d = build_dataset()
     keypoints = d.keypoints.copy()
@@ -568,6 +611,85 @@ def test_train_refuses_lbp_settings_without_lbp(tmp_path, csv_path, capsys, flag
     assert not model_file.exists()
 
 
+def test_train_refuses_no_pixel_scaling_with_lbp(tmp_path, csv_path, capsys):
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--lbp", "--no-pixel-scaling") == 1
+    assert capsys.readouterr().err == ("facekeys: error: --no-pixel-scaling given with --lbp, "
+                                       "which codes unscaled images\n")
+    assert not model_file.exists()
+
+
+def _subparser(name: str) -> argparse.ArgumentParser:
+    return next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[name]
+
+
+def _run_set_union() -> set[str]:
+    return {name for entry in SPEC_KINDS.values() for name in entry.run_set}
+
+
+def test_train_setting_flags_are_the_run_sets_and_train_settings():
+    actions = [a for a in _subparser("train")._actions if a.dest != "help"]
+    settings = {a.dest for a in actions if a.default is argparse.SUPPRESS}
+    assert settings == _run_set_union() | set(cli._TRAIN_SETTINGS)
+    assert {a.dest for a in actions} - settings == {
+        "input", "task", "model", "out", "max_rows", "no_pixel_scaling", "lbp", "pca", "variance"}
+
+
+def test_a_shared_run_set_name_maps_to_fields_of_one_type():
+    for name in _run_set_union():
+        kinds = [kind for kind, entry in SPEC_KINDS.items() if name in entry.run_set]
+        types = {ev._FIELD_TYPES[ev._config_field(kind, name)] for kind in kinds}
+        assert len(types) == 1, (name, kinds, types)
+
+
+@pytest.mark.parametrize("command, argv, dest, field, text", [
+    ("train", ["--hidden", "8,4"], "hidden", "mlp_hidden", "8,4"),
+    ("train", ["--max-depth", "none"], "max_depth", "tree_max_depth", "none"),
+    ("train", ["--max-depth", "3"], "max_depth", "tree_max_depth", "3"),
+    ("train", ["--lbp-rotation-invariant"], "lbp_rotation_invariant",
+     "lbp_rotation_invariant", "true"),
+    ("train", ["--tol", "1e-3"], "tol", "cd_tol", "1e-3"),
+    ("train", ["--optimizer", "sgd"], "optimizer", "optimizer", "sgd"),
+    ("train", ["--lbp-radius", "2"], "lbp_radius", "lbp_radius", "2"),
+    ("benchmark", ["--models", "knn, ols"], "models", "models", "knn, ols"),
+    ("benchmark", ["--max-rows", "none"], "max_rows", "max_rows", "none"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_a_flag_parses_its_text_as_the_config_file_does(tmp_path, command, argv, dest, field,
+                                                         text):
+    required = ["--model", "knn", "--out", "m.npz"] if command == "train" else []
+    args = build_parser().parse_args([command, *required, *argv])
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"{field} = {text}\n")
+    assert getattr(args, dest) == getattr(ev.load_config(config), field)
+
+
+@pytest.mark.parametrize("command, argv, flag", [
+    ("train", ["--k", "three"], "--k"),
+    ("train", ["--hidden", "8,x"], "--hidden"),
+    ("train", ["--max-depth", "deep"], "--max-depth"),
+    ("train", ["--tol", "small"], "--tol"),
+    ("train", ["--optimizer", "adam"], "--optimizer"),
+    ("train", ["--lbp-mode", "grid"], "--lbp-mode"),
+    ("train", ["--seed", "1.5"], "--seed"),
+    ("benchmark", ["--seed", "none"], "--seed"),
+    ("benchmark", ["--mlp-epochs", "x"], "--mlp-epochs"),
+], ids=lambda v: v if isinstance(v, str) and v.startswith("--") else None)
+def test_a_bad_flag_value_exits_two_naming_the_flag(command, argv, flag, capsys):
+    required = ["--model", "knn", "--out", "m.npz"] if command == "train" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, *required, *argv])
+    assert exc.value.code == 2
+    assert f"argument {flag}: " in capsys.readouterr().err
+
+
+def test_train_max_depth_none_grows_an_unbounded_tree(tmp_path, csv_path):
+    model_file = tmp_path / "tree.npz"
+    assert _train(csv_path, model_file, "--model", "tree", "--max-depth", "none") == 0
+    model, _ = load_model(model_file)
+    assert model.max_depth is None
+
+
 def test_predict_missing_model_file_fails_cleanly(tmp_path, csv_path, capsys):
     rc = main(["predict", "--model-file", str(tmp_path / "absent.npz"),
                "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
@@ -618,6 +740,15 @@ def test_benchmark_full_sets_study_scale_and_explicit_flags_win(monkeypatch, csv
     assert (cfg.max_rows, cfg.mlp_epochs, cfg.cnn_epochs) == (50, 500, 3)
     cfg = _captured_config(monkeypatch, ["benchmark", "--input", str(csv_path)])
     assert (cfg.max_rows, cfg.mlp_epochs, cfg.cnn_epochs) == (400, 30, 20)
+
+
+def test_benchmark_max_rows_none_and_an_empty_list(monkeypatch, csv_path):
+    base = ["benchmark", "--input", str(csv_path)]
+    cfg = _captured_config(monkeypatch, base + ["--max-rows", "none", "--models", ""])
+    assert cfg.max_rows is None
+    assert cfg.models == ev.BenchmarkConfig().models  # an empty list sets nothing
+    cfg = _captured_config(monkeypatch, base + ["--models", "ols,tree", "--tasks", "four"])
+    assert (cfg.models, cfg.tasks) == (("ols", "tree"), ("four",))
 
 
 def test_benchmark_rejects_unknown_model(tmp_path, csv_path, capsys):
