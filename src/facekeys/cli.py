@@ -266,11 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
         for dest in dests:
             p.add_argument(_SETTING_FLAGS[dest][0], **_SETTING_FLAGS[dest][1])
 
+    def add_setting_with_default(p, dest, default):
+        flag, kwargs = _setting_flag(dest, dest)
+        p.add_argument(flag, **{**kwargs, "default": default})
+
     p = sub.add_parser("split", help="write derived train/test CSVs per task")
     add_input(p)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--train-fraction", type=float, default=ev.BenchmarkConfig.train_fraction)
-    p.add_argument("--seed", type=int, default=ev.BenchmarkConfig.seed)
+    add_setting_with_default(p, "train_fraction", ev.BenchmarkConfig.train_fraction)
+    add_setting_with_default(p, "seed", ev.BenchmarkConfig.seed)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="fit one model and save it")
@@ -279,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--out", required=True)
     add_settings(p, ["seed"])
-    p.add_argument("--max-rows", type=int, default=None)
+    add_setting_with_default(p, "max_rows", None)  # every row, unlike the benchmark
     p.add_argument("--no-pixel-scaling", action="store_true")
     p.add_argument("--lbp", action="store_true", help="LBP-code features")
     add_settings(p, _LBP_SETTINGS)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import zipfile
 from collections.abc import Mapping
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -246,11 +247,24 @@ def save_model(path, model, extras: dict | None = None) -> None:
     np.savez(path, **arrays, **extra_arrays)
 
 
+#: what numpy and zipfile raise on a file or archive member they cannot read
+_UNREADABLE = (zipfile.BadZipFile, EOFError, ValueError)
+
+
+def _unreadable(path, exc: Exception, what: str) -> ConfigError:
+    """The ConfigError for a file or member that raised exc on reading. Only
+    zipfile's text is passed on: numpy's advises loading the file by pickle."""
+    if isinstance(exc, zipfile.BadZipFile):
+        return ConfigError(f"{path} is damaged: {exc}")
+    return ConfigError(f"{path} is not a facekeys model file: {what}")
+
+
 class _Entries(Mapping):
     """A model file's meta record, arrays or extras by name. An entry is
     read from the mapping that holds it when it is looked up, so an array
-    is read from the archive only if asked for; a name the file lacks is a
-    ConfigError that names it. served holds the names looked up."""
+    is read from the archive only if asked for; a name the file lacks, or
+    an array it cannot read, is a ConfigError that names it. served holds
+    the names looked up."""
 
     def __init__(self, path, what: str, holders: dict):
         self._path, self._what, self._holders = path, what, holders  # name -> its mapping
@@ -260,7 +274,10 @@ class _Entries(Mapping):
         if name not in self._holders:
             raise ConfigError(f"{self._path} has no {self._what} {name!r}")
         self.served.add(name)
-        return self._holders[name][name]
+        try:
+            return self._holders[name][name]
+        except _UNREADABLE as exc:  # a damaged archive member, found when it is read
+            raise _unreadable(self._path, exc, f"its {name!r} is not an array") from None
 
     def get(self, name: str, default=None):
         return self[name] if name in self else default
@@ -281,16 +298,27 @@ def load_model(path):
     extras also holds every array the model's kind did not read, each read
     from the still-open archive when looked up. A file that lacks a meta
     entry or an array its kind reads, or whose arrays do not form a valid
-    model, raises ConfigError or ValueError.
+    model, raises ConfigError or ValueError. So does a file that is not an
+    .npz archive or is damaged, and an array that cannot be read when it
+    is looked up in extras: each is a ConfigError that names the path.
     """
-    data = np.load(path)
+    try:
+        data = np.load(path)
+    except _UNREADABLE as exc:
+        raise _unreadable(path, exc, "it is not an .npz archive") from None
     if not isinstance(data, np.lib.npyio.NpzFile):
         raise ConfigError(f"{path} is not a facekeys model file: it is not an .npz archive")
     with ExitStack() as closing:
         closing.callback(data.close)
         if "meta" not in data.files:
             raise ConfigError(f"{path} is not a facekeys model file: it has no meta record")
-        meta = json.loads(bytes(data["meta"]).decode())
+        try:
+            meta = json.loads(bytes(data["meta"]).decode())
+        except _UNREADABLE as exc:
+            raise _unreadable(path, exc, "its meta record is not JSON") from None
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{path} is not a facekeys model file: its meta record is not "
+                              f"a JSON object")
         fmt = _FORMAT_BY_TAG.get(meta.get("kind"))
         if fmt is None:
             raise ConfigError(f"unknown model kind {meta.get('kind')!r} in {path}")

@@ -19,10 +19,14 @@ sorts again. A node then finds its split in two scans, each over its
 columns in passes of about _PASS_ELEMENTS gathered target values:
 
 1. The rank scan takes one prefix sum of the targets along each column's
-   order and scores every candidate by its gain
+   order and scores every position by the gain
    ``G = sum_k L_k^2 / n_L + sum_k (T_k - L_k)^2 / n_R``, where L_k is
    the left child's sum of output k, T_k the node's (summed once), and
-   n_L, n_R the child sizes. It keeps each column's best G.
+   n_L, n_R the child sizes. It computes G as
+   ``LL (1/n_L + 1/n_R) + (TT - 2 T.L) / n_R``, with LL = sum_k L_k^2,
+   TT = sum_k T_k^2 and T.L = sum_k T_k L_k: one einsum over the outputs
+   and one product with the node totals. Positions that are not
+   candidates score -inf, and one max per column keeps its best G.
 2. The exact scan runs only on the columns whose best G is at least
    ``G_max - M``. Each candidate's children error comes from prefix sums
    of y and of y * y, by the same float operations in the same order as
@@ -41,9 +45,15 @@ at most gamma_(j-1) times the sum of their magnitudes, and a product of j
 factors (1 + delta), |delta| <= u, is 1 + theta with |theta| <= gamma_j.
 With |L_k|, |T_k| <= A_k and L_k^2 / n_L <= Q_k they give:
 
-- the computed L_k and T_k are off by at most gamma_n A_k, and T_k - L_k
-  by at most 2 gamma_n A_k, so the computed G is off by at most
-  8 gamma_(n+m) sum_k A_k^2;
+- the computed L_k and T_k are off by at most gamma_n A_k. Let
+  S = sum_k A_k^2. As |L_k| + |T_k - L_k| <= A_k, the exact LL, TT,
+  T.L, ``TT - 2 T.L = sum_k (T_k - L_k)^2 - LL`` and G are at most S in
+  size, and the computed LL, TT and T.L are each off by at most
+  2 gamma_(n+m) S. With 1/n_L + 1/n_R <= 2 and n_R >= 1, the first
+  term of G is then off by at most 4 gamma_(n+m) S + 6uS, the second by
+  6 gamma_(n+m) S + 2uS, and their sum rounds by uS more. As
+  u <= gamma_(n+m) / 3, the computed G is off by at most
+  13 gamma_(n+m) S;
 - the exact scan's prefix sums of y * y are off by at most gamma_n Q_k,
   and their differences by 3 gamma_n Q_k, so its computed children error
   is off by at most 10 gamma_(n+m) sum_k (Q_k + A_k^2).
@@ -150,19 +160,16 @@ def _passes(X, order, cols, lo, hi, m):
     """Scan passes over the columns cols (ascending) of a node with m
     outputs, whose rows order[i] lists in column cols[i]'s sorted order.
 
-    Yields (columns, sorted row ids, sorted values, candidate index into
-    the columns, candidate position) per pass, skipping passes with no
-    candidate. A candidate is a position lo <= p < hi after which the
-    sorted value changes.
+    Yields (columns, sorted row ids, sorted values, candidate mask) per
+    pass. The mask is (columns, hi - lo): position lo <= p < hi is a
+    candidate where the sorted value changes after it.
     """
     step = max(1, _PASS_ELEMENTS // (order.shape[1] * m))
     for start in range(0, len(cols), step):
         js = cols[start : start + step]
         ids = order[start : start + step]
         xs = X[ids, js[:, None]]
-        col, pos = np.nonzero(xs[:, lo:hi] < xs[:, lo + 1 : hi + 1])
-        if col.size:
-            yield js, ids, xs, col, pos + lo
+        yield js, ids, xs, xs[:, lo:hi] < xs[:, lo + 1 : hi + 1]
 
 
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
@@ -187,18 +194,19 @@ def _margin(Y: np.ndarray) -> float:
 
 def _rank(X, Y, order, lo, hi, total) -> np.ndarray:
     """Each column's largest gain G over its candidates (-inf: none), for
-    a node whose target sums are total."""
+    a node whose target sums are total, scored at every position in one
+    pass (see the module docstring)."""
     n, m = order.shape[1], Y.shape[1]
-    gain = np.full(order.shape[0], -np.inf)
-    for js, ids, _, col, pos in _passes(X, order, np.arange(len(order)), lo, hi, m):
-        cum = _prefix_sums(np.take(Y, ids, axis=0)).reshape(-1, m)
-        left = np.take(cum, col * n + pos, axis=0)
-        right = total - left
-        n_left = pos + 1.0
-        g = (np.einsum("ij,ij->i", left, left) / n_left
-             + np.einsum("ij,ij->i", right, right) / (n - n_left))
-        first = np.flatnonzero(np.diff(col, prepend=-1))
-        gain[js[col[first]]] = np.maximum.reduceat(g, first)
+    n_left = np.arange(lo + 1.0, hi + 1.0)
+    n_right = n - n_left
+    share = 1.0 / n_left + 1.0 / n_right
+    tt = float(total @ total)
+    gain = np.empty(order.shape[0])
+    for js, ids, _, candidate in _passes(X, order, np.arange(len(order)), lo, hi, m):
+        cum = _prefix_sums(np.take(Y, ids, axis=0))
+        ll = np.einsum("cpk,cpk->cp", cum, cum)[:, lo:hi]
+        g = ll * share + (tt - 2.0 * (cum @ total)[:, lo:hi]) / n_right
+        gain[js] = np.where(candidate, g, -np.inf).max(axis=1, initial=-np.inf)
     return gain
 
 
@@ -208,7 +216,11 @@ def _sse_scan(X, Y, order, cols, lo, hi):
     the first minimum in column-major order, or None."""
     n, m = order.shape[1], Y.shape[1]
     best = None
-    for js, ids, xs, col, pos in _passes(X, order, cols, lo, hi, m):
+    for js, ids, xs, candidate in _passes(X, order, cols, lo, hi, m):
+        col, pos = np.nonzero(candidate)
+        if not col.size:
+            continue
+        pos += lo
         ys = np.take(Y, ids, axis=0)
         # prefix sums along each column's order, one (m,) row per position
         cum2 = _prefix_sums(ys * ys).reshape(-1, m)

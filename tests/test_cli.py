@@ -4,8 +4,10 @@ import argparse
 import builtins
 import csv
 import dataclasses
+import io
 import json
 import shlex
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -489,6 +491,67 @@ def test_predict_rejects_a_tampered_pipeline(tmp_path, csv_path, capsys, tamper,
     assert len(err.splitlines()) == 1
 
 
+def _cut_at(fraction):
+    return lambda blob, path: blob[:int(len(blob) * fraction)]
+
+
+def _flip_inside(member):
+    """A damage that flips one byte in the middle of member's stored data."""
+    def damage(blob, path):
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo(member)
+        # a local header is 30 bytes, the name and the extra field; their lengths sit at 26 and 28
+        head = info.header_offset
+        name_len, extra_len = (int.from_bytes(blob[head + k : head + k + 2], "little")
+                               for k in (26, 28))
+        at = head + 30 + name_len + extra_len + info.compress_size // 2
+        return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+    return damage
+
+
+def _meta_text(text):
+    """A damage that rewrites the archive with text as its meta record."""
+    def damage(blob, path):
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        arrays["meta"] = np.frombuffer(text.encode(), dtype=np.uint8)
+        out = io.BytesIO()
+        np.savez(out, **arrays)
+        return out.getvalue()
+    return damage
+
+
+@pytest.mark.parametrize("damage, fragment", [
+    (_cut_at(0.0), "not an .npz archive"),
+    (lambda blob, path: blob[:3], "not an .npz archive"),
+    (_cut_at(0.1), "is damaged"),
+    (_cut_at(0.5), "is damaged"),
+    (_cut_at(0.9), "is damaged"),
+    (lambda blob, path: blob[:-1], "is damaged"),
+    (_flip_inside("pipe_pca_components.npy"), "Bad CRC-32 for file 'pipe_pca_components.npy'"),
+    (lambda blob, path: b"", "not an .npz archive"),
+    (lambda blob, path: b"weights = 1, 2, 3\n", "not an .npz archive"),
+    (_meta_text("{\"kind\": "), "its meta record is not JSON"),
+    (_meta_text("[1, 2]"), "its meta record is not a JSON object"),
+], ids=["cut-at-0", "cut-at-3-bytes", "cut-at-10%", "cut-at-50%", "cut-at-90%",
+        "cut-last-byte", "flipped-byte-in-pipe_pca_components", "empty", "text",
+        "meta-not-json", "meta-a-json-list"])
+def test_a_damaged_model_file_is_one_error_line(tmp_path, csv_path, capsys, damage, fragment):
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--lbp", "--pca", "5") == 0
+    model_file.write_bytes(damage(model_file.read_bytes(), model_file))
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    rc = main(["predict", "--model-file", str(model_file), "--input", str(csv_path),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"facekeys: error: {model_file} ") and fragment in err
+    assert len(err.splitlines()) == 1
+    assert "pickle" not in err
+    assert not out.exists()
+
+
 def test_predict_equals_a_reference_that_reads_the_file_apart(tmp_path, csv_path):
     # a reader outside the package may rebuild a prediction from
     # load_model's (model, extras), the pipe_* entries and
@@ -681,6 +744,37 @@ def test_a_bad_flag_value_exits_two_naming_the_flag(command, argv, flag, capsys)
         main([command, *required, *argv])
     assert exc.value.code == 2
     assert f"argument {flag}: " in capsys.readouterr().err
+
+
+_SPLIT = ["split", "--out-dir", "d"]
+_TRAIN = ["train", "--model", "knn", "--out", "m.npz"]
+
+
+@pytest.mark.parametrize("argv, dest, text", [
+    (_TRAIN + ["--max-rows", "none"], "max_rows", "none"),
+    (_TRAIN + ["--max-rows", "50"], "max_rows", "50"),
+    (_SPLIT + ["--seed", "3"], "seed", "3"),
+    (_SPLIT + ["--train-fraction", "0.75"], "train_fraction", "0.75"),
+], ids=["train-max-rows-none", "train-max-rows", "split-seed", "split-train-fraction"])
+def test_train_and_split_flags_parse_their_text_as_the_config_file_does(tmp_path, argv, dest,
+                                                                         text):
+    config = tmp_path / "bench.cfg"
+    config.write_text(f"{dest} = {text}\n")
+    assert getattr(build_parser().parse_args(argv), dest) == getattr(ev.load_config(config), dest)
+
+
+def test_train_and_split_flags_keep_their_defaults_and_refuse_bad_text(capsys):
+    train, split = build_parser().parse_args(_TRAIN), build_parser().parse_args(_SPLIT)
+    assert train.max_rows is None  # train fits every row unless told otherwise
+    config = ev.BenchmarkConfig()
+    assert (split.seed, split.train_fraction) == (config.seed, config.train_fraction)
+    for argv, flag in ((_TRAIN + ["--max-rows", "many"], "--max-rows"),
+                       (_SPLIT + ["--seed", "none"], "--seed"),
+                       (_SPLIT + ["--train-fraction", "most"], "--train-fraction")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
 
 
 def test_train_max_depth_none_grows_an_unbounded_tree(tmp_path, csv_path):

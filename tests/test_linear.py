@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from facekeys.regressors import linear
 from facekeys.regressors.linear import (
     LinearModel,
     _coordinate_descent,
+    _extrapolate,
+    _sweep,
     elastic_fit,
     lasso_fit,
     linear_predict,
@@ -69,6 +72,28 @@ def reference_coordinate_descent(Xc, Yc, l1, l2, max_iter, tol):
         if max_delta < tol:
             return W, True
     return W, False
+
+
+def reference_sweep(XA, col_sq, WA, Yc, l1, l2) -> float:
+    """One cyclic pass that visits every row of XA: the oracle of _sweep.
+
+    Updates WA in place and returns the largest coefficient move.
+    """
+    n = XA.shape[1]
+    R = Yc - XA.T @ WA
+    max_delta = 0.0
+    for i, c in enumerate(col_sq.tolist()):
+        x = XA[i]
+        w_old = WA[i]
+        rho = (x @ R) / n + c * w_old
+        w_new = (rho - np.minimum(np.maximum(rho, -l1), l1)) / (c + l2)
+        delta = w_new - w_old
+        move = np.abs(delta).max()
+        if move != 0.0:
+            R -= x[:, None] * delta
+            WA[i] = w_new
+            max_delta = max(max_delta, float(move))
+    return max_delta
 
 
 def cd_objective(Xc, Yc, W, l1, l2) -> float:
@@ -398,6 +423,151 @@ def test_running_out_inside_the_active_loop_is_not_converged():
     # sweep 1 is the first pass; sweeps 2-3 run on the active set
     _, converged = _coordinate_descent(Xc, Yc, l1, l2, 3, 1e-10)
     assert not converged
+
+
+# ---- the skipping sweep against the sweep that visits every row -----------------
+
+
+def pixel_problem(n, side, m, seed):
+    """Centered (Xc, Yc): blocky noisy images in [0, 1] as raw-pixel rows,
+    and targets that are sparse linear maps of them plus noise."""
+    rng = np.random.default_rng(seed)
+    coarse = rng.integers(0, 256, size=(n, side // 4, side // 4))
+    images = np.repeat(np.repeat(coarse, 4, axis=1), 4, axis=2)
+    images = np.clip(images + rng.integers(-20, 21, size=images.shape), 0, 255)
+    X = images.reshape(n, -1) / 255.0
+    W_true = np.zeros((side * side, m))
+    W_true[rng.choice(side * side, size=20, replace=False)] = rng.normal(size=(20, m)) * 5.0
+    Y = X @ W_true + rng.normal(size=(n, m))
+    return X - X.mean(axis=0), Y - Y.mean(axis=0)
+
+
+def share_of_alpha_max(frac):
+    """l1 = frac * the smallest l1 at which every row is zero."""
+    return lambda Xc, Yc: frac * float(np.max(np.abs(Xc.T @ Yc))) / Xc.shape[0]
+
+
+def at_row(rank, nudge):
+    """l1 at which the row with the rank-th largest correlation at W = 0
+    sits nudge ulps of l1 under it (over it, for a negative nudge)."""
+    def l1(Xc, Yc):
+        corr = np.sort(np.abs(Xc.T @ Yc).max(axis=1) / Xc.shape[0])[::-1][rank]
+        return float(corr * (1.0 + nudge * np.finfo(np.float64).eps))
+    return l1
+
+
+SWEEP_CASES = {
+    "lasso": (lambda: cd_problem(40, 120, 2, 7), share_of_alpha_max(0.3), 0.0),
+    "elastic": (lambda: cd_problem(40, 120, 3, 8), share_of_alpha_max(0.2), 0.1),
+    # the first row to move sits at l1: the rows before it, all under l1,
+    # leave D at zero, so only the margins decide its visit
+    **{f"top_row_{name}_l1": (lambda: cd_problem(30, 80, 2, 9), at_row(0, nudge), 0.0)
+       for name, nudge in (("at", 0), ("one_ulp_under", 1), ("one_ulp_over", -1),
+                           ("1e4_ulps_under", 1e4), ("1e4_ulps_over", -1e4))},
+    "mid_row_one_ulp_under_l1": (lambda: cd_problem(30, 80, 2, 9), at_row(5, 1), 0.0),
+    "raw_pixels_360x2304": (lambda: pixel_problem(360, 48, 8, 10), share_of_alpha_max(0.3), 0.0),
+}
+
+
+def sweep_case(case):
+    """(XA, col_sq, Yc, l1, l2): the rows whose correlation at W = 0 is
+    above l1 / 2, and the penalties of case."""
+    make, rule, l2 = SWEEP_CASES[case]
+    Xc, Yc = make()
+    n = Xc.shape[0]
+    l1 = rule(Xc, Yc)
+    col_sq = (Xc * Xc).sum(axis=0) / n
+    rows = np.flatnonzero((col_sq > 0) & (np.abs(Xc.T @ Yc).max(axis=1) / n > l1 / 2))
+    return np.ascontiguousarray(Xc[:, rows].T), col_sq[rows], Yc, l1, l2
+
+
+def sweeps_side_by_side(case, n_sweeps):
+    """Sweep case's rows from W = 0 with _sweep and the reference sweep;
+    yields (move, reference move, W, reference W, visits, rows) per sweep."""
+    XA, col_sq, Yc, l1, l2 = sweep_case(case)
+    norms = np.sqrt(np.einsum("ij,ij->i", XA, XA))
+    W, W_ref = np.zeros((len(XA), Yc.shape[1])), np.zeros((len(XA), Yc.shape[1]))
+    for _ in range(n_sweeps):
+        move, visits = _sweep(XA, col_sq, norms, W, Yc, l1, l2)
+        yield move, reference_sweep(XA, col_sq, W_ref, Yc, l1, l2), W, W_ref, visits, len(XA)
+
+
+@pytest.mark.parametrize("case", list(SWEEP_CASES))
+def test_the_sweep_equals_the_reference_sweep_bit_for_bit(case):
+    for move, move_ref, W, W_ref, _, _ in sweeps_side_by_side(case, 12):
+        assert move == move_ref
+        assert W.tobytes() == W_ref.tobytes()
+
+
+def test_the_sweep_skips_rows_it_proves_stay_zero():
+    sweeps = list(sweeps_side_by_side("lasso", 12))
+    visits, rows = sum(s[4] for s in sweeps), sum(s[5] for s in sweeps)
+    assert 0 < visits < rows
+    assert sweeps[-1][2].tobytes() == sweeps[-1][3].tobytes()
+
+
+@pytest.mark.parametrize("case", list(CD_CASES))
+def test_extrapolated_steps_are_taken_and_keep_the_reference_solution(case, monkeypatch):
+    taken = []
+
+    def counted(XA, Yc, history, l1, l2):
+        out = _extrapolate(XA, Yc, history, l1, l2)
+        taken.append(int((out != history[-1]).any(axis=0).sum()))
+        return out
+
+    monkeypatch.setattr(linear, "_extrapolate", counted)
+    shape, frac, rho, zero_column = CD_CASES[case]
+    Xc, Yc = cd_problem(*shape, zero_column=zero_column)
+    l1, l2 = cd_penalties(Xc, Yc, frac, rho)
+    W, converged = _coordinate_descent(Xc, Yc, l1, l2, 100_000, 1e-10)
+    W_ref, _ = reference_coordinate_descent(Xc, Yc, l1, l2, 100_000, 1e-10)
+    assert converged and sum(taken) > 0
+    assert np.array_equal(W != 0.0, W_ref != 0.0)
+
+
+def test_an_extrapolated_column_is_kept_only_if_it_lowers_the_objective():
+    rng = np.random.default_rng(23)
+    Xc, Yc = cd_problem(30, 20, 6, 11)
+    l1, l2 = cd_penalties(Xc, Yc, 0.2, 1.0)
+    XA = np.ascontiguousarray(Xc.T)
+    W_opt, converged = _coordinate_descent(Xc, Yc, l1, l2, 100_000, 1e-12)
+    assert converged
+    # the last iterate is the solution: no column may move off it
+    history = [W_opt + rng.normal(size=W_opt.shape) * 0.1 / (k + 1) for k in range(4)]
+    out = _extrapolate(XA, Yc, history + [W_opt], l1, l2)
+    assert out.tobytes() == W_opt.tobytes()
+    # iterates on a line toward the solution: the extrapolation lands nearer
+    step = rng.normal(size=W_opt.shape)
+    history = [W_opt + step * 0.5 ** k for k in range(5)]
+    out = _extrapolate(XA, Yc, history, l1, l2)
+    assert (out != history[-1]).any()
+    assert cd_objective(Xc, Yc, out, l1, l2) < cd_objective(Xc, Yc, history[-1], l1, l2)
+
+
+def blocky_problem():
+    """The fixture of the periodic-screen test: blocks of 8 nearly equal columns."""
+    rng = np.random.default_rng(2)
+    n, d = 24, 88
+    X = np.repeat(rng.normal(size=(n, 12)), 8, axis=1)[:, :d] + 0.3 * rng.normal(size=(n, d))
+    Y = rng.normal(size=(n, 2))
+    Xc, Yc = X - X.mean(axis=0), Y - Y.mean(axis=0)
+    return Xc, Yc, 0.05 * float(np.max(np.abs(Xc.T @ Yc))) / n
+
+
+def test_extrapolation_cuts_the_sweeps_of_the_blocky_fixture(monkeypatch):
+    # plain cyclic sweeps between the periodic screens take 291 sweeps here,
+    # and the extrapolated solver 147 on OpenBLAS 0.3.31 at one and two
+    # threads; the bound leaves room for another BLAS's last bits
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(1)
+        return _sweep(*args)
+
+    monkeypatch.setattr(linear, "_sweep", counted)
+    Xc, Yc, l1 = blocky_problem()
+    assert _coordinate_descent(Xc, Yc, l1, 0.0, 350, 1e-6)[1]
+    assert len(sweeps) <= 150
 
 
 # ---- shared plumbing --------------------------------------------------------------
