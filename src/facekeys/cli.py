@@ -19,7 +19,7 @@ from . import dataset as ds
 from . import eval as ev
 from . import pca as pca_mod
 from . import viz
-from .lbp import LbpConfig, lbp_circular
+from .lbp import lbp_codes
 from .pipeline import LBP_MODES, fit_pipeline, pipeline_from_payload, pipeline_to_payload
 from .regressors import (
     KINDS,
@@ -74,8 +74,9 @@ def cmd_split(args) -> int:
 
 
 #: train flags that set the BenchmarkConfig field of their own name; the
-#: LBP ones act only with --lbp
-_LBP_SETTINGS = ("lbp_neighbors", "lbp_radius", "lbp_rotation_invariant", "lbp_mode")
+#: LBP ones act only with --lbp, and the geometry ones are also facekeys lbp's
+_LBP_GEOMETRY = ("lbp_neighbors", "lbp_radius", "lbp_rotation_invariant")
+_LBP_SETTINGS = (*_LBP_GEOMETRY, "lbp_mode")
 _TRAIN_SETTINGS = ("seed", *_LBP_SETTINGS)
 #: benchmark flags that set the BenchmarkConfig field of their own name, and their help
 _BENCHMARK_SETTINGS = {"models": "comma-separated model kinds",
@@ -194,19 +195,13 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_lbp(args) -> int:
-    """Render one row's LBP code map to a PGM file."""
-    geometry = {name: value for name, value in
-                (("neighbors", args.neighbors), ("radius", args.radius)) if value is not None}
-    if args.circular:
-        cfg = LbpConfig(**geometry, rotation_invariant=args.rotation_invariant)
-    elif geometry:
-        raise CliError("--neighbors and --radius need --circular")
-    else:  # the basic 3x3 map
-        cfg = LbpConfig(rotation_invariant=args.rotation_invariant, interpolation="nearest")
+    """Render one row's LBP code map to a PGM file: the codes that
+    `facekeys train --lbp` trains on with the same geometry flags."""
+    cfg = ev._lbp_config(_override(ev.BenchmarkConfig(), args, {n: n for n in _LBP_GEOMETRY}))
     d = ds.load_training_csv(_resolve_input(args.input))
     if not 0 <= args.row < len(d):
         raise CliError(f"row {args.row} out of range (0..{len(d) - 1})")
-    viz.render_lbp(lbp_circular(d.images[args.row], cfg), cfg.neighbors, args.out)
+    viz.render_lbp(lbp_codes(d.images[args.row], cfg), cfg.neighbors, args.out)
     print(f"wrote LBP map of row {args.row} to {args.out}")
     return 0
 
@@ -315,10 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--row", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--circular", action="store_true")
-    p.add_argument("--neighbors", type=int, help="with --circular")
-    p.add_argument("--radius", type=float, help="with --circular")
-    p.add_argument("--rotation-invariant", action="store_true")
+    add_settings(p, _LBP_GEOMETRY)
     p.set_defaults(func=cmd_lbp)
 
     p = sub.add_parser("pca", help="fit and save a PCA model")

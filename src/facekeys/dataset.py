@@ -63,7 +63,7 @@ class FeatureMatrix:
     """Feature rows, as the feature pipeline returns them.
 
     It stays only because perfbench's predict-cli reference reads
-    ``values``; ROADMAP item 3 removes it, and the pipeline then returns
+    ``values``; ROADMAP item 4 removes it, and the pipeline then returns
     the array itself.
     """
 
@@ -389,7 +389,7 @@ def load_training_csv(path) -> Dataset:
 def load_image_csv(path) -> np.ndarray:
     """The (n, s, s) uint8 images of a training or image-only CSV.
 
-    It stays only because perfbench binds its name; ROADMAP item 3
+    It stays only because perfbench binds its name; ROADMAP item 4
     removes it, and callers read ``load_training_csv(path).images``.
     """
     return _read_csv(path)[2]

@@ -12,12 +12,13 @@ R=1 nearest case. The rotation-invariant variant maps each code to the
 minimum over its cyclic bit rotations. The kernel takes an (h, w) image
 or an (n, h, w) block, in passes of about _CHUNK_PIXELS pixels: one pass
 over 500 rotation-invariant 96x96 images held ~530 MB of temporaries.
+lbp_codes is the sampling rule of the LBP features and of `facekeys lbp`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,9 +62,17 @@ class LbpConfig:
             raise LbpError(f"unknown interpolation {self.interpolation!r}")
 
 
+def lbp_codes(img, cfg: LbpConfig) -> np.ndarray:
+    """lbp_circular's codes, sampled at the nearest pixels (the basic 3x3 map)
+    for P=8, R=1 without rotation invariance, else as cfg.interpolation says."""
+    if cfg.neighbors == 8 and cfg.radius == 1.0 and not cfg.rotation_invariant:
+        cfg = replace(cfg, interpolation="nearest")
+    return lbp_circular(img, cfg)
+
+
 def lbp_basic(img) -> np.ndarray:
     """8-neighbor LBP codes of an image or block, borders edge-replicated."""
-    return lbp_circular(img, LbpConfig(neighbors=8, radius=1.0, interpolation="nearest"))
+    return lbp_codes(img, LbpConfig())
 
 
 def circle_offsets(neighbors: int, radius: float) -> list[tuple[float, float]]:

@@ -8,13 +8,13 @@ metadata so trained models can be applied to new images later.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import pca as pca_mod
 from .dataset import FeatureMatrix
-from .lbp import LbpConfig, lbp_circular, lbp_histogram_features
+from .lbp import LbpConfig, lbp_codes, lbp_histogram_features
 
 #: the forms of the LBP stage's features
 LBP_MODES = ("pixel_map", "histogram")
@@ -25,9 +25,7 @@ class FeaturePipeline:
     """(scale | lbp) -> (pca): LBP codes the uint8 images, so scale_pixels
     acts only without it; the PCA projection is optional.
 
-    The LBP stage codes the whole image block with one lbp_circular call.
-    With P=8, R=1 and no rotation invariance it samples nearest pixels
-    (the basic 3x3 map), whatever the config's interpolation says.
+    The LBP stage codes the whole image block with one lbp_codes call.
     """
 
     scale_pixels: bool = True
@@ -40,12 +38,9 @@ class FeaturePipeline:
             raise ValueError(f"unknown lbp_mode {self.lbp_mode!r}")
 
     def _lbp_matrix(self, images: np.ndarray) -> np.ndarray:
-        cfg = self.lbp
-        if cfg.neighbors == 8 and cfg.radius == 1.0 and not cfg.rotation_invariant:
-            cfg = replace(cfg, interpolation="nearest")
-        codes = lbp_circular(images, cfg)
+        codes = lbp_codes(images, self.lbp)
         if self.lbp_mode == "histogram":
-            return lbp_histogram_features(codes, cfg)
+            return lbp_histogram_features(codes, self.lbp)
         return codes.reshape(len(images), -1).astype(np.float64)
 
     def transform(self, images: np.ndarray) -> FeatureMatrix:

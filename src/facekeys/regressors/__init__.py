@@ -263,8 +263,8 @@ class _Entries(Mapping):
     """A model file's meta record, arrays or extras by name. An entry is
     read from the mapping that holds it when it is looked up, so an array
     is read from the archive only if asked for; a name the file lacks, or
-    an array it cannot read, is a ConfigError that names it. served holds
-    the names looked up."""
+    an array it cannot read or whose values are not numbers or bools, is a
+    ConfigError that names it. served holds the names looked up."""
 
     def __init__(self, path, what: str, holders: dict):
         self._path, self._what, self._holders = path, what, holders  # name -> its mapping
@@ -275,9 +275,13 @@ class _Entries(Mapping):
             raise ConfigError(f"{self._path} has no {self._what} {name!r}")
         self.served.add(name)
         try:
-            return self._holders[name][name]
+            value = self._holders[name][name]
         except _UNREADABLE as exc:  # a damaged archive member, found when it is read
             raise _unreadable(self._path, exc, f"its {name!r} is not an array") from None
+        if isinstance(value, np.ndarray) and value.dtype.kind not in "biuf":
+            raise ConfigError(f"{self._path} is not a facekeys model file: its {name!r} "
+                              f"holds {value.dtype} values, not numbers")
+        return value
 
     def get(self, name: str, default=None):
         return self[name] if name in self else default

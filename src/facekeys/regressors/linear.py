@@ -85,6 +85,11 @@ class LinearModel:
     intercept: np.ndarray  # (m,)
     converged: bool = True
 
+    def __post_init__(self):
+        if self.weights.ndim != 2 or self.intercept.shape != self.weights.shape[1:]:
+            raise ValueError(f"linear weights must be 2-d with an intercept per column, "
+                             f"got shapes {self.weights.shape} and {self.intercept.shape}")
+
 
 def linear_predict(model: LinearModel, X) -> np.ndarray:
     return check_rows(X, model.weights.shape[0]) @ model.weights + model.intercept

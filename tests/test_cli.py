@@ -27,8 +27,8 @@ from facekeys.dataset import (
     write_image_csv,
     write_training_csv,
 )
-from facekeys.lbp import LbpConfig, _min_rotations, lbp_basic, lbp_circular
-from facekeys.pipeline import pipeline_from_payload
+from facekeys.lbp import LbpConfig, _min_rotations, lbp_basic, lbp_circular, lbp_codes
+from facekeys.pipeline import fit_pipeline, pipeline_from_payload
 from facekeys.regressors import (
     KINDS,
     SPEC_KINDS,
@@ -38,6 +38,8 @@ from facekeys.regressors import (
     predict_any,
     save_model,
 )
+from facekeys.regressors.tree import NODE_ARRAYS
+from facekeys.viz import render_lbp
 from readers import load_pca, load_split_csvs, read_pgm, read_ppm
 
 SPLIT_FILES = tuple(
@@ -420,6 +422,12 @@ def _cut_array(name, axis=0):
     return tamper
 
 
+def _transposed(name):
+    def tamper(arrays):
+        arrays[name] = arrays[name].T
+    return tamper
+
+
 _CNN = ("--model", "cnn", "--task", "four", "--pca", "16", "--epochs", "1", "--batch-size", "8")
 
 
@@ -435,8 +443,12 @@ _CNN = ("--model", "cnn", "--task", "four", "--pca", "16", "--epochs", "1", "--b
     (_CNN, _drop_array("cnn_out_b"), "has no array 'cnn_out_b'"),
     (_CNN, _cut_array("cnn_dense_w"), "cnn parameter shapes do not chain"),
     (_CNN, _cut_array("cnn_out_b"), "cnn parameter shapes do not chain"),
+    (("--model", "ridge"), _transposed("lin_w"),
+     "linear weights must be 2-d with an intercept per column, got shapes (8, 256) and (8,)"),
+    (("--model", "ridge"), _cut_array("lin_b"), "got shapes (256, 8) and (7,)"),
 ], ids=["knn-k", "knn-y", "mlp-n_layers", "mlp-shapes",
-        "knn-no-k", "cnn-no-side", "cnn-no-out_b", "cnn-dense_w", "cnn-out_b"])
+        "knn-no-k", "cnn-no-side", "cnn-no-out_b", "cnn-dense_w", "cnn-out_b",
+        "ridge-transposed-w", "ridge-short-b"])
 def test_predict_rejects_a_tampered_knn_or_mlp_file(tmp_path, csv_path, capsys, extra, tamper,
                                                     fragment):
     model_file = tmp_path / "model.npz"
@@ -509,16 +521,26 @@ def _flip_inside(member):
     return damage
 
 
-def _meta_text(text):
-    """A damage that rewrites the archive with text as its meta record."""
+def _rewrite(edit):
+    """A damage that rewrites the archive with edit applied to its arrays."""
     def damage(blob, path):
         with np.load(path) as data:
             arrays = {name: data[name] for name in data.files}
-        arrays["meta"] = np.frombuffer(text.encode(), dtype=np.uint8)
+        edit(arrays)
         out = io.BytesIO()
         np.savez(out, **arrays)
         return out.getvalue()
     return damage
+
+
+def _meta_text(text):
+    """A damage that rewrites the archive with text as its meta record."""
+    return _rewrite(lambda arrays: arrays.update(meta=np.frombuffer(text.encode(), np.uint8)))
+
+
+def _as_strings(member):
+    """A damage that stores member as the text of its values."""
+    return _rewrite(lambda arrays: arrays.update({member: arrays[member].astype(str)}))
 
 
 @pytest.mark.parametrize("damage, fragment", [
@@ -550,6 +572,63 @@ def test_a_damaged_model_file_is_one_error_line(tmp_path, csv_path, capsys, dama
     assert len(err.splitlines()) == 1
     assert "pickle" not in err
     assert not out.exists()
+
+
+#: per kind: the train flags of a small `--lbp --pca 16` file, and the members
+#: it writes besides meta and the pipeline's
+_KIND_MEMBERS = {
+    "knn": (("--k", "3"), ("knn_x", "knn_y")),
+    "ridge": ((), ("lin_w", "lin_b")),
+    "tree": (("--max-depth", "2"), tuple(f"tree_{name}" for name in NODE_ARRAYS)),
+    "mlp": (("--hidden", "4", "--epochs", "1"), ("mlp_w0", "mlp_b0", "mlp_w1", "mlp_b1")),
+}
+_PIPE_MEMBERS = ("pipe_pca_mean", "pipe_pca_components", "pipe_pca_variance", "pipe_pca_ratio")
+
+
+@pytest.fixture(scope="module")
+def lbp_model_files(tmp_path_factory):
+    """The training CSV and one `--lbp --pca 16` model file per kind of _KIND_MEMBERS."""
+    directory = tmp_path_factory.mktemp("models")
+    faces = directory / "faces.csv"
+    write_training_csv(build_dataset(), faces)
+    files = {kind: directory / f"{kind}.npz" for kind in _KIND_MEMBERS}
+    for kind, (flags, _) in _KIND_MEMBERS.items():
+        assert _train(faces, files[kind], "--model", kind, *flags, "--lbp", "--pca", "16") == 0
+    return faces, files
+
+
+@pytest.mark.parametrize("kind, member, how", [
+    (kind, member, how) for kind, (_, own) in _KIND_MEMBERS.items()
+    for member in ("meta", *own, *_PIPE_MEMBERS) for how in ("strings", "flipped-byte")
+], ids=lambda v: v)
+def test_each_member_of_a_model_file_damaged_is_one_error_line(lbp_model_files, tmp_path, capsys,
+                                                              kind, member, how):
+    faces, files = lbp_model_files
+    damage = _as_strings(member) if how == "strings" else _flip_inside(f"{member}.npy")
+    model_file = tmp_path / f"{kind}.npz"
+    model_file.write_bytes(damage(files[kind].read_bytes(), files[kind]))
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    rc = main(["predict", "--model-file", str(model_file), "--input", str(faces),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"facekeys: error: {model_file} ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_an_int_member_where_floats_were_stored_still_loads(lbp_model_files, tmp_path):
+    faces, files = lbp_model_files
+    to_ints = _rewrite(lambda arrays: arrays.update(lin_w=np.rint(arrays["lin_w"]).astype(int)))
+    model_file = tmp_path / "ridge.npz"
+    model_file.write_bytes(to_ints(files["ridge"].read_bytes(), files["ridge"]))
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--model-file", str(model_file), "--input", str(faces),
+                 "--out", str(out)]) == 0
+    model, _ = load_model(model_file)
+    assert model.weights.dtype.kind == "i"
+    assert np.isfinite(_predictions(out)).all()
 
 
 def test_predict_equals_a_reference_that_reads_the_file_apart(tmp_path, csv_path):
@@ -697,6 +776,15 @@ def test_train_setting_flags_are_the_run_sets_and_train_settings():
     assert settings == _run_set_union() | set(cli._TRAIN_SETTINGS)
     assert {a.dest for a in actions} - settings == {
         "input", "task", "model", "out", "max_rows", "no_pixel_scaling", "lbp", "pca", "variance"}
+
+
+def test_lbp_setting_flags_are_the_lbp_geometry_fields():
+    actions = [a for a in _subparser("lbp")._actions if a.dest != "help"]
+    settings = {a.dest for a in actions if a.default is argparse.SUPPRESS}
+    assert settings == set(cli._LBP_GEOMETRY) == {
+        "lbp_neighbors", "lbp_radius", "lbp_rotation_invariant"}
+    assert {a.dest for a in actions} - settings == {"input", "row", "out"}
+    assert set(cli._LBP_GEOMETRY) < set(cli._TRAIN_SETTINGS)
 
 
 def test_a_shared_run_set_name_maps_to_fields_of_one_type():
@@ -862,37 +950,61 @@ def test_lbp_command_writes_the_basic_code_map(tmp_path, csv_path):
 
 def test_lbp_command_rotation_invariant_variant(tmp_path, csv_path):
     out = tmp_path / "ri.pgm"
-    assert main(["lbp", "--input", str(csv_path), "--rotation-invariant",
+    assert main(["lbp", "--input", str(csv_path), "--lbp-rotation-invariant",
                  "--out", str(out)]) == 0
     d = load_training_csv(csv_path)
-    expected = _min_rotations(lbp_basic(d.images[0]), 8).astype(np.uint8)
+    expected = _min_rotations(lbp_circular(d.images[0], LbpConfig()), 8).astype(np.uint8)
     assert np.array_equal(read_pgm(out), expected)
 
 
 def test_lbp_command_circular_wide_codes(tmp_path, csv_path):
     out = tmp_path / "wide.pgm"
-    assert main(["lbp", "--input", str(csv_path), "--circular",
-                 "--neighbors", "12", "--radius", "2.0",
+    assert main(["lbp", "--input", str(csv_path),
+                 "--lbp-neighbors", "12", "--lbp-radius", "2.0",
                  "--out", str(out)]) == 0
     gray = read_pgm(out)
     assert gray.shape == (16, 16)
 
 
 def test_lbp_command_circular_defaults_to_the_config_geometry(tmp_path, csv_path):
+    # --lbp-radius alone: the neighbor count is BenchmarkConfig's
     out = tmp_path / "circular.pgm"
-    assert main(["lbp", "--input", str(csv_path), "--circular", "--out", str(out)]) == 0
+    assert main(["lbp", "--input", str(csv_path), "--lbp-radius", "2",
+                 "--out", str(out)]) == 0
     d = load_training_csv(csv_path)
-    expected = lbp_circular(d.images[0], LbpConfig()).astype(np.uint8)
-    assert np.array_equal(read_pgm(out), expected)
+    cfg = LbpConfig(neighbors=ev.BenchmarkConfig().lbp_neighbors, radius=2.0)
+    assert np.array_equal(read_pgm(out), lbp_circular(d.images[0], cfg).astype(np.uint8))
 
 
-@pytest.mark.parametrize("flag", [("--neighbors", "12"), ("--radius", "2")],
-                         ids=["neighbors", "radius"])
-def test_lbp_command_refuses_geometry_without_circular(tmp_path, csv_path, capsys, flag):
+@pytest.mark.parametrize("flags, cfg", [
+    ((), LbpConfig()),
+    (("--lbp-rotation-invariant",), LbpConfig(rotation_invariant=True)),
+    (("--lbp-radius", "2"), LbpConfig(radius=2.0)),
+    (("--lbp-neighbors", "12", "--lbp-radius", "2"), LbpConfig(neighbors=12, radius=2.0)),
+    (("--lbp-neighbors", "16", "--lbp-radius", "2", "--lbp-rotation-invariant"),
+     LbpConfig(neighbors=16, radius=2.0, rotation_invariant=True)),
+], ids=["default", "rotation-invariant", "r2", "p12-r2", "p16-r2-rotation-invariant"])
+def test_lbp_command_renders_the_codes_the_pipeline_trains_on(tmp_path, csv_path, flags, cfg):
+    out = tmp_path / "codes.pgm"
+    assert main(["lbp", "--input", str(csv_path), "--row", "3", *flags, "--out", str(out)]) == 0
+    images = load_training_csv(csv_path).images
+    codes = lbp_codes(images[3], cfg)
+    trained = fit_pipeline(images, lbp=cfg)[1].values[3].reshape(codes.shape)
+    assert np.array_equal(trained, codes)
+    reference = tmp_path / "reference.pgm"
+    render_lbp(codes, cfg.neighbors, reference)
+    assert out.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("flag", [("--circular",), ("--neighbors", "12"), ("--radius", "2"),
+                                  ("--rotation-invariant",)],
+                         ids=["circular", "neighbors", "radius", "rotation-invariant"])
+def test_lbp_command_refuses_the_removed_flags(tmp_path, csv_path, capsys, flag):
     out = tmp_path / "x.pgm"
-    assert main(["lbp", "--input", str(csv_path), *flag, "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err == "facekeys: error: --neighbors and --radius need --circular\n"
+    with pytest.raises(SystemExit) as exc:
+        main(["lbp", "--input", str(csv_path), *flag, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert not out.exists()
 
 

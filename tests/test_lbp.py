@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from facekeys.lbp import (
     circle_offsets,
     lbp_basic,
     lbp_circular,
+    lbp_codes,
     lbp_histogram_features,
 )
 
@@ -194,6 +197,25 @@ def test_circular_nearest_equals_basic():
     for shape in ((10, 10), (7, 13)):
         img = rng.integers(0, 256, shape)
         assert np.array_equal(lbp_circular(img, cfg), lbp_basic(img))
+
+
+
+@pytest.mark.parametrize("cfg, sampled", [
+    (LbpConfig(), "nearest"),
+    (LbpConfig(interpolation="nearest"), "nearest"),
+    (LbpConfig(rotation_invariant=True), "bilinear"),
+    (LbpConfig(rotation_invariant=True, interpolation="nearest"), "nearest"),
+    (LbpConfig(radius=2.0), "bilinear"),
+    (LbpConfig(neighbors=12, radius=2.0, interpolation="nearest"), "nearest"),
+], ids=["p8r1", "p8r1-nearest", "p8r1-ri", "p8r1-ri-nearest", "p8r2", "p12r2-nearest"])
+def test_lbp_codes_takes_the_basic_map_only_for_plain_p8_r1(cfg, sampled):
+    # the one rule: P=8, R=1 without rotation invariance samples the nearest
+    # pixels; any other geometry keeps the config's interpolation
+    img = np.random.default_rng(4).integers(0, 256, (3, 9, 11))
+    expected = lbp_circular(img, dataclasses.replace(cfg, interpolation=sampled))
+    assert np.array_equal(lbp_codes(img, cfg), expected)
+    if cfg.neighbors == 8 and cfg.radius == 1.0 and not cfg.rotation_invariant:
+        assert np.array_equal(lbp_codes(img, cfg), lbp_basic(img))
 
 
 BLOCK_CONFIGS = [
