@@ -26,6 +26,7 @@ from .regressors import (
     SPEC_KINDS,
     TrainingDiverged,
     fit_any,
+    input_width,
     load_model,
     predict_any,
     save_model,
@@ -159,7 +160,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    """Apply a saved model to a CSV of images; write predicted coordinates."""
+    """Apply a saved model to a CSV of images; write predicted coordinates.
+
+    A model whose input width differs from its feature pipeline's output
+    is refused before it predicts, as a fault of the model file."""
     model, extras = load_model(args.model_file)
     if "pipeline" not in extras:
         raise CliError(f"{args.model_file} holds no feature pipeline; "
@@ -168,7 +172,11 @@ def cmd_predict(args) -> int:
     columns = [f"{n}_{axis}" for n in extras["target_names"] for axis in "xy"]
     # an image-only CSV reads as a training CSV with zero coordinate columns
     images = ds.load_training_csv(args.input).images
-    pred = predict_any(model, pipe.transform(images).values)
+    features = pipe.transform(images).values
+    if features.shape[1] != input_width(model):
+        raise CliError(f"{args.model_file} holds a model of {input_width(model)} input features, "
+                       f"but its feature pipeline makes {features.shape[1]}")
+    pred = predict_any(model, features)
     if len(columns) != pred.shape[1]:
         raise CliError(f"{args.model_file} names {len(columns)} target columns, "
                        f"but its model predicts {pred.shape[1]}")

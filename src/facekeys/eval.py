@@ -27,17 +27,13 @@ from .dataset import (
 )
 from .lbp import LbpConfig
 from .pipeline import fit_pipeline
-from .pca import fit_pca, transform
 from .regressors import KINDS, SPEC_KINDS, RegressorSpec, fit_any, predict_any
-from .regressors.cnn import grid_side
 from .rng import permutation
 
 TASK_LABELS = {"eleven": "RMSE1", "four": "RMSE2"}
 
 DEFAULT_MODELS = ("knn", "ols", "ridge", "lasso", "elastic", "tree")
 ALL_MODELS = KINDS
-# kinds fit by coordinate descent, whose models carry a meaningful converged flag
-_CD_MODELS = ("lasso", "elastic")
 #: The BenchmarkConfig values of the paper's study scale (`benchmark --full`).
 STUDY_SCALE = {"max_rows": None, "mlp_epochs": 500, "cnn_epochs": 400}
 
@@ -110,10 +106,6 @@ class BenchmarkConfig:
                 raise EvalError(f"unknown task {t!r}")
         if not all(isinstance(e, int) for e in (self.mlp_epochs, self.cnn_epochs)):
             raise EvalError("mlp_epochs and cnn_epochs must be integers")
-        if "cnn" in self.models and grid_side(self.pca_components) is None:
-            raise EvalError(
-                "cnn needs pca_components to be a square of a multiple of 4"
-            )
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(BenchmarkConfig)}  # annotations, as text
@@ -171,9 +163,10 @@ def load_config(path) -> BenchmarkConfig:
 class EvalRow:
     """One (model, pipeline, task) measurement.
 
-    converged is the fitted model's flag for the coordinate-descent kinds
-    (lasso, elastic) and None for the other kinds and for failed rows; like
-    seconds, it is left out of the CSV.
+    converged is the fitted model's own flag where its kind keeps one (the
+    linear kinds: ols and ridge are always True, lasso and elastic say
+    whether coordinate descent converged) and None for the other kinds
+    and for failed rows; like seconds, it is left out of the CSV.
     """
 
     model: str
@@ -226,29 +219,6 @@ def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
     )
 
 
-def _grids_for_cnn(cfg: BenchmarkConfig, X_train: np.ndarray, X_test: np.ndarray):
-    """Train and test rows whose width the cnn reads as square grids.
-
-    Features whose width already forms a cnn grid (grid_side) pass as they
-    are: a 256-wide PCA space, and also raw pixel rows of square images
-    whose side is divisible by 4, so raw 9216-pixel rows are read as 96x96
-    grids. Any other width (e.g. a PCA space that a small training split
-    shrank below 256) gets its own PCA projection first, to the largest
-    grid width that pca_components and the split allow. The rows stay
-    flat; cnn_fit and cnn_predict reshape them row-major.
-    """
-    k = X_train.shape[1]
-    if grid_side(k) is not None:
-        return X_train, X_test
-    n_comp = min(cfg.pca_components, X_train.shape[0] - 1, k)
-    while n_comp > 0 and grid_side(n_comp) is None:
-        n_comp -= 1
-    if n_comp <= 0:
-        raise EvalError("training split too small to build cnn grids")
-    model = fit_pca(X_train, n_components=n_comp)
-    return transform(model, X_train), transform(model, X_test)
-
-
 def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
     """Run the configured benchmark; per-row failures never abort the run."""
     data = load_training_csv(cfg.training_csv)
@@ -295,17 +265,10 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
                 started = time.perf_counter()
                 converged = None
                 try:
-                    if kind == "cnn":
-                        G_train, G_test = _grids_for_cnn(cfg, X_train, X_test)
-                        model = fit_any(spec, G_train, Y_train)
-                        pred = predict_any(model, G_test)
-                    else:
-                        model = fit_any(spec, X_train, Y_train)
-                        pred = predict_any(model, X_test)
-                    value = rmse(pred, Y_test)
+                    model = fit_any(spec, X_train, Y_train)
+                    value = rmse(predict_any(model, X_test), Y_test)
                     error = None
-                    if kind in _CD_MODELS:
-                        converged = model.converged
+                    converged = getattr(model, "converged", None)
                 except Exception as exc:
                     value = None
                     error = str(exc)

@@ -4,8 +4,9 @@ Eight kinds are available: knn, ols, ridge, lasso, elastic, tree, mlp,
 cnn. A RegressorSpec names the kind, its hyperparameters, and a seed.
 Two tables hold everything that differs per kind: SPEC_KINDS maps a spec
 kind to its fit function and hyperparameter names, and _FORMATS maps a
-fitted model class to its predict function and its .npz layout. fit_any,
-predict_any, save_model and load_model are lookups in them.
+fitted model class to its predict function, its input width and its
+.npz layout. fit_any, predict_any, input_width, save_model and load_model
+are lookups in them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .optim import Scaling, TrainingDiverged
 __all__ = [
     "RegressorSpec", "ConfigError", "TrainingDiverged", "SpecKind",
     "SPEC_KINDS", "KINDS",
-    "fit_any", "predict_any", "save_model", "load_model",
+    "fit_any", "predict_any", "input_width", "save_model", "load_model",
     "KnnModel", "LinearModel", "TreeModel", "MlpModel", "CnnModel",
     "knn_fit", "knn_predict", "ols_fit", "ridge_fit", "lasso_fit",
     "elastic_fit", "linear_predict", "tree_fit", "tree_predict",
@@ -100,8 +101,9 @@ class RegressorSpec:
 def fit_any(spec: RegressorSpec, X, Y):
     """Train the model a spec describes.
 
-    X is a 2-d feature matrix; cnn reads each row row-major as a square
-    grid. Stochastic kinds (mlp, cnn) are
+    X is a 2-d feature matrix of any width a kind accepts; cnn reads the
+    first side*side values of each row as its grid (cnn.grid_side), so
+    every kind takes the same rows. Stochastic kinds (mlp, cnn) are
     bit-for-bit reproducible for a fixed seed.
     """
     entry = SPEC_KINDS[spec.kind]
@@ -110,10 +112,11 @@ def fit_any(spec: RegressorSpec, X, Y):
 
 
 class _Format(NamedTuple):
-    """A fitted model class: predict function and .npz layout."""
+    """A fitted model class: predict function, input width and .npz layout."""
 
     tag: str  # meta "kind" in the file
     predict: Callable
+    n_features: Callable  # model -> the width of the rows its predict takes
     to_payload: Callable  # model -> (meta entries, named arrays)
     from_payload: Callable  # (meta entries, arrays) -> model
 
@@ -187,10 +190,19 @@ def _mlp_model(meta, data) -> MlpModel:
 _CNN_META = {"side": int, "dropout_conv": float, "dropout_dense": float}
 
 
+def _cnn_payload(m: CnnModel):
+    meta = {name: getattr(m, name) for name in (*_CNN_META, "n_features")}
+    arrays = {f"cnn_{name}": arr for name, arr in m.params.items()}
+    return {**meta, **_scaling_meta(m.scaling)}, arrays
+
+
 def _cnn_model(meta, data) -> CnnModel:
+    # a file written before n_features was kept reads rows of side*side values
+    n_features = meta.get("n_features")
     model = CnnModel(
         params={name: data[f"cnn_{name}"] for name in PARAM_NAMES},
         **{name: read(meta[name]) for name, read in _CNN_META.items()},
+        n_features=None if n_features is None else int(n_features),
     )
     model.scaling = _scaling(meta, model.params["out_b"].size)
     return model
@@ -198,27 +210,21 @@ def _cnn_model(meta, data) -> CnnModel:
 
 _FORMATS: dict[type, _Format] = {
     KnnModel: _Format(
-        "knn", knn_predict,
+        "knn", knn_predict, lambda m: m.X.shape[1],
         lambda m: ({"k": m.k}, {"knn_x": m.X, "knn_y": m.Y}),
         lambda meta, data: KnnModel(X=data["knn_x"], Y=data["knn_y"], k=int(meta["k"])),
     ),
     LinearModel: _Format(
-        "linear", linear_predict,
+        "linear", linear_predict, lambda m: m.weights.shape[0],
         lambda m: ({"converged": bool(m.converged)}, {"lin_w": m.weights, "lin_b": m.intercept}),
         lambda meta, data: LinearModel(
             weights=data["lin_w"], intercept=data["lin_b"], converged=bool(meta["converged"])
         ),
     ),
-    TreeModel: _Format("tree", tree_predict, _tree_payload, _tree_model),
-    MlpModel: _Format("mlp", mlp_predict, _mlp_payload, _mlp_model),
-    CnnModel: _Format(
-        "cnn", cnn_predict,
-        lambda m: (
-            {**{name: getattr(m, name) for name in _CNN_META}, **_scaling_meta(m.scaling)},
-            {f"cnn_{name}": arr for name, arr in m.params.items()},
-        ),
-        _cnn_model,
-    ),
+    TreeModel: _Format("tree", tree_predict, lambda m: m.n_features, _tree_payload, _tree_model),
+    MlpModel: _Format("mlp", mlp_predict, lambda m: m.weights[0].shape[0],
+                      _mlp_payload, _mlp_model),
+    CnnModel: _Format("cnn", cnn_predict, lambda m: m.n_features, _cnn_payload, _cnn_model),
 }
 _FORMAT_BY_TAG = {fmt.tag: fmt for fmt in _FORMATS.values()}
 
@@ -233,6 +239,11 @@ def _format_of(model, action: str) -> _Format:
 def predict_any(model, X) -> np.ndarray:
     """Predict with any fitted model; dispatches on the model type."""
     return _format_of(model, "predict with").predict(model, X)
+
+
+def input_width(model) -> int:
+    """The width of the feature rows a fitted model's predict takes."""
+    return int(_format_of(model, "read the input width of").n_features(model))
 
 
 def save_model(path, model, extras: dict | None = None) -> None:

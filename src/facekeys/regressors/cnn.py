@@ -1,9 +1,11 @@
 """Small convolutional regressor for single-channel square grids.
 
-A fit and a predict take (n, side*side) feature rows, as every
-regressor does, and read each row row-major as a side x side grid. The
-side may be any positive multiple of 4 (16 for 256 PCA components),
-because the two 2x2 pools each halve it. Architecture:
+A fit and a predict take (n, d) feature rows, as every regressor does,
+and read the first side*side values of each row row-major as a side x
+side grid, side = grid_side(d): the largest positive multiple of 4 (the
+two 2x2 pools each halve it) whose square fits in d. So 256 PCA
+components form a 16x16 grid and 179 the 12x12 grid of the top 144.
+Architecture:
 conv 32@5x5 (same padding) -> ReLU -> 2x2 max pool -> dropout, conv
 8@3x3 (same padding) -> ReLU -> 2x2 max pool -> dropout, flatten
 ((side/4)^2 * 8, 128 at side 16) -> dense 100 tanh -> dropout -> linear
@@ -55,11 +57,14 @@ PARAM_NAMES = (
 class CnnModel:
     """Parameter tensors in PARAM_NAMES order plus training metadata and scaling.
 
-    Building one raises ValueError unless params holds exactly the
-    PARAM_NAMES, side is a positive multiple of 4, and the shapes chain:
-    conv1_w is (o1, 1, kh, kw), conv2_w is (o2, o1, kh, kw), each conv
-    bias has one entry per filter, dense_w has (side/4)^2 * o2 rows, and
-    the dense head chains as an MLP's layers do.
+    n_features is the width of the rows a predict takes, of which the
+    first side*side form the grid; None means side*side, the width of
+    every model file written before the entry existed. Building one
+    raises ValueError unless params holds exactly the PARAM_NAMES, side
+    is a positive multiple of 4, grid_side(n_features) is side, and the
+    shapes chain: conv1_w is (o1, 1, kh, kw), conv2_w is (o2, o1, kh,
+    kw), each conv bias has one entry per filter, dense_w has
+    (side/4)^2 * o2 rows, and the dense head chains as an MLP's layers do.
     """
 
     params: dict[str, np.ndarray]
@@ -68,6 +73,7 @@ class CnnModel:
     dropout_dense: float = 0.5
     scaling: Scaling = Scaling()
     loss_history: list[float] = field(default_factory=list)
+    n_features: int | None = None
 
     def __post_init__(self):
         p = self.params
@@ -75,6 +81,11 @@ class CnnModel:
             raise ValueError(f"cnn params must be {PARAM_NAMES}, got {tuple(p)}")
         if grid_side(self.side * self.side) != self.side:
             raise ValueError(f"grid side must be positive and divisible by 4, got {self.side}")
+        if self.n_features is None:
+            self.n_features = self.side * self.side
+        if grid_side(self.n_features) != self.side:
+            raise ValueError(f"cnn rows of {self.n_features} features do not hold the "
+                             f"{self.side}x{self.side} grid their model reads")
         w1, w2 = p["conv1_w"], p["conv2_w"]
         if not (
             w1.ndim == 4 and w1.shape[1] == 1 and p["conv1_b"].shape == w1.shape[:1]
@@ -87,15 +98,13 @@ class CnnModel:
 
 
 def grid_side(n_features: int) -> int | None:
-    """Side of the square grid n_features values form for the cnn.
+    """Side of the square grid the cnn reads from rows of n_features values.
 
-    The two 2x2 pools each halve the grid, so the side must be a positive
-    multiple of 4; None when n_features is not the square of such a side.
+    The two 2x2 pools each halve the grid, so the side is the largest
+    positive multiple of 4 whose square fits in n_features; None below 16.
     """
-    side = math.isqrt(n_features)
-    if side > 0 and side * side == n_features and side % 4 == 0:
-        return side
-    return None
+    side = math.isqrt(max(n_features, 0)) // 4 * 4
+    return side if side > 0 else None
 
 
 #: Grid cells per row block of the convolution stages: a block's patch
@@ -301,10 +310,11 @@ def cnn_fit(
     dropout_dense: float = 0.5,
     seed: int = 0,
 ) -> CnnModel:
-    """Train the convolutional regressor on (n, side*side) feature rows,
-    each read row-major as a side x side grid, with X and Y scaled by
-    fit_scaling(X, Y). X that is not 2-d, or whose width is not the square
-    of a multiple of 4, raises ValueError.
+    """Train the convolutional regressor on (n, d) feature rows, reading
+    the first side*side values of each row row-major as a side x side
+    grid, side = grid_side(d); X's other columns are not read. The grids
+    and Y are scaled by fit_scaling(grids, Y), and the model keeps d as
+    n_features. X that is not 2-d, or narrower than 16, raises ValueError.
 
     loss_history records the full-training-set MSE (dropout off, scaled
     target space) per epoch, computed by the forward pass alone; a
@@ -313,17 +323,16 @@ def cnn_fit(
     ValueError.
     """
     if np.ndim(X) != 2:
-        raise ValueError(f"X must be (n, side*side) rows, got shape {np.shape(X)}")
+        raise ValueError(f"X must be (n, d) rows, got shape {np.shape(X)}")
     X, Y = check_fit_inputs(X, Y)
     side = grid_side(X.shape[1])
     if side is None:
-        raise ValueError(
-            f"cnn needs square features with a side divisible by 4; got "
-            f"{X.shape[1]} columns (try --pca 256)"
-        )
-    X = X.reshape(-1, side, side)
+        raise ValueError(f"cnn needs at least 16 features for its smallest (4x4) grid; "
+                         f"got {X.shape[1]} columns")
+    n_features, X = X.shape[1], _grids(X, side)
 
     model = init_cnn(side, Y.shape[1], seed)
+    model.n_features = n_features
     model.dropout_conv = dropout_conv
     model.dropout_dense = dropout_dense
     model.scaling = fit_scaling(X, Y)
@@ -353,8 +362,16 @@ def cnn_fit(
     return model
 
 
+def _grids(X: np.ndarray, side: int) -> np.ndarray:
+    """(n, side, side) grids of the first side*side values of X's rows, as
+    one contiguous block: sums over them then run in the same order
+    whatever X's other columns, so a fit on X equals one on the grids alone."""
+    return np.ascontiguousarray(X[:, : side * side]).reshape(-1, side, side)
+
+
 def cnn_predict(model: CnnModel, X) -> np.ndarray:
-    """Deterministic forward pass (dropout off) on scaled (n, side*side)
-    rows, read as grids as cnn_fit reads them; outputs in target units."""
-    X = check_rows(X, model.side * model.side).reshape(-1, model.side, model.side)
+    """Deterministic forward pass (dropout off) on (n, n_features) rows,
+    read as grids as cnn_fit reads them; outputs in target units. Rows of
+    any other width raise ValueError."""
+    X = _grids(check_rows(X, model.n_features), model.side)
     return model.scaling.outputs(_output(model.params, model.scaling.inputs(X)))

@@ -587,13 +587,15 @@ _PIPE_MEMBERS = ("pipe_pca_mean", "pipe_pca_components", "pipe_pca_variance", "p
 
 @pytest.fixture(scope="module")
 def lbp_model_files(tmp_path_factory):
-    """The training CSV and one `--lbp --pca 16` model file per kind of _KIND_MEMBERS."""
+    """The training CSV and one `--lbp --pca 16` model file per kind of
+    _KIND_MEMBERS, and a cnn one."""
     directory = tmp_path_factory.mktemp("models")
     faces = directory / "faces.csv"
     write_training_csv(build_dataset(), faces)
-    files = {kind: directory / f"{kind}.npz" for kind in _KIND_MEMBERS}
-    for kind, (flags, _) in _KIND_MEMBERS.items():
-        assert _train(faces, files[kind], "--model", kind, *flags, "--lbp", "--pca", "16") == 0
+    flags = {kind: flags for kind, (flags, _) in _KIND_MEMBERS.items()}
+    files = {kind: directory / f"{kind}.npz" for kind in (*flags, "cnn")}
+    for kind, extra in {**flags, "cnn": ("--epochs", "1")}.items():
+        assert _train(faces, files[kind], "--model", kind, *extra, "--lbp", "--pca", "16") == 0
     return faces, files
 
 
@@ -615,6 +617,27 @@ def test_each_member_of_a_model_file_damaged_is_one_error_line(lbp_model_files, 
     err = capsys.readouterr().err
     assert err.startswith(f"facekeys: error: {model_file} ")
     assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, edit, width", [
+    ("ridge", lambda arrays: arrays.update(lin_w=arrays["lin_w"][:-1]), 15),
+    ("knn", lambda arrays: arrays.update(knn_x=arrays["knn_x"][:, :-1]), 15),
+    ("mlp", lambda arrays: arrays.update(mlp_w0=arrays["mlp_w0"][:-1]), 15),
+    ("cnn", _set_meta("n_features", 20), 20),  # still a 4x4 grid, so the file loads
+], ids=["ridge-lin_w-row-cut", "knn-knn_x-column-cut", "mlp-mlp_w0-row-cut", "cnn-n_features"])
+def test_a_model_whose_width_is_not_its_pipelines_is_the_model_files_fault(
+        lbp_model_files, tmp_path, capsys, kind, edit, width):
+    faces, files = lbp_model_files
+    model_file = tmp_path / f"{kind}.npz"
+    model_file.write_bytes(_rewrite(edit)(files[kind].read_bytes(), files[kind]))
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    rc = main(["predict", "--model-file", str(model_file), "--input", str(faces),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == (f"facekeys: error: {model_file} holds a model of {width} "
+                                       f"input features, but its feature pipeline makes 16\n")
     assert not out.exists()
 
 
@@ -722,10 +745,20 @@ def test_a_tree_fit_on_overflowing_targets_is_a_one_line_error(tmp_path, capsys)
 
 
 def test_cnn_rejects_feature_widths_without_a_grid(tmp_path, csv_path, capsys):
-    rc = _train(csv_path, tmp_path / "cnn.npz", "--model", "cnn",
-                "--pca", "15", "--epochs", "1")
+    # below 16 features there is no 4x4 grid; any wider row holds one
+    model_file = tmp_path / "cnn.npz"
+    rc = _train(csv_path, model_file, "--model", "cnn", "--pca", "15", "--epochs", "1")
     assert rc == 1
-    assert "divisible by 4" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("facekeys: error: cnn needs at least 16 features for "
+                                       "its smallest (4x4) grid; got 15 columns\n")
+    assert not model_file.exists()
+    assert _train(csv_path, model_file, "--model", "cnn", "--pca", "20", "--epochs", "1") == 0
+    model, _ = load_model(model_file)
+    assert (model.side, model.n_features) == (4, 20)
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--model-file", str(model_file),
+                 "--input", str(csv_path), "--out", str(out)]) == 0
+    assert np.isfinite(_predictions(out)).all()
 
 
 def test_train_with_lbp_histogram_features(tmp_path, csv_path):

@@ -18,6 +18,7 @@ from facekeys.regressors.cnn import (
     _pool_forward,
     cnn_fit,
     cnn_predict,
+    grid_side,
     init_cnn,
     loss_and_gradients,
 )
@@ -401,15 +402,48 @@ def test_divergence_raises():
 
 def test_grid_validation():
     model = init_cnn(8, 2, seed=0)
-    with pytest.raises(ValueError, match=r"X must be \(n, 64\) rows"):
-        cnn_predict(model, np.zeros((2, 72)))
-    with pytest.raises(ValueError, match=r"X must be \(n, 64\) rows"):
-        cnn_predict(model, np.zeros((2, 256)))
-    for width in (63, 36):  # not a square; the square of a side not divisible by 4
-        with pytest.raises(ValueError, match="divisible by 4"):
+    for width in (63, 72, 256):  # a predict takes rows of n_features (64) only
+        with pytest.raises(ValueError, match=r"X must be \(n, 64\) rows"):
+            cnn_predict(model, np.zeros((2, width)))
+    for width in (0, 1, 15):  # narrower than the smallest (4x4) grid
+        with pytest.raises(ValueError, match=rf"^cnn needs at least 16 features for its "
+                                             rf"smallest \(4x4\) grid; got {width} columns$"):
             cnn_fit(np.zeros((4, width)), np.zeros((4, 1)))
     with pytest.raises(ValueError, match="dropout"):
         cnn_fit(np.zeros((4, 64)), np.zeros((4, 1)), dropout_dense=1.0)
+    with pytest.raises(ValueError, match="rows of 63 features do not hold the 8x8 grid"):
+        CnnModel(params=model.params, side=8, n_features=63)
+
+
+@pytest.mark.parametrize("width, side", [
+    (0, None), (15, None), (16, 4), (20, 4), (36, 4), (63, 4), (64, 8), (143, 8), (144, 12),
+    (179, 12), (255, 12), (256, 16), (9215, 92), (9216, 96),
+])
+def test_grid_side_is_the_largest_multiple_of_4_whose_square_fits(width, side):
+    assert grid_side(width) == side
+
+
+@pytest.mark.parametrize("width", [20, 150, 179])
+def test_fit_on_any_width_equals_a_fit_on_its_first_grid_columns(width):
+    # the reference rows are a copy, as a pipeline of g*g features makes them; at
+    # the study's 180 rows and widths 150 and 179, these inputs' mean or std over
+    # a strided view of X's grid columns differs from the copy's in the last bits
+    rng = np.random.default_rng(20)
+    X = rng.normal(size=(180, width)) * 400.0 + 260.0
+    Y = rng.normal(size=(180, 3)) * 10.0 + 48.0
+    g = grid_side(width)
+    model = cnn_fit(X, Y, epochs=2, batch_size=50, seed=5)
+    ref = cnn_fit(X[:, : g * g].copy(), Y, epochs=2, batch_size=50, seed=5)
+    assert (model.side, model.n_features, ref.n_features) == (g, width, g * g)
+    for name in PARAM_NAMES:
+        assert np.array_equal(model.params[name], ref.params[name]), name
+    assert model.loss_history == ref.loss_history
+    assert model.scaling.input_offset == ref.scaling.input_offset
+    assert model.scaling.input_scale == ref.scaling.input_scale
+    assert cnn_predict(model, X).tobytes() == cnn_predict(ref, X[:, : g * g]).tobytes()
+    for other in (g * g, width - 1, width + 1):
+        with pytest.raises(ValueError, match=rf"X must be \(n, {width}\) rows"):
+            cnn_predict(model, X[:, :other] if other < width else np.zeros((2, other)))
 
 
 # ---- the network against the references it replaced ---------------------------
@@ -492,9 +526,9 @@ def test_fit_matches_the_reference_loop(dropout, scale):
 
 
 def test_grids_are_refused_by_fit_and_predict():
-    # the cnn takes (n, side*side) rows, as every regressor does
+    # the cnn takes (n, d) rows, as every regressor does
     grids = np.zeros((4, 8, 8))
-    with pytest.raises(ValueError, match=r"^X must be \(n, side\*side\) rows, got shape \(4, 8, 8\)$"):
+    with pytest.raises(ValueError, match=r"^X must be \(n, d\) rows, got shape \(4, 8, 8\)$"):
         cnn_fit(grids, np.zeros((4, 2)), epochs=1)
     model = init_cnn(8, 2, seed=0)
     with pytest.raises(ValueError, match=r"^X must be \(n, 64\) rows, got shape \(4, 8, 8\)$"):

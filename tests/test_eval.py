@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import facekeys.eval as eval_module
 from conftest import build_dataset
 from facekeys.dataset import impute_column_means, write_training_csv
 from facekeys.eval import (
@@ -105,11 +106,9 @@ def test_config_validation():
         BenchmarkConfig(pipelines=("fourier",))
     with pytest.raises(EvalError, match="unknown task"):
         BenchmarkConfig(tasks=("nine",))
-    with pytest.raises(EvalError, match="square of a multiple of 4"):
-        BenchmarkConfig(models=("cnn",), pca_components=255)
-    with pytest.raises(EvalError, match="square of a multiple of 4"):
-        BenchmarkConfig(models=("cnn",), pca_components=4)  # side 2
-    for ok in (16, 64, 144, 256):
+    # the cnn reads its grid from any width (cnn.grid_side); a fit narrower
+    # than 16 features fails in its own row
+    for ok in (4, 16, 20, 64, 144, 179, 255, 256):
         BenchmarkConfig(models=("cnn",), pca_components=ok)
 
 
@@ -223,6 +222,32 @@ def test_benchmark_all_models_deterministic_and_byte_identical(bench_csv):
     assert len(a.splitlines()) == 1 + 8 * 2 * 2
 
 
+def test_benchmark_cnn_row_fits_the_first_grid_columns(bench_csv, monkeypatch):
+    # every kind gets the same 40 PCA columns; the cnn reads the first 16 as its 4x4 grid
+    fits, predicts = [], []
+
+    def fit_and_keep(spec, X, Y):
+        fits.append((spec, X, Y, fit_any(spec, X, Y)))
+        return fits[-1][-1]
+
+    def predict_and_keep(model, X):
+        predicts.append((X, predict_any(model, X)))
+        return predicts[-1][-1]
+
+    monkeypatch.setattr(eval_module, "fit_any", fit_and_keep)
+    monkeypatch.setattr(eval_module, "predict_any", predict_and_keep)
+    cfg = BenchmarkConfig(training_csv=bench_csv, models=("cnn", "knn"), tasks=("four",),
+                          pipelines=("lbp_pca",), pca_components=40, cnn_epochs=2)
+    rows = run_benchmark(cfg).rows
+    assert [r.error for r in rows] == [None, None]
+    (spec, X, Y, model), (_, knn_X, _, _) = fits
+    (X_test, pred), (knn_X_test, _) = predicts
+    assert X.shape[1] == 40 and X is knn_X and X_test is knn_X_test
+    assert (model.side, model.n_features) == (4, 40)
+    ref = fit_any(spec, X[:, :16], Y)
+    assert predict_any(ref, X_test[:, :16]).tobytes() == pred.tobytes()
+
+
 def test_benchmark_isolates_per_model_failures(bench_csv):
     cfg = BenchmarkConfig(
         training_csv=bench_csv, models=("knn", "ols"), knn_k=10_000,
@@ -317,7 +342,7 @@ def test_markdown_report_marks_non_converged_fits(bench_csv):
     report = run_benchmark(cfg)
     by_key = {(r.model, r.task): r for r in report.rows}
     for task in ("eleven", "four"):
-        assert by_key[("ols", task)].converged is None
+        assert by_key[("ols", task)].converged is True  # a closed-form fit
         for kind in ("lasso", "elastic"):
             assert by_key[(kind, task)].converged is False
     text = format_report(report)
@@ -333,7 +358,7 @@ def test_markdown_report_marks_non_converged_fits(bench_csv):
     converged = run_benchmark(dataclasses.replace(
         cfg, tasks=("four",), lasso_alpha=1.0, elastic_alpha=1.0, cd_max_iter=1000, cd_tol=1e-4,
     ))
-    assert all(r.converged is (None if r.model == "ols" else True) for r in converged.rows)
+    assert all(r.converged is True for r in converged.rows)
     assert "did not converge" not in format_report(converged)
 
 

@@ -194,6 +194,30 @@ def test_save_load_round_trip_cnn(tmp_path):
     assert np.array_equal(predict_any(back, X), predict_any(model, X))
 
 
+def test_cnn_n_features_survives_a_save_and_a_file_without_it_reads_grid_rows(tmp_path):
+    rng = np.random.default_rng(8)
+    X = rng.normal(size=(12, 20))
+    Y = rng.normal(size=(12, 2)) + 48.0
+    model = fit_any(RegressorSpec("cnn", {"epochs": 1, "batch_size": 6}, seed=2), X, Y)
+    path = tmp_path / "cnn.npz"
+    save_model(path, model)
+    back, _ = load_model(path)
+    assert (back.side, back.n_features) == (4, 20)
+    assert predict_any(back, X).tobytes() == predict_any(model, X).tobytes()
+    # a file written before the entry existed holds a model of side*side inputs
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(bytes(arrays["meta"]).decode())
+    del meta["n_features"]
+    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **arrays)
+    old, _ = load_model(path)
+    assert old.n_features == 16
+    assert predict_any(old, X[:, :16]).tobytes() == predict_any(model, X).tobytes()
+    with pytest.raises(ValueError, match=r"X must be \(n, 16\) rows"):
+        predict_any(old, X)
+
+
 def test_save_rejects_foreign_objects(tmp_path):
     with pytest.raises(ConfigError, match="serialize"):
         save_model(tmp_path / "x.npz", object())
@@ -220,7 +244,7 @@ _LAYOUTS = {
         "cnn",
         {f"cnn_{n}" for n in ("conv1_w", "conv1_b", "conv2_w", "conv2_b",
                               "dense_w", "dense_b", "out_w", "out_b")},
-        {"side", "dropout_conv", "dropout_dense", *_SCALING_META},
+        {"side", "n_features", "dropout_conv", "dropout_dense", *_SCALING_META},
     ),
 }
 
