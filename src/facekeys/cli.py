@@ -19,7 +19,7 @@ from . import dataset as ds
 from . import eval as ev
 from . import pca as pca_mod
 from . import viz
-from .lbp import lbp_codes
+from .lbp import lbp_circular
 from .pipeline import LBP_MODES, fit_pipeline, pipeline_from_payload, pipeline_to_payload
 from .regressors import (
     KINDS,
@@ -92,9 +92,10 @@ def _flags(names) -> str:
     return ", ".join("--" + name.replace("_", "-") for name in names)
 
 
-def _setting_flag(dest: str, field: str, help: str | None = None) -> tuple[str, dict]:
-    """Flag dest's name and add_argument keywords: parse_setting reads its text as field,
-    a bool field's takes none, and if not given it sets no attribute ("none" gives None)."""
+def _add_setting(p, dest, field=None, help=None, default=argparse.SUPPRESS) -> None:
+    """Add flag dest to p: parse_setting reads its text as field (dest by default), a bool
+    field's takes none, and if not given it sets default (SUPPRESS: no attribute)."""
+    field = field or dest
     def parse(text: str):
         try:
             return ev.parse_setting(field, text)
@@ -102,16 +103,12 @@ def _setting_flag(dest: str, field: str, help: str | None = None) -> tuple[str, 
             raise argparse.ArgumentTypeError(str(exc)) from None
     kind = ({"action": "store_true"} if ev._FIELD_TYPES[field] == "bool"
             else {"type": parse, "choices": _CHOICES.get(field)})
-    return _flags([dest]), {"default": argparse.SUPPRESS, "help": help, **kind}
+    p.add_argument(_flags([dest]), default=default, help=help, **kind)
 
 
-#: each setting flag by dest, made once as build_parser runs in every main():
-#: train's model flags are the run-set names, each helped by the kinds that take it
-_MODEL_FLAGS = {name: _setting_flag(name, ev._config_field(kind, name), "for --model " + "/".join(
-                    other for other, entry in SPEC_KINDS.items() if name in entry.run_set))
-                for kind in SPEC_KINDS for name in SPEC_KINDS[kind].run_set}
-_SETTING_FLAGS = {**{name: _setting_flag(name, name) for name in _TRAIN_SETTINGS}, **_MODEL_FLAGS,
-                  **{n: _setting_flag(n, n, h) for n, h in _BENCHMARK_SETTINGS.items()}}
+#: train's model flags: each run-set name and the kinds that take it
+_MODEL_FLAGS = {name: [kind for kind, entry in SPEC_KINDS.items() if name in entry.run_set]
+                for entry in SPEC_KINDS.values() for name in entry.run_set}
 
 
 def _override(cfg: ev.BenchmarkConfig, args, settings: dict) -> ev.BenchmarkConfig:
@@ -209,7 +206,7 @@ def cmd_lbp(args) -> int:
     d = ds.load_training_csv(_resolve_input(args.input))
     if not 0 <= args.row < len(d):
         raise CliError(f"row {args.row} out of range (0..{len(d) - 1})")
-    viz.render_lbp(lbp_codes(d.images[args.row], cfg), cfg.neighbors, args.out)
+    viz.render_lbp(lbp_circular(d.images[args.row], cfg), cfg.neighbors, args.out)
     print(f"wrote LBP map of row {args.row} to {args.out}")
     return 0
 
@@ -265,19 +262,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_input(p):
         p.add_argument("--input", help=f"training CSV (default ${INPUT_ENV})")
 
-    def add_settings(p, dests):
-        for dest in dests:
-            p.add_argument(_SETTING_FLAGS[dest][0], **_SETTING_FLAGS[dest][1])
-
-    def add_setting_with_default(p, dest, default):
-        flag, kwargs = _setting_flag(dest, dest)
-        p.add_argument(flag, **{**kwargs, "default": default})
-
     p = sub.add_parser("split", help="write derived train/test CSVs per task")
     add_input(p)
     p.add_argument("--out-dir", required=True)
-    add_setting_with_default(p, "train_fraction", ev.BenchmarkConfig.train_fraction)
-    add_setting_with_default(p, "seed", ev.BenchmarkConfig.seed)
+    _add_setting(p, "train_fraction", default=ev.BenchmarkConfig.train_fraction)
+    _add_setting(p, "seed", default=ev.BenchmarkConfig.seed)
     p.set_defaults(func=cmd_split)
 
     p = sub.add_parser("train", help="fit one model and save it")
@@ -285,16 +274,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=("four", "eleven"), default="four")
     p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--out", required=True)
-    add_settings(p, ["seed"])
-    add_setting_with_default(p, "max_rows", None)  # every row, unlike the benchmark
+    _add_setting(p, "seed")
+    _add_setting(p, "max_rows", default=None)  # every row, unlike the benchmark
     p.add_argument("--no-pixel-scaling", action="store_true")
     p.add_argument("--lbp", action="store_true", help="LBP-code features")
-    add_settings(p, _LBP_SETTINGS)
+    for dest in _LBP_SETTINGS:
+        _add_setting(p, dest)
     p.add_argument("--pca", type=int, default=None,
                    help="project features to this many components")
     p.add_argument("--variance", type=float, default=None,
                    help="pick component count by variance coverage")
-    add_settings(p, _MODEL_FLAGS)
+    for name, kinds in _MODEL_FLAGS.items():
+        _add_setting(p, name, ev._config_field(kinds[-1], name), "for --model " + "/".join(kinds))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="apply a saved model to images")
@@ -307,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("benchmark", help="run the RMSE benchmark")
     add_input(p)
     p.add_argument("--config", help="flat key=value config file")
-    add_settings(p, _BENCHMARK_SETTINGS)
+    for dest, text in _BENCHMARK_SETTINGS.items():
+        _add_setting(p, dest, help=text)
     p.add_argument("--full", action="store_true",
                    help="study scale: every row, 500 MLP and 400 CNN epochs "
                         "(explicit flags still win)")
@@ -318,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_input(p)
     p.add_argument("--row", type=int, default=0)
     p.add_argument("--out", required=True)
-    add_settings(p, _LBP_GEOMETRY)
+    for dest in _LBP_GEOMETRY:
+        _add_setting(p, dest)
     p.set_defaults(func=cmd_lbp)
 
     p = sub.add_parser("pca", help="fit and save a PCA model")

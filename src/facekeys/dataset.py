@@ -126,15 +126,15 @@ class Dataset:
         return replace(self, images=self.images[idx], keypoints=self.keypoints[idx])
 
 
-def _slot_names_from_header(columns: list[str]) -> tuple[str, ...]:
-    if len(columns) % 2 != 0:
-        raise DatasetError("coordinate columns must come in x/y pairs")
+def _slot_names_from_header(path, columns: list[str]) -> tuple[str, ...]:
     names = []
-    for i in range(0, len(columns), 2):
-        cx, cy = columns[i], columns[i + 1]
+    for cx, cy in zip(columns[::2], columns[1::2]):
         if not cx.endswith("_x") or cy != cx[:-2] + "_y":
-            raise DatasetError(f"columns {cx!r}, {cy!r} are not an x/y pair")
+            raise DatasetError(f"{path}: columns {cx!r}, {cy!r} are not an x/y pair")
         names.append(cx[:-2])
+    if len(columns) % 2:  # Kaggle's test.csv header, ImageId,Image, ends here
+        raise DatasetError(f"{path}: coordinate columns must come in x/y pairs, "
+                           f"but {columns[-1]!r} has no partner")
     return tuple(names)
 
 
@@ -365,7 +365,7 @@ def _decode_pixel_cells(cells: list[bytes], k: int) -> np.ndarray | None:
 def _training_header(path, header: list[str]) -> tuple[str, ...]:
     if header[-1:] != [IMAGE_COLUMN]:
         raise DatasetError(f"{path}: last header column must be {IMAGE_COLUMN!r}")
-    return _slot_names_from_header(header[:-1])
+    return _slot_names_from_header(path, header[:-1])
 
 
 def load_training_csv(path) -> Dataset:

@@ -7,18 +7,18 @@ clockwise from the top-left, and sets bit p when g_p >= g_c:
 
 Ties count as 1, so a constant image codes to all ones. Borders replicate
 edge pixels. The one kernel, lbp_circular, samples P points on a radius-R
-circle, bilinearly or at the nearest pixel; the basic 3x3 map is its P=8,
-R=1 nearest case. The rotation-invariant variant maps each code to the
-minimum over its cyclic bit rotations. The kernel takes an (h, w) image
-or an (n, h, w) block, in passes of about _CHUNK_PIXELS pixels: one pass
-over 500 rotation-invariant 96x96 images held ~530 MB of temporaries.
-lbp_codes is the sampling rule of the LBP features and of `facekeys lbp`.
+circle by the one rule: P=8, R=1 without rotation invariance samples the
+nearest pixels (the basic 3x3 map), every other geometry bilinearly, so an
+LbpConfig alone names its codes. The rotation-invariant variant maps each
+code to the minimum over its cyclic bit rotations. The kernel takes an
+(h, w) image or an (n, h, w) block, in passes of about _CHUNK_PIXELS
+pixels: one pass over 500 rotation-invariant 96x96 images held ~530 MB.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,15 +39,12 @@ class LbpConfig:
         radius: R, sampling circle radius in pixels.
         rotation_invariant: map codes to their minimal cyclic rotation.
         cell_size: square cell edge for histogram features.
-        interpolation: 'bilinear' (default) or 'nearest'; with 'nearest'
-            and P=8, R=1 the circular map is the basic 8-neighbor map.
     """
 
     neighbors: int = 8
     radius: float = 1.0
     rotation_invariant: bool = False
     cell_size: int = 16
-    interpolation: str = "bilinear"
 
     def __post_init__(self):
         if self.neighbors < 4:
@@ -58,21 +55,16 @@ class LbpConfig:
             raise LbpError("radius must be positive")
         if self.cell_size < 1:
             raise LbpError("cell_size must be at least 1")
-        if self.interpolation not in ("bilinear", "nearest"):
-            raise LbpError(f"unknown interpolation {self.interpolation!r}")
 
 
-def lbp_codes(img, cfg: LbpConfig) -> np.ndarray:
-    """lbp_circular's codes, sampled at the nearest pixels (the basic 3x3 map)
-    for P=8, R=1 without rotation invariance, else as cfg.interpolation says."""
-    if cfg.neighbors == 8 and cfg.radius == 1.0 and not cfg.rotation_invariant:
-        cfg = replace(cfg, interpolation="nearest")
-    return lbp_circular(img, cfg)
+def samples_nearest(cfg: LbpConfig) -> bool:
+    """lbp_circular's sampling rule: nearest pixels for plain P=8, R=1, else bilinear."""
+    return (cfg.neighbors, cfg.radius, cfg.rotation_invariant) == (8, 1.0, False)
 
 
 def lbp_basic(img) -> np.ndarray:
     """8-neighbor LBP codes of an image or block, borders edge-replicated."""
-    return lbp_codes(img, LbpConfig())
+    return lbp_circular(img, LbpConfig())
 
 
 def circle_offsets(neighbors: int, radius: float) -> list[tuple[float, float]]:
@@ -80,7 +72,7 @@ def circle_offsets(neighbors: int, radius: float) -> list[tuple[float, float]]:
 
     Offsets within 1e-9 of an integer are snapped, so P=8, R=1 samples its
     four axis neighbors exactly; its diagonals stay at (+-0.7071, +-0.7071),
-    and only interpolation='nearest' rounds them onto the 3x3 corners.
+    and only the basic map's nearest sampling rounds them onto the 3x3 corners.
     """
     offsets = []
     for p in range(neighbors):
@@ -145,7 +137,7 @@ def _code_chunk(a: np.ndarray, offsets, cfg: LbpConfig) -> np.ndarray:
 
 def lbp_circular(img, cfg: LbpConfig) -> np.ndarray:
     """Circular LBP codes of an (h, w) image or (n, h, w) block: int64 in
-    [0, 2**neighbors), in the input's shape."""
+    [0, 2**neighbors), in the input's shape, sampled as samples_nearest says."""
     a = np.asarray(img)
     if a.ndim not in (2, 3):
         raise LbpError("image must be (h, w) or an (n, h, w) block")
@@ -156,7 +148,7 @@ def lbp_circular(img, cfg: LbpConfig) -> np.ndarray:
             f"radius {cfg.radius} needs an image of at least {side}x{side}, got {h}x{w}"
         )
     offsets = circle_offsets(cfg.neighbors, cfg.radius)
-    if cfg.interpolation == "nearest":
+    if samples_nearest(cfg):
         offsets = [(float(np.rint(dr)), float(np.rint(dc))) for dr, dc in offsets]
     block = a.reshape(-1, h, w)
     codes = np.empty(block.shape, dtype=np.int64)

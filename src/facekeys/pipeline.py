@@ -14,7 +14,7 @@ import numpy as np
 
 from . import pca as pca_mod
 from .dataset import FeatureMatrix
-from .lbp import LbpConfig, lbp_codes, lbp_histogram_features
+from .lbp import LbpConfig, lbp_circular, lbp_histogram_features, samples_nearest
 
 #: the forms of the LBP stage's features
 LBP_MODES = ("pixel_map", "histogram")
@@ -25,26 +25,30 @@ class FeaturePipeline:
     """(scale | lbp) -> (pca): LBP codes the uint8 images, so scale_pixels
     acts only without it; the PCA projection is optional.
 
-    The LBP stage codes the whole image block with one lbp_codes call.
+    The LBP stage codes the whole image block with one lbp_circular call.
     """
 
     scale_pixels: bool = True
     lbp: LbpConfig | None = None
     lbp_mode: str = "pixel_map"  # an LBP_MODES name
     pca: pca_mod.PcaModel | None = None
+    image_shape: tuple[int, int] | None = None  # (h, w) of the fit images; None takes any
 
     def __post_init__(self):
         if self.lbp_mode not in LBP_MODES:
             raise ValueError(f"unknown lbp_mode {self.lbp_mode!r}")
 
     def _lbp_matrix(self, images: np.ndarray) -> np.ndarray:
-        codes = lbp_codes(images, self.lbp)
+        codes = lbp_circular(images, self.lbp)
         if self.lbp_mode == "histogram":
             return lbp_histogram_features(codes, self.lbp)
         return codes.reshape(len(images), -1).astype(np.float64)
 
     def transform(self, images: np.ndarray) -> FeatureMatrix:
         """Feature rows for an (n, h, w) uint8 image block."""
+        if self.image_shape not in (None, images.shape[1:]):
+            raise ValueError("images are {}x{}, but the feature pipeline was fit on {}x{} images"
+                             .format(*images.shape[1:], *self.image_shape))
         if self.lbp is not None:
             X = self._lbp_matrix(images)
         else:
@@ -66,7 +70,8 @@ def fit_pipeline(
 ) -> tuple[FeaturePipeline, FeatureMatrix]:
     """Fit pipeline state (the PCA stage) on training images only; returns
     the pipeline and the training features, pipe.transform(images_train)."""
-    pipe = FeaturePipeline(scale_pixels=scale_pixels, lbp=lbp, lbp_mode=lbp_mode)
+    pipe = FeaturePipeline(scale_pixels=scale_pixels, lbp=lbp, lbp_mode=lbp_mode,
+                           image_shape=images_train.shape[1:])
     features = pipe.transform(images_train)
     if pca_components is not None or variance_target is not None:
         pipe.pca = pca_mod.fit_pca(
@@ -88,6 +93,7 @@ def pipeline_to_payload(pipe: FeaturePipeline) -> tuple[dict, dict[str, np.ndarr
         "lbp": asdict(pipe.lbp) if pipe.lbp is not None else None,
         "lbp_mode": pipe.lbp_mode,
         "has_pca": pipe.pca is not None,
+        "image_shape": None if pipe.image_shape is None else list(pipe.image_shape),
     }
     if pipe.pca is None:
         return meta, {}
@@ -103,12 +109,20 @@ def _entry(source, name: str, what: str = "meta entry"):
 def pipeline_from_payload(meta: dict, arrays) -> FeaturePipeline:
     """Inverse of pipeline_to_payload. A missing meta entry or array, an
     lbp record that is not LbpConfig's fields, or PCA arrays whose shapes
-    do not fit together, raises ValueError naming it."""
+    do not fit together, or an image_shape that is not two ints, raises
+    ValueError naming it."""
     lbp = _entry(meta, "lbp")
     fields = set(LbpConfig.__dataclass_fields__)
-    if lbp is not None and not (isinstance(lbp, dict) and set(lbp) == fields):
+    # a record from before lbp_circular held the rule names a sampler: "bilinear", which every
+    # command wrote (the basic map sampled nearest anyway), or the basic map's own "nearest"
+    sampled = lbp.get("interpolation", "bilinear") if isinstance(lbp, dict) else "bilinear"
+    if lbp is not None and not (isinstance(lbp, dict) and set(lbp) - {"interpolation"} == fields):
         raise ValueError(f"the feature pipeline's 'lbp' entry is {lbp!r}, "
                          f"not null or a record of {sorted(fields)}")
+    lbp = None if lbp is None else LbpConfig(**{name: lbp[name] for name in fields})
+    if sampled != "bilinear" and not (sampled == "nearest" and samples_nearest(lbp)):
+        raise ValueError(f"the feature pipeline's 'lbp' entry asks for {sampled!r} sampling, "
+                         "which lbp_circular does not do at its geometry")
     model = None
     if _entry(meta, "has_pca"):
         stage = {field: np.asarray(_entry(arrays, name, "array"))
@@ -119,9 +133,14 @@ def pipeline_from_payload(meta: dict, arrays) -> FeaturePipeline:
             shapes = ", ".join(f"{name} {stage[field].shape}" for field, name in _PCA_ARRAYS.items())
             raise ValueError(f"the feature pipeline's PCA arrays do not fit together: "
                              f"{shapes}") from None
+    shape = meta.get("image_shape")  # older files have none: images of any size
+    if shape is not None and not (isinstance(shape, list) and list(map(type, shape)) == [int, int]):
+        raise ValueError(f"the feature pipeline's 'image_shape' entry is {shape!r}, "
+                         "not null or [h, w]")
     return FeaturePipeline(
         scale_pixels=bool(_entry(meta, "scale_pixels")),
-        lbp=None if lbp is None else LbpConfig(**lbp),
+        lbp=lbp,
         lbp_mode=_entry(meta, "lbp_mode"),
         pca=model,
+        image_shape=None if shape is None else tuple(shape),
     )

@@ -70,7 +70,7 @@ def load_split_csvs(keypoint_path, image_path) -> Dataset:
     images = load_training_csv(image_path).images
     with open(keypoint_path, newline="") as fh:
         header, *rows = csv.reader(fh)
-    slot_names = _slot_names_from_header(header)
+    slot_names = _slot_names_from_header(keypoint_path, header)
     for row_idx, row in enumerate(rows):
         if len(row) != len(header):
             raise DatasetError(f"row {row_idx}: expected {len(header)} fields, got {len(row)}")

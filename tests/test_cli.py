@@ -27,7 +27,7 @@ from facekeys.dataset import (
     write_image_csv,
     write_training_csv,
 )
-from facekeys.lbp import LbpConfig, _min_rotations, lbp_basic, lbp_circular, lbp_codes
+from facekeys.lbp import LbpConfig, lbp_basic, lbp_circular, lbp_histogram_features
 from facekeys.pipeline import fit_pipeline, pipeline_from_payload
 from facekeys.regressors import (
     KINDS,
@@ -297,19 +297,40 @@ def test_train_rejects_bad_coordinate_descent_settings(tmp_path, csv_path, capsy
     assert not model_file.exists()
 
 
-@pytest.mark.parametrize("lbp", [(), ("--lbp",)], ids=["raw", "lbp"])
-def test_predict_names_the_shape_a_pca_model_was_given(tmp_path, csv_path, capsys, lbp):
-    # a 16x16 model asked about 8x8 images: the error names both shapes
-    model_file = tmp_path / "knn.npz"
-    assert _train(csv_path, model_file, "--model", "knn", "--pca", "16", *lbp) == 0
-    small = tmp_path / "small.csv"
-    write_image_csv(build_dataset(side=8), small)
+@pytest.mark.parametrize("flags, fit_side, side", [
+    (("--model", "knn", "--pca", "16"), 16, 8),
+    (("--model", "knn", "--pca", "16", "--lbp"), 16, 8),
+    (("--model", "ridge", "--lbp", "--lbp-mode", "histogram"), 16, 8),
+    # both sizes make 6x6 cells of 16 pixels, so the histograms alone fit either
+    (("--model", "knn", "--lbp", "--lbp-mode", "histogram", "--pca", "20"), 96, 90),
+], ids=["raw", "lbp", "histogram", "histogram-pca"])
+def test_predict_names_the_shape_a_pca_model_was_given(tmp_path, capsys, flags, fit_side, side):
+    # a model asked about images of another size: the error names both shapes
+    faces, model_file, small = tmp_path / "faces.csv", tmp_path / "m.npz", tmp_path / "small.csv"
+    write_training_csv(build_dataset(side=fit_side), faces)
+    assert _train(faces, model_file, *flags) == 0
+    write_image_csv(build_dataset(side=side), small)
+    capsys.readouterr()
+    out = tmp_path / "p.csv"
+    rc = main(["predict", "--model-file", str(model_file), "--input", str(small),
+               "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    assert capsys.readouterr().err == (
+        f"facekeys: error: images are {side}x{side}, "
+        f"but the feature pipeline was fit on {fit_side}x{fit_side} images\n")
+
+
+def test_predict_names_kaggles_test_csv_header(tmp_path, csv_path, capsys):
+    # Kaggle's test.csv heads its rows ImageId,Image: one line naming the file and the column
+    model_file, kaggle = tmp_path / "knn.npz", tmp_path / "test.csv"
+    assert _train(csv_path, model_file, "--model", "knn") == 0
+    kaggle.write_text("ImageId,Image\n1," + " ".join(["0"] * 256) + "\n")
     capsys.readouterr()
     rc = main(["predict", "--model-file", str(model_file),
-               "--input", str(small), "--out", str(tmp_path / "p.csv")])
+               "--input", str(kaggle), "--out", str(tmp_path / "p.csv")])
     assert rc == 1
-    assert capsys.readouterr().err == (
-        "facekeys: error: X must be (n, 256) rows, got shape (30, 64)\n")
+    assert capsys.readouterr().err == (f"facekeys: error: {kaggle}: coordinate columns must come "
+                                       "in x/y pairs, but 'ImageId' has no partner\n")
 
 
 def test_predict_rejects_a_model_file_without_a_pipeline(tmp_path, csv_path, capsys):
@@ -479,13 +500,15 @@ def _edit_extras(edit):
     (_edit_extras(lambda e: e["pipeline"].pop("scale_pixels")), "no meta entry 'scale_pixels'"),
     (_edit_extras(lambda e: e["pipeline"].pop("lbp_mode")), "no meta entry 'lbp_mode'"),
     (_edit_extras(lambda e: e["pipeline"]["lbp"].update(spin=1)), "'lbp' entry"),
+    (_edit_extras(lambda e: e["pipeline"].update(image_shape=[16])),
+     "'image_shape' entry is [16], not null or [h, w]"),
     (_drop_array("pipe_pca_mean"), "no array 'pipe_pca_mean'"),
     (_edit_extras(lambda e: e.pop("target_names")), "has no extra 'target_names'"),
     (_edit_extras(lambda e: e["target_names"].pop()), "names 6 target columns"),
     (_cut_array("pipe_pca_mean"), "do not fit together: pipe_pca_mean (255,)"),
     (_cut_array("pipe_pca_components", axis=1), "pipe_pca_components (5, 255)"),
-], ids=["no-scale_pixels", "no-lbp_mode", "lbp-unknown-key", "no-pipe_pca_mean",
-        "no-target_names", "short-target_names", "short-pipe_pca_mean",
+], ids=["no-scale_pixels", "no-lbp_mode", "lbp-unknown-key", "short-image_shape",
+        "no-pipe_pca_mean", "no-target_names", "short-target_names", "short-pipe_pca_mean",
         "narrow-pipe_pca_components"])
 def test_predict_rejects_a_tampered_pipeline(tmp_path, csv_path, capsys, tamper, fragment):
     model_file = tmp_path / "knn.npz"
@@ -501,6 +524,52 @@ def test_predict_rejects_a_tampered_pipeline(tmp_path, csv_path, capsys, tamper,
     err = capsys.readouterr().err
     assert err.startswith("facekeys: error:") and fragment in err
     assert len(err.splitlines()) == 1
+
+
+def _add_sampler(model_file, sampled):
+    """Rewrite model_file's lbp record as files written before the sampling
+    rule moved into lbp_circular: with an interpolation entry."""
+    with np.load(model_file) as data:
+        arrays = {name: data[name] for name in data.files}
+    _edit_extras(lambda e: e["pipeline"]["lbp"].update(interpolation=sampled))(arrays)
+    np.savez(model_file, **arrays)
+
+
+@pytest.mark.parametrize("flags, sampled", [
+    ((), "bilinear"),
+    (("--lbp-rotation-invariant",), "bilinear"),
+    (("--lbp-neighbors", "12", "--lbp-radius", "2"), "bilinear"),
+    ((), "nearest"),
+], ids=["p8r1-bilinear", "p8r1-ri-bilinear", "p12r2-bilinear", "p8r1-nearest"])
+def test_predict_reads_an_old_lbp_record_unchanged(tmp_path, csv_path, flags, sampled):
+    # every command wrote "bilinear"; "nearest" is the basic map's own sampler
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--lbp", "--pca", "5", *flags) == 0
+    predict = ["predict", "--model-file", str(model_file), "--input", str(csv_path), "--out"]
+    assert main([*predict, str(tmp_path / "new.csv")]) == 0
+    _add_sampler(model_file, sampled)
+    assert main([*predict, str(tmp_path / "old.csv")]) == 0
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "new.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags, sampled", [
+    (("--lbp-radius", "1.5"), "nearest"),
+    (("--lbp-neighbors", "12", "--lbp-radius", "2"), "nearest"),
+    (("--lbp-rotation-invariant",), "nearest"),
+    ((), "cubic"),
+], ids=["p8r1.5-nearest", "p12r2-nearest", "p8r1-ri-nearest", "p8r1-cubic"])
+def test_predict_refuses_an_lbp_record_the_rule_does_not_sample(tmp_path, csv_path, capsys,
+                                                                flags, sampled):
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--lbp", "--pca", "5", *flags) == 0
+    _add_sampler(model_file, sampled)
+    capsys.readouterr()
+    rc = main(["predict", "--model-file", str(model_file),
+               "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"facekeys: error: the feature pipeline's 'lbp' entry asks for {sampled!r} sampling, "
+        "which lbp_circular does not do at its geometry\n")
 
 
 def _cut_at(fraction):
@@ -986,7 +1055,7 @@ def test_lbp_command_rotation_invariant_variant(tmp_path, csv_path):
     assert main(["lbp", "--input", str(csv_path), "--lbp-rotation-invariant",
                  "--out", str(out)]) == 0
     d = load_training_csv(csv_path)
-    expected = _min_rotations(lbp_circular(d.images[0], LbpConfig()), 8).astype(np.uint8)
+    expected = lbp_circular(d.images[0], LbpConfig(rotation_invariant=True)).astype(np.uint8)
     assert np.array_equal(read_pgm(out), expected)
 
 
@@ -1021,12 +1090,37 @@ def test_lbp_command_renders_the_codes_the_pipeline_trains_on(tmp_path, csv_path
     out = tmp_path / "codes.pgm"
     assert main(["lbp", "--input", str(csv_path), "--row", "3", *flags, "--out", str(out)]) == 0
     images = load_training_csv(csv_path).images
-    codes = lbp_codes(images[3], cfg)
+    codes = lbp_circular(images[3], cfg)
     trained = fit_pipeline(images, lbp=cfg)[1].values[3].reshape(codes.shape)
     assert np.array_equal(trained, codes)
     reference = tmp_path / "reference.pgm"
     render_lbp(codes, cfg.neighbors, reference)
     assert out.read_bytes() == reference.read_bytes()
+
+
+@pytest.mark.parametrize("mode", ["pixel_map", "histogram"])
+@pytest.mark.parametrize("rotation_invariant", [False, True], ids=["plain", "ri"])
+@pytest.mark.parametrize("radius", ["1", "1.5", "2"])
+@pytest.mark.parametrize("neighbors", ["8", "12", "16"])
+def test_a_model_files_lbp_record_gives_the_codes_training_used(tmp_path, csv_path, neighbors,
+                                                               radius, rotation_invariant, mode):
+    # lbp_circular on the record alone rebuilds the features the knn stored and
+    # the saved pipeline makes: the record is what the codes used
+    flags = ["--lbp-neighbors", neighbors, "--lbp-radius", radius, "--lbp-mode", mode]
+    flags += ["--lbp-rotation-invariant"] * rotation_invariant
+    model_file = tmp_path / "knn.npz"
+    assert _train(csv_path, model_file, "--model", "knn", "--lbp", *flags) == 0
+    model, extras = load_model(model_file)
+    cfg = LbpConfig(**extras["pipeline"]["lbp"])
+    assert (cfg.neighbors, cfg.radius, cfg.rotation_invariant) == (
+        int(neighbors), float(radius), rotation_invariant)
+    images = split_by_keypoint_coverage(load_training_csv(csv_path))[0].images  # task four
+    codes = lbp_circular(images, cfg)
+    features = (lbp_histogram_features(codes, cfg) if mode == "histogram"
+                else codes.reshape(len(images), -1).astype(np.float64))
+    assert np.array_equal(model.X, features)  # a knn keeps its training rows
+    pipe = pipeline_from_payload(extras["pipeline"], extras)
+    assert np.array_equal(pipe.transform(images).values, features)
 
 
 @pytest.mark.parametrize("flag", [("--circular",), ("--neighbors", "12"), ("--radius", "2"),

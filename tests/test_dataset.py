@@ -103,6 +103,18 @@ def test_load_errors(tmp_path, text, fragment):
     assert fragment in str(exc.value).replace("\\", "")
 
 
+@pytest.mark.parametrize("header, columns", [
+    ("ImageId,Image", "'ImageId' has no partner"),  # Kaggle's test.csv
+    ("a_x,a_y,b_x,Image", "'b_x' has no partner"),
+    ("a_x,b_y,Image", "columns 'a_x', 'b_y' are not an x/y pair"),
+])
+def test_a_bad_coordinate_header_names_the_file_and_its_columns(tmp_path, header, columns):
+    path = _write(tmp_path, header + "\n" + ",".join(["1"] * header.count(",")) + ",0\n")
+    with pytest.raises(DatasetError) as exc:
+        load_training_csv(path)
+    assert str(exc.value).startswith(f"{path}: ") and columns in str(exc.value)
+
+
 def test_load_error_names_row_and_column(tmp_path):
     text = "a_x,a_y,Image\n1,2,0 0 0 0\n1,bad,0 0 0 0\n"
     with pytest.raises(DatasetError) as exc:

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -10,7 +8,6 @@ from facekeys.lbp import (
     circle_offsets,
     lbp_basic,
     lbp_circular,
-    lbp_codes,
     lbp_histogram_features,
 )
 
@@ -47,15 +44,14 @@ def center_code(window) -> int:
 
 def min_rotation_code(code: int, neighbors: int) -> int:
     """Rotation-invariant form of code, as lbp_circular computes it: the
-    center of a 3x3 window whose radius-1 nearest samples set exactly the
-    bits of code (a sample of 1 ties the center, one of 0 is below it)."""
+    center of a 3x3 window whose radius-1 bilinear samples set exactly the
+    bits of code. Against a center of 0, a bit's pixel is +1 or -1, and a
+    corner's is +-10, so it outweighs the axis pixels its sample also reads."""
     window = np.zeros((3, 3))
-    window[1, 1] = 1.0
     for p, (dr, dc) in enumerate(circle_offsets(neighbors, 1.0)):
-        if code >> p & 1:
-            window[1 + int(np.rint(dr)), 1 + int(np.rint(dc))] = 1.0
-    cfg = LbpConfig(neighbors=neighbors, radius=1.0, rotation_invariant=True,
-                    interpolation="nearest")
+        r, c = int(np.rint(dr)), int(np.rint(dc))
+        window[1 + r, 1 + c] = (1.0 if code >> p & 1 else -1.0) * (10.0 if r and c else 1.0)
+    cfg = LbpConfig(neighbors=neighbors, radius=1.0, rotation_invariant=True)
     return int(lbp_circular(window, cfg)[1, 1])
 
 
@@ -74,10 +70,10 @@ def reference_basic(img) -> np.ndarray:
     return codes
 
 
-def reference_sample_plane(a: np.ndarray, dr: float, dc: float, interpolation: str) -> np.ndarray:
+def reference_sample_plane(a: np.ndarray, dr: float, dc: float, nearest: bool) -> np.ndarray:
     """Sample one float image at (row+dr, col+dc) per pixel, edges clamped."""
     h, w = a.shape
-    if interpolation == "nearest":
+    if nearest:
         dr, dc = float(np.rint(dr)), float(np.rint(dc))
     if dr == int(dr) and dc == int(dc):
         r = np.clip(np.arange(h) + int(dr), 0, h - 1)
@@ -100,12 +96,16 @@ def reference_sample_plane(a: np.ndarray, dr: float, dc: float, interpolation: s
     return top + (bottom - top) * fr[:, None]
 
 
-def reference_circular(img, cfg: LbpConfig) -> np.ndarray:
-    """Circular map of one image, sampled in float64, int64 codes throughout."""
+def reference_circular(img, cfg: LbpConfig, nearest: bool | None = None) -> np.ndarray:
+    """Circular map of one image, sampled in float64, int64 codes throughout.
+    nearest defaults to the sampling rule: only P=8, R=1 without rotation
+    invariance samples the nearest pixels, every other geometry bilinearly."""
+    if nearest is None:
+        nearest = (cfg.neighbors, cfg.radius, cfg.rotation_invariant) == (8, 1.0, False)
     a = np.asarray(img, dtype=np.float64)
     codes = np.zeros(a.shape, dtype=np.int64)
     for p, (dr, dc) in enumerate(circle_offsets(cfg.neighbors, cfg.radius)):
-        sampled = reference_sample_plane(a, dr, dc, cfg.interpolation)
+        sampled = reference_sample_plane(a, dr, dc, nearest)
         codes |= (sampled >= a).astype(np.int64) << p
     if cfg.rotation_invariant:
         mask = (1 << cfg.neighbors) - 1
@@ -193,37 +193,36 @@ def test_circle_offsets_p8_r1_order():
 def test_circular_nearest_equals_basic():
     # every pixel agrees, borders included, on square and non-square images
     rng = np.random.default_rng(3)
-    cfg = LbpConfig(neighbors=8, radius=1.0, interpolation="nearest")
+    cfg = LbpConfig(neighbors=8, radius=1.0)
     for shape in ((10, 10), (7, 13)):
         img = rng.integers(0, 256, shape)
         assert np.array_equal(lbp_circular(img, cfg), lbp_basic(img))
 
 
-
-@pytest.mark.parametrize("cfg, sampled", [
-    (LbpConfig(), "nearest"),
-    (LbpConfig(interpolation="nearest"), "nearest"),
-    (LbpConfig(rotation_invariant=True), "bilinear"),
-    (LbpConfig(rotation_invariant=True, interpolation="nearest"), "nearest"),
-    (LbpConfig(radius=2.0), "bilinear"),
-    (LbpConfig(neighbors=12, radius=2.0, interpolation="nearest"), "nearest"),
-], ids=["p8r1", "p8r1-nearest", "p8r1-ri", "p8r1-ri-nearest", "p8r2", "p12r2-nearest"])
-def test_lbp_codes_takes_the_basic_map_only_for_plain_p8_r1(cfg, sampled):
-    # the one rule: P=8, R=1 without rotation invariance samples the nearest
-    # pixels; any other geometry keeps the config's interpolation
-    img = np.random.default_rng(4).integers(0, 256, (3, 9, 11))
-    expected = lbp_circular(img, dataclasses.replace(cfg, interpolation=sampled))
-    assert np.array_equal(lbp_codes(img, cfg), expected)
-    if cfg.neighbors == 8 and cfg.radius == 1.0 and not cfg.rotation_invariant:
-        assert np.array_equal(lbp_codes(img, cfg), lbp_basic(img))
+@pytest.mark.parametrize("cfg, nearest", [
+    (LbpConfig(), True),
+    (LbpConfig(rotation_invariant=True), False),
+    (LbpConfig(radius=2.0), False),
+    (LbpConfig(radius=1.5), False),
+    (LbpConfig(neighbors=12, radius=2.0), False),
+], ids=["p8r1", "p8r1-ri", "p8r2", "p8r1.5", "p12r2"])
+def test_lbp_codes_takes_the_basic_map_only_for_plain_p8_r1(cfg, nearest):
+    # the one rule, in lbp_circular: P=8, R=1 without rotation invariance
+    # samples the nearest pixels, and every other geometry bilinearly
+    imgs = np.random.default_rng(4).integers(0, 256, (3, 9, 11))
+    expected = np.stack([reference_circular(img, cfg, nearest) for img in imgs])
+    assert np.array_equal(lbp_circular(imgs, cfg), expected)
+    assert lbp_mod.samples_nearest(cfg) == nearest
+    if nearest:
+        assert np.array_equal(expected, lbp_basic(imgs))
 
 
 BLOCK_CONFIGS = [
-    LbpConfig(neighbors=8, radius=1.0, interpolation="nearest"),
+    LbpConfig(neighbors=8, radius=1.0),
     LbpConfig(neighbors=8, radius=1.0, rotation_invariant=True),
     LbpConfig(neighbors=4, radius=1.0),
     LbpConfig(neighbors=12, radius=2.0),
-    LbpConfig(neighbors=8, radius=1.5, interpolation="nearest"),
+    LbpConfig(neighbors=8, radius=1.5),
     LbpConfig(neighbors=24, radius=3.0),
 ]
 
@@ -268,8 +267,8 @@ def test_circular_bilinear_on_linear_ramp():
 
 
 def test_circular_constant_image_is_all_ones():
-    for interp in ("bilinear", "nearest"):
-        cfg = LbpConfig(neighbors=8, radius=1.0, interpolation=interp)
+    # nearest and bilinear samples of a constant image both tie the center
+    for cfg in (LbpConfig(), LbpConfig(radius=1.5)):
         codes = lbp_circular(np.full((8, 8), 9), cfg)
         assert np.all(codes == 255)
 
@@ -301,8 +300,7 @@ def test_quarter_turn_consistency_rotation_invariant():
     # P/4 bits, so min-rotation codes commute with np.rot90
     rng = np.random.default_rng(6)
     img = rng.integers(0, 256, (10, 10)).astype(np.float64)
-    cfg = LbpConfig(neighbors=8, radius=1.0, rotation_invariant=True,
-                    interpolation="nearest")
+    cfg = LbpConfig(neighbors=8, radius=1.0, rotation_invariant=True)
     a = lbp_circular(img, cfg)
     b = lbp_circular(np.rot90(img), cfg)
     assert np.array_equal(b, np.rot90(a))
@@ -317,11 +315,10 @@ def test_min_rotation_matches_string_oracle_all_codes():
 
 
 def test_min_rotation_vectorized_matches_scalar():
-    cfg = LbpConfig(neighbors=8, radius=1.0, rotation_invariant=True,
-                    interpolation="nearest")
+    cfg = LbpConfig(neighbors=8, radius=1.0, rotation_invariant=True)
     rng = np.random.default_rng(7)
     img = rng.integers(0, 256, (9, 9))
-    plain = lbp_basic(img)
+    plain = reference_circular(img, LbpConfig(), nearest=False)
     ri = lbp_circular(img, cfg)
     expect = np.vectorize(oracle_min_rotation)(plain)
     assert np.array_equal(ri, expect)
@@ -432,7 +429,6 @@ def test_histogram_rejects_out_of_range_codes():
         {"radius": 0.0},
         {"radius": -1.0},
         {"cell_size": 0},
-        {"interpolation": "cubic"},
     ],
 )
 def test_config_validation(kwargs):

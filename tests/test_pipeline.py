@@ -114,3 +114,25 @@ def test_payload_round_trip(with_lbp, with_pca):
     a = pipe.transform(probe)
     b = back.transform(probe)
     assert np.array_equal(a.values, b.values)
+
+
+def test_a_fit_pipeline_refuses_images_of_another_size():
+    pipe, _ = fit_pipeline(images(), lbp=LbpConfig(cell_size=8), lbp_mode="histogram")
+    assert pipe.image_shape == (16, 16)
+    with pytest.raises(ValueError, match="images are 24x24, but the feature pipeline "
+                                         "was fit on 16x16 images"):
+        pipe.transform(images(side=24))
+
+
+def test_the_payload_records_the_lbp_geometry_and_image_shape():
+    pipe, _ = fit_pipeline(images(), lbp=LbpConfig())
+    meta, _ = pipeline_to_payload(pipe)
+    assert meta["lbp"] == {"neighbors": 8, "radius": 1.0, "rotation_invariant": False,
+                           "cell_size": 16}
+    assert meta["image_shape"] == [16, 16]
+    assert pipeline_from_payload(meta, {}).image_shape == (16, 16)
+    # a file written before the entry existed transforms images of any size
+    del meta["image_shape"]
+    old = pipeline_from_payload(meta, {})
+    assert old.image_shape is None
+    assert old.transform(images(n=2, side=8)).values.shape == (2, 64)
