@@ -21,8 +21,10 @@ def check_fit_inputs(X, Y, min_rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
 
 
 def check_rows(X, n_features: int) -> np.ndarray:
-    """X as float64 (n, n_features) rows, the input of every predict."""
+    """Finite float64 X (n, n_features) rows, the input of every predict."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
         raise ValueError(f"X must be (n, {n_features}) rows, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise ValueError("X must be finite (no NaN or inf)")
     return X

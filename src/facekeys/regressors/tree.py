@@ -15,11 +15,20 @@ over the arrays visits every node after its parent.
 The grower sorts every column once at the root (stable, int32 row ids)
 and hands each child its share of every sorted list, kept in order by a
 boolean mask (the presorted attribute lists of CART and SLIQ), so no node
-sorts again. A node then finds its split in two scans, each over its
-columns in passes of about _PASS_ELEMENTS gathered target values:
+sorts again. A node then finds its split in a screen and two scans, each
+over its columns in passes of about _PASS_ELEMENTS gathered values:
 
-1. The rank scan takes one prefix sum of the targets along each column's
-   order and scores every position by the gain
+1. The screen bounds each column's best gain from the node's targets
+   projected on their top r principal directions, for each width r of
+   _SCREEN_WIDTHS below m in turn, and drops the columns whose bound is
+   below a lower bound on the winner's gain, which the rank scan of the
+   _SCREEN_PROBES columns of largest bound gives. It gathers r values
+   per row instead of m, and no X: the bound is a max over every
+   position, candidate or not. Nodes of fewer than _SCREEN_ROWS rows,
+   and targets of m <= r outputs, skip it.
+2. The rank scan, on the columns the screen keeps, takes one prefix sum
+   of the targets along each column's order and scores every position by
+   the gain
    ``G = sum_k L_k^2 / n_L + sum_k (T_k - L_k)^2 / n_R``, where L_k is
    the left child's sum of output k, T_k the node's (summed once), and
    n_L, n_R the child sizes. It computes G as
@@ -27,7 +36,7 @@ columns in passes of about _PASS_ELEMENTS gathered target values:
    TT = sum_k T_k^2 and T.L = sum_k T_k L_k: one einsum over the outputs
    and one product with the node totals. Positions that are not
    candidates score -inf, and one max per column keeps its best G.
-2. The exact scan runs only on the columns whose best G is at least
+3. The exact scan runs only on the columns whose best G is at least
    ``G_max - M``. Each candidate's children error comes from prefix sums
    of y and of y * y, by the same float operations in the same order as
    a scan that argsorts each column at each node, and the first minimum
@@ -67,11 +76,74 @@ certified. The exact scan computes the same value for every candidate it
 sees, and c is a first minimum over all of them, so it is the first
 minimum over the certified ones too.
 
-At the 360-row root of a 48x48 fit one column of 2304 is certified. The
-worst case is a node where many columns tie, such as duplicated columns
-or nodes of a few rows, where hundreds of columns split the rows the same
-way: all of them are certified, and the node costs the rank scan on top
-of the full exact scan.
+Why the screen keeps the winner's column. Take a node of n rows y_i with
+exact mean ybar, and a split with n_L rows on the left, h = 1/n_L + 1/n_R
+and ``D = sum_left (y_i - ybar)``. Its exact gain over not splitting is
+``Delta = G - TT/n = h |D|^2``. The scatter of the y_i - ybar is the
+children's own scatter plus b b^T, b = sqrt(h) D, so ``b b^T <= S_mu``,
+the scatter sum e_i e_i^T of e_i = y_i - mu about the computed mean mu
+(<= orders symmetric matrices; moving the center from ybar to mu adds
+n (ybar - mu)(ybar - mu)^T). All norms below are 2-norms.
+
+- The bound. ``_principal`` takes the eigenvalues w_1 >= ... >= w_m and
+  eigenvectors V that eigh gives for the computed scatter S_c of the
+  c_i = fl(e_i); W holds the first r columns of V. Let
+  ``eps >= |V^T V - I|`` and ``phi >= |V^T S_mu V - diag(w)|``. With
+  z = V^T b, ``z z^T <= V^T S_mu V <= diag(w) + phi I``, so the last
+  m - r entries of z hold at most w_(r+1) + phi, and
+  ``|z|^2 >= (1 - eps) |b|^2``. So
+  ``Delta <= (h |W^T D|^2 + w_(r+1) + phi) / (1 - eps)``.
+- eps and phi. The computed V^T V is off by at most gamma_m |V|^T |V|
+  entrywise, of Frobenius norm at most gamma_m trace(V^T V) <=
+  m gamma_m (1 + eps), so ``eps = 2 m (max|fl(V^T V) - I| + gamma_m)``
+  bounds |V^T V - I|, the 2 covering the rest (m times the largest entry
+  of an m x m matrix bounds its Frobenius norm, and squares nothing that
+  could overflow).
+  ``V^T S_mu V - diag(w)`` is ``V^T (S_mu - S_c) V + V^T R + (V^T V - I)
+  diag(w)``, R = S_c V - V diag(w) the eigen residual. The rounding of
+  the c_i and of C^T C puts S_mu - S_c within gamma_(n+2) |C|^T |C|
+  entrywise, of norm at most about gamma_(n+2) q, q the trace of S_c; the
+  computed R is within gamma_(m+2) sqrt(m (1 + eps)) (q + max|w|) of R;
+  and |V| <= sqrt(1 + eps). So ``phi = 2 (gamma_(n+2) q + m max|fl(R)| +
+  2 m gamma_(m+2) (q + max|w|) + eps max|w|)`` bounds the difference, the
+  2 covering 1 + eps <= 3/2 and the rounding of phi itself. The screen
+  is skipped when eps > 1/2.
+- The projected term. With z_i = W^T e_i, ``W^T D = P - (n_L / n) T``
+  exactly, P the sum of the z_i over the left rows and T over all rows.
+  ``_projected`` computes the prefix sums P^ of the rows fl(c_i W) along
+  each column's order, and T^, the last. Each computed row is within
+  gamma_(m+1) |W|^T |e_i| of z_i, and a prefix sum of n of them within
+  gamma_n of their magnitudes more, so P^ and T^ are within
+  gamma_(n+m+1) |W|^T a of P and T, a = sum_i |e_i|, a vector of norm at
+  most sqrt(r (1 + eps)) |a|. With h <= 2, sqrt(h) |W^T D| is at most
+  ``sqrt(t) + 1.5 (|T^| + sqrt(r) rho)``, where t is the computed
+  h |P^|^2 (off by a relative gamma_(r+4)) and
+  ``rho = 8 gamma_(n+m+3) |a|_1`` (``rounding``; |a|_1 >= |a|). A
+  column's bound takes the largest t over the positions lo <= p < hi:
+  ``((sqrt(t) + 1.5 (|T^| + sqrt(r) rho))^2 + max(w_(r+1), 0) + phi) /
+  (1 - eps)``, times 1 + 1e-12 for the rounding of t and of this
+  formula, a dozen operations on nonnegative floats.
+- The lower bound. Let g be the largest computed gain of the probe
+  columns, a candidate's. Above, its exact G is at least g - M/4, the
+  computed TT/n (tt) is within 3 gamma_(n+m) S <= M/16 of the exact, and
+  the winner c has G(c) >= G - M/2 for every candidate. So
+  ``Delta(c) >= g - tt - 13M/16``, while the computed ``g - tt - M`` is
+  at most ``g - tt - 15M/16``. Every column whose bound is below it
+  therefore gains less than c, and c's column is kept.
+
+The rank scan and the certification then run on the kept columns. The
+largest computed gain among fewer columns is no larger, so the
+certification argument holds as it stands, and the exact scan computes
+each column's values without regard to the columns beside it.
+
+At the 360-row root of a study-raw fit the screen keeps 40 of 2304
+columns and the rank certifies one. The worst cases are a node where many
+columns tie, such as duplicated columns or nodes of a few rows, where
+hundreds of columns split the rows the same way: all of them are
+certified, and the node costs the screen and the rank scan on top of the
+full exact scan; and targets with no dominant directions, such as
+independent noise, where w_(r+1) is about as large as the best gain and
+the screen drops nothing.
 """
 
 from __future__ import annotations
@@ -91,6 +163,28 @@ from ._inputs import check_fit_inputs, check_rows
 #: 11.9 MB at 2^18, against a 6.3 MB X. From 2^15 to 2^17 the medians
 #: are within each other's quartiles.
 _PASS_ELEMENTS = 1 << 16
+
+#: Widths r of the principal projections that screen a node's columns
+#: before the rank scan, each applied to the columns the one before kept;
+#: a width of m outputs or more is skipped. On the same host, three
+#: depth-5 study-raw fits (360 rows, 2304 columns, 8 outputs, corpus seeds
+#: 1-3) took a median of 0.82 s with no screen, 0.53 s at (2,), 0.46 s
+#: at (4,), 0.45 s at (2, 4) and 0.43 s at (2, 4, 6) (five runs; the last
+#: two within each other's spread). A width of 2 keeps about a quarter of
+#: the columns for the price of two gathered values a row.
+_SCREEN_WIDTHS = (2, 4)
+
+#: Nodes of fewer rows skip the screen. The three fits above took 0.44,
+#: 0.45, 0.46 and 0.54 s with a floor of 2, 16, 32 and 64 rows.
+_SCREEN_ROWS = 16
+
+#: Columns, those of the largest bounds, whose gains give the screen its
+#: lower bound on the winner's gain. The three fits took 0.47, 0.44 and
+#: 0.44 s with 1, 8 and 32 probes.
+_SCREEN_PROBES = 8
+
+#: The unit roundoff u of float64.
+_U = np.finfo(np.float64).eps / 2
 
 #: The node arrays in file order, and the dtype of each.
 NODE_ARRAYS = {
@@ -181,33 +275,112 @@ def _prefix_sums(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _gamma(j: int) -> float:
+    """gamma_j = j u / (1 - j u), the bound on j roundings."""
+    return j * _U / (1 - j * _U)
+
+
 def _margin(Y: np.ndarray) -> float:
     """M for a node whose targets are Y (n, m): the exact scan's winner
     lies in a column whose best gain is within M of the best gain (see
     the module docstring)."""
     n, m = Y.shape
-    u = np.finfo(np.float64).eps / 2
-    gamma = (n + m) * u / (1 - (n + m) * u)
     a = np.abs(Y).sum(axis=0)
-    return 64 * gamma * float((Y * Y).sum() + (a * a).sum())
+    return 64 * _gamma(n + m) * float((Y * Y).sum() + (a * a).sum())
 
 
-def _rank(X, Y, order, lo, hi, total) -> np.ndarray:
-    """Each column's largest gain G over its candidates (-inf: none), for
-    a node whose target sums are total, scored at every position in one
-    pass (see the module docstring)."""
+def _rank(X, Y, order, cols, lo, hi, total) -> np.ndarray:
+    """The largest gain G over its candidates (-inf: none) of each column
+    cols[i], whose node rows order[i] lists in sorted order, for a node
+    whose target sums are total, scored at every position in one pass
+    (see the module docstring)."""
     n, m = order.shape[1], Y.shape[1]
     n_left = np.arange(lo + 1.0, hi + 1.0)
     n_right = n - n_left
     share = 1.0 / n_left + 1.0 / n_right
     tt = float(total @ total)
-    gain = np.empty(order.shape[0])
-    for js, ids, _, candidate in _passes(X, order, np.arange(len(order)), lo, hi, m):
+    gain = []
+    for _, ids, _, candidate in _passes(X, order, cols, lo, hi, m):
         cum = _prefix_sums(np.take(Y, ids, axis=0))
         ll = np.einsum("cpk,cpk->cp", cum, cum)[:, lo:hi]
         g = ll * share + (tt - 2.0 * (cum @ total)[:, lo:hi]) / n_right
-        gain[js] = np.where(candidate, g, -np.inf).max(axis=1, initial=-np.inf)
-    return gain
+        gain.append(np.where(candidate, g, -np.inf).max(axis=1, initial=-np.inf))
+    return np.concatenate(gain)
+
+
+def _principal(C: np.ndarray):
+    """(w, V, eps, phi) for centered targets C (n, m): the eigenvalues w
+    of the scatter C^T C, descending, with their eigenvectors in the
+    columns of V; eps bounds ||V^T V - I|| and phi the error of the
+    computed eigenpairs as a split of the exact scatter (see the module
+    docstring). None when eps > 1/2."""
+    n, m = C.shape
+    S = C.T @ C
+    w, V = np.linalg.eigh(S)
+    # m times the largest entry bounds an m x m Frobenius norm, and squares nothing
+    eps = 2 * m * (float(np.abs(V.T @ V - np.eye(m)).max()) + _gamma(m))
+    if not eps <= 0.5:
+        return None
+    top = float(np.abs(w).max())
+    q = float(np.trace(S))
+    residual = m * float(np.abs(S @ V - V * w).max())
+    phi = 2 * (_gamma(n + 2) * q + residual + 2 * m * _gamma(m + 2) * (q + top)
+               + eps * top)
+    return w[::-1], V[:, ::-1], eps, phi
+
+
+def _projected(Z, order, lo, hi, share):
+    """Per column of the sorted lists order, the largest ``share |P|^2``
+    over the positions lo <= p < hi, candidates or not, and |T|, where P
+    is the prefix sum of the rows of Z (N, r) along the column's order at
+    p and T the sum of all of them."""
+    n, r = order.shape[1], Z.shape[1]
+    reach, ends = np.empty(len(order)), np.empty(len(order))
+    ones = np.ones(r)
+    step = max(1, _PASS_ELEMENTS // (n * r))
+    for start in range(0, len(order), step):
+        cum = _prefix_sums(np.take(Z, order[start : start + step], axis=0))
+        ll = np.square(cum[:, lo:hi]) @ ones
+        ll *= share
+        reach[start : start + step] = ll.max(axis=1)
+        ends[start : start + step] = np.square(cum[:, -1]) @ ones
+    return reach, np.sqrt(ends)
+
+
+def _screen(X, Y, order, lo, hi, node, total, margin):
+    """(cols, lists): the columns, ascending, that may hold the exact
+    scan's first minimum, and their sorted lists, for a node whose
+    targets are node and target sums total. Each column's gain is bounded
+    on the node's top principal target directions, and a column whose
+    bound is below a lower bound on the winner's gain is dropped (see the
+    module docstring)."""
+    n, m = node.shape
+    cols, lists = np.arange(len(order)), order
+    widths = [r for r in _SCREEN_WIDTHS if r < m]
+    if not widths or n < _SCREEN_ROWS:
+        return cols, lists
+    mean = node.mean(axis=0)
+    C = node - mean
+    found = _principal(C)
+    if found is None:
+        return cols, lists
+    w, V, eps, phi = found
+    Z = (Y - mean) @ V  # every row's centered targets in the principal directions
+    n_left = np.arange(lo + 1.0, hi + 1.0)
+    share = 1.0 / n_left + 1.0 / (n - n_left)
+    rounding = 8 * _gamma(n + m + 3) * float(np.abs(C).sum())  # |a|_1 >= |a|_2
+    lower = None
+    for r in widths:
+        reach, ends = _projected(np.ascontiguousarray(Z[:, :r]), lists, lo, hi, share)
+        far = np.sqrt(reach) + 1.5 * (ends + np.sqrt(r) * rounding)
+        bound = (far * far + max(float(w[r]), 0.0) + phi) / (1 - eps) * (1 + 1e-12)
+        if lower is None:
+            probe = np.sort(np.argsort(bound)[-_SCREEN_PROBES:])
+            gain = _rank(X, Y, order[probe], probe, lo, hi, total)
+            lower = gain.max() - float(total @ total) / n - margin
+        keep = bound >= lower
+        cols, lists = cols[keep], lists[keep]
+    return cols, lists
 
 
 def _sse_scan(X, Y, order, cols, lo, hi):
@@ -253,19 +426,21 @@ def _best_split(X: np.ndarray, Y: np.ndarray, order: np.ndarray, min_leaf: int):
     order[j] holds the node's rows in column j's sorted order. A boundary
     after sorted position p is a candidate where the value changes and
     both sides keep min_leaf rows. The first minimum in column-major order
-    wins, which is the lowest feature, then the lowest threshold. The rank
-    scan bounds the columns that minimum can be in, and the exact scan
-    runs on those only.
+    wins, which is the lowest feature, then the lowest threshold. The
+    screen, then the rank scan, bound the columns that minimum can be in,
+    and the exact scan runs on those only.
     """
     n = order.shape[1]
     lo, hi = min_leaf - 1, n - min_leaf  # candidate positions lo <= p < hi
     node = np.take(Y, order[0], axis=0)
-    gain = _rank(X, Y, order, lo, hi, node.sum(axis=0))
+    total, margin = node.sum(axis=0), _margin(node)
+    cols, order = _screen(X, Y, order, lo, hi, node, total, margin)
+    gain = _rank(X, Y, order, cols, lo, hi, total)
     top = gain.max()
     if top == -np.inf:
         return None
-    sure = np.flatnonzero(gain >= top - _margin(node))
-    return _sse_scan(X, Y, order[sure], sure, lo, hi)
+    sure = gain >= top - margin
+    return _sse_scan(X, Y, order[sure], cols[sure], lo, hi)
 
 
 def _node_sse(Y: np.ndarray) -> float:
@@ -312,13 +487,34 @@ def _grow(X, Y, max_depth, min_leaf) -> dict[str, list]:
         nodes["feature"][node], nodes["threshold"][node] = feature, threshold
         go = X[rows, feature] <= threshold
         goes_left[rows] = go
-        in_left = goes_left[order]
+        left_sse = _open_sse(Y[rows[go]], depth + 1, max_depth, min_leaf)
+        right_sse = _open_sse(Y[rows[~go]], depth + 1, max_depth, min_leaf)
+        left_order, right_order = _split_lists(order, goes_left, int(go.sum()),
+                                               left_sse is not None, right_sse is not None)
         # the right child is pushed first, so the left one grows first
-        for side, keep, links in ((~go, ~in_left, nodes["right"]), (go, in_left, nodes["left"])):
-            child_sse = _open_sse(Y[rows[side]], depth + 1, max_depth, min_leaf)
-            child_order = None if child_sse is None else order[keep].reshape(len(order), -1)
-            stack.append((rows[side], child_sse, child_order, depth + 1, links, node))
+        stack.append((rows[~go], right_sse, right_order, depth + 1, nodes["right"], node))
+        stack.append((rows[go], left_sse, left_order, depth + 1, nodes["left"], node))
     return nodes
+
+
+def _split_lists(order, goes_left, n_left, want_left, want_right):
+    """The children's sorted lists (d, n_left) and (d, n - n_left), each
+    None unless wanted: row j of a child's lists is row j of order with
+    only the ids that go to that child, in order. goes_left is indexed by
+    row id. Compressed in blocks of about _PASS_ELEMENTS ids, so no mask
+    is d x n."""
+    d, n = order.shape
+    left = np.empty((d, n_left), dtype=order.dtype) if want_left else None
+    right = np.empty((d, n - n_left), dtype=order.dtype) if want_right else None
+    step = max(1, _PASS_ELEMENTS // n)
+    for start in range(0, d, step):
+        block = order[start : start + step].ravel()
+        mask = goes_left[block]
+        if want_left:
+            np.compress(mask, block, out=left[start : start + step].reshape(-1))
+        if want_right:
+            np.compress(~mask, block, out=right[start : start + step].reshape(-1))
+    return left, right
 
 
 def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> TreeModel:
@@ -326,19 +522,21 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
 
     max_depth=None grows until leaves are pure or too small, which makes
     the tree reproduce its training targets exactly when feature rows are
-    distinct. Columns are sorted once, at the root. Each node ranks all
-    of them by a one-prefix-sum gain, then runs the exact error scan on
-    the columns whose gain is within the rounding margin M of the best;
-    the module docstring proves that these hold the split a full exact
-    scan picks, so the tree is that scan's to the last bit. Ties go to the
-    lowest feature, then the lowest threshold. Where many columns tie (a
-    node of a few rows, duplicated columns) all of them are scanned
-    exactly, and the node costs about what a full scan plus the rank scan
-    costs. Depth is bounded by memory, not by the recursion limit. NaN or
-    inf in X or Y raises ValueError, and so does a target above
-    sqrt(F / m) / (4 n) in magnitude, with F the largest float64, n rows
-    and m outputs: under that bound no prefix sum, squared prefix sum,
-    gain, margin or summed error reaches inf.
+    distinct. Columns are sorted once, at the root. Each node bounds every
+    column's gain on the top principal directions of its targets and
+    drops the columns whose bound is below a proven lower bound on the
+    winner's gain, ranks the rest by a one-prefix-sum gain, then runs the
+    exact error scan on the columns whose gain is within the rounding
+    margin M of the best; the module docstring proves that these hold the
+    split a full exact scan picks, so the tree is that scan's to the last
+    bit. Ties go to the lowest feature, then the lowest threshold. Where
+    many columns tie (a node of a few rows, duplicated columns) all of
+    them are scanned exactly, and the node costs about what a full scan
+    plus the screen and the rank scan cost. Depth is bounded by memory, not by the
+    recursion limit. NaN or inf in X or Y raises ValueError, and so does
+    a target above sqrt(F / m) / (4 n) in magnitude, with F the largest
+    float64, n rows and m outputs: under that bound no prefix sum,
+    squared prefix sum, gain, margin, scatter or summed error reaches inf.
     """
     X, Y = check_fit_inputs(X, Y)
     n, m = Y.shape

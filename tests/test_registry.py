@@ -78,6 +78,18 @@ def test_zero_rows_predict_empty_and_refuse_to_fit(kind):
         fit_any(RegressorSpec(kind, _SMALL[kind]), X[:0], Y[:0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", KINDS)
+def test_predict_refuses_non_finite_rows(kind, bad):
+    # a tree used to route a NaN row right at every node and return a leaf
+    X, Y = flat_data(n=20, d=16)
+    model = fit_any(RegressorSpec(kind, _SMALL[kind]), X, Y)
+    rows = X[:3].copy()
+    rows[1, 5] = bad
+    with pytest.raises(ValueError, match=r"^X must be finite \(no NaN or inf\)$"):
+        predict_any(model, rows)
+
+
 @pytest.mark.parametrize("kind", ["mlp", "cnn"])
 def test_a_fitted_network_is_views_of_one_parameter_vector(kind):
     X, Y = flat_data(n=20, d=16)

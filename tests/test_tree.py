@@ -1,6 +1,7 @@
 import sys
 import tracemalloc
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -393,11 +394,60 @@ def test_prefix_sums_are_cumsums_bit_for_bit(m):
 
 
 def _full_scan_fit(monkeypatch, X, Y, **kwargs):
-    """tree_fit with every column certified: the exact scan runs over all
-    of them, as it would with no rank scan in front."""
+    """tree_fit with no column screened out and every column certified:
+    the exact scan runs over all of them at every node, as it would with
+    neither the screen nor the rank scan in front."""
+    scan = tree_module._sse_scan
+
+    def every_column(X, Y, order, cols, lo, hi):
+        assert np.array_equal(cols, np.arange(X.shape[1]))
+        return scan(X, Y, order, cols, lo, hi)
+
     with monkeypatch.context() as patch:
+        patch.setattr(tree_module, "_SCREEN_WIDTHS", ())
         patch.setattr(tree_module, "_margin", lambda Y: np.inf)
+        patch.setattr(tree_module, "_sse_scan", every_column)
         return tree_fit(X, Y, **kwargs)
+
+
+def _keypoint_targets(rng, X, m, jitter=0.5):
+    """Keypoint-like targets: m coordinates near fixed spots that move
+    together, one common shift driven by the pixels of columns 0-3, a
+    weaker second one by column 4, and a little independent jitter."""
+    shift = 6.0 * (X[:, 0] - X[:, 1]) + 3.0 * X[:, 2] * X[:, 3]
+    tilt = 2.0 * X[:, 4]
+    spots = rng.uniform(20.0, 76.0, size=m)
+    Y = spots + np.outer(shift, rng.normal(size=m)) + np.outer(tilt, rng.normal(size=m))
+    return Y + jitter * rng.normal(size=Y.shape)
+
+
+def _ranked_columns(monkeypatch):
+    """A list that records how many columns each call of the m-output
+    rank scan gets, probes included."""
+    ranked = []
+    rank = tree_module._rank
+
+    def spy(X, Y, order, cols, lo, hi, total):
+        ranked.append((order.shape[1], len(cols)))
+        return rank(X, Y, order, cols, lo, hi, total)
+
+    monkeypatch.setattr(tree_module, "_rank", spy)
+    return ranked
+
+
+def _kept_columns(monkeypatch):
+    """A list that records, for each node the screen sees, how many of its
+    columns it keeps and how many it had."""
+    kept = []
+    screen = tree_module._screen
+
+    def spy(X, Y, order, *args):
+        cols, lists = screen(X, Y, order, *args)
+        kept.append((len(cols), len(order)))
+        return cols, lists
+
+    monkeypatch.setattr(tree_module, "_screen", spy)
+    return kept
 
 
 @pytest.mark.parametrize("columns", ["duplicated", "pixels"])
@@ -416,24 +466,116 @@ def test_certified_scan_equals_the_full_scan(monkeypatch, columns, offset, n_out
     assert_same_tree(model, reference_tree_fit(X, Y, None, min_leaf))
 
 
+@pytest.mark.parametrize("targets", ["keypoints", "rank-one", "offset"])
+@pytest.mark.parametrize("n_outputs", [1, 2, 8, 22])
+@pytest.mark.parametrize("min_leaf", [1, 4])
+def test_screened_scan_equals_the_full_scan(monkeypatch, targets, n_outputs, min_leaf):
+    rng = np.random.default_rng([n_outputs, min_leaf, len(targets)])
+    X = _columns("pixels", rng, 150, 40)
+    Y = _keypoint_targets(rng, X, n_outputs, jitter=0.0 if targets == "rank-one" else 0.5)
+    if targets == "rank-one":  # one shift, no jitter: every eigenvalue past the first is 0
+        Y = Y[:, :1] + np.outer(Y[:, 0] - Y[0, 0], np.arange(n_outputs))
+    if targets == "offset":  # the rounding terms grow with the targets' size
+        Y += 1e6
+    kept = _kept_columns(monkeypatch)
+    model = tree_fit(X, Y, max_depth=None, min_samples_leaf=min_leaf)
+    pruned = sum(k < d for k, d in kept)
+    if n_outputs <= 2:  # m <= r: nothing to screen
+        assert pruned == 0
+    elif targets != "offset":
+        assert pruned >= 5
+    full = _full_scan_fit(monkeypatch, X, Y, max_depth=None, min_samples_leaf=min_leaf)
+    assert_same_tree(model, flatten_tree(full))
+    assert_same_tree(model, reference_tree_fit(X, Y, None, min_leaf))
+
+
 def test_certified_scan_equals_the_full_scan_on_fuzzed_ties(monkeypatch):
-    # few levels, repeated columns and integer targets: many exact ties
+    _fuzzed_ties_equal_the_full_scan(monkeypatch)
+
+
+def test_screened_scan_equals_the_full_scan_on_fuzzed_ties(monkeypatch):
+    monkeypatch.setattr(tree_module, "_SCREEN_ROWS", 2)  # screen even the smallest nodes
+    kept = _kept_columns(monkeypatch)
+    _fuzzed_ties_equal_the_full_scan(monkeypatch)
+    assert sum(k < d for k, d in kept) >= 50
+
+
+def _fuzzed_ties_equal_the_full_scan(monkeypatch):
+    # few levels, repeated columns and integer targets: many exact ties;
+    # half the targets move together, as keypoints do
     rng = np.random.default_rng(8)
-    for _ in range(60):
-        n, d, m = (int(v) for v in rng.integers([4, 1, 1], [40, 10, 5]))
+    for trial in range(60):
+        n, d, m = (int(v) for v in rng.integers([4, 1, 1], [40, 10, 10]))
         X = rng.integers(0, rng.integers(2, 5), size=(n, d)) / 4
         X = X[:, rng.integers(0, d, size=d + 2)]
-        Y = rng.integers(-2, 3, size=(n, m)) * 10.0 ** rng.integers(-3, 7)
+        Y = rng.integers(-2, 3, size=(n, m)) * 1.0
+        if trial % 2:
+            Y = Y[:, :1] * rng.integers(-3, 4, size=m) + rng.integers(0, 2, size=(n, m))
+        Y *= 10.0 ** rng.integers(-3, 7)
         min_leaf = int(rng.integers(1, 4))
         model = tree_fit(X, Y, max_depth=None, min_samples_leaf=min_leaf)
         full = _full_scan_fit(monkeypatch, X, Y, max_depth=None, min_samples_leaf=min_leaf)
         assert_same_tree(model, flatten_tree(full))
+        assert_same_tree(model, reference_tree_fit(X, Y, None, min_leaf))
+
+
+def _exact_best_gains(X, Y, min_leaf):
+    """Each column's largest gain ``n |D|^2 / (n_L n_R)`` over its
+    candidates in exact rationals, D the left child's sum of the targets
+    minus their mean (None: no candidate)."""
+    n, m = Y.shape
+    rows = [[Fraction(v) for v in row] for row in Y.tolist()]
+    total = [sum(row[k] for row in rows) for k in range(m)]
+    best = []
+    for j in range(X.shape[1]):
+        ids = np.argsort(X[:, j], kind="stable")
+        left, top = [Fraction(0)] * m, None
+        for p in range(n - 1):
+            left = [a + b for a, b in zip(left, rows[ids[p]])]
+            n_left = p + 1
+            if min(n_left, n - n_left) < min_leaf or X[ids[p], j] == X[ids[p + 1], j]:
+                continue
+            d2 = sum((a - Fraction(n_left, n) * t) ** 2 for a, t in zip(left, total))
+            gain = d2 * n / (n_left * (n - n_left))
+            top = gain if top is None or gain > top else top
+        best.append(top)
+    return best
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+def test_a_screened_out_column_gains_less_than_the_best_exactly(monkeypatch, offset):
+    # twin columns split the rows into the same groups, in another order
+    # within ties, so their gains are equal exactly and differ when rounded
+    monkeypatch.setattr(tree_module, "_SCREEN_ROWS", 2)
+    rng = np.random.default_rng([int(offset), 11])
+    dropped = 0
+    for trial in range(12):
+        n, m, min_leaf = int(rng.integers(16, 50)), int(rng.integers(3, 12)), int(rng.integers(1, 4))
+        base = rng.integers(0, 5, size=(n, 5)) / 4
+        X = np.hstack([base, base + rng.random((n, 5)) / 8, rng.random((n, 3))])
+        Y = _keypoint_targets(rng, base, m, jitter=0.1) * 10.0 ** rng.integers(-2, 3) + offset
+        order = tree_module._presort(X)
+        node = np.take(Y, order[0], axis=0)
+        kept, _ = tree_module._screen(X, Y, order, min_leaf - 1, n - min_leaf, node,
+                                      node.sum(axis=0), tree_module._margin(node))
+        best = _exact_best_gains(X, Y, min_leaf)
+        top = max(g for g in best if g is not None)
+        for j in sorted(set(range(X.shape[1])) - set(kept.tolist())):
+            assert best[j] is None or best[j] < top, (trial, j)
+            dropped += 1
+    assert dropped > (0 if offset == 1e6 else 20)
+
+
+def _pixel_root(targets):
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, 256, size=(360, 2304)) / 255.0
+    if targets == "noise":
+        return X, rng.normal(size=(360, 8))
+    return X, _keypoint_targets(rng, X, 8)
 
 
 def test_pixel_root_certifies_one_column(monkeypatch):
-    rng = np.random.default_rng(7)
-    X = rng.integers(0, 256, size=(360, 2304)) / 255.0
-    Y = rng.normal(size=(360, 8))
+    X, Y = _pixel_root("noise")
     scanned = []
     scan = tree_module._sse_scan
 
@@ -445,6 +587,17 @@ def test_pixel_root_certifies_one_column(monkeypatch):
     model = tree_fit(X, Y, max_depth=1)
     assert scanned == [1]
     assert tree_depth(model) == 1
+
+
+def test_keypoint_pixel_root_ranks_few_columns(monkeypatch):
+    X, Y = _pixel_root("keypoints")
+    ranked = _ranked_columns(monkeypatch)
+    model = tree_fit(X, Y, max_depth=1)
+    assert tree_depth(model) == 1
+    assert sum(c for _, c in ranked) <= 0.1 * X.shape[1]
+    monkeypatch.undo()
+    full = _full_scan_fit(monkeypatch, X, Y, max_depth=1)
+    assert_same_tree(model, flatten_tree(full))
 
 
 def _chain(depth):
@@ -585,6 +738,19 @@ def test_targets_at_the_bound_fit_without_overflow():
     model = tree_fit(X, Y, max_depth=None)
     assert model.feature[0] == 0 and model.threshold[0] == 0.5
     assert np.allclose(tree_predict(model, X), Y, rtol=1e-15, atol=0.0)
+
+
+def test_screened_targets_at_the_bound_fit_without_overflow(monkeypatch):
+    # enough rows and outputs for the screen; its scatter, projections and
+    # bounds must stay finite too
+    n, m = 32, 8
+    rng = np.random.default_rng(12)
+    X = rng.random((n, 3))
+    Y = np.where(rng.random((n, m)) < 0.5, -1.0, 1.0) * _target_limit(n, m)
+    kept = _kept_columns(monkeypatch)
+    model = tree_fit(X, Y, max_depth=2)
+    assert kept and tree_depth(model) == 2
+    assert_same_tree(model, flatten_tree(_full_scan_fit(monkeypatch, X, Y, max_depth=2)))
 
 
 def test_fit_memory_is_bounded_by_twice_the_input():
