@@ -18,6 +18,13 @@ must move. A fit is converged when a sweep moves no coefficient by tol or
 more and every zero row has |X_j . r| / n <= alpha (alpha * rho for
 elastic).
 
+A sweep holds the residual output-major: RT is (m, n), row k the
+residual of output k. A visit's dot is one ``RT @ x`` and its update
+``RT -= delta[:, None] * x`` runs along m rows of n values. The step
+between them (rho, the soft threshold, delta, the largest move) runs on
+the Python floats of the dot, which are the IEEE operations numpy's
+elementwise ones would do, so a visit makes a handful of numpy calls.
+
 Two things make a fit cheaper without changing what it solves.
 
 A sweep skips the visits that provably do nothing. Let u = 2^-53 and
@@ -29,13 +36,15 @@ and computes C_i = max_k |x_i . R0_k| with one product, the norms
 |x_i|, and S = max_k |R0_k|. Let g = gamma_(n+a). A visit to a zero row
 computes a = x_i . R_k from the stored R, and its step returns exactly
 zero (rho = a / n, and soft thresholding clips it to itself) whenever
-|a| <= n l1 for every output k. Bounding a:
+|a| <= n l1 for every output k. Bounding a (every sum below may be
+taken in any order, so the bound holds for either layout of R):
 
 - the product's C_i and the visit's dot are each off by at most
   gamma_n |x_i| |R_k|, from Cauchy-Schwarz on the sum of magnitudes;
-- each stored update R <- R - x_j delta_j moves a column of R by at
-  most (1 + u) |x_j| |delta_jk| + u |R_k| after it, so over the t <= a
-  updates before the visit R_k drifts from R0_k by at most
+- each stored update R_k <- R_k - delta_jk x_j moves output k's
+  residual by at most (1 + u) |x_j| |delta_jk| + u |R_k| after it, so
+  over the t <= a updates before the visit R_k drifts from R0_k by at
+  most
   ``((1 + u) D + t u S) / (1 - t u)``, with D the sum of
   |x_j| max_k |delta_jk| over the moves applied so far;
 - so ``|a| <= C_i + |x_i| ((1 + 2g) D + 3g S)``.
@@ -101,13 +110,36 @@ def _center(X, Y):
     return X - x_mean, Y - y_mean, x_mean, y_mean
 
 
-def ols_fit(X, Y) -> LinearModel:
-    """Least squares with intercept via a rank-tolerant solve.
+# The Gram route's eigenvalue floor, relative to the largest eigenvalue.
+# Solving on the Gram matrix squares the condition number: the solution's
+# relative error grows like u lambda_max / lambda_min, about 2^-33 (1e-10)
+# at the floor, where lstsq's SVD of Xc is off by about u times its square
+# root. The eigenvalue the centering zeroes sits near u lambda_max, far
+# below the floor, and study-raw's smallest other one near 3e-4
+# lambda_max, far above it.
+_GRAM_FLOOR = 2.0**-20
 
-    Rank-deficient inputs get the minimum-norm weight solution.
+
+def ols_fit(X, Y) -> LinearModel:
+    """Least squares with intercept; rank-deficient inputs get the
+    minimum-norm weight solution.
+
+    With at least n - 1 columns, the minimum-norm solution is
+    ``W = Xc^T V diag(1/w) V^T Yc``, from the eigenpairs (w, V) of the
+    n x n Gram ``Xc Xc^T`` above _GRAM_FLOOR times the largest. That
+    route runs when exactly one eigenvalue falls below the floor: the
+    direction the centering removes, so the centered rows have rank
+    n - 1. Any other case, and fewer columns, runs ``np.linalg.lstsq``.
     """
     X, Y = check_fit_inputs(X, Y, min_rows=2)
     Xc, Yc, x_mean, y_mean = _center(X, Y)
+    n, d = Xc.shape
+    if d >= n - 1:
+        w, V = np.linalg.eigh(Xc @ Xc.T)  # ascending
+        if w[0] <= _GRAM_FLOOR * w[-1] < w[1]:
+            V = V[:, 1:]
+            W = Xc.T @ (V @ ((V.T @ Yc) / w[1:, None]))
+            return LinearModel(weights=W, intercept=y_mean - x_mean @ W)
     W, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
     return LinearModel(weights=W, intercept=y_mean - x_mean @ W)
 
@@ -183,37 +215,42 @@ def _sweep(XA: np.ndarray, col_sq: np.ndarray, norms: np.ndarray, WA: np.ndarray
     Updates WA in place and returns the largest coefficient move and the
     number of rows visited. A row that is zero at its visit is skipped
     when the bound in the module docstring proves its step returns zero.
+    The residual RT is (m, n), and each step runs on Python floats (see
+    the module docstring).
     """
     a, n = XA.shape
-    # fresh residual each sweep so incremental float drift cannot build up
-    R = Yc - XA.T @ WA
-    start = WA.copy()
+    # fresh residual each sweep so incremental float drift cannot build up;
+    # C-contiguous, as the product is
+    RT = Yc.T - WA.T @ XA
     g = _gamma(n + a)
-    corr = np.abs(XA @ R).max(axis=1, initial=0.0)
+    corr = np.abs(RT @ XA.T).max(axis=0, initial=0.0)
     limit = n * l1 * (1.0 - 16.0 * g)
-    slack = 4.0 * g * float(np.sqrt((R * R).sum(axis=0)).max(initial=0.0))
+    slack = 4.0 * g * float(np.sqrt((RT * RT).sum(axis=1)).max(initial=0.0))
     # the bound only grows along the sweep, so a row that fails it at the
     # start fails it at its visit
     skippable = (~WA.any(axis=1) & (corr + norms * slack <= limit)).tolist()
-    corr, norms = corr.tolist(), norms.tolist()
-    visits = 0
+    corr, norms, rows = corr.tolist(), norms.tolist(), WA.tolist()
+    visits, largest = 0, 0.0
     for i, c in enumerate(col_sq.tolist()):
         if skippable[i] and corr[i] + norms[i] * slack <= limit:
             continue
         visits += 1
         x = XA[i]
-        w_old = WA[i]
-        rho = (x @ R) / n + c * w_old
-        # soft threshold: rho minus its clip to [-l1, l1]
-        w_new = (rho - np.minimum(np.maximum(rho, -l1), l1)) / (c + l2)
-        delta = w_new - w_old
-        move = float(np.abs(delta).max())
+        scale = c + l2
+        w_new, delta = [], []
+        for dot, w_old in zip((RT @ x).tolist(), rows[i]):
+            rho = dot / n + c * w_old
+            # soft threshold: rho minus its clip to [-l1, l1], as rounded
+            w = (rho - l1) / scale if rho > l1 else (rho + l1) / scale if rho < -l1 else 0.0
+            w_new.append(w)
+            delta.append(w - w_old)
+        move = max(map(abs, delta))
         if move != 0.0:
-            R -= x[:, None] * delta
-            WA[i] = w_new
+            RT -= np.array(delta)[:, None] * x
+            WA[i] = rows[i] = w_new
             slack += norms[i] * move
-    # each row is visited once, so this is the largest move of the sweep
-    return float(np.abs(WA - start).max(initial=0.0)), visits
+            largest = max(largest, move)
+    return largest, visits
 
 
 def _objective(XA: np.ndarray, Yc: np.ndarray, WA: np.ndarray, l1: float,

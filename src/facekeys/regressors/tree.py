@@ -430,7 +430,9 @@ def _best_split(X: np.ndarray, Y: np.ndarray, order: np.ndarray, min_leaf: int):
     screen, then the rank scan, bound the columns that minimum can be in,
     and the exact scan runs on those only.
     """
-    n = order.shape[1]
+    d, n = order.shape
+    if d == 0:
+        return None  # no column, no split
     lo, hi = min_leaf - 1, n - min_leaf  # candidate positions lo <= p < hi
     node = np.take(Y, order[0], axis=0)
     total, margin = node.sum(axis=0), _margin(node)
@@ -533,7 +535,8 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
     many columns tie (a node of a few rows, duplicated columns) all of
     them are scanned exactly, and the node costs about what a full scan
     plus the screen and the rank scan cost. Depth is bounded by memory, not by the
-    recursion limit. NaN or inf in X or Y raises ValueError, and so does
+    recursion limit. An X with no columns fits one leaf, the mean target.
+    NaN or inf in X or Y raises ValueError, and so does
     a target above sqrt(F / m) / (4 n) in magnitude, with F the largest
     float64, n rows and m outputs: under that bound no prefix sum,
     squared prefix sum, gain, margin, scatter or summed error reaches inf.

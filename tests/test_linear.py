@@ -77,20 +77,22 @@ def reference_coordinate_descent(Xc, Yc, l1, l2, max_iter, tol):
 def reference_sweep(XA, col_sq, WA, Yc, l1, l2) -> float:
     """One cyclic pass that visits every row of XA: the oracle of _sweep.
 
-    Updates WA in place and returns the largest coefficient move.
+    Holds the residual output-major, as _sweep does, but takes each step
+    with numpy's elementwise ops. Updates WA in place and returns the
+    largest coefficient move.
     """
     n = XA.shape[1]
-    R = Yc - XA.T @ WA
+    RT = Yc.T - WA.T @ XA
     max_delta = 0.0
     for i, c in enumerate(col_sq.tolist()):
         x = XA[i]
         w_old = WA[i]
-        rho = (x @ R) / n + c * w_old
+        rho = (RT @ x) / n + c * w_old
         w_new = (rho - np.minimum(np.maximum(rho, -l1), l1)) / (c + l2)
         delta = w_new - w_old
         move = np.abs(delta).max()
         if move != 0.0:
-            R -= x[:, None] * delta
+            RT -= delta[:, None] * x
             WA[i] = w_new
             max_delta = max(max_delta, float(move))
     return max_delta
@@ -141,6 +143,81 @@ def test_ols_scalar_line():
     model = ols_fit(x, 2.0 * x[:, 0] + 1.0)
     assert model.weights[0, 0] == pytest.approx(2.0)
     assert model.intercept[0] == pytest.approx(1.0)
+
+
+def ols_and_route(X, Y, monkeypatch):
+    """ols_fit's model, and whether it ran np.linalg.lstsq."""
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", spy)
+    model = ols_fit(X, Y)
+    monkeypatch.undo()
+    return model, bool(calls)
+
+
+def ols_by_lstsq(X, Y) -> np.ndarray:
+    """The oracle: lstsq's minimum-norm weights on the centered block."""
+    W, *_ = np.linalg.lstsq(X - X.mean(axis=0), Y - Y.mean(axis=0), rcond=None)
+    return W
+
+
+def ols_problem(n, d, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, d)) + 0.5 * rng.normal(size=(n, 1)), rng.normal(size=(n, 3))
+
+
+def pixel_rows():
+    return pixel_problem(360, 48, 8, 10)
+
+
+def sum_of_two_rows():
+    # the centered rows keep rank n - 1: the dependency's weights sum to -1
+    X, Y = ols_problem(12, 30, 24)
+    X[7] = X[1] + X[3]
+    return X, Y
+
+
+@pytest.mark.parametrize("make", [lambda: ols_problem(20, 50, 22), lambda: ols_problem(20, 19, 23),
+                                  pixel_rows, sum_of_two_rows],
+                         ids=["n_under_d", "d_is_n_minus_1", "pixels_360x2304", "sum_of_two_rows"])
+def test_ols_solves_on_the_gram_matrix_of_the_rows(make, monkeypatch):
+    X, Y = make()
+    model, by_lstsq = ols_and_route(X, Y, monkeypatch)
+    assert not by_lstsq
+    W_ref = ols_by_lstsq(X, Y)
+    assert np.abs(model.weights - W_ref).max() <= 1e-10 * np.abs(W_ref).max()
+    assert np.allclose(model.intercept, Y.mean(axis=0) - X.mean(axis=0) @ W_ref, rtol=1e-10,
+                       atol=0.0)
+
+
+def duplicated_rows():
+    X, Y = ols_problem(12, 30, 25)
+    X[5] = X[2]
+    return X, Y
+
+
+def affine_row():
+    # x7 = x1 + x3 - x5: weights summing to 0 survive the centering
+    X, Y = ols_problem(12, 30, 26)
+    X[7] = X[1] + X[3] - X[5]
+    return X, Y
+
+
+@pytest.mark.parametrize("make", [duplicated_rows, affine_row,
+                                  lambda: (np.full((6, 10), 3.0), np.arange(12.0).reshape(6, 2)),
+                                  lambda: ols_problem(30, 28, 27)],
+                         ids=["duplicated_rows", "sum_of_two_minus_a_third", "constant_x",
+                              "d_under_n_minus_1"])
+def test_ols_falls_back_to_lstsq_off_the_gram_route(make, monkeypatch):
+    X, Y = make()
+    model, by_lstsq = ols_and_route(X, Y, monkeypatch)
+    assert by_lstsq
+    assert np.array_equal(model.weights, ols_by_lstsq(X, Y))
 
 
 # ---- ridge --------------------------------------------------------------------
@@ -466,6 +543,9 @@ SWEEP_CASES = {
                            ("1e4_ulps_under", 1e4), ("1e4_ulps_over", -1e4))},
     "mid_row_one_ulp_under_l1": (lambda: cd_problem(30, 80, 2, 9), at_row(5, 1), 0.0),
     "raw_pixels_360x2304": (lambda: pixel_problem(360, 48, 8, 10), share_of_alpha_max(0.3), 0.0),
+    "one_output": (lambda: cd_problem(40, 120, 1, 12), share_of_alpha_max(0.3), 0.0),
+    # the eleven task's width
+    "22_outputs": (lambda: cd_problem(40, 120, 22, 13), share_of_alpha_max(0.2), 0.1),
 }
 
 
@@ -497,6 +577,13 @@ def test_the_sweep_equals_the_reference_sweep_bit_for_bit(case):
     for move, move_ref, W, W_ref, _, _ in sweeps_side_by_side(case, 12):
         assert move == move_ref
         assert W.tobytes() == W_ref.tobytes()
+
+
+def test_a_sweep_over_no_rows_moves_nothing():
+    _, Yc = cd_problem(20, 10, 3, 14)
+    W = np.zeros((0, 3))
+    assert _sweep(np.zeros((0, 20)), np.zeros(0), np.zeros(0), W, Yc, 0.1, 0.0) == (0.0, 0)
+    assert reference_sweep(np.zeros((0, 20)), np.zeros(0), W, Yc, 0.1, 0.0) == 0.0
 
 
 def test_the_sweep_skips_rows_it_proves_stay_zero():

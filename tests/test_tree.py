@@ -295,6 +295,13 @@ def test_duplicate_rows_fall_back_to_leaf():
     assert np.allclose(model.value[0], [2.0])
 
 
+def test_no_columns_make_one_leaf_of_the_mean():
+    model = tree_fit(np.zeros((5, 0)), np.arange(5.0))
+    assert model.feature.tolist() == [-1]
+    assert model.value.tolist() == [[2.0]]
+    assert tree_predict(model, np.zeros((3, 0))).tolist() == [[2.0]] * 3
+
+
 def test_multi_output_uses_summed_error():
     # output 0 prefers splitting feature 0; output 1 prefers feature 1 but
     # with a much larger error reduction, so the sum picks feature 1
