@@ -24,6 +24,7 @@ from .pipeline import LBP_MODES, fit_pipeline, pipeline_from_payload, pipeline_t
 from .regressors import (
     KINDS,
     SPEC_KINDS,
+    ConfigError,
     TrainingDiverged,
     fit_any,
     input_width,
@@ -165,8 +166,14 @@ def cmd_predict(args) -> int:
     if "pipeline" not in extras:
         raise CliError(f"{args.model_file} holds no feature pipeline; "
                        "predict needs a model written by 'facekeys train'")
-    pipe = pipeline_from_payload(extras["pipeline"], extras)
-    columns = [f"{n}_{axis}" for n in extras["target_names"] for axis in "xy"]
+    record = extras.typed("pipeline", dict)
+    try:
+        pipe = pipeline_from_payload(record, extras)
+    except ConfigError:
+        raise  # a missing or damaged array, which names the file already
+    except ValueError as exc:
+        raise CliError(f"{args.model_file}: {exc}") from None
+    columns = [f"{n}_{axis}" for n in extras.typed("target_names", list[str]) for axis in "xy"]
     # an image-only CSV reads as a training CSV with zero coordinate columns
     images = ds.load_training_csv(args.input).images
     features = pipe.transform(images).values

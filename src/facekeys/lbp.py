@@ -18,6 +18,7 @@ pixels: one pass over 500 rotation-invariant 96x96 images held ~530 MB.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,15 @@ class LbpConfig:
     cell_size: int = 16
 
     def __post_init__(self):
+        # a record read back from JSON may hold any type, and a bool passes for an int
+        for name, kind, what in (("neighbors", numbers.Integral, "an int"),
+                                 ("radius", numbers.Real, "a number"),
+                                 ("cell_size", numbers.Integral, "an int")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise LbpError(f"{name} must be {what}, got {value!r}")
+        if not isinstance(self.rotation_invariant, (bool, np.bool_)):
+            raise LbpError(f"rotation_invariant must be a bool, got {self.rotation_invariant!r}")
         if self.neighbors < 4:
             raise LbpError("neighbors must be at least 4")
         if self.neighbors > 62:

@@ -17,7 +17,7 @@ import zipfile
 from collections.abc import Mapping
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
@@ -133,9 +133,9 @@ def _tree_payload(m: TreeModel):
 def _tree_model(meta, data) -> TreeModel:
     return TreeModel(
         **{name: data[f"tree_{name}"] for name in NODE_ARRAYS},
-        n_features=int(meta["n_features"]),
-        max_depth=meta["max_depth"],
-        min_samples_leaf=int(meta["min_samples_leaf"]),
+        n_features=meta.typed("n_features", int),
+        max_depth=meta.typed("max_depth", int, type(None)),
+        min_samples_leaf=meta.typed("min_samples_leaf", int),
     )
 
 
@@ -151,12 +151,14 @@ def _scaling_meta(s: Scaling) -> dict:
 def _scaling(meta, n_outputs: int) -> Scaling:
     """A network file's scaling. A file written before fit_scaling holds
     scalar targets and no input fields: its inputs are not scaled."""
-    targets = [np.asarray(meta[name], dtype=np.float64) for name in ("target_offset", "target_scale")]
+    targets = [np.asarray(meta.typed(name, float, list[float]), dtype=np.float64)
+               for name in ("target_offset", "target_scale")]
     if any(t.shape not in ((), (n_outputs,)) for t in targets):
         raise ConfigError(f"target_offset and target_scale must be scalars or hold "
                           f"{n_outputs} values, got shapes {[t.shape for t in targets]}")
-    return Scaling(float(meta.get("input_offset", 0.0)), float(meta.get("input_scale", 1.0)),
-                   *targets)
+    inputs = [float(meta.typed(name, float)) if name in meta else unscaled
+              for name, unscaled in (("input_offset", 0.0), ("input_scale", 1.0))]
+    return Scaling(*inputs, *targets)
 
 
 def _mlp_payload(m: MlpModel):
@@ -174,7 +176,7 @@ def _mlp_payload(m: MlpModel):
 def _mlp_model(meta, data) -> MlpModel:
     if meta["hidden_activation"] != "tanh":
         raise ConfigError(f"unsupported mlp hidden activation {meta['hidden_activation']!r}")
-    n = int(meta["n_layers"])
+    n = meta.typed("n_layers", int)
     stored = sorted(name for name in data if name.startswith("mlp_"))
     if stored != sorted(f"mlp_{part}{i}" for i in range(n) for part in "bw"):
         raise ConfigError(f"mlp meta n_layers is {n}, but the file holds arrays {stored}")
@@ -198,11 +200,10 @@ def _cnn_payload(m: CnnModel):
 
 def _cnn_model(meta, data) -> CnnModel:
     # a file written before n_features was kept reads rows of side*side values
-    n_features = meta.get("n_features")
     model = CnnModel(
         params={name: data[f"cnn_{name}"] for name in PARAM_NAMES},
-        **{name: read(meta[name]) for name, read in _CNN_META.items()},
-        n_features=None if n_features is None else int(n_features),
+        **{name: read(meta.typed(name, read)) for name, read in _CNN_META.items()},
+        n_features=meta.typed("n_features", int, type(None)) if "n_features" in meta else None,
     )
     model.scaling = _scaling(meta, model.params["out_b"].size)
     return model
@@ -212,13 +213,13 @@ _FORMATS: dict[type, _Format] = {
     KnnModel: _Format(
         "knn", knn_predict, lambda m: m.X.shape[1],
         lambda m: ({"k": m.k}, {"knn_x": m.X, "knn_y": m.Y}),
-        lambda meta, data: KnnModel(X=data["knn_x"], Y=data["knn_y"], k=int(meta["k"])),
+        lambda meta, data: KnnModel(X=data["knn_x"], Y=data["knn_y"], k=meta.typed("k", int)),
     ),
     LinearModel: _Format(
         "linear", linear_predict, lambda m: m.weights.shape[0],
         lambda m: ({"converged": bool(m.converged)}, {"lin_w": m.weights, "lin_b": m.intercept}),
         lambda meta, data: LinearModel(
-            weights=data["lin_w"], intercept=data["lin_b"], converged=bool(meta["converged"])
+            weights=data["lin_w"], intercept=data["lin_b"], converged=meta.typed("converged", bool)
         ),
     ),
     TreeModel: _Format("tree", tree_predict, lambda m: m.n_features, _tree_payload, _tree_model),
@@ -270,12 +271,21 @@ def _unreadable(path, exc: Exception, what: str) -> ConfigError:
     return ConfigError(f"{path} is not a facekeys model file: {what}")
 
 
+def _json_is(value, kind) -> bool:
+    """Whether a value read from JSON is of kind, a type or list[type]. An
+    int is a float too, but a bool is no int."""
+    if get_origin(kind) is list:
+        return type(value) is list and all(_json_is(v, *get_args(kind)) for v in value)
+    return type(value) is kind or (kind is float and type(value) is int)
+
+
 class _Entries(Mapping):
     """A model file's meta record, arrays or extras by name. An entry is
     read from the mapping that holds it when it is looked up, so an array
     is read from the archive only if asked for; a name the file lacks, or
     an array it cannot read or whose values are not numbers or bools, is a
-    ConfigError that names it. served holds the names looked up."""
+    ConfigError that names it, and so is a JSON entry of the wrong type
+    read by typed. served holds the names looked up."""
 
     def __init__(self, path, what: str, holders: dict):
         self._path, self._what, self._holders = path, what, holders  # name -> its mapping
@@ -292,6 +302,16 @@ class _Entries(Mapping):
         if isinstance(value, np.ndarray) and value.dtype.kind not in "biuf":
             raise ConfigError(f"{self._path} is not a facekeys model file: its {name!r} "
                               f"holds {value.dtype} values, not numbers")
+        return value
+
+    def typed(self, name: str, *kinds):
+        """self[name], a JSON value of one of kinds (see _json_is)."""
+        value = self[name]
+        if not any(_json_is(value, kind) for kind in kinds):
+            wanted = " or ".join("null" if kind is type(None) else
+                                 str(kind) if get_origin(kind) else kind.__name__ for kind in kinds)
+            raise ConfigError(f"{self._path} is not a facekeys model file: its {self._what} "
+                              f"{name!r} is {value!r}, not {wanted}")
         return value
 
     def get(self, name: str, default=None):
@@ -334,14 +354,17 @@ def load_model(path):
         if not isinstance(meta, dict):
             raise ConfigError(f"{path} is not a facekeys model file: its meta record is not "
                               f"a JSON object")
-        fmt = _FORMAT_BY_TAG.get(meta.get("kind"))
+        kind, extras = meta.get("kind"), meta.get("extras", {})
+        fmt = _FORMAT_BY_TAG.get(kind) if isinstance(kind, str) else None
         if fmt is None:
-            raise ConfigError(f"unknown model kind {meta.get('kind')!r} in {path}")
+            raise ConfigError(f"unknown model kind {kind!r} in {path}")
+        if not isinstance(extras, dict):
+            raise ConfigError(f"{path} is not a facekeys model file: its extras are {extras!r}, "
+                              "not a JSON object")
         arrays = _Entries(path, "array", dict.fromkeys([n for n in data.files if n != "meta"], data))
         model = fmt.from_payload(_Entries(path, "meta entry", dict.fromkeys(meta, meta)), arrays)
         unread = [name for name in arrays if name not in arrays.served]
         if unread:
             closing.pop_all()  # extras reads them from the open archive
-    extras = meta.get("extras", {})
     return model, _Entries(path, "extra", {**dict.fromkeys(extras, extras),
                                            **dict.fromkeys(unread, data)})

@@ -15,75 +15,56 @@ over the arrays visits every node after its parent.
 The grower sorts every column once at the root (stable, int32 row ids)
 and hands each child its share of every sorted list, kept in order by a
 boolean mask (the presorted attribute lists of CART and SLIQ), so no node
-sorts again. A node then finds its split in a screen and two scans, each
-over its columns in passes of about _PASS_ELEMENTS gathered values:
+sorts again. A node then finds its split in a screen and an exact scan,
+each over its columns in passes of about _PASS_ELEMENTS gathered values:
 
 1. The screen bounds each column's best gain from the node's targets
-   projected on their top r principal directions, for each width r of
-   _SCREEN_WIDTHS below m in turn, and drops the columns whose bound is
-   below a lower bound on the winner's gain, which the rank scan of the
-   _SCREEN_PROBES columns of largest bound gives. It gathers r values
-   per row instead of m, and no X: the bound is a max over every
-   position, candidate or not. Nodes of fewer than _SCREEN_ROWS rows,
-   and targets of m <= r outputs, skip it.
-2. The rank scan, on the columns the screen keeps, takes one prefix sum
-   of the targets along each column's order and scores every position by
-   the gain
-   ``G = sum_k L_k^2 / n_L + sum_k (T_k - L_k)^2 / n_R``, where L_k is
-   the left child's sum of output k, T_k the node's (summed once), and
-   n_L, n_R the child sizes. It computes G as
-   ``LL (1/n_L + 1/n_R) + (TT - 2 T.L) / n_R``, with LL = sum_k L_k^2,
-   TT = sum_k T_k^2 and T.L = sum_k T_k L_k: one einsum over the outputs
-   and one product with the node totals. Positions that are not
-   candidates score -inf, and one max per column keeps its best G.
-3. The exact scan runs only on the columns whose best G is at least
-   ``G_max - M``. Each candidate's children error comes from prefix sums
-   of y and of y * y, by the same float operations in the same order as
-   a scan that argsorts each column at each node, and the first minimum
-   in column-major order wins. So the tree is the one that scan grows
-   over all columns, to the last bit.
+   projected on their top r principal directions, at the widths
+   ``sorted({min(r, m) for r in _SCREEN_WIDTHS} | {m})`` in turn, and
+   drops the columns whose bound is below a lower bound on the winner's
+   gain, which the exact scan of the _SCREEN_PROBES columns of largest
+   first bound gives. It gathers r values per row instead of m, and no
+   X: the bound is a max over every position, candidate or not. The
+   full-width stage r = m has no tail term, so it drops columns even
+   where no few directions hold the targets' scatter.
+2. The exact scan runs on the columns the screen keeps. Each candidate's
+   children error comes from prefix sums of y and of y * y, by the same
+   float operations in the same order as a scan that argsorts each
+   column at each node, and the first minimum in column-major order
+   wins. So the tree is the one that scan grows over all columns, to the
+   last bit.
 
-Why the certified columns hold the full scan's winner. Let u = 2^-53 and
-gamma_j = j u / (1 - j u). For a node of n rows and m outputs, let
-Q_k = sum y^2 and A_k = sum |y| over its rows, and
-``M = 64 gamma_(n+m) sum_k (Q_k + A_k^2)`` (``_margin``). Exactly, a
-candidate's children error is ``sum_k Q_k - G``. The standard bounds for
-floating-point sums (Higham, Accuracy and Stability of Numerical
-Algorithms, 2002, ch. 3-4) say a sum of j terms in any order is off by
-at most gamma_(j-1) times the sum of their magnitudes, and a product of j
-factors (1 + delta), |delta| <= u, is 1 + theta with |theta| <= gamma_j.
-With |L_k|, |T_k| <= A_k and L_k^2 / n_L <= Q_k they give:
+Rounding. Let u = 2^-53 and gamma_j = j u / (1 - j u). For a node of n
+rows and m outputs, let T_k = sum y, Q_k = sum y^2 and A_k = sum |y| over
+its rows, and ``M = 64 gamma_(n+m) sum_k (Q_k + A_k^2)`` (``_margin``).
+The standard bounds for floating-point sums (Higham, Accuracy and
+Stability of Numerical Algorithms, 2002, ch. 3-4) say a sum of j terms in
+any order is off by at most gamma_(j-1) times the sum of their
+magnitudes, and a product of j factors (1 + delta), |delta| <= u, is
+1 + theta with |theta| <= gamma_j. So the computed prefix sums of y, and
+their rests to T_k, are off by at most gamma_n A_k, and those of y * y by
+gamma_n Q_k, their differences by 3 gamma_n Q_k. They give:
 
-- the computed L_k and T_k are off by at most gamma_n A_k. Let
-  S = sum_k A_k^2. As |L_k| + |T_k - L_k| <= A_k, the exact LL, TT,
-  T.L, ``TT - 2 T.L = sum_k (T_k - L_k)^2 - LL`` and G are at most S in
-  size, and the computed LL, TT and T.L are each off by at most
-  2 gamma_(n+m) S. With 1/n_L + 1/n_R <= 2 and n_R >= 1, the first
-  term of G is then off by at most 4 gamma_(n+m) S + 6uS, the second by
-  6 gamma_(n+m) S + 2uS, and their sum rounds by uS more. As
-  u <= gamma_(n+m) / 3, the computed G is off by at most
-  13 gamma_(n+m) S;
-- the exact scan's prefix sums of y * y are off by at most gamma_n Q_k,
-  and their differences by 3 gamma_n Q_k, so its computed children error
-  is off by at most 10 gamma_(n+m) sum_k (Q_k + A_k^2).
+- the exact scan's computed children error is off by at most
+  10 gamma_(n+m) sum_k (Q_k + A_k^2);
+- the computed node error (``_node_sse``: Q_k - T_k^2 / n per output,
+  floored at 0, summed) is off by little more than
+  3 gamma_(n+m) sum_k (Q_k + A_k^2): Q_k by gamma_n Q_k, T_k^2 / n by
+  3 gamma_n A_k^2, their difference by u (Q_k + A_k^2) more, the floor
+  only moves it toward the exact value, which is nonnegative, and the
+  sum of m such terms by gamma_(m-1) of their magnitudes.
 
-Both are below M / 4, with room for the rounding of M and of G_max - M.
-Let c be the full scan's winner and c' the candidate with the largest
-exact G. Then ``SSE(c) <= sse(c) + M/4 <= sse(c') + M/4 <= SSE(c') + M/2``
-(SSE exact, sse computed), so G(c) >= G(c') - M/2, and the computed gain
-of c is at least ``G(c') - 3M/4 >= G_max - M``. So c's column is
-certified. The exact scan computes the same value for every candidate it
-sees, and c is a first minimum over all of them, so it is the first
-minimum over the certified ones too.
+They are below M / 4 and M / 16, with room for the rounding of M.
 
 Why the screen keeps the winner's column. Take a node of n rows y_i with
 exact mean ybar, and a split with n_L rows on the left, h = 1/n_L + 1/n_R
-and ``D = sum_left (y_i - ybar)``. Its exact gain over not splitting is
-``Delta = G - TT/n = h |D|^2``. The scatter of the y_i - ybar is the
-children's own scatter plus b b^T, b = sqrt(h) D, so ``b b^T <= S_mu``,
-the scatter sum e_i e_i^T of e_i = y_i - mu about the computed mean mu
-(<= orders symmetric matrices; moving the center from ybar to mu adds
-n (ybar - mu)(ybar - mu)^T). All norms below are 2-norms.
+and ``D = sum_left (y_i - ybar)``. Its exact gain over not splitting, the
+node's exact error less the children's, is ``Delta = h |D|^2``. The
+scatter of the y_i - ybar is the children's own scatter plus b b^T,
+b = sqrt(h) D, so ``b b^T <= S_mu``, the scatter sum e_i e_i^T of
+e_i = y_i - mu about the computed mean mu (<= orders symmetric matrices;
+moving the center from ybar to mu adds n (ybar - mu)(ybar - mu)^T). All
+norms below are 2-norms.
 
 - The bound. ``_principal`` takes the eigenvalues w_1 >= ... >= w_m and
   eigenvectors V that eigh gives for the computed scatter S_c of the
@@ -92,7 +73,8 @@ n (ybar - mu)(ybar - mu)^T). All norms below are 2-norms.
   z = V^T b, ``z z^T <= V^T S_mu V <= diag(w) + phi I``, so the last
   m - r entries of z hold at most w_(r+1) + phi, and
   ``|z|^2 >= (1 - eps) |b|^2``. So
-  ``Delta <= (h |W^T D|^2 + w_(r+1) + phi) / (1 - eps)``.
+  ``Delta <= (h |W^T D|^2 + w_(r+1) + phi) / (1 - eps)``, and at r = m,
+  where z has no last entries, ``Delta <= h |W^T D|^2 / (1 - eps)``.
 - eps and phi. The computed V^T V is off by at most gamma_m |V|^T |V|
   entrywise, of Frobenius norm at most gamma_m trace(V^T V) <=
   m gamma_m (1 + eps), so ``eps = 2 m (max|fl(V^T V) - I| + gamma_m)``
@@ -120,30 +102,29 @@ n (ybar - mu)(ybar - mu)^T). All norms below are 2-norms.
   h |P^|^2 (off by a relative gamma_(r+4)) and
   ``rho = 8 gamma_(n+m+3) |a|_1`` (``rounding``; |a|_1 >= |a|). A
   column's bound takes the largest t over the positions lo <= p < hi:
-  ``((sqrt(t) + 1.5 (|T^| + sqrt(r) rho))^2 + max(w_(r+1), 0) + phi) /
-  (1 - eps)``, times 1 + 1e-12 for the rounding of t and of this
-  formula, a dozen operations on nonnegative floats.
-- The lower bound. Let g be the largest computed gain of the probe
-  columns, a candidate's. Above, its exact G is at least g - M/4, the
-  computed TT/n (tt) is within 3 gamma_(n+m) S <= M/16 of the exact, and
-  the winner c has G(c) >= G - M/2 for every candidate. So
-  ``Delta(c) >= g - tt - 13M/16``, while the computed ``g - tt - M`` is
-  at most ``g - tt - 15M/16``. Every column whose bound is below it
-  therefore gains less than c, and c's column is kept.
+  ``((sqrt(t) + 1.5 (|T^| + sqrt(r) rho))^2 + tail) / (1 - eps)``, tail
+  ``max(w_(r+1), 0) + phi`` below r = m and 0 at it, times 1 + 1e-12 for
+  the rounding of t and of this formula, a dozen operations on
+  nonnegative floats.
+- The lower bound. Let s be the smallest computed children error over
+  the probe columns' candidates, e the computed node error and E the
+  exact one, and c the full scan's first minimum. The full scan computes
+  the same value for each probe candidate, so sse(c) <= s; its exact
+  error is at most sse(c) + M/4; and E >= e - M/16. So
+  ``Delta(c) >= e - s - 5M/16``, while the computed ``e - s - M`` is at
+  most ``e - s - M/2`` (its two roundings are far below M/2). Every
+  column whose bound is below it therefore gains less than c, and c's
+  column is kept. The exact scan computes each column's values without
+  regard to the columns beside it, so c is the first minimum over the
+  kept columns too.
 
-The rank scan and the certification then run on the kept columns. The
-largest computed gain among fewer columns is no larger, so the
-certification argument holds as it stands, and the exact scan computes
-each column's values without regard to the columns beside it.
-
-At the 360-row root of a study-raw fit the screen keeps 40 of 2304
-columns and the rank certifies one. The worst cases are a node where many
-columns tie, such as duplicated columns or nodes of a few rows, where
-hundreds of columns split the rows the same way: all of them are
-certified, and the node costs the screen and the rank scan on top of the
-full exact scan; and targets with no dominant directions, such as
-independent noise, where w_(r+1) is about as large as the best gain and
-the screen drops nothing.
+At the 360-row root of a study-raw fit (corpus seeds 1-3) the screen
+keeps 1 to 3 of 2304 columns after its 8 probes, and over the 93 nodes of
+three depth-5 fits it keeps 2% of the columns, most of them at nodes of
+under 16 rows. The worst case is a node where many columns tie, such as
+duplicated columns or nodes of a few rows, where hundreds of columns
+split the rows the same way: all of them are kept, and the node costs
+the screen on top of the full exact scan.
 """
 
 from __future__ import annotations
@@ -155,32 +136,30 @@ import numpy as np
 from ._inputs import check_fit_inputs, check_rows
 
 #: Target values (columns x node rows x outputs) gathered per pass of the
-#: rank and exact scans; smaller passes cost more calls. On a shared
-#: 2-vCPU host, a depth-5 fit of a study-raw input (360 rows, 2304 pixel
-#: columns, 8 outputs) took a median of 0.50, 0.43, 0.44, 0.43 and 0.48 s
-#: (nine runs) at 2^14, 2^15, 2^16, 2^17 and 2^18 values a pass. Its
-#: tracemalloc peak was 7.9 MB up to 2^17, the sorted lists' own, and
-#: 11.9 MB at 2^18, against a 6.3 MB X. From 2^15 to 2^17 the medians
-#: are within each other's quartiles.
+#: exact scan, and values per pass of the presort, the screen and the
+#: children's lists; smaller passes cost more calls. On a shared 2-vCPU
+#: host, a depth-5 fit of a study-raw input (360 rows, 2304 pixel columns,
+#: 8 outputs, corpus seed 1) took a median of 0.195, 0.183, 0.190, 0.198
+#: and 0.205 s (nine interleaved runs) at 2^14, 2^15, 2^16, 2^17 and 2^18
+#: values a pass, all within each other's quartiles up to 2^17. Its
+#: tracemalloc peak grew from 6.8 MB at 2^14 to 7.2 MB at 2^16 and 9.7 MB
+#: at 2^18, against a 6.6 MB X.
 _PASS_ELEMENTS = 1 << 16
 
 #: Widths r of the principal projections that screen a node's columns
-#: before the rank scan, each applied to the columns the one before kept;
-#: a width of m outputs or more is skipped. On the same host, three
-#: depth-5 study-raw fits (360 rows, 2304 columns, 8 outputs, corpus seeds
-#: 1-3) took a median of 0.82 s with no screen, 0.53 s at (2,), 0.46 s
-#: at (4,), 0.45 s at (2, 4) and 0.43 s at (2, 4, 6) (five runs; the last
-#: two within each other's spread). A width of 2 keeps about a quarter of
-#: the columns for the price of two gathered values a row.
+#: before the exact scan, each applied to the columns the one before kept;
+#: each is capped at m outputs, and the full width m comes last. On a
+#: shared 2-vCPU host, three depth-5 study-raw fits (360 rows, 2304
+#: columns, 8 outputs, corpus seeds 1-3) took a median of 0.88 s in all
+#: with the full width alone, 0.66 s at (2,), 0.68 s at (4,) and 0.64 s
+#: at (2, 4) and at (2, 4, 6) (seven interleaved runs). A width of 2 keeps
+#: about a quarter of the columns for the price of two gathered values a
+#: row.
 _SCREEN_WIDTHS = (2, 4)
 
-#: Nodes of fewer rows skip the screen. The three fits above took 0.44,
-#: 0.45, 0.46 and 0.54 s with a floor of 2, 16, 32 and 64 rows.
-_SCREEN_ROWS = 16
-
-#: Columns, those of the largest bounds, whose gains give the screen its
-#: lower bound on the winner's gain. The three fits took 0.47, 0.44 and
-#: 0.44 s with 1, 8 and 32 probes.
+#: Columns, those of the largest first bounds, whose exact scan gives the
+#: screen its lower bound on the winner's gain. The three fits took 0.64,
+#: 0.63 and 0.66 s with 1, 8 and 32 probes.
 _SCREEN_PROBES = 8
 
 #: The unit roundoff u of float64.
@@ -281,31 +260,12 @@ def _gamma(j: int) -> float:
 
 
 def _margin(Y: np.ndarray) -> float:
-    """M for a node whose targets are Y (n, m): the exact scan's winner
-    lies in a column whose best gain is within M of the best gain (see
-    the module docstring)."""
+    """M for a node whose targets are Y (n, m): the exact scan's computed
+    children error is within M/4 of the exact one, and the computed node
+    error within M/16 (see the module docstring)."""
     n, m = Y.shape
     a = np.abs(Y).sum(axis=0)
     return 64 * _gamma(n + m) * float((Y * Y).sum() + (a * a).sum())
-
-
-def _rank(X, Y, order, cols, lo, hi, total) -> np.ndarray:
-    """The largest gain G over its candidates (-inf: none) of each column
-    cols[i], whose node rows order[i] lists in sorted order, for a node
-    whose target sums are total, scored at every position in one pass
-    (see the module docstring)."""
-    n, m = order.shape[1], Y.shape[1]
-    n_left = np.arange(lo + 1.0, hi + 1.0)
-    n_right = n - n_left
-    share = 1.0 / n_left + 1.0 / n_right
-    tt = float(total @ total)
-    gain = []
-    for _, ids, _, candidate in _passes(X, order, cols, lo, hi, m):
-        cum = _prefix_sums(np.take(Y, ids, axis=0))
-        ll = np.einsum("cpk,cpk->cp", cum, cum)[:, lo:hi]
-        g = ll * share + (tt - 2.0 * (cum @ total)[:, lo:hi]) / n_right
-        gain.append(np.where(candidate, g, -np.inf).max(axis=1, initial=-np.inf))
-    return np.concatenate(gain)
 
 
 def _principal(C: np.ndarray):
@@ -347,18 +307,15 @@ def _projected(Z, order, lo, hi, share):
     return reach, np.sqrt(ends)
 
 
-def _screen(X, Y, order, lo, hi, node, total, margin):
+def _screen(X, Y, order, lo, hi, node):
     """(cols, lists): the columns, ascending, that may hold the exact
     scan's first minimum, and their sorted lists, for a node whose
-    targets are node and target sums total. Each column's gain is bounded
-    on the node's top principal target directions, and a column whose
-    bound is below a lower bound on the winner's gain is dropped (see the
-    module docstring)."""
+    targets are node. Each column's gain is bounded on the node's top
+    principal target directions, and a column whose bound is below a
+    lower bound on the winner's gain is dropped (see the module
+    docstring)."""
     n, m = node.shape
     cols, lists = np.arange(len(order)), order
-    widths = [r for r in _SCREEN_WIDTHS if r < m]
-    if not widths or n < _SCREEN_ROWS:
-        return cols, lists
     mean = node.mean(axis=0)
     C = node - mean
     found = _principal(C)
@@ -370,14 +327,17 @@ def _screen(X, Y, order, lo, hi, node, total, margin):
     share = 1.0 / n_left + 1.0 / (n - n_left)
     rounding = 8 * _gamma(n + m + 3) * float(np.abs(C).sum())  # |a|_1 >= |a|_2
     lower = None
-    for r in widths:
+    for r in sorted({min(r, m) for r in _SCREEN_WIDTHS} | {m}):
         reach, ends = _projected(np.ascontiguousarray(Z[:, :r]), lists, lo, hi, share)
         far = np.sqrt(reach) + 1.5 * (ends + np.sqrt(r) * rounding)
-        bound = (far * far + max(float(w[r]), 0.0) + phi) / (1 - eps) * (1 + 1e-12)
+        tail = max(float(w[r]), 0.0) + phi if r < m else 0.0
+        bound = (far * far + tail) / (1 - eps) * (1 + 1e-12)
         if lower is None:
             probe = np.sort(np.argsort(bound)[-_SCREEN_PROBES:])
-            gain = _rank(X, Y, order[probe], probe, lo, hi, total)
-            lower = gain.max() - float(total @ total) / n - margin
+            best = _sse_scan(X, Y, order[probe], probe, lo, hi)
+            if best is None:
+                return cols, lists  # no probe candidate, no lower bound
+            lower = _node_sse(node) - best[0] - _margin(node)
         keep = bound >= lower
         cols, lists = cols[keep], lists[keep]
     return cols, lists
@@ -427,22 +387,15 @@ def _best_split(X: np.ndarray, Y: np.ndarray, order: np.ndarray, min_leaf: int):
     after sorted position p is a candidate where the value changes and
     both sides keep min_leaf rows. The first minimum in column-major order
     wins, which is the lowest feature, then the lowest threshold. The
-    screen, then the rank scan, bound the columns that minimum can be in,
-    and the exact scan runs on those only.
+    screen bounds the columns that minimum can be in, and the exact scan
+    runs on those only.
     """
     d, n = order.shape
     if d == 0:
         return None  # no column, no split
     lo, hi = min_leaf - 1, n - min_leaf  # candidate positions lo <= p < hi
-    node = np.take(Y, order[0], axis=0)
-    total, margin = node.sum(axis=0), _margin(node)
-    cols, order = _screen(X, Y, order, lo, hi, node, total, margin)
-    gain = _rank(X, Y, order, cols, lo, hi, total)
-    top = gain.max()
-    if top == -np.inf:
-        return None
-    sure = gain >= top - margin
-    return _sse_scan(X, Y, order[sure], cols[sure], lo, hi)
+    cols, order = _screen(X, Y, order, lo, hi, np.take(Y, order[0], axis=0))
+    return _sse_scan(X, Y, order, cols, lo, hi)
 
 
 def _node_sse(Y: np.ndarray) -> float:
@@ -525,17 +478,15 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
     max_depth=None grows until leaves are pure or too small, which makes
     the tree reproduce its training targets exactly when feature rows are
     distinct. Columns are sorted once, at the root. Each node bounds every
-    column's gain on the top principal directions of its targets and
-    drops the columns whose bound is below a proven lower bound on the
-    winner's gain, ranks the rest by a one-prefix-sum gain, then runs the
-    exact error scan on the columns whose gain is within the rounding
-    margin M of the best; the module docstring proves that these hold the
-    split a full exact scan picks, so the tree is that scan's to the last
-    bit. Ties go to the lowest feature, then the lowest threshold. Where
-    many columns tie (a node of a few rows, duplicated columns) all of
-    them are scanned exactly, and the node costs about what a full scan
-    plus the screen and the rank scan cost. Depth is bounded by memory, not by the
-    recursion limit. An X with no columns fits one leaf, the mean target.
+    column's gain on the top principal directions of its targets, drops
+    the columns whose bound is below a proven lower bound on the winner's
+    gain, and runs the exact error scan on the rest; the module docstring
+    proves that these hold the split a full exact scan picks, so the tree
+    is that scan's to the last bit. Ties go to the lowest feature, then
+    the lowest threshold. Where many columns tie (a node of a few rows,
+    duplicated columns) all of them are scanned exactly, and the node
+    costs about what a full scan plus the screen cost. Depth is bounded
+    by memory, not by the recursion limit. An X with no columns fits one leaf, the mean target.
     NaN or inf in X or Y raises ValueError, and so does
     a target above sqrt(F / m) / (4 n) in magnitude, with F the largest
     float64, n rows and m outputs: under that bound no prefix sum,

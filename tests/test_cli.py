@@ -568,8 +568,8 @@ def test_predict_refuses_an_lbp_record_the_rule_does_not_sample(tmp_path, csv_pa
                "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"facekeys: error: the feature pipeline's 'lbp' entry asks for {sampled!r} sampling, "
-        "which lbp_circular does not do at its geometry\n")
+        f"facekeys: error: {model_file}: the feature pipeline's 'lbp' entry asks for {sampled!r} "
+        "sampling, which lbp_circular does not do at its geometry\n")
 
 
 def _cut_at(fraction):
@@ -685,6 +685,43 @@ def test_each_member_of_a_model_file_damaged_is_one_error_line(lbp_model_files, 
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith(f"facekeys: error: {model_file} ")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def _edit_lbp(**fields):
+    return _edit_extras(lambda e: e["pipeline"]["lbp"].update(fields))
+
+
+@pytest.mark.parametrize("kind, tamper, entry", [
+    ("knn", _edit_extras(lambda e: e.update(pipeline=5)), "'pipeline'"),
+    ("knn", _edit_lbp(neighbors="8"), "neighbors"),
+    ("knn", _edit_lbp(neighbors=8.5), "neighbors"),
+    ("knn", _edit_lbp(radius=None), "radius"),
+    ("knn", _edit_lbp(rotation_invariant="no"), "rotation_invariant"),
+    ("knn", _edit_extras(lambda e: e.update(target_names=3)), "'target_names'"),
+    ("knn", _set_meta("k", [5]), "'k'"),
+    ("knn", _set_meta("k", 5.5), "'k'"),
+    ("tree", _set_meta("n_features", None), "'n_features'"),
+    ("mlp", _set_meta("n_layers", [2]), "'n_layers'"),
+    ("cnn", _set_meta("side", "4"), "'side'"),
+    ("ridge", _set_meta("kind", ["linear"]), "kind"),
+    ("ridge", _set_meta("extras", 5), "extras"),
+], ids=["pipeline-int", "lbp-neighbors-str", "lbp-neighbors-float", "lbp-radius-null",
+        "lbp-rotation_invariant-str", "target_names-int", "knn-k-list", "knn-k-float",
+        "tree-n_features-null", "mlp-n_layers-list", "cnn-side-str", "kind-list", "extras-int"])
+def test_a_meta_entry_of_the_wrong_json_type_is_one_error_line(lbp_model_files, tmp_path, capsys,
+                                                               kind, tamper, entry):
+    faces, files = lbp_model_files
+    model_file = tmp_path / f"{kind}.npz"
+    model_file.write_bytes(_rewrite(tamper)(files[kind].read_bytes(), files[kind]))
+    out = tmp_path / "p.csv"
+    capsys.readouterr()
+    rc = main(["predict", "--model-file", str(model_file), "--input", str(faces),
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("facekeys: error:") and str(model_file) in err and entry in err
     assert len(err.splitlines()) == 1
     assert not out.exists()
 

@@ -401,9 +401,8 @@ def test_prefix_sums_are_cumsums_bit_for_bit(m):
 
 
 def _full_scan_fit(monkeypatch, X, Y, **kwargs):
-    """tree_fit with no column screened out and every column certified:
-    the exact scan runs over all of them at every node, as it would with
-    neither the screen nor the rank scan in front."""
+    """tree_fit with a screen that keeps every column: the exact scan runs
+    over all of them at every node, as it would with no screen in front."""
     scan = tree_module._sse_scan
 
     def every_column(X, Y, order, cols, lo, hi):
@@ -411,8 +410,8 @@ def _full_scan_fit(monkeypatch, X, Y, **kwargs):
         return scan(X, Y, order, cols, lo, hi)
 
     with monkeypatch.context() as patch:
-        patch.setattr(tree_module, "_SCREEN_WIDTHS", ())
-        patch.setattr(tree_module, "_margin", lambda Y: np.inf)
+        patch.setattr(tree_module, "_screen",
+                      lambda X, Y, order, *args: (np.arange(len(order)), order))
         patch.setattr(tree_module, "_sse_scan", every_column)
         return tree_fit(X, Y, **kwargs)
 
@@ -428,18 +427,18 @@ def _keypoint_targets(rng, X, m, jitter=0.5):
     return Y + jitter * rng.normal(size=Y.shape)
 
 
-def _ranked_columns(monkeypatch):
-    """A list that records how many columns each call of the m-output
-    rank scan gets, probes included."""
-    ranked = []
-    rank = tree_module._rank
+def _scanned_columns(monkeypatch):
+    """A list that records how many columns each call of the exact scan
+    gets: at each screened node, the probes, then the kept columns."""
+    scanned = []
+    scan = tree_module._sse_scan
 
-    def spy(X, Y, order, cols, lo, hi, total):
-        ranked.append((order.shape[1], len(cols)))
-        return rank(X, Y, order, cols, lo, hi, total)
+    def spy(X, Y, order, cols, lo, hi):
+        scanned.append(len(cols))
+        return scan(X, Y, order, cols, lo, hi)
 
-    monkeypatch.setattr(tree_module, "_rank", spy)
-    return ranked
+    monkeypatch.setattr(tree_module, "_sse_scan", spy)
+    return scanned
 
 
 def _kept_columns(monkeypatch):
@@ -487,9 +486,7 @@ def test_screened_scan_equals_the_full_scan(monkeypatch, targets, n_outputs, min
     kept = _kept_columns(monkeypatch)
     model = tree_fit(X, Y, max_depth=None, min_samples_leaf=min_leaf)
     pruned = sum(k < d for k, d in kept)
-    if n_outputs <= 2:  # m <= r: nothing to screen
-        assert pruned == 0
-    elif targets != "offset":
+    if targets != "offset":  # every m prunes, the full-width stage too
         assert pruned >= 5
     full = _full_scan_fit(monkeypatch, X, Y, max_depth=None, min_samples_leaf=min_leaf)
     assert_same_tree(model, flatten_tree(full))
@@ -497,11 +494,16 @@ def test_screened_scan_equals_the_full_scan(monkeypatch, targets, n_outputs, min
 
 
 def test_certified_scan_equals_the_full_scan_on_fuzzed_ties(monkeypatch):
+    # the full-width stage alone, from one probe: no tail term, the
+    # loosest lower bound
+    monkeypatch.setattr(tree_module, "_SCREEN_WIDTHS", ())
+    monkeypatch.setattr(tree_module, "_SCREEN_PROBES", 1)
+    kept = _kept_columns(monkeypatch)
     _fuzzed_ties_equal_the_full_scan(monkeypatch)
+    assert sum(k < d for k, d in kept) >= 50
 
 
 def test_screened_scan_equals_the_full_scan_on_fuzzed_ties(monkeypatch):
-    monkeypatch.setattr(tree_module, "_SCREEN_ROWS", 2)  # screen even the smallest nodes
     kept = _kept_columns(monkeypatch)
     _fuzzed_ties_equal_the_full_scan(monkeypatch)
     assert sum(k < d for k, d in kept) >= 50
@@ -524,6 +526,18 @@ def _fuzzed_ties_equal_the_full_scan(monkeypatch):
         full = _full_scan_fit(monkeypatch, X, Y, max_depth=None, min_samples_leaf=min_leaf)
         assert_same_tree(model, flatten_tree(full))
         assert_same_tree(model, reference_tree_fit(X, Y, None, min_leaf))
+
+
+def _exact_split_gain(X, Y, feature, threshold):
+    """The gain ``n |D|^2 / (n_L n_R)`` of one split in exact rationals."""
+    n, m = Y.shape
+    rows = [[Fraction(v) for v in row] for row in Y.tolist()]
+    total = [sum(row[k] for row in rows) for k in range(m)]
+    left = [row for row, go in zip(rows, X[:, feature] <= threshold) if go]
+    n_left = len(left)
+    d2 = sum((sum(row[k] for row in left) - Fraction(n_left, n) * total[k]) ** 2
+             for k in range(m))
+    return d2 * n / (n_left * (n - n_left))
 
 
 def _exact_best_gains(X, Y, min_leaf):
@@ -552,19 +566,31 @@ def _exact_best_gains(X, Y, min_leaf):
 @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
 def test_a_screened_out_column_gains_less_than_the_best_exactly(monkeypatch, offset):
     # twin columns split the rows into the same groups, in another order
-    # within ties, so their gains are equal exactly and differ when rounded
-    monkeypatch.setattr(tree_module, "_SCREEN_ROWS", 2)
+    # within ties, so their gains are equal exactly and differ when rounded;
+    # m from 1 covers the width-capped and the full-width stages
     rng = np.random.default_rng([int(offset), 11])
+    scanned = []
+    scan = tree_module._sse_scan
+
+    def spy(*args):
+        scanned.append(scan(*args))
+        return scanned[-1]
+
+    monkeypatch.setattr(tree_module, "_sse_scan", spy)
     dropped = 0
     for trial in range(12):
-        n, m, min_leaf = int(rng.integers(16, 50)), int(rng.integers(3, 12)), int(rng.integers(1, 4))
+        n, m, min_leaf = int(rng.integers(16, 50)), int(rng.integers(1, 12)), int(rng.integers(1, 4))
         base = rng.integers(0, 5, size=(n, 5)) / 4
         X = np.hstack([base, base + rng.random((n, 5)) / 8, rng.random((n, 3))])
         Y = _keypoint_targets(rng, base, m, jitter=0.1) * 10.0 ** rng.integers(-2, 3) + offset
         order = tree_module._presort(X)
         node = np.take(Y, order[0], axis=0)
-        kept, _ = tree_module._screen(X, Y, order, min_leaf - 1, n - min_leaf, node,
-                                      node.sum(axis=0), tree_module._margin(node))
+        scanned.clear()
+        kept, _ = tree_module._screen(X, Y, order, min_leaf - 1, n - min_leaf, node)
+        # the screen's first exact scan is its probes'; the lower bound comes from its best
+        lower = tree_module._node_sse(node) - scanned[0][0] - tree_module._margin(node)
+        _, feature, threshold = scan(X, Y, order, np.arange(X.shape[1]), min_leaf - 1, n - min_leaf)
+        assert lower < _exact_split_gain(X, Y, feature, threshold), trial
         best = _exact_best_gains(X, Y, min_leaf)
         top = max(g for g in best if g is not None)
         for j in sorted(set(range(X.shape[1])) - set(kept.tolist())):
@@ -581,27 +607,21 @@ def _pixel_root(targets):
     return X, _keypoint_targets(rng, X, 8)
 
 
-def test_pixel_root_certifies_one_column(monkeypatch):
+def test_noise_pixel_root_scans_few_columns(monkeypatch):
+    # no few directions hold the scatter of noise: the full-width stage prunes
     X, Y = _pixel_root("noise")
-    scanned = []
-    scan = tree_module._sse_scan
-
-    def spy(X, Y, order, cols, lo, hi):
-        scanned.append(len(cols))
-        return scan(X, Y, order, cols, lo, hi)
-
-    monkeypatch.setattr(tree_module, "_sse_scan", spy)
+    scanned = _scanned_columns(monkeypatch)
     model = tree_fit(X, Y, max_depth=1)
-    assert scanned == [1]
+    assert scanned == [tree_module._SCREEN_PROBES, 3]
     assert tree_depth(model) == 1
 
 
-def test_keypoint_pixel_root_ranks_few_columns(monkeypatch):
+def test_keypoint_pixel_root_scans_few_columns(monkeypatch):
     X, Y = _pixel_root("keypoints")
-    ranked = _ranked_columns(monkeypatch)
+    scanned = _scanned_columns(monkeypatch)
     model = tree_fit(X, Y, max_depth=1)
     assert tree_depth(model) == 1
-    assert sum(c for _, c in ranked) <= 0.1 * X.shape[1]
+    assert sum(scanned) <= 0.1 * X.shape[1]
     monkeypatch.undo()
     full = _full_scan_fit(monkeypatch, X, Y, max_depth=1)
     assert_same_tree(model, flatten_tree(full))
