@@ -1,10 +1,12 @@
 """Command line interface.
 
-Subcommands: split, train, predict, benchmark, lbp, pca, visualize. Exit
-codes: 0 on success, 1 on runtime failures (one-line diagnostic on
-stderr), 2 on usage errors (argparse). All randomness funnels through a
-single --seed flag. A run setting left out takes its BenchmarkConfig
-default, so `facekeys train` fits what the benchmark would.
+Subcommands: split, train, predict, benchmark, lbp, pca, visualize. A
+known command builds only its own parser, which prints the same help,
+usage and errors as the parser of all seven. Exit codes: 0 on success,
+1 on runtime failures (one-line diagnostic on stderr), 2 on usage errors
+(argparse). All randomness funnels through a single --seed flag. A run
+setting left out takes its BenchmarkConfig default, so `facekeys train`
+fits what the benchmark would.
 """
 
 from __future__ import annotations
@@ -258,26 +260,19 @@ def cmd_visualize(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="facekeys",
-        description="Facial keypoint regression lab: data prep, LBP/PCA "
-                    "features, eight regressors, RMSE benchmark, rasters.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_input(p) -> None:
+    p.add_argument("--input", help=f"training CSV (default ${INPUT_ENV})")
 
-    def add_input(p):
-        p.add_argument("--input", help=f"training CSV (default ${INPUT_ENV})")
 
-    p = sub.add_parser("split", help="write derived train/test CSVs per task")
-    add_input(p)
+def _split_arguments(p) -> None:
+    _add_input(p)
     p.add_argument("--out-dir", required=True)
     _add_setting(p, "train_fraction", default=ev.BenchmarkConfig.train_fraction)
     _add_setting(p, "seed", default=ev.BenchmarkConfig.seed)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="fit one model and save it")
-    add_input(p)
+
+def _train_arguments(p) -> None:
+    _add_input(p)
     p.add_argument("--task", choices=("four", "eleven"), default="four")
     p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--out", required=True)
@@ -293,17 +288,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="pick component count by variance coverage")
     for name, kinds in _MODEL_FLAGS.items():
         _add_setting(p, name, ev._config_field(kinds[-1], name), "for --model " + "/".join(kinds))
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("predict", help="apply a saved model to images")
+
+def _predict_arguments(p) -> None:
     p.add_argument("--model-file", required=True)
     p.add_argument("--input", required=True,
                    help="training-format CSV or image-only CSV")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("benchmark", help="run the RMSE benchmark")
-    add_input(p)
+
+def _benchmark_arguments(p) -> None:
+    _add_input(p)
     p.add_argument("--config", help="flat key=value config file")
     for dest, text in _BENCHMARK_SETTINGS.items():
         _add_setting(p, dest, help=text)
@@ -311,18 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="study scale: every row, 500 MLP and 400 CNN epochs "
                         "(explicit flags still win)")
     p.add_argument("--csv", help="also write the report as CSV here")
-    p.set_defaults(func=cmd_benchmark)
 
-    p = sub.add_parser("lbp", help="render a row's LBP code map")
-    add_input(p)
+
+def _lbp_arguments(p) -> None:
+    _add_input(p)
     p.add_argument("--row", type=int, default=0)
     p.add_argument("--out", required=True)
     for dest in _LBP_GEOMETRY:
         _add_setting(p, dest)
-    p.set_defaults(func=cmd_lbp)
 
-    p = sub.add_parser("pca", help="fit and save a PCA model")
-    add_input(p)
+
+def _pca_arguments(p) -> None:
+    _add_input(p)
     p.add_argument("--task", choices=("four", "eleven"), default="eleven")
     p.add_argument("--components", type=int, default=None)
     p.add_argument("--variance", type=float, default=None)
@@ -330,22 +325,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", action="store_true",
                    help="print per-component variance ratios")
     p.add_argument("--no-pixel-scaling", action="store_true")
-    p.set_defaults(func=cmd_pca)
 
-    p = sub.add_parser("visualize", help="keypoint overlay or scatter raster")
-    add_input(p)
+
+def _visualize_arguments(p) -> None:
+    _add_input(p)
     p.add_argument("--mode", choices=("keypoints", "scatter"), required=True)
     p.add_argument("--row", type=int, default=0)
     p.add_argument("--slot", help="slot name for scatter mode")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_visualize)
 
+
+#: command name -> (its help line, the function that adds its arguments, its handler)
+_COMMANDS = {
+    "split": ("write derived train/test CSVs per task", _split_arguments, cmd_split),
+    "train": ("fit one model and save it", _train_arguments, cmd_train),
+    "predict": ("apply a saved model to images", _predict_arguments, cmd_predict),
+    "benchmark": ("run the RMSE benchmark", _benchmark_arguments, cmd_benchmark),
+    "lbp": ("render a row's LBP code map", _lbp_arguments, cmd_lbp),
+    "pca": ("fit and save a PCA model", _pca_arguments, cmd_pca),
+    "visualize": ("keypoint overlay or scatter raster", _visualize_arguments, cmd_visualize),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, or of command's alone, which parses
+    that command's argv as the full one does and prints the same usage."""
+    parser = argparse.ArgumentParser(
+        prog="facekeys",
+        description="Facial keypoint regression lab: data prep, LBP/PCA "
+                    "features, eight regressors, RMSE benchmark, rasters.",
+    )
+    # the metavar gives a one-command parser the full usage line; the full parser lists
+    # its choices without one, which would also replace "command" in its errors
+    listing = {} if command is None else {"metavar": "{" + ",".join(_COMMANDS) + "}"}
+    sub = parser.add_subparsers(dest="command", required=True, **listing)
+    for name in _COMMANDS if command is None else [command]:
+        text, add_arguments, handler = _COMMANDS[name]
+        p = sub.add_parser(name, help=text)
+        add_arguments(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a known command builds only its own parser; --help, no command or an unknown
+    # one builds every command's, whose help and errors list them all
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (CliError, TrainingDiverged, OSError, ValueError) as exc:

@@ -106,11 +106,19 @@ def _entry(source, name: str, what: str = "meta entry"):
     return source[name]
 
 
+def _flag(meta: dict, name: str) -> bool:
+    """The JSON true or false meta[name]; any other value raises ValueError."""
+    value = _entry(meta, name)
+    if type(value) is not bool:
+        raise ValueError(f"the feature pipeline's {name!r} entry is {value!r}, not true or false")
+    return value
+
+
 def pipeline_from_payload(meta: dict, arrays) -> FeaturePipeline:
-    """Inverse of pipeline_to_payload. A missing meta entry or array, an
-    lbp record that is not LbpConfig's fields, or PCA arrays whose shapes
-    do not fit together, or an image_shape that is not two ints, raises
-    ValueError naming it."""
+    """Inverse of pipeline_to_payload. A missing meta entry or array, a
+    has_pca or scale_pixels that is not a bool, an lbp record that is not
+    LbpConfig's fields, PCA arrays whose shapes do not fit together, or an
+    image_shape that is not two ints, raises ValueError naming it."""
     lbp = _entry(meta, "lbp")
     fields = set(LbpConfig.__dataclass_fields__)
     # a record from before lbp_circular held the rule names a sampler: "bilinear", which every
@@ -124,7 +132,7 @@ def pipeline_from_payload(meta: dict, arrays) -> FeaturePipeline:
         raise ValueError(f"the feature pipeline's 'lbp' entry asks for {sampled!r} sampling, "
                          "which lbp_circular does not do at its geometry")
     model = None
-    if _entry(meta, "has_pca"):
+    if _flag(meta, "has_pca"):
         stage = {field: np.asarray(_entry(arrays, name, "array"))
                  for field, name in _PCA_ARRAYS.items()}
         try:
@@ -138,7 +146,7 @@ def pipeline_from_payload(meta: dict, arrays) -> FeaturePipeline:
         raise ValueError(f"the feature pipeline's 'image_shape' entry is {shape!r}, "
                          "not null or [h, w]")
     return FeaturePipeline(
-        scale_pixels=bool(_entry(meta, "scale_pixels")),
+        scale_pixels=_flag(meta, "scale_pixels"),
         lbp=lbp,
         lbp_mode=_entry(meta, "lbp_mode"),
         pca=model,

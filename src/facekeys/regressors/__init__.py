@@ -151,11 +151,12 @@ def _scaling_meta(s: Scaling) -> dict:
 def _scaling(meta, n_outputs: int) -> Scaling:
     """A network file's scaling. A file written before fit_scaling holds
     scalar targets and no input fields: its inputs are not scaled."""
-    targets = [np.asarray(meta.typed(name, float, list[float]), dtype=np.float64)
-               for name in ("target_offset", "target_scale")]
-    if any(t.shape not in ((), (n_outputs,)) for t in targets):
-        raise ConfigError(f"target_offset and target_scale must be scalars or hold "
-                          f"{n_outputs} values, got shapes {[t.shape for t in targets]}")
+    targets = []
+    for name in ("target_offset", "target_scale"):
+        target = np.asarray(meta.typed(name, float, list[float]), dtype=np.float64)
+        if target.shape not in ((), (n_outputs,)):
+            raise meta.refused(name, f"not a number or {n_outputs} numbers")
+        targets.append(target)
     inputs = [float(meta.typed(name, float)) if name in meta else unscaled
               for name, unscaled in (("input_offset", 0.0), ("input_scale", 1.0))]
     return Scaling(*inputs, *targets)
@@ -175,11 +176,11 @@ def _mlp_payload(m: MlpModel):
 
 def _mlp_model(meta, data) -> MlpModel:
     if meta["hidden_activation"] != "tanh":
-        raise ConfigError(f"unsupported mlp hidden activation {meta['hidden_activation']!r}")
+        raise meta.refused("hidden_activation", "not 'tanh'")
     n = meta.typed("n_layers", int)
     stored = sorted(name for name in data if name.startswith("mlp_"))
     if stored != sorted(f"mlp_{part}{i}" for i in range(n) for part in "bw"):
-        raise ConfigError(f"mlp meta n_layers is {n}, but the file holds arrays {stored}")
+        raise meta.refused("n_layers", f"but the file holds arrays {stored}")
     model = MlpModel(
         weights=[data[f"mlp_w{i}"] for i in range(n)],
         biases=[data[f"mlp_b{i}"] for i in range(n)],
@@ -310,9 +311,13 @@ class _Entries(Mapping):
         if not any(_json_is(value, kind) for kind in kinds):
             wanted = " or ".join("null" if kind is type(None) else
                                  str(kind) if get_origin(kind) else kind.__name__ for kind in kinds)
-            raise ConfigError(f"{self._path} is not a facekeys model file: its {self._what} "
-                              f"{name!r} is {value!r}, not {wanted}")
+            raise self.refused(name, f"not {wanted}")
         return value
+
+    def refused(self, name: str, why: str) -> ConfigError:
+        """The ConfigError for the entry name, whose value the file holds, and why it is wrong."""
+        return ConfigError(f"{self._path} is not a facekeys model file: its {self._what} "
+                           f"{name!r} is {self[name]!r}, {why}")
 
     def get(self, name: str, default=None):
         return self[name] if name in self else default

@@ -75,6 +75,64 @@ def test_usage_errors_exit_two(tmp_path):
     assert exc.value.code == 2
 
 
+_COMMAND_NAMES = ("split", "train", "predict", "benchmark", "lbp", "pca", "visualize")
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def test_build_parser_builds_every_command_by_default():
+    assert tuple(_subparsers(build_parser()).choices) == _COMMAND_NAMES
+
+
+@pytest.mark.parametrize("command", _COMMAND_NAMES)
+def test_a_one_command_parser_prints_the_full_parsers_texts(command):
+    full, one = build_parser(), build_parser(command)
+    assert list(_subparsers(one).choices) == [command]
+    assert one.format_usage() == full.format_usage()
+    mine, theirs = _subparsers(one).choices[command], _subparsers(full).choices[command]
+    assert mine.format_usage() == theirs.format_usage()
+    assert mine.format_help() == theirs.format_help()
+
+
+_PREDICT = ["predict", "--model-file", "m.npz", "--input", "i.csv", "--out", "o.csv"]
+
+
+@pytest.mark.parametrize("argv", [["no-such-command"], [], _PREDICT + ["extra"]],
+                         ids=["unknown-command", "no-arguments", "predict-extra"])
+def test_main_prints_the_full_parsers_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as full:
+        build_parser().parse_args(argv)
+    expected = capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, full.value.code) == (2, 2)
+    assert capsys.readouterr().err == expected
+
+
+def test_main_without_argv_reads_sys_argv(tmp_path, monkeypatch, capsys):
+    missing = tmp_path / "missing.npz"
+    monkeypatch.setattr("sys.argv", ["facekeys", "predict", "--model-file", str(missing),
+                                     "--input", "i.csv", "--out", str(tmp_path / "o.csv")])
+    assert main() == 1
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_main_adds_only_the_invoked_commands_arguments(tmp_path, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def spy(self, *names, **kwargs):
+        added.append(names[0])
+        return add_argument(self, *names, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    assert main(["predict", "--model-file", str(tmp_path / "missing.npz"),
+                 "--input", "i.csv", "--out", str(tmp_path / "o.csv")]) == 1
+    assert sorted(added) == ["--input", "--model-file", "--out", "-h", "-h"]
+
+
 def test_missing_input_is_a_one_line_error(tmp_path, capsys):
     rc = main(["lbp", "--out", str(tmp_path / "x.pgm")])
     assert rc == 1
@@ -456,7 +514,7 @@ _CNN = ("--model", "cnn", "--task", "four", "--pca", "16", "--epochs", "1", "--b
     (("--model", "knn", "--k", "3"), _set_meta("k", 0), "k must be in [1, "),
     (("--model", "knn", "--k", "3"), _one_dimensional_knn_y, "2-d with matching row counts"),
     (("--model", "mlp", "--hidden", "4", "--epochs", "1"), _set_meta("n_layers", 9),
-     "n_layers is 9"),
+     "its meta entry 'n_layers' is 9, but the file holds arrays"),
     (("--model", "mlp", "--hidden", "4", "--epochs", "1"), _mismatched_mlp_layer,
      "mlp layers do not chain"),
     (("--model", "knn", "--k", "3"), _drop_meta("k"), "has no meta entry 'k'"),
@@ -486,6 +544,28 @@ def test_predict_rejects_a_tampered_knn_or_mlp_file(tmp_path, csv_path, capsys, 
     assert err.startswith("facekeys: error:") and fragment in err
     assert len(err.splitlines()) == 1
 
+
+
+@pytest.mark.parametrize("tamper,line", [
+    (_set_meta("hidden_activation", [1]), "its meta entry 'hidden_activation' is [1], not 'tanh'"),
+    (_set_meta("n_layers", 3), "its meta entry 'n_layers' is 3, but the file holds arrays "
+                               "['mlp_b0', 'mlp_b1', 'mlp_w0', 'mlp_w1']"),
+    (_set_meta("target_scale", [1.0, 2.0]),
+     "its meta entry 'target_scale' is [1.0, 2.0], not a number or 8 numbers"),
+], ids=["hidden_activation", "n_layers", "target_scale"])
+def test_a_tampered_mlp_meta_entry_is_one_line_naming_the_file(tmp_path, csv_path, capsys,
+                                                               tamper, line):
+    model_file = tmp_path / "mlp.npz"
+    assert _train(csv_path, model_file, "--model", "mlp", "--hidden", "4", "--epochs", "1") == 0
+    with np.load(model_file) as data:
+        arrays = {name: data[name] for name in data.files}
+    tamper(arrays)
+    np.savez(model_file, **arrays)
+    capsys.readouterr()
+    assert main(["predict", "--model-file", str(model_file),
+                 "--input", str(csv_path), "--out", str(tmp_path / "p.csv")]) == 1
+    assert capsys.readouterr().err == (f"facekeys: error: {model_file} is not a facekeys "
+                                       f"model file: {line}\n")
 
 
 def _edit_extras(edit):
@@ -524,6 +604,22 @@ def test_predict_rejects_a_tampered_pipeline(tmp_path, csv_path, capsys, tamper,
     err = capsys.readouterr().err
     assert err.startswith("facekeys: error:") and fragment in err
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["has_pca", "scale_pixels"])
+def test_a_pipeline_flag_that_is_not_a_json_bool_is_refused(tmp_path, csv_path, capsys, name):
+    model_file, out = tmp_path / "knn.npz", tmp_path / "p.csv"
+    assert _train(csv_path, model_file, "--model", "knn", "--lbp", "--pca", "5") == 0
+    with np.load(model_file) as data:
+        arrays = {key: data[key] for key in data.files}
+    _edit_extras(lambda e: e["pipeline"].update({name: "no"}))(arrays)
+    np.savez(model_file, **arrays)
+    capsys.readouterr()
+    assert main(["predict", "--model-file", str(model_file),
+                 "--input", str(csv_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"facekeys: error: {model_file}: the feature pipeline's "
+                                       f"{name!r} entry is 'no', not true or false\n")
+    assert not out.exists()
 
 
 def _add_sampler(model_file, sampled):
@@ -901,8 +997,7 @@ def test_train_refuses_no_pixel_scaling_with_lbp(tmp_path, csv_path, capsys):
 
 
 def _subparser(name: str) -> argparse.ArgumentParser:
-    return next(a for a in build_parser()._actions
-                if isinstance(a, argparse._SubParsersAction)).choices[name]
+    return _subparsers(build_parser()).choices[name]
 
 
 def _run_set_union() -> set[str]:

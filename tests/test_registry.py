@@ -366,5 +366,6 @@ def test_a_network_file_saves_its_scaling_per_target_column(tmp_path, kind):
     back, _ = load_model(path)
     assert np.array_equal(predict_any(back, X), predict_any(model, X))
     _rewrite_meta(path, lambda meta: meta.update(target_scale=meta["target_scale"][:2]))
-    with pytest.raises(ConfigError, match="must be scalars or hold 3 values"):
+    with pytest.raises(ConfigError, match=r"its meta entry 'target_scale' is \[.*\], "
+                                         "not a number or 3 numbers$"):
         load_model(path)
