@@ -22,7 +22,8 @@ from . import eval as ev
 from . import pca as pca_mod
 from . import viz
 from .lbp import lbp_circular
-from .pipeline import LBP_MODES, fit_pipeline, pipeline_from_payload, pipeline_to_payload
+from .pipeline import (LBP_MODES, FeaturePipeline, fit_pipeline, pipeline_from_payload,
+                       pipeline_to_payload)
 from .regressors import (
     KINDS,
     SPEC_KINDS,
@@ -225,12 +226,8 @@ def cmd_pca(args) -> int:
     if (args.components is None) == (args.variance is None):
         raise CliError("give exactly one of --components and --variance")
     d = _load_task(_resolve_input(args.input), args.task)
-    model = fit_pipeline(
-        d.images,
-        scale_pixels=not args.no_pixel_scaling,
-        pca_components=args.components,
-        variance_target=args.variance,
-    )[0].pca
+    X = FeaturePipeline(scale_pixels=not args.no_pixel_scaling).transform(d.images).values
+    model = pca_mod.fit_pca(X, n_components=args.components, variance_target=args.variance)
     pca_mod.save_pca(model, args.out)
     covered = float(model.explained_ratio.sum())
     print(f"fit PCA on {len(d)} rows: {model.n_components} components "

@@ -1,10 +1,13 @@
 """Principal component analysis with an explained-variance selector.
 
-Columns are mean-centered and never rescaled, the covariance uses
-the 1/(n-1) convention, and when there are more features than samples the
-eigenproblem is solved on the n x n Gram matrix and mapped back, which is
-what makes 9216-pixel images tractable. Component signs are fixed by
-making each component's largest-magnitude entry positive.
+Columns are mean-centered and never rescaled, and the covariance uses
+the 1/(n-1) convention. One eigendecomposition serves both shapes: of the
+d x d covariance, or, with more features than samples, of the n x n Gram
+matrix, which is what makes 9216-pixel images tractable. The component
+count is chosen from the eigenvalues, and only those components are
+formed: the Gram route maps back the k kept eigenvectors (rounded up to
+a multiple of 16), not all of them. Component signs are fixed by making each component's
+largest-magnitude entry positive. NaN or inf in any input is refused.
 """
 
 from __future__ import annotations
@@ -57,19 +60,21 @@ class PcaModel:
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
-    out = components.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0:
-            out[i] = -out[i]
+    """A C-ordered copy of the rows, each negated if its largest-magnitude entry is negative."""
+    out = np.array(components, order="C")
+    peaks = out[np.arange(len(out)), np.argmax(np.abs(out), axis=1)]
+    out[peaks < 0] *= -1.0
     return out
 
 
-def fit_pca(
-    X,
-    n_components: int | None = None,
-    variance_target: float | None = None,
-) -> PcaModel:
+def _finite(A: np.ndarray, name: str) -> np.ndarray:
+    if not np.isfinite(A).all():
+        raise PcaError(f"{name} must be finite (no NaN or inf)")
+    return A
+
+
+def fit_pca(X, n_components: int | None = None,
+            variance_target: float | None = None) -> PcaModel:
     """Fit a PCA model, selecting components by count or variance coverage.
 
     Exactly one of ``n_components`` (a fixed k) and ``variance_target``
@@ -77,16 +82,16 @@ def fit_pca(
     be given.
 
     Raises:
-        PcaError: on a bad selector, fewer than 2 samples, a component
-            count the data cannot support, or zero-variance data with a
-            variance target.
+        PcaError: on a bad selector, NaN or inf in X, fewer than 2
+            samples, a component count the data cannot support, or
+            zero-variance data with a variance target.
     """
     if (n_components is None) == (variance_target is None):
         raise PcaError("give exactly one of n_components and variance_target")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise PcaError("X must be 2-d")
-    n, d = X.shape
+    n, d = _finite(X, "X").shape
     if n < 2:
         raise PcaError("need at least 2 samples")
 
@@ -99,46 +104,39 @@ def fit_pca(
         if total_variance <= 0.0:
             raise PcaError("zero-variance data cannot meet a variance target")
 
-    if d <= n:
-        cov = (Xc.T @ Xc) / (n - 1)
-        evals, evecs = np.linalg.eigh(cov)
-        evals = evals[::-1]
-        components = evecs[:, ::-1].T
-    else:
-        # Gram trick: eigenvectors of (Xc Xc^T)/(n-1) map to covariance
-        # eigenvectors as v = Xc^T u / sqrt((n-1) * eigenvalue).
-        gram = (Xc @ Xc.T) / (n - 1)
-        evals, evecs = np.linalg.eigh(gram)
-        evals = evals[::-1]
-        evecs = evecs[:, ::-1]
-        keep = evals > _EIG_FLOOR * max(evals[0], 1e-300)
-        evals = evals[keep]
-        evecs = evecs[:, keep]
-        components = (Xc.T @ evecs).T
-        components /= np.sqrt((n - 1) * evals)[:, None]
-
+    # Gram trick: with more features than samples, the eigenvectors u of
+    # (Xc Xc^T)/(n-1) map to covariance eigenvectors Xc^T u / sqrt((n-1) * eigenvalue)
+    gram = d > n
+    evals, evecs = np.linalg.eigh((Xc @ Xc.T if gram else Xc.T @ Xc) / (n - 1))
+    evals, evecs = evals[::-1], evecs[:, ::-1]
+    if gram:  # a null direction of the Gram matrix maps to no component
+        evals = evals[:np.count_nonzero(evals > _EIG_FLOOR * max(evals[0], 1e-300))]
     evals = np.maximum(evals, 0.0)
     ratios = evals / total_variance if total_variance > 0 else np.zeros_like(evals)
     available = evals.shape[0]
 
     if n_components is not None:
         if not 1 <= n_components <= min(n, d):
-            raise PcaError(
-                f"n_components must be in [1, {min(n, d)}], got {n_components}"
-            )
+            raise PcaError(f"n_components must be in [1, {min(n, d)}], got {n_components}")
         if n_components > available:
-            raise PcaError(
-                f"data supports only {available} components, {n_components} requested"
-            )
+            raise PcaError(f"data supports only {available} components, {n_components} requested")
         k = n_components
     else:
         cum = np.cumsum(ratios)
         reached = np.nonzero(cum >= variance_target - 1e-9)[0]
         k = int(reached[0]) + 1 if reached.size else available
 
+    if gram:
+        # map back a multiple of 16 eigenvectors, or all of them: a BLAS product rounds the
+        # rows of its last, partial block otherwise than full ones, so this gives each of the
+        # k components the bits it has in the map-back of every eigenvector
+        U = np.ascontiguousarray(evecs[:, :min(available, -(-k // 16) * 16)])
+        components = (Xc.T @ U).T[:k] / np.sqrt((n - 1) * evals[:k])[:, None]
+    else:
+        components = evecs[:, :k].T
     return PcaModel(
         mean=mean,
-        components=_fix_signs(components[:k]),
+        components=_fix_signs(components),
         explained_variance=evals[:k].copy(),
         explained_ratio=ratios[:k].copy(),
     )
@@ -149,7 +147,7 @@ def transform(model: PcaModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_features:
         raise PcaError(f"X must be (n, {model.n_features}) rows, got shape {X.shape}")
-    return (X - model.mean) @ model.components.T
+    return (_finite(X, "X") - model.mean) @ model.components.T
 
 
 def inverse_transform(model: PcaModel, Z) -> np.ndarray:
@@ -157,7 +155,7 @@ def inverse_transform(model: PcaModel, Z) -> np.ndarray:
     Z = np.asarray(Z, dtype=np.float64)
     if Z.ndim != 2 or Z.shape[1] != model.n_components:
         raise PcaError(f"Z must be (n, {model.n_components}) rows, got shape {Z.shape}")
-    return Z @ model.components + model.mean
+    return _finite(Z, "Z") @ model.components + model.mean
 
 
 def save_pca(model: PcaModel, path) -> None:

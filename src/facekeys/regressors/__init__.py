@@ -337,10 +337,10 @@ def load_model(path):
 
     extras also holds every array the model's kind did not read, each read
     from the still-open archive when looked up. A file that lacks a meta
-    entry or an array its kind reads, or whose arrays do not form a valid
-    model, raises ConfigError or ValueError. So does a file that is not an
-    .npz archive or is damaged, and an array that cannot be read when it
-    is looked up in extras: each is a ConfigError that names the path.
+    entry or an array its kind reads, whose arrays do not form a valid
+    model, or that is not an .npz archive or is damaged raises a
+    ConfigError that names the path, and so does an array that cannot be
+    read when it is looked up in extras.
     """
     try:
         data = np.load(path)
@@ -367,7 +367,13 @@ def load_model(path):
             raise ConfigError(f"{path} is not a facekeys model file: its extras are {extras!r}, "
                               "not a JSON object")
         arrays = _Entries(path, "array", dict.fromkeys([n for n in data.files if n != "meta"], data))
-        model = fmt.from_payload(_Entries(path, "meta entry", dict.fromkeys(meta, meta)), arrays)
+        entries = _Entries(path, "meta entry", dict.fromkeys(meta, meta))
+        try:
+            model = fmt.from_payload(entries, arrays)
+        except ConfigError:
+            raise  # it names the file already
+        except ValueError as exc:  # a model class's own check of its arrays
+            raise ConfigError(f"{path} is not a facekeys model file: {exc}") from None
         unread = [name for name in arrays if name not in arrays.served]
         if unread:
             closing.pop_all()  # extras reads them from the open archive

@@ -461,7 +461,7 @@ def test_predict_rejects_a_tampered_tree_file(tmp_path, csv_path, capsys, tamper
                "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("facekeys: error:") and fragment in err
+    assert err.startswith("facekeys: error:") and fragment in err and str(model_file) in err
     assert len(err.splitlines()) == 1
 
 
@@ -541,7 +541,7 @@ def test_predict_rejects_a_tampered_knn_or_mlp_file(tmp_path, csv_path, capsys, 
                "--input", str(csv_path), "--out", str(tmp_path / "p.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert err.startswith("facekeys: error:") and fragment in err
+    assert err.startswith("facekeys: error:") and fragment in err and str(model_file) in err
     assert len(err.splitlines()) == 1
 
 

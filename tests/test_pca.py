@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from facekeys.lbp import LbpConfig, lbp_circular
 from facekeys.pca import (
     PcaError,
     PcaModel,
@@ -12,6 +13,85 @@ from facekeys.pca import (
     transform,
 )
 from readers import load_pca
+
+
+def _reference_fix_signs(components: np.ndarray) -> np.ndarray:
+    out = components.copy()
+    for i in range(out.shape[0]):
+        j = int(np.argmax(np.abs(out[i])))
+        if out[i, j] < 0:
+            out[i] = -out[i]
+    return out
+
+
+def reference_fit_pca(X, n_components=None, variance_target=None) -> PcaModel:
+    """The two-route fit that fit_pca replaced, kept as its oracle: an eigh of
+    the covariance when d <= n, else of the Gram matrix, mapping every kept
+    Gram eigenvector back to a component before keeping k of them."""
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    mean = X.mean(axis=0)
+    Xc = X - mean
+    total_variance = float((Xc * Xc).sum()) / (n - 1)
+    if d <= n:
+        cov = (Xc.T @ Xc) / (n - 1)
+        evals, evecs = np.linalg.eigh(cov)
+        evals = evals[::-1]
+        components = evecs[:, ::-1].T
+    else:
+        gram = (Xc @ Xc.T) / (n - 1)
+        evals, evecs = np.linalg.eigh(gram)
+        evals = evals[::-1]
+        evecs = evecs[:, ::-1]
+        keep = evals > 1e-12 * max(evals[0], 1e-300)
+        evals = evals[keep]
+        evecs = evecs[:, keep]
+        components = (Xc.T @ evecs).T
+        components /= np.sqrt((n - 1) * evals)[:, None]
+    evals = np.maximum(evals, 0.0)
+    ratios = evals / total_variance if total_variance > 0 else np.zeros_like(evals)
+    if n_components is not None:
+        k = n_components
+    else:
+        reached = np.nonzero(np.cumsum(ratios) >= variance_target - 1e-9)[0]
+        k = int(reached[0]) + 1 if reached.size else evals.shape[0]
+    return PcaModel(mean=mean, components=_reference_fix_signs(components[:k]),
+                    explained_variance=evals[:k].copy(), explained_ratio=ratios[:k].copy())
+
+
+def lbp_codes(n: int, side: int, seed: int) -> np.ndarray:
+    """Basic LBP codes of n random side x side images, one row per image."""
+    images = np.random.default_rng(seed).integers(0, 256, size=(n, side, side), dtype=np.uint8)
+    return lbp_circular(images, LbpConfig()).reshape(n, -1).astype(np.float64)
+
+
+def _rank_three_wide(seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(12, 3)) @ rng.normal(size=(3, 60))
+
+
+@pytest.mark.parametrize("make, kwargs, k", [
+    (lambda: np.random.default_rng(20).normal(size=(300, 40)), {"n_components": 10}, 10),
+    (lambda: np.random.default_rng(21).normal(size=(50, 50)), {"n_components": 50}, 50),
+    (lambda: np.random.default_rng(21).normal(size=(50, 50)), {"variance_target": 0.9}, 25),
+    (lambda: lbp_codes(400, 48, 22), {"n_components": 256}, 256),
+    (lambda: lbp_codes(400, 48, 22), {"n_components": 300}, 300),
+    (lambda: lbp_codes(400, 48, 22), {"n_components": 1}, 1),
+    (lambda: lbp_codes(180, 48, 23), {"n_components": 179}, 179),
+    (lambda: lbp_codes(180, 48, 23), {"variance_target": 0.95}, 163),
+    (lambda: _rank_three_wide(24), {"n_components": 3}, 3),
+    (lambda: _rank_three_wide(24), {"variance_target": 1.0}, 3),
+], ids=["d<n", "d=n", "d=n-variance", "d>n-k256", "d>n-k300", "d>n-k1", "study-lbp-pca",
+        "d>n-variance", "rank3-wide", "rank3-wide-variance"])
+def test_fit_equals_the_two_route_reference_bit_for_bit(make, kwargs, k):
+    # the kept components equal the matching rows of the full map-back product; k = 300
+    # and k = 1 end inside a row block of that product, and rank3-wide drops null directions
+    X = make()
+    got, want = fit_pca(X, **kwargs), reference_fit_pca(X, **kwargs)
+    assert got.n_components == k
+    for field in ("mean", "components", "explained_variance", "explained_ratio"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+    assert got.components.flags.c_contiguous  # np.save writes it in the same order
 
 
 def top_eig_2x2(a: float, b: float, c: float):
@@ -184,6 +264,27 @@ def test_zero_variance_with_target_is_an_error():
     X = np.ones((5, 3))
     with pytest.raises(PcaError, match="zero-variance"):
         fit_pca(X, variance_target=0.9)
+
+
+@pytest.mark.parametrize("X", [
+    [[np.nan, 1.0], [2.0, 3.0], [4.0, 5.0]],
+    np.where(np.arange(15).reshape(3, 5) == 7, np.inf, 1.0),  # wide: the Gram route
+    [[1.0, 2.0], [-np.inf, 0.0], [3.0, 1.0]],
+], ids=["nan", "wide-inf", "minus-inf"])
+def test_fit_refuses_nan_and_inf(X):
+    with pytest.raises(PcaError, match=r"^X must be finite \(no NaN or inf\)$"):
+        fit_pca(X, n_components=1)
+    with pytest.raises(PcaError, match=r"^X must be finite"):
+        fit_pca(X, variance_target=0.9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_transforms_refuse_nan_and_inf(bad):
+    model = fit_pca(POINTS, n_components=1)
+    with pytest.raises(PcaError, match=r"^X must be finite \(no NaN or inf\)$"):
+        transform(model, [[1.0, 2.0], [bad, 0.0]])
+    with pytest.raises(PcaError, match=r"^Z must be finite \(no NaN or inf\)$"):
+        inverse_transform(model, [[0.5], [bad]])
 
 
 def test_input_validation():
