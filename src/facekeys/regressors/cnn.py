@@ -24,10 +24,10 @@ dout with the flipped kernel. Both convolution stages run on row blocks
 of _BLOCK_CELLS grid cells, which keeps a block's patches and
 activations in cache; the dense head takes all rows at once, because
 OpenBLAS rounds a product differently for different row counts. Training,
-the epoch loss and cnn_predict share this code. The deterministic passes
-keep no block's caches, so a predict holds one block's patches, not all
-n rows'. Dropout masks keep their (n, c, h, w) shape and are read
-through transposed views.
+the training-set check after the last epoch and cnn_predict share this
+code. The deterministic passes keep no block's caches, so a predict holds
+one block's patches, not all n rows'. Dropout masks keep their (n, c, h,
+w) shape and are read through transposed views.
 
 The products sum in an order the BLAS build chooses by shape and thread
 count, so parameters, losses and predictions may differ in their last
@@ -316,11 +316,12 @@ def cnn_fit(
     and Y are scaled by fit_scaling(grids, Y), and the model keeps d as
     n_features. X that is not 2-d, or narrower than 16, raises ValueError.
 
-    loss_history records the full-training-set MSE (dropout off, scaled
-    target space) per epoch, computed by the forward pass alone; a
-    non-finite loss aborts with TrainingDiverged naming the epoch. NaN or
-    inf in X or Y, or a std of X or of a Y column that overflows, raises
-    ValueError.
+    loss_history records, per epoch, the row-weighted mean of its
+    mini-batch losses (under dropout, scaled target space), as optim.train
+    records it; one forward pass over the whole training set (dropout off)
+    after the last epoch checks the final network. A non-finite loss
+    aborts with TrainingDiverged naming the epoch. NaN or inf in X or Y,
+    or a std of X or of a Y column that overflows, raises ValueError.
     """
     if np.ndim(X) != 2:
         raise ValueError(f"X must be (n, d) rows, got shape {np.shape(X)}")

@@ -146,11 +146,13 @@ def mlp_fit(
 ) -> MlpModel:
     """Train an MLP regressor on X and Y scaled by fit_scaling(X, Y).
 
-    The recorded loss_history holds the full-training-set MSE (dropout
-    off, scaled target space) at the end of each epoch, computed by the
-    forward pass alone. A non-finite loss aborts with TrainingDiverged
-    naming the epoch; NaN or inf in X or Y, or a std of X or of a Y
-    column that overflows, raises ValueError.
+    The recorded loss_history holds, per epoch, the row-weighted mean of
+    its mini-batch losses (under dropout, scaled target space), as
+    optim.train records it; one forward pass over the whole training set
+    (dropout off) after the last epoch checks the final network. A
+    non-finite loss aborts with TrainingDiverged naming the epoch; NaN or
+    inf in X or Y, or a std of X or of a Y column that overflows, raises
+    ValueError.
     """
     X, Y = check_fit_inputs(X, Y)
 

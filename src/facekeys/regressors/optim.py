@@ -6,7 +6,9 @@ bit for bit."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -130,9 +132,15 @@ OPTIMIZERS = {"sgd": Sgd, "rmsprop": RmsProp}
 
 
 def make_optimizer(name: str, params: np.ndarray, learning_rate: float | None = None):
-    """Build an optimizer by tag (an OPTIMIZERS key); None keeps its default rate."""
+    """Build an optimizer by tag (an OPTIMIZERS key); None keeps its default
+    rate. A rate that is not a finite number above 0 raises ValueError."""
     if name not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {name!r}")
+    if learning_rate is not None and not (
+        isinstance(learning_rate, Real) and not isinstance(learning_rate, bool)
+        and math.isfinite(learning_rate) and learning_rate > 0
+    ):
+        raise ValueError(f"learning_rate must be a finite number above 0, got {learning_rate!r}")
     lr = {} if learning_rate is None else {"learning_rate": learning_rate}
     return OPTIMIZERS[name](params, **lr)
 
@@ -171,17 +179,24 @@ def train(
     one inverted-dropout mask per (per-row shape, rate) entry of dropout,
     in order, when any rate is above 0 (else masks is None), and steps the
     vector params on the gradients of batch_step(rows, masks) -> (loss,
-    grads in params order), packed into one vector. After every epoch the
-    history gains the MSE of predict(), the output for all n rows with
-    dropout off, against targets. A rate outside [0, 1), epochs < 0 or
-    batch_size < 1 raises ValueError; a non-finite batch or epoch loss
-    raises TrainingDiverged naming the epoch.
+    grads in params order), packed into one vector. The history gains one
+    entry per epoch: the row-weighted mean of that epoch's batch losses
+    (under dropout, each taken before its batch's step), summed in batch
+    order. After the last epoch, the MSE of predict(), the output for all
+    n rows with dropout off, against targets is checked once: a fit whose
+    final network overflows raises even when every batch loss was finite.
+
+    A dropout rate outside [0, 1), epochs that is not an integer >= 0, or
+    batch_size that is not an integer >= 1 (a bool is neither) raises
+    ValueError; a non-finite batch loss, epoch mean or final MSE raises
+    TrainingDiverged naming the epoch.
     """
     for _, rate in dropout:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rates must be in [0, 1), got {rate}")
-    if epochs < 0 or batch_size < 1:
-        raise ValueError("epochs must be >= 0 and batch_size >= 1")
+    for what, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
+        if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
+            raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     opt = make_optimizer(optimizer, params, learning_rate)
     grad = np.empty_like(params)
     rng = np.random.default_rng(seed + 1)
@@ -190,6 +205,7 @@ def train(
     history: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(n)
+        total = 0.0
         for rows in batch_slices(n, batch_size, order):
             masks = None
             if draw:
@@ -197,10 +213,12 @@ def train(
             loss, grads = batch_step(rows, masks)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"{name} loss became non-finite at epoch {epoch}")
+            total += loss * rows.size
             np.concatenate([g.ravel() for g in grads], out=grad)
             opt.step(params, grad)
-        epoch_loss = mse_loss_and_grad(predict(), targets)[0]
-        if not np.isfinite(epoch_loss):
+        history.append(total / n)
+        if not np.isfinite(history[-1]):
             raise TrainingDiverged(f"{name} loss became non-finite at epoch {epoch}")
-        history.append(epoch_loss)
+    if epochs and not np.isfinite(mse_loss_and_grad(predict(), targets)[0]):
+        raise TrainingDiverged(f"{name} loss became non-finite at epoch {epochs - 1}")
     return history

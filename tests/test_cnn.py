@@ -155,8 +155,13 @@ def reference_loss_and_gradients(model, X, Y, masks=None):
 
 def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, seed):
     """The fit loop cnn_fit ran before the shared loop, on the reference
-    network: the epoch loss came from a full gradient pass, and each array
-    had its own optimizer. X is scaled by its mean and std over all
+    network, each array with its own optimizer; the model and its full-set
+    loss history.
+
+    The model's loss_history holds each epoch's row-weighted mean of its
+    batch losses, summed in batch order; the second list holds each
+    epoch's loss from a full gradient pass (dropout off), the history
+    cnn_fit once recorded. X is scaled by its mean and std over all
     entries, Y by each column's mean and std. X holds (n, side*side) rows."""
     side = math.isqrt(X.shape[1])
     X = X.reshape(-1, side, side)
@@ -168,8 +173,10 @@ def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, see
     opts = [make_optimizer("rmsprop", p) for p in params]
     n = X.shape[0]
     half, quarter = model.side // 2, model.side // 4
+    full_history = []
     for epoch in range(epochs):
         order = rng.permutation(n)
+        total = 0.0
         for batch in batch_slices(n, batch_size, order):
             masks = None
             if dropout_conv > 0.0 or dropout_dense > 0.0:
@@ -182,11 +189,12 @@ def reference_cnn_fit(X, Y, epochs, batch_size, dropout_conv, dropout_dense, see
             loss, grads = reference_loss_and_gradients(model, X[batch], Ys[batch], masks)
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"cnn loss became non-finite at epoch {epoch}")
+            total += loss * batch.size
             for opt, p, k in zip(opts, params, PARAM_NAMES):
                 opt.step(p, grads[k])
-        epoch_loss, _ = reference_loss_and_gradients(model, X, Ys)
-        model.loss_history.append(epoch_loss)
-    return model
+        model.loss_history.append(total / n)
+        full_history.append(reference_loss_and_gradients(model, X, Ys)[0])
+    return model, full_history
 
 
 def reference_forward(model, X):
@@ -415,6 +423,19 @@ def test_grid_validation():
         CnnModel(params=model.params, side=8, n_features=63)
 
 
+def test_fit_validation():
+    X, Y = np.zeros((4, 16)), np.zeros((4, 1))
+    with pytest.raises(ValueError, match="^batch_size must be an integer >= 1, got 2.0$"):
+        cnn_fit(X, Y, epochs=1, batch_size=2.0)
+    with pytest.raises(ValueError, match="^epochs must be an integer >= 0, got True$"):
+        cnn_fit(X, Y, epochs=True)
+    with pytest.raises(ValueError, match=r"^epochs must be an integer >= 0, got 2\.5$"):
+        cnn_fit(X, Y, epochs=2.5)
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^learning_rate must be a finite number above 0"):
+            cnn_fit(X, Y, epochs=1, learning_rate=bad)
+
+
 @pytest.mark.parametrize("width, side", [
     (0, None), (15, None), (16, 4), (20, 4), (36, 4), (63, 4), (64, 8), (143, 8), (144, 12),
     (179, 12), (255, 12), (256, 16), (9215, 92), (9216, 96),
@@ -519,7 +540,7 @@ def test_fit_matches_the_reference_loop(dropout, scale):
     args = dict(epochs=4, batch_size=10, dropout_conv=dropout[0],
                 dropout_dense=dropout[1], seed=2)
     model = cnn_fit(X, Y, **args)
-    ref = reference_cnn_fit(X, Y, **args)
+    ref, _ = reference_cnn_fit(X, Y, **args)
     assert_near_reference(model.loss_history, ref.loss_history, "loss_history")
     for name in PARAM_NAMES:
         assert_near_reference(model.params[name], ref.params[name], name)
@@ -585,7 +606,7 @@ def study_shape_inputs():
 def test_study_shape_fit_matches_the_reference_loop():
     X, Y, args = study_shape_inputs()
     model = cnn_fit(X, Y, **args)
-    ref = reference_cnn_fit(X, Y, **args)
+    ref, _ = reference_cnn_fit(X, Y, **args)
     assert_near_reference(model.loss_history, ref.loss_history, "loss_history")
     for name in PARAM_NAMES:
         assert_near_reference(model.params[name], ref.params[name], name)

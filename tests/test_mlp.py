@@ -18,10 +18,14 @@ from facekeys.regressors.optim import (
 
 
 def reference_mlp_fit(X, Y, hidden, epochs, batch_size, optimizer, dropout, seed):
-    """The fit loop mlp_fit ran before the shared loop: the epoch loss came
-    from a full loss_and_gradients call whose gradients were dropped, and
-    each array had its own optimizer. X is scaled by its mean and std over
-    all entries, Y by each column's mean and std."""
+    """The fit loop mlp_fit ran before the shared loop, each array with its
+    own optimizer; the model and its full-set loss history.
+
+    The model's loss_history holds each epoch's row-weighted mean of its
+    batch losses, summed in batch order; the second list holds each
+    epoch's loss from a full loss_and_gradients call (dropout off) whose
+    gradients are dropped, the history mlp_fit once recorded. X is scaled
+    by its mean and std over all entries, Y by each column's mean and std."""
     X = np.asarray(X, dtype=np.float64)
     model = init_mlp(X.shape[1], tuple(hidden), Y.shape[1], seed)
     X = (X - X.mean()) / X.std()
@@ -30,8 +34,10 @@ def reference_mlp_fit(X, Y, hidden, epochs, batch_size, optimizer, dropout, seed
     params = model.weights + model.biases
     opts = [make_optimizer(optimizer, p) for p in params]
     n = X.shape[0]
+    full_history = []
     for epoch in range(epochs):
         order = rng.permutation(n)
+        total = 0.0
         for batch in batch_slices(n, batch_size, order):
             masks = None
             if dropout > 0.0:
@@ -44,11 +50,12 @@ def reference_mlp_fit(X, Y, hidden, epochs, batch_size, optimizer, dropout, seed
             )
             if not np.isfinite(loss):
                 raise TrainingDiverged(f"mlp loss became non-finite at epoch {epoch}")
+            total += loss * batch.size
             for opt, p, g in zip(opts, params, gw + gb):
                 opt.step(p, g)
-        epoch_loss, _, _ = loss_and_gradients(model.weights, model.biases, X, Ys)
-        model.loss_history.append(epoch_loss)
-    return model
+        model.loss_history.append(total / n)
+        full_history.append(loss_and_gradients(model.weights, model.biases, X, Ys)[0])
+    return model, full_history
 
 
 def tensor_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -217,6 +224,13 @@ def test_fit_validation():
         mlp_fit(X, Y, dropout=1.0)
     with pytest.raises(ValueError, match="batch_size"):
         mlp_fit(X, Y, batch_size=0)
+    with pytest.raises(ValueError, match="^batch_size must be an integer >= 1, got True$"):
+        mlp_fit(X, Y, batch_size=True)
+    with pytest.raises(ValueError, match=r"^epochs must be an integer >= 0, got 2\.5$"):
+        mlp_fit(X, Y, epochs=2.5)
+    for bad in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="^learning_rate must be a finite number above 0"):
+            mlp_fit(X, Y, hidden=(), epochs=1, learning_rate=bad)
     with pytest.raises(ValueError, match="matching row"):
         mlp_fit(X, np.zeros((3, 1)))
     with pytest.raises(ValueError, match="2-d"):
@@ -235,7 +249,7 @@ def test_fit_is_bit_identical_to_the_reference_loop(dropout, optimizer):
     args = dict(hidden=(16, 8), epochs=6, batch_size=10, optimizer=optimizer,
                 dropout=dropout, seed=3)
     model = mlp_fit(X, Y, **args)
-    ref = reference_mlp_fit(X, Y, **args)
+    ref, _ = reference_mlp_fit(X, Y, **args)
     assert model.loss_history == ref.loss_history
     for got, want in zip(model.weights + model.biases, ref.weights + ref.biases):
         assert np.array_equal(got, want)

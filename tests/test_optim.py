@@ -7,12 +7,14 @@ from facekeys.regressors.optim import (
     RmsProp,
     Scaling,
     Sgd,
+    TrainingDiverged,
     batch_slices,
     dropout_mask,
     fit_scaling,
     glorot_uniform,
     make_optimizer,
     mse_loss_and_grad,
+    train,
 )
 
 
@@ -99,6 +101,67 @@ def test_make_optimizer_defaults_and_validation():
     assert make_optimizer("sgd", p, learning_rate=0.5).lr == 0.5
     with pytest.raises(ValueError, match="optimizer"):
         make_optimizer("adam", p)
+    assert make_optimizer("sgd", p, learning_rate=np.float64(0.25)).lr == 0.25
+    for bad in (-1.0, 0.0, 0, -0.0, np.nan, np.inf, -np.inf, True, "0.1"):
+        for name in ("sgd", "rmsprop"):
+            with pytest.raises(ValueError, match="^learning_rate must be a finite number above 0, got "):
+                make_optimizer(name, p, learning_rate=bad)
+
+
+def _train_counting_predicts(epochs, batch_size=3):
+    """train on a 7-row problem whose batch_step and predict are stubs; the
+    history and how often predict ran."""
+    targets = np.zeros((7, 2))
+    calls = []
+
+    def predict():
+        calls.append(None)
+        return targets
+
+    history = train(
+        np.zeros(3), targets, optimizer="sgd", learning_rate=None, epochs=epochs,
+        batch_size=batch_size, seed=0, dropout=[((2,), 0.5)],
+        batch_step=lambda rows, masks: (float(rows.size), [np.ones(3)]),
+        predict=predict, name="stub",
+    )
+    return history, len(calls)
+
+
+@pytest.mark.parametrize("epochs", [0, 1, 2, 5])
+def test_train_runs_predict_once_after_the_last_epoch(epochs):
+    history, predicts = _train_counting_predicts(epochs)
+    assert predicts == min(epochs, 1)
+    # batches of 3, 3 and 1 rows whose loss is their row count: (9 + 9 + 1) / 7
+    assert history == [19 / 7] * epochs
+
+
+@pytest.mark.parametrize("what, bad", [
+    ("epochs", 2.5), ("epochs", True), ("epochs", np.float64(3.0)), ("epochs", "3"), ("epochs", -1),
+    ("batch_size", 2.0), ("batch_size", True), ("batch_size", None), ("batch_size", 0),
+])
+def test_train_refuses_bad_epochs_and_batch_size(what, bad):
+    least = 0 if what == "epochs" else 1
+    with pytest.raises(ValueError) as exc:
+        if what == "epochs":
+            _train_counting_predicts(bad)
+        else:
+            _train_counting_predicts(1, batch_size=bad)
+    assert str(exc.value) == f"{what} must be an integer >= {least}, got {bad!r}"
+
+
+@pytest.mark.parametrize("fit", ["mlp", "cnn"])
+def test_a_network_that_overflows_at_the_last_step_diverges(fit):
+    # one SGD step at rate 1e308 leaves finite weights whose output
+    # overflows: only the check after the last epoch sees it
+    X = np.random.default_rng(5).normal(size=(20, 16))
+    Y = np.random.default_rng(6).normal(size=(20, 2))
+    settings = dict(epochs=1, batch_size=20, optimizer="sgd", learning_rate=1e308, seed=0)
+    with pytest.raises(TrainingDiverged, match=f"^{fit} loss became non-finite at epoch 0$"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if fit == "mlp":
+                mlp_fit(X, Y, hidden=(8,), dropout=0.0, **settings)
+            else:
+                cnn_fit(X, Y, dropout_conv=0.0, dropout_dense=0.0, **settings)
 
 
 def test_batch_slices_cover_order():
