@@ -5,6 +5,12 @@ four dense keypoints) impute, hold out a seeded test fraction, build raw
 and LBP+PCA feature pipelines, fit each configured model, and score
 held-out RMSE in pixel units. Reports render as markdown tables (model
 rows, RMSE1 = eleven task, RMSE2 = four task) or as a deterministic CSV.
+
+A cell is one (model, pipeline, task) fit-and-score. The mlp and cnn
+cells may run side by side on worker threads (see _network_workers); the
+rows keep config order either way. A row's seconds is its own elapsed
+time, which may overlap other rows', so a markdown table's seconds can
+sum past the run's wall time.
 """
 
 from __future__ import annotations
@@ -12,8 +18,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import threading
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 import numpy as np
 
@@ -163,6 +172,8 @@ def load_config(path) -> BenchmarkConfig:
 class EvalRow:
     """One (model, pipeline, task) measurement.
 
+    seconds is the cell's own fit-and-score time; network cells fitted
+    side by side overlap, so the rows' seconds can sum past the run's.
     converged is the fitted model's own flag where its kind keeps one (the
     linear kinds: ols and ridge are always True, lasso and elastic say
     whether coordinate descent converged) and None for the other kinds
@@ -219,12 +230,105 @@ def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
     )
 
 
+#: The gradient-trained kinds. Their fits spend their time in BLAS products
+#: and numpy loops, which release the GIL, so their cells can run side by
+#: side; coordinate descent and the tree step in Python and hold it.
+NETWORK_KINDS = ("mlp", "cnn")
+
+#: Where a BLAS library reads its thread count, in the order checked.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _network_workers(cells: int) -> int:
+    """How many of a run's `cells` network cells fit at once: the CPUs this
+    process may use over the BLAS threads per call, at most cells.
+
+    The BLAS thread count is the first of _BLAS_THREAD_VARS that holds a
+    positive integer, else one per CPU, the libraries' default. Below 2,
+    network cells run inline on the calling thread.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for var in _BLAS_THREAD_VARS:
+        try:
+            value = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            blas = value
+            break
+    return min(cpus // blas, cells)
+
+
+def _run_cell(spec: RegressorSpec, pipeline_name: str, task: str,
+              X_train, Y_train, X_test, Y_test) -> EvalRow:
+    """Fit and score one cell; a failure becomes the row's error."""
+    started = time.perf_counter()
+    converged = None
+    try:
+        model = fit_any(spec, X_train, Y_train)
+        value = rmse(predict_any(model, X_test), Y_test)
+        error = None
+        converged = getattr(model, "converged", None)
+    except Exception as exc:
+        value = None
+        error = str(exc)
+    return EvalRow(
+        model=spec.kind, pipeline=pipeline_name, task=task,
+        rmse=value, n_train=len(Y_train), n_test=len(Y_test),
+        seed=spec.seed, hyperparameters=spec.hyperparameters,
+        seconds=time.perf_counter() - started, error=error,
+        converged=converged,
+    )
+
+
+class _CellThread(threading.Thread):
+    """One network cell on a daemon thread, fitted once gate has a free slot.
+
+    A daemon thread does not hold up the interpreter's exit, so a Ctrl-C or
+    an error in the calling thread ends a run without waiting for the fits
+    in flight (concurrent.futures joins its workers at exit).
+    """
+
+    def __init__(self, gate: threading.Semaphore, cell):
+        super().__init__(daemon=True)
+        self._gate, self._cell = gate, cell
+        self._row: EvalRow | None = None
+        self._exc: BaseException | None = None
+
+    def run(self) -> None:
+        with self._gate:
+            try:
+                self._row = self._cell()
+            except BaseException as exc:  # raised again on the calling thread
+                self._exc = exc
+
+    def row(self) -> EvalRow:
+        self.join()
+        if self._exc is not None:
+            raise self._exc
+        return self._row
+
+
 def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
-    """Run the configured benchmark; per-row failures never abort the run."""
+    """Run the configured benchmark; per-row failures never abort the run.
+
+    The network cells (NETWORK_KINDS) fit on daemon threads, at most
+    _network_workers at once, while every other cell runs on the calling
+    thread in config order; with fewer than 2 workers they run inline too.
+    The report's rows are in config order either way. A row's seconds is
+    its own elapsed time, so rows fitted side by side overlap.
+    """
     data = load_training_csv(cfg.training_csv)
     dense, sparse = split_by_keypoint_coverage(data)
     by_task = {"four": dense, "eleven": sparse}
-    report = EvalReport(seed=cfg.seed)
+    networks = sum(kind in NETWORK_KINDS for kind in cfg.models)
+    workers = _network_workers(networks * len(cfg.pipelines) * len(cfg.tasks))
+    gate = threading.Semaphore(workers) if workers >= 2 else None
+    rows: list = []  # EvalRows, and the _CellThreads that make the network rows
 
     for task in cfg.tasks:
         d = _subsample(by_task[task], cfg.max_rows, cfg.seed)
@@ -253,7 +357,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
                 X_test = pipe.transform(test.images).values
             except Exception as exc:  # configuration-level failure hits all rows
                 for kind in cfg.models:
-                    report.rows.append(EvalRow(
+                    rows.append(EvalRow(
                         model=kind, pipeline=pipeline_name, task=task,
                         rmse=None, n_train=len(train), n_test=len(test),
                         seed=cfg.seed, hyperparameters={}, error=str(exc),
@@ -261,25 +365,16 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
                 continue
 
             for kind in cfg.models:
-                spec = _spec_for(cfg, kind)
-                started = time.perf_counter()
-                converged = None
-                try:
-                    model = fit_any(spec, X_train, Y_train)
-                    value = rmse(predict_any(model, X_test), Y_test)
-                    error = None
-                    converged = getattr(model, "converged", None)
-                except Exception as exc:
-                    value = None
-                    error = str(exc)
-                report.rows.append(EvalRow(
-                    model=kind, pipeline=pipeline_name, task=task,
-                    rmse=value, n_train=len(train), n_test=len(test),
-                    seed=cfg.seed, hyperparameters=spec.hyperparameters,
-                    seconds=time.perf_counter() - started, error=error,
-                    converged=converged,
-                ))
-    return report
+                cell = partial(_run_cell, _spec_for(cfg, kind), pipeline_name, task,
+                               X_train, Y_train, X_test, Y_test)
+                if gate is not None and kind in NETWORK_KINDS:
+                    thread = _CellThread(gate, cell)
+                    thread.start()
+                    rows.append(thread)
+                else:
+                    rows.append(cell())
+    return EvalReport(rows=[r.row() if isinstance(r, _CellThread) else r for r in rows],
+                      seed=cfg.seed)
 
 
 def mean_predictor_rmse(Y_train: np.ndarray, Y_test: np.ndarray) -> float:

@@ -186,14 +186,15 @@ def train(
     n rows with dropout off, against targets is checked once: a fit whose
     final network overflows raises even when every batch loss was finite.
 
-    A dropout rate outside [0, 1), epochs that is not an integer >= 0, or
+    A dropout rate that is not a number in [0, 1), epochs that is not an
+    integer >= 0, or
     batch_size that is not an integer >= 1 (a bool is neither) raises
     ValueError; a non-finite batch loss, epoch mean or final MSE raises
     TrainingDiverged naming the epoch.
     """
     for _, rate in dropout:
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rates must be in [0, 1), got {rate}")
+        if not (isinstance(rate, Real) and not isinstance(rate, bool) and 0.0 <= rate < 1.0):
+            raise ValueError(f"dropout rates must be numbers in [0, 1), got {rate!r}")
     for what, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
         if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
             raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")

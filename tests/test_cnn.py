@@ -434,6 +434,10 @@ def test_fit_validation():
     for bad in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="^learning_rate must be a finite number above 0"):
             cnn_fit(X, Y, epochs=1, learning_rate=bad)
+    for bad in ("0.5", None, True, np.nan, 1.0):  # the parent raised TypeError on "0.5" and None
+        for rate in ("dropout_conv", "dropout_dense"):
+            with pytest.raises(ValueError, match=r"^dropout rates must be numbers in \[0, 1\), got "):
+                cnn_fit(X, Y, epochs=1, **{rate: bad})
 
 
 @pytest.mark.parametrize("width, side", [

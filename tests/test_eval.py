@@ -1,5 +1,12 @@
 import dataclasses
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,16 +230,17 @@ def test_benchmark_all_models_deterministic_and_byte_identical(bench_csv):
 
 
 def test_benchmark_cnn_row_fits_the_first_grid_columns(bench_csv, monkeypatch):
-    # every kind gets the same 40 PCA columns; the cnn reads the first 16 as its 4x4 grid
-    fits, predicts = [], []
+    # every kind gets the same 40 PCA columns; the cnn reads the first 16 as its 4x4 grid.
+    # The calls are keyed by kind and by model: a cnn fit on a worker may end after knn's.
+    fits, predicts = {}, {}
 
     def fit_and_keep(spec, X, Y):
-        fits.append((spec, X, Y, fit_any(spec, X, Y)))
-        return fits[-1][-1]
+        fits[spec.kind] = (spec, X, Y, fit_any(spec, X, Y))
+        return fits[spec.kind][-1]
 
     def predict_and_keep(model, X):
-        predicts.append((X, predict_any(model, X)))
-        return predicts[-1][-1]
+        predicts[id(model)] = (X, predict_any(model, X))
+        return predicts[id(model)][-1]
 
     monkeypatch.setattr(eval_module, "fit_any", fit_and_keep)
     monkeypatch.setattr(eval_module, "predict_any", predict_and_keep)
@@ -240,8 +248,8 @@ def test_benchmark_cnn_row_fits_the_first_grid_columns(bench_csv, monkeypatch):
                           pipelines=("lbp_pca",), pca_components=40, cnn_epochs=2)
     rows = run_benchmark(cfg).rows
     assert [r.error for r in rows] == [None, None]
-    (spec, X, Y, model), (_, knn_X, _, _) = fits
-    (X_test, pred), (knn_X_test, _) = predicts
+    (spec, X, Y, model), (_, knn_X, _, knn_model) = fits["cnn"], fits["knn"]
+    (X_test, pred), (knn_X_test, _) = predicts[id(model)], predicts[id(knn_model)]
     assert X.shape[1] == 40 and X is knn_X and X_test is knn_X_test
     assert (model.side, model.n_features) == (4, 40)
     ref = fit_any(spec, X[:, :16], Y)
@@ -277,6 +285,172 @@ def test_benchmark_seed_changes_the_partition(bench_csv):
     a = run_benchmark(base).rows[0].rmse
     b = run_benchmark(dataclasses.replace(base, seed=99)).rows[0].rmse
     assert a != b  # different holdout, different score
+
+
+# ---- network cells on worker threads ------------------------------------------------
+#
+# Tier-1 runs at the default BLAS threads, where the worker rule runs network
+# cells inline; these tests force the worker count through _network_workers.
+
+
+def _force_workers(monkeypatch, workers: int) -> None:
+    monkeypatch.setattr(eval_module, "_network_workers", lambda cells: workers)
+
+
+def _small_nets(bench_csv, **fields) -> BenchmarkConfig:
+    return BenchmarkConfig(**{
+        "training_csv": bench_csv, "models": ALL_MODELS, "max_rows": 40, "mlp_epochs": 1,
+        "cnn_epochs": 1, "mlp_hidden": (8,), "cd_max_iter": 30, **fields,
+    })
+
+
+def test_network_cells_fit_side_by_side(bench_csv, monkeypatch):
+    # fails at the parent: its fits run one after the other, so the barrier breaks
+    barrier = threading.Barrier(2, timeout=10)
+
+    def fit_at_the_barrier(spec, X, Y):
+        barrier.wait()
+        return fit_any(spec, X, Y)
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(eval_module, "fit_any", fit_at_the_barrier)
+    cfg = _small_nets(bench_csv, models=("mlp", "cnn"), tasks=("four",), pipelines=("lbp_pca",))
+    rows = run_benchmark(cfg).rows
+    assert [(r.model, r.error) for r in rows] == [("mlp", None), ("cnn", None)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_only_network_cells_leave_the_calling_thread(bench_csv, monkeypatch, workers):
+    # fails at the parent: it has no _network_workers to force, and runs every cell
+    # on the calling thread
+    threads: dict[str, set] = {}
+
+    def fit_and_record(spec, X, Y):
+        threads.setdefault(spec.kind, set()).add(threading.current_thread())
+        return fit_any(spec, X, Y)
+
+    _force_workers(monkeypatch, workers)
+    monkeypatch.setattr(eval_module, "fit_any", fit_and_record)
+    rows = run_benchmark(_small_nets(bench_csv, pipelines=("lbp_pca",))).rows
+    assert all(r.error is None for r in rows)
+    caller = threading.current_thread()
+    for kind in ("knn", "ols", "ridge", "lasso", "elastic", "tree"):
+        assert threads[kind] == {caller}
+    for kind in eval_module.NETWORK_KINDS:
+        if workers < 2:
+            assert threads[kind] == {caller}
+        else:
+            assert caller not in threads[kind] and all(t.daemon for t in threads[kind])
+            assert not any(t.is_alive() for t in threads[kind])  # they end with the run
+
+
+@pytest.mark.parametrize("cpus, env, cells, workers", [
+    (2, {"OPENBLAS_NUM_THREADS": "1"}, 8, 2),
+    (2, {}, 8, 1),  # one BLAS thread per CPU by default: inline
+    (4, {"OMP_NUM_THREADS": "2"}, 8, 2),
+    (2, {"OPENBLAS_NUM_THREADS": "one"}, 8, 1),  # not an integer: unset
+    (2, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, 8, 2),  # not positive: unset
+    (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 1),  # the first set wins
+    (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),  # at most one per network cell
+    (8, {"OPENBLAS_NUM_THREADS": "1"}, 0, 0),
+])
+def test_worker_rule(monkeypatch, cpus, env, cells, workers):
+    # fails at the parent: it has no worker rule
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert eval_module._network_workers(cells) == workers
+    # without an affinity call, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert eval_module._network_workers(cells) == workers
+
+
+def test_workers_give_the_inline_report(bench_csv, monkeypatch):
+    # fails at the parent only for want of _network_workers to force. 8 workers fit all
+    # 8 network cells at once, more than the CPUs, and a short switch interval
+    # interleaves them finely
+    reports = []
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-5)
+        for workers in (1, 2, 8):
+            _force_workers(monkeypatch, workers)
+            reports.append(format_report(run_benchmark(_small_nets(bench_csv)), style="csv"))
+    finally:
+        sys.setswitchinterval(interval)
+    assert reports[0] == reports[1] == reports[2]
+    assert len(reports[0].splitlines()) == 1 + 8 * 2 * 2
+
+
+def test_a_failing_pooled_fit_is_only_its_own_rows_error(bench_csv, monkeypatch):
+    # fails at the parent only for want of _network_workers to force
+    def fit_or_fail(spec, X, Y):
+        if spec.kind == "cnn":
+            raise RuntimeError("cnn broke")
+        return fit_any(spec, X, Y)
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(eval_module, "fit_any", fit_or_fail)
+    rows = run_benchmark(_small_nets(bench_csv, models=("knn", "mlp", "cnn", "tree"))).rows
+    assert [r.model for r in rows] == ["knn", "mlp", "cnn", "tree"] * 4
+    for r in rows:
+        assert r.error == ("cnn broke" if r.model == "cnn" else None)
+        assert (r.rmse is None) == (r.model == "cnn")
+
+
+_INTERRUPTED_CHILD = """
+import sys, threading, time
+import facekeys.eval as E
+from facekeys.regressors import fit_any
+
+def fit(spec, X, Y):
+    if spec.kind == "cnn":
+        where = "main" if threading.current_thread() is threading.main_thread() else "worker"
+        print(where, flush=True)
+        time.sleep(60)
+    return fit_any(spec, X, Y)
+
+E.fit_any = fit
+E._network_workers = lambda cells: 2
+E.run_benchmark(E.BenchmarkConfig(training_csv=sys.argv[1], models=("cnn", "knn"),
+                                  tasks=("four",), pipelines=("raw",)))
+"""
+
+
+def test_ctrl_c_does_not_wait_for_the_fits_in_flight(bench_csv):
+    # fails at the parent: there the cnn fit runs on the main thread
+    env = {**os.environ, "PYTHONPATH": str(Path(eval_module.__file__).parents[1])}
+    child = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_CHILD, bench_csv], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert child.stdout.readline() == "worker\n"
+        sent = time.monotonic()
+        child.send_signal(signal.SIGINT)
+        child.wait(timeout=10)
+        assert time.monotonic() - sent < 10
+        assert child.returncode != 0 and "KeyboardInterrupt" in child.stderr.read()
+    finally:
+        if child.poll() is None:
+            child.kill()
+        child.communicate()
+
+
+@pytest.mark.parametrize("kind", ALL_MODELS)
+def test_every_kind_leaves_read_only_inputs_as_they_were(kind):
+    # passes at the parent; it is what lets cells share X_train across threads
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(40, 20))
+    Y = rng.normal(size=(40, 4)) * 10.0 + 48.0
+    X_before, Y_before = X.copy(), Y.copy()
+    X.flags.writeable = False
+    Y.flags.writeable = False
+    cfg = BenchmarkConfig(mlp_epochs=2, cnn_epochs=2, mlp_hidden=(8,), cd_max_iter=30)
+    pred = predict_any(fit_any(_spec_for(cfg, kind), X, Y), X)
+    assert pred.shape == Y.shape and np.isfinite(pred).all()
+    assert X.tobytes() == X_before.tobytes() and Y.tobytes() == Y_before.tobytes()
 
 
 # ---- reports ---------------------------------------------------------------------

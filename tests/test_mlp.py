@@ -222,6 +222,9 @@ def test_fit_validation():
     X, Y = np.zeros((4, 2)), np.zeros((4, 1))
     with pytest.raises(ValueError, match="dropout"):
         mlp_fit(X, Y, dropout=1.0)
+    for bad in ("0.5", None, True, [0.5]):  # the parent raised TypeError on all but True
+        with pytest.raises(ValueError, match=r"^dropout rates must be numbers in \[0, 1\), got "):
+            mlp_fit(X, Y, dropout=bad)
     with pytest.raises(ValueError, match="batch_size"):
         mlp_fit(X, Y, batch_size=0)
     with pytest.raises(ValueError, match="^batch_size must be an integer >= 1, got True$"):
