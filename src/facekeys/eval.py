@@ -230,9 +230,9 @@ def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
     )
 
 
-#: The gradient-trained kinds. Their fits spend their time in BLAS products
-#: and numpy loops, which release the GIL, so their cells can run side by
-#: side; coordinate descent and the tree step in Python and hold it.
+#: The gradient-trained kinds: long fits whose time goes to BLAS products and
+#: numpy loops, which release the GIL. knn, ols and ridge use BLAS too but are
+#: short, and coordinate descent holds the GIL (measured in the README).
 NETWORK_KINDS = ("mlp", "cnn")
 
 #: Where a BLAS library reads its thread count, in the order checked.

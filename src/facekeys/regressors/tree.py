@@ -224,9 +224,25 @@ def _presort(X: np.ndarray) -> np.ndarray:
     order = np.empty((d, n), dtype=np.int32)
     step = max(1, _PASS_ELEMENTS // n)
     for start in range(0, d, step):
-        order[start : start + step] = np.argsort(X[:, start : start + step].T, axis=1,
-                                                 kind="stable")
+        order[start : start + step] = np.argsort(_as_bytes(X[:, start : start + step].T),
+                                                 axis=1, kind="stable")
     return order
+
+
+def _as_bytes(block: np.ndarray) -> np.ndarray:
+    """block as uint8 k when each value is exactly k / 255 (scaled pixels) or
+    k (pixels, plain LBP codes) for an integer k in [0, 255]; else block.
+
+    k -> k / 255 is strictly increasing, so both give the same stable order,
+    and numpy sorts uint8 by radix. -0.0 becomes 0, as it ties with 0.0.
+    """
+    if not (block.min() >= 0 and block.max() <= 255):  # NaN fails here too
+        return block
+    for scale in (255.0, 1.0):
+        k = np.rint(block * scale)
+        if k.max() <= 255 and np.array_equal(k / scale, block):
+            return k.astype(np.uint8)
+    return block
 
 
 def _passes(X, order, cols, lo, hi, m):

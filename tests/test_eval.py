@@ -289,8 +289,8 @@ def test_benchmark_seed_changes_the_partition(bench_csv):
 
 # ---- network cells on worker threads ------------------------------------------------
 #
-# Tier-1 runs at the default BLAS threads, where the worker rule runs network
-# cells inline; these tests force the worker count through _network_workers.
+# At the default BLAS threads of a host, the worker rule runs network cells
+# inline; these tests force the worker count through _network_workers.
 
 
 def _force_workers(monkeypatch, workers: int) -> None:

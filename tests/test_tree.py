@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from facekeys.lbp import LbpConfig, lbp_circular
 from facekeys.regressors import tree as tree_module
 from facekeys.regressors.tree import (
     TreeModel,
@@ -391,6 +392,38 @@ def test_small_passes_equal_reference(monkeypatch):
     for min_leaf in (1, 4):
         model = tree_fit(X, Y, max_depth=None, min_samples_leaf=min_leaf)
         assert_same_tree(model, reference_tree_fit(X, Y, None, min_leaf))
+
+
+def _byte_block(kind):
+    rng = np.random.default_rng(9)
+    if kind == "pixels":
+        return rng.integers(0, 256, size=(360, 2304)) / 255.0
+    images = rng.integers(0, 256, size=(40, 18, 18), dtype=np.uint8)
+    return lbp_circular(images, LbpConfig()).reshape(40, -1).astype(np.float64)
+
+
+@pytest.mark.parametrize("kind", ["pixels", "lbp codes"])
+def test_byte_presort_equals_the_float_argsort(kind):
+    X = _byte_block(kind)
+    assert tree_module._as_bytes(X.T).dtype == np.uint8
+    assert np.array_equal(tree_module._presort(X), np.argsort(X.T, axis=1, kind="stable"))
+
+
+def test_a_value_one_ulp_off_a_pixel_level_takes_the_float_path():
+    # as bytes, rows 0 and 1 would tie at level 7 and keep row order;
+    # as floats, row 0 is the larger and sorts after row 1
+    X = _byte_block("pixels")[:, :3].copy()
+    X[0, 1], X[1, 1] = np.nextafter(7 / 255.0, 1.0), 7 / 255.0
+    assert tree_module._as_bytes(X[:, 1:2].T).dtype == np.float64
+    order = tree_module._presort(X)
+    assert np.array_equal(order, np.argsort(X.T, axis=1, kind="stable"))
+    assert list(order[1]).index(1) < list(order[1]).index(0)
+
+
+def test_negative_zero_sorts_as_zero():
+    X = np.array([[51 / 255.0], [-0.0], [0.0], [-0.0], [1 / 255.0]])
+    assert tree_module._as_bytes(X.T).dtype == np.uint8
+    assert tree_module._presort(X).tolist() == [[1, 2, 3, 4, 0]]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 8])
