@@ -232,7 +232,7 @@ def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
 
 #: The gradient-trained kinds: long fits whose time goes to BLAS products and
 #: numpy loops, which release the GIL. knn, ols and ridge use BLAS too but are
-#: short, and coordinate descent holds the GIL (measured in the README).
+#: short, and coordinate descent holds the GIL (measured in ROADMAP.md).
 NETWORK_KINDS = ("mlp", "cnn")
 
 #: Where a BLAS library reads its thread count, in the order checked.

@@ -230,19 +230,18 @@ def _presort(X: np.ndarray) -> np.ndarray:
 
 
 def _as_bytes(block: np.ndarray) -> np.ndarray:
-    """block as uint8 k when each value is exactly k / 255 (scaled pixels) or
-    k (pixels, plain LBP codes) for an integer k in [0, 255]; else block.
+    """block as uint8 k when each value is exactly k / 255 for an integer k
+    in [0, 255] (scaled pixels); else block.
 
     k -> k / 255 is strictly increasing, so both give the same stable order,
     and numpy sorts uint8 by radix. -0.0 becomes 0, as it ties with 0.0.
     """
-    if not (block.min() >= 0 and block.max() <= 255):  # NaN fails here too
+    if not (block.min() >= 0 and block.max() <= 1):  # NaN fails here too
         return block
-    for scale in (255.0, 1.0):
-        k = np.rint(block * scale)
-        if k.max() <= 255 and np.array_equal(k / scale, block):
-            return k.astype(np.uint8)
-    return block
+    k = np.rint(block * 255.0)
+    if not np.array_equal(k / 255.0, block):
+        return block
+    return k.astype(np.uint8)
 
 
 def _passes(X, order, cols, lo, hi, m):

@@ -402,10 +402,12 @@ def _byte_block(kind):
     return lbp_circular(images, LbpConfig()).reshape(40, -1).astype(np.float64)
 
 
-@pytest.mark.parametrize("kind", ["pixels", "lbp codes"])
-def test_byte_presort_equals_the_float_argsort(kind):
+@pytest.mark.parametrize("kind, dtype", [("pixels", np.uint8), ("lbp codes", np.float64)],
+                         ids=["pixels", "lbp codes"])
+def test_byte_presort_equals_the_float_argsort(kind, dtype):
+    # only scaled pixels sort as bytes; integer codes keep the float argsort
     X = _byte_block(kind)
-    assert tree_module._as_bytes(X.T).dtype == np.uint8
+    assert tree_module._as_bytes(X.T).dtype == dtype
     assert np.array_equal(tree_module._presort(X), np.argsort(X.T, axis=1, kind="stable"))
 
 
