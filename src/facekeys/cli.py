@@ -17,6 +17,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import dataset as ds
 from . import eval as ev
 from . import pca as pca_mod
@@ -164,7 +166,8 @@ def cmd_predict(args) -> int:
     """Apply a saved model to a CSV of images; write predicted coordinates.
 
     A model whose input width differs from its feature pipeline's output
-    is refused before it predicts, as a fault of the model file."""
+    is refused before it predicts, as a fault of the model file; so is a
+    prediction that is not finite, before any is written."""
     model, extras = load_model(args.model_file)
     if "pipeline" not in extras:
         raise CliError(f"{args.model_file} holds no feature pipeline; "
@@ -187,6 +190,8 @@ def cmd_predict(args) -> int:
     if len(columns) != pred.shape[1]:
         raise CliError(f"{args.model_file} names {len(columns)} target columns, "
                        f"but its model predicts {pred.shape[1]}")
+    if not np.isfinite(pred).all():  # the CSV writes NaN as a missing cell
+        raise CliError(f"{args.model_file} predicts a value that is not finite (NaN or inf)")
     ds._write_rows(args.out, columns, pred, None)
     print(f"wrote {pred.shape[0]} predictions to {args.out}")
     return 0

@@ -61,8 +61,8 @@ class LbpConfig:
             raise LbpError("neighbors must be at least 4")
         if self.neighbors > 62:
             raise LbpError("neighbors above 62 overflow the code dtype")
-        if self.radius <= 0:
-            raise LbpError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise LbpError(f"radius must be a finite number above 0, got {self.radius!r}")
         if self.cell_size < 1:
             raise LbpError("cell_size must be at least 1")
 

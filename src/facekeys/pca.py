@@ -13,6 +13,7 @@ largest-magnitude entry positive. NaN or inf in any input is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -82,7 +83,8 @@ def fit_pca(X, n_components: int | None = None,
     be given.
 
     Raises:
-        PcaError: on a bad selector, NaN or inf in X, fewer than 2
+        PcaError: on a bad selector (an n_components that is not an
+            integer, a bool included), NaN or inf in X, fewer than 2
             samples, a component count the data cannot support, or
             zero-variance data with a variance target.
     """
@@ -116,8 +118,10 @@ def fit_pca(X, n_components: int | None = None,
     available = evals.shape[0]
 
     if n_components is not None:
-        if not 1 <= n_components <= min(n, d):
-            raise PcaError(f"n_components must be in [1, {min(n, d)}], got {n_components}")
+        if (isinstance(n_components, bool) or not isinstance(n_components, Integral)
+                or not 1 <= n_components <= min(n, d)):
+            raise PcaError(f"n_components must be an integer in [1, {min(n, d)}], "
+                           f"got {n_components!r}")
         if n_components > available:
             raise PcaError(f"data supports only {available} components, {n_components} requested")
         k = n_components

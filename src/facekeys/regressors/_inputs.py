@@ -1,6 +1,9 @@
-"""The row contract every regressor keeps: what a fit and a predict accept."""
+"""The contract every regressor keeps: the rows and settings its fit and predict accept."""
 
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -28,3 +31,19 @@ def check_rows(X, n_features: int) -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError("X must be finite (no NaN or inf)")
     return X
+
+
+def check_count(name: str, value, least: int) -> None:
+    """A count: an integer (a bool is not) >= least, else a ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_number(name: str, value, low: float, high: float = math.inf, above: bool = False) -> None:
+    """A rate or penalty: a finite real number (a bool is not) in [low, high],
+    or in (low, high] when above, else a ValueError naming it."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value)
+            or not (value > low if above else value >= low) or value > high):
+        where = (f"above {low}" if above else f">= {low}" if high == math.inf
+                 else f"in [{low}, {high}]")
+        raise ValueError(f"{name} must be a finite number {where}, got {value!r}")

@@ -321,7 +321,8 @@ def cnn_fit(
     records it; one forward pass over the whole training set (dropout off)
     after the last epoch checks the final network. A non-finite loss
     aborts with TrainingDiverged naming the epoch. NaN or inf in X or Y,
-    or a std of X or of a Y column that overflows, raises ValueError.
+    or a std of X or of a Y column that overflows, raises ValueError, as
+    does a setting optim.train refuses.
     """
     if np.ndim(X) != 2:
         raise ValueError(f"X must be (n, d) rows, got shape {np.shape(X)}")

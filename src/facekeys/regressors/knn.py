@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import check_fit_inputs, check_rows
+from ._inputs import check_count, check_fit_inputs, check_rows
 
 
 @dataclass(eq=False)
@@ -30,6 +30,9 @@ class KnnModel:
 
 
 def knn_fit(X, Y, k: int = 5) -> KnnModel:
+    """Store copies of X and Y. A k that is not an integer (a bool is not)
+    in [1, n] raises ValueError, as does NaN or inf in X or Y."""
+    check_count("k", k, 1)
     X, Y = check_fit_inputs(X, Y)
     return KnnModel(X=X.copy(), Y=Y.copy(), k=k)
 

@@ -83,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import check_fit_inputs, check_rows
+from ._inputs import check_count, check_fit_inputs, check_number, check_rows
 
 
 @dataclass(eq=False)
@@ -150,10 +150,10 @@ def ridge_fit(X, Y, lam: float = 1.0) -> LinearModel:
     The intercept is unpenalized (fit on centered data). lam = 0 falls
     back to the least-squares path. When there are more features than
     rows the algebraically identical dual form
-    W = Xc^T (Xc Xc^T + lam I)^-1 Yc is solved instead.
+    W = Xc^T (Xc Xc^T + lam I)^-1 Yc is solved instead. A lam that is not
+    a finite number >= 0 (a bool is not) raises ValueError.
     """
-    if lam < 0:
-        raise ValueError(f"lam must be nonnegative, got {lam}")
+    check_number("lam", lam, 0)
     if lam == 0.0:
         return ols_fit(X, Y)
     X, Y = check_fit_inputs(X, Y, min_rows=2)
@@ -346,15 +346,6 @@ def _coordinate_descent(
     return W, False
 
 
-def _check_cd(alpha: float, max_iter: int, tol: float) -> None:
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-
-
 def lasso_fit(X, Y, alpha: float = 0.1, max_iter: int = 1000, tol: float = 1e-6) -> LinearModel:
     """L1-penalized least squares by active-set coordinate descent.
 
@@ -365,7 +356,7 @@ def lasso_fit(X, Y, alpha: float = 0.1, max_iter: int = 1000, tol: float = 1e-6)
     violates its condition; max_iter caps the sweeps. Non-convergence
     is reported through the model's converged flag, not an exception.
     It is elastic_fit at rho=1, whose penalties are then exactly alpha
-    and 0.0.
+    and 0.0, and refuses the settings elastic_fit refuses.
     """
     return elastic_fit(X, Y, alpha, 1.0, max_iter, tol)
 
@@ -380,11 +371,15 @@ def elastic_fit(
 ) -> LinearModel:
     """Mixed L1/L2 penalty; rho=1 is the lasso, rho=0 is ridge at lam=alpha*n.
 
-    Solved and stopped as lasso_fit is.
+    Solved and stopped as lasso_fit is. An alpha that is not a finite
+    number >= 0, a rho not one in [0, 1], a max_iter not an integer >= 1
+    or a tol not a finite number above 0 (a bool is none of these) raises
+    ValueError.
     """
-    _check_cd(alpha, max_iter, tol)
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    check_number("alpha", alpha, 0)
+    check_number("rho", rho, 0, 1)
+    check_count("max_iter", max_iter, 1)
+    check_number("tol", tol, 0, above=True)
     X, Y = check_fit_inputs(X, Y, min_rows=2)
     Xc, Yc, x_mean, y_mean = _center(X, Y)
     W, converged = _coordinate_descent(

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._inputs import check_fit_inputs, check_rows
+from ._inputs import check_count, check_fit_inputs, check_rows
 from .optim import Scaling, fit_scaling, glorot_uniform, mse_loss_and_grad, param_vector, train
 
 
@@ -120,10 +120,11 @@ def init_mlp(
 ) -> MlpModel:
     """Glorot-uniform initialized network, deterministic per seed.
 
-    Raises ValueError unless every hidden width is at least 1.
+    Raises ValueError, naming hidden[i], unless every hidden width is an
+    integer >= 1 (a bool is not).
     """
-    if any(width < 1 for width in hidden):
-        raise ValueError(f"mlp hidden widths must be at least 1, got {tuple(hidden)}")
+    for i, width in enumerate(hidden):
+        check_count(f"hidden[{i}]", width, 1)
     rng = np.random.default_rng(seed)
     sizes = (n_inputs, *hidden, n_outputs)
     weights, biases = [], []
@@ -152,7 +153,7 @@ def mlp_fit(
     (dropout off) after the last epoch checks the final network. A
     non-finite loss aborts with TrainingDiverged naming the epoch; NaN or
     inf in X or Y, or a std of X or of a Y column that overflows, raises
-    ValueError.
+    ValueError, as does a setting init_mlp or optim.train refuses.
     """
     X, Y = check_fit_inputs(X, Y)
 

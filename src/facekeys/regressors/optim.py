@@ -6,11 +6,12 @@ bit for bit."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
+
+from ._inputs import check_count, check_number
 
 
 class TrainingDiverged(RuntimeError):
@@ -136,11 +137,8 @@ def make_optimizer(name: str, params: np.ndarray, learning_rate: float | None = 
     rate. A rate that is not a finite number above 0 raises ValueError."""
     if name not in OPTIMIZERS:
         raise ValueError(f"unknown optimizer {name!r}")
-    if learning_rate is not None and not (
-        isinstance(learning_rate, Real) and not isinstance(learning_rate, bool)
-        and math.isfinite(learning_rate) and learning_rate > 0
-    ):
-        raise ValueError(f"learning_rate must be a finite number above 0, got {learning_rate!r}")
+    if learning_rate is not None:
+        check_number("learning_rate", learning_rate, 0, above=True)
     lr = {} if learning_rate is None else {"learning_rate": learning_rate}
     return OPTIMIZERS[name](params, **lr)
 
@@ -187,17 +185,16 @@ def train(
     final network overflows raises even when every batch loss was finite.
 
     A dropout rate that is not a number in [0, 1), epochs that is not an
-    integer >= 0, or
-    batch_size that is not an integer >= 1 (a bool is neither) raises
-    ValueError; a non-finite batch loss, epoch mean or final MSE raises
+    integer >= 0, or batch_size that is not an integer >= 1 (a bool is
+    neither) raises ValueError, as does a learning_rate make_optimizer
+    refuses; a non-finite batch loss, epoch mean or final MSE raises
     TrainingDiverged naming the epoch.
     """
     for _, rate in dropout:
         if not (isinstance(rate, Real) and not isinstance(rate, bool) and 0.0 <= rate < 1.0):
             raise ValueError(f"dropout rates must be numbers in [0, 1), got {rate!r}")
-    for what, value, least in (("epochs", epochs, 0), ("batch_size", batch_size, 1)):
-        if not isinstance(value, Integral) or isinstance(value, bool) or value < least:
-            raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
+    check_count("epochs", epochs, 0)
+    check_count("batch_size", batch_size, 1)
     opt = make_optimizer(optimizer, params, learning_rate)
     grad = np.empty_like(params)
     rng = np.random.default_rng(seed + 1)

@@ -133,7 +133,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import check_fit_inputs, check_rows
+from ._inputs import check_count, check_fit_inputs, check_rows
 
 #: Target values (columns x node rows x outputs) gathered per pass of the
 #: exact scan, and values per pass of the presort, the screen and the
@@ -506,6 +506,8 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
     a target above sqrt(F / m) / (4 n) in magnitude, with F the largest
     float64, n rows and m outputs: under that bound no prefix sum,
     squared prefix sum, gain, margin, scatter or summed error reaches inf.
+    So does a max_depth that is neither None nor an integer >= 0, or a
+    min_samples_leaf not an integer >= 1 (a bool is neither).
     """
     X, Y = check_fit_inputs(X, Y)
     n, m = Y.shape
@@ -513,10 +515,9 @@ def tree_fit(X, Y, max_depth: int | None = 5, min_samples_leaf: int = 1) -> Tree
     if np.abs(Y).max(initial=0.0) > limit:
         raise ValueError(f"tree targets must be at most {limit:.3g} in magnitude "
                          f"for {n} rows and {m} outputs, got {np.abs(Y).max():.3g}")
-    if max_depth is not None and max_depth < 0:
-        raise ValueError(f"max_depth must be nonnegative, got {max_depth}")
-    if min_samples_leaf < 1:
-        raise ValueError(f"min_samples_leaf must be at least 1, got {min_samples_leaf}")
+    if max_depth is not None:
+        check_count("max_depth", max_depth, 0)
+    check_count("min_samples_leaf", min_samples_leaf, 1)
     return TreeModel(**_grow(X, Y, max_depth, min_samples_leaf), n_features=X.shape[1],
                      max_depth=max_depth, min_samples_leaf=min_samples_leaf)
 

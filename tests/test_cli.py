@@ -234,9 +234,9 @@ def test_train_refuses_a_hidden_width_below_one(tmp_path, csv_path, capsys, hidd
     model_file = tmp_path / "model.npz"
     assert _train(csv_path, model_file, "--model", "mlp", "--epochs", "1",
                   f"--hidden={hidden}") == 1
-    widths = tuple(int(v) for v in hidden.split(","))
+    i, width = next((i, w) for i, w in enumerate(map(int, hidden.split(","))) if w < 1)
     err = capsys.readouterr().err
-    assert err == f"facekeys: error: mlp hidden widths must be at least 1, got {widths}\n"
+    assert err == f"facekeys: error: hidden[{i}] must be an integer >= 1, got {width}\n"
     assert not model_file.exists()
 
 
@@ -343,8 +343,8 @@ def test_train_without_setting_flags_fits_the_benchmark_spec(tmp_path, csv_path,
 
 
 @pytest.mark.parametrize("bad, fragment", [
-    (("--max-iter", "0"), "max_iter must be at least 1"),
-    (("--tol", "0"), "tol must be positive"),
+    (("--max-iter", "0"), "max_iter must be an integer >= 1, got 0"),
+    (("--tol", "0"), "tol must be a finite number above 0, got 0.0"),
 ])
 def test_train_rejects_bad_coordinate_descent_settings(tmp_path, csv_path, capsys, bad, fragment):
     model_file = tmp_path / "model.npz"
@@ -352,6 +352,23 @@ def test_train_rejects_bad_coordinate_descent_settings(tmp_path, csv_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("facekeys: error:") and fragment in err
     assert len(err.splitlines()) == 1
+    assert not model_file.exists()
+
+
+@pytest.mark.parametrize("model, flag, value, rule", [
+    ("ridge", "--lam", "nan", ">= 0"),
+    ("lasso", "--alpha", "nan", ">= 0"),
+    ("elastic", "--alpha", "inf", ">= 0"),
+    ("elastic", "--rho", "nan", "in [0, 1]"),
+    ("lasso", "--tol", "inf", "above 0"),
+])
+def test_train_refuses_a_penalty_that_is_not_finite(tmp_path, csv_path, capsys, model, flag,
+                                                    value, rule):
+    # unchecked, each exits 0 with NaN or all-zero weights
+    model_file = tmp_path / "model.npz"
+    assert _train(csv_path, model_file, "--task", "four", "--model", model, flag, value) == 1
+    assert capsys.readouterr().err == (f"facekeys: error: {flag[2:]} must be a finite number "
+                                       f"{rule}, got {value}\n")
     assert not model_file.exists()
 
 
@@ -544,6 +561,22 @@ def test_predict_rejects_a_tampered_knn_or_mlp_file(tmp_path, csv_path, capsys, 
     assert err.startswith("facekeys: error:") and fragment in err and str(model_file) in err
     assert len(err.splitlines()) == 1
 
+
+
+def test_predict_refuses_a_prediction_that_is_not_finite(tmp_path, csv_path, capsys):
+    # a NaN would be written as an empty cell, which reads as a missing coordinate
+    model_file, out = tmp_path / "ridge.npz", tmp_path / "p.csv"
+    assert _train(csv_path, model_file, "--model", "ridge") == 0
+    with np.load(model_file) as data:
+        arrays = {name: data[name] for name in data.files}
+    arrays["lin_w"][0, 0] = np.nan
+    np.savez(model_file, **arrays)
+    capsys.readouterr()
+    assert main(["predict", "--model-file", str(model_file),
+                 "--input", str(csv_path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"facekeys: error: {model_file} predicts a value that "
+                                       "is not finite (NaN or inf)\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("tamper,line", [
@@ -1134,6 +1167,20 @@ def test_benchmark_accepts_a_config_file(tmp_path, csv_path, capsys):
     rc = main(["benchmark", "--config", str(cfg), "--input", str(csv_path)])
     assert rc == 0
     assert "| knn |" in capsys.readouterr().out
+
+
+def test_a_config_penalty_that_is_not_finite_is_an_error_row(tmp_path, csv_path, capsys):
+    # unchecked, the table prints nan
+    cfg, report_csv = tmp_path / "bench.cfg", tmp_path / "report.csv"
+    cfg.write_text("models = ridge, ols\ntasks = four\npipelines = raw\nridge_lam = nan\n")
+    assert main(["benchmark", "--config", str(cfg), "--input", str(csv_path),
+                 "--csv", str(report_csv)]) == 0
+    out = capsys.readouterr().out
+    assert "| ridge | error |" in out
+    assert "- ridge/four failed: lam must be a finite number >= 0, got nan\n" in out
+    ridge, ols = list(csv.DictReader(io.StringIO(report_csv.read_text())))
+    assert (ridge["rmse"], ridge["error"]) == ("", "lam must be a finite number >= 0, got nan")
+    assert float(ols["rmse"]) > 0 and ols["error"] == ""
 
 
 def _captured_config(monkeypatch, argv) -> ev.BenchmarkConfig:

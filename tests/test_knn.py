@@ -90,6 +90,15 @@ def test_validation():
         knn_predict(model, np.zeros((2, 5)))
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, True, np.nan, "2"], ids=repr)
+def test_a_k_that_is_not_an_integer_is_refused(k):
+    # unchecked, k = 1.5 fits a model whose predict fails on a slice
+    X, Y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    with pytest.raises(ValueError) as exc:
+        knn_fit(X, Y, k=k)
+    assert str(exc.value) == f"k must be an integer >= 1, got {k!r}"
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["X", "Y"])
 def test_non_finite_input_is_rejected(bad, where):

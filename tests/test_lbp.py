@@ -434,3 +434,11 @@ def test_histogram_rejects_out_of_range_codes():
 def test_config_validation(kwargs):
     with pytest.raises(LbpError):
         LbpConfig(**kwargs)
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0], ids=repr)
+def test_a_radius_that_is_not_a_finite_positive_number_is_named(radius):
+    # unchecked, nan and inf fail later, when lbp_circular converts the radius to an int
+    with pytest.raises(LbpError) as exc:
+        LbpConfig(radius=radius)
+    assert str(exc.value) == f"radius must be a finite number above 0, got {radius!r}"

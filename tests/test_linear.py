@@ -281,8 +281,16 @@ def test_ridge_dual_path_matches_primal_algebra():
 
 
 def test_ridge_rejects_negative_penalty():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"^lam must be a finite number >= 0, got -1\.0$"):
         ridge_fit(np.zeros((3, 1)), np.zeros(3), lam=-1.0)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, True, "1"], ids=repr)
+def test_ridge_refuses_a_penalty_that_is_not_a_finite_number(lam):
+    # unchecked, nan and inf fit NaN weights and True fits lam = 1
+    with pytest.raises(ValueError) as exc:
+        ridge_fit(np.arange(8.0).reshape(4, 2), np.arange(4.0), lam=lam)
+    assert str(exc.value) == f"lam must be a finite number >= 0, got {lam!r}"
 
 
 # ---- lasso ---------------------------------------------------------------------
@@ -355,7 +363,7 @@ def test_lasso_reports_non_convergence():
 
 
 def test_lasso_rejects_negative_alpha():
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"^alpha must be a finite number >= 0, got -0\.1$"):
         lasso_fit(np.zeros((3, 1)), np.zeros(3), alpha=-0.1)
 
 
@@ -399,10 +407,12 @@ def test_elastic_orthonormal_design_closed_form():
 
 def test_elastic_parameter_validation():
     X, y = np.zeros((3, 1)), np.zeros(3)
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"^alpha must be a finite number >= 0, got -1\.0$"):
         elastic_fit(X, y, alpha=-1.0)
-    with pytest.raises(ValueError, match="rho"):
-        elastic_fit(X, y, rho=1.5)
+    for rho in (1.5, -0.1, np.nan, np.inf, True):  # unchecked, True fits rho = 1
+        with pytest.raises(ValueError) as exc:
+            elastic_fit(X, y, rho=rho)
+        assert str(exc.value) == f"rho must be a finite number in [0, 1], got {rho!r}"
 
 
 # ---- active-set solver against the cyclic reference -----------------------------
@@ -689,11 +699,23 @@ def test_non_finite_input_is_rejected(fit):
     ({"tol": 0.0}, "tol"),
     ({"tol": -1e-4}, "tol"),
     ({"tol": float("nan")}, "tol"),
+    # unchecked, these end in all-zero weights marked converged (alpha nan
+    # and inf), a TypeError (max_iter 2.5) or a silent fit
+    ({"tol": float("inf")}, "tol"),
+    ({"tol": True}, "tol"),
+    ({"max_iter": 2.5}, "max_iter"),
+    ({"max_iter": True}, "max_iter"),
+    ({"alpha": float("nan")}, "alpha"),
+    ({"alpha": float("inf")}, "alpha"),
+    ({"alpha": True}, "alpha"),
 ])
 def test_coordinate_descent_settings_are_validated(fit, bad, fragment):
     X, y = np.arange(8.0).reshape(4, 2), np.arange(4.0)
-    with pytest.raises(ValueError, match=fragment):
+    with pytest.raises(ValueError, match=fragment) as exc:
         fit(X, y, **bad)
+    rule = ("an integer >= 1" if fragment == "max_iter" else "a finite number above 0"
+            if fragment == "tol" else "a finite number >= 0")
+    assert str(exc.value) == f"{fragment} must be {rule}, got {bad[fragment]!r}"
 
 
 def test_input_validation():

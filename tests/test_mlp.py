@@ -121,11 +121,24 @@ def test_no_hidden_layers_is_a_linear_map():
 
 @pytest.mark.parametrize("hidden", [(0,), (8, 0), (-5,)])
 def test_hidden_widths_below_one_are_refused(hidden):
+    i = min(i for i, width in enumerate(hidden) if width < 1)
+    message = f"hidden[{i}] must be an integer >= 1, got {hidden[i]}"
     with pytest.raises(ValueError) as exc:
         init_mlp(3, hidden, 2, seed=0)
-    assert str(exc.value) == f"mlp hidden widths must be at least 1, got {hidden}"
-    with pytest.raises(ValueError, match="hidden widths"):
+    assert str(exc.value) == message
+    with pytest.raises(ValueError) as exc:
         mlp_fit(np.zeros((4, 3)), np.zeros((4, 2)), hidden=hidden, epochs=1)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("hidden, bad", [
+    ((2.5,), 0), ((8, 4.0), 1), ((True,), 0), ((4, 2, False), 2),
+], ids=repr)
+def test_hidden_widths_that_are_not_integers_are_refused(hidden, bad):
+    # unchecked, 2.5 ends in a numpy TypeError and True fits a width of 1
+    with pytest.raises(ValueError) as exc:
+        mlp_fit(np.zeros((4, 3)), np.zeros((4, 2)), hidden=hidden, epochs=1)
+    assert str(exc.value) == f"hidden[{bad}] must be an integer >= 1, got {hidden[bad]!r}"
 
 
 def test_init_shapes_and_determinism():

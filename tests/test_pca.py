@@ -260,6 +260,15 @@ def test_selector_validation(kwargs, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("n_components", [2.5, 2.0, True, "2"], ids=repr)
+def test_a_component_count_that_is_not_an_integer_is_refused(n_components):
+    # unchecked, 2.5 ends in a numpy slice error and True fits one component
+    X = np.random.default_rng(12).normal(size=(10, 5))
+    with pytest.raises(PcaError) as exc:
+        fit_pca(X, n_components=n_components)
+    assert str(exc.value) == f"n_components must be an integer in [1, 5], got {n_components!r}"
+
+
 def test_zero_variance_with_target_is_an_error():
     X = np.ones((5, 3))
     with pytest.raises(PcaError, match="zero-variance"):

@@ -326,14 +326,26 @@ def test_flatten_round_trip():
         assert np.array_equal(arrays[key], again[key])
 
 
+@pytest.mark.parametrize("setting, value, least", [
+    ("max_depth", 2.5, 0), ("max_depth", 2.0, 0), ("max_depth", True, 0), ("max_depth", "3", 0),
+    ("min_samples_leaf", 1.5, 1), ("min_samples_leaf", True, 1), ("min_samples_leaf", np.nan, 1),
+], ids=repr)
+def test_a_setting_that_is_not_a_count_is_refused(setting, value, least):
+    # unchecked, max_depth 2.5 and True fit files that load_model refuses
+    X, Y = np.arange(12.0).reshape(6, 2), np.arange(6.0)
+    with pytest.raises(ValueError) as exc:
+        tree_fit(X, Y, **{setting: value})
+    assert str(exc.value) == f"{setting} must be an integer >= {least}, got {value!r}"
+
+
 def test_validation():
     with pytest.raises(ValueError, match="0 rows"):
         tree_fit(np.zeros((0, 2)), np.zeros((0, 1)))
     with pytest.raises(ValueError, match="matching row"):
         tree_fit(np.zeros((3, 2)), np.zeros((4, 1)))
-    with pytest.raises(ValueError, match="max_depth"):
+    with pytest.raises(ValueError, match=r"^max_depth must be an integer >= 0, got -1$"):
         tree_fit(np.zeros((3, 2)), np.zeros(3), max_depth=-1)
-    with pytest.raises(ValueError, match="min_samples_leaf"):
+    with pytest.raises(ValueError, match=r"^min_samples_leaf must be an integer >= 1, got 0$"):
         tree_fit(np.zeros((3, 2)), np.zeros(3), min_samples_leaf=0)
     model = tree_fit(np.zeros((3, 2)), np.zeros(3))
     with pytest.raises(ValueError):
