@@ -343,8 +343,10 @@ def test_train_without_setting_flags_fits_the_benchmark_spec(tmp_path, csv_path,
 
 
 @pytest.mark.parametrize("bad, fragment", [
-    (("--max-iter", "0"), "max_iter must be an integer >= 1, got 0"),
-    (("--tol", "0"), "tol must be a finite number above 0, got 0.0"),
+    pytest.param(("--max-iter", "0"), "max_iter must be an integer >= 1, got 0",
+                 id="bad0-max_iter must be at least 1"),
+    pytest.param(("--tol", "0"), "tol must be a finite number above 0, got 0.0",
+                 id="bad1-tol must be positive"),
 ])
 def test_train_rejects_bad_coordinate_descent_settings(tmp_path, csv_path, capsys, bad, fragment):
     model_file = tmp_path / "model.npz"
