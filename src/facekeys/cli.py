@@ -141,6 +141,7 @@ def cmd_train(args) -> int:
         raise CliError("--no-pixel-scaling given with --lbp, which codes unscaled images")
     cfg = _override(ev.BenchmarkConfig(), args, {**{name: name for name in _TRAIN_SETTINGS},
                     **{name: ev._config_field(args.model, name) for name in run_set}})
+    spec = ev._spec_for(cfg, args.model)  # refuses a bad seed before any data is read
     d = _load_task(_resolve_input(args.input), args.task)
     train = ds.impute_column_means(ev._subsample(d, args.max_rows, cfg.seed))
     pipe, features = fit_pipeline(
@@ -152,7 +153,7 @@ def cmd_train(args) -> int:
         variance_target=args.variance,
     )
     X = features.values
-    model = fit_any(ev._spec_for(cfg, args.model), X, train.keypoints)
+    model = fit_any(spec, X, train.keypoints)
 
     meta, arrays = pipeline_to_payload(pipe)
     save_model(args.out, model, {"pipeline": meta, "target_names": list(train.slot_names),

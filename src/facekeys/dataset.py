@@ -29,6 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._inputs import check_number
 from .rng import permutation
 
 #: Canonical keypoint slot names in CSV column order. Each slot owns an
@@ -568,8 +569,8 @@ def holdout_split(d: Dataset, train_fraction: float, seed: int) -> tuple[Dataset
     shuffle; both sides keep ascending original row order. The same seed
     always produces the same partition.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise DatasetError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    check_number("train_fraction", train_fraction, 0, 1, above=True, below=True,
+                 error=DatasetError)
     n = len(d)
     if n < 2:
         raise DatasetError("need at least 2 rows to split")

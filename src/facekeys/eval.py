@@ -26,6 +26,7 @@ from functools import partial
 
 import numpy as np
 
+from ._inputs import check_count
 from .dataset import (
     Dataset,
     column_means,
@@ -113,8 +114,8 @@ class BenchmarkConfig:
         for t in self.tasks:
             if t not in TASK_LABELS:
                 raise EvalError(f"unknown task {t!r}")
-        if not all(isinstance(e, int) for e in (self.mlp_epochs, self.cnn_epochs)):
-            raise EvalError("mlp_epochs and cnn_epochs must be integers")
+        check_count("mlp_epochs", self.mlp_epochs, 0, error=EvalError)
+        check_count("cnn_epochs", self.cnn_epochs, 0, error=EvalError)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(BenchmarkConfig)}  # annotations, as text
@@ -151,8 +152,9 @@ def parse_setting(key: str, text: str):
 
 def load_config(path) -> BenchmarkConfig:
     """Parse a flat key=value config file ('#' starts a comment) of
-    BenchmarkConfig fields, each value read by parse_setting."""
+    BenchmarkConfig fields, each set once and read by parse_setting."""
     values: dict = {}
+    set_on: dict = {}  # key -> the line that set it
     with open(path) as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -160,11 +162,13 @@ def load_config(path) -> BenchmarkConfig:
                 continue
             if "=" not in line:
                 raise EvalError(f"{path}:{line_no}: expected key = value")
-            key, val = line.split("=", 1)
+            key, val = map(str.strip, line.split("=", 1))
             try:
-                values[key.strip()] = parse_setting(key.strip(), val)
+                values[key] = parse_setting(key, val)
             except EvalError as exc:
                 raise EvalError(f"{path}:{line_no}: {exc}") from None
+            if set_on.setdefault(key, line_no) != line_no:
+                raise EvalError(f"{path}:{line_no}: {key} is already set on line {set_on[key]}")
     return BenchmarkConfig(**values)
 
 
@@ -216,6 +220,9 @@ def _spec_for(cfg: BenchmarkConfig, kind: str) -> RegressorSpec:
 
 
 def _subsample(d: Dataset, max_rows: int | None, seed: int) -> Dataset:
+    """d, or max_rows (None: every row; else an integer >= 1) of its rows drawn by seed."""
+    if max_rows is not None:
+        check_count("max_rows", max_rows, 1, error=EvalError)
     if max_rows is None or len(d) <= max_rows:
         return d
     idx = sorted(permutation(len(d), seed)[:max_rows])

@@ -18,10 +18,11 @@ pixels: one pass over 500 rotation-invariant 96x96 images held ~530 MB.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._inputs import check_count, check_number
 
 #: Pixels per pass over a block, in whole images; smaller passes cost more calls.
 _CHUNK_PIXELS = 1 << 16
@@ -48,23 +49,12 @@ class LbpConfig:
     cell_size: int = 16
 
     def __post_init__(self):
-        # a record read back from JSON may hold any type, and a bool passes for an int
-        for name, kind, what in (("neighbors", numbers.Integral, "an int"),
-                                 ("radius", numbers.Real, "a number"),
-                                 ("cell_size", numbers.Integral, "an int")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise LbpError(f"{name} must be {what}, got {value!r}")
+        # a record read back from JSON may hold any type; above 62 neighbors overflow the codes
+        check_count("neighbors", self.neighbors, 4, 62, error=LbpError)
+        check_number("radius", self.radius, 0, above=True, error=LbpError)
+        check_count("cell_size", self.cell_size, 1, error=LbpError)
         if not isinstance(self.rotation_invariant, (bool, np.bool_)):
             raise LbpError(f"rotation_invariant must be a bool, got {self.rotation_invariant!r}")
-        if self.neighbors < 4:
-            raise LbpError("neighbors must be at least 4")
-        if self.neighbors > 62:
-            raise LbpError("neighbors above 62 overflow the code dtype")
-        if not 0 < self.radius < math.inf:
-            raise LbpError(f"radius must be a finite number above 0, got {self.radius!r}")
-        if self.cell_size < 1:
-            raise LbpError("cell_size must be at least 1")
 
 
 def samples_nearest(cfg: LbpConfig) -> bool:

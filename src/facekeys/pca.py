@@ -13,9 +13,10 @@ largest-magnitude entry positive. NaN or inf in any input is refused.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
+
+from ._inputs import check_count, check_number, check_rows
 
 _EIG_FLOOR = 1e-12  # relative cutoff below which an eigenvalue counts as zero
 
@@ -68,12 +69,6 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(A: np.ndarray, name: str) -> np.ndarray:
-    if not np.isfinite(A).all():
-        raise PcaError(f"{name} must be finite (no NaN or inf)")
-    return A
-
-
 def fit_pca(X, n_components: int | None = None,
             variance_target: float | None = None) -> PcaModel:
     """Fit a PCA model, selecting components by count or variance coverage.
@@ -84,27 +79,29 @@ def fit_pca(X, n_components: int | None = None,
 
     Raises:
         PcaError: on a bad selector (an n_components that is not an
-            integer, a bool included), NaN or inf in X, fewer than 2
-            samples, a component count the data cannot support, or
-            zero-variance data with a variance target.
+            integer in [1, min(n, d)], or a variance_target that is not a
+            finite number in (0, 1]; a bool is neither), NaN or inf in X,
+            fewer than 2 samples, a component count the data cannot
+            support, or zero-variance data with a variance target.
     """
     if (n_components is None) == (variance_target is None):
         raise PcaError("give exactly one of n_components and variance_target")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise PcaError("X must be 2-d")
-    n, d = _finite(X, "X").shape
+    n, d = check_rows(X, X.shape[1], PcaError).shape  # finite rows of any width
     if n < 2:
         raise PcaError("need at least 2 samples")
+    if n_components is not None:
+        check_count("n_components", n_components, 1, min(n, d), error=PcaError)
+    else:
+        check_number("variance_target", variance_target, 0, 1, above=True, error=PcaError)
 
     mean = X.mean(axis=0)
     Xc = X - mean
     total_variance = float((Xc * Xc).sum()) / (n - 1)
-    if variance_target is not None:
-        if not 0.0 < variance_target <= 1.0:
-            raise PcaError(f"variance_target must be in (0, 1], got {variance_target}")
-        if total_variance <= 0.0:
-            raise PcaError("zero-variance data cannot meet a variance target")
+    if variance_target is not None and total_variance <= 0.0:
+        raise PcaError("zero-variance data cannot meet a variance target")
 
     # Gram trick: with more features than samples, the eigenvectors u of
     # (Xc Xc^T)/(n-1) map to covariance eigenvectors Xc^T u / sqrt((n-1) * eigenvalue)
@@ -118,10 +115,6 @@ def fit_pca(X, n_components: int | None = None,
     available = evals.shape[0]
 
     if n_components is not None:
-        if (isinstance(n_components, bool) or not isinstance(n_components, Integral)
-                or not 1 <= n_components <= min(n, d)):
-            raise PcaError(f"n_components must be an integer in [1, {min(n, d)}], "
-                           f"got {n_components!r}")
         if n_components > available:
             raise PcaError(f"data supports only {available} components, {n_components} requested")
         k = n_components
@@ -148,18 +141,12 @@ def fit_pca(X, n_components: int | None = None,
 
 def transform(model: PcaModel, X) -> np.ndarray:
     """Project rows into the component space."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise PcaError(f"X must be (n, {model.n_features}) rows, got shape {X.shape}")
-    return (_finite(X, "X") - model.mean) @ model.components.T
+    return (check_rows(X, model.n_features, PcaError) - model.mean) @ model.components.T
 
 
 def inverse_transform(model: PcaModel, Z) -> np.ndarray:
     """Map component-space rows back to the original feature space."""
-    Z = np.asarray(Z, dtype=np.float64)
-    if Z.ndim != 2 or Z.shape[1] != model.n_components:
-        raise PcaError(f"Z must be (n, {model.n_components}) rows, got shape {Z.shape}")
-    return _finite(Z, "Z") @ model.components + model.mean
+    return check_rows(Z, model.n_components, PcaError, "Z") @ model.components + model.mean
 
 
 def save_pca(model: PcaModel, path) -> None:

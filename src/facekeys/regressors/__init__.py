@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
+from .._inputs import check_count
 from .knn import KnnModel, knn_fit, knn_predict
 from .linear import LinearModel, elastic_fit, lasso_fit, linear_predict, ols_fit, ridge_fit
 from .tree import NODE_ARRAYS, TreeModel, tree_fit, tree_predict
@@ -79,7 +80,7 @@ KINDS = tuple(SPEC_KINDS)
 
 @dataclass
 class RegressorSpec:
-    """What to train: a kind tag, its hyperparameters, and a seed."""
+    """What to train: a kind tag, its hyperparameters, and a seed (an integer >= 0)."""
 
     kind: str
     hyperparameters: dict = field(default_factory=dict)
@@ -96,6 +97,7 @@ class RegressorSpec:
             raise ConfigError(
                 f"{self.kind} does not accept hyperparameters {sorted(extra)}"
             )
+        check_count("seed", self.seed, 0, error=ConfigError)
 
 
 def fit_any(spec: RegressorSpec, X, Y):

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._inputs import check_fit_inputs, check_rows
+from .._inputs import check_count, check_fit_inputs, check_rows
 from .mlp import _backward as _head_backward, _forward as _head_forward, layers_chain
 from .optim import Scaling, fit_scaling, glorot_uniform, mse_loss_and_grad, param_vector, train
 
@@ -182,7 +182,9 @@ def _pool_backward(dout: np.ndarray, cache):
 
 def init_cnn(side: int, n_outputs: int, seed: int) -> CnnModel:
     """Glorot-uniform initialized network, deterministic per seed; a side
-    that is not a positive multiple of 4 raises ValueError."""
+    that is not a positive multiple of 4, or a seed that is not an integer
+    >= 0 (a bool is not), raises ValueError."""
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     flat = (side // 4) * (side // 4) * 8
     params = {
@@ -322,7 +324,7 @@ def cnn_fit(
     after the last epoch checks the final network. A non-finite loss
     aborts with TrainingDiverged naming the epoch. NaN or inf in X or Y,
     or a std of X or of a Y column that overflows, raises ValueError, as
-    does a setting optim.train refuses.
+    does a setting init_cnn or optim.train refuses.
     """
     if np.ndim(X) != 2:
         raise ValueError(f"X must be (n, d) rows, got shape {np.shape(X)}")

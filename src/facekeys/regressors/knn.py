@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import check_count, check_fit_inputs, check_rows
+from .._inputs import check_count, check_fit_inputs, check_rows
 
 
 @dataclass(eq=False)
@@ -14,7 +14,7 @@ class KnnModel:
     """Stored training matrix; prediction averages the k nearest rows.
 
     Building one raises ValueError unless X and Y are 2-d with one row
-    per training row and k is in [1, n].
+    per training row and k is an integer (a bool is not) in [1, n].
     """
 
     X: np.ndarray  # (n, d)
@@ -25,8 +25,7 @@ class KnnModel:
         if self.X.ndim != 2 or self.Y.ndim != 2 or len(self.X) != len(self.Y):
             raise ValueError(f"knn X and Y must be 2-d with matching row counts, "
                              f"got shapes {self.X.shape} and {self.Y.shape}")
-        if not 1 <= self.k <= len(self.X):
-            raise ValueError(f"k must be in [1, {len(self.X)}], got {self.k}")
+        check_count("k", self.k, 1, len(self.X))
 
 
 def knn_fit(X, Y, k: int = 5) -> KnnModel:

@@ -83,7 +83,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import check_count, check_fit_inputs, check_number, check_rows
+from .._inputs import check_count, check_fit_inputs, check_number, check_rows
 
 
 @dataclass(eq=False)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._inputs import check_count, check_fit_inputs, check_rows
+from .._inputs import check_count, check_fit_inputs, check_rows
 from .optim import Scaling, fit_scaling, glorot_uniform, mse_loss_and_grad, param_vector, train
 
 
@@ -121,10 +121,12 @@ def init_mlp(
     """Glorot-uniform initialized network, deterministic per seed.
 
     Raises ValueError, naming hidden[i], unless every hidden width is an
-    integer >= 1 (a bool is not).
+    integer >= 1, and naming seed unless it is an integer >= 0 (a bool is
+    neither).
     """
     for i, width in enumerate(hidden):
         check_count(f"hidden[{i}]", width, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     sizes = (n_inputs, *hidden, n_outputs)
     weights, biases = [], []

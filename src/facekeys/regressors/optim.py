@@ -7,11 +7,10 @@ bit for bit."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
-from ._inputs import check_count, check_number
+from .._inputs import check_count, check_number
 
 
 class TrainingDiverged(RuntimeError):
@@ -184,16 +183,16 @@ def train(
     n rows with dropout off, against targets is checked once: a fit whose
     final network overflows raises even when every batch loss was finite.
 
-    A dropout rate that is not a number in [0, 1), epochs that is not an
-    integer >= 0, or batch_size that is not an integer >= 1 (a bool is
-    neither) raises ValueError, as does a learning_rate make_optimizer
-    refuses; a non-finite batch loss, epoch mean or final MSE raises
-    TrainingDiverged naming the epoch.
+    A dropout rate that is not a finite number in [0, 1), epochs or seed
+    that is not an integer >= 0, or batch_size that is not an integer >= 1
+    (a bool is none of these) raises ValueError, as does a learning_rate
+    make_optimizer refuses; a non-finite batch loss, epoch mean or final
+    MSE raises TrainingDiverged naming the epoch.
     """
     for _, rate in dropout:
-        if not (isinstance(rate, Real) and not isinstance(rate, bool) and 0.0 <= rate < 1.0):
-            raise ValueError(f"dropout rates must be numbers in [0, 1), got {rate!r}")
+        check_number("dropout rate", rate, 0, 1, below=True)
     check_count("epochs", epochs, 0)
+    check_count("seed", seed, 0)
     check_count("batch_size", batch_size, 1)
     opt = make_optimizer(optimizer, params, learning_rate)
     grad = np.empty_like(params)

@@ -133,7 +133,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import check_count, check_fit_inputs, check_rows
+from .._inputs import check_count, check_fit_inputs, check_rows
 
 #: Target values (columns x node rows x outputs) gathered per pass of the
 #: exact scan, and values per pass of the presort, the screen and the

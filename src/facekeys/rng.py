@@ -7,6 +7,8 @@ numpy's RNG.
 
 from __future__ import annotations
 
+from ._inputs import check_count
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -37,7 +39,9 @@ class SplitMix64:
 
 
 def permutation(n: int, seed: int) -> list[int]:
-    """Deterministic permutation of range(n) for the given seed."""
+    """Deterministic permutation of range(n) for the given seed, an integer
+    >= 0 (a bool is not; else ValueError)."""
+    check_count("seed", seed, 0)
     idx = list(range(n))
     SplitMix64(seed).shuffle(idx)
     return idx

@@ -374,6 +374,29 @@ def test_train_refuses_a_penalty_that_is_not_finite(tmp_path, csv_path, capsys, 
     assert not model_file.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--model", "knn", "--max-rows", "-5"), "max_rows must be an integer >= 1, got -5"),
+    (("--model", "knn", "--max-rows", "0"), "max_rows must be an integer >= 1, got 0"),
+    (("--model", "knn", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    (("--model", "mlp", "--epochs", "1", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+], ids=["max-rows--5", "max-rows-0", "knn-seed--1", "mlp-seed--1"])
+def test_train_refuses_a_row_cap_below_1_or_a_negative_seed(tmp_path, csv_path, capsys, argv,
+                                                             message):
+    # unchecked, --max-rows -5 trained on all but 5 random rows and 0 failed in column_means;
+    # knn ignored --seed -1 and mlp ended in numpy's "expected non-negative integer"
+    model_file = tmp_path / "model.npz"
+    assert _train(csv_path, model_file, *argv) == 1
+    assert capsys.readouterr().err == f"facekeys: error: {message}\n"
+    assert not model_file.exists()
+
+
+def test_benchmark_refuses_a_negative_seed(csv_path, capsys):
+    # unchecked, the run exited 0 with mlp error rows
+    assert main(["benchmark", "--input", str(csv_path), "--seed", "-1", "--models", "knn,mlp",
+                 "--pipelines", "raw", "--tasks", "four", "--mlp-epochs", "1"]) == 1
+    assert capsys.readouterr().err == "facekeys: error: seed must be an integer >= 0, got -1\n"
+
+
 @pytest.mark.parametrize("flags, fit_side, side", [
     (("--model", "knn", "--pca", "16"), 16, 8),
     (("--model", "knn", "--pca", "16", "--lbp"), 16, 8),
@@ -530,7 +553,8 @@ _CNN = ("--model", "cnn", "--task", "four", "--pca", "16", "--epochs", "1", "--b
 
 
 @pytest.mark.parametrize("extra,tamper,fragment", [
-    (("--model", "knn", "--k", "3"), _set_meta("k", 0), "k must be in [1, "),
+    (("--model", "knn", "--k", "3"), _set_meta("k", 0),
+     "is not a facekeys model file: k must be an integer in [1, 30], got 0\n"),
     (("--model", "knn", "--k", "3"), _one_dimensional_knn_y, "2-d with matching row counts"),
     (("--model", "mlp", "--hidden", "4", "--epochs", "1"), _set_meta("n_layers", 9),
      "its meta entry 'n_layers' is 9, but the file holds arrays"),

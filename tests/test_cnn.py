@@ -431,13 +431,18 @@ def test_fit_validation():
         cnn_fit(X, Y, epochs=True)
     with pytest.raises(ValueError, match=r"^epochs must be an integer >= 0, got 2\.5$"):
         cnn_fit(X, Y, epochs=2.5)
+    for bad in (-1, 2.5, True):  # unchecked: numpy's ValueError, a TypeError, seed 1
+        with pytest.raises(ValueError) as exc:
+            cnn_fit(X, Y, epochs=1, seed=bad)
+        assert str(exc.value) == f"seed must be an integer >= 0, got {bad!r}"
     for bad in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="^learning_rate must be a finite number above 0"):
             cnn_fit(X, Y, epochs=1, learning_rate=bad)
     for bad in ("0.5", None, True, np.nan, 1.0):  # the parent raised TypeError on "0.5" and None
         for rate in ("dropout_conv", "dropout_dense"):
-            with pytest.raises(ValueError, match=r"^dropout rates must be numbers in \[0, 1\), got "):
+            with pytest.raises(ValueError) as exc:
                 cnn_fit(X, Y, epochs=1, **{rate: bad})
+            assert str(exc.value) == f"dropout rate must be a finite number in [0, 1), got {bad!r}"
 
 
 @pytest.mark.parametrize("width, side", [

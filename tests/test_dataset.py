@@ -793,10 +793,12 @@ def test_holdout_deterministic_per_seed():
     assert not np.array_equal(a1.images, a3.images)
 
 
-@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5])
+# unchecked, "0.5" and None ended in a TypeError
+@pytest.mark.parametrize("fraction", [0.0, 1.0, -0.2, 1.5, math.nan, "0.5", None])
 def test_holdout_rejects_bad_fraction(fraction, small_ds):
-    with pytest.raises(DatasetError):
+    with pytest.raises(DatasetError) as exc:
         holdout_split(small_ds, fraction, seed=0)
+    assert str(exc.value) == f"train_fraction must be a finite number in (0, 1), got {fraction!r}"
 
 
 def test_holdout_rejects_empty_side():

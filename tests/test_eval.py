@@ -128,9 +128,11 @@ def test_desk_scale_caps():
     assert (study.max_rows, study.mlp_epochs, study.cnn_epochs) == (None, 500, 400)
     assert _spec_for(study, "mlp").hyperparameters["epochs"] == 500
     assert _spec_for(study, "cnn").hyperparameters["epochs"] == 400
-    for bad in ({"mlp_epochs": None}, {"cnn_epochs": None}):
-        with pytest.raises(EvalError, match="epochs must be integers"):
-            BenchmarkConfig(**bad)
+    for name in ("mlp_epochs", "cnn_epochs"):
+        for bad in (None, True, 2.5, -1):  # True passed an isinstance(e, int) test
+            with pytest.raises(EvalError) as exc:
+                BenchmarkConfig(**{name: bad})
+            assert str(exc.value) == f"{name} must be an integer >= 0, got {bad!r}"
 
 
 def test_load_config_round_trip(tmp_path):
@@ -194,7 +196,34 @@ def test_load_config_takes_none_for_caps_and_depth_only(tmp_path):
     assert (cfg.max_rows, cfg.tree_max_depth) == (None, None)
 
 
+def test_load_config_refuses_a_key_set_twice(tmp_path):
+    # unchecked, the last line won: this file ran with seed 2
+    path = tmp_path / "twice.cfg"
+    path.write_text("seed = 1\nmodels = knn\n\nseed = 2\n")
+    with pytest.raises(EvalError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"{path}:4: seed is already set on line 1"
+
+
 # ---- benchmark runs ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("setting, bad, error, message", [
+    ("max_rows", -5, EvalError, "max_rows must be an integer >= 1, got -5"),
+    ("max_rows", 0, EvalError, "max_rows must be an integer >= 1, got 0"),
+    ("max_rows", 2.5, EvalError, "max_rows must be an integer >= 1, got 2.5"),
+    ("seed", -1, ValueError, "seed must be an integer >= 0, got -1"),
+    ("seed", 2.5, ValueError, "seed must be an integer >= 0, got 2.5"),
+    ("seed", True, ValueError, "seed must be an integer >= 0, got True"),
+])
+def test_a_bad_row_cap_or_seed_stops_the_run(bench_csv, setting, bad, error, message):
+    # unchecked, max_rows -5 dropped 5 random rows, 0 failed in column_means and 2.5 in a
+    # slice; seed -1 gave mlp error rows, 2.5 a bare TypeError, and True ran as seed 1
+    cfg = BenchmarkConfig(training_csv=bench_csv, models=("knn", "mlp"), pipelines=("raw",),
+                          mlp_epochs=1, **{setting: bad})
+    with pytest.raises(error) as exc:
+        run_benchmark(cfg)
+    assert str(exc.value) == message
 
 
 def test_benchmark_covers_the_configured_grid(bench_csv):

@@ -436,6 +436,19 @@ def test_config_validation(kwargs):
         LbpConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"neighbors": 3}, "neighbors must be an integer in [4, 62], got 3"),
+    ({"neighbors": 63}, "neighbors must be an integer in [4, 62], got 63"),
+    ({"neighbors": 8.0}, "neighbors must be an integer in [4, 62], got 8.0"),
+    ({"cell_size": 0}, "cell_size must be an integer >= 1, got 0"),
+    ({"cell_size": True}, "cell_size must be an integer >= 1, got True"),
+], ids=["neighbors-3", "neighbors-63", "neighbors-8.0", "cell_size-0", "cell_size-True"])
+def test_a_count_out_of_its_range_is_named_with_the_range(kwargs, message):
+    with pytest.raises(LbpError) as exc:
+        LbpConfig(**kwargs)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("radius", [float("nan"), float("inf"), 0.0, -1.0], ids=repr)
 def test_a_radius_that_is_not_a_finite_positive_number_is_named(radius):
     # unchecked, nan and inf fail later, when lbp_circular converts the radius to an int

@@ -236,14 +236,19 @@ def test_fit_validation():
     with pytest.raises(ValueError, match="dropout"):
         mlp_fit(X, Y, dropout=1.0)
     for bad in ("0.5", None, True, [0.5]):  # the parent raised TypeError on all but True
-        with pytest.raises(ValueError, match=r"^dropout rates must be numbers in \[0, 1\), got "):
+        with pytest.raises(ValueError) as exc:
             mlp_fit(X, Y, dropout=bad)
+        assert str(exc.value) == f"dropout rate must be a finite number in [0, 1), got {bad!r}"
     with pytest.raises(ValueError, match="batch_size"):
         mlp_fit(X, Y, batch_size=0)
     with pytest.raises(ValueError, match="^batch_size must be an integer >= 1, got True$"):
         mlp_fit(X, Y, batch_size=True)
     with pytest.raises(ValueError, match=r"^epochs must be an integer >= 0, got 2\.5$"):
         mlp_fit(X, Y, epochs=2.5)
+    for bad in (-1, 2.5, True):  # unchecked: numpy's ValueError, a TypeError, seed 1
+        with pytest.raises(ValueError) as exc:
+            mlp_fit(X, Y, epochs=1, seed=bad)
+        assert str(exc.value) == f"seed must be an integer >= 0, got {bad!r}"
     for bad in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="^learning_rate must be a finite number above 0"):
             mlp_fit(X, Y, hidden=(), epochs=1, learning_rate=bad)

@@ -108,7 +108,7 @@ def test_make_optimizer_defaults_and_validation():
                 make_optimizer(name, p, learning_rate=bad)
 
 
-def _train_counting_predicts(epochs, batch_size=3):
+def _train_counting_predicts(epochs, batch_size=3, seed=0):
     """train on a 7-row problem whose batch_step and predict are stubs; the
     history and how often predict ran."""
     targets = np.zeros((7, 2))
@@ -120,7 +120,7 @@ def _train_counting_predicts(epochs, batch_size=3):
 
     history = train(
         np.zeros(3), targets, optimizer="sgd", learning_rate=None, epochs=epochs,
-        batch_size=batch_size, seed=0, dropout=[((2,), 0.5)],
+        batch_size=batch_size, seed=seed, dropout=[((2,), 0.5)],
         batch_step=lambda rows, masks: (float(rows.size), [np.ones(3)]),
         predict=predict, name="stub",
     )
@@ -138,14 +138,13 @@ def test_train_runs_predict_once_after_the_last_epoch(epochs):
 @pytest.mark.parametrize("what, bad", [
     ("epochs", 2.5), ("epochs", True), ("epochs", np.float64(3.0)), ("epochs", "3"), ("epochs", -1),
     ("batch_size", 2.0), ("batch_size", True), ("batch_size", None), ("batch_size", 0),
+    # unchecked, -1 ended in numpy's "expected non-negative integer" and True trained as seed 1
+    ("seed", -1), ("seed", 2.5), ("seed", True),
 ])
 def test_train_refuses_bad_epochs_and_batch_size(what, bad):
-    least = 0 if what == "epochs" else 1
+    least = 1 if what == "batch_size" else 0
     with pytest.raises(ValueError) as exc:
-        if what == "epochs":
-            _train_counting_predicts(bad)
-        else:
-            _train_counting_predicts(1, batch_size=bad)
+        _train_counting_predicts(**{"epochs": 1, what: bad})
     assert str(exc.value) == f"{what} must be an integer >= {least}, got {bad!r}"
 
 

@@ -251,6 +251,9 @@ def test_save_load_round_trip(tmp_path):
         ({"n_components": 99}, "n_components"),
         ({"variance_target": 0.0}, "variance_target"),
         ({"variance_target": 1.5}, "variance_target"),
+        # unchecked, True fit as if the target were 1.0 and "0.9" ended in a TypeError
+        ({"variance_target": True}, "variance_target must be a finite number in (0, 1], got True"),
+        ({"variance_target": "0.9"}, "variance_target must be a finite number in (0, 1], got '0.9'"),
     ],
 )
 def test_selector_validation(kwargs, fragment):

@@ -109,6 +109,10 @@ def test_spec_validation():
     with pytest.raises(ConfigError, match="does not accept"):
         RegressorSpec("ols", {"k": 5})
     RegressorSpec("ridge", {"lam": 2.0})  # valid
+    for bad in (-1, 2.5, True, None):  # each was accepted, and a network fit failed on it
+        with pytest.raises(ConfigError) as exc:
+            RegressorSpec("mlp", seed=bad)
+        assert str(exc.value) == f"seed must be an integer >= 0, got {bad!r}"
 
 
 _ACCEPTED = {

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from facekeys.rng import SplitMix64, permutation
 
@@ -32,6 +33,14 @@ def test_below_respects_bound():
 def test_permutation_is_permutation():
     p = permutation(50, seed=9)
     assert sorted(p) == list(range(50))
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3", None], ids=repr)
+def test_permutation_refuses_a_seed_that_is_not_an_integer_at_least_0(seed):
+    # unchecked, -1 and True shuffled as 2**64 - 1 and 1, and 2.5 ended in a TypeError
+    with pytest.raises(ValueError) as exc:
+        permutation(10, seed)
+    assert str(exc.value) == f"seed must be an integer >= 0, got {seed!r}"
 
 
 def test_permutation_deterministic():
