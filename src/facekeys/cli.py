@@ -139,9 +139,10 @@ def cmd_train(args) -> int:
         raise CliError(f"{_flags(lbp_given)} given without --lbp")
     if args.lbp and args.no_pixel_scaling:
         raise CliError("--no-pixel-scaling given with --lbp, which codes unscaled images")
+    # the config refuses a bad seed or LBP setting before any data is read
     cfg = _override(ev.BenchmarkConfig(), args, {**{name: name for name in _TRAIN_SETTINGS},
                     **{name: ev._config_field(args.model, name) for name in run_set}})
-    spec = ev._spec_for(cfg, args.model)  # refuses a bad seed before any data is read
+    spec = ev._spec_for(cfg, args.model)
     d = _load_task(_resolve_input(args.input), args.task)
     train = ds.impute_column_means(ev._subsample(d, args.max_rows, cfg.seed))
     pipe, features = fit_pipeline(

@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from ._inputs import check_count
+from ._inputs import check_count, check_number
 from .dataset import (
     Dataset,
     column_means,
@@ -36,7 +36,7 @@ from .dataset import (
     split_by_keypoint_coverage,
 )
 from .lbp import LbpConfig
-from .pipeline import fit_pipeline
+from .pipeline import LBP_MODES, fit_pipeline
 from .regressors import KINDS, SPEC_KINDS, RegressorSpec, fit_any, predict_any
 from .rng import permutation
 
@@ -114,8 +114,19 @@ class BenchmarkConfig:
         for t in self.tasks:
             if t not in TASK_LABELS:
                 raise EvalError(f"unknown task {t!r}")
+        if self.lbp_mode not in LBP_MODES:
+            raise EvalError(f"unknown lbp_mode {self.lbp_mode!r}")
+        # the run-level settings are refused here, before any data is read;
+        # hyperparameters are checked by their fits, as row errors
+        check_count("seed", self.seed, 0, error=EvalError)
+        if self.max_rows is not None:
+            check_count("max_rows", self.max_rows, 1, error=EvalError)
+        check_number("train_fraction", self.train_fraction, 0, 1, above=True, below=True,
+                     error=EvalError)
+        check_count("pca_components", self.pca_components, 1, error=EvalError)
         check_count("mlp_epochs", self.mlp_epochs, 0, error=EvalError)
         check_count("cnn_epochs", self.cnn_epochs, 0, error=EvalError)
+        _lbp_config(self)  # LbpConfig refuses a bad geometry
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(BenchmarkConfig)}  # annotations, as text

@@ -6,7 +6,7 @@ objectives follow the 1/(2n) data-term convention:
     lasso:    (1/2n) ||Xw - y||^2 + alpha ||w||_1
     elastic:  (1/2n) ||Xw - y||^2 + alpha*rho ||w||_1
                                   + alpha*(1-rho)/2 ||w||^2
-    ridge:    ||Xw - y||^2 + lam ||w||^2   (closed form)
+    ridge:    ||Xw - y||^2 + lam ||w||^2   (closed form; ols at lam = 0)
 
 so elastic with rho=1 is the lasso and with rho=0 it matches ridge at
 lam = alpha * n. Lasso and elastic are solved by active-set coordinate
@@ -104,10 +104,18 @@ def linear_predict(model: LinearModel, X) -> np.ndarray:
     return check_rows(X, model.weights.shape[0]) @ model.weights + model.intercept
 
 
-def _center(X, Y):
+def _centered(X, Y):
+    """The linear family's one preamble: X and Y checked and centered, and
+    the function that turns weights fit on them (and the fit's converged
+    flag) into a LinearModel whose intercept restores the means."""
+    X, Y = check_fit_inputs(X, Y, min_rows=2)
     x_mean = X.mean(axis=0)
     y_mean = Y.mean(axis=0)
-    return X - x_mean, Y - y_mean, x_mean, y_mean
+
+    def model(W: np.ndarray, converged: bool = True) -> LinearModel:
+        return LinearModel(weights=W, intercept=y_mean - x_mean @ W, converged=converged)
+
+    return X - x_mean, Y - y_mean, model
 
 
 # The Gram route's eigenvalue floor, relative to the largest eigenvalue.
@@ -121,51 +129,36 @@ _GRAM_FLOOR = 2.0**-20
 
 
 def ols_fit(X, Y) -> LinearModel:
-    """Least squares with intercept; rank-deficient inputs get the
-    minimum-norm weight solution.
+    """Least squares with intercept: ridge_fit at lam = 0."""
+    return ridge_fit(X, Y, 0.0)
 
-    With at least n - 1 columns, the minimum-norm solution is
-    ``W = Xc^T V diag(1/w) V^T Yc``, from the eigenpairs (w, V) of the
-    n x n Gram ``Xc Xc^T`` above _GRAM_FLOOR times the largest. That
-    route runs when exactly one eigenvalue falls below the floor: the
-    direction the centering removes, so the centered rows have rank
-    n - 1. Any other case, and fewer columns, runs ``np.linalg.lstsq``.
+
+def ridge_fit(X, Y, lam: float = 1.0) -> LinearModel:
+    """Closed-form ridge, W = (Xc^T Xc + lam I)^-1 Xc^T Yc, and least squares
+    at lam = 0; the intercept is unpenalized.
+
+    For lam > 0 with more features than rows, the identical dual form
+    W = Xc^T (Xc Xc^T + lam I)^-1 Yc is solved instead. At lam = 0 the
+    weights are the minimum-norm solution: with at least n - 1 columns,
+    ``Xc^T V diag(1/w) V^T Yc`` from the eigenpairs (w, V) of the Gram
+    ``Xc Xc^T`` above _GRAM_FLOOR times the largest, when exactly one falls
+    below it (the direction the centering removes, so the centered rows
+    have rank n - 1); else ``np.linalg.lstsq``. A lam that is not a finite
+    number >= 0 (a bool is not) raises ValueError before X is read.
     """
-    X, Y = check_fit_inputs(X, Y, min_rows=2)
-    Xc, Yc, x_mean, y_mean = _center(X, Y)
+    check_number("lam", lam, 0)
+    Xc, Yc, model = _centered(X, Y)
     n, d = Xc.shape
+    if lam > 0.0:
+        if d <= n:
+            return model(np.linalg.solve(Xc.T @ Xc + lam * np.eye(d), Xc.T @ Yc))
+        return model(Xc.T @ np.linalg.solve(Xc @ Xc.T + lam * np.eye(n), Yc))
     if d >= n - 1:
         w, V = np.linalg.eigh(Xc @ Xc.T)  # ascending
         if w[0] <= _GRAM_FLOOR * w[-1] < w[1]:
             V = V[:, 1:]
-            W = Xc.T @ (V @ ((V.T @ Yc) / w[1:, None]))
-            return LinearModel(weights=W, intercept=y_mean - x_mean @ W)
-    W, *_ = np.linalg.lstsq(Xc, Yc, rcond=None)
-    return LinearModel(weights=W, intercept=y_mean - x_mean @ W)
-
-
-def ridge_fit(X, Y, lam: float = 1.0) -> LinearModel:
-    """Closed-form ridge: W = (Xc^T Xc + lam I)^-1 Xc^T Yc.
-
-    The intercept is unpenalized (fit on centered data). lam = 0 falls
-    back to the least-squares path. When there are more features than
-    rows the algebraically identical dual form
-    W = Xc^T (Xc Xc^T + lam I)^-1 Yc is solved instead. A lam that is not
-    a finite number >= 0 (a bool is not) raises ValueError.
-    """
-    check_number("lam", lam, 0)
-    if lam == 0.0:
-        return ols_fit(X, Y)
-    X, Y = check_fit_inputs(X, Y, min_rows=2)
-    Xc, Yc, x_mean, y_mean = _center(X, Y)
-    n, d = Xc.shape
-    if d <= n:
-        A = Xc.T @ Xc + lam * np.eye(d)
-        W = np.linalg.solve(A, Xc.T @ Yc)
-    else:
-        A = Xc @ Xc.T + lam * np.eye(n)
-        W = Xc.T @ np.linalg.solve(A, Yc)
-    return LinearModel(weights=W, intercept=y_mean - x_mean @ W)
+            return model(Xc.T @ (V @ ((V.T @ Yc) / w[1:, None])))
+    return model(np.linalg.lstsq(Xc, Yc, rcond=None)[0])
 
 
 # Sweeps between screens while the active sweeps have not converged. At
@@ -380,9 +373,5 @@ def elastic_fit(
     check_number("rho", rho, 0, 1)
     check_count("max_iter", max_iter, 1)
     check_number("tol", tol, 0, above=True)
-    X, Y = check_fit_inputs(X, Y, min_rows=2)
-    Xc, Yc, x_mean, y_mean = _center(X, Y)
-    W, converged = _coordinate_descent(
-        Xc, Yc, alpha * rho, alpha * (1.0 - rho), max_iter, tol
-    )
-    return LinearModel(weights=W, intercept=y_mean - x_mean @ W, converged=converged)
+    Xc, Yc, model = _centered(X, Y)
+    return model(*_coordinate_descent(Xc, Yc, alpha * rho, alpha * (1.0 - rho), max_iter, tol))

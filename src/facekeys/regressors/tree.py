@@ -34,8 +34,9 @@ each over its columns in passes of about _PASS_ELEMENTS gathered values:
    wins. So the tree is the one that scan grows over all columns, to the
    last bit.
 
-Rounding. Let u = 2^-53 and gamma_j = j u / (1 - j u). For a node of n
-rows and m outputs, let T_k = sum y, Q_k = sum y^2 and A_k = sum |y| over
+Rounding. Let u = 2^-53 and gamma_j = j u / (1 - j u), linear._gamma, the
+bound the linear family's skip test also rests on. For a node of n rows
+and m outputs, let T_k = sum y, Q_k = sum y^2 and A_k = sum |y| over
 its rows, and ``M = 64 gamma_(n+m) sum_k (Q_k + A_k^2)`` (``_margin``).
 The standard bounds for floating-point sums (Higham, Accuracy and
 Stability of Numerical Algorithms, 2002, ch. 3-4) say a sum of j terms in
@@ -134,6 +135,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._inputs import check_count, check_fit_inputs, check_rows
+from .linear import _gamma
 
 #: Target values (columns x node rows x outputs) gathered per pass of the
 #: exact scan, and values per pass of the presort, the screen and the
@@ -161,9 +163,6 @@ _SCREEN_WIDTHS = (2, 4)
 #: screen its lower bound on the winner's gain. The three fits took 0.64,
 #: 0.63 and 0.66 s with 1, 8 and 32 probes.
 _SCREEN_PROBES = 8
-
-#: The unit roundoff u of float64.
-_U = np.finfo(np.float64).eps / 2
 
 #: The node arrays in file order, and the dtype of each.
 NODE_ARRAYS = {
@@ -267,11 +266,6 @@ def _prefix_sums(a: np.ndarray) -> np.ndarray:
     pairs = a.view(np.complex128) if a.shape[2] % 2 == 0 else a
     np.cumsum(pairs, axis=1, out=pairs)
     return a
-
-
-def _gamma(j: int) -> float:
-    """gamma_j = j u / (1 - j u), the bound on j roundings."""
-    return j * _U / (1 - j * _U)
 
 
 def _margin(Y: np.ndarray) -> float:

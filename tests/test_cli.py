@@ -397,6 +397,25 @@ def test_benchmark_refuses_a_negative_seed(csv_path, capsys):
     assert capsys.readouterr().err == "facekeys: error: seed must be an integer >= 0, got -1\n"
 
 
+@pytest.mark.parametrize("flags, config, message", [
+    (("--seed", "-1"), "", "seed must be an integer >= 0, got -1"),
+    (("--max-rows", "0"), "", "max_rows must be an integer >= 1, got 0"),
+    ((), "train_fraction = 1.5", "train_fraction must be a finite number in (0, 1), got 1.5"),
+    ((), "pca_components = 0", "pca_components must be an integer >= 1, got 0"),
+    ((), "lbp_radius = nan", "radius must be a finite number above 0, got nan"),
+    ((), "lbp_mode = spiral", "unknown lbp_mode 'spiral'"),
+], ids=["seed", "max-rows", "train-fraction", "pca-components", "lbp-radius", "lbp-mode"])
+def test_benchmark_refuses_a_bad_run_setting_before_reading_the_csv(tmp_path, capsys, flags,
+                                                                    config, message):
+    # unchecked, the first three failed after the CSV was decoded and the others exited 0
+    # with lbp_pca error rows; the input here does not exist, so its error would show
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(config + "\n")
+    assert main(["benchmark", "--input", str(tmp_path / "missing.csv"), "--config", str(cfg),
+                 *flags]) == 1
+    assert capsys.readouterr().err == f"facekeys: error: {message}\n"
+
+
 @pytest.mark.parametrize("flags, fit_side, side", [
     (("--model", "knn", "--pca", "16"), 16, 8),
     (("--model", "knn", "--pca", "16", "--lbp"), 16, 8),

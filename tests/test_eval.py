@@ -27,6 +27,7 @@ from facekeys.eval import (
     rmse,
     run_benchmark,
 )
+from facekeys.lbp import LbpError
 from facekeys.pipeline import fit_pipeline
 from facekeys.regressors import RegressorSpec, fit_any, predict_any
 from readers import load_report_csv
@@ -215,14 +216,23 @@ def test_load_config_refuses_a_key_set_twice(tmp_path):
     ("seed", -1, ValueError, "seed must be an integer >= 0, got -1"),
     ("seed", 2.5, ValueError, "seed must be an integer >= 0, got 2.5"),
     ("seed", True, ValueError, "seed must be an integer >= 0, got True"),
+    ("train_fraction", 1.5, EvalError,
+     "train_fraction must be a finite number in (0, 1), got 1.5"),
+    ("pca_components", 0, EvalError, "pca_components must be an integer >= 1, got 0"),
+    ("lbp_radius", math.nan, LbpError, "radius must be a finite number above 0, got nan"),
+    ("lbp_neighbors", 63, LbpError, "neighbors must be an integer in [4, 62], got 63"),
+    ("lbp_mode", "spiral", EvalError, "unknown lbp_mode 'spiral'"),
 ])
-def test_a_bad_row_cap_or_seed_stops_the_run(bench_csv, setting, bad, error, message):
+def test_a_bad_row_cap_or_seed_stops_the_run(tmp_path, setting, bad, error, message):
     # unchecked, max_rows -5 dropped 5 random rows, 0 failed in column_means and 2.5 in a
-    # slice; seed -1 gave mlp error rows, 2.5 a bare TypeError, and True ran as seed 1
-    cfg = BenchmarkConfig(training_csv=bench_csv, models=("knn", "mlp"), pipelines=("raw",),
-                          mlp_epochs=1, **{setting: bad})
+    # slice; seed -1 gave mlp error rows, 2.5 a bare TypeError, and True ran as seed 1;
+    # train_fraction 1.5 failed after the CSV was decoded, and pca_components 0 and a bad
+    # LBP setting ran to lbp_pca error rows. Each is now refused when the config is built,
+    # before any data is read: the CSV here does not exist
     with pytest.raises(error) as exc:
-        run_benchmark(cfg)
+        run_benchmark(BenchmarkConfig(training_csv=str(tmp_path / "missing.csv"),
+                                      models=("knn", "mlp"), pipelines=("raw",), mlp_epochs=1,
+                                      **{setting: bad}))
     assert str(exc.value) == message
 
 
