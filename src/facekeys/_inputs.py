@@ -1,4 +1,4 @@
-"""The package's one value rule: a valid count, number and row block. Each check
+"""The package's one value rule: a valid choice, count, number and row block. Each check
 raises error (ValueError, or the calling module's own subclass) naming the value."""
 
 from __future__ import annotations
@@ -32,6 +32,13 @@ def check_rows(X, n_features: int, error: type = ValueError, name: str = "X") ->
     if not np.isfinite(X).all():
         raise error(f"{name} must be finite (no NaN or inf)")
     return X
+
+
+def check_choice(name: str, value, choices, error: type = ValueError) -> None:
+    """One of choices, by type and equality: any other value, unhashable or an array too, is not."""
+    choices = tuple(choices)
+    if not any(isinstance(value, type(choice)) and value == choice for choice in choices):
+        raise error(f"unknown {name} {value!r}; expected one of {choices}")
 
 
 def check_count(name: str, value, least: int, most: int | None = None,

@@ -87,7 +87,7 @@ _LBP_SETTINGS = (*_LBP_GEOMETRY, "lbp_mode")
 _TRAIN_SETTINGS = ("seed", *_LBP_SETTINGS)
 #: benchmark flags that set the BenchmarkConfig field of their own name, and their help
 _BENCHMARK_SETTINGS = {"models": "comma-separated model kinds",
-                       "pipelines": "comma-separated: raw,lbp_pca",
+                       "pipelines": "comma-separated: " + ",".join(ev.PIPELINES),
                        "tasks": "comma-separated: eleven,four",
                        **dict.fromkeys(("seed", "max_rows", "mlp_epochs", "cnn_epochs"))}
 #: the names a str field's flag chooses among
@@ -126,8 +126,8 @@ def _override(cfg: ev.BenchmarkConfig, args, settings: dict) -> ev.BenchmarkConf
 def cmd_train(args) -> int:
     """Fit one model on one task and save it with its feature pipeline.
 
-    The setting flags given override a BenchmarkConfig(); a model flag's
-    destination is its run-set hyperparameter name. A model flag outside
+    The setting flags given override a BenchmarkConfig whose max_rows is --max-rows;
+    a model flag's destination is its run-set hyperparameter name. A model flag outside
     the --model's run set is refused, and so is an LBP setting without
     --lbp, or --no-pixel-scaling with it (LBP codes the unscaled images)."""
     run_set = SPEC_KINDS[args.model].run_set
@@ -139,12 +139,13 @@ def cmd_train(args) -> int:
         raise CliError(f"{_flags(lbp_given)} given without --lbp")
     if args.lbp and args.no_pixel_scaling:
         raise CliError("--no-pixel-scaling given with --lbp, which codes unscaled images")
-    # the config refuses a bad seed or LBP setting before any data is read
-    cfg = _override(ev.BenchmarkConfig(), args, {**{name: name for name in _TRAIN_SETTINGS},
-                    **{name: ev._config_field(args.model, name) for name in run_set}})
+    # the config refuses a bad seed, row cap or LBP setting before any data is read
+    cfg = _override(ev.BenchmarkConfig(max_rows=args.max_rows), args,
+                    {**{name: name for name in _TRAIN_SETTINGS},
+                     **{name: ev._config_field(args.model, name) for name in run_set}})
     spec = ev._spec_for(cfg, args.model)
     d = _load_task(_resolve_input(args.input), args.task)
-    train = ds.impute_column_means(ev._subsample(d, args.max_rows, cfg.seed))
+    train = ds.impute_column_means(ev._subsample(d, cfg.max_rows, cfg.seed))
     pipe, features = fit_pipeline(
         train.images,
         scale_pixels=not args.no_pixel_scaling,

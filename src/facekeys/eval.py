@@ -26,7 +26,7 @@ from functools import partial
 
 import numpy as np
 
-from ._inputs import check_count, check_number
+from ._inputs import check_choice, check_count, check_number
 from .dataset import (
     Dataset,
     column_means,
@@ -35,12 +35,14 @@ from .dataset import (
     load_training_csv,
     split_by_keypoint_coverage,
 )
-from .lbp import LbpConfig
+from .lbp import LbpConfig, LbpError
 from .pipeline import LBP_MODES, fit_pipeline
 from .regressors import KINDS, SPEC_KINDS, RegressorSpec, fit_any, predict_any
 from .rng import permutation
 
 TASK_LABELS = {"eleven": "RMSE1", "four": "RMSE2"}
+#: the feature pipelines a benchmark row is fit on: raw pixels, or LBP codes with PCA
+PIPELINES = ("raw", "lbp_pca")
 
 DEFAULT_MODELS = ("knn", "ols", "ridge", "lasso", "elastic", "tree")
 ALL_MODELS = KINDS
@@ -76,7 +78,7 @@ class BenchmarkConfig:
 
     training_csv: str = ""
     models: tuple[str, ...] = DEFAULT_MODELS
-    pipelines: tuple[str, ...] = ("raw", "lbp_pca")
+    pipelines: tuple[str, ...] = PIPELINES
     tasks: tuple[str, ...] = ("eleven", "four")
     seed: int = 7
     train_fraction: float = 0.9
@@ -105,17 +107,12 @@ class BenchmarkConfig:
     cnn_batch_size: int = 50
 
     def __post_init__(self):
-        for m in self.models:
-            if m not in ALL_MODELS:
-                raise EvalError(f"unknown model {m!r}; expected one of {ALL_MODELS}")
-        for p in self.pipelines:
-            if p not in ("raw", "lbp_pca"):
-                raise EvalError(f"unknown pipeline {p!r}")
-        for t in self.tasks:
-            if t not in TASK_LABELS:
-                raise EvalError(f"unknown task {t!r}")
-        if self.lbp_mode not in LBP_MODES:
-            raise EvalError(f"unknown lbp_mode {self.lbp_mode!r}")
+        for name, values, choices in (("model", self.models, ALL_MODELS),
+                                      ("pipeline", self.pipelines, PIPELINES),
+                                      ("task", self.tasks, TASK_LABELS)):
+            for value in values:
+                check_choice(name, value, choices, EvalError)
+        check_choice("lbp_mode", self.lbp_mode, LBP_MODES, EvalError)
         # the run-level settings are refused here, before any data is read;
         # hyperparameters are checked by their fits, as row errors
         check_count("seed", self.seed, 0, error=EvalError)
@@ -126,7 +123,7 @@ class BenchmarkConfig:
         check_count("pca_components", self.pca_components, 1, error=EvalError)
         check_count("mlp_epochs", self.mlp_epochs, 0, error=EvalError)
         check_count("cnn_epochs", self.cnn_epochs, 0, error=EvalError)
-        _lbp_config(self)  # LbpConfig refuses a bad geometry
+        _lbp_config(self)  # refuses a bad geometry
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(BenchmarkConfig)}  # annotations, as text
@@ -145,9 +142,8 @@ def parse_setting(key: str, text: str):
     """BenchmarkConfig field key's value from config-file text, read as the
     field's annotated type: only an `int | None` field takes "none", and a
     tuple drops empty items. An EvalError names the key."""
-    kind = _FIELD_TYPES.get(key)
-    if kind is None:
-        raise EvalError(f"unknown key {key!r}")
+    check_choice("key", key, _FIELD_TYPES, EvalError)
+    kind = _FIELD_TYPES[key]
     text = text.strip()
     if kind == "bool":
         if text.lower() not in ("true", "false"):
@@ -162,8 +158,8 @@ def parse_setting(key: str, text: str):
 
 
 def load_config(path) -> BenchmarkConfig:
-    """Parse a flat key=value config file ('#' starts a comment) of
-    BenchmarkConfig fields, each set once and read by parse_setting."""
+    """Parse a flat key=value config file ('#' starts a comment) of BenchmarkConfig fields, each
+    set once, read by parse_setting and checked alone; an EvalError starts path:line:."""
     values: dict = {}
     set_on: dict = {}  # key -> the line that set it
     with open(path) as fh:
@@ -176,6 +172,7 @@ def load_config(path) -> BenchmarkConfig:
             key, val = map(str.strip, line.split("=", 1))
             try:
                 values[key] = parse_setting(key, val)
+                BenchmarkConfig(**{key: values[key]})
             except EvalError as exc:
                 raise EvalError(f"{path}:{line_no}: {exc}") from None
             if set_on.setdefault(key, line_no) != line_no:
@@ -231,9 +228,7 @@ def _spec_for(cfg: BenchmarkConfig, kind: str) -> RegressorSpec:
 
 
 def _subsample(d: Dataset, max_rows: int | None, seed: int) -> Dataset:
-    """d, or max_rows (None: every row; else an integer >= 1) of its rows drawn by seed."""
-    if max_rows is not None:
-        check_count("max_rows", max_rows, 1, error=EvalError)
+    """d, or max_rows of its rows drawn by seed (None: every row), a cap the config checked."""
     if max_rows is None or len(d) <= max_rows:
         return d
     idx = sorted(permutation(len(d), seed)[:max_rows])
@@ -241,11 +236,11 @@ def _subsample(d: Dataset, max_rows: int | None, seed: int) -> Dataset:
 
 
 def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
-    return LbpConfig(
-        neighbors=cfg.lbp_neighbors,
-        radius=cfg.lbp_radius,
-        rotation_invariant=cfg.lbp_rotation_invariant,
-    )
+    try:
+        return LbpConfig(neighbors=cfg.lbp_neighbors, radius=cfg.lbp_radius,
+                         rotation_invariant=cfg.lbp_rotation_invariant)
+    except LbpError as exc:  # its refusals start with a field name, the config's without lbp_
+        raise EvalError(f"lbp_{exc}") from None
 
 
 #: The gradient-trained kinds: long fits whose time goes to BLAS products and
@@ -415,6 +410,7 @@ def format_report(report: EvalReport, style: str = "markdown") -> str:
     marks with * a coordinate-descent cell whose fit did not converge and
     lists it under its table, after the failed rows.
     """
+    check_choice("report style", style, ("markdown", "csv"), EvalError)
     if style == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -429,8 +425,6 @@ def format_report(report: EvalReport, style: str = "markdown") -> str:
                 r.error or "",
             ])
         return buf.getvalue()
-    if style != "markdown":
-        raise EvalError(f"unknown report style {style!r}")
 
     lines = [f"# Benchmark report (seed {report.seed})", ""]
     for pipeline_name in dict.fromkeys(r.pipeline for r in report.rows):

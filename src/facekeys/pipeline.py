@@ -13,6 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import pca as pca_mod
+from ._inputs import check_choice
 from .dataset import FeatureMatrix
 from .lbp import LbpConfig, lbp_circular, lbp_histogram_features, samples_nearest
 
@@ -35,8 +36,7 @@ class FeaturePipeline:
     image_shape: tuple[int, int] | None = None  # (h, w) of the fit images; None takes any
 
     def __post_init__(self):
-        if self.lbp_mode not in LBP_MODES:
-            raise ValueError(f"unknown lbp_mode {self.lbp_mode!r}")
+        check_choice("lbp_mode", self.lbp_mode, LBP_MODES)
 
     def _lbp_matrix(self, images: np.ndarray) -> np.ndarray:
         codes = lbp_circular(images, self.lbp)

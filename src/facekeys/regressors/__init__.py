@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple, get_args, get_origin
 
 import numpy as np
 
-from .._inputs import check_count
+from .._inputs import check_choice, check_count
 from .knn import KnnModel, knn_fit, knn_predict
 from .linear import LinearModel, elastic_fit, lasso_fit, linear_predict, ols_fit, ridge_fit
 from .tree import NODE_ARRAYS, TreeModel, tree_fit, tree_predict
@@ -87,12 +87,8 @@ class RegressorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        entry = SPEC_KINDS.get(self.kind)
-        if entry is None:
-            raise ConfigError(
-                f"unknown regressor kind {self.kind!r}; expected one of {KINDS}"
-            )
-        extra = set(self.hyperparameters) - (entry.keywords - {"seed"})
+        check_choice("regressor kind", self.kind, KINDS, ConfigError)
+        extra = set(self.hyperparameters) - (SPEC_KINDS[self.kind].keywords - {"seed"})
         if extra:
             raise ConfigError(
                 f"{self.kind} does not accept hyperparameters {sorted(extra)}"

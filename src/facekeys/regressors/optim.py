@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._inputs import check_count, check_number
+from .._inputs import check_choice, check_count, check_number
 
 
 class TrainingDiverged(RuntimeError):
@@ -134,8 +134,7 @@ OPTIMIZERS = {"sgd": Sgd, "rmsprop": RmsProp}
 def make_optimizer(name: str, params: np.ndarray, learning_rate: float | None = None):
     """Build an optimizer by tag (an OPTIMIZERS key); None keeps its default
     rate. A rate that is not a finite number above 0 raises ValueError."""
-    if name not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer {name!r}")
+    check_choice("optimizer", name, OPTIMIZERS)
     if learning_rate is not None:
         check_number("learning_rate", learning_rate, 0, above=True)
     lr = {} if learning_rate is None else {"learning_rate": learning_rate}

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from ._inputs import check_choice
 from .dataset import Dataset
 
 RED = (255, 0, 0)
@@ -76,8 +77,7 @@ def render_keypoints(pixels: np.ndarray, names: tuple[str, ...], coords: np.ndar
 def scatter_keypoint_distribution(d: Dataset, slot_name: str, path) -> None:
     """White canvas of the dataset's image size with one dark dot per
     present value of a slot."""
-    if slot_name not in d.slot_names:
-        raise VizError(f"unknown slot {slot_name!r}")
+    check_choice("slot", slot_name, d.slot_names, VizError)
     h, w = d.images.shape[1:]
     canvas = np.full((h, w, 3), 255, dtype=np.uint8)
     j = d.slot_names.index(slot_name)

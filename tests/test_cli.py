@@ -402,18 +402,39 @@ def test_benchmark_refuses_a_negative_seed(csv_path, capsys):
     (("--max-rows", "0"), "", "max_rows must be an integer >= 1, got 0"),
     ((), "train_fraction = 1.5", "train_fraction must be a finite number in (0, 1), got 1.5"),
     ((), "pca_components = 0", "pca_components must be an integer >= 1, got 0"),
-    ((), "lbp_radius = nan", "radius must be a finite number above 0, got nan"),
-    ((), "lbp_mode = spiral", "unknown lbp_mode 'spiral'"),
-], ids=["seed", "max-rows", "train-fraction", "pca-components", "lbp-radius", "lbp-mode"])
+    ((), "lbp_radius = nan", "lbp_radius must be a finite number above 0, got nan"),
+    ((), "lbp_mode = spiral",
+     "unknown lbp_mode 'spiral'; expected one of ('pixel_map', 'histogram')"),
+    (("--tasks", "four,all"), "", "unknown task 'all'; expected one of ('eleven', 'four')"),
+], ids=["seed", "max-rows", "train-fraction", "pca-components", "lbp-radius", "lbp-mode",
+        "tasks"])
 def test_benchmark_refuses_a_bad_run_setting_before_reading_the_csv(tmp_path, capsys, flags,
                                                                     config, message):
     # unchecked, the first three failed after the CSV was decoded and the others exited 0
-    # with lbp_pca error rows; the input here does not exist, so its error would show
+    # with lbp_pca error rows; the input here does not exist, so its error would show.
+    # A config-file refusal names its file and line
     cfg = tmp_path / "bench.cfg"
     cfg.write_text(config + "\n")
     assert main(["benchmark", "--input", str(tmp_path / "missing.csv"), "--config", str(cfg),
                  *flags]) == 1
+    where = f"{cfg}:1: " if config else ""
+    assert capsys.readouterr().err == f"facekeys: error: {where}{message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("train", "--model", "knn", "--max-rows", "0"), "max_rows must be an integer >= 1, got 0"),
+    (("train", "--model", "knn", "--lbp", "--lbp-radius", "nan"),
+     "lbp_radius must be a finite number above 0, got nan"),
+    (("lbp", "--lbp-neighbors", "63"), "lbp_neighbors must be an integer in [4, 62], got 63"),
+], ids=["train-max-rows", "train-lbp-radius", "lbp-neighbors"])
+def test_a_train_or_lbp_setting_is_refused_before_reading_the_csv(tmp_path, capsys, argv,
+                                                                  message):
+    # the input does not exist, so its error would show: --max-rows was checked only after
+    # the CSV was decoded, and the LBP geometry was refused under LbpConfig's field names
+    out = tmp_path / "out"
+    assert main([*argv, "--input", str(tmp_path / "missing.csv"), "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"facekeys: error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, fit_side, side", [

@@ -27,7 +27,6 @@ from facekeys.eval import (
     rmse,
     run_benchmark,
 )
-from facekeys.lbp import LbpError
 from facekeys.pipeline import fit_pipeline
 from facekeys.regressors import RegressorSpec, fit_any, predict_any
 from readers import load_report_csv
@@ -108,12 +107,20 @@ def test_the_networks_beat_the_mean_predictor_on_faces():
 
 
 def test_config_validation():
-    with pytest.raises(EvalError, match="unknown model"):
-        BenchmarkConfig(models=("svm",))
-    with pytest.raises(EvalError, match="unknown pipeline"):
-        BenchmarkConfig(pipelines=("fourier",))
-    with pytest.raises(EvalError, match="unknown task"):
-        BenchmarkConfig(tasks=("nine",))
+    for setting, bad, message in [
+        ("models", ("svm",), f"unknown model 'svm'; expected one of {ALL_MODELS}"),
+        ("pipelines", ("fourier",),
+         "unknown pipeline 'fourier'; expected one of ('raw', 'lbp_pca')"),
+        ("tasks", ("nine",), "unknown task 'nine'; expected one of ('eleven', 'four')"),
+        # an unhashable value was a TypeError from the dict lookup
+        ("tasks", (["four"],), "unknown task ['four']; expected one of ('eleven', 'four')"),
+        ("lbp_mode", np.array("histogram"),
+         "unknown lbp_mode array('histogram', dtype='<U9'); "
+         "expected one of ('pixel_map', 'histogram')"),
+    ]:
+        with pytest.raises(EvalError) as exc:
+            BenchmarkConfig(**{setting: bad})
+        assert str(exc.value) == message
     # the cnn reads its grid from any width (cnn.grid_side); a fit narrower
     # than 16 features fails in its own row
     for ok in (4, 16, 20, 64, 144, 179, 255, 256):
@@ -179,6 +186,9 @@ lbp_radius = 2.0
         ("mlp_epochs = none", "mlp_epochs must be an integer"),
         ("cnn_epochs = NONE", "cnn_epochs must be an integer"),
         ("full = true", "unknown key"),
+        # refused when the config is built, which named neither the file nor the line
+        ("lbp_radius = nan", "lbp_radius must be a finite number above 0, got nan"),
+        ("pipelines = raw,pixels", "unknown pipeline 'pixels'; expected one of ('raw', 'lbp_pca')"),
     ],
 )
 def test_load_config_errors_name_the_line(tmp_path, line, fragment):
@@ -219,9 +229,10 @@ def test_load_config_refuses_a_key_set_twice(tmp_path):
     ("train_fraction", 1.5, EvalError,
      "train_fraction must be a finite number in (0, 1), got 1.5"),
     ("pca_components", 0, EvalError, "pca_components must be an integer >= 1, got 0"),
-    ("lbp_radius", math.nan, LbpError, "radius must be a finite number above 0, got nan"),
-    ("lbp_neighbors", 63, LbpError, "neighbors must be an integer in [4, 62], got 63"),
-    ("lbp_mode", "spiral", EvalError, "unknown lbp_mode 'spiral'"),
+    ("lbp_radius", math.nan, EvalError, "lbp_radius must be a finite number above 0, got nan"),
+    ("lbp_neighbors", 63, EvalError, "lbp_neighbors must be an integer in [4, 62], got 63"),
+    ("lbp_mode", "spiral", EvalError,
+     "unknown lbp_mode 'spiral'; expected one of ('pixel_map', 'histogram')"),
 ])
 def test_a_bad_row_cap_or_seed_stops_the_run(tmp_path, setting, bad, error, message):
     # unchecked, max_rows -5 dropped 5 random rows, 0 failed in column_means and 2.5 in a
@@ -581,8 +592,9 @@ def test_report_loader_rejects_foreign_header():
 
 
 def test_unknown_style_rejected(bench_csv):
-    with pytest.raises(EvalError, match="style"):
+    with pytest.raises(EvalError) as exc:
         format_report(_tiny_report(bench_csv), style="xml")
+    assert str(exc.value) == "unknown report style 'xml'; expected one of ('markdown', 'csv')"
 
 
 # ---- end-to-end sanity -------------------------------------------------------------

@@ -102,8 +102,9 @@ def test_a_fitted_network_is_views_of_one_parameter_vector(kind):
 
 
 def test_spec_validation():
-    with pytest.raises(ConfigError, match="unknown regressor kind"):
+    with pytest.raises(ConfigError) as exc:
         RegressorSpec("svm")
+    assert str(exc.value) == f"unknown regressor kind 'svm'; expected one of {KINDS}"
     with pytest.raises(ConfigError, match="does not accept"):
         RegressorSpec("knn", {"alpha": 1.0})
     with pytest.raises(ConfigError, match="does not accept"):

@@ -221,8 +221,9 @@ def test_scatter_canvas_is_the_image_size(tmp_path):
 
 def test_scatter_rejects_unknown_slot(tmp_path):
     d = _scatter_dataset([[1.0, 1.0, 2.0, 2.0]])
-    with pytest.raises(VizError, match="unknown slot"):
+    with pytest.raises(VizError) as exc:
         scatter_keypoint_distribution(d, "chin", tmp_path / "x.ppm")
+    assert str(exc.value) == "unknown slot 'chin'; expected one of ('left_eye_center', 'nose_tip')"
 
 
 def test_render_lbp_byte_codes_written_directly(tmp_path):
