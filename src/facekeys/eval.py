@@ -123,7 +123,7 @@ class BenchmarkConfig:
         check_count("pca_components", self.pca_components, 1, error=EvalError)
         check_count("mlp_epochs", self.mlp_epochs, 0, error=EvalError)
         check_count("cnn_epochs", self.cnn_epochs, 0, error=EvalError)
-        _lbp_config(self)  # refuses a bad geometry
+        _lbp_config(self)  # LbpConfig refuses a bad geometry
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(BenchmarkConfig)}  # annotations, as text
