@@ -57,21 +57,16 @@ def _resolve_input(value: str | None) -> str:
     )
 
 
-def _load_task(path: str, task: str) -> ds.Dataset:
-    data = ds.load_training_csv(path)
-    dense, sparse = ds.split_by_keypoint_coverage(data)
-    return dense if task == "four" else sparse
-
-
 def cmd_split(args) -> int:
-    """Write the eight derived train/test CSVs for both coverage tasks."""
-    data = ds.load_training_csv(_resolve_input(args.input))
-    dense, sparse = ds.split_by_keypoint_coverage(data)
+    """Write the eight derived train/test CSVs for both coverage tasks, or none if one fails."""
+    # the config refuses a bad seed or train fraction before any data is read
+    cfg = ev.BenchmarkConfig(seed=args.seed, train_fraction=args.train_fraction, max_rows=None)
+    tasks = ev.load_tasks(_resolve_input(args.input))
+    splits = {suffix: ev.split_task(cfg, tasks[task])
+              for task, suffix in (("four", "4f"), ("eleven", "11f"))}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for suffix, d in (("4f", dense), ("11f", sparse)):
-        d = ds.impute_column_means(d)
-        train, test = ds.holdout_split(d, args.train_fraction, args.seed)
+    for suffix, (train, test) in splits.items():
         for part, split in (("train", train), ("test", test)):
             ds.write_keypoint_csv(split, out_dir / f"keypoint_{part}_{suffix}.csv")
             ds.write_image_csv(split, out_dir / f"im_{part}_{suffix}.csv")
@@ -88,7 +83,7 @@ _TRAIN_SETTINGS = ("seed", *_LBP_SETTINGS)
 #: benchmark flags that set the BenchmarkConfig field of their own name, and their help
 _BENCHMARK_SETTINGS = {"models": "comma-separated model kinds",
                        "pipelines": "comma-separated: " + ",".join(ev.PIPELINES),
-                       "tasks": "comma-separated: eleven,four",
+                       "tasks": "comma-separated: " + ",".join(ev.TASK_LABELS),
                        **dict.fromkeys(("seed", "max_rows", "mlp_epochs", "cnn_epochs"))}
 #: the names a str field's flag chooses among
 _CHOICES = {"optimizer": tuple(OPTIMIZERS), "lbp_mode": LBP_MODES}
@@ -144,7 +139,7 @@ def cmd_train(args) -> int:
                     {**{name: name for name in _TRAIN_SETTINGS},
                      **{name: ev._config_field(args.model, name) for name in run_set}})
     spec = ev._spec_for(cfg, args.model)
-    d = _load_task(_resolve_input(args.input), args.task)
+    d = ev.load_tasks(_resolve_input(args.input))[args.task]
     train = ds.impute_column_means(ev._subsample(d, cfg.max_rows, cfg.seed))
     pipe, features = fit_pipeline(
         train.images,
@@ -233,7 +228,7 @@ def cmd_pca(args) -> int:
     """Fit PCA on a task's pixel matrix and save the model."""
     if (args.components is None) == (args.variance is None):
         raise CliError("give exactly one of --components and --variance")
-    d = _load_task(_resolve_input(args.input), args.task)
+    d = ev.load_tasks(_resolve_input(args.input))[args.task]
     X = FeaturePipeline(scale_pixels=not args.no_pixel_scaling).transform(d.images).values
     model = pca_mod.fit_pca(X, n_components=args.components, variance_target=args.variance)
     pca_mod.save_pca(model, args.out)
@@ -278,7 +273,7 @@ def _split_arguments(p) -> None:
 
 def _train_arguments(p) -> None:
     _add_input(p)
-    p.add_argument("--task", choices=("four", "eleven"), default="four")
+    p.add_argument("--task", choices=tuple(ev.TASK_LABELS), default="four")
     p.add_argument("--model", required=True, choices=KINDS)
     p.add_argument("--out", required=True)
     _add_setting(p, "seed")
@@ -323,7 +318,7 @@ def _lbp_arguments(p) -> None:
 
 def _pca_arguments(p) -> None:
     _add_input(p)
-    p.add_argument("--task", choices=("four", "eleven"), default="eleven")
+    p.add_argument("--task", choices=tuple(ev.TASK_LABELS), default="eleven")
     p.add_argument("--components", type=int, default=None)
     p.add_argument("--variance", type=float, default=None)
     p.add_argument("--out", required=True)

@@ -40,6 +40,7 @@ from .pipeline import LBP_MODES, fit_pipeline
 from .regressors import KINDS, SPEC_KINDS, RegressorSpec, fit_any, predict_any
 from .rng import permutation
 
+#: the tasks in report order, each with its RMSE column: the one list of task names
 TASK_LABELS = {"eleven": "RMSE1", "four": "RMSE2"}
 #: the feature pipelines a benchmark row is fit on: raw pixels, or LBP codes with PCA
 PIPELINES = ("raw", "lbp_pca")
@@ -79,7 +80,7 @@ class BenchmarkConfig:
     training_csv: str = ""
     models: tuple[str, ...] = DEFAULT_MODELS
     pipelines: tuple[str, ...] = PIPELINES
-    tasks: tuple[str, ...] = ("eleven", "four")
+    tasks: tuple[str, ...] = tuple(TASK_LABELS)
     seed: int = 7
     train_fraction: float = 0.9
     scale_pixels: bool = True
@@ -235,6 +236,21 @@ def _subsample(d: Dataset, max_rows: int | None, seed: int) -> Dataset:
     return d.take(idx)
 
 
+def load_tasks(path) -> dict[str, Dataset]:
+    """Each task's rows of the training CSV at path, read once and split by keypoint coverage."""
+    dense, sparse = split_by_keypoint_coverage(load_training_csv(path))
+    return {"eleven": sparse, "four": dense}
+
+
+def split_task(cfg: BenchmarkConfig, d: Dataset) -> tuple[Dataset, Dataset]:
+    """A task's seeded train and test rows, at most cfg.max_rows, holes filled by column means."""
+    d = _subsample(d, cfg.max_rows, cfg.seed)
+    # the split depends only on the row count, so imputing after it is exact
+    train, test = holdout_split(d, cfg.train_fraction, cfg.seed)
+    means = column_means(train if cfg.train_only_means else d)
+    return impute_column_means(train, means), impute_column_means(test, means)
+
+
 def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
     try:
         return LbpConfig(neighbors=cfg.lbp_neighbors, radius=cfg.lbp_radius,
@@ -335,37 +351,23 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
     The report's rows are in config order either way. A row's seconds is
     its own elapsed time, so rows fitted side by side overlap.
     """
-    data = load_training_csv(cfg.training_csv)
-    dense, sparse = split_by_keypoint_coverage(data)
-    by_task = {"four": dense, "eleven": sparse}
+    tasks = load_tasks(cfg.training_csv)
     networks = sum(kind in NETWORK_KINDS for kind in cfg.models)
     workers = _network_workers(networks * len(cfg.pipelines) * len(cfg.tasks))
     gate = threading.Semaphore(workers) if workers >= 2 else None
     rows: list = []  # EvalRows, and the _CellThreads that make the network rows
 
     for task in cfg.tasks:
-        d = _subsample(by_task[task], cfg.max_rows, cfg.seed)
-        # the split depends only on the row count, so imputing after it is exact
-        train_raw, test_raw = holdout_split(d, cfg.train_fraction, cfg.seed)
-        means = column_means(train_raw if cfg.train_only_means else d)
-        train = impute_column_means(train_raw, means)
-        test = impute_column_means(test_raw, means)
-
+        train, test = split_task(cfg, tasks[task])
         Y_train, Y_test = train.keypoints, test.keypoints
 
         for pipeline_name in cfg.pipelines:
+            lbp_pca = pipeline_name == "lbp_pca"
             try:
-                if pipeline_name == "raw":
-                    pipe, F_train = fit_pipeline(train.images, scale_pixels=cfg.scale_pixels)
-                else:
-                    n_comp = min(cfg.pca_components, len(train) - 1)
-                    pipe, F_train = fit_pipeline(
-                        train.images,
-                        scale_pixels=cfg.scale_pixels,
-                        lbp=_lbp_config(cfg),
-                        lbp_mode=cfg.lbp_mode,
-                        pca_components=n_comp,
-                    )
+                pipe, F_train = fit_pipeline(
+                    train.images, scale_pixels=cfg.scale_pixels,
+                    lbp=_lbp_config(cfg) if lbp_pca else None, lbp_mode=cfg.lbp_mode,
+                    pca_components=min(cfg.pca_components, len(train) - 1) if lbp_pca else None)
                 X_train = F_train.values
                 X_test = pipe.transform(test.images).values
             except Exception as exc:  # configuration-level failure hits all rows
@@ -429,7 +431,7 @@ def format_report(report: EvalReport, style: str = "markdown") -> str:
     lines = [f"# Benchmark report (seed {report.seed})", ""]
     for pipeline_name in dict.fromkeys(r.pipeline for r in report.rows):
         rows = [r for r in report.rows if r.pipeline == pipeline_name]
-        tasks = [t for t in ("eleven", "four") if any(r.task == t for r in rows)]
+        tasks = [t for t in TASK_LABELS if any(r.task == t for r in rows)]
         sizes = ", ".join(
             f"{t}: {next(r for r in rows if r.task == t).n_train} train / "
             f"{next(r for r in rows if r.task == t).n_test} test"

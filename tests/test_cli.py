@@ -184,6 +184,20 @@ def test_split_outputs_are_reproducible(tmp_path, csv_path):
             (tmp_path / "two" / name).read_bytes(), name
 
 
+def test_a_refused_split_writes_no_file_and_no_directory(tmp_path, capsys):
+    # 40 rows, 3 with the eleven sparse slots: the four task splits at 0.1 and the eleven
+    # does not. Before, the four task's files were written first
+    data = tmp_path / "faces.csv"
+    write_training_csv(build_dataset(n_rows=40, sparse_missing_rows=37, core_missing_cells=0),
+                       data)
+    out_dir = tmp_path / "splits"
+    assert main(["split", "--input", str(data), "--out-dir", str(out_dir),
+                 "--train-fraction", "0.1"]) == 1
+    assert capsys.readouterr() == (
+        "", "facekeys: error: train_fraction 0.1 leaves an empty side for n=3\n")
+    assert not out_dir.exists()
+
+
 def _train(csv_path, out, *extra):
     return main(["train", "--input", str(csv_path), "--out", str(out), *extra])
 
@@ -426,13 +440,19 @@ def test_benchmark_refuses_a_bad_run_setting_before_reading_the_csv(tmp_path, ca
     (("train", "--model", "knn", "--lbp", "--lbp-radius", "nan"),
      "lbp_radius must be a finite number above 0, got nan"),
     (("lbp", "--lbp-neighbors", "63"), "lbp_neighbors must be an integer in [4, 62], got 63"),
-], ids=["train-max-rows", "train-lbp-radius", "lbp-neighbors"])
+    (("split", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
+    (("split", "--train-fraction", "1.5"),
+     "train_fraction must be a finite number in (0, 1), got 1.5"),
+], ids=["train-max-rows", "train-lbp-radius", "lbp-neighbors", "split-seed",
+        "split-train-fraction"])
 def test_a_train_or_lbp_setting_is_refused_before_reading_the_csv(tmp_path, capsys, argv,
                                                                   message):
-    # the input does not exist, so its error would show: --max-rows was checked only after
-    # the CSV was decoded, and the LBP geometry was refused under LbpConfig's field names
+    # the input does not exist, so its error would show: --max-rows and split's settings
+    # were checked only after the CSV was decoded, and the LBP geometry was refused under
+    # LbpConfig's field names
     out = tmp_path / "out"
-    assert main([*argv, "--input", str(tmp_path / "missing.csv"), "--out", str(out)]) == 1
+    out_flag = "--out-dir" if argv[0] == "split" else "--out"
+    assert main([*argv, "--input", str(tmp_path / "missing.csv"), out_flag, str(out)]) == 1
     assert capsys.readouterr().err == f"facekeys: error: {message}\n"
     assert not out.exists()
 

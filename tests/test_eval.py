@@ -13,19 +13,28 @@ import pytest
 
 import facekeys.eval as eval_module
 from conftest import build_dataset
-from facekeys.dataset import impute_column_means, write_training_csv
+from facekeys.dataset import (
+    holdout_split,
+    impute_column_means,
+    load_training_csv,
+    split_by_keypoint_coverage,
+    write_training_csv,
+)
 from facekeys.eval import (
     ALL_MODELS,
     DEFAULT_MODELS,
+    TASK_LABELS,
     BenchmarkConfig,
     STUDY_SCALE,
     EvalError,
     _spec_for,
     format_report,
     load_config,
+    load_tasks,
     mean_predictor_rmse,
     rmse,
     run_benchmark,
+    split_task,
 )
 from facekeys.pipeline import fit_pipeline
 from facekeys.regressors import RegressorSpec, fit_any, predict_any
@@ -352,6 +361,32 @@ def _small_nets(bench_csv, **fields) -> BenchmarkConfig:
         "training_csv": bench_csv, "models": ALL_MODELS, "max_rows": 40, "mlp_epochs": 1,
         "cnn_epochs": 1, "mlp_hidden": (8,), "cd_max_iter": 30, **fields,
     })
+
+
+def _same_rows(a, b) -> bool:
+    return (a.slot_names == b.slot_names and np.array_equal(a.images, b.images)
+            and np.array_equal(a.keypoints, b.keypoints, equal_nan=True))
+
+
+def test_load_tasks_maps_each_task_to_its_coverage_subset(bench_csv):
+    dense, sparse = split_by_keypoint_coverage(load_training_csv(bench_csv))
+    tasks = load_tasks(bench_csv)
+    assert list(tasks) == list(TASK_LABELS)
+    assert _same_rows(tasks["four"], dense) and _same_rows(tasks["eleven"], sparse)
+
+
+def test_split_task_holds_out_the_task_rows_filled_by_their_means(bench_csv):
+    d = load_tasks(bench_csv)["four"]
+    assert np.isnan(d.keypoints).any()
+    cfg = BenchmarkConfig(seed=3, train_fraction=0.75, max_rows=None)
+    # the holdout depends only on the row count: filling before it gives the same rows
+    for got, want in zip(split_task(cfg, d), holdout_split(impute_column_means(d), 0.75, 3)):
+        assert _same_rows(got, want)
+    train_only = dataclasses.replace(cfg, train_only_means=True)
+    train_rows = holdout_split(d, 0.75, 3)[0]
+    assert _same_rows(split_task(train_only, d)[0], impute_column_means(train_rows))
+    capped = split_task(dataclasses.replace(cfg, max_rows=25), d)
+    assert [len(part) for part in capped] == [18, 7]
 
 
 def test_network_cells_fit_side_by_side(bench_csv, monkeypatch):
