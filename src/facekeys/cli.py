@@ -62,7 +62,7 @@ def cmd_split(args) -> int:
     # the config refuses a bad seed or train fraction before any data is read
     cfg = ev.BenchmarkConfig(seed=args.seed, train_fraction=args.train_fraction, max_rows=None)
     tasks = ev.load_tasks(_resolve_input(args.input))
-    splits = {suffix: ev.split_task(cfg, tasks[task])
+    splits = {suffix: ev.split_task(cfg, tasks[task], task)
               for task, suffix in (("four", "4f"), ("eleven", "11f"))}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

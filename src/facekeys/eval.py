@@ -6,19 +6,24 @@ and LBP+PCA feature pipelines, fit each configured model, and score
 held-out RMSE in pixel units. Reports render as markdown tables (model
 rows, RMSE1 = eleven task, RMSE2 = four task) or as a deterministic CSV.
 
-A cell is one (model, pipeline, task) fit-and-score. The mlp and cnn
-cells may run side by side on worker threads (see _network_workers); the
-rows keep config order either way. A row's seconds is its own elapsed
-time, which may overlap other rows', so a markdown table's seconds can
-sum past the run's wall time.
+A cell is one (model, pipeline, task) fit-and-score. Given two workers
+(see _workers), a (pipeline, task)'s knn, ols, ridge and tree cells fit in
+a forked child process while lasso and elastic fit in the calling one, and
+the mlp and cnn cells on worker threads (see run_benchmark); the rows keep
+config order either way. A row's seconds is its own elapsed time, which
+may overlap other rows', so a markdown table's seconds can sum past the
+run's wall time.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import os
+import pickle
+import signal
 import threading
 import time
 from dataclasses import dataclass, field, fields
@@ -29,6 +34,7 @@ import numpy as np
 from ._inputs import check_choice, check_count, check_number
 from .dataset import (
     Dataset,
+    DatasetError,
     column_means,
     holdout_split,
     impute_column_means,
@@ -185,8 +191,11 @@ def load_config(path) -> BenchmarkConfig:
 class EvalRow:
     """One (model, pipeline, task) measurement.
 
-    seconds is the cell's own fit-and-score time; network cells fitted
-    side by side overlap, so the rows' seconds can sum past the run's.
+    seconds is the cell's own fit-and-score time, measured where it fits:
+    cells fitted side by side, in a forked child or on a thread, overlap,
+    so the rows' seconds can sum past the run's. error is the fit's or
+    scoring's failure, or says how a forked child ended before sending
+    the row.
     converged is the fitted model's own flag where its kind keeps one (the
     linear kinds: ols and ridge are always True, lasso and elastic say
     whether coordinate descent converged) and None for the other kinds
@@ -242,11 +251,15 @@ def load_tasks(path) -> dict[str, Dataset]:
     return {"eleven": sparse, "four": dense}
 
 
-def split_task(cfg: BenchmarkConfig, d: Dataset) -> tuple[Dataset, Dataset]:
-    """A task's seeded train and test rows, at most cfg.max_rows, holes filled by column means."""
+def split_task(cfg: BenchmarkConfig, d: Dataset, task: str) -> tuple[Dataset, Dataset]:
+    """Task's seeded train and test rows of d, at most cfg.max_rows, holes filled by column
+    means; a DatasetError names the task."""
     d = _subsample(d, cfg.max_rows, cfg.seed)
     # the split depends only on the row count, so imputing after it is exact
-    train, test = holdout_split(d, cfg.train_fraction, cfg.seed)
+    try:
+        train, test = holdout_split(d, cfg.train_fraction, cfg.seed)
+    except DatasetError as exc:
+        raise DatasetError(f"task {task}: {exc}") from None
     means = column_means(train if cfg.train_only_means else d)
     return impute_column_means(train, means), impute_column_means(test, means)
 
@@ -260,21 +273,29 @@ def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
 
 
 #: The gradient-trained kinds: long fits whose time goes to BLAS products and
-#: numpy loops, which release the GIL. knn, ols and ridge use BLAS too but are
-#: short, and coordinate descent holds the GIL (measured in ROADMAP.md).
+#: numpy loops, which release the GIL, so they fit side by side on threads. They
+#: stay on threads, not in a forked child, until perfbench can collect a child's
+#: spans (ROADMAP item 4): its traced smoke needs their gradient spans in-process.
 NETWORK_KINDS = ("mlp", "cnn")
+
+#: The kinds a (pipeline, task) fits in one forked child while the calling process
+#: fits the rest. The tree and coordinate descent hold the GIL, so no thread can
+#: overlap them (measured in ROADMAP.md). Lasso and elastic stay in the calling
+#: process: perfbench's convergence check observes their fits there, and item 18
+#: will split them by output from inside the fit.
+FORKED_KINDS = ("knn", "ols", "ridge", "tree")
 
 #: Where a BLAS library reads its thread count, in the order checked.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _network_workers(cells: int) -> int:
-    """How many of a run's `cells` network cells fit at once: the CPUs this
-    process may use over the BLAS threads per call, at most cells.
+def _workers() -> int:
+    """How many cells may fit at once: the CPUs this process may use over the
+    BLAS threads per call.
 
     The BLAS thread count is the first of _BLAS_THREAD_VARS that holds a
     positive integer, else one per CPU, the libraries' default. Below 2,
-    network cells run inline on the calling thread.
+    every cell runs inline on the calling thread.
     """
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -289,29 +310,51 @@ def _network_workers(cells: int) -> int:
         if value > 0:
             blas = value
             break
-    return min(cpus // blas, cells)
+    return cpus // blas
 
 
-def _run_cell(spec: RegressorSpec, pipeline_name: str, task: str,
-              X_train, Y_train, X_test, Y_test) -> EvalRow:
+def _may_fork() -> bool:
+    """Whether this process can fork safely: it has os.fork and exactly one OS
+    thread, counted in /proc/self/task as CPython 3.12's fork warning counts
+    them. A live worker thread or a BLAS pool makes it False, as does a
+    platform without /proc: a fork beside another thread can copy a held lock.
+    """
+    try:
+        return hasattr(os, "fork") and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+@dataclass(frozen=True, eq=False)
+class _Cell:
+    """One (model, pipeline, task) fit-and-score on its group's features; cells
+    compare by identity."""
+
+    spec: RegressorSpec
+    pipeline: str
+    task: str
+    X_train: np.ndarray
+    Y_train: np.ndarray
+    X_test: np.ndarray
+    Y_test: np.ndarray
+
+    def row(self, **outcome) -> EvalRow:
+        """The cell's row holding outcome, the EvalRow fields from rmse on."""
+        return EvalRow(model=self.spec.kind, pipeline=self.pipeline, task=self.task,
+                       n_train=len(self.Y_train), n_test=len(self.Y_test), seed=self.spec.seed,
+                       hyperparameters=self.spec.hyperparameters, **{"rmse": None, **outcome})
+
+
+def _run_cell(cell: _Cell) -> EvalRow:
     """Fit and score one cell; a failure becomes the row's error."""
     started = time.perf_counter()
-    converged = None
     try:
-        model = fit_any(spec, X_train, Y_train)
-        value = rmse(predict_any(model, X_test), Y_test)
-        error = None
-        converged = getattr(model, "converged", None)
+        model = fit_any(cell.spec, cell.X_train, cell.Y_train)
+        value = rmse(predict_any(model, cell.X_test), cell.Y_test)
     except Exception as exc:
-        value = None
-        error = str(exc)
-    return EvalRow(
-        model=spec.kind, pipeline=pipeline_name, task=task,
-        rmse=value, n_train=len(Y_train), n_test=len(Y_test),
-        seed=spec.seed, hyperparameters=spec.hyperparameters,
-        seconds=time.perf_counter() - started, error=error,
-        converged=converged,
-    )
+        return cell.row(seconds=time.perf_counter() - started, error=str(exc))
+    return cell.row(rmse=value, seconds=time.perf_counter() - started,
+                    converged=getattr(model, "converged", None))
 
 
 class _CellThread(threading.Thread):
@@ -322,7 +365,7 @@ class _CellThread(threading.Thread):
     in flight (concurrent.futures joins its workers at exit).
     """
 
-    def __init__(self, gate: threading.Semaphore, cell):
+    def __init__(self, gate: threading.Semaphore, cell: _Cell):
         super().__init__(daemon=True)
         self._gate, self._cell = gate, cell
         self._row: EvalRow | None = None
@@ -331,7 +374,7 @@ class _CellThread(threading.Thread):
     def run(self) -> None:
         with self._gate:
             try:
-                self._row = self._cell()
+                self._row = _run_cell(self._cell)
             except BaseException as exc:  # raised again on the calling thread
                 self._exc = exc
 
@@ -342,23 +385,104 @@ class _CellThread(threading.Thread):
         return self._row
 
 
+class _CellProcess:
+    """Cells fitted in config order by a forked child, which pickles each row
+    down a pipe as soon as it is done and leaves by os._exit, so it runs none
+    of the caller's atexit handlers and flushes none of its stdio buffers.
+    """
+
+    def __init__(self, cells: list[_Cell]):
+        self._cells = cells
+        self._rows: list[EvalRow] | None = None
+        read, write = os.pipe()
+        self.pid: int | None = os.fork()
+        if self.pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    for cell in cells:
+                        pipe.write(pickle.dumps(_run_cell(cell)))
+                        pipe.flush()
+                status = 0
+            finally:  # whatever happens, the child never returns into the caller
+                os._exit(status)
+        os.close(write)
+        self._pipe = open(read, "rb")
+
+    def collect(self) -> None:
+        """Read the rows to EOF and reap the child; a row it did not send
+        is an error that says how the child ended."""
+        if self.pid is None:
+            return
+        stream = io.BytesIO(self._pipe.read())
+        self._pipe.close()
+        status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        rows = []
+        for _ in self._cells:
+            try:
+                rows.append(pickle.load(stream))
+            except Exception:  # the end of what the child sent
+                break
+        if status < 0:
+            try:
+                ended = f"was killed by {signal.Signals(-status).name}"
+            except ValueError:
+                ended = f"was killed by signal {-status}"
+        else:
+            ended = f"exited with status {status}"
+        self._rows = rows + [cell.row(error=f"the cell's process {ended} before sending its row")
+                             for cell in self._cells[len(rows):]]
+
+    def row(self, cell: _Cell) -> EvalRow:
+        self.collect()
+        return self._rows[self._cells.index(cell)]
+
+    def kill(self) -> None:
+        """End and reap the child if it was not collected."""
+        self._pipe.close()
+        if self.pid is not None:
+            with contextlib.suppress(OSError):  # an interrupted collect may have reaped it
+                os.kill(self.pid, signal.SIGKILL)
+                os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
     """Run the configured benchmark; per-row failures never abort the run.
 
-    The network cells (NETWORK_KINDS) fit on daemon threads, at most
-    _network_workers at once, while every other cell runs on the calling
-    thread in config order; with fewer than 2 workers they run inline too.
-    The report's rows are in config order either way. A row's seconds is
-    its own elapsed time, so rows fitted side by side overlap.
+    With at least 2 _workers in a process that _may_fork, each (pipeline,
+    task)'s FORKED_KINDS cells fit in one forked child, at most workers - 1
+    children at once, while the calling thread fits the rest. The network
+    cells (NETWORK_KINDS) fit on daemon threads, min(workers, network cells)
+    at once if that is 2 or more. Every other cell, and every cell with
+    fewer than 2 workers, runs on the calling thread in config order. A
+    child that dies before it sends a row makes that row an error and no
+    other. The report's rows are in config order either way. A row's
+    seconds is its own elapsed time, so rows fitted side by side overlap.
+    No child outlives the call: whatever it raises, Ctrl-C included, it
+    first kills and reaps every child still running.
     """
+    children: list[_CellProcess] = []
+    try:
+        return EvalReport(rows=_fit_cells(cfg, children), seed=cfg.seed)
+    finally:
+        for child in children:
+            child.kill()
+
+
+def _fit_cells(cfg: BenchmarkConfig, children: list) -> list[EvalRow]:
+    """run_benchmark's rows in config order; each _CellProcess it forks joins children."""
     tasks = load_tasks(cfg.training_csv)
+    workers = _workers()
     networks = sum(kind in NETWORK_KINDS for kind in cfg.models)
-    workers = _network_workers(networks * len(cfg.pipelines) * len(cfg.tasks))
-    gate = threading.Semaphore(workers) if workers >= 2 else None
-    rows: list = []  # EvalRows, and the _CellThreads that make the network rows
+    slots = min(workers, networks * len(cfg.pipelines) * len(cfg.tasks))
+    gate = threading.Semaphore(slots) if slots >= 2 else None
+    rows: list = []  # EvalRows, and callables that return one: a thread's or a child's row
 
     for task in cfg.tasks:
-        train, test = split_task(cfg, tasks[task])
+        train, test = split_task(cfg, tasks[task], task)
         Y_train, Y_test = train.keypoints, test.keypoints
 
         for pipeline_name in cfg.pipelines:
@@ -379,17 +503,26 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
                     ))
                 continue
 
-            for kind in cfg.models:
-                cell = partial(_run_cell, _spec_for(cfg, kind), pipeline_name, task,
-                               X_train, Y_train, X_test, Y_test)
-                if gate is not None and kind in NETWORK_KINDS:
+            cells = [_Cell(_spec_for(cfg, kind), pipeline_name, task,
+                           X_train, Y_train, X_test, Y_test) for kind in cfg.models]
+            forked = [cell for cell in cells if cell.spec.kind in FORKED_KINDS]
+            child = None
+            if forked and workers >= 2 and _may_fork():
+                live = [c for c in children if c.pid is not None]
+                if len(live) >= workers - 1:
+                    live[0].collect()
+                child = _CellProcess(forked)
+                children.append(child)
+            for cell in cells:
+                if child is not None and cell in forked:
+                    rows.append(partial(child.row, cell))
+                elif gate is not None and cell.spec.kind in NETWORK_KINDS:
                     thread = _CellThread(gate, cell)
                     thread.start()
-                    rows.append(thread)
+                    rows.append(thread.row)
                 else:
-                    rows.append(cell())
-    return EvalReport(rows=[r.row() if isinstance(r, _CellThread) else r for r in rows],
-                      seed=cfg.seed)
+                    rows.append(_run_cell(cell))
+    return [r if isinstance(r, EvalRow) else r() for r in rows]
 
 
 def mean_predictor_rmse(Y_train: np.ndarray, Y_test: np.ndarray) -> float:

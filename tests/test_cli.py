@@ -194,8 +194,21 @@ def test_a_refused_split_writes_no_file_and_no_directory(tmp_path, capsys):
     assert main(["split", "--input", str(data), "--out-dir", str(out_dir),
                  "--train-fraction", "0.1"]) == 1
     assert capsys.readouterr() == (
-        "", "facekeys: error: train_fraction 0.1 leaves an empty side for n=3\n")
+        "", "facekeys: error: task eleven: train_fraction 0.1 leaves an empty side for n=3\n")
     assert not out_dir.exists()
+
+
+def test_a_benchmark_names_the_task_too_small_to_split(tmp_path, capsys):
+    # fails at the parent: its refusal did not say which task has n=3 rows
+    data = tmp_path / "faces.csv"
+    write_training_csv(build_dataset(n_rows=40, sparse_missing_rows=37, core_missing_cells=0),
+                       data)
+    config = tmp_path / "bench.cfg"
+    config.write_text("train_fraction = 0.1\n")
+    assert main(["benchmark", "--config", str(config), "--input", str(data),
+                 "--models", "knn", "--pipelines", "raw"]) == 1
+    assert capsys.readouterr() == (
+        "", "facekeys: error: task eleven: train_fraction 0.1 leaves an empty side for n=3\n")
 
 
 def _train(csv_path, out, *extra):

@@ -301,6 +301,8 @@ def test_benchmark_cnn_row_fits_the_first_grid_columns(bench_csv, monkeypatch):
         predicts[id(model)] = (X, predict_any(model, X))
         return predicts[id(model)][-1]
 
+    # one worker: a forked knn fit could not report the arrays it was given
+    _force_workers(monkeypatch, 1)
     monkeypatch.setattr(eval_module, "fit_any", fit_and_keep)
     monkeypatch.setattr(eval_module, "predict_any", predict_and_keep)
     cfg = BenchmarkConfig(training_csv=bench_csv, models=("cnn", "knn"), tasks=("four",),
@@ -346,14 +348,16 @@ def test_benchmark_seed_changes_the_partition(bench_csv):
     assert a != b  # different holdout, different score
 
 
-# ---- network cells on worker threads ------------------------------------------------
+# ---- cells in a forked child and on worker threads --------------------------------
 #
-# At the default BLAS threads of a host, the worker rule runs network cells
-# inline; these tests force the worker count through _network_workers.
+# At the default BLAS threads of a host, the worker rule runs every cell
+# inline; these tests force the worker count through _workers. A fork needs a
+# process with one thread, which a live OpenBLAS pool is not, so the tests that
+# must see a fork run their benchmark in a subprocess at one BLAS thread.
 
 
 def _force_workers(monkeypatch, workers: int) -> None:
-    monkeypatch.setattr(eval_module, "_network_workers", lambda cells: workers)
+    monkeypatch.setattr(eval_module, "_workers", lambda: workers)
 
 
 def _small_nets(bench_csv, **fields) -> BenchmarkConfig:
@@ -380,12 +384,13 @@ def test_split_task_holds_out_the_task_rows_filled_by_their_means(bench_csv):
     assert np.isnan(d.keypoints).any()
     cfg = BenchmarkConfig(seed=3, train_fraction=0.75, max_rows=None)
     # the holdout depends only on the row count: filling before it gives the same rows
-    for got, want in zip(split_task(cfg, d), holdout_split(impute_column_means(d), 0.75, 3)):
+    for got, want in zip(split_task(cfg, d, "four"),
+                         holdout_split(impute_column_means(d), 0.75, 3)):
         assert _same_rows(got, want)
     train_only = dataclasses.replace(cfg, train_only_means=True)
     train_rows = holdout_split(d, 0.75, 3)[0]
-    assert _same_rows(split_task(train_only, d)[0], impute_column_means(train_rows))
-    capped = split_task(dataclasses.replace(cfg, max_rows=25), d)
+    assert _same_rows(split_task(train_only, d, "four")[0], impute_column_means(train_rows))
+    capped = split_task(dataclasses.replace(cfg, max_rows=25), d, "four")
     assert [len(part) for part in capped] == [18, 7]
 
 
@@ -404,29 +409,193 @@ def test_network_cells_fit_side_by_side(bench_csv, monkeypatch):
     assert [(r.model, r.error) for r in rows] == [("mlp", None), ("cnn", None)]
 
 
+def _run_script(script: str, *args) -> str:
+    """script's stdout, run by a fresh interpreter at one BLAS thread (so it may fork) with
+    a DeprecationWarning an error, as pyproject.toml makes it; a nonzero exit fails."""
+    done = subprocess.run([sys.executable, "-W", "error::DeprecationWarning", "-c", script,
+                           *map(str, args)], env=_one_blas_thread_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _one_blas_thread_env() -> dict:
+    return {**os.environ, **dict.fromkeys(eval_module._BLAS_THREAD_VARS, "1"),
+            "PYTHONPATH": str(Path(eval_module.__file__).parents[1])}
+
+
+#: A script's set-up: argv is the training CSV, the worker count and a file to which
+#: record(spec) appends "kind pid thread" for the fit of spec
+_SCRIPT = """
+import os, signal, sys, threading, time
+import facekeys.eval as E
+from facekeys.regressors import fit_any
+
+MAIN = os.getpid()
+E._workers = lambda: int(sys.argv[2])
+
+def record(spec):
+    where = "main" if threading.current_thread() is threading.main_thread() else "worker"
+    with open(sys.argv[3], "a") as fh:
+        fh.write(f"{spec.kind} {os.getpid()} {where}\\n")
+
+def recorded(spec, X, Y):
+    record(spec)
+    return fit_any(spec, X, Y)
+
+def small(**fields):
+    return E.BenchmarkConfig(**{"training_csv": sys.argv[1], "max_rows": 40, "mlp_epochs": 1,
+                                "cnn_epochs": 1, "mlp_hidden": (8,), "cd_max_iter": 30,
+                                "tasks": ("four",), **fields})
+"""
+
+
+def _fits(path) -> list[tuple[str, int, str]]:
+    """The (kind, pid, thread) records of a _SCRIPT run, in the order written."""
+    return [(kind, int(pid), where) for kind, pid, where in
+            (line.split() for line in Path(path).read_text().splitlines())]
+
+
+_WHICH_PROCESS = _SCRIPT + """
+cfg = small(models=E.ALL_MODELS, pipelines=("lbp_pca",))
+E._workers = lambda: 1
+inline = E.format_report(E.run_benchmark(cfg), "csv")
+E._workers = lambda: int(sys.argv[2])
+E.fit_any = recorded
+report = E.run_benchmark(cfg)
+assert all(r.error is None for r in report.rows), report.rows
+assert E.format_report(report, "csv") == inline
+print(MAIN)
+"""
+
+
 @pytest.mark.parametrize("workers", [1, 2])
-def test_only_network_cells_leave_the_calling_thread(bench_csv, monkeypatch, workers):
-    # fails at the parent: it has no _network_workers to force, and runs every cell
-    # on the calling thread
-    threads: dict[str, set] = {}
+def test_which_process_fits_each_kind(bench_csv, tmp_path, workers):
+    # fails at the parent: every kind fits in the calling process, and at 1 worker the
+    # network cells still go to threads (the parent counts its own CPUs). With 2, the
+    # forked kinds fit in one child, lasso and elastic on the calling thread and the
+    # networks on worker threads; the report is the inline one, byte for byte
+    main = int(_run_script(_WHICH_PROCESS, bench_csv, workers, tmp_path / "fits.txt"))
+    fits = _fits(tmp_path / "fits.txt")
+    assert sorted(kind for kind, _, _ in fits) == sorted(ALL_MODELS)
+    where = {kind: (pid, thread) for kind, pid, thread in fits}
+    if workers < 2:
+        assert set(where.values()) == {(main, "main")}
+        return
+    children = {where[kind][0] for kind in eval_module.FORKED_KINDS}
+    assert len(children) == 1 and main not in children
+    assert {where[kind] for kind in eval_module.FORKED_KINDS} == {(children.pop(), "main")}
+    assert where["lasso"] == where["elastic"] == (main, "main")
+    assert where["mlp"] == where["cnn"] == (main, "worker")
+
+
+_THREAD_LIVE = _SCRIPT + """
+E.fit_any = recorded
+cfg = small(models=("knn", "tree"), pipelines=("raw",))
+stop = threading.Event()
+sleeper = threading.Thread(target=stop.wait)
+sleeper.start()
+E.run_benchmark(cfg)
+stop.set()
+sleeper.join()
+E.run_benchmark(cfg)
+print(MAIN)
+"""
+
+
+def test_no_fork_while_another_thread_is_live(bench_csv, tmp_path):
+    # fails at the parent: its second run fits in the calling process too
+    main = int(_run_script(_THREAD_LIVE, bench_csv, 2, tmp_path / "fits.txt"))
+    fits = _fits(tmp_path / "fits.txt")
+    assert [kind for kind, _, _ in fits] == ["knn", "tree"] * 2
+    assert {pid for _, pid, _ in fits[:2]} == {main}  # a sleeping thread: inline
+    child = fits[2][1]
+    assert child != main and fits[3][1] == child  # alone again: one child fits both
+
+
+_KILLED = _SCRIPT + """
+def fit(spec, X, Y):
+    if spec.kind == "ridge" and os.getpid() != MAIN:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return fit_any(spec, X, Y)
+
+E.fit_any = fit
+for row in E.run_benchmark(small(models=("knn", "ols", "ridge", "lasso", "tree"),
+                                 pipelines=("raw",))).rows:
+    print(row.model, row.rmse is not None, row.error, sep=",")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_a_killed_child_makes_only_its_unsent_rows_errors(bench_csv):
+    # fails at the parent: the ridge fit runs in the calling process and is not killed
+    lost = "the cell's process was killed by SIGKILL before sending its row"
+    assert _run_script(_KILLED, bench_csv, 2).splitlines() == [
+        "knn,True,None", "ols,True,None", f"ridge,False,{lost}", "lasso,True,None",
+        f"tree,False,{lost}", "no child left"]
+
+
+_INTERRUPTED_FORK = _SCRIPT + """
+signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
+
+def fit(spec, X, Y):
+    if spec.kind == "knn":
+        print(os.getpid(), flush=True)
+        time.sleep(60)
+    return fit_any(spec, X, Y)
+
+E.fit_any = fit
+try:
+    E.run_benchmark(small(models=("knn", "lasso"), pipelines=("raw",)))
+finally:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        print("no child left", flush=True)
+"""
+
+
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM], ids=["ctrl-c", "sigterm"])
+def test_an_interrupt_ends_the_forked_cells_in_flight(bench_csv, signum):
+    # fails at the parent: the knn fit sleeps in the calling process, not in a child.
+    # The script turns SIGTERM into SystemExit, as a caller that cleans up does
+    run = subprocess.Popen([sys.executable, "-c", _INTERRUPTED_FORK, bench_csv, "2"],
+                           env=_one_blas_thread_env(), stdout=subprocess.PIPE,
+                           stderr=subprocess.PIPE, text=True)
+    try:
+        child = int(run.stdout.readline())
+        assert child != run.pid
+        sent = time.monotonic()
+        run.send_signal(signum)
+        out, _ = run.communicate(timeout=10)
+        assert time.monotonic() - sent < 10
+        assert run.returncode != 0 and out == "no child left\n"
+        with pytest.raises(ProcessLookupError):
+            os.kill(child, 0)
+    finally:
+        if run.poll() is None:
+            run.kill()
+        run.communicate()
+
+
+def test_a_lone_network_cell_fits_on_the_calling_thread(bench_csv, monkeypatch):
+    # fails at the parent only for want of _workers to force: the threads' semaphore
+    # takes min(workers, network cells), and one cell starts no thread
+    threads = []
 
     def fit_and_record(spec, X, Y):
-        threads.setdefault(spec.kind, set()).add(threading.current_thread())
+        threads.append(threading.current_thread())
         return fit_any(spec, X, Y)
 
-    _force_workers(monkeypatch, workers)
+    _force_workers(monkeypatch, 8)
     monkeypatch.setattr(eval_module, "fit_any", fit_and_record)
-    rows = run_benchmark(_small_nets(bench_csv, pipelines=("lbp_pca",))).rows
-    assert all(r.error is None for r in rows)
-    caller = threading.current_thread()
-    for kind in ("knn", "ols", "ridge", "lasso", "elastic", "tree"):
-        assert threads[kind] == {caller}
-    for kind in eval_module.NETWORK_KINDS:
-        if workers < 2:
-            assert threads[kind] == {caller}
-        else:
-            assert caller not in threads[kind] and all(t.daemon for t in threads[kind])
-            assert not any(t.is_alive() for t in threads[kind])  # they end with the run
+    rows = run_benchmark(_small_nets(bench_csv, models=("mlp",), tasks=("four",),
+                                     pipelines=("raw",))).rows
+    assert [r.error for r in rows] == [None]
+    assert threads == [threading.current_thread()]
 
 
 @pytest.mark.parametrize("cpus, env, cells, workers", [
@@ -436,27 +605,28 @@ def test_only_network_cells_leave_the_calling_thread(bench_csv, monkeypatch, wor
     (2, {"OPENBLAS_NUM_THREADS": "one"}, 8, 1),  # not an integer: unset
     (2, {"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, 8, 2),  # not positive: unset
     (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 1),  # the first set wins
-    (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),  # at most one per network cell
+    (8, {"OPENBLAS_NUM_THREADS": "1"}, 3, 3),  # the threads' semaphore: one per network cell
     (8, {"OPENBLAS_NUM_THREADS": "1"}, 0, 0),
 ])
 def test_worker_rule(monkeypatch, cpus, env, cells, workers):
-    # fails at the parent: it has no worker rule
+    # fails at the parent: it has no _workers. The network threads' semaphore takes
+    # min(workers, network cells) slots, so `workers` is that for `cells` cells
     for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(var, raising=False)
     for var, value in env.items():
         monkeypatch.setenv(var, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert eval_module._network_workers(cells) == workers
+    assert min(eval_module._workers(), cells) == workers
     # without an affinity call, the CPU count
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert eval_module._network_workers(cells) == workers
+    assert min(eval_module._workers(), cells) == workers
 
 
 def test_workers_give_the_inline_report(bench_csv, monkeypatch):
-    # fails at the parent only for want of _network_workers to force. 8 workers fit all
-    # 8 network cells at once, more than the CPUs, and a short switch interval
-    # interleaves them finely
+    # fails at the parent only for want of _workers to force. 8 workers fit all 8
+    # network cells at once, more than the CPUs, and a short switch interval
+    # interleaves them finely; at one BLAS thread the forked kinds also fit in children
     reports = []
     interval = sys.getswitchinterval()
     try:
@@ -471,7 +641,7 @@ def test_workers_give_the_inline_report(bench_csv, monkeypatch):
 
 
 def test_a_failing_pooled_fit_is_only_its_own_rows_error(bench_csv, monkeypatch):
-    # fails at the parent only for want of _network_workers to force
+    # fails at the parent only for want of _workers to force
     def fit_or_fail(spec, X, Y):
         if spec.kind == "cnn":
             raise RuntimeError("cnn broke")
@@ -499,9 +669,10 @@ def fit(spec, X, Y):
     return fit_any(spec, X, Y)
 
 E.fit_any = fit
-E._network_workers = lambda cells: 2
+E._workers = lambda: 2
+# two cnn cells: the threads' semaphore takes min(workers, network cells)
 E.run_benchmark(E.BenchmarkConfig(training_csv=sys.argv[1], models=("cnn", "knn"),
-                                  tasks=("four",), pipelines=("raw",)))
+                                  tasks=("four", "eleven"), pipelines=("raw",)))
 """
 
 
