@@ -6,13 +6,11 @@ and LBP+PCA feature pipelines, fit each configured model, and score
 held-out RMSE in pixel units. Reports render as markdown tables (model
 rows, RMSE1 = eleven task, RMSE2 = four task) or as a deterministic CSV.
 
-A cell is one (model, pipeline, task) fit-and-score. Given two workers
-(see _workers), a (pipeline, task)'s knn, ols, ridge and tree cells fit in
-a forked child process while lasso and elastic fit in the calling one, and
-the mlp and cnn cells on worker threads (see run_benchmark); the rows keep
-config order either way. A row's seconds is its own elapsed time, which
-may overlap other rows', so a markdown table's seconds can sum past the
-run's wall time.
+A cell is one (model, pipeline, task) fit-and-score. run_benchmark says
+which cells fit side by side, in a forked child or on worker threads; the
+rows keep config order either way. A row's seconds is its own elapsed
+time, which may overlap other rows', so a markdown table's seconds can sum
+past the run's wall time.
 """
 
 from __future__ import annotations
@@ -26,8 +24,11 @@ import pickle
 import signal
 import threading
 import time
+from collections.abc import Callable
+from concurrent.futures import Future
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import count
 
 import numpy as np
 
@@ -191,11 +192,11 @@ def load_config(path) -> BenchmarkConfig:
 class EvalRow:
     """One (model, pipeline, task) measurement.
 
-    seconds is the cell's own fit-and-score time, measured where it fits:
-    cells fitted side by side, in a forked child or on a thread, overlap,
-    so the rows' seconds can sum past the run's. error is the fit's or
-    scoring's failure, or says how a forked child ended before sending
-    the row.
+    seconds is the cell's own fit-and-score time, measured where it fits
+    (see run_benchmark), so the seconds of cells fitted side by side can
+    sum past the run's. error is the fit's or scoring's failure, the
+    feature pipeline's for each of its rows, or says how a forked child
+    ended before sending the row.
     converged is the fitted model's own flag where its kind keeps one (the
     linear kinds: ols and ridge are always True, lasso and elastic say
     whether coordinate descent converged) and None for the other kinds
@@ -272,17 +273,17 @@ def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
         raise EvalError(f"lbp_{exc}") from None
 
 
-#: The gradient-trained kinds: long fits whose time goes to BLAS products and
-#: numpy loops, which release the GIL, so they fit side by side on threads. They
-#: stay on threads, not in a forked child, until perfbench can collect a child's
-#: spans (ROADMAP item 4): its traced smoke needs their gradient spans in-process.
+#: The gradient-trained kinds, fitted on threads (see run_benchmark): their time
+#: goes to BLAS products and numpy loops, which release the GIL. They stay off a
+#: forked child until perfbench can collect a child's spans (ROADMAP item 4): its
+#: traced smoke needs their gradient spans in-process.
 NETWORK_KINDS = ("mlp", "cnn")
 
-#: The kinds a (pipeline, task) fits in one forked child while the calling process
-#: fits the rest. The tree and coordinate descent hold the GIL, so no thread can
-#: overlap them (measured in ROADMAP.md). Lasso and elastic stay in the calling
-#: process: perfbench's convergence check observes their fits there, and item 18
-#: will split them by output from inside the fit.
+#: The kinds fitted in a forked child (see run_benchmark): the tree and coordinate
+#: descent hold the GIL, so no thread can overlap them (measured in ROADMAP.md).
+#: Lasso and elastic stay in the calling process: perfbench's convergence check
+#: observes their fits there, and item 18 will split them by output from inside
+#: the fit.
 FORKED_KINDS = ("knn", "ols", "ridge", "tree")
 
 #: Where a BLAS library reads its thread count, in the order checked.
@@ -325,10 +326,10 @@ def _may_fork() -> bool:
         return False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class _Cell:
-    """One (model, pipeline, task) fit-and-score on its group's features; cells
-    compare by identity."""
+    """One (model, pipeline, task) fit-and-score on its group's features, which
+    are None if the group's feature pipeline failed."""
 
     spec: RegressorSpec
     pipeline: str
@@ -357,46 +358,43 @@ def _run_cell(cell: _Cell) -> EvalRow:
                     converged=getattr(model, "converged", None))
 
 
-class _CellThread(threading.Thread):
-    """One network cell on a daemon thread, fitted once gate has a free slot.
+def _on_thread(gate: threading.Semaphore, cell: _Cell) -> Callable[[], EvalRow]:
+    """Fit cell on a daemon thread once gate has a free slot; the call returned
+    waits for the row and raises again, on the calling thread, what the fit raised.
 
     A daemon thread does not hold up the interpreter's exit, so a Ctrl-C or
     an error in the calling thread ends a run without waiting for the fits
     in flight (concurrent.futures joins its workers at exit).
     """
+    future: Future = Future()
 
-    def __init__(self, gate: threading.Semaphore, cell: _Cell):
-        super().__init__(daemon=True)
-        self._gate, self._cell = gate, cell
-        self._row: EvalRow | None = None
-        self._exc: BaseException | None = None
-
-    def run(self) -> None:
-        with self._gate:
+    def fit() -> None:
+        with gate:
             try:
-                self._row = _run_cell(self._cell)
-            except BaseException as exc:  # raised again on the calling thread
-                self._exc = exc
+                future.set_result(_run_cell(cell))
+            except BaseException as exc:  # future.result raises it on the calling thread
+                future.set_exception(exc)
 
-    def row(self) -> EvalRow:
-        self.join()
-        if self._exc is not None:
-            raise self._exc
-        return self._row
+    threading.Thread(target=fit, daemon=True).start()
+    return future.result
 
 
 class _CellProcess:
     """Cells fitted in config order by a forked child, which pickles each row
     down a pipe as soon as it is done and leaves by os._exit, so it runs none
     of the caller's atexit handlers and flushes none of its stdio buffers.
+    A pipe or fork that fails raises its OSError with no descriptor left open.
     """
 
     def __init__(self, cells: list[_Cell]):
-        self._cells = cells
-        self._rows: list[EvalRow] | None = None
         read, write = os.pipe()
-        self.pid: int | None = os.fork()
-        if self.pid == 0:
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            raise
+        if pid == 0:
             status = 1
             try:
                 os.close(read)
@@ -408,21 +406,23 @@ class _CellProcess:
             finally:  # whatever happens, the child never returns into the caller
                 os._exit(status)
         os.close(write)
+        self.pid: int | None = pid
+        self._cells = cells
         self._pipe = open(read, "rb")
+        self._rows: list[EvalRow] = []
 
     def collect(self) -> None:
-        """Read the rows to EOF and reap the child; a row it did not send
-        is an error that says how the child ended."""
+        """Read the rows to EOF and reap the child, if not done yet; a row it
+        did not send is an error that says how the child ended."""
         if self.pid is None:
             return
         stream = io.BytesIO(self._pipe.read())
         self._pipe.close()
         status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
         self.pid = None
-        rows = []
         for _ in self._cells:
             try:
-                rows.append(pickle.load(stream))
+                self._rows.append(pickle.load(stream))
             except Exception:  # the end of what the child sent
                 break
         if status < 0:
@@ -432,12 +432,13 @@ class _CellProcess:
                 ended = f"was killed by signal {-status}"
         else:
             ended = f"exited with status {status}"
-        self._rows = rows + [cell.row(error=f"the cell's process {ended} before sending its row")
-                             for cell in self._cells[len(rows):]]
+        self._rows += [cell.row(error=f"the cell's process {ended} before sending its row")
+                       for cell in self._cells[len(self._rows):]]
 
-    def row(self, cell: _Cell) -> EvalRow:
+    def row(self, index: int) -> EvalRow:
+        """The row of the child's index-th cell."""
         self.collect()
-        return self._rows[self._cells.index(cell)]
+        return self._rows[index]
 
     def kill(self) -> None:
         """End and reap the child if it was not collected."""
@@ -454,75 +455,70 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
 
     With at least 2 _workers in a process that _may_fork, each (pipeline,
     task)'s FORKED_KINDS cells fit in one forked child, at most workers - 1
-    children at once, while the calling thread fits the rest. The network
-    cells (NETWORK_KINDS) fit on daemon threads, min(workers, network cells)
-    at once if that is 2 or more. Every other cell, and every cell with
-    fewer than 2 workers, runs on the calling thread in config order. A
-    child that dies before it sends a row makes that row an error and no
-    other. The report's rows are in config order either way. A row's
-    seconds is its own elapsed time, so rows fitted side by side overlap.
-    No child outlives the call: whatever it raises, Ctrl-C included, it
-    first kills and reaps every child still running.
+    children at once, while the calling thread fits the rest; if the pipe
+    or the fork fails (an OSError, a pid limit's say), they fit inline as
+    without workers. The network cells (NETWORK_KINDS) fit on daemon
+    threads, min(workers, network cells) at once if that is 2 or more.
+    Every other cell, and every cell with fewer than 2 workers, runs on the
+    calling thread in config order. A child that dies before it sends a row
+    makes that row an error and no other. The report's rows are in config
+    order either way. A row's seconds is its own elapsed time, so rows
+    fitted side by side overlap. No child outlives the call: whatever it
+    raises, Ctrl-C included, it first kills and reaps every child still
+    running.
     """
-    children: list[_CellProcess] = []
-    try:
-        return EvalReport(rows=_fit_cells(cfg, children), seed=cfg.seed)
-    finally:
-        for child in children:
-            child.kill()
-
-
-def _fit_cells(cfg: BenchmarkConfig, children: list) -> list[EvalRow]:
-    """run_benchmark's rows in config order; each _CellProcess it forks joins children."""
     tasks = load_tasks(cfg.training_csv)
     workers = _workers()
     networks = sum(kind in NETWORK_KINDS for kind in cfg.models)
     slots = min(workers, networks * len(cfg.pipelines) * len(cfg.tasks))
     gate = threading.Semaphore(slots) if slots >= 2 else None
-    rows: list = []  # EvalRows, and callables that return one: a thread's or a child's row
+    rows: list = []  # EvalRows, and calls that return one: a thread's or a child's row
+    children: list[_CellProcess] = []
+    try:
+        for task in cfg.tasks:
+            train, test = split_task(cfg, tasks[task], task)
 
-    for task in cfg.tasks:
-        train, test = split_task(cfg, tasks[task], task)
-        Y_train, Y_test = train.keypoints, test.keypoints
+            for pipeline_name in cfg.pipelines:
+                lbp_pca = pipeline_name == "lbp_pca"
+                X_train = X_test = failed = None
+                try:
+                    pipe, F_train = fit_pipeline(
+                        train.images, scale_pixels=cfg.scale_pixels,
+                        lbp=_lbp_config(cfg) if lbp_pca else None, lbp_mode=cfg.lbp_mode,
+                        pca_components=min(cfg.pca_components, len(train) - 1) if lbp_pca else None)
+                    X_train = F_train.values
+                    X_test = pipe.transform(test.images).values
+                except Exception as exc:  # configuration-level failure hits all rows
+                    failed = str(exc)
 
-        for pipeline_name in cfg.pipelines:
-            lbp_pca = pipeline_name == "lbp_pca"
-            try:
-                pipe, F_train = fit_pipeline(
-                    train.images, scale_pixels=cfg.scale_pixels,
-                    lbp=_lbp_config(cfg) if lbp_pca else None, lbp_mode=cfg.lbp_mode,
-                    pca_components=min(cfg.pca_components, len(train) - 1) if lbp_pca else None)
-                X_train = F_train.values
-                X_test = pipe.transform(test.images).values
-            except Exception as exc:  # configuration-level failure hits all rows
-                for kind in cfg.models:
-                    rows.append(EvalRow(
-                        model=kind, pipeline=pipeline_name, task=task,
-                        rmse=None, n_train=len(train), n_test=len(test),
-                        seed=cfg.seed, hyperparameters={}, error=str(exc),
-                    ))
-                continue
-
-            cells = [_Cell(_spec_for(cfg, kind), pipeline_name, task,
-                           X_train, Y_train, X_test, Y_test) for kind in cfg.models]
-            forked = [cell for cell in cells if cell.spec.kind in FORKED_KINDS]
-            child = None
-            if forked and workers >= 2 and _may_fork():
-                live = [c for c in children if c.pid is not None]
-                if len(live) >= workers - 1:
-                    live[0].collect()
-                child = _CellProcess(forked)
-                children.append(child)
-            for cell in cells:
-                if child is not None and cell in forked:
-                    rows.append(partial(child.row, cell))
-                elif gate is not None and cell.spec.kind in NETWORK_KINDS:
-                    thread = _CellThread(gate, cell)
-                    thread.start()
-                    rows.append(thread.row)
-                else:
-                    rows.append(_run_cell(cell))
-    return [r if isinstance(r, EvalRow) else r() for r in rows]
+                cells = [_Cell(_spec_for(cfg, kind), pipeline_name, task,
+                               X_train, train.keypoints, X_test, test.keypoints)
+                         for kind in cfg.models]
+                if failed is not None:
+                    rows += [cell.row(error=failed) for cell in cells]
+                    continue
+                forked = [cell for cell in cells if cell.spec.kind in FORKED_KINDS]
+                child = None
+                if forked and workers >= 2 and _may_fork():
+                    live = [c for c in children if c.pid is not None]
+                    if len(live) >= workers - 1:
+                        live[0].collect()
+                    with contextlib.suppress(OSError):  # no pipe or process to spare
+                        child = _CellProcess(forked)
+                        children.append(child)
+                handed = count()  # the child's rows, in config order
+                for cell in cells:
+                    if child is not None and cell.spec.kind in FORKED_KINDS:
+                        rows.append(partial(child.row, next(handed)))
+                    elif gate is not None and cell.spec.kind in NETWORK_KINDS:
+                        rows.append(_on_thread(gate, cell))
+                    else:
+                        rows.append(_run_cell(cell))
+        return EvalReport(rows=[r if isinstance(r, EvalRow) else r() for r in rows],
+                          seed=cfg.seed)
+    finally:
+        for child in children:
+            child.kill()
 
 
 def mean_predictor_rmse(Y_train: np.ndarray, Y_test: np.ndarray) -> float:

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import math
 import os
 import signal
@@ -36,6 +37,7 @@ from facekeys.eval import (
     run_benchmark,
     split_task,
 )
+from facekeys.lbp import LbpConfig, LbpError
 from facekeys.pipeline import fit_pipeline
 from facekeys.regressors import RegressorSpec, fit_any, predict_any
 from readers import load_report_csv
@@ -327,6 +329,24 @@ def test_benchmark_isolates_per_model_failures(bench_csv):
     assert by_model["knn"].rmse is None
     assert "k must be" in by_model["knn"].error
     assert by_model["ols"].error is None and by_model["ols"].rmse is not None
+
+
+def test_a_failed_pipeline_makes_its_rows_errors_that_keep_their_hyperparameters(bench_csv):
+    # fails at the parent: there a failed pipeline's rows carry hyperparameters {}.
+    # Radius 8 needs 17x17 images, so every lbp_pca row fails while the raw rows fit
+    with pytest.raises(LbpError) as lbp:
+        fit_pipeline(load_tasks(bench_csv)["four"].images, lbp=LbpConfig(radius=8))
+    cfg = BenchmarkConfig(training_csv=bench_csv, models=("knn", "ridge"), lbp_radius=8)
+    report = run_benchmark(cfg)
+    assert [(r.model, r.pipeline) for r in report.rows] == [
+        (kind, pipeline) for pipeline in ("raw", "lbp_pca") for kind in ("knn", "ridge")] * 2
+    for r in report.rows:
+        assert r.hyperparameters == _spec_for(cfg, r.model).hyperparameters != {}
+        failed = r.pipeline == "lbp_pca"
+        assert (r.error, r.rmse is None) == ((str(lbp.value), True) if failed else (None, False))
+    message = str(lbp.value)
+    assert f'knn,lbp_pca,four,,54,6,7,"{{""k"": 5}}","{message}"' in \
+        format_report(report, style="csv").splitlines()
 
 
 def test_benchmark_train_only_means_variant(bench_csv):
@@ -654,6 +674,47 @@ def test_a_failing_pooled_fit_is_only_its_own_rows_error(bench_csv, monkeypatch)
     for r in rows:
         assert r.error == ("cnn broke" if r.model == "cnn" else None)
         assert (r.rmse is None) == (r.model == "cnn")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+def test_a_failed_fork_fits_its_cells_inline_and_leaks_nothing(bench_csv, monkeypatch):
+    # fails at the parent: the fork's OSError ends the run and leaves both pipe ends open
+    cfg = _small_nets(bench_csv)
+    _force_workers(monkeypatch, 1)
+    inline = format_report(run_benchmark(cfg), style="csv")
+    forks = []
+
+    def no_fork():
+        forks.append(None)
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(eval_module, "_may_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", no_fork)
+    descriptors = len(os.listdir("/proc/self/fd"))
+    assert format_report(run_benchmark(cfg), style="csv") == inline
+    assert len(os.listdir("/proc/self/fd")) == descriptors
+    assert len(forks) == 4  # one per (pipeline, task)
+
+
+def test_a_base_exception_on_a_worker_thread_comes_out_of_the_run(bench_csv, monkeypatch):
+    # passes at the parent too: a SystemExit that a network fit raises on its worker
+    # thread is raised again on the calling thread, in config order, not lost there
+    threads = []
+
+    def fit_or_exit(spec, X, Y):
+        threads.append(threading.current_thread())
+        if threads[-1] is not threading.main_thread():
+            raise SystemExit(spec.kind)
+        return fit_any(spec, X, Y)
+
+    _force_workers(monkeypatch, 2)
+    monkeypatch.setattr(eval_module, "fit_any", fit_or_exit)
+    with pytest.raises(SystemExit) as exc:
+        run_benchmark(_small_nets(bench_csv, models=("mlp", "cnn"), tasks=("four",),
+                                  pipelines=("raw",)))
+    assert exc.value.code == "mlp"
+    assert threading.main_thread() not in threads
 
 
 _INTERRUPTED_CHILD = """
