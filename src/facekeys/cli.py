@@ -23,6 +23,7 @@ from . import dataset as ds
 from . import eval as ev
 from . import pca as pca_mod
 from . import viz
+from ._inputs import check_count, check_number
 from .lbp import lbp_circular
 from .pipeline import (LBP_MODES, FeaturePipeline, fit_pipeline, pipeline_from_payload,
                        pipeline_to_payload)
@@ -118,13 +119,23 @@ def _override(cfg: ev.BenchmarkConfig, args, settings: dict) -> ev.BenchmarkConf
     return replace(cfg, **{field: given[dest] for dest, field in settings.items() if dest in given})
 
 
+def _check_pca_selector(count_flag: str, count, variance) -> None:
+    """Refuse a PCA selector by its flag before any data is read; the ceiling
+    min(n, d) of a count depends on the data, so fit_pca checks it."""
+    if count is not None:
+        check_count(count_flag, count, 1, error=CliError)
+    if variance is not None:
+        check_number("--variance", variance, 0, 1, above=True, error=CliError)
+
+
 def cmd_train(args) -> int:
     """Fit one model on one task and save it with its feature pipeline.
 
     The setting flags given override a BenchmarkConfig whose max_rows is --max-rows;
     a model flag's destination is its run-set hyperparameter name. A model flag outside
     the --model's run set is refused, and so is an LBP setting without
-    --lbp, or --no-pixel-scaling with it (LBP codes the unscaled images)."""
+    --lbp, or --no-pixel-scaling with it (LBP codes the unscaled images), or
+    both --pca and --variance."""
     run_set = SPEC_KINDS[args.model].run_set
     foreign = sorted(name for name in _MODEL_FLAGS if name not in run_set and hasattr(args, name))
     if foreign:
@@ -134,6 +145,9 @@ def cmd_train(args) -> int:
         raise CliError(f"{_flags(lbp_given)} given without --lbp")
     if args.lbp and args.no_pixel_scaling:
         raise CliError("--no-pixel-scaling given with --lbp, which codes unscaled images")
+    if args.pca is not None and args.variance is not None:
+        raise CliError("give at most one of --pca and --variance")
+    _check_pca_selector("--pca", args.pca, args.variance)
     # the config refuses a bad seed, row cap or LBP setting before any data is read
     cfg = _override(ev.BenchmarkConfig(max_rows=args.max_rows), args,
                     {**{name: name for name in _TRAIN_SETTINGS},
@@ -228,6 +242,7 @@ def cmd_pca(args) -> int:
     """Fit PCA on a task's pixel matrix and save the model."""
     if (args.components is None) == (args.variance is None):
         raise CliError("give exactly one of --components and --variance")
+    _check_pca_selector("--components", args.components, args.variance)
     d = ev.load_tasks(_resolve_input(args.input))[args.task]
     X = FeaturePipeline(scale_pixels=not args.no_pixel_scaling).transform(d.images).values
     model = pca_mod.fit_pca(X, n_components=args.components, variance_target=args.variance)

@@ -46,6 +46,26 @@ def build_dataset(
     return Dataset(images=images, keypoints=coords, slot_names=SLOT_NAMES)
 
 
+def kaggle_size_dataset() -> Dataset:
+    """300 random faces at Kaggle's 96x96 size: 40% of the rows lack the eleven sparse
+    slots, and three single core cells are missing."""
+    rng = np.random.default_rng(1)
+    images = rng.integers(0, 256, size=(300, 96, 96), dtype=np.uint8)
+    keypoints = rng.uniform(0.0, 96.0, size=(300, 2 * len(SLOT_NAMES)))
+    keypoints[rng.random(300) < 0.4, 8:] = np.nan  # rows without the eleven sparse slots
+    keypoints[[3, 7, 11], [0, 3, 6]] = np.nan  # single core cells
+    return Dataset(images, keypoints, SLOT_NAMES)
+
+
+def kaggle_size_block() -> tuple[np.ndarray, np.ndarray]:
+    """kaggle_size_dataset's scaled pixels X and first eight coordinates Y, on the rows
+    where those eight are present."""
+    faces = kaggle_size_dataset()
+    Y = faces.keypoints[:, :8]
+    rows = np.isfinite(Y).all(axis=1)
+    return faces.images[rows].reshape(int(rows.sum()), -1) / 255.0, Y[rows]
+
+
 @pytest.fixture
 def small_ds() -> Dataset:
     return build_dataset()
@@ -59,8 +79,10 @@ def csv_path(tmp_path) -> Path:
 
 
 def real_training_csv() -> str | None:
-    """Path of the real training CSV if this environment has one."""
-    candidate = os.environ.get("FACEKEYS_TRAINING_CSV", "data/training.csv")
+    """Path of the real training CSV if this environment has one: $FACEKEYS_TRAINING_CSV,
+    else data/training.csv in the checkout, wherever pytest runs from."""
+    candidate = os.environ.get("FACEKEYS_TRAINING_CSV",
+                               str(Path(__file__).resolve().parents[1] / "data" / "training.csv"))
     return candidate if os.path.exists(candidate) else None
 
 

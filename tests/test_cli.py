@@ -279,6 +279,21 @@ def test_predict_accepts_image_only_csv(tmp_path, csv_path):
     assert _predictions(out).shape == (3, 8)
 
 
+def test_predict_writes_the_same_bytes_from_a_training_an_image_only_and_an_lf_csv(
+        tmp_path, csv_path):
+    model_file, images, lf = tmp_path / "knn.npz", tmp_path / "images.csv", tmp_path / "lf.csv"
+    assert _train(csv_path, model_file, "--model", "knn", "--lbp", "--pca", "16") == 0
+    write_image_csv(load_training_csv(csv_path), images)
+    lf.write_bytes(images.read_bytes().replace(b"\r", b""))
+    written = []
+    for source in (csv_path, images, lf):
+        out = tmp_path / f"{source.stem}_pred.csv"
+        assert main(["predict", "--model-file", str(model_file), "--input", str(source),
+                     "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
 def test_predict_opens_its_input_once(tmp_path, csv_path, monkeypatch):
     model_file = tmp_path / "knn.npz"
     assert _train(csv_path, model_file, "--model", "knn", "--task", "four") == 0
@@ -456,13 +471,24 @@ def test_benchmark_refuses_a_bad_run_setting_before_reading_the_csv(tmp_path, ca
     (("split", "--seed", "-1"), "seed must be an integer >= 0, got -1"),
     (("split", "--train-fraction", "1.5"),
      "train_fraction must be a finite number in (0, 1), got 1.5"),
+    (("train", "--model", "knn", "--pca", "0"), "--pca must be an integer >= 1, got 0"),
+    (("train", "--model", "knn", "--variance", "1.5"),
+     "--variance must be a finite number in (0, 1], got 1.5"),
+    (("train", "--model", "knn", "--variance", "nan"),
+     "--variance must be a finite number in (0, 1], got nan"),
+    (("train", "--model", "knn", "--pca", "4", "--variance", "0.5"),
+     "give at most one of --pca and --variance"),
+    (("pca", "--components", "0"), "--components must be an integer >= 1, got 0"),
+    (("pca", "--variance", "0"), "--variance must be a finite number in (0, 1], got 0.0"),
 ], ids=["train-max-rows", "train-lbp-radius", "lbp-neighbors", "split-seed",
-        "split-train-fraction"])
+        "split-train-fraction", "train-pca-0", "train-variance-1.5", "train-variance-nan",
+        "train-pca-and-variance", "pca-components-0", "pca-variance-0"])
 def test_a_train_or_lbp_setting_is_refused_before_reading_the_csv(tmp_path, capsys, argv,
                                                                   message):
-    # the input does not exist, so its error would show: --max-rows and split's settings
-    # were checked only after the CSV was decoded, and the LBP geometry was refused under
-    # LbpConfig's field names
+    # the input does not exist, so its error would show: --max-rows, split's settings and
+    # the PCA selectors were checked only after the CSV was decoded (the selectors under
+    # fit_pca's argument names), and the LBP geometry was refused under LbpConfig's field
+    # names
     out = tmp_path / "out"
     out_flag = "--out-dir" if argv[0] == "split" else "--out"
     assert main([*argv, "--input", str(tmp_path / "missing.csv"), out_flag, str(out)]) == 1

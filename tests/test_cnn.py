@@ -2,7 +2,6 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +29,7 @@ from facekeys.regressors.optim import (
     make_optimizer,
     mse_loss_and_grad,
 )
-from test_golden import RTOL
+from test_golden import CHILD_PATH, RTOL
 
 
 def oracle_conv(x, w, b):
@@ -636,12 +635,10 @@ def test_a_fit_holds_the_golden_tolerance_at_one_and_two_blas_threads(tmp_path):
     # with OpenBLAS 0.3.31 at two threads, conv2's weight-gradient product
     # (8 x 504 x 288 per 14-row block) rounds differently, so the two
     # study-shape fits differ in their last bits
-    here = Path(__file__).resolve().parent
-    path = os.pathsep.join([str(here.parent / "src"), str(here)])
     fits = []
     for threads in ("1", "2"):
         out = tmp_path / f"fit-{threads}.npz"
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": CHILD_PATH}
         subprocess.run([sys.executable, "-c", _STUDY_SHAPE_FIT, str(out)], env=env, check=True)
         with np.load(out) as data:
             fits.append(dict(data))

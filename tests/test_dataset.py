@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import CORE_SLOTS, build_dataset
+from conftest import CORE_SLOTS, build_dataset, kaggle_size_dataset
 import facekeys.dataset as fk_dataset
 from facekeys.dataset import (
     SLOT_NAMES,
@@ -593,6 +593,21 @@ def test_block_writers_match_the_csv_module_byte_for_byte(tmp_path, layout, case
     write(d, tmp_path / "blocks.csv")
     oracle(d, tmp_path / "rows.csv")
     assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def test_a_kaggle_size_file_has_the_csv_modules_bytes_and_round_trips(tmp_path):
+    # 300 rows of 96x96 images, against a row writer that formats coordinates by repr
+    faces = kaggle_size_dataset()
+    write_training_csv(faces, tmp_path / "faces96.csv")
+    with open(tmp_path / "rows96.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"{s}_{a}" for s in SLOT_NAMES for a in "xy"] + ["Image"])
+        for kp, px in zip(faces.keypoints.tolist(), faces.images.reshape(300, -1).tolist()):
+            writer.writerow(["" if v != v else repr(v) for v in kp] + [" ".join(map(str, px))])
+    assert (tmp_path / "faces96.csv").read_bytes() == (tmp_path / "rows96.csv").read_bytes()
+    back = load_training_csv(tmp_path / "faces96.csv")
+    assert np.array_equal(back.images, faces.images)
+    assert np.array_equal(back.keypoints, faces.keypoints, equal_nan=True)
 
 
 def test_a_zero_row_dataset_writes_the_header_alone(tmp_path):

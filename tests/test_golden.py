@@ -20,6 +20,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import facekeys
 from conftest import build_dataset
 from facekeys.dataset import write_training_csv
 from facekeys.eval import ALL_MODELS, BenchmarkConfig, format_report, run_benchmark
@@ -27,6 +28,8 @@ from readers import load_report_csv
 
 HERE = Path(__file__).resolve().parent
 GOLDEN = HERE / "golden"
+#: a child process's import path: the facekeys this process imports, then the tests
+CHILD_PATH = os.pathsep.join([str(Path(facekeys.__file__).parents[1]), str(HERE)])
 
 #: Largest relative difference a cell may show, per model kind. Moving
 #: every network input of these configs by one ulp moves the mlp's
@@ -112,9 +115,8 @@ sys.stdout.write(report_csv(sys.argv[1], sys.argv[2]))
 
 def test_the_golden_rule_holds_at_one_and_two_blas_threads(tmp_path):
     name = "rows60-seed7"
-    path = os.pathsep.join([str(HERE.parent / "src"), str(HERE)])
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": CHILD_PATH}
         out = subprocess.run([sys.executable, "-c", _CHILD, name, str(tmp_path)], env=env,
                              capture_output=True, text=True, check=True).stdout
         assert_matches_golden(out, name)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import kaggle_size_block
 from facekeys.regressors import linear
 from facekeys.regressors.linear import (
     LinearModel,
@@ -183,8 +184,9 @@ def sum_of_two_rows():
 
 
 @pytest.mark.parametrize("make", [lambda: ols_problem(20, 50, 22), lambda: ols_problem(20, 19, 23),
-                                  pixel_rows, sum_of_two_rows],
-                         ids=["n_under_d", "d_is_n_minus_1", "pixels_360x2304", "sum_of_two_rows"])
+                                  pixel_rows, sum_of_two_rows, kaggle_size_block],
+                         ids=["n_under_d", "d_is_n_minus_1", "pixels_360x2304", "sum_of_two_rows",
+                              "kaggle_size"])
 def test_ols_solves_on_the_gram_matrix_of_the_rows(make, monkeypatch):
     X, Y = make()
     model, by_lstsq = ols_and_route(X, Y, monkeypatch)

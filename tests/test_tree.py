@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import kaggle_size_block
 from facekeys.lbp import LbpConfig, lbp_circular
 from facekeys.regressors import tree as tree_module
 from facekeys.regressors.tree import (
@@ -501,6 +502,15 @@ def _kept_columns(monkeypatch):
 
     monkeypatch.setattr(tree_module, "_screen", spy)
     return kept
+
+
+def test_a_kaggle_size_fit_presorts_as_bytes_and_screens_like_the_full_scan(monkeypatch):
+    # the pixels presort as bytes in the float argsort's order, and the exact scan over
+    # the columns the screen keeps grows the node arrays of the scan over every column
+    X, Y = kaggle_size_block()
+    assert tree_module._as_bytes(X.T).dtype == np.uint8
+    assert np.array_equal(tree_module._presort(X), np.argsort(X.T, axis=1, kind="stable"))
+    assert_same_tree(tree_fit(X, Y), flatten_tree(_full_scan_fit(monkeypatch, X, Y)))
 
 
 @pytest.mark.parametrize("columns", ["duplicated", "pixels"])
