@@ -23,7 +23,6 @@ from . import dataset as ds
 from . import eval as ev
 from . import pca as pca_mod
 from . import viz
-from ._inputs import check_count, check_number
 from .lbp import lbp_circular
 from .pipeline import (LBP_MODES, FeaturePipeline, fit_pipeline, pipeline_from_payload,
                        pipeline_to_payload)
@@ -119,13 +118,13 @@ def _override(cfg: ev.BenchmarkConfig, args, settings: dict) -> ev.BenchmarkConf
     return replace(cfg, **{field: given[dest] for dest, field in settings.items() if dest in given})
 
 
-def _check_pca_selector(count_flag: str, count, variance) -> None:
-    """Refuse a PCA selector by its flag before any data is read; the ceiling
-    min(n, d) of a count depends on the data, so fit_pca checks it."""
-    if count is not None:
-        check_count(count_flag, count, 1, error=CliError)
-    if variance is not None:
-        check_number("--variance", variance, 0, 1, above=True, error=CliError)
+def _under_flags(count_flag: str, fit, *args, **kwargs):
+    """fit(*args, **kwargs), with a PcaError's fit_pca argument names replaced by their flags."""
+    try:
+        return fit(*args, **kwargs)
+    except pca_mod.PcaError as exc:
+        raise CliError(str(exc).replace("n_components", count_flag)
+                       .replace("variance_target", "--variance")) from None
 
 
 def cmd_train(args) -> int:
@@ -145,9 +144,8 @@ def cmd_train(args) -> int:
         raise CliError(f"{_flags(lbp_given)} given without --lbp")
     if args.lbp and args.no_pixel_scaling:
         raise CliError("--no-pixel-scaling given with --lbp, which codes unscaled images")
-    if args.pca is not None and args.variance is not None:
-        raise CliError("give at most one of --pca and --variance")
-    _check_pca_selector("--pca", args.pca, args.variance)
+    if args.pca is not None or args.variance is not None:
+        pca_mod.check_selector("--pca", args.pca, "--variance", args.variance)
     # the config refuses a bad seed, row cap or LBP setting before any data is read
     cfg = _override(ev.BenchmarkConfig(max_rows=args.max_rows), args,
                     {**{name: name for name in _TRAIN_SETTINGS},
@@ -155,14 +153,10 @@ def cmd_train(args) -> int:
     spec = ev._spec_for(cfg, args.model)
     d = ev.load_tasks(_resolve_input(args.input))[args.task]
     train = ds.impute_column_means(ev._subsample(d, cfg.max_rows, cfg.seed))
-    pipe, features = fit_pipeline(
-        train.images,
-        scale_pixels=not args.no_pixel_scaling,
-        lbp=ev._lbp_config(cfg) if args.lbp else None,
-        lbp_mode=cfg.lbp_mode,
-        pca_components=args.pca,
-        variance_target=args.variance,
-    )
+    pipe, features = _under_flags(
+        "--pca", fit_pipeline, train.images, scale_pixels=not args.no_pixel_scaling,
+        lbp=ev._lbp_config(cfg) if args.lbp else None, lbp_mode=cfg.lbp_mode,
+        pca_components=args.pca, variance_target=args.variance)
     X = features.values
     model = fit_any(spec, X, train.keypoints)
 
@@ -240,12 +234,10 @@ def cmd_lbp(args) -> int:
 
 def cmd_pca(args) -> int:
     """Fit PCA on a task's pixel matrix and save the model."""
-    if (args.components is None) == (args.variance is None):
-        raise CliError("give exactly one of --components and --variance")
-    _check_pca_selector("--components", args.components, args.variance)
+    pca_mod.check_selector("--components", args.components, "--variance", args.variance)
     d = ev.load_tasks(_resolve_input(args.input))[args.task]
     X = FeaturePipeline(scale_pixels=not args.no_pixel_scaling).transform(d.images).values
-    model = pca_mod.fit_pca(X, n_components=args.components, variance_target=args.variance)
+    model = _under_flags("--components", pca_mod.fit_pca, X, args.components, args.variance)
     pca_mod.save_pca(model, args.out)
     covered = float(model.explained_ratio.sum())
     print(f"fit PCA on {len(d)} rows: {model.n_components} components "

@@ -4,9 +4,10 @@ Columns are mean-centered and never rescaled, and the covariance uses
 the 1/(n-1) convention. One eigendecomposition serves both shapes: of the
 d x d covariance, or, with more features than samples, of the n x n Gram
 matrix, which is what makes 9216-pixel images tractable. The component
-count is chosen from the eigenvalues, and only those components are
-formed: the Gram route maps back the k kept eigenvectors (rounded up to
-a multiple of 16), not all of them. Component signs are fixed by making each component's
+count is given or chosen from the eigenvalues, by one selector rule
+(`check_selector`), and only those components are formed: the Gram route
+maps back the k kept eigenvectors (rounded up to a multiple of 16), not all
+of them. Component signs are fixed by making each component's
 largest-magnitude entry positive. NaN or inf in any input is refused.
 """
 
@@ -69,39 +70,48 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_selector(count_name: str, count, variance_name: str, variance,
+                   most: int | None = None) -> None:
+    """The one PCA selector rule, refused under the names the caller passes:
+    exactly one of a component count (an integer >= 1, and <= most when
+    given) and a variance target (a finite number in (0, 1]); a bool is neither."""
+    if (count is None) == (variance is None):
+        raise PcaError(f"give exactly one of {count_name} and {variance_name}")
+    if count is not None:
+        check_count(count_name, count, 1, most, error=PcaError)
+    else:
+        check_number(variance_name, variance, 0, 1, above=True, error=PcaError)
+
+
 def fit_pca(X, n_components: int | None = None,
             variance_target: float | None = None) -> PcaModel:
     """Fit a PCA model, selecting components by count or variance coverage.
 
     Exactly one of ``n_components`` (a fixed k) and ``variance_target``
     (smallest k whose cumulative explained ratio reaches the target) must
-    be given.
+    be given. The count's ceiling is exact for the shape: d when d <= n,
+    and n - 1 when d > n, where centering leaves n - 1 directions.
 
     Raises:
-        PcaError: on a bad selector (an n_components that is not an
-            integer in [1, min(n, d)], or a variance_target that is not a
-            finite number in (0, 1]; a bool is neither), NaN or inf in X,
-            fewer than 2 samples, a component count the data cannot
-            support, or zero-variance data with a variance target.
+        PcaError: NaN or inf in X, fewer than 2 samples, or a bad selector
+            (`check_selector` with that ceiling), each before any product
+            or eigendecomposition; then, under the selector's name, a count
+            above the rank of the data or a variance target on zero-variance data.
     """
-    if (n_components is None) == (variance_target is None):
-        raise PcaError("give exactly one of n_components and variance_target")
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise PcaError("X must be 2-d")
     n, d = check_rows(X, X.shape[1], PcaError).shape  # finite rows of any width
     if n < 2:
         raise PcaError("need at least 2 samples")
-    if n_components is not None:
-        check_count("n_components", n_components, 1, min(n, d), error=PcaError)
-    else:
-        check_number("variance_target", variance_target, 0, 1, above=True, error=PcaError)
+    check_selector("n_components", n_components, "variance_target", variance_target,
+                   d if d <= n else n - 1)
 
     mean = X.mean(axis=0)
     Xc = X - mean
     total_variance = float((Xc * Xc).sum()) / (n - 1)
     if variance_target is not None and total_variance <= 0.0:
-        raise PcaError("zero-variance data cannot meet a variance target")
+        raise PcaError(f"variance_target {variance_target!r} cannot be met by zero-variance data")
 
     # Gram trick: with more features than samples, the eigenvectors u of
     # (Xc Xc^T)/(n-1) map to covariance eigenvectors Xc^T u / sqrt((n-1) * eigenvalue)
@@ -115,8 +125,8 @@ def fit_pca(X, n_components: int | None = None,
     available = evals.shape[0]
 
     if n_components is not None:
-        if n_components > available:
-            raise PcaError(f"data supports only {available} components, {n_components} requested")
+        if n_components > available:  # only data of lower rank than the ceiling
+            raise PcaError(f"n_components is {n_components}; the data supports only {available}")
         k = n_components
     else:
         cum = np.cumsum(ratios)
@@ -150,11 +160,7 @@ def inverse_transform(model: PcaModel, Z) -> np.ndarray:
 
 
 def save_pca(model: PcaModel, path) -> None:
-    """Write a fitted model to an .npz container."""
-    np.savez(
-        path,
-        mean=model.mean,
-        components=model.components,
-        explained_variance=model.explained_variance,
-        explained_ratio=model.explained_ratio,
-    )
+    """Write a fitted model to an .npz container at path, as given."""
+    with open(path, "wb") as f:  # np.savez would append .npz to a bare name
+        np.savez(f, mean=model.mean, components=model.components,
+                 explained_variance=model.explained_variance, explained_ratio=model.explained_ratio)

@@ -247,15 +247,16 @@ def input_width(model) -> int:
 
 
 def save_model(path, model, extras: dict | None = None) -> None:
-    """Write a fitted model to .npz in one write. An array-valued extra is
-    an archive entry beside the model's own; the rest ride in the meta record."""
+    """Write a fitted model to .npz at path, as given, in one write. An array-valued
+    extra is an archive entry beside the model's own; the rest ride in the meta record."""
     fmt = _format_of(model, "serialize")
     meta, arrays = fmt.to_payload(model)
     extras = extras or {}
     extra_arrays = {k: v for k, v in extras.items() if isinstance(v, np.ndarray)}
     meta.update(kind=fmt.tag, extras={k: v for k, v in extras.items() if k not in extra_arrays})
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **arrays, **extra_arrays)
+    with open(path, "wb") as f:  # np.savez would append .npz to a bare name
+        np.savez(f, **arrays, **extra_arrays)
 
 
 #: what numpy and zipfile raise on a file or archive member they cannot read

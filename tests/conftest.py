@@ -78,6 +78,17 @@ def csv_path(tmp_path) -> Path:
     return path
 
 
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """The shapes of the matrices np.linalg.eigh is called on, in order."""
+    calls, eigh = [], np.linalg.eigh
+    def spy(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return calls
+
+
 def real_training_csv() -> str | None:
     """Path of the real training CSV if this environment has one: $FACEKEYS_TRAINING_CSV,
     else data/training.csv in the checkout, wherever pytest runs from."""

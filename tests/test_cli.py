@@ -477,7 +477,7 @@ def test_benchmark_refuses_a_bad_run_setting_before_reading_the_csv(tmp_path, ca
     (("train", "--model", "knn", "--variance", "nan"),
      "--variance must be a finite number in (0, 1], got nan"),
     (("train", "--model", "knn", "--pca", "4", "--variance", "0.5"),
-     "give at most one of --pca and --variance"),
+     "give exactly one of --pca and --variance"),
     (("pca", "--components", "0"), "--components must be an integer >= 1, got 0"),
     (("pca", "--variance", "0"), "--variance must be a finite number in (0, 1], got 0.0"),
 ], ids=["train-max-rows", "train-lbp-radius", "lbp-neighbors", "split-seed",
@@ -494,6 +494,72 @@ def test_a_train_or_lbp_setting_is_refused_before_reading_the_csv(tmp_path, caps
     assert main([*argv, "--input", str(tmp_path / "missing.csv"), out_flag, str(out)]) == 1
     assert capsys.readouterr().err == f"facekeys: error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flag, count", [
+    (("train", "--model", "knn"), "--pca", 40),
+    (("train", "--model", "knn"), "--pca", 41),
+    (("train", "--model", "knn"), "--pca", 300),
+    (("train", "--model", "knn", "--lbp"), "--pca", 40),
+    (("pca", "--task", "four"), "--components", 40),
+], ids=["train-pca-40", "train-pca-41", "train-pca-300", "train-lbp-pca-40", "pca-components-40"])
+def test_a_count_above_the_data_ceiling_is_refused_under_its_flag_before_eigh(
+        tmp_path, capsys, eigh_calls, argv, flag, count):
+    # 40 rows of 256 features leave 39 directions. At the parent, 40 was refused only after
+    # eigh ("data supports only 39 components, 40 requested") and 41 or 300 under fit_pca's
+    # name ("n_components must be an integer in [1, 40], got 300")
+    faces, out = tmp_path / "faces.csv", tmp_path / "out.npz"
+    write_training_csv(build_dataset(n_rows=40), faces)
+    assert main([*argv, flag, str(count), "--input", str(faces), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"facekeys: error: {flag} must be an integer in [1, 39], got {count}\n")
+    assert eigh_calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--lbp",)], ids=["raw", "lbp"])
+def test_a_count_at_the_data_ceiling_trains(tmp_path, eigh_calls, flags):
+    faces, out = tmp_path / "faces.csv", tmp_path / "out.npz"
+    write_training_csv(build_dataset(n_rows=40), faces)
+    assert _train(faces, out, "--model", "knn", *flags, "--pca", "39") == 0
+    assert eigh_calls == [(40, 40)]
+    assert load_model(out)[1]["pipe_pca_components"].shape == (39, 256)
+
+
+@pytest.mark.parametrize("argv", [
+    ("train", "--model", "knn", "--no-pixel-scaling"),
+    ("train", "--model", "knn", "--lbp"),
+    ("pca", "--task", "four", "--no-pixel-scaling"),
+], ids=["train", "train-lbp", "pca"])
+def test_a_variance_target_on_zero_variance_images_names_its_flag(tmp_path, capsys, argv):
+    # fails at the parent: "zero-variance data cannot meet a variance target" named no flag
+    faces, out = tmp_path / "faces.csv", tmp_path / "out.npz"
+    data = build_dataset(n_rows=40)
+    write_training_csv(dataclasses.replace(data, images=np.full_like(data.images, 7)), faces)
+    assert main([*argv, "--variance", "0.9", "--input", str(faces), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "facekeys: error: --variance 0.9 cannot be met by zero-variance data\n")
+    assert not out.exists()
+
+
+def test_train_out_without_npz_writes_that_file_and_predict_reads_it(tmp_path, csv_path,
+                                                                     capsys):
+    # fails at the parent: np.savez appended .npz, so train wrote m.npz and predict found no m
+    model_file, out = tmp_path / "m", tmp_path / "p.csv"
+    assert _train(csv_path, model_file, "--model", "knn") == 0
+    assert capsys.readouterr().out.endswith(f"-> {model_file}\n")
+    assert main(["predict", "--model-file", str(model_file), "--input", str(csv_path),
+                 "--out", str(out)]) == 0
+    assert _predictions(out).shape == (30, 8)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["faces.csv", "m", "p.csv"]
+
+
+def test_pca_out_without_npz_writes_that_file(tmp_path, csv_path):
+    # fails at the parent: np.savez appended .npz and wrote p.npz
+    out = tmp_path / "p"
+    assert main(["pca", "--input", str(csv_path), "--task", "four", "--components", "3",
+                 "--out", str(out)]) == 0
+    assert load_pca(out).n_components == 3
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["faces.csv", "p"]
 
 
 @pytest.mark.parametrize("flags, fit_side, side", [

@@ -210,15 +210,33 @@ def test_rank_one_cloud_needs_one_component():
     assert model.components[0] == pytest.approx([0.6, 0.8], abs=1e-12)
 
 
-def test_gram_path_drops_null_directions():
+def test_gram_path_drops_null_directions(eigh_calls):
     rng = np.random.default_rng(7)
     X = rng.normal(size=(8, 2)) @ rng.normal(size=(2, 30))  # rank 2 in 30-d
     model = fit_pca(X, n_components=2)
     back = inverse_transform(model, transform(model, X))
     assert np.allclose(back, X, atol=1e-8)
     assert model.explained_ratio.sum() == pytest.approx(1.0, abs=1e-9)
-    with pytest.raises(PcaError, match="supports only"):
+    # 5 is under the shape's ceiling of 7, so only the eigenvalues show the rank
+    with pytest.raises(PcaError, match="^n_components is 5; the data supports only 2$"):
         fit_pca(X, n_components=5)
+    assert eigh_calls == [(8, 8), (8, 8)]
+
+
+@pytest.mark.parametrize("shape, ceiling", [((8, 30), 7), ((30, 8), 8), ((8, 8), 8)],
+                         ids=["gram", "covariance", "square"])
+def test_the_count_ceiling_is_exact_and_refused_before_eigh(eigh_calls, shape, ceiling):
+    # d when d <= n, n - 1 when d > n (centering leaves n - 1 directions). The gram case
+    # fails at the parent: its ceiling min(n, d) let a count of n through to eigh, and
+    # the "supports only" refusal came after it
+    X = np.random.default_rng(30).normal(size=shape)
+    assert fit_pca(X, n_components=ceiling).n_components == ceiling
+    assert len(eigh_calls) == 1
+    with pytest.raises(PcaError) as exc:
+        fit_pca(X, n_components=ceiling + 1)
+    assert str(exc.value) == (
+        f"n_components must be an integer in [1, {ceiling}], got {ceiling + 1}")
+    assert len(eigh_calls) == 1
 
 
 def test_determinism():
@@ -274,7 +292,7 @@ def test_a_component_count_that_is_not_an_integer_is_refused(n_components):
 
 def test_zero_variance_with_target_is_an_error():
     X = np.ones((5, 3))
-    with pytest.raises(PcaError, match="zero-variance"):
+    with pytest.raises(PcaError, match="^variance_target 0.9 cannot be met by zero-variance"):
         fit_pca(X, variance_target=0.9)
 
 
