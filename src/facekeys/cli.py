@@ -102,7 +102,7 @@ def _add_setting(p, dest, field=None, help=None, default=argparse.SUPPRESS) -> N
             return ev.parse_setting(field, text)
         except ev.EvalError as exc:  # a usage error that names the flag
             raise argparse.ArgumentTypeError(str(exc)) from None
-    kind = ({"action": "store_true"} if ev._FIELD_TYPES[field] == "bool"
+    kind = ({"action": "store_true"} if ev.FIELD_TYPES[field] == "bool"
             else {"type": parse, "choices": _CHOICES.get(field)})
     p.add_argument(_flags([dest]), default=default, help=help, **kind)
 
@@ -149,13 +149,12 @@ def cmd_train(args) -> int:
     # the config refuses a bad seed, row cap or LBP setting before any data is read
     cfg = _override(ev.BenchmarkConfig(max_rows=args.max_rows), args,
                     {**{name: name for name in _TRAIN_SETTINGS},
-                     **{name: ev._config_field(args.model, name) for name in run_set}})
-    spec = ev._spec_for(cfg, args.model)
-    d = ev.load_tasks(_resolve_input(args.input))[args.task]
-    train = ds.impute_column_means(ev._subsample(d, cfg.max_rows, cfg.seed))
+                     **{name: ev.config_field(args.model, name) for name in run_set}})
+    spec = ev.spec_for(cfg, args.model)
+    train = ev.task_rows(cfg, ev.load_tasks(_resolve_input(args.input))[args.task])
     pipe, features = _under_flags(
         "--pca", fit_pipeline, train.images, scale_pixels=not args.no_pixel_scaling,
-        lbp=ev._lbp_config(cfg) if args.lbp else None, lbp_mode=cfg.lbp_mode,
+        lbp=ev.lbp_config(cfg) if args.lbp else None, lbp_mode=cfg.lbp_mode,
         pca_components=args.pca, variance_target=args.variance)
     X = features.values
     model = fit_any(spec, X, train.keypoints)
@@ -185,7 +184,7 @@ def cmd_predict(args) -> int:
         raise  # a missing or damaged array, which names the file already
     except ValueError as exc:
         raise CliError(f"{args.model_file}: {exc}") from None
-    columns = [f"{n}_{axis}" for n in extras.typed("target_names", list[str]) for axis in "xy"]
+    names = extras.typed("target_names", list[str])
     # an image-only CSV reads as a training CSV with zero coordinate columns
     images = ds.load_training_csv(args.input).images
     features = pipe.transform(images).values
@@ -193,12 +192,12 @@ def cmd_predict(args) -> int:
         raise CliError(f"{args.model_file} holds a model of {input_width(model)} input features, "
                        f"but its feature pipeline makes {features.shape[1]}")
     pred = predict_any(model, features)
-    if len(columns) != pred.shape[1]:
-        raise CliError(f"{args.model_file} names {len(columns)} target columns, "
+    if 2 * len(names) != pred.shape[1]:  # an x and a y column per name
+        raise CliError(f"{args.model_file} names {2 * len(names)} target columns, "
                        f"but its model predicts {pred.shape[1]}")
     if not np.isfinite(pred).all():  # the CSV writes NaN as a missing cell
         raise CliError(f"{args.model_file} predicts a value that is not finite (NaN or inf)")
-    ds._write_rows(args.out, columns, pred, None)
+    ds.write_coordinate_csv(names, pred, args.out)
     print(f"wrote {pred.shape[0]} predictions to {args.out}")
     return 0
 
@@ -223,7 +222,7 @@ def cmd_benchmark(args) -> int:
 def cmd_lbp(args) -> int:
     """Render one row's LBP code map to a PGM file: the codes that
     `facekeys train --lbp` trains on with the same geometry flags."""
-    cfg = ev._lbp_config(_override(ev.BenchmarkConfig(), args, {n: n for n in _LBP_GEOMETRY}))
+    cfg = ev.lbp_config(_override(ev.BenchmarkConfig(), args, {n: n for n in _LBP_GEOMETRY}))
     d = ds.load_training_csv(_resolve_input(args.input))
     if not 0 <= args.row < len(d):
         raise CliError(f"row {args.row} out of range (0..{len(d) - 1})")
@@ -294,7 +293,7 @@ def _train_arguments(p) -> None:
     p.add_argument("--variance", type=float, default=None,
                    help="pick component count by variance coverage")
     for name, kinds in _MODEL_FLAGS.items():
-        _add_setting(p, name, ev._config_field(kinds[-1], name), "for --model " + "/".join(kinds))
+        _add_setting(p, name, ev.config_field(kinds[-1], name), "for --model " + "/".join(kinds))
 
 
 def _predict_arguments(p) -> None:

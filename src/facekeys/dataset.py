@@ -114,7 +114,7 @@ class Dataset:
 
     def coordinate_columns(self) -> list[str]:
         """Column names in file order: <slot>_x, <slot>_y per slot."""
-        return [f"{name}_{axis}" for name in self.slot_names for axis in "xy"]
+        return _coordinate_columns(self.slot_names)
 
     def missing_per_slot(self) -> np.ndarray:
         """Count of rows, per slot, where x or y is missing."""
@@ -125,6 +125,10 @@ class Dataset:
         """Row subset (copies), preserving the given order."""
         idx = np.asarray(indices, dtype=np.intp)  # a fancy index copies
         return replace(self, images=self.images[idx], keypoints=self.keypoints[idx])
+
+
+def _coordinate_columns(slot_names) -> list[str]:
+    return [f"{name}_{axis}" for name in slot_names for axis in "xy"]
 
 
 def _slot_names_from_header(path, columns: list[str]) -> tuple[str, ...]:
@@ -482,7 +486,14 @@ def write_training_csv(d: Dataset, path) -> None:
 
 def write_keypoint_csv(d: Dataset, path) -> None:
     """Write only the coordinate columns of a Dataset."""
-    _write_rows(path, d.coordinate_columns(), d.keypoints, None)
+    write_coordinate_csv(d.slot_names, d.keypoints, path)
+
+
+def write_coordinate_csv(slot_names, keypoints, path) -> None:
+    """Write an (n, 2k) float block of coordinates under the column pairs of
+    its k slot names, as a Dataset names them, a NaN cell empty: the keypoint
+    file's layout, which the predictions of ``facekeys predict`` take too."""
+    _write_rows(path, _coordinate_columns(slot_names), keypoints, None)
 
 
 def write_image_csv(d: Dataset, path) -> None:

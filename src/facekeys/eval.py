@@ -32,6 +32,7 @@ from itertools import count
 
 import numpy as np
 
+from . import pca as pca_mod
 from ._inputs import check_choice, check_count, check_number
 from .dataset import (
     Dataset,
@@ -131,10 +132,11 @@ class BenchmarkConfig:
         check_count("pca_components", self.pca_components, 1, error=EvalError)
         check_count("mlp_epochs", self.mlp_epochs, 0, error=EvalError)
         check_count("cnn_epochs", self.cnn_epochs, 0, error=EvalError)
-        _lbp_config(self)  # LbpConfig refuses a bad geometry
+        lbp_config(self)  # LbpConfig refuses a bad geometry
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(BenchmarkConfig)}  # annotations, as text
+#: each BenchmarkConfig field's annotation, as text
+FIELD_TYPES = {f.name: f.type for f in fields(BenchmarkConfig)}
 
 
 def _number(key: str, text: str, kind: type):
@@ -150,8 +152,8 @@ def parse_setting(key: str, text: str):
     """BenchmarkConfig field key's value from config-file text, read as the
     field's annotated type: only an `int | None` field takes "none", and a
     tuple drops empty items. An EvalError names the key."""
-    check_choice("key", key, _FIELD_TYPES, EvalError)
-    kind = _FIELD_TYPES[key]
+    check_choice("key", key, FIELD_TYPES, EvalError)
+    kind = FIELD_TYPES[key]
     text = text.strip()
     if kind == "bool":
         if text.lower() not in ("true", "false"):
@@ -228,13 +230,14 @@ class EvalReport:
 _SHARED_FIELDS = {"max_iter": "cd_max_iter", "tol": "cd_tol", "optimizer": "optimizer"}
 
 
-def _config_field(kind: str, name: str) -> str:
+def config_field(kind: str, name: str) -> str:
     """The BenchmarkConfig field behind run-set hyperparameter name of kind."""
     return _SHARED_FIELDS.get(name, f"{kind}_{name}")
 
 
-def _spec_for(cfg: BenchmarkConfig, kind: str) -> RegressorSpec:
-    hp = {name: getattr(cfg, _config_field(kind, name)) for name in SPEC_KINDS[kind].run_set}
+def spec_for(cfg: BenchmarkConfig, kind: str) -> RegressorSpec:
+    """The spec of kind that cfg's fields and seed make: what a benchmark cell fits."""
+    hp = {name: getattr(cfg, config_field(kind, name)) for name in SPEC_KINDS[kind].run_set}
     return RegressorSpec(kind=kind, hyperparameters=hp, seed=cfg.seed)
 
 
@@ -252,6 +255,12 @@ def load_tasks(path) -> dict[str, Dataset]:
     return {"eleven": sparse, "four": dense}
 
 
+def task_rows(cfg: BenchmarkConfig, d: Dataset) -> Dataset:
+    """The rows of d that split_task holds out from, at most cfg.max_rows, holes filled by
+    their column means: what `facekeys train` fits."""
+    return impute_column_means(_subsample(d, cfg.max_rows, cfg.seed))
+
+
 def split_task(cfg: BenchmarkConfig, d: Dataset, task: str) -> tuple[Dataset, Dataset]:
     """Task's seeded train and test rows of d, at most cfg.max_rows, holes filled by column
     means; a DatasetError names the task."""
@@ -265,7 +274,8 @@ def split_task(cfg: BenchmarkConfig, d: Dataset, task: str) -> tuple[Dataset, Da
     return impute_column_means(train, means), impute_column_means(test, means)
 
 
-def _lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
+def lbp_config(cfg: BenchmarkConfig) -> LbpConfig:
+    """The LbpConfig of cfg's lbp_ fields; an EvalError refuses a bad geometry under their names."""
     try:
         return LbpConfig(neighbors=cfg.lbp_neighbors, radius=cfg.lbp_radius,
                          rotation_invariant=cfg.lbp_rotation_invariant)
@@ -484,14 +494,17 @@ def run_benchmark(cfg: BenchmarkConfig) -> EvalReport:
                 try:
                     pipe, F_train = fit_pipeline(
                         train.images, scale_pixels=cfg.scale_pixels,
-                        lbp=_lbp_config(cfg) if lbp_pca else None, lbp_mode=cfg.lbp_mode,
-                        pca_components=min(cfg.pca_components, len(train) - 1) if lbp_pca else None)
+                        lbp=lbp_config(cfg) if lbp_pca else None, lbp_mode=cfg.lbp_mode)
                     X_train = F_train.values
+                    if lbp_pca:  # pca_components, or as many as the LBP block's shape holds
+                        pipe.pca = pca_mod.fit_pca(X_train, min(
+                            cfg.pca_components, pca_mod.max_components(*X_train.shape)))
+                        X_train = pca_mod.transform(pipe.pca, X_train)
                     X_test = pipe.transform(test.images).values
                 except Exception as exc:  # configuration-level failure hits all rows
                     failed = str(exc)
 
-                cells = [_Cell(_spec_for(cfg, kind), pipeline_name, task,
+                cells = [_Cell(spec_for(cfg, kind), pipeline_name, task,
                                X_train, train.keypoints, X_test, test.keypoints)
                          for kind in cfg.models]
                 if failed is not None:

@@ -70,6 +70,12 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
+def max_components(n: int, d: int) -> int:
+    """The most components fit_pca keeps of n samples of d features: d when d <= n,
+    and n - 1 when d > n, where centering leaves n - 1 directions."""
+    return d if d <= n else n - 1
+
+
 def check_selector(count_name: str, count, variance_name: str, variance,
                    most: int | None = None) -> None:
     """The one PCA selector rule, refused under the names the caller passes:
@@ -89,8 +95,7 @@ def fit_pca(X, n_components: int | None = None,
 
     Exactly one of ``n_components`` (a fixed k) and ``variance_target``
     (smallest k whose cumulative explained ratio reaches the target) must
-    be given. The count's ceiling is exact for the shape: d when d <= n,
-    and n - 1 when d > n, where centering leaves n - 1 directions.
+    be given. The count's ceiling is exact for the shape (max_components).
 
     Raises:
         PcaError: NaN or inf in X, fewer than 2 samples, or a bad selector
@@ -105,12 +110,15 @@ def fit_pca(X, n_components: int | None = None,
     if n < 2:
         raise PcaError("need at least 2 samples")
     check_selector("n_components", n_components, "variance_target", variance_target,
-                   d if d <= n else n - 1)
+                   max_components(n, d))
 
     mean = X.mean(axis=0)
     Xc = X - mean
     total_variance = float((Xc * Xc).sum()) / (n - 1)
-    if variance_target is not None and total_variance <= 0.0:
+    # centering a constant column leaves rounding residue of up to about n * eps of its
+    # values, so variance at or under that share of the data's squared scale is zero
+    if variance_target is not None and total_variance <= (
+            (n * np.finfo(np.float64).eps) ** 2 * float(np.vdot(X, X)) / (n - 1)):
         raise PcaError(f"variance_target {variance_target!r} cannot be met by zero-variance data")
 
     # Gram trick: with more features than samples, the eigenvectors u of

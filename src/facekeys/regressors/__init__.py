@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import weakref
 import zipfile
 from collections.abc import Mapping
 from contextlib import ExitStack
@@ -341,13 +342,15 @@ def load_model(path):
     ConfigError that names the path, and so does an array that cannot be
     read when it is looked up in extras.
     """
-    try:
-        data = np.load(path)
-    except _UNREADABLE as exc:
-        raise _unreadable(path, exc, "it is not an .npz archive") from None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ConfigError(f"{path} is not a facekeys model file: it is not an .npz archive")
     with ExitStack() as closing:
+        # opened here: np.load leaves a path's file open if its archive directory is unreadable
+        file = closing.enter_context(open(path, "rb"))
+        try:
+            data = np.load(file)
+        except _UNREADABLE as exc:
+            raise _unreadable(path, exc, "it is not an .npz archive") from None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ConfigError(f"{path} is not a facekeys model file: it is not an .npz archive")
         closing.callback(data.close)
         if "meta" not in data.files:
             raise ConfigError(f"{path} is not a facekeys model file: it has no meta record")
@@ -374,7 +377,8 @@ def load_model(path):
         except ValueError as exc:  # a model class's own check of its arrays
             raise ConfigError(f"{path} is not a facekeys model file: {exc}") from None
         unread = [name for name in arrays if name not in arrays.served]
-        if unread:
-            closing.pop_all()  # extras reads them from the open archive
+        if unread:  # extras reads them from the open archive, whose file closes with it
+            closing.pop_all()
+            weakref.finalize(data, file.close)
     return model, _Entries(path, "extra", {**dict.fromkeys(extras, extras),
                                            **dict.fromkeys(unread, data)})

@@ -21,7 +21,6 @@ from test_tree import model_loss, oracle_greedy_loss
 
 from facekeys.dataset import (
     holdout_split,
-    impute_column_means,
     load_training_csv,
     split_by_keypoint_coverage,
     write_training_csv,
@@ -29,10 +28,10 @@ from facekeys.dataset import (
 from facekeys.eval import (
     ALL_MODELS,
     BenchmarkConfig,
-    _subsample,
     format_report,
     mean_predictor_rmse,
     run_benchmark,
+    task_rows,
 )
 from facekeys.lbp import LbpConfig, _min_rotations, lbp_basic, lbp_circular
 from facekeys.pca import fit_pca
@@ -260,7 +259,7 @@ def test_c8_desk_scale_rmse_bands():
     # mean-predictor baseline for the identical four-slot split
     data = load_training_csv(path)
     dense, _ = split_by_keypoint_coverage(data)
-    d = impute_column_means(_subsample(dense, cfg.max_rows, cfg.seed))
+    d = task_rows(cfg, dense)
     train, test = holdout_split(d, cfg.train_fraction, cfg.seed)
     Y_train = train.keypoints
     Y_test = test.keypoints
@@ -301,7 +300,7 @@ def _hundred_row_faces():
     if path is not None:
         data = load_training_csv(path)
         dense, _ = split_by_keypoint_coverage(data)
-        sub = impute_column_means(_subsample(dense, 100, seed=7))
+        sub = task_rows(BenchmarkConfig(max_rows=100, seed=7), dense)
         features, Y = fit_pipeline(sub.images, scale_pixels=True)[1], sub.keypoints
         return features.values, Y
     rng = np.random.default_rng(108)

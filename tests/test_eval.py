@@ -28,13 +28,13 @@ from facekeys.eval import (
     BenchmarkConfig,
     STUDY_SCALE,
     EvalError,
-    _spec_for,
     format_report,
     load_config,
     load_tasks,
     mean_predictor_rmse,
     rmse,
     run_benchmark,
+    spec_for,
     split_task,
 )
 from facekeys.lbp import LbpConfig, LbpError
@@ -141,12 +141,12 @@ def test_config_validation():
 def test_desk_scale_caps():
     cfg = BenchmarkConfig()
     assert (cfg.max_rows, cfg.mlp_epochs, cfg.cnn_epochs) == (400, 30, 20)
-    assert _spec_for(cfg, "mlp").hyperparameters["epochs"] == 30
-    assert _spec_for(cfg, "cnn").hyperparameters["epochs"] == 20
+    assert spec_for(cfg, "mlp").hyperparameters["epochs"] == 30
+    assert spec_for(cfg, "cnn").hyperparameters["epochs"] == 20
     study = BenchmarkConfig(**STUDY_SCALE)
     assert (study.max_rows, study.mlp_epochs, study.cnn_epochs) == (None, 500, 400)
-    assert _spec_for(study, "mlp").hyperparameters["epochs"] == 500
-    assert _spec_for(study, "cnn").hyperparameters["epochs"] == 400
+    assert spec_for(study, "mlp").hyperparameters["epochs"] == 500
+    assert spec_for(study, "cnn").hyperparameters["epochs"] == 400
     for name in ("mlp_epochs", "cnn_epochs"):
         for bad in (None, True, 2.5, -1):  # True passed an isinstance(e, int) test
             with pytest.raises(EvalError) as exc:
@@ -341,7 +341,7 @@ def test_a_failed_pipeline_makes_its_rows_errors_that_keep_their_hyperparameters
     assert [(r.model, r.pipeline) for r in report.rows] == [
         (kind, pipeline) for pipeline in ("raw", "lbp_pca") for kind in ("knn", "ridge")] * 2
     for r in report.rows:
-        assert r.hyperparameters == _spec_for(cfg, r.model).hyperparameters != {}
+        assert r.hyperparameters == spec_for(cfg, r.model).hyperparameters != {}
         failed = r.pipeline == "lbp_pca"
         assert (r.error, r.rmse is None) == ((str(lbp.value), True) if failed else (None, False))
     message = str(lbp.value)
@@ -765,7 +765,7 @@ def test_every_kind_leaves_read_only_inputs_as_they_were(kind):
     X.flags.writeable = False
     Y.flags.writeable = False
     cfg = BenchmarkConfig(mlp_epochs=2, cnn_epochs=2, mlp_hidden=(8,), cd_max_iter=30)
-    pred = predict_any(fit_any(_spec_for(cfg, kind), X, Y), X)
+    pred = predict_any(fit_any(spec_for(cfg, kind), X, Y), X)
     assert pred.shape == Y.shape and np.isfinite(pred).all()
     assert X.tobytes() == X_before.tobytes() and Y.tobytes() == Y_before.tobytes()
 
@@ -786,6 +786,26 @@ def test_lbp_histogram_pipeline_mode(bench_csv):
     report = run_benchmark(cfg)
     assert report.rows[0].error is None
     assert np.isfinite(report.rows[0].rmse)
+
+
+@pytest.mark.parametrize("n_rows, side, fields", [
+    (250, 12, {}),
+    (200, 48, {"lbp_mode": "histogram", "lbp_neighbors": 4}),
+], ids=["pixel_map-12x12", "histogram-48x48-p4"])
+def test_lbp_pca_keeps_at_most_the_components_its_code_block_holds(tmp_path, n_rows, side,
+                                                                    fields):
+    # fails at the parent: both code blocks are 144 columns wide (12x12 codes, or 9 cells
+    # of 16 bins), and min(pca_components, training rows - 1) asked for more of them
+    path = tmp_path / "faces.csv"
+    write_training_csv(build_dataset(n_rows=n_rows, side=side, seed=4), path)
+    cfg = BenchmarkConfig(training_csv=str(path), pipelines=("lbp_pca",), **fields)
+    report = format_report(run_benchmark(cfg), "csv")
+    rows = load_report_csv(report).rows
+    assert len(rows) == len(DEFAULT_MODELS) * 2 and min(r.n_train for r in rows) > 144
+    for r in rows:
+        assert r.error is None and np.isfinite(r.rmse), (r.model, r.task, r.error)
+    at_ceiling = dataclasses.replace(cfg, pca_components=144)
+    assert format_report(run_benchmark(at_ceiling), "csv") == report
 
 
 def test_csv_report_round_trip(bench_csv):
